@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -28,7 +29,7 @@ from . import lseries as ls
 from . import modforms as mf
 from . import multfn as mu
 from .budget import ValueWithBudget
-from .characters import character_group
+from .characters import GENERATORS, character_group
 from .errors import LrlabError
 from .verify import ALL_CASES, run_checks
 
@@ -207,6 +208,16 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if failed == 0 else 1
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"value must be finite, got {text!r}")
+    return value
+
+
 def _checkpoints(text: str) -> list[float]:
     try:
         return [float(t) for t in text.split(",") if t]
@@ -214,8 +225,25 @@ def _checkpoints(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad checkpoint list {text!r}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors are one line on stderr (exit 2)."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _validate(parser: argparse.ArgumentParser, args) -> None:
+    """Checks that involve more than one argument; a failure is a usage error."""
+    if args.command == "lvalue" and args.modulus in GENERATORS:
+        size = sum(1 for r in range(args.modulus) if math.gcd(r, args.modulus) == 1)  # phi(m)
+        if not -size <= args.index < size:
+            parser.error(
+                f"argument --index: must lie in [-{size}, {size - 1}] for modulus {args.modulus}"
+            )
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lrlab",
         description="Second-order constants for tau-divisibility and sum-of-two-squares counts.",
     )
@@ -257,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hf", help="H_f(x) for one case")
     common(p, with_cutoff=False)
     p.add_argument("--case", required=True, choices=sorted(mu.CASES))
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--x", type=_finite_float, required=True)
     p.set_defaults(func=_cmd_hf)
 
     p = sub.add_parser("tau", help="tau(n), exact or mod q")
@@ -284,6 +312,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _validate(parser, args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

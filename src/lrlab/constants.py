@@ -343,7 +343,9 @@ def omitted_products_bound(cutoff: int = 10**7) -> ValueWithBudget:
         pm1 = p[m] ** (nu[m] - 1.0)
         terms.append(-(nu[m] - 1.0) * logs[m] / (pm1 - 1.0) + nu[m] * logs[m] / (pm1 * p[m] - 1.0))
     flat = np.concatenate(terms)
-    flat = flat[np.isfinite(flat)]
+    if not np.all(np.isfinite(flat)):
+        bad = int(np.count_nonzero(~np.isfinite(flat)))
+        raise ConsistencyError(f"{bad} of {len(flat)} residual-product terms are not finite")
     value = csum(flat)
     budget = 4.0 * prime_tail_bound(2, float(cutoff)) + _EPS * float(np.sum(np.abs(flat))) * 4.0
     return ValueWithBudget(value, budget)

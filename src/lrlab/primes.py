@@ -12,6 +12,17 @@ orders modulo 691, and the Wilton classes of primes modulo 23:
 S1, S2, S3 have natural densities 1/2, 1/3, 1/6.  An independent classifier
 decides S3 through solvability of x^3 = x + 1 (mod p); both routes must
 agree (the cubic x^3 - x - 1 has discriminant -23).
+
+The independent classifier tests solvability without a scan over x.  For
+p != 23, f = x^3 - x - 1 is squarefree mod p and Frobenius permutes its
+three roots; the permutation is even iff the discriminant -23 is a square
+mod p, and (-23|p) = (p|23) by quadratic reciprocity.  So when (p|23) = 1,
+f has either no root or three roots mod p, and three roots means f divides
+x^p - x, i.e. x^p = x mod (f, p).  `cubic_splits` evaluates x^p mod (f, p)
+by square-and-multiply on degree-2 residues, for a whole array of primes at
+once.  It also decides p = 2 correctly: f = x^3 + x + 1 is irreducible mod 2
+and x^2 != x.  The exhaustive `cubic_root_exists` scan is kept as the
+reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -34,8 +45,10 @@ __all__ = [
     "wilton_class",
     "wilton_class_cubic",
     "cubic_root_exists",
+    "cubic_splits",
     "classify",
     "wilton_codes",
+    "wilton_codes_cubic",
     "order_codes",
     "order_table_691",
     "S1",
@@ -280,16 +293,40 @@ def cubic_root_exists(p: int, chunk: int = 1 << 16) -> bool:
     return False
 
 
+# x^p is reduced mod p after each product of two residues below p, so every
+# intermediate stays below p^2 < 2^63.
+_SPLIT_P_LIMIT = 3 * 10**9
+
+
+def cubic_splits(primes) -> np.ndarray:
+    """x^p = x mod (x^3 - x - 1, p) for each prime p: does the cubic split mod p?
+
+    Left-to-right square-and-multiply on residues a + b x + c x^2 (int64),
+    using x^3 = x + 1 and x^4 = x^2 + x, over all primes at once.  When
+    (p|23) = 1 this decides x^3 = x + 1 (mod p) exactly (module docstring).
+    """
+    p = np.asarray(primes, dtype=np.int64)
+    if not p.size:
+        return np.zeros(0, dtype=bool)
+    if int(p.min()) < 2 or int(p.max()) >= _SPLIT_P_LIMIT:
+        raise InvalidArgumentError(f"primes must lie in [2, {_SPLIT_P_LIMIT}) for the int64 split test")
+    a, b, c = np.ones_like(p), np.zeros_like(p), np.zeros_like(p)
+    for bit in reversed(range(int(p.max()).bit_length())):
+        aa, bb, cc = a * a % p, b * b % p, c * c % p
+        ab, ac, bc = a * b % p, a * c % p, b * c % p
+        a, b, c = (aa + 2 * bc) % p, (2 * ab + 2 * bc + cc) % p, (bb + 2 * ac + cc) % p
+        odd = ((p >> bit) & 1).astype(bool)
+        # (a + b x + c x^2) x = c + (a + c) x + b x^2
+        a, b, c = np.where(odd, c, a), np.where(odd, (a + c) % p, b), np.where(odd, b, c)
+    return (a == 0) & (b == 1) & (c == 0)
+
+
 def wilton_class_cubic(p: int) -> str:
     """Independent Wilton classifier: S3 iff (p|23) = 1 and x^3 = x+1 solvable mod p."""
     p = int(p)
     if not is_prime(p):
         raise InvalidArgumentError(f"{p} is not prime")
-    if p == 23:
-        return P23
-    if kronecker_symbol(p, 23) == -1:
-        return S1
-    return S3 if cubic_root_exists(p) else S2
+    return WILTON_LABELS[int(_wilton_codes(np.array([p], dtype=np.int64), cubic_splits)[0])]
 
 
 @lru_cache(maxsize=4)
@@ -312,19 +349,29 @@ W_S1, W_S2, W_S3, W_P23 = 0, 1, 2, 3
 WILTON_LABELS = {W_S1: S1, W_S2: S2, W_S3: S3, W_P23: P23}
 
 
+def _wilton_codes(p: np.ndarray, is_s3) -> np.ndarray:
+    """Class codes for the primes p; is_s3 decides S3 among those with (p|23) = 1."""
+    qr = _KRON23[p % 23]
+    codes = np.full(len(p), W_S2, dtype=np.uint8)
+    codes[qr == -1] = W_S1
+    residue = qr == 1
+    codes[np.flatnonzero(residue)[is_s3(p[residue])]] = W_S3
+    codes[p == 23] = W_P23
+    return codes
+
+
 @lru_cache(maxsize=4)
 def wilton_codes(limit: int) -> np.ndarray:
     """Wilton class code for each prime <= limit (order matches sieve_primes)."""
-    table = sieve_primes(limit)
-    p = table.primes
-    qr = _KRON23[p % 23]
     form = _form_values_mask(limit)
-    codes = np.full(len(p), W_S2, dtype=np.uint8)
-    codes[qr == -1] = W_S1
-    codes[(qr == 1) & form[p]] = W_S3
-    codes[p == 23] = W_P23
+    codes = _wilton_codes(sieve_primes(limit).primes, lambda q: form[q])
     codes.flags.writeable = False
     return codes
+
+
+def wilton_codes_cubic(limit: int) -> np.ndarray:
+    """The codes of `wilton_codes(limit)`, with S3 decided by `cubic_splits` instead."""
+    return _wilton_codes(sieve_primes(limit).primes, cubic_splits)
 
 
 @lru_cache(maxsize=4)

@@ -21,8 +21,7 @@ import time
 import pytest
 
 import lrlab.lseries as lseries
-from lrlab import constants as co
-from lrlab import h_f, table1
+from lrlab import h_f
 
 REQUIRED_PREFIXES = {
     1: ("table1/",),
@@ -53,15 +52,20 @@ def test_criterion_1_table_reproduction(full_checks):
 
 
 def test_criterion_1_runtime_budget():
-    # full six-case table at prime cutoff 1e7 and H_f to 1e6, cold caches
-    co.second_order_constant.cache_clear()
-    lseries._gamma_batch.cache_clear()
-    t0 = time.monotonic()
-    reports = table1(10**7)
-    elapsed = time.monotonic() - t0
-    print(f"\nPASS [criterion 1] table1 cold wall time: {elapsed:.1f}s (< 300s)")
-    assert len(reports) == 6
-    assert elapsed < 300.0
+    # full six-case table at prime cutoff 1e7 and H_f to 1e6, in a fresh
+    # interpreter so that every cache (sieve, masks, codes, characters) is cold
+    script = (
+        "import time; from lrlab import table1; t0 = time.monotonic(); "
+        "reports = table1(10**7); print(len(reports), time.monotonic() - t0)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=600
+    )
+    assert proc.returncode == 0, proc.stderr
+    count, elapsed = proc.stdout.split()
+    print(f"\nPASS [criterion 1] table1 cold wall time: {float(elapsed):.1f}s (< 300s)")
+    assert int(count) == 6
+    assert float(elapsed) < 300.0
 
 
 @pytest.mark.xfail(

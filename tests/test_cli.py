@@ -110,6 +110,22 @@ class TestExitCodes:
         assert run_cli(capsys, "nonsense")[0] == 2
         assert run_cli(capsys, "count", "--case", "bogus", "--x", "5")[0] == 2
 
+    def test_bad_values_are_usage_errors(self, capsys):
+        for argv in (
+            ("lvalue", "--modulus", "5", "--index", "9"),
+            ("lvalue", "--modulus", "5", "--index", "-5"),
+            ("hf", "--case", "q3", "--x", "nan"),
+            ("hf", "--case", "q3", "--x", "inf"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2, argv
+            assert out == "" and len(err.strip().splitlines()) == 1 and "error:" in err, argv
+
+    def test_negative_index_counts_from_the_end(self, capsys):
+        _, last, _ = run_cli(capsys, "lvalue", "--modulus", "5", "--index", "3")
+        code, out, _ = run_cli(capsys, "lvalue", "--modulus", "5", "--index", "-1")
+        assert code == 0 and out.split(" = ")[1] == last.split(" = ")[1]
+
     def test_precondition_error_is_3(self, capsys):
         code, _, err = run_cli(capsys, "constant", "--case", "q5", "--prime-limit", "5000")
         assert code == 3

@@ -1,8 +1,10 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from lrlab import constants
 from lrlab.budget import ValueWithBudget
 from lrlab.constants import (
     CLAIM_FALSE,
@@ -18,7 +20,8 @@ from lrlab.constants import (
     table1,
     verdict,
 )
-from lrlab.errors import PreconditionError, UnsupportedCaseError
+from lrlab.errors import ConsistencyError, PreconditionError, UnsupportedCaseError
+from lrlab.primes import PrimeTable, sieve_primes
 
 CUTOFF = 10**6  # module tests run at 1e6; the acceptance suite runs 1e7
 
@@ -100,6 +103,14 @@ class TestB691:
         assert abs(ob.value) < 1e-5
         # first 1381 term is included: log(1381)/(1381^2 - 1)
         assert ob.value > math.log(1381) / (1381**2 - 1) / 2
+
+    def test_omitted_products_rejects_non_finite_terms(self, monkeypatch):
+        table = sieve_primes(10**4)
+        broken = PrimeTable(table.limit, table.primes.copy())
+        broken._logs = np.where(table.primes == 2, np.nan, table.logs)  # 2 has order 230 mod 691
+        monkeypatch.setattr(constants, "sieve_primes", lambda limit: broken)
+        with pytest.raises(ConsistencyError, match="not finite"):
+            omitted_products_bound(10**4)
 
     def test_omitted_products_tail_soundness(self):
         v6 = omitted_products_bound(10**6)

@@ -15,6 +15,7 @@ from lrlab.primes import (
     WILTON_LABELS,
     classify,
     cubic_root_exists,
+    cubic_splits,
     is_prime,
     kronecker_symbol,
     mult_order,
@@ -25,6 +26,7 @@ from lrlab.primes import (
     wilton_class,
     wilton_class_cubic,
     wilton_codes,
+    wilton_codes_cubic,
 )
 
 
@@ -170,9 +172,43 @@ class TestWilton:
 
     def test_dual_agreement_to_2e4(self):
         # the full 1e5 agreement runs in the acceptance suite
-        codes = wilton_codes(2 * 10**4)
-        for i, p in enumerate(sieve_primes(2 * 10**4).primes.tolist()):
-            assert wilton_class_cubic(p) == WILTON_LABELS[int(codes[i])], p
+        np.testing.assert_array_equal(wilton_codes_cubic(2 * 10**4), wilton_codes(2 * 10**4))
+
+    def test_split_test_matches_scan(self):
+        # every prime below 5000 with (p|23) = 1, where the split test is exact
+        ps = [p for p in trial_division_sieve(4999) if kronecker_symbol(p, 23) == 1]
+        assert ps[:2] == [2, 3] and len(ps) > 300
+        assert cubic_splits(np.array(ps)).tolist() == [cubic_root_exists(p) for p in ps]
+
+    def test_split_test_near_int64_limit(self):
+        # x^p mod (x^3 - x - 1, p) with Python ints, for primes just below the limit
+        def x_pow_p(p):
+            r, base, e = (1, 0, 0), (0, 1, 0), p
+            while e:
+                if e & 1:
+                    r = mul(r, base, p)
+                base, e = mul(base, base, p), e >> 1
+            return r
+
+        def mul(u, v, p):
+            c = [0] * 5
+            for i in range(3):
+                for j in range(3):
+                    c[i + j] += u[i] * v[j]
+            # x^4 = x^2 + x, x^3 = x + 1
+            return ((c[0] + c[3]) % p, (c[1] + c[3] + c[4]) % p, (c[2] + c[4]) % p)
+
+        ps = [n for n in range(3 * 10**9 - 1, 3 * 10**9 - 2000, -2) if is_prime(n)][:40]
+        got = cubic_splits(np.array(ps)).tolist()
+        assert got == [x_pow_p(p) == (0, 1, 0) for p in ps]
+        assert any(got) and not all(got)
+        with pytest.raises(InvalidArgumentError):
+            cubic_splits(np.array([3 * 10**9 + 19]))
+
+    def test_scalar_cubic_classifier_matches_codes(self):
+        ps = sieve_primes(3000).primes
+        labels = [WILTON_LABELS[int(c)] for c in wilton_codes_cubic(3000)]
+        assert [wilton_class_cubic(int(p)) for p in ps] == labels
 
     def test_vector_codes_match_scalar(self):
         codes = wilton_codes(10**4)
