@@ -12,8 +12,8 @@ Subcommands:
 
 Every numeric output carries its error budget.  Output is deterministic:
 fixed 10-significant-digit formatting, ordered reductions, no
-locale-dependent pieces.  Exit codes: 0 success, 2 argument/usage error,
-3 computational precondition failure.
+locale-dependent pieces.  Exit codes: 0 success, 1 a failed verify check,
+2 argument/usage error, 3 computational precondition failure.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from . import modforms as mf
 from . import multfn as mu
 from .budget import ValueWithBudget
 from .characters import GENERATORS, character_group
-from .errors import LrlabError
+from .errors import InvalidArgumentError, LrlabError
 from .verify import ALL_CASES, run_checks
 
 EXIT_OK = 0
@@ -218,6 +218,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"value must be positive, got {text!r}")
+    return value
+
+
 def _checkpoints(text: str) -> list[float]:
     try:
         return [float(t) for t in text.split(",") if t]
@@ -251,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, with_cutoff=True):
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        p.add_argument("--depth", type=float, default=1.0, help="Euler-Maclaurin depth multiplier")
+        p.add_argument("--depth", type=_positive_float, default=1.0, help="Euler-Maclaurin depth multiplier")
         if with_cutoff:
             p.add_argument("--prime-limit", type=int, default=10**7, dest="prime_limit")
         p.add_argument("--threads", type=int, default=None, help="worker threads (or LRLAB_THREADS)")
@@ -317,6 +324,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
+    except InvalidArgumentError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except LrlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

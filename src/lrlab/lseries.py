@@ -85,6 +85,8 @@ def _g_derivative(u: float, lnu: float, k: int, order: int, m: int) -> float:
 def _gamma_batch(m: int, k: int, depth: float) -> tuple[np.ndarray, np.ndarray]:
     """gamma_k(r, m) and budgets for r = 1..m (r = m is the zero class)."""
     X = int(depth * max(10**6, 2000 * m))
+    if X < m:
+        raise InvalidArgumentError(f"depth {depth} leaves cutoff {X} below the modulus {m}")
     n = np.arange(1, X + 1, dtype=np.float64)
     ln = np.log(n)
     w = (ln**k) / n if k else 1.0 / n

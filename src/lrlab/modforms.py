@@ -5,9 +5,17 @@ exact integer arithmetic.  The expansion goes through Jacobi's identity
 
     prod (1 - x^n)^3 = sum_{k>=0} (-1)^k (2k+1) x^{k(k+1)/2},
 
-so the 24th power needs just three polynomial squarings, each done by
-Kronecker substitution (pack coefficients into one big integer, square it,
-unpack).  gmpy2 supplies the fast big-integer multiply.
+whose few nonzero terms give the 6th power by a sparse convolution; the
+24th power then needs two polynomial squarings, each done by Kronecker
+substitution in base 10: every coefficient c becomes a w-digit
+decimal field holding c + 5*10^(w-1), the packed string is read as one
+Decimal, squared, and the fields of the square are sliced back out.  The
+width is chosen so that n * max|c|^2 < 10^(w-1), which bounds every
+coefficient of the square, so each offset field stays inside
+[4*10^(w-1), 6*10^(w-1)) and never carries into its neighbour.  The
+standard library's decimal module (libmpdec) multiplies large operands by
+number-theoretic transform and converts to and from strings in linear time;
+its context traps Inexact and Rounded, so any loss of digits raises.
 
 Congruence shortcuts:
     tau(n) = n*sigma_1(n)   (mod 3)
@@ -24,16 +32,12 @@ its coefficients are reduced mod 3 by a blocked coin DP.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-try:
-    from gmpy2 import mpz
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    mpz = int
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .primes import kronecker_symbol, sieve_primes, wilton_class
@@ -50,6 +54,13 @@ __all__ = [
 TAU_DESK_LIMIT = 100_000
 _SUPPORTED_MODULI = (2, 3, 5, 7, 23, 691)
 
+# Exact integer arithmetic on Decimal: any rounding raises instead of passing.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow],
+)
+
 
 @dataclass
 class TauWindow:
@@ -64,43 +75,45 @@ class TauWindow:
         return self.values[n - 1]
 
 
-def _eta3_coeffs(length: int) -> list[int]:
-    """Coefficients of prod (1-x^n)^3 up to x^(length-1) (Jacobi, sparse)."""
-    out = [0] * length
-    k = 0
-    while k * (k + 1) // 2 < length:
-        out[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
-        k += 1
-    return out
+def _eta6_coeffs(length: int) -> list[int]:
+    """Coefficients of prod (1-x^n)^6 up to x^(length-1).
+
+    The square of Jacobi's sparse series: about sqrt(2*length) terms give
+    fewer than 2*length products, each far inside int64.
+    """
+    k = np.arange(math.isqrt(2 * length) + 1, dtype=np.int64)
+    k = k[k * (k + 1) // 2 < length]
+    expo = k * (k + 1) // 2
+    coeff = np.where(k % 2 == 0, 1, -1) * (2 * k + 1)
+    idx = (expo[:, None] + expo[None, :]).ravel()
+    keep = idx < length
+    out = np.zeros(length, dtype=np.int64)
+    np.add.at(out, idx[keep], (coeff[:, None] * coeff[None, :]).ravel()[keep])
+    return out.tolist()
 
 
 def _poly_square_trunc(coeffs: list[int], length: int) -> list[int]:
-    """Truncated square of an integer polynomial via Kronecker substitution.
+    """Truncated square of an integer polynomial via decimal Kronecker substitution.
 
-    The field width is chosen from the crude convolution bound
-    len * max|c|^2, so the packing provably never carries between limbs.
+    The field width w satisfies len * max|c|^2 < 10^(w-1), the crude
+    convolution bound, so the offset fields provably never carry.
     """
     n = len(coeffs)
     maxc = max(1, max(abs(c) for c in coeffs))
-    bits = 2 * maxc.bit_length() + n.bit_length() + 2
-    bits = (bits + 7) // 8 * 8
-    nb = bits // 8
-    half = 1 << (bits - 1)
+    w = len(str(n * maxc * maxc)) + 1
+    half = 5 * 10 ** (w - 1)
+    half_field = str(half)
 
-    packed = b"".join((c + half).to_bytes(nb, "little") for c in coeffs)
-    offset = int.from_bytes(half.to_bytes(nb, "little") * n, "little")
-    v = int.from_bytes(packed, "little") - offset
-
-    w = int(mpz(v) * mpz(v))
+    # |c| < 10^(w-1), so every c + half has exactly w digits
+    packed = "".join([str(c + half) for c in reversed(coeffs)])
+    v = _EXACT.subtract(decimal.Decimal(packed), decimal.Decimal(half_field * n))
 
     m = 2 * n - 1  # number of coefficients of the full square
-    offset2 = int.from_bytes(half.to_bytes(nb, "little") * m, "little")
-    u = w + offset2
-    raw = u.to_bytes(m * nb + nb, "little")
+    u = _EXACT.add(_EXACT.multiply(v, v), decimal.Decimal(half_field * m))
+    digits = str(u)  # exactly m*w digits, lowest coefficient last
     take = min(length, m)
-    return [
-        int.from_bytes(raw[i * nb : (i + 1) * nb], "little") - half for i in range(take)
-    ] + [0] * (length - take)
+    low = [int(digits[i : i + w]) - half for i in range((m - take) * w, m * w, w)]
+    return low[::-1] + [0] * (length - take)
 
 
 @lru_cache(maxsize=2)
@@ -110,18 +123,28 @@ def tau_exact(n_max: int) -> TauWindow:
         raise InvalidArgumentError(f"n_max must be >= 1, got {n_max}")
     if n_max > TAU_DESK_LIMIT:
         raise ResourceLimitError(f"tau_exact desk limit is {TAU_DESK_LIMIT}, got {n_max}")
-    e3 = _eta3_coeffs(n_max)
-    e6 = _poly_square_trunc(e3, n_max)
+    e6 = _eta6_coeffs(n_max)
     e12 = _poly_square_trunc(e6, n_max)
     e24 = _poly_square_trunc(e12, n_max)
     return TauWindow(n_max, e24)
 
 
 def _sigma_power_mod(n_max: int, power: int, q: int) -> np.ndarray:
-    """sigma_power(n) mod q for n = 0..n_max via a divisor slice-sieve."""
+    """sigma_power(n) mod q for n = 0..n_max via a two-sided divisor sieve.
+
+    Each divisor pair d * j = n is added once: by a slice over the multiples
+    of d for d <= sqrt(n_max), and for larger d, which only meet cofactors
+    j < sqrt(n_max), by a slice over the multiples j*d of each cofactor j.
+    """
+    residue_power = np.array([pow(r, power, q) for r in range(q)], dtype=np.int64)
+    weight = residue_power[np.arange(n_max + 1) % q]  # d^power mod q
     sig = np.zeros(n_max + 1, dtype=np.int64)
-    for d in range(1, n_max + 1):
-        sig[d::d] += pow(d, power, q)
+    root = math.isqrt(n_max)
+    for d in range(1, root + 1):
+        sig[d::d] += weight[d]
+    for j in range(1, n_max // (root + 1) + 1):
+        top = n_max // j  # d runs over root+1 .. top
+        sig[j * (root + 1) : j * top + 1 : j] += weight[root + 1 : top + 1]
     return sig % q
 
 

@@ -233,31 +233,37 @@ def f_sieve(case, x: int) -> np.ndarray:
     out[0] = False
     if x == 1:
         return out
-    table = pr.sieve_primes(x)
+    primes = pr.sieve_primes(x).primes
     m0s = zero_periods(spec, x)
-    for p, m0 in zip(table.primes.tolist(), m0s.tolist()):
+    small = int(np.searchsorted(primes, math.isqrt(x), side="right"))
+    for p, m0 in zip(primes[:small].tolist(), m0s[:small].tolist()):
         if m0 == M_NEVER:
             continue
         if m0 == M_ALWAYS:
             out[p::p] = False
             continue
-        if m0 > 2 and p * p > x:
-            continue  # smallest zero exponent m0 - 1 >= 2 already needs p^2 <= x
         # zeros at exponents k = m0-1, 2*m0-1, ...: mark v_p(n) = k exactly
         pk = p ** (m0 - 1)
         if pk > x:
             continue
         step = p**m0
         while True:
-            cnt = x // pk
-            if cnt < p:
-                out[pk::pk] = False  # no cofactor divisible by p in range
-            else:
-                t = np.arange(1, cnt + 1, dtype=np.int64)
-                out[pk * t[t % p != 0]] = False
+            # n = pk*t with p not dividing t: in each full row of p*pk numbers,
+            # every multiple of pk but the row's first; after the last full
+            # row, every multiple of pk (the next t divisible by p is past x)
+            blocks = x // (pk * p)
+            out[: blocks * p * pk].reshape(blocks, p * pk)[:, pk::pk] = False
+            out[pk * (blocks * p + 1) :: pk] = False
             if pk > x // step:
                 break
             pk *= step
+    # A prime p > sqrt(x) divides n <= x at most once, as n = j*p with j < p,
+    # and f(n) = 0 exactly when f(p) = 0.  Mark those multiples per cofactor j.
+    big = m0s[small:]
+    zero = primes[small:][(big == 2) | (big == M_ALWAYS)]
+    if len(zero):
+        for j in range(1, x // int(zero[0]) + 1):
+            out[j * zero[: np.searchsorted(zero, x // j, side="right")]] = False
     return out
 
 

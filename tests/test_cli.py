@@ -116,6 +116,12 @@ class TestExitCodes:
             ("lvalue", "--modulus", "5", "--index", "-5"),
             ("hf", "--case", "q3", "--x", "nan"),
             ("hf", "--case", "q3", "--x", "inf"),
+            ("lvalue", "--modulus", "5", "--index", "1", "--depth", "0"),
+            ("lvalue", "--modulus", "5", "--index", "1", "--depth", "nan"),
+            ("lvalue", "--modulus", "5", "--index", "1", "--depth", "-1"),
+            ("lvalue", "--modulus", "5", "--index", "1", "--depth", "1e-9"),
+            ("tau", "--limit", "0"),
+            ("count", "--case", "q3", "--x", "0"),
         ):
             code, out, err = run_cli(capsys, *argv)
             assert code == 2, argv
@@ -130,6 +136,11 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "constant", "--case", "q5", "--prime-limit", "5000")
         assert code == 3
         assert "error:" in err
+
+    def test_resource_limit_error_is_3(self, capsys):
+        code, out, err = run_cli(capsys, "tau", "--limit", "200000")
+        assert code == 3
+        assert out == "" and len(err.strip().splitlines()) == 1 and "error:" in err
 
     def test_verify_single_case_exits_0(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--case", "q2", "--prime-limit", "1000000")

@@ -3,9 +3,19 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrlab.errors import InvalidArgumentError, ResourceLimitError
-from lrlab.modforms import lambda_mod3, odd_tau_count, tau_exact, tau_mod
+from lrlab.modforms import (
+    _poly_square_trunc,
+    _sigma_power_mod,
+    lambda_mod3,
+    odd_tau_count,
+    tau_exact,
+    tau_mod,
+)
+from lrlab.primes import sieve_primes
 
 # first values of tau(n), long established
 TAU_KNOWN = [
@@ -42,6 +52,36 @@ def partitions_avoiding(n, parts):
     return count(n, len(parts) - 1)
 
 
+def naive_square_trunc(coeffs, length):
+    """Schoolbook square of an integer polynomial, truncated to length terms."""
+    out = [0] * length
+    for i, a in enumerate(coeffs):
+        for j, b in enumerate(coeffs):
+            if i + j < length:
+                out[i + j] += a * b
+    return out
+
+
+_coefficient = st.one_of(
+    st.just(0),
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=-(2**300), max_value=2**300),
+)
+
+
+class TestPolySquare:
+    @given(st.lists(_coefficient, min_size=1, max_size=60), st.integers(min_value=1, max_value=130))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_schoolbook(self, coeffs, length):
+        assert _poly_square_trunc(coeffs, length) == naive_square_trunc(coeffs, length)
+
+    def test_extreme_fields(self):
+        # every coefficient at the bound, with alternating and equal signs
+        big = 2**300
+        for coeffs in ([big] * 60, [(-1) ** i * big for i in range(60)], [-big], [0] * 7):
+            assert _poly_square_trunc(coeffs, 119) == naive_square_trunc(coeffs, 119)
+
+
 class TestTauExact:
     def test_known_values(self):
         w = tau_exact(len(TAU_KNOWN))
@@ -58,13 +98,26 @@ class TestTauExact:
         assert w.tau(5) % 5 == 0 and w.tau(5) % 23 == 0
 
     def test_multiplicative_on_coprime(self):
-        w = tau_exact(5000)
-        for m, n in ((2, 3), (4, 9), (5, 7), (12, 25), (8, 27), (49, 100)):
-            assert w.tau(m * n) == w.tau(m) * w.tau(n)
+        # tau(n) = tau(p^k) tau(n / p^k) for the smallest prime p | n, over the
+        # whole window: by induction, tau(mn) = tau(m) tau(n) for coprime m, n
+        n_max = 20000
+        w = tau_exact(n_max)
+        spf = list(range(n_max + 1))
+        for p in range(2, math.isqrt(n_max) + 1):
+            if spf[p] == p:
+                for m in range(p * p, n_max + 1, p):
+                    if spf[m] == m:
+                        spf[m] = p
+        for n in range(2, n_max + 1):
+            pk = spf[n]
+            while n % (pk * spf[n]) == 0:
+                pk *= spf[n]
+            if pk != n:
+                assert w.tau(n) == w.tau(pk) * w.tau(n // pk), n
 
     def test_hecke_recursion(self):
         w = tau_exact(20000)
-        for p in (2, 3, 5, 7, 11, 13):
+        for p in sieve_primes(math.isqrt(20000)).primes.tolist():
             k = 1
             while p ** (k + 1) <= 20000:
                 assert w.tau(p ** (k + 1)) == w.tau(p) * w.tau(p**k) - p**11 * w.tau(
@@ -96,6 +149,15 @@ class TestTauMod:
     def test_unsupported_modulus(self):
         with pytest.raises(InvalidArgumentError):
             tau_mod(11, 100)
+
+    def test_sigma_power_mod_matches_divisor_sum(self):
+        for power, q in ((1, 3), (1, 5), (3, 7), (11, 691)):
+            for n_max in (1, 2, 3, 15, 16, 17, 500):
+                naive = [0] + [
+                    sum(d**power for d in range(1, n + 1) if n % d == 0) % q
+                    for n in range(1, n_max + 1)
+                ]
+                assert _sigma_power_mod(n_max, power, q).tolist() == naive, (power, q, n_max)
 
 
 class TestLambdaMod3:

@@ -159,6 +159,17 @@ class TestCountAndSieve:
             for n in range(1, 801):
                 assert int(fs[n]) == f_value(tag, n), (tag, n)
 
+    def test_sieve_matches_f_value_at_sqrt_split(self):
+        # f_sieve treats primes above sqrt(x) by cofactor: check x on both
+        # sides of each square, and the degenerate x = 1, 2, 3
+        edge_primes = (2, 3, 5, 7, 11, 13, 29, 31, 37, 41)
+        limits = [1, 2, 3] + [p * p + d for p in edge_primes for d in (-1, 0, 1)]
+        for tag in CASES:
+            ref = [f_value(tag, n) for n in range(1, max(limits) + 1)]
+            for x in limits:
+                fs = f_sieve(tag, x)
+                assert not fs[0] and fs[1:].astype(int).tolist() == ref[:x], (tag, x)
+
     def test_two_squares_brute_force(self):
         x = 5000
         brute = np.zeros(x + 1, dtype=bool)
