@@ -52,9 +52,7 @@ from .multfn import (
     lambda_table,
 )
 from .primes import (
-    PrimeClassification,
     PrimeTable,
-    classify,
     is_prime,
     kronecker_symbol,
     mult_order,

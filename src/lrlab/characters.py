@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .primes import kronecker_symbol, multiplicative_order
+from .primes import euler_phi, kronecker_symbol, multiplicative_order
 
 __all__ = [
     "DirichletCharacter",
@@ -71,11 +71,11 @@ class DirichletCharacter:
         if self._dlog is None or self._index is None:
             raise InvalidArgumentError("power() requires a generator-based character")
         m = self.modulus
-        return generator_character(m, GENERATORS[m], (self._index * j) % _phi(m))
+        return generator_character(m, GENERATORS[m], (self._index * j) % euler_phi(m))
 
     def conjugate(self) -> "DirichletCharacter":
         if self._dlog is not None and self._index is not None:
-            phi = _phi(self.modulus)
+            phi = euler_phi(self.modulus)
             return generator_character(self.modulus, GENERATORS[self.modulus], (-self._index) % phi)
         out = DirichletCharacter(
             self.modulus, self.values.conj(), self.order, self.principal, self.label + "~"
@@ -89,24 +89,10 @@ class DirichletCharacter:
         )
 
 
-def _phi(m: int) -> int:
-    phi = m
-    n, d = m, 2
-    while d * d <= n:
-        if n % d == 0:
-            phi -= phi // d
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        phi -= phi // n
-    return phi
-
-
 @lru_cache(maxsize=None)
 def _dlog_table(m: int, g: int) -> tuple:
     """Discrete logs base g mod m; -1 marks residues off the unit group."""
-    phi = _phi(m)
+    phi = euler_phi(m)
     if math.gcd(g, m) != 1 or multiplicative_order(g, m) != phi:
         raise InvalidArgumentError(f"{g} does not generate (Z/{m}Z)^*")
     dlog = np.full(m, -1, dtype=np.int64)
@@ -163,5 +149,5 @@ def character_group(m: int) -> list[DirichletCharacter]:
     if m not in GENERATORS:
         raise InvalidArgumentError(f"unsupported modulus {m}")
     g = GENERATORS[m]
-    phi = _phi(m)
+    phi = euler_phi(m)
     return [generator_character(m, g, j) for j in range(phi)]

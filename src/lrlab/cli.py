@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import constants as co
@@ -31,6 +30,7 @@ from . import multfn as mu
 from .budget import ValueWithBudget
 from .characters import GENERATORS, character_group
 from .errors import InvalidArgumentError, LrlabError
+from .primes import euler_phi
 from .verify import ALL_CASES, run_checks
 
 EXIT_OK = 0
@@ -95,21 +95,9 @@ def _print_report_text(r: co.ConstantReport) -> None:
         print(f"  note: {note}")
 
 
-def _threads(args) -> int | None:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("LRLAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return None
-    return None
-
-
 def _cmd_table1(args) -> int:
     cases = args.case or None
-    reports = co.table1(args.prime_limit, tuple(args.hf_checkpoints), args.depth, cases, _threads(args))
+    reports = co.table1(args.prime_limit, tuple(args.hf_checkpoints), args.depth, cases)
     if args.format == "json":
         print(json.dumps([_report_dict(r) for r in reports], indent=2))
         return EXIT_OK
@@ -242,7 +230,7 @@ class _Parser(argparse.ArgumentParser):
 def _validate(parser: argparse.ArgumentParser, args) -> None:
     """Checks that involve more than one argument; a failure is a usage error."""
     if args.command == "lvalue" and args.modulus in GENERATORS:
-        size = sum(1 for r in range(args.modulus) if math.gcd(r, args.modulus) == 1)  # phi(m)
+        size = euler_phi(args.modulus)
         if not -size <= args.index < size:
             parser.error(
                 f"argument --index: must lie in [-{size}, {size - 1}] for modulus {args.modulus}"
@@ -261,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--depth", type=_positive_float, default=1.0, help="Euler-Maclaurin depth multiplier")
         if with_cutoff:
             p.add_argument("--prime-limit", type=int, default=10**7, dest="prime_limit")
-        p.add_argument("--threads", type=int, default=None, help="worker threads (or LRLAB_THREADS)")
 
     p = sub.add_parser("table1", help="six-case summary table")
     common(p)

@@ -1,4 +1,4 @@
-"""Case-by-case assembly of the second-order constants and claim verdicts.
+"""Assembly of the second-order constants and claim verdicts.
 
 Writing the counting function's Dirichlet series as T(s) = zeta(s)^tau g(s)
 with g regular past Re(s) = 1/2 gives B_f = -tau*gamma - g'(1)/g(1), and the
@@ -9,34 +9,26 @@ second-order coefficient of the counting asymptotic is
 The claimed integral form of the asymptotic forces B_f = 0, so a computed
 B_f bounded away from zero (beyond its error budget) refutes the claim.
 
-Per-case B_f, from the square/fourth-power factorizations of T(s):
+B_f is read off the case's Euler factorization in multfn.CASES,
+T(s)^n = zeta(s)^(n tau) zeta(2s)^z prod L(s, chi)^e H(s).  Since
+-d/ds log (1 - p^(-a s))^c = -c a log p/(p^(a s) - 1),
 
-  two_squares: 2B = -gamma - L'/L(1,chi_-4) + log 2
-                    + 2 sum_{p=3(4)} log p/(p^2-1)
-  q5:  4B = -3 gamma - 2 Re L'/L(1,chi_c) + L'/L(1,chi_5) - (3/4) log 5
-            + sum_{p=1(5)} log p (-16/(p^4-1) + 20/(p^5-1))
-            + 4 sum_{p=4(5)} log p/(p^2-1)
-            + sum_{p=+-2(5)} log p (4/(p^2-1) - 12/(p^3-1) + 12/(p^4-1))
-  q7:  2B = -gamma - (log 7)/6 - L'/L(1,chi_-7)
-            + 2 sum_{p QNR(7)} log p/(p^2-1)
-            + sum_{p QR(7)} log p (14/(p^7-1) - 12/(p^6-1))
-  q3:  2B = -gamma - L'/L(1,chi_-3) + 4 zeta'(2)/zeta(2)
-            + 6 sum_{p=2(3)} log p/(p^2-1) + 6 sum_{p=1(3)} log p/(p^3-1)
-       (numerically preferable rewrite; the direct form
-        2B = -gamma - (log 3)/2 - L'/L + 2 sum_{p=2(3)} log p/(p^2-1)
-             + sum_{p=1(3)} log p (6/(p^3-1) - 4/(p^2-1))
-        is kept as a cross-check)
-  q23: B = -gamma/2 - L'/L(1,chi_-23)/2 + (log 23)/44
-           + sum_{S1} log p/(p^2-1)
-           + sum_{(p|23)=1, p!=23} log p (3/(p^3-1) - 2/(p^2-1))
-           + sum_{S3, p>23} log p (2/(p^2-1) - 3/(p^3-1)
-                                   + 23/(p^23-1) - 22/(p^22-1))
-  q691: B ~ (log 691)/690^2 - (689/690) gamma
-            - (1/690) sum_{j=0}^{344} L'/L(1, chi_c^(2j+1))
-            + (1/690) sum_{j=1}^{344} L'/L(1, chi_c^(2j)),
-        with the four residual Euler products of the T(s)^690 identity
-        contributing less than 1e-5 in absolute value (checked numerically
-        by omitted_products_bound).
+    B_f = -tau gamma - (1/n) [ sum_chi e Re L'/L(1, chi) + 2 z zeta'/zeta(2)
+                               + sum over the local factors (c, a) of H of
+                                 c a sum_p log p/(p^a - 1) ],
+
+with the prime sums of each class truncated at the cutoff and their tails
+bounded (lseries.prime_log_sum).  For q3 the zeta(2s)^-2 rewrite of the
+factorization is used, because its class sums converge faster; the direct
+form is kept as a cross-check (q3_direct_b).
+
+q691 has no factorization in the table:
+  B ~ (log 691)/690^2 - (689/690) gamma
+      - (1/690) sum_{j=0}^{344} L'/L(1, chi_c^(2j+1))
+      + (1/690) sum_{j=1}^{344} L'/L(1, chi_c^(2j)),
+  with the four residual Euler products of the T(s)^690 identity
+  contributing less than 1e-5 in absolute value (checked numerically
+  by omitted_products_bound).
 
 First-order constants: the two-squares leading constant
 K = 2^(-1/2) prod_{p=3(4)} (1 - p^-2)^(-1/2), and for q5
@@ -55,7 +47,7 @@ from functools import lru_cache
 import numpy as np
 
 from .budget import ValueWithBudget, csum
-from .characters import generator_character, kronecker_character
+from .characters import generator_character
 from .errors import ConsistencyError, PreconditionError, UnsupportedCaseError
 from .lseries import (
     _EPS,
@@ -65,8 +57,8 @@ from .lseries import (
     prime_tail_bound,
     zeta_log_derivative_at_2,
 )
-from .multfn import TABLE_CASES, get_case, h_f
-from .primes import W_S1, W_S3, kronecker_symbol, order_codes, sieve_primes, wilton_codes
+from .multfn import TABLE_CASES, class_index, get_case, h_f
+from .primes import order_codes, sieve_primes
 
 __all__ = [
     "ConstantReport",
@@ -130,121 +122,34 @@ def _real(v: ValueWithBudget) -> ValueWithBudget:
     return ValueWithBudget(v.value.real if isinstance(v.value, complex) else v.value, v.budget)
 
 
-@lru_cache(maxsize=64)
-def _masks(tag: str, cutoff: int):
-    """Class masks over sieve_primes(cutoff).primes for the B_f prime sums."""
-    p = sieve_primes(cutoff).primes
-    if tag == "two_squares":
-        return {"3mod4": p % 4 == 3}
-    if tag == "q5":
-        r = p % 5
-        return {"r1": r == 1, "r4": r == 4, "r23": (r == 2) | (r == 3)}
-    if tag == "q7":
-        r = p % 7
-        return {"qr": (r == 1) | (r == 2) | (r == 4), "qnr": (r == 3) | (r == 5) | (r == 6)}
-    if tag == "q3":
-        r = p % 3
-        return {"r1": r == 1, "r2": r == 2}
-    if tag == "q23":
-        codes = wilton_codes(cutoff)
-        s3 = codes == W_S3
-        return {"s1": codes == W_S1, "qr": (_KRON23V[p % 23] == 1) & (p != 23), "s3": s3}
-    raise UnsupportedCaseError(tag)
+def _scaled(coef, v):
+    """coef * v, exact (no budget rounding) for coef = +-1."""
+    return v if coef == 1 else -v if coef == -1 else coef * v
 
 
-_KRON23V = np.array([kronecker_symbol(r, 23) for r in range(23)], dtype=np.int8)
-
-
-def _b_two_squares(cutoff: int, depth: float) -> ValueWithBudget:
-    g = euler_gamma_value(depth)
-    ratio = _real(_l_ratio(kronecker_character(-4), depth))
-    s = prime_log_sum(_masks("two_squares", cutoff)["3mod4"], 2, cutoff)
-    return (-g - ratio + math.log(2.0) + 2.0 * s) / 2.0
-
-
-def _b_q5(cutoff: int, depth: float) -> ValueWithBudget:
-    g = euler_gamma_value(depth)
-    chi_c = generator_character(5, 2, 1)
-    chi_5 = generator_character(5, 2, 2)
-    ratio_c = _real(_l_ratio(chi_c, depth))  # 2 Re(L'/L) enters the formula
-    ratio_5 = _real(_l_ratio(chi_5, depth))
-    m = _masks("q5", cutoff)
-    a1 = (
-        -16.0 * prime_log_sum(m["r1"], 4, cutoff)
-        + 20.0 * prime_log_sum(m["r1"], 5, cutoff)
-        + 4.0 * prime_log_sum(m["r4"], 2, cutoff)
-    )
-    a2 = (
-        4.0 * prime_log_sum(m["r23"], 2, cutoff)
-        - 12.0 * prime_log_sum(m["r23"], 3, cutoff)
-        + 12.0 * prime_log_sum(m["r23"], 4, cutoff)
-    )
-    four_b = -3.0 * g - 2.0 * ratio_c + ratio_5 - 0.75 * math.log(5.0) + a1 + a2
-    return four_b / 4.0
-
-
-def _b_q7(cutoff: int, depth: float) -> ValueWithBudget:
-    g = euler_gamma_value(depth)
-    ratio = _real(_l_ratio(kronecker_character(-7), depth))
-    m = _masks("q7", cutoff)
-    two_b = (
-        -g
-        - math.log(7.0) / 6.0
-        - ratio
-        + 2.0 * prime_log_sum(m["qnr"], 2, cutoff)
-        + 14.0 * prime_log_sum(m["qr"], 7, cutoff)
-        - 12.0 * prime_log_sum(m["qr"], 6, cutoff)
-    )
-    return two_b / 2.0
-
-
-def _b_q3(cutoff: int, depth: float) -> ValueWithBudget:
-    """The zeta'(2)/zeta(2) rewrite (numerically preferable)."""
-    g = euler_gamma_value(depth)
-    ratio = _real(_l_ratio(kronecker_character(-3), depth))
-    m = _masks("q3", cutoff)
-    two_b = (
-        6.0 * prime_log_sum(m["r2"], 2, cutoff)
-        + 4.0 * zeta_log_derivative_at_2(cutoff)
-        - ratio
-        - g
-        + 6.0 * prime_log_sum(m["r1"], 3, cutoff)
-    )
-    return two_b / 2.0
+def _b_from_euler(spec, euler, cutoff: int, depth: float) -> ValueWithBudget:
+    """B_f from one Euler factorization of T(s)^n (module docstring)."""
+    idx = class_index(spec, cutoff)
+    terms = [
+        (e if chi.is_real else 2 * e, _real(_l_ratio(chi, depth))) for chi, e in euler.l_exponents
+    ]
+    if euler.zeta2:
+        terms.append((2 * euler.zeta2, zeta_log_derivative_at_2(cutoff)))
+    finite = [c * a * math.log(q) / (q**a - 1.0) for q, factor in euler.finite for c, a in factor]
+    terms.append((1, math.fsum(finite)))
+    for j, factor in enumerate(euler.classes):
+        members = idx == j
+        terms += [(c * a, prime_log_sum(members, a, cutoff)) for c, a in factor]
+    n_b = _scaled(-float(euler.n * spec.tau), euler_gamma_value(depth))
+    for coef, v in terms:
+        n_b = n_b - _scaled(coef, v)
+    return n_b / euler.n
 
 
 def q3_direct_b(cutoff: int = 10**7, depth: float = 1.0) -> ValueWithBudget:
-    """The direct q3 assembly (no zeta rewrite), kept as a cross-check."""
-    g = euler_gamma_value(depth)
-    ratio = _real(_l_ratio(kronecker_character(-3), depth))
-    m = _masks("q3", cutoff)
-    two_b = (
-        -g
-        - math.log(3.0) / 2.0
-        - ratio
-        + 2.0 * prime_log_sum(m["r2"], 2, cutoff)
-        + 6.0 * prime_log_sum(m["r1"], 3, cutoff)
-        - 4.0 * prime_log_sum(m["r1"], 2, cutoff)
-    )
-    return two_b / 2.0
-
-
-def _b_q23(cutoff: int, depth: float) -> ValueWithBudget:
-    g = euler_gamma_value(depth)
-    ratio = _real(_l_ratio(kronecker_character(-23), depth))
-    m = _masks("q23", cutoff)
-    return (
-        -0.5 * g
-        - 0.5 * ratio
-        + math.log(23.0) / 44.0
-        + prime_log_sum(m["s1"], 2, cutoff)
-        + 3.0 * prime_log_sum(m["qr"], 3, cutoff)
-        - 2.0 * prime_log_sum(m["qr"], 2, cutoff)
-        + 2.0 * prime_log_sum(m["s3"], 2, cutoff)
-        - 3.0 * prime_log_sum(m["s3"], 3, cutoff)
-        + 23.0 * prime_log_sum(m["s3"], 23, cutoff)
-        - 22.0 * prime_log_sum(m["s3"], 22, cutoff)
-    )
+    """B_f for q3 from the direct factorization (no zeta(2s) rewrite), a cross-check."""
+    spec = get_case("q3")
+    return _b_from_euler(spec, spec.euler, int(cutoff), depth)
 
 
 # ---------------------------------------------------------------------------
@@ -435,15 +340,6 @@ def _vwb_pow(v: ValueWithBudget, a: float) -> ValueWithBudget:
 # Reports
 # ---------------------------------------------------------------------------
 
-_B_ASSEMBLY = {
-    "two_squares": _b_two_squares,
-    "q5": _b_q5,
-    "q7": _b_q7,
-    "q3": _b_q3,
-    "q23": _b_q23,
-}
-
-
 @lru_cache(maxsize=32)
 def second_order_constant(
     case: str,
@@ -462,7 +358,7 @@ def second_order_constant(
     if tag == "q691":
         b = b691_approx(depth)
     else:
-        b = _B_ASSEMBLY[tag](int(prime_cutoff), depth)
+        b = _b_from_euler(spec, spec.b_euler or spec.euler, int(prime_cutoff), depth)
     c2 = float(1 - spec.tau) * (1.0 + b)
 
     checkpoints = tuple((int(x), h_f(spec, float(x))) for x in hf_checkpoints)
@@ -523,27 +419,12 @@ def table1(
     hf_checkpoints: tuple = (10**5, 10**6),
     depth: float = 1.0,
     cases=None,
-    threads: int | None = None,
 ) -> list[ConstantReport]:
     """The six-row summary: one verdict-carrying report per case."""
     tags = list(cases) if cases else list(TABLE_CASES)
     for t in tags:
         if t not in TABLE_CASES:
             raise UnsupportedCaseError(f"{t!r} is not a summary-table case")
-    sieve_primes(int(prime_cutoff))  # warm the shared table before any fan-out
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            reports = list(
-                pool.map(
-                    lambda t: verdict(
-                        second_order_constant(t, int(prime_cutoff), depth, tuple(hf_checkpoints))
-                    ),
-                    tags,
-                )
-            )
-        return reports
     return [
         verdict(second_order_constant(t, int(prime_cutoff), depth, tuple(hf_checkpoints)))
         for t in tags

@@ -1,19 +1,13 @@
 """Euler-identity cross checks at real s > 1.
 
-Each counting function's Dirichlet series T(s) factors over zeta and
-L-functions:
+Each case's Euler factorization in multfn.CASES,
 
-  q3:  T^2 = zeta L(chi_-3) (1-3^-s) prod_{p=2(3)} (1-p^-2s)^-1
-             prod_{p=1(3)} ((1-p^-2s)/(1-p^-3s))^2
-  q5:  T^4 = (1-5^-s)^3 H zeta^3 L(chi_c) L(chi_c~) / L(chi_5)
-  q7:  T^2 = zeta L(chi_-7) (1-7^-s) prod_{p=3,5,6(7)} (1-p^-2s)^-1
-             prod_{p=1,2,4(7)} ((1-p^-6s)/(1-p^-7s))^2
-  q23: T^2 = zeta L(chi_-23) (1-23^-s)^-1 prod_{S1} (1-p^-2s)^-1
-             prod_{S2} ((1-p^-2s)/(1-p^-3s))^2
-             prod_{S3} ((1-p^-22s)/(1-p^-23s))^2
+    T(s)^n = zeta(s)^(n tau) zeta(2s)^z prod_chi L(s, chi)^e H(s),
 
-Both sides are evaluated with budgets (series truncation, Euler-product
-tails) and must agree within their combined budgets.
+is checked at a real s > 1 by evaluating both sides: T(s) as a truncated
+Dirichlet series, zeta and the L-series by truncated sums with tail bounds,
+and H as a truncated Euler product with a tail bound.  Both sides carry
+budgets and must agree within their combined budgets.
 
 For q691 the T(s)^690 identity is checked locally: at each prime the local
 factor of T to the 690th power must match the product of the right side's
@@ -28,11 +22,11 @@ import math
 import numpy as np
 
 from .budget import ValueWithBudget, csum
-from .characters import generator_character, kronecker_character
+from .characters import generator_character
 from .errors import UnsupportedCaseError
 from .lseries import _EPS, l_series_truncated, zeta_real
-from .multfn import dirichlet_series_truncated, zero_period
-from .primes import W_S1, W_S2, W_S3, sieve_primes, wilton_codes
+from .multfn import M_NEVER, class_index, dirichlet_series_truncated, get_case, zero_period
+from .primes import sieve_primes
 
 __all__ = ["truncated_T", "euler_identity_sides", "local_factor_gap_q691"]
 
@@ -61,6 +55,12 @@ def _euler_product(mask: np.ndarray, factors, s: float, cutoff: int) -> ValueWit
     return ValueWithBudget(value, value * math.expm1(log_tail + _EPS * (abs(log_val) + 1.0) * 8.0))
 
 
+def _times_power(acc: ValueWithBudget, v: ValueWithBudget, e: int) -> ValueWithBudget:
+    for _ in range(abs(e)):
+        acc = acc * v if e > 0 else acc / v
+    return acc
+
+
 def euler_identity_sides(
     tag: str,
     s: float = 2.0,
@@ -69,61 +69,26 @@ def euler_identity_sides(
     l_terms: int = 10**6,
 ):
     """Left and right side of the case's factorization identity, with budgets."""
-    t = truncated_T(tag, s, n_terms)
-    table = sieve_primes(cutoff)
-    p = table.primes
-    zeta = zeta_real(s)
-    if tag == "q3":
-        lhs = t * t
-        rhs = (
-            zeta
-            * l_series_truncated(kronecker_character(-3), s, l_terms)
-            * (1.0 - 3.0**-s)
-            * _euler_product(p % 3 == 2, [(-1, 2)], s, cutoff)
-            * _euler_product(p % 3 == 1, [(2, 2), (-2, 3)], s, cutoff)
-        )
-        return lhs, _real_vwb(rhs)
-    if tag == "q7":
-        lhs = t * t
-        r = p % 7
-        rhs = (
-            zeta
-            * l_series_truncated(kronecker_character(-7), s, l_terms)
-            * (1.0 - 7.0**-s)
-            * _euler_product((r == 3) | (r == 5) | (r == 6), [(-1, 2)], s, cutoff)
-            * _euler_product((r == 1) | (r == 2) | (r == 4), [(2, 6), (-2, 7)], s, cutoff)
-        )
-        return lhs, _real_vwb(rhs)
-    if tag == "q23":
-        lhs = t * t
-        codes = wilton_codes(cutoff)
-        rhs = (
-            zeta
-            * l_series_truncated(kronecker_character(-23), s, l_terms)
-            / (1.0 - 23.0**-s)
-            * _euler_product(codes == W_S1, [(-1, 2)], s, cutoff)
-            * _euler_product(codes == W_S2, [(2, 2), (-2, 3)], s, cutoff)
-            * _euler_product(codes == W_S3, [(2, 22), (-2, 23)], s, cutoff)
-        )
-        return lhs, _real_vwb(rhs)
-    if tag == "q5":
-        lhs = t * t * t * t
-        r = p % 5
-        h = (
-            _euler_product(r == 1, [(4, 4), (-4, 5)], s, cutoff)
-            * _euler_product((r == 2) | (r == 3), [(4, 3), (-2, 2), (-3, 4)], s, cutoff)
-            * _euler_product(r == 4, [(-2, 2)], s, cutoff)
-        )
-        l_c = l_series_truncated(generator_character(5, 2, 1), s, l_terms)
-        l_5 = l_series_truncated(generator_character(5, 2, 2), s, l_terms)
-        rhs = (1.0 - 5.0**-s) ** 3 * h * zeta * zeta * zeta * (l_c * l_c.conjugate()) / l_5
-        return lhs, _real_vwb(rhs)
-    raise UnsupportedCaseError(f"no product identity registered for {tag!r}")
-
-
-def _real_vwb(v: ValueWithBudget) -> ValueWithBudget:
-    val = v.value
-    return ValueWithBudget(val.real if isinstance(val, complex) else val, v.budget)
+    spec = get_case(tag)
+    euler = spec.euler
+    if euler is None:
+        raise UnsupportedCaseError(f"no product identity registered for {tag!r}")
+    t = truncated_T(spec, s, n_terms)
+    lhs = _times_power(ValueWithBudget(1.0, 0.0), t, euler.n)
+    rhs = _times_power(ValueWithBudget(1.0, 0.0), zeta_real(s), int(euler.n * spec.tau))
+    if euler.zeta2:
+        rhs = _times_power(rhs, zeta_real(2.0 * s), euler.zeta2)
+    for chi, e in euler.l_exponents:
+        l_val = l_series_truncated(chi, s, l_terms)
+        rhs = _times_power(rhs, l_val if chi.is_real else l_val * l_val.conjugate(), e)
+    for q, factor in euler.finite:
+        for c, a in factor:
+            rhs = rhs * (1.0 - float(q) ** (-a * s)) ** c
+    idx = class_index(spec, cutoff)
+    for j, factor in enumerate(euler.classes):
+        if factor:
+            rhs = rhs * _euler_product(idx == j, factor, s, cutoff)
+    return lhs, rhs.real
 
 
 def local_factor_gap_q691(s: float = 2.0, p_limit: int = 10**4) -> float:
@@ -142,7 +107,7 @@ def local_factor_gap_q691(s: float = 2.0, p_limit: int = 10**4) -> float:
     for p in sieve_primes(p_limit).primes.tolist():
         x = float(p) ** (-s)
         m0 = zero_period("q691", p)
-        if m0 == 0:  # p = 691, local factor 1/(1-x)
+        if m0 == M_NEVER:  # p = 691, local factor 1/(1-x)
             lhs = -690.0 * math.log1p(-x)
         else:
             lhs = 690.0 * (

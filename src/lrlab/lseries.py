@@ -32,7 +32,7 @@ import numpy as np
 
 from .budget import ValueWithBudget, csum
 from .characters import DirichletCharacter
-from .errors import InvalidArgumentError, PreconditionError
+from .errors import InvalidArgumentError, PreconditionError, ResourceLimitError
 from .primes import sieve_primes
 
 __all__ = [
@@ -49,6 +49,7 @@ __all__ = [
     "THETA_LO",
     "THETA_HI",
     "THETA_X_MIN",
+    "GAMMA_DESK_LIMIT",
     "CLOSED_FORM_TAGS",
 ]
 
@@ -81,10 +82,20 @@ def _g_derivative(u: float, lnu: float, k: int, order: int, m: int) -> float:
     return (m**order) * poly / u**q
 
 
+# Desk limit on the terms of one gamma_k batch (each float64 work array then
+# stays at or below 80 MB); it allows depth <= 7 at m = 691, <= 10 for m <= 500.
+GAMMA_DESK_LIMIT = 10**7
+
+
 @lru_cache(maxsize=32)
 def _gamma_batch(m: int, k: int, depth: float) -> tuple[np.ndarray, np.ndarray]:
     """gamma_k(r, m) and budgets for r = 1..m (r = m is the zero class)."""
-    X = int(depth * max(10**6, 2000 * m))
+    terms = depth * max(10**6, 2000 * m)
+    if not terms <= GAMMA_DESK_LIMIT:
+        raise ResourceLimitError(
+            f"gamma_k desk limit is {GAMMA_DESK_LIMIT} terms, depth {depth} asks for {terms:.4g}"
+        )
+    X = int(terms)
     if X < m:
         raise InvalidArgumentError(f"depth {depth} leaves cutoff {X} below the modulus {m}")
     n = np.arange(1, X + 1, dtype=np.float64)

@@ -6,16 +6,17 @@ On prime powers every case reduces to a single congruence on the exponent:
 
     f(p^k) = 0  iff  k = -1 (mod m0),
 
-where the period m0 depends only on the prime's classification:
+where the period m0 depends only on the prime's class.  Each case's entry
+in CASES holds a classifier, which maps an array of primes to class indices
+(a residue table, the order mod 691, or the Wilton class mod 23), the m0
+of every class, and the Euler factorization
 
-    q3:           p=1(3) -> 3,  p=2(3) -> 2,  p=3 -> ALWAYS 0
-    q5:           p=1(5) -> 5,  p=+-2(5) -> 4,  p=4(5) -> 2,  p=5 -> ALWAYS 0
-    q7:           QR(7) -> 7,   QNR(7) -> 2,  p=7 -> ALWAYS 0
-    q23:          S1 -> 2,  S2 -> 3,  S3 -> 23,  p=23 -> NEVER 0
-    q691:         m0 = order of p mod 691 (order 1, i.e. p=1 (691), acts
-                  with period 691 per the T(s)^690 identity; p=691 -> NEVER)
-    two_squares:  p=3(4) -> 2, otherwise NEVER
-    q2:           odd p -> 2, p=2 -> ALWAYS 0   (odd-square indicator)
+    T(s)^n = zeta(s)^(n tau) zeta(2s)^z prod_chi L(s, chi)^e H(s)
+
+of the case's Dirichlet series T(s) = sum f(n) n^-s, where H is a product
+of local factors (1 - p^(-a s))^c over a few single primes and over the
+primes of each class.  B_f (constants), the s = 2 identity checks
+(identities) and the sieves here are all read off these entries.
 
 The generalized von Mangoldt function of f, defined by
 f(n) log n = sum_{d|n} f(d) Lambda_f(n/d), is supported on prime powers and
@@ -33,10 +34,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
 from .budget import ValueWithBudget, csum
+from .characters import generator_character, kronecker_character
 from .errors import (
     InvalidArgumentError,
     PreconditionError,
@@ -47,9 +51,11 @@ from . import primes as pr
 
 __all__ = [
     "CaseSpec",
+    "EulerFactorization",
     "CASES",
     "TABLE_CASES",
     "get_case",
+    "class_index",
     "zero_period",
     "zero_periods",
     "f_prime_power",
@@ -74,37 +80,111 @@ COUNT_DESK_LIMIT = 10_000_000
 
 
 @dataclass(frozen=True)
+class EulerFactorization:
+    """T(s)^n = zeta(s)^(n tau) zeta(2s)^zeta2 prod L(s, chi)^e H(s).
+
+    ``l_exponents`` is ((chi, e), ...); a complex chi stands for itself and
+    its conjugate, each to the power e.  A local factor ((c, a), ...) is
+    prod (1 - p^(-a s))^c: ``finite`` pairs single primes q with theirs, and
+    ``classes[j]`` is the one shared by the primes of class j.
+    """
+
+    n: int
+    l_exponents: tuple
+    finite: tuple
+    classes: tuple
+    zeta2: int = 0
+
+
+@dataclass(frozen=True)
 class CaseSpec:
-    """One counting problem: density parameter and exponent rules by tag."""
+    """One counting problem: density, prime classes and Euler factorization."""
 
     tag: str
     tau: Fraction      # Dirichlet density of primes with f(p) = 1
     delta: Fraction    # 1 - tau; the claimed logarithm exponent
     modulus: int | None  # the prime q, or None for two_squares/ones
     description: str
+    classify: Callable[[np.ndarray], np.ndarray]  # primes -> uint8 class index
+    m0: tuple          # zero period of each class
+    euler: EulerFactorization | None = None    # T(s)^n as a product
+    b_euler: EulerFactorization | None = None  # a rewrite preferred for B_f
 
     def __str__(self):
         return self.tag
 
 
+def _by_residue(m: int, classes) -> Callable[[np.ndarray], np.ndarray]:
+    """Classifier mapping a prime p to classes[p % m]."""
+    lut = np.array(classes, dtype=np.uint8)
+    return lambda p: lut[p % m]
+
+
+_DIVISORS_690 = tuple(d for d in range(1, 691) if 690 % d == 0)
+
+
+def _order_class(p: np.ndarray) -> np.ndarray:
+    """Class j when the order of p mod 691 is _DIVISORS_690[j]; the last class is p = 691."""
+    lut = np.searchsorted(_DIVISORS_690, pr.order_table_691()).astype(np.uint8)
+    lut[0] = len(_DIVISORS_690)
+    return lut[p % 691]
+
+
+_CHI_3, _CHI_4, _CHI_7, _CHI_23 = (kronecker_character(d) for d in (-3, -4, -7, -23))
+_CHI_C5 = generator_character(5, 2, 1)  # chi_c(2) = i; complex, so it brings its conjugate
+_CHI_5 = generator_character(5, 2, 2)
+
 CASES: dict[str, CaseSpec] = {
     c.tag: c
     for c in [
-        CaseSpec("q2", Fraction(0), Fraction(1), 2, "2 does not divide tau(n)"),
-        CaseSpec("q3", Fraction(1, 2), Fraction(1, 2), 3, "3 does not divide tau(n)"),
-        CaseSpec("q5", Fraction(3, 4), Fraction(1, 4), 5, "5 does not divide tau(n)"),
-        CaseSpec("q7", Fraction(1, 2), Fraction(1, 2), 7, "7 does not divide tau(n)"),
-        CaseSpec("q23", Fraction(1, 2), Fraction(1, 2), 23, "23 does not divide tau(n)"),
-        CaseSpec("q691", Fraction(689, 690), Fraction(1, 690), 691, "691 does not divide tau(n)"),
-        CaseSpec("two_squares", Fraction(1, 2), Fraction(1, 2), None, "n is a sum of two squares"),
-        CaseSpec("ones", Fraction(1), Fraction(0), None, "constant function 1"),
+        CaseSpec("q2", Fraction(0), Fraction(1), 2, "2 does not divide tau(n)",
+                 # classes: p = 2, odd p
+                 classify=_by_residue(2, [0, 1]), m0=(M_ALWAYS, 2)),
+        CaseSpec("q3", Fraction(1, 2), Fraction(1, 2), 3, "3 does not divide tau(n)",
+                 # classes: p = 3, p = 2 (3), p = 1 (3)
+                 classify=_by_residue(3, [0, 2, 1]), m0=(M_ALWAYS, 2, 3),
+                 euler=EulerFactorization(
+                     n=2, l_exponents=((_CHI_3, 1),), finite=((3, ((1, 1),)),),
+                     classes=((), ((-1, 2),), ((-2, 3), (2, 2)))),
+                 b_euler=EulerFactorization(
+                     n=2, l_exponents=((_CHI_3, 1),), finite=((3, ((1, 1), (-2, 2))),),
+                     classes=((), ((-3, 2),), ((-2, 3),)), zeta2=-2)),
+        CaseSpec("q5", Fraction(3, 4), Fraction(1, 4), 5, "5 does not divide tau(n)",
+                 # classes: p = 5, p = 1 (5), p = +-2 (5), p = 4 (5)
+                 classify=_by_residue(5, [0, 1, 2, 2, 3]), m0=(M_ALWAYS, 5, 4, 2),
+                 euler=EulerFactorization(
+                     n=4, l_exponents=((_CHI_C5, 1), (_CHI_5, -1)), finite=((5, ((3, 1),)),),
+                     classes=((), ((4, 4), (-4, 5)), ((4, 3), (-2, 2), (-3, 4)), ((-2, 2),)))),
+        CaseSpec("q7", Fraction(1, 2), Fraction(1, 2), 7, "7 does not divide tau(n)",
+                 # classes: p = 7, quadratic residues mod 7, non-residues
+                 classify=_by_residue(7, [0, 1, 1, 2, 1, 2, 2]), m0=(M_ALWAYS, 7, 2),
+                 euler=EulerFactorization(
+                     n=2, l_exponents=((_CHI_7, 1),), finite=((7, ((1, 1),)),),
+                     classes=((), ((2, 6), (-2, 7)), ((-1, 2),)))),
+        CaseSpec("q23", Fraction(1, 2), Fraction(1, 2), 23, "23 does not divide tau(n)",
+                 # classes: the Wilton classes S1, S2, S3, P23 (primes module)
+                 classify=pr.wilton_classes, m0=(2, 3, 23, M_NEVER),
+                 euler=EulerFactorization(
+                     n=2, l_exponents=((_CHI_23, 1),), finite=((23, ((-1, 1),)),),
+                     classes=(((-1, 2),), ((2, 2), (-2, 3)), ((2, 22), (-2, 23)), ()))),
+        CaseSpec("q691", Fraction(689, 690), Fraction(1, 690), 691, "691 does not divide tau(n)",
+                 # classes: by the order nu of p mod 691 (m0 = nu, but 691 for nu = 1),
+                 # then p = 691.  B_f comes from character sums (constants), not from here.
+                 classify=_order_class,
+                 m0=tuple(691 if d == 1 else d for d in _DIVISORS_690) + (M_NEVER,)),
+        CaseSpec("two_squares", Fraction(1, 2), Fraction(1, 2), None, "n is a sum of two squares",
+                 # classes: p = 2 or p = 1 (4), p = 3 (4)
+                 classify=_by_residue(4, [0, 0, 0, 1]), m0=(M_NEVER, 2),
+                 euler=EulerFactorization(
+                     n=2, l_exponents=((_CHI_4, 1),), finite=((2, ((-1, 1),)),),
+                     classes=((), ((-1, 2),)))),
+        CaseSpec("ones", Fraction(1), Fraction(0), None, "constant function 1",
+                 classify=_by_residue(1, [0]), m0=(M_NEVER,)),
     ]
 }
 
 # Table row order for the six-case summary.
 TABLE_CASES = ["two_squares", "q5", "q7", "q3", "q691", "q23"]
-
-_QR7_TABLE = np.array([1 if r in (1, 2, 4) else 0 for r in range(7)], dtype=np.int64)
 
 
 def get_case(case) -> CaseSpec:
@@ -116,72 +196,31 @@ def get_case(case) -> CaseSpec:
         raise UnsupportedCaseError(f"unknown case tag {case!r}") from None
 
 
+@lru_cache(maxsize=32)
+def _class_index(tag: str, limit: int) -> np.ndarray:
+    idx = CASES[tag].classify(pr.sieve_primes(limit).primes)
+    idx.flags.writeable = False
+    return idx
+
+
+def class_index(case, limit: int) -> np.ndarray:
+    """Class index of every prime <= limit, aligned with sieve_primes(limit)."""
+    return _class_index(get_case(case).tag, int(limit))
+
+
 def zero_period(case, p: int) -> int:
     """The exponent-congruence period m0 for the prime p (scalar path)."""
     spec = get_case(case)
-    cl = pr.classify(spec.tag, p)
-    tag = spec.tag
-    if tag == "ones":
-        return M_NEVER
-    if tag == "q2":
-        return M_ALWAYS if cl.label == "p=2" else 2
-    if tag == "q3":
-        return {"p=3": M_ALWAYS, "1 mod 3": 3, "2 mod 3": 2}[cl.label]
-    if tag == "q5":
-        return {"p=5": M_ALWAYS, "1 mod 5": 5, "±2 mod 5": 4, "4 mod 5": 2}[cl.label]
-    if tag == "q7":
-        return {"p=7": M_ALWAYS, "QR mod 7": 7, "QNR mod 7": 2}[cl.label]
-    if tag == "q23":
-        return {"P23": M_NEVER, "S1": 2, "S2": 3, "S3": 23}[cl.label]
-    if tag == "q691":
-        if cl.label == "p=691":
-            return M_NEVER
-        nu = int(cl.order)
-        return 691 if nu == 1 else nu
-    if tag == "two_squares":
-        return 2 if cl.label == "3 mod 4" else M_NEVER
-    raise UnsupportedCaseError(tag)
+    p = int(p)
+    if not pr.is_prime(p):
+        raise InvalidArgumentError(f"{p} is not prime")
+    return spec.m0[int(spec.classify(np.array([p], dtype=np.int64))[0])]
 
 
 def zero_periods(case, limit: int) -> np.ndarray:
     """m0 for every prime <= limit, aligned with sieve_primes(limit)."""
     spec = get_case(case)
-    p = pr.sieve_primes(limit).primes
-    tag = spec.tag
-    if tag == "ones":
-        return np.full(len(p), M_NEVER, dtype=np.int64)
-    if tag == "q2":
-        out = np.full(len(p), 2, dtype=np.int64)
-        out[p == 2] = M_ALWAYS
-        return out
-    if tag == "q3":
-        out = np.where(p % 3 == 1, 3, 2)
-        out[p == 3] = M_ALWAYS
-        return out.astype(np.int64)
-    if tag == "q5":
-        r = p % 5
-        out = np.full(len(p), 4, dtype=np.int64)
-        out[r == 1] = 5
-        out[r == 4] = 2
-        out[p == 5] = M_ALWAYS
-        return out
-    if tag == "q7":
-        out = np.where(_QR7_TABLE[p % 7] == 1, 7, 2)
-        out[p == 7] = M_ALWAYS
-        return out.astype(np.int64)
-    if tag == "q23":
-        codes = pr.wilton_codes(limit)
-        lut = np.array([2, 3, 23, M_NEVER], dtype=np.int64)  # S1, S2, S3, P23
-        return lut[codes]
-    if tag == "q691":
-        nu = pr.order_codes(limit).copy()
-        out = np.where(nu == 1, 691, nu)
-        out[nu == 0] = M_NEVER  # p = 691
-        return out.astype(np.int64)
-    if tag == "two_squares":
-        out = np.where(p % 4 == 3, 2, M_NEVER)
-        return out.astype(np.int64)
-    raise UnsupportedCaseError(tag)
+    return np.array(spec.m0, dtype=np.int64)[class_index(spec, limit)]
 
 
 def f_prime_power(case, p: int, k: int) -> int:

@@ -1,4 +1,4 @@
-"""Prime generation and per-case classification of primes.
+"""Prime generation, multiplicative orders and the Wilton classes mod 23.
 
 Provides a segmented sieve of Eratosthenes with a fixed segment size (so
 enumeration order is deterministic), the Kronecker symbol, multiplicative
@@ -33,20 +33,20 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidArgumentError, UnsupportedCaseError
+from .errors import InvalidArgumentError
 
 __all__ = [
     "PrimeTable",
-    "PrimeClassification",
     "sieve_primes",
     "is_prime",
+    "euler_phi",
     "kronecker_symbol",
     "mult_order",
     "wilton_class",
     "wilton_class_cubic",
     "cubic_root_exists",
     "cubic_splits",
-    "classify",
+    "wilton_classes",
     "wilton_codes",
     "wilton_codes_cubic",
     "order_codes",
@@ -86,15 +86,6 @@ class PrimeTable:
             logs.flags.writeable = False
             self._logs = logs
         return self._logs
-
-
-@dataclass(frozen=True)
-class PrimeClassification:
-    """Label selecting a prime's local Euler factor for one case."""
-
-    case: str
-    label: str
-    order: float | None = None  # multiplicative order mod 691 (q691 only)
 
 
 def is_prime(n: int) -> bool:
@@ -207,15 +198,15 @@ def multiplicative_order(a: int, m: int) -> int:
     a, m = int(a) % int(m), int(m)
     if math.gcd(a, m) != 1:
         raise InvalidArgumentError(f"{a} is not invertible mod {m}")
-    phi = m - 1 if is_prime(m) else _euler_phi(m)
-    order = phi
+    order = phi = euler_phi(m)
     for q in _factorize_small(phi):
         while order % q == 0 and pow(a, order // q, m) == 1:
             order //= q
     return order
 
 
-def _euler_phi(m: int) -> int:
+def euler_phi(m: int) -> int:
+    """Euler's totient: the size of (Z/mZ)^*."""
     phi = m
     for q in _factorize_small(m):
         phi -= phi // q
@@ -360,11 +351,25 @@ def _wilton_codes(p: np.ndarray, is_s3) -> np.ndarray:
     return codes
 
 
+def wilton_classes(primes) -> np.ndarray:
+    """Wilton class code of each prime in an array.
+
+    S3 is decided by the table of values U^2 + 23 V^2 up to the largest
+    prime, or by the equivalent split test when that table would hold more
+    than 64 entries per prime (a handful of primes, or a single one).
+    """
+    p = np.asarray(primes, dtype=np.int64)
+    top = int(p.max(initial=0))
+    if top > 64 * len(p):
+        return _wilton_codes(p, cubic_splits)
+    form = _form_values_mask(top)
+    return _wilton_codes(p, lambda q: form[q])
+
+
 @lru_cache(maxsize=4)
 def wilton_codes(limit: int) -> np.ndarray:
     """Wilton class code for each prime <= limit (order matches sieve_primes)."""
-    form = _form_values_mask(limit)
-    codes = _wilton_codes(sieve_primes(limit).primes, lambda q: form[q])
+    codes = wilton_classes(sieve_primes(limit).primes)
     codes.flags.writeable = False
     return codes
 
@@ -381,44 +386,3 @@ def order_codes(limit: int) -> np.ndarray:
     codes = order_table_691()[table.primes % 691]
     codes.flags.writeable = False
     return codes
-
-
-# ---------------------------------------------------------------------------
-# Per-case classification
-# ---------------------------------------------------------------------------
-
-_QR7 = frozenset({1, 2, 4})
-
-
-def classify(case, p: int) -> PrimeClassification:
-    """Residue / order / Wilton label selecting p's local factor for the case."""
-    tag = getattr(case, "tag", case)
-    p = int(p)
-    if not is_prime(p):
-        raise InvalidArgumentError(f"{p} is not prime")
-    if tag == "q2":
-        return PrimeClassification(tag, "p=2" if p == 2 else "odd")
-    if tag == "q3":
-        return PrimeClassification(tag, "p=3" if p == 3 else f"{p % 3} mod 3")
-    if tag == "q5":
-        if p == 5:
-            return PrimeClassification(tag, "p=5")
-        r = p % 5
-        return PrimeClassification(tag, "±2 mod 5" if r in (2, 3) else f"{r} mod 5")
-    if tag == "q7":
-        if p == 7:
-            return PrimeClassification(tag, "p=7")
-        return PrimeClassification(tag, "QR mod 7" if p % 7 in _QR7 else "QNR mod 7")
-    if tag == "q23":
-        return PrimeClassification(tag, wilton_class(p))
-    if tag == "q691":
-        nu = mult_order(p, 691)
-        label = "p=691" if p == 691 else f"ord {int(nu)}"
-        return PrimeClassification(tag, label, order=nu)
-    if tag == "two_squares":
-        if p == 2:
-            return PrimeClassification(tag, "p=2")
-        return PrimeClassification(tag, f"{p % 4} mod 4")
-    if tag == "ones":
-        return PrimeClassification(tag, "any")
-    raise UnsupportedCaseError(f"unsupported case tag {tag!r}")

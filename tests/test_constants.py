@@ -181,12 +181,3 @@ class TestVerdicts:
     def test_row_order(self):
         tags = [r.case for r in table1(CUTOFF)]
         assert tags == ["two_squares", "q5", "q7", "q3", "q691", "q23"]
-
-    def test_threaded_matches_serial(self):
-        serial = table1(CUTOFF)
-        threaded = table1(CUTOFF, threads=4)
-        for a, b in zip(serial, threaded):
-            assert a.case == b.case
-            assert a.b_f.value == b.b_f.value
-            assert a.c2.value == b.c2.value
-            assert a.verdict == b.verdict

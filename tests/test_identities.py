@@ -1,12 +1,26 @@
+import cmath
+import math
+
 import pytest
 
 from lrlab.errors import UnsupportedCaseError
 from lrlab.identities import euler_identity_sides, local_factor_gap_q691, truncated_T
-from lrlab.multfn import dirichlet_series_truncated
+from lrlab.multfn import class_index, dirichlet_series_truncated, f_prime_power, get_case
+from lrlab.primes import sieve_primes
+
+# Every factorization row of the case table: (case, CaseSpec field)
+FACTORIZATIONS = [
+    ("two_squares", "euler"),
+    ("q3", "euler"),
+    ("q3", "b_euler"),
+    ("q5", "euler"),
+    ("q7", "euler"),
+    ("q23", "euler"),
+]
 
 
 class TestEulerIdentities:
-    @pytest.mark.parametrize("tag", ["q3", "q5", "q7", "q23"])
+    @pytest.mark.parametrize("tag", ["q3", "q5", "q7", "q23", "two_squares"])
     def test_sides_agree_within_budgets(self, tag):
         lhs, rhs = euler_identity_sides(tag, 2.0, 10**5, 10**6)
         assert abs(lhs.value - rhs.value) <= lhs.budget + rhs.budget, tag
@@ -20,6 +34,32 @@ class TestEulerIdentities:
     def test_unknown_case(self):
         with pytest.raises(UnsupportedCaseError):
             euler_identity_sides("q2")
+
+
+class TestLocalFactors:
+    @pytest.mark.parametrize("tag, form", FACTORIZATIONS)
+    def test_every_class_matches_its_local_factor(self, tag, form):
+        # n log T_p(x) against the log of the right side's local factor at p,
+        # x standing for p^-s.  B_f sees only the products c a; this sees each (c, a).
+        spec = get_case(tag)
+        euler = getattr(spec, form)
+        primes = sieve_primes(2000).primes
+        idx = class_index(tag, 2000)
+        finite = dict(euler.finite)
+        samples = {int(p): int(j) for j in range(len(spec.m0)) for p in primes[idx == j][:4]}
+        assert set(samples.values()) == set(range(len(spec.m0))) and set(finite) <= set(samples)
+        for p, j in samples.items():
+            for x in (1 / 2, 1 / 3):
+                t_p = math.fsum(f_prime_power(tag, p, k) * x**k for k in range(200))
+                lhs = euler.n * math.log(t_p)
+                rhs = -float(euler.n * spec.tau) * math.log1p(-x)
+                rhs -= euler.zeta2 * math.log1p(-x * x)
+                for chi, e in euler.l_exponents:
+                    weight = e if chi.is_real else 2 * e  # a complex chi comes with its conjugate
+                    rhs -= weight * cmath.log(1 - chi(p) * x).real
+                for c, a in finite.get(p, ()) + euler.classes[j]:
+                    rhs += c * math.log1p(-(x**a))
+                assert lhs == pytest.approx(rhs, abs=1e-12), (tag, form, p, x)
 
 
 class TestLocalFactors691:

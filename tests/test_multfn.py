@@ -6,9 +6,11 @@ import pytest
 
 from lrlab.budget import csum
 from lrlab.errors import InvalidArgumentError, PreconditionError, UnsupportedCaseError
-from lrlab.modforms import tau_mod
+from lrlab.modforms import tau_exact
 from lrlab.multfn import (
     CASES,
+    M_NEVER,
+    class_index,
     count_f,
     dirichlet_series_truncated,
     f_prime_power,
@@ -20,8 +22,9 @@ from lrlab.multfn import (
     lambda_f_prime_power,
     lambda_table,
     zero_period,
+    zero_periods,
 )
-from lrlab.primes import sieve_primes
+from lrlab.primes import P23, S1, S2, S3, mult_order, sieve_primes, wilton_class
 
 
 def divisors(n):
@@ -79,10 +82,38 @@ class TestFValue:
                 assert f_value(tag, m * n) == f_value(tag, m) * f_value(tag, n)
 
     def test_matches_tau_oracle_sampled(self):
-        for q, tag in ((3, "q3"), (5, "q5"), (691, "q691")):
-            tm = tau_mod(q, 3000)
+        # exact tau(n) mod q is the independent reference for every class rule
+        tau = tau_exact(3000).values
+        for q, tag in ((2, "q2"), (3, "q3"), (5, "q5"), (7, "q7"), (23, "q23"), (691, "q691")):
             for n in range(1, 3001, 7):
-                assert f_value(tag, n) == int(tm[n] != 0)
+                assert f_value(tag, n) == int(tau[n - 1] % q != 0), (tag, n)
+
+
+class TestClasses:
+    def test_zero_periods_match_scalar_references(self):
+        # q23 through the U^2 + 23 V^2 search, q691 through the multiplicative order
+        primes = sieve_primes(10**4).primes.tolist()
+        by_wilton = {S1: 2, S2: 3, S3: 23, P23: M_NEVER}
+        assert zero_periods("q23", 10**4).tolist() == [by_wilton[wilton_class(p)] for p in primes]
+        orders = [mult_order(p, 691) for p in primes]
+        expected = [M_NEVER if nu == math.inf else 691 if nu == 1 else nu for nu in orders]
+        assert zero_periods("q691", 10**4).tolist() == expected
+
+    def test_scalar_path_matches_vector_path(self):
+        # for q23 this pits the split test (one prime) against the form table (all primes)
+        primes = sieve_primes(3000).primes.tolist()
+        for tag in CASES:
+            assert [zero_period(tag, p) for p in primes] == zero_periods(tag, 3000).tolist(), tag
+
+    def test_class_index_is_cached_and_read_only(self):
+        idx = class_index("q5", 10**4)
+        assert idx is class_index("q5", 10**4) and idx.dtype == np.uint8
+        assert not idx.flags.writeable
+        assert sorted(set(idx.tolist())) == list(range(len(CASES["q5"].m0)))
+
+    def test_composite_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            zero_period("q5", 21)
 
 
 class TestLambda:

@@ -13,7 +13,6 @@ from lrlab.primes import (
     S2,
     S3,
     WILTON_LABELS,
-    classify,
     cubic_root_exists,
     cubic_splits,
     is_prime,
@@ -221,23 +220,7 @@ class TestWilton:
 
 
 class TestClassify:
-    def test_examples(self):
-        assert classify("q5", 19).label == "4 mod 5"
-        c = classify("q691", 5527)
-        assert c.label == "ord 2" and c.order == 2  # 5527 = -1 (mod 691)
-        assert classify("q23", 2).label == S2
-
-    def test_labels_partition_primes(self):
-        # exactly one label per (case, prime); labels exhaust every case
-        for tag in ("q2", "q3", "q5", "q7", "q23", "q691", "two_squares"):
-            seen = set()
-            for p in (2, 3, 5, 7, 23, 691, 1381, 97, 59):
-                seen.add(classify(tag, p).label)
-            assert all(isinstance(s, str) and s for s in seen)
-
-    def test_unsupported_case(self):
-        with pytest.raises(InvalidArgumentError):
-            classify("q13", 3)
+    """Per-prime class codes, aligned with the sieve."""
 
     def test_order_codes_aligned(self):
         codes = order_codes(10**4)
