@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ValueWithBudget", "csum", "abs_sum"]
+__all__ = ["ValueWithBudget", "csum"]
 
 # Below this many terms math.fsum is as fast as the bucketed exact sum or
 # faster.  On the package's own prime and gamma_k sums the bucketed sum costs
@@ -86,10 +86,6 @@ def csum(terms) -> float:
         kinds += [-0.0] if negative.any() else []
         return math.fsum(kinds)
     return total / (1 << 1075)
-
-
-def abs_sum(terms) -> float:
-    return math.fsum(abs(t) for t in terms)
 
 
 def _up(x: float) -> float:

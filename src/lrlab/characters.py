@@ -144,10 +144,10 @@ def kronecker_character(D: int) -> DirichletCharacter:
     )
 
 
-def character_group(m: int) -> list[DirichletCharacter]:
+@lru_cache(maxsize=None)
+def character_group(m: int) -> tuple[DirichletCharacter, ...]:
     """All phi(m) characters mod m as powers of a fixed generator character."""
     if m not in GENERATORS:
         raise InvalidArgumentError(f"unsupported modulus {m}")
     g = GENERATORS[m]
-    phi = euler_phi(m)
-    return [generator_character(m, g, j) for j in range(phi)]
+    return tuple(generator_character(m, g, j) for j in range(euler_phi(m)))

@@ -234,19 +234,26 @@ def omitted_products_bound(cutoff: int = 10**7) -> ValueWithBudget:
     p = table.primes.astype(np.float64)
     logs = table.logs
     nu = order_codes(cutoff).astype(np.float64)
-    terms = []
-    with np.errstate(over="ignore"):
-        m = nu == 2.0
-        terms.append(logs[m] / (p[m] ** 2 - 1.0))
-        m = nu == 1.0
-        ppow = p[m] ** 690.0
-        terms.append(-690.0 * logs[m] / (ppow - 1.0) + 691.0 * logs[m] / (ppow * p[m] - 1.0))
-        m = (nu >= 4.0) & (nu % 2.0 == 0.0)
-        ph = p[m] ** (nu[m] / 2.0)
-        terms.append(logs[m] / (ph - 1.0 / ph))
-        m = (nu >= 3.0) & (nu <= 690.0)
-        pm1 = p[m] ** (nu[m] - 1.0)
-        terms.append(-(nu[m] - 1.0) * logs[m] / (pm1 - 1.0) + nu[m] * logs[m] / (pm1 * p[m] - 1.0))
+
+    def inverse_power(m, a):
+        """p^(-a) on the primes of mask m; 0 where p^a > e^690, so nothing
+        overflows or underflows (each term dropped is below 1e-295)."""
+        keep = a * logs[m] < 690.0
+        return np.where(keep, p[m] ** -np.where(keep, a, 0.0), 0.0)
+
+    def share(m, a):  # log p/(p^a - 1)
+        r = inverse_power(m, a)
+        return logs[m] * r / (1.0 - r)
+
+    m = nu == 2.0
+    terms = [share(m, 2.0)]
+    m = nu == 1.0
+    terms.append(-690.0 * share(m, 690.0) + 691.0 * share(m, 691.0))
+    m = (nu >= 4.0) & (nu % 2.0 == 0.0)
+    r = inverse_power(m, nu[m] / 2.0)
+    terms.append(logs[m] * r / ((1.0 - r) * (1.0 + r)))  # log p/(p^(nu/2) - p^(-nu/2))
+    m = (nu >= 3.0) & (nu <= 690.0)
+    terms.append(-(nu[m] - 1.0) * share(m, nu[m] - 1.0) + nu[m] * share(m, nu[m]))
     flat = np.concatenate(terms)
     if not np.all(np.isfinite(flat)):
         bad = int(np.count_nonzero(~np.isfinite(flat)))

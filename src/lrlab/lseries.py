@@ -50,6 +50,7 @@ __all__ = [
     "THETA_HI",
     "THETA_X_MIN",
     "GAMMA_DESK_LIMIT",
+    "GAMMA_K_MAX",
     "CLOSED_FORM_TAGS",
 ]
 
@@ -85,11 +86,14 @@ def _g_derivative(u: float, lnu: float, k: int, order: int, m: int) -> float:
 # Desk limit on the terms of one gamma_k batch (each float64 work array then
 # stays at or below 80 MB); it allows depth <= 7 at m = 691, <= 10 for m <= 500.
 GAMMA_DESK_LIMIT = 10**7
+GAMMA_K_MAX = 100  # log^k n < 1e121 for n <= 1e7 terms: nothing overflows
 
 
 @lru_cache(maxsize=32)
 def _gamma_batch(m: int, k: int, depth: float) -> tuple[np.ndarray, np.ndarray]:
     """gamma_k(r, m) and budgets for r = 1..m (r = m is the zero class)."""
+    if not 0 <= k <= GAMMA_K_MAX:
+        raise InvalidArgumentError(f"derivative order must lie in 0..{GAMMA_K_MAX}, got {k}")
     terms = depth * max(10**6, 2000 * m)
     if not terms <= GAMMA_DESK_LIMIT:
         raise ResourceLimitError(
@@ -132,8 +136,6 @@ def gamma_k(r: int, m: int, k: int = 0, depth: float = 1.0) -> ValueWithBudget:
     """
     if m < 1:
         raise InvalidArgumentError(f"modulus must be >= 1, got {m}")
-    if k < 0:
-        raise InvalidArgumentError(f"derivative order must be >= 0, got {k}")
     if r == 0:
         r = m
     if not 1 <= r <= m:

@@ -26,8 +26,15 @@ Congruence shortcuts:
             recursion tau(p^(k+1)) = tau(p) tau(p^k) - p^11 tau(p^(k-1))
     mod 2:  tau(n) is odd iff n is an odd square
 
-lambda(n) counts partitions of n into parts that are not multiples of 9;
-its coefficients are reduced mod 3 by a blocked coin DP.
+tau mod 23 is assembled in arrays: tau(p) for all primes from their Wilton
+classes, tau(p^k) by the Hecke recursion on the multiples of each p <= sqrt(n)
+(one strided multiply per prime), and each larger prime, which divides n at
+most once, by one scatter per cofactor j = n/p.
+
+lambda(n) counts partitions of n into parts that are not multiples of 9.  Its
+generating function E(x^9)/E(x), E(x) = prod (1 - x^n), is E(x)^8 mod 3, since
+(1 - x^m)^9 = 1 - x^(9m) mod 3: the dense E^6 above times Euler's pentagonal
+series E = sum_{k in Z} (-1)^k x^(k(3k-1)/2) twice, one slice-add per term.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidArgumentError, ResourceLimitError
-from .primes import kronecker_symbol, sieve_primes, wilton_class
+from .primes import sieve_primes, wilton_classes
 
 __all__ = [
     "TauWindow",
@@ -49,9 +56,11 @@ __all__ = [
     "lambda_mod3",
     "odd_tau_count",
     "TAU_DESK_LIMIT",
+    "TAU_MOD_DESK_LIMIT",
 ]
 
 TAU_DESK_LIMIT = 100_000
+TAU_MOD_DESK_LIMIT = 10_000_000
 _SUPPORTED_MODULI = (2, 3, 5, 7, 23, 691)
 
 # Exact integer arithmetic on Decimal: any rounding raises instead of passing.
@@ -75,7 +84,7 @@ class TauWindow:
         return self.values[n - 1]
 
 
-def _eta6_coeffs(length: int) -> list[int]:
+def _eta6_coeffs(length: int) -> np.ndarray:
     """Coefficients of prod (1-x^n)^6 up to x^(length-1).
 
     The square of Jacobi's sparse series: about sqrt(2*length) terms give
@@ -89,7 +98,7 @@ def _eta6_coeffs(length: int) -> list[int]:
     keep = idx < length
     out = np.zeros(length, dtype=np.int64)
     np.add.at(out, idx[keep], (coeff[:, None] * coeff[None, :]).ravel()[keep])
-    return out.tolist()
+    return out
 
 
 def _poly_square_trunc(coeffs: list[int], length: int) -> list[int]:
@@ -123,7 +132,7 @@ def tau_exact(n_max: int) -> TauWindow:
         raise InvalidArgumentError(f"n_max must be >= 1, got {n_max}")
     if n_max > TAU_DESK_LIMIT:
         raise ResourceLimitError(f"tau_exact desk limit is {TAU_DESK_LIMIT}, got {n_max}")
-    e6 = _eta6_coeffs(n_max)
+    e6 = _eta6_coeffs(n_max).tolist()
     e12 = _poly_square_trunc(e6, n_max)
     e24 = _poly_square_trunc(e12, n_max)
     return TauWindow(n_max, e24)
@@ -149,43 +158,26 @@ def _sigma_power_mod(n_max: int, power: int, q: int) -> np.ndarray:
 
 
 def _tau_mod_23(n_max: int) -> np.ndarray:
-    """tau mod 23 from Wilton's prime values plus the Hecke recursion."""
-    out = np.zeros(n_max + 1, dtype=np.int64)
-    out[1] = 1
-    table = sieve_primes(max(2, n_max))
-    # smallest-prime-factor table for multiplicative assembly
-    spf = np.zeros(n_max + 1, dtype=np.int64)
-    for p in table.primes:
-        p = int(p)
-        if p > n_max:
-            break
-        sel = spf[p::p]
-        sel[sel == 0] = p
-
-    wilton_value = {"P23": 1, "S1": 0, "S3": 2, "S2": 22}
-    tau_pp: dict[int, int] = {}  # tau(p^k) mod 23 keyed by p^k
-
-    for p in table.primes:
-        p = int(p)
-        if p > n_max:
-            break
-        tp = wilton_value[wilton_class(p)]
-        p11 = 0 if p == 23 else (kronecker_symbol(p, 23) % 23)  # p^11 = (p|23) mod 23
-        prev, cur = 1, tp
-        pk = p
-        while pk <= n_max:
-            tau_pp[pk] = cur
-            prev, cur = cur, (tp * cur - p11 * prev) % 23
-            pk *= p
-
-    for n in range(2, n_max + 1):
-        p = int(spf[n])
-        pk = p
-        rest = n // p
-        while rest % p == 0:
-            rest //= p
-            pk *= p
-        out[n] = tau_pp[pk] * out[rest] % 23 if rest > 1 else tau_pp[pk]
+    """tau mod 23 from Wilton's prime values plus the Hecke recursion (module docstring)."""
+    out = np.ones(n_max + 1, dtype=np.int64)
+    out[0] = 0
+    primes = sieve_primes(max(2, n_max)).primes
+    primes = primes[: np.searchsorted(primes, n_max, side="right")]
+    tp = np.array([0, 22, 2, 1])[wilton_classes(primes)]  # tau(p) in classes S1, S2, S3, P23
+    root = math.isqrt(n_max)
+    small = int(np.searchsorted(primes, root, side="right"))
+    for p, t1 in zip(primes[:small].tolist(), tp[:small].tolist()):
+        tpk = [1, t1]  # tau(p^k) mod 23, with p^11 = (p|23) mod 23
+        while p ** len(tpk) <= n_max:
+            tpk.append((t1 * tpk[-1] - pow(p, 11, 23) * tpk[-2]) % 23)
+        expo = np.zeros(n_max // p, dtype=np.int64)  # v_p(j*p) - 1 for j*p <= n_max
+        for k in range(1, len(tpk) - 1):
+            expo[p**k - 1 :: p**k] += 1
+        out[p::p] = out[p::p] * np.array(tpk[1:])[expo] % 23
+    big, tbig = primes[small:], tp[small:]
+    for j in range(1, n_max // (root + 1) + 1):
+        top = np.searchsorted(big, n_max // j, side="right")
+        out[j * big[:top]] = out[j * big[:top]] * tbig[:top] % 23
     return out
 
 
@@ -198,13 +190,12 @@ def tau_mod(q: int, n_max: int) -> np.ndarray:
         raise InvalidArgumentError(f"unsupported modulus {q}; expected one of {_SUPPORTED_MODULI}")
     if n_max < 1:
         raise InvalidArgumentError(f"n_max must be >= 1, got {n_max}")
+    if n_max > TAU_MOD_DESK_LIMIT:
+        raise ResourceLimitError(f"tau_mod desk limit is {TAU_MOD_DESK_LIMIT}, got {n_max}")
     n = np.arange(n_max + 1, dtype=np.int64)
     if q == 2:
         out = np.zeros(n_max + 1, dtype=np.int64)
-        j = 1
-        while j * j <= n_max:
-            out[j * j] = 1
-            j += 2
+        out[np.arange(1, math.isqrt(n_max) + 1, 2) ** 2] = 1
         return out
     if q in (3, 5):
         return n * _sigma_power_mod(n_max, 1, q) % q
@@ -216,24 +207,23 @@ def tau_mod(q: int, n_max: int) -> np.ndarray:
 
 
 def lambda_mod3(n_max: int) -> np.ndarray:
-    """Partition counts lambda(0..n_max) mod 3, parts not divisible by 9.
-
-    Blocked coin DP: adding part m maps a[n] += a[n-m] for ascending n,
-    done in m-wide blocks so each block only reads finished values.
-    """
+    """Partition counts lambda(0..n_max) mod 3, parts not divisible by 9: E^6 * E * E mod 3."""
     if n_max < 0:
         raise InvalidArgumentError(f"n_max must be >= 0, got {n_max}")
     if n_max > TAU_DESK_LIMIT:
         raise ResourceLimitError(f"lambda_mod3 desk limit is {TAU_DESK_LIMIT}, got {n_max}")
-    a = np.zeros(n_max + 1, dtype=np.uint8)
-    a[0] = 1
-    for m in range(1, n_max + 1):
-        if m % 9 == 0:
-            continue
-        for start in range(m, n_max + 1, m):
-            end = min(start + m, n_max + 1)
-            a[start:end] = (a[start:end] + a[start - m : end - m]) % 3
-    return a
+    length = n_max + 1
+    k = np.arange(-math.isqrt(length), math.isqrt(length) + 1, dtype=np.int64)
+    expo = k * (3 * k - 1) // 2  # Euler's pentagonal series; (-1)^k is 1 or 2 mod 3
+    keep = expo < length
+    pentagonal = list(zip(expo[keep].tolist(), np.where(k[keep] % 2 == 0, 1, 2).tolist()))
+    a = _eta6_coeffs(length) % 3
+    for _ in range(2):
+        out = np.zeros_like(a)
+        for e, c in pentagonal:
+            out[e:] += c * a[: length - e]
+        a = out % 3
+    return a.astype(np.uint8)
 
 
 def odd_tau_count(x: int) -> int:

@@ -33,10 +33,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, ResourceLimitError
 
 __all__ = [
     "PrimeTable",
+    "PRIME_DESK_LIMIT",
     "sieve_primes",
     "is_prime",
     "euler_phi",
@@ -58,6 +59,7 @@ __all__ = [
 ]
 
 SEGMENT_SIZE = 1 << 20
+PRIME_DESK_LIMIT = 10**8  # the 5.8e6 primes below it take 46 MB
 
 S1, S2, S3, P23 = "S1", "S2", "S3", "P23"
 
@@ -145,6 +147,8 @@ def sieve_primes(limit: int) -> PrimeTable:
     limit = int(limit)
     if limit < 2:
         raise InvalidArgumentError(f"sieve limit must be >= 2, got {limit}")
+    if limit > PRIME_DESK_LIMIT:
+        raise ResourceLimitError(f"prime sieve desk limit is {PRIME_DESK_LIMIT}, got {limit}")
     return _sieve_cached(limit)
 
 

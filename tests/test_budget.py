@@ -31,7 +31,8 @@ ATOMS = st.one_of(
     st.floats(min_value=-TINY, max_value=TINY),  # subnormals and signed zeros
     st.builds(
         math.ldexp,
-        st.floats(min_value=-1.0, max_value=1.0),
+        # open interval: ldexp(+-1.0, 1024) is not a float and raises while drawing
+        st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True),
         st.integers(-1074, -990) | st.integers(990, 1024),  # exponents near +-1000
     ),
     st.floats(min_value=-1e3, max_value=1e3),

@@ -94,3 +94,9 @@ class TestCharacterGroup:
     def test_unsupported_modulus(self):
         with pytest.raises(InvalidArgumentError):
             character_group(9)
+
+    def test_group_is_built_once(self):
+        group = character_group(691)
+        assert character_group(691) is group
+        assert isinstance(group, tuple)
+        assert group[-1] is group[689] is generator_character(691, 3, 689)

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
 import tracemalloc
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from lrlab.cli import main
+from lrlab.multfn import CASES, TABLE_CASES
 
 
 def run_cli(capsys, *argv):
@@ -142,7 +148,91 @@ class TestExitCodes:
         assert out == "" and len(err.strip().splitlines()) == 1 and "error:" in err
         assert peak < 1 << 20  # 1e12 gamma_k terms were asked for; no work array was made
 
+    def test_large_prime_limit_is_refused_before_allocating(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(
+                capsys, "constant", "--case", "q5", "--prime-limit", "100000000000"
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert out == "" and len(err.strip().splitlines()) == 1 and "error:" in err
+        assert peak < 1 << 20  # 4e9 primes were asked for; no sieve segment was made
+
     def test_verify_single_case_exits_0(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--case", "q2", "--prime-limit", "1000000")
         assert code == 0
         assert "PASS" in out and "FAIL" not in out
+
+
+
+HOSTILE = ("0", "-1", "nan", "inf", "1e400", "", "abc", str(10**12), str(10**30))
+FORMATS = ("text", "json", "csv")
+# Small valid values per flag; () marks a flag that only takes hostile values,
+# so table1, constant and verify are refused before any full-size work starts.
+COMMANDS = {
+    "table1": {"--prime-limit": (), "--depth": (), "--format": FORMATS},
+    "constant": {"--case": TABLE_CASES, "--prime-limit": (), "--depth": (), "--format": FORMATS},
+    "verify": {"--case": ("all", *TABLE_CASES), "--prime-limit": (), "--depth": ()},
+    "lvalue": {
+        "--modulus": ("5", "7"),
+        "--index": ("1", "-1", "2"),
+        "--derivative": ("1", "2"),
+        "--depth": ("1",),
+        "--format": FORMATS,
+    },
+    "gammak": {
+        "--modulus": ("5", "7"),
+        "--residue": ("1", "2"),
+        "--k": ("1", "2"),
+        "--depth": ("1",),
+        "--format": FORMATS,
+    },
+    "hf": {"--case": tuple(sorted(CASES)), "--x": ("100", "2500.5"), "--format": FORMATS},
+    "tau": {"--limit": ("1", "5", "30"), "--mod": ("2", "23", "691"), "--format": FORMATS},
+    "count": {"--case": tuple(sorted(CASES)), "--x": ("1", "100"), "--format": FORMATS},
+}
+
+
+def assert_clean_exit(argv):
+    """The exit code is 0, 2 or 3 (or 1 for verify), and a refusal is one error line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # an exception escaping here is the traceback
+    allowed = {0, 1, 2, 3} if argv[0] == "verify" else {0, 2, 3}
+    assert code in allowed, (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code in (2, 3):
+        lines = err.getvalue().strip().splitlines()
+        assert len(lines) == 1 and "error:" in lines[0], (argv, lines)
+
+
+def _flag_value(valid):
+    hostile = st.sampled_from(HOSTILE)
+    return st.one_of(st.sampled_from(valid), hostile) if valid else hostile
+
+
+_ARGV = st.sampled_from(sorted(COMMANDS)).flatmap(
+    lambda command: st.fixed_dictionaries(
+        {flag: _flag_value(valid) for flag, valid in COMMANDS[command].items()}
+    ).map(lambda d: [command] + [part for flag, value in d.items() for part in (flag, value)])
+)
+
+
+@given(argv=_ARGV)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_fuzzed_argv_never_ends_in_a_traceback(argv):
+    assert_clean_exit(argv)
+
+
+def test_each_hostile_value_alone():
+    # every flag takes every hostile value while the others stay valid (a
+    # hostile-only flag stays at a value the desk limits refuse)
+    for command, flags in COMMANDS.items():
+        base = {flag: valid[0] if valid else str(10**12) for flag, valid in flags.items()}
+        for flag in flags:
+            for value in HOSTILE:
+                argv = dict(base, **{flag: value})
+                assert_clean_exit([command] + [part for item in argv.items() for part in item])

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -21,6 +22,7 @@ from lrlab.constants import (
     verdict,
 )
 from lrlab.errors import ConsistencyError, PreconditionError, UnsupportedCaseError
+from lrlab.lseries import prime_tail_bound
 from lrlab.primes import PrimeTable, sieve_primes
 
 CUTOFF = 10**6  # module tests run at 1e6; the acceptance suite runs 1e7
@@ -111,6 +113,32 @@ class TestB691:
         monkeypatch.setattr(constants, "sieve_primes", lambda limit: broken)
         with pytest.raises(ConsistencyError, match="not finite"):
             omitted_products_bound(10**4)
+
+    def test_omitted_products_without_float_exceptions(self):
+        # p^690 overflows binary64 for every p = 1 (mod 691), and p^(-690)
+        # underflows; neither may be computed
+        cutoff = 20000
+        with np.errstate(all="raise"):
+            ob = omitted_products_bound(cutoff)
+        # against the docstring formulas in 30-digit arithmetic, within the
+        # rounding share of the budget (the tail beyond the cutoff is not summed)
+        exact = mp.mpf(0)
+        with mp.workdps(30):
+            for p in sieve_primes(cutoff).primes.tolist():
+                if p == 691:
+                    continue
+                nu = min(d for d in range(1, 691) if 690 % d == 0 and pow(p, d, 691) == 1)
+                lp, p = mp.log(p), mp.mpf(p)
+                if nu == 2:
+                    exact += lp / (p**2 - 1)
+                if nu == 1:
+                    exact += -690 * lp / (p**690 - 1) + 691 * lp / (p**691 - 1)
+                if nu >= 4 and nu % 2 == 0:
+                    exact += lp / (p ** (nu // 2) - p ** (-(nu // 2)))
+                if nu >= 3:
+                    exact += -(nu - 1) * lp / (p ** (nu - 1) - 1) + nu * lp / (p**nu - 1)
+        rounding = ob.budget - 4.0 * prime_tail_bound(2, float(cutoff))
+        assert abs(ob.value - float(exact)) <= rounding
 
     def test_omitted_products_tail_soundness(self):
         v6 = omitted_products_bound(10**6)

@@ -52,6 +52,39 @@ def partitions_avoiding(n, parts):
     return count(n, len(parts) - 1)
 
 
+def blocked_coin_dp_lambda_mod3(n_max):
+    """Reference lambda(0..n_max) mod 3: adding part m maps a[n] += a[n-m] for
+    ascending n, done in m-wide blocks so each block only reads finished values."""
+    a = np.zeros(n_max + 1, dtype=np.uint8)
+    a[0] = 1
+    for m in range(1, n_max + 1):
+        if m % 9 == 0:
+            continue
+        for start in range(m, n_max + 1, m):
+            end = min(start + m, n_max + 1)
+            a[start:end] = (a[start:end] + a[start - m : end - m]) % 3
+    return a
+
+
+def tau_mod23_from_eta_product(n_max):
+    """tau(1..n_max) mod 23 as the coefficients of x E(x) E(x^23), E = prod (1-x^n).
+
+    Delta = eta^24 = eta(z) eta(23z) mod 23, since (1-x^n)^23 = 1-x^(23n) mod 23.
+    """
+    e = np.zeros(n_max, dtype=np.int64)  # E(x) below x^n_max, by the pentagonal theorem
+    k = 0
+    while k * (3 * k - 1) // 2 < n_max:
+        for g in {k * (3 * k - 1) // 2, k * (3 * k + 1) // 2}:
+            if g < n_max:
+                e[g] = (-1) ** k
+        k += 1
+    out = np.zeros(n_max, dtype=np.int64)
+    for g in np.flatnonzero(e).tolist():  # times E(x^23), one shifted copy per term
+        if 23 * g < n_max:
+            out[23 * g :] += e[g] * e[: n_max - 23 * g]
+    return np.concatenate(([0], out % 23))
+
+
 def naive_square_trunc(coeffs, length):
     """Schoolbook square of an integer polynomial, truncated to length terms."""
     out = [0] * length
@@ -150,6 +183,18 @@ class TestTauMod:
         with pytest.raises(InvalidArgumentError):
             tau_mod(11, 100)
 
+    def test_mod23_matches_eta_product(self):
+        # an independent route that never looks at the Wilton classes
+        got = tau_mod(23, 10**5)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, tau_mod23_from_eta_product(10**5))
+
+    def test_mod23_edge_windows(self):
+        # windows that end just below, at and above 23 and 23^2
+        for n_max in (1, 2, 3, 22, 23, 24, 529, 530):
+            exact = np.array([0] + [t % 23 for t in tau_exact(n_max).values])
+            assert np.array_equal(tau_mod(23, n_max), exact), n_max
+
     def test_sigma_power_mod_matches_divisor_sum(self):
         for power, q in ((1, 3), (1, 5), (3, 7), (11, 691)):
             for n_max in (1, 2, 3, 15, 16, 17, 500):
@@ -175,6 +220,16 @@ class TestLambdaMod3:
         assert partitions_avoiding(9, parts) == 29
         lam = lambda_mod3(9)
         assert lam[4] == 2 and lam[9] == 2
+
+    def test_matches_coin_dp(self):
+        got = lambda_mod3(5000)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, blocked_coin_dp_lambda_mod3(5000))
+
+    def test_small_windows_and_multiples_of_9(self):
+        around_9k = [9 * k + d for k in (1, 2, 3, 12, 37, 111) for d in (-1, 0, 1)]
+        for n_max in list(range(31)) + around_9k:
+            assert np.array_equal(lambda_mod3(n_max), blocked_coin_dp_lambda_mod3(n_max)), n_max
 
     def test_resource_limit(self):
         with pytest.raises(ResourceLimitError):

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrlab.errors import InvalidArgumentError
+from lrlab.errors import InvalidArgumentError, ResourceLimitError
 from lrlab.primes import (
     P23,
+    PRIME_DESK_LIMIT,
     S1,
     S2,
     S3,
@@ -68,6 +69,12 @@ class TestSieve:
     def test_small_limit_rejected(self):
         with pytest.raises(InvalidArgumentError):
             sieve_primes(1)
+
+    def test_desk_limit(self):
+        with pytest.raises(ResourceLimitError):
+            sieve_primes(PRIME_DESK_LIMIT + 1)
+        with pytest.raises(ResourceLimitError):
+            sieve_primes(10**30)
 
 
 class TestKronecker:
