@@ -15,7 +15,6 @@ from .constants import (
     b691_character_sums,
     first_order_C5,
     landau_ramanujan_K,
-    omitted_products_bound,
     second_order_constant,
     table1,
     verdict,

@@ -120,9 +120,6 @@ class ValueWithBudget:
     def conjugate(self) -> "ValueWithBudget":
         return ValueWithBudget(self.value.conjugate(), self.budget)
 
-    def widened(self, extra: float) -> "ValueWithBudget":
-        return ValueWithBudget(self.value, self.budget + extra)
-
     def __neg__(self) -> "ValueWithBudget":
         return ValueWithBudget(-self.value, self.budget)
 

@@ -22,13 +22,15 @@ bounded (lseries.prime_log_sum).  For q3 the zeta(2s)^-2 rewrite of the
 factorization is used, because its class sums converge faster; the direct
 form is kept as a cross-check (q3_direct_b).
 
-q691 has no factorization in the table:
+L'/L(1, chi^j) for every character mod m comes from one inverse DFT per
+derivative order (_l_ratios), which serves the 345 characters of q691's
+T(s)^690 factorization as well as the one or two of the other rows.  The
+paper's q691 value leaves out the local factors H of that factorization:
   B ~ (log 691)/690^2 - (689/690) gamma
       - (1/690) sum_{j=0}^{344} L'/L(1, chi_c^(2j+1))
-      + (1/690) sum_{j=1}^{344} L'/L(1, chi_c^(2j)),
-  with the four residual Euler products of the T(s)^690 identity
-  contributing less than 1e-5 in absolute value (checked numerically
-  by omitted_products_bound).
+      + (1/690) sum_{j=1}^{344} L'/L(1, chi_c^(2j)).
+It is kept as a cross-check (b691_approx); B_f - b691_approx is the share of
+those four residual products, about 2.7e-6.
 
 First-order constants: the two-squares leading constant
 K = 2^(-1/2) prod_{p=3(4)} (1 - p^-2)^(-1/2), and for q5
@@ -47,30 +49,28 @@ from functools import lru_cache
 import numpy as np
 
 from .budget import ValueWithBudget, csum
-from .characters import generator_character
+from .characters import GENERATORS, _dlog_table, generator_character
 from .errors import ConsistencyError, PreconditionError, UnsupportedCaseError
 from .lseries import (
     _EPS,
+    _gamma_batch,
     euler_gamma_value,
     l_derivative_at_1,
     prime_log_sum,
-    prime_tail_bound,
     zeta_log_derivative_at_2,
 )
 from .multfn import TABLE_CASES, class_index, get_case, h_f
-from .primes import order_codes, sieve_primes
+from .primes import euler_phi, sieve_primes
 
 __all__ = [
     "ConstantReport",
     "CLAIM_FALSE",
     "INCONCLUSIVE",
-    "OMITTED_ALLOWANCE",
     "TABLE1_PRINTED",
     "second_order_constant",
     "q3_direct_b",
     "b691_approx",
     "b691_character_sums",
-    "omitted_products_bound",
     "landau_ramanujan_K",
     "first_order_C5",
     "verdict",
@@ -79,9 +79,6 @@ __all__ = [
 
 CLAIM_FALSE = "CLAIM_FALSE"
 INCONCLUSIVE = "INCONCLUSIVE"
-
-# Allowance for the four residual products omitted from the q691 formula.
-OMITTED_ALLOWANCE = 1e-5
 
 # Published reference table (truncated decimals as printed), used by reports
 # and the verification gate: H(1e5), H(1e6), B_f, C_2, claimed C_2.
@@ -113,9 +110,30 @@ class ConstantReport:
     notes: tuple = ()
 
 
-def _l_ratio(chi, depth: float) -> ValueWithBudget:
-    """L'(1, chi) / L(1, chi) with budget."""
-    return l_derivative_at_1(chi, 1, depth) / l_derivative_at_1(chi, 0, depth)
+@lru_cache(maxsize=16)
+def _l_ratios(m: int, depth: float) -> tuple[np.ndarray, np.ndarray]:
+    """L'/L(1, chi^j) and budgets for j = 0..phi(m)-1 (chi(g) = exp(2 pi i/phi)).
+
+    With the residues r = g^a ordered by a, L^(k)(1, chi^j) =
+    (-1)^k sum_a exp(2 pi i j a/phi) gamma_k(g^a, m) is one inverse DFT per
+    derivative order.  The principal j = 0 has no L-value and holds nan.
+    """
+    dlog = _dlog_table(m, GENERATORS[m])[0][np.arange(1, m + 1) % m]
+    unit = dlog >= 0
+    phi = euler_phi(m)
+    l_k, bud_k = [], []
+    for k in (0, 1):
+        g, b = _gamma_batch(m, k, depth)
+        seq = np.zeros(phi)
+        seq[dlog[unit]] = g[unit]
+        l_k.append((-1) ** k * phi * np.fft.ifft(seq))
+        bud_k.append(float(np.sum(b[unit])) + _EPS * float(np.sum(np.abs(seq))) * 16.0)
+    (l0, l1), (bud_l0, bud_l1) = l_k, bud_k
+    ratios = l1 / l0
+    rb = (bud_l1 + np.abs(ratios) * bud_l0) / (np.abs(l0) - bud_l0)
+    ratios[0] = rb[0] = np.nan
+    ratios.flags.writeable = rb.flags.writeable = False
+    return ratios, rb
 
 
 def _real(v: ValueWithBudget) -> ValueWithBudget:
@@ -130,8 +148,9 @@ def _scaled(coef, v):
 def _b_from_euler(spec, euler, cutoff: int, depth: float) -> ValueWithBudget:
     """B_f from one Euler factorization of T(s)^n (module docstring)."""
     idx = class_index(spec, cutoff)
+    ratios, rb = _l_ratios(euler.modulus, depth)
     terms = [
-        (e if chi.is_real else 2 * e, _real(_l_ratio(chi, depth))) for chi, e in euler.l_exponents
+        (w, ValueWithBudget(float(ratios[j].real), float(rb[j]))) for j, w in euler.l_weights()
     ]
     if euler.zeta2:
         terms.append((2 * euler.zeta2, zeta_log_derivative_at_2(cutoff)))
@@ -153,114 +172,35 @@ def q3_direct_b(cutoff: int = 10**7, depth: float = 1.0) -> ValueWithBudget:
 
 
 # ---------------------------------------------------------------------------
-# q = 691: character sums and the residual-products check
+# q = 691: the paper's character-sum formula, a cross-check of the table row
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=8)
-def _l_ratios_691(depth: float):
-    """L'/L(1, chi_c^j) for j = 1..689 (chi_c(3) = exp(2 pi i / 690)).
-
-    With residues reordered by discrete log base 3, the 690 character sums
-    are a single inverse DFT of the gamma_k vectors.
-    """
-    from .lseries import _gamma_batch
-
-    g0, b0 = _gamma_batch(691, 0, depth)
-    g1, b1 = _gamma_batch(691, 1, depth)
-    chi = generator_character(691, 3, 1)
-    dlog = chi._dlog  # dlog[r] for r=1..690; r=0 excluded
-    seq0 = np.zeros(690)
-    seq1 = np.zeros(690)
-    for r in range(1, 691):
-        a = int(dlog[r])
-        seq0[a] = g0[r - 1]
-        seq1[a] = g1[r - 1]
-    # L(1, chi^j)  =  sum_a e^(2 pi i j a / 690) gamma_0(3^a)
-    l0 = 690.0 * np.fft.ifft(seq0)
-    l1 = -690.0 * np.fft.ifft(seq1)
-    bud_l0 = float(np.sum(b0[:-1])) + _EPS * float(np.sum(np.abs(seq0))) * 16.0
-    bud_l1 = float(np.sum(b1[:-1])) + _EPS * float(np.sum(np.abs(seq1))) * 16.0
-    ratios = l1[1:] / l0[1:]  # j = 1..689
-    rb = (bud_l1 + np.abs(ratios) * bud_l0) / (np.abs(l0[1:]) - bud_l0)
-    return ratios, rb
-
 
 def b691_character_sums(depth: float = 1.0) -> tuple[ValueWithBudget, ValueWithBudget]:
     """The odd- and even-character sums of L'/L(1, chi_c^j) mod 691."""
-    ratios, rb = _l_ratios_691(depth)
-    # index i holds j = i + 1
-    odd = ratios[0::2]  # j = 1, 3, ..., 689  (345 terms)
-    even = ratios[1::2]  # j = 2, 4, ..., 688  (344 terms)
-    odd_b = rb[0::2]
-    even_b = rb[1::2]
+    ratios, rb = _l_ratios(691, depth)
+    odd = ratios[1::2]  # j = 1, 3, ..., 689  (345 terms)
+    even = ratios[2::2]  # j = 2, 4, ..., 688  (344 terms)
     odd_sum = complex(csum(odd.real), csum(odd.imag))
     even_sum = complex(csum(even.real), csum(even.imag))
     return (
-        ValueWithBudget(odd_sum, float(np.sum(odd_b))),
-        ValueWithBudget(even_sum, float(np.sum(even_b))),
+        ValueWithBudget(odd_sum, float(np.sum(rb[1::2]))),
+        ValueWithBudget(even_sum, float(np.sum(rb[2::2]))),
     )
 
 
 def b691_approx(depth: float = 1.0) -> ValueWithBudget:
-    """B_f for q = 691 from the character-sum formula.
+    """The paper's B_f for q = 691, without the four residual products.
 
-    B ~ (log 691)/690^2 - (689/690) gamma - odd_sum/690 + even_sum/690,
-    budget = component budgets + the 1e-5 residual-products allowance.
+    B ~ (log 691)/690^2 - (689/690) gamma - odd_sum/690 + even_sum/690.
     """
     odd, even = b691_character_sums(depth)
     g = euler_gamma_value(depth)
-    b = (
+    return (
         math.log(691.0) / 690.0**2
         - (689.0 / 690.0) * g
         - _real(odd) / 690.0
         + _real(even) / 690.0
     )
-    return b.widened(OMITTED_ALLOWANCE)
-
-
-def omitted_products_bound(cutoff: int = 10**7) -> ValueWithBudget:
-    """Contribution to B_f(q691) of the four residual products, with tail.
-
-    Per prime class (nu = order of p mod 691):
-      nu = 2 (p = -1 mod 691):  + log p/(p^2 - 1)
-      nu = 1 (p = +1 mod 691):  - 690 log p/(p^690 - 1) + 691 log p/(p^691 - 1)
-      nu even, >= 4:            + log p/(p^(nu/2) - p^(-nu/2))
-      2 < nu < 691:             - (nu-1) log p/(p^(nu-1) - 1) + nu log p/(p^nu - 1)
-    """
-    cutoff = int(cutoff)
-    if cutoff < 7481:
-        raise PreconditionError(f"cutoff must be >= 7481, got {cutoff}")
-    table = sieve_primes(cutoff)
-    p = table.primes.astype(np.float64)
-    logs = table.logs
-    nu = order_codes(cutoff).astype(np.float64)
-
-    def inverse_power(m, a):
-        """p^(-a) on the primes of mask m; 0 where p^a > e^690, so nothing
-        overflows or underflows (each term dropped is below 1e-295)."""
-        keep = a * logs[m] < 690.0
-        return np.where(keep, p[m] ** -np.where(keep, a, 0.0), 0.0)
-
-    def share(m, a):  # log p/(p^a - 1)
-        r = inverse_power(m, a)
-        return logs[m] * r / (1.0 - r)
-
-    m = nu == 2.0
-    terms = [share(m, 2.0)]
-    m = nu == 1.0
-    terms.append(-690.0 * share(m, 690.0) + 691.0 * share(m, 691.0))
-    m = (nu >= 4.0) & (nu % 2.0 == 0.0)
-    r = inverse_power(m, nu[m] / 2.0)
-    terms.append(logs[m] * r / ((1.0 - r) * (1.0 + r)))  # log p/(p^(nu/2) - p^(-nu/2))
-    m = (nu >= 3.0) & (nu <= 690.0)
-    terms.append(-(nu[m] - 1.0) * share(m, nu[m] - 1.0) + nu[m] * share(m, nu[m]))
-    flat = np.concatenate(terms)
-    if not np.all(np.isfinite(flat)):
-        bad = int(np.count_nonzero(~np.isfinite(flat)))
-        raise ConsistencyError(f"{bad} of {len(flat)} residual-product terms are not finite")
-    value = csum(flat)
-    budget = 4.0 * prime_tail_bound(2, float(cutoff)) + _EPS * float(np.sum(np.abs(flat))) * 4.0
-    return ValueWithBudget(value, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +302,7 @@ def second_order_constant(
     if prime_cutoff < 7481:
         raise PreconditionError(f"prime_cutoff must be >= 7481, got {prime_cutoff}")
 
-    if tag == "q691":
-        b = b691_approx(depth)
-    else:
-        b = _b_from_euler(spec, spec.b_euler or spec.euler, int(prime_cutoff), depth)
+    b = _b_from_euler(spec, spec.b_euler or spec.euler, int(prime_cutoff), depth)
     c2 = float(1 - spec.tau) * (1.0 + b)
 
     checkpoints = tuple((int(x), h_f(spec, float(x))) for x in hf_checkpoints)

@@ -4,15 +4,18 @@ Each case's Euler factorization in multfn.CASES,
 
     T(s)^n = zeta(s)^(n tau) zeta(2s)^z prod_chi L(s, chi)^e H(s),
 
-is checked at a real s > 1 by evaluating both sides: T(s) as a truncated
-Dirichlet series, zeta and the L-series by truncated sums with tail bounds,
-and H as a truncated Euler product with a tail bound.  Both sides carry
-budgets and must agree within their combined budgets.
+is checked two ways at a real s > 1.
 
-For q691 the T(s)^690 identity is checked locally: at each prime the local
-factor of T to the 690th power must match the product of the right side's
-local factors (zeta^689, the 690 character L-factors, and the four residual
-products selected by nu(p)).
+euler_identity_sides evaluates both sides: T(s) as a truncated Dirichlet
+series, zeta and the L-series by truncated sums with tail bounds, and H as
+a truncated Euler product with a tail bound.  Both sides carry budgets and
+must agree within their combined budgets.
+
+local_factor_gap compares the two sides prime by prime: n log of T's local
+factor at p, in closed form from the zero period m0 of p, against the log
+of the right side's local factor, summed over all the characters at once.
+This sees each (c, a) of H, where B_f sees only the products c a, and it
+is cheap enough for q691's 345 characters.
 """
 
 from __future__ import annotations
@@ -22,13 +25,13 @@ import math
 import numpy as np
 
 from .budget import ValueWithBudget, csum
-from .characters import generator_character
+from .characters import GENERATORS, _dlog_table, generator_character
 from .errors import UnsupportedCaseError
 from .lseries import _EPS, l_series_truncated, zeta_real
-from .multfn import M_NEVER, class_index, dirichlet_series_truncated, get_case, zero_period
-from .primes import sieve_primes
+from .multfn import M_ALWAYS, M_NEVER, class_index, dirichlet_series_truncated, get_case, zero_periods
+from .primes import euler_phi, sieve_primes
 
-__all__ = ["truncated_T", "euler_identity_sides", "local_factor_gap_q691"]
+__all__ = ["truncated_T", "euler_identity_sides", "local_factor_gap"]
 
 
 def truncated_T(case, s: float, n_terms: int) -> ValueWithBudget:
@@ -61,6 +64,13 @@ def _times_power(acc: ValueWithBudget, v: ValueWithBudget, e: int) -> ValueWithB
     return acc
 
 
+def _factorization(case):
+    spec = get_case(case)
+    if spec.euler is None:
+        raise UnsupportedCaseError(f"no product identity registered for {spec.tag!r}")
+    return spec, spec.euler
+
+
 def euler_identity_sides(
     tag: str,
     s: float = 2.0,
@@ -69,16 +79,15 @@ def euler_identity_sides(
     l_terms: int = 10**6,
 ):
     """Left and right side of the case's factorization identity, with budgets."""
-    spec = get_case(tag)
-    euler = spec.euler
-    if euler is None:
-        raise UnsupportedCaseError(f"no product identity registered for {tag!r}")
+    spec, euler = _factorization(tag)
     t = truncated_T(spec, s, n_terms)
     lhs = _times_power(ValueWithBudget(1.0, 0.0), t, euler.n)
     rhs = _times_power(ValueWithBudget(1.0, 0.0), zeta_real(s), int(euler.n * spec.tau))
     if euler.zeta2:
         rhs = _times_power(rhs, zeta_real(2.0 * s), euler.zeta2)
-    for chi, e in euler.l_exponents:
+    m = euler.modulus
+    for j, e in euler.l_exponents:
+        chi = generator_character(m, GENERATORS[m], j)
         l_val = l_series_truncated(chi, s, l_terms)
         rhs = _times_power(rhs, l_val if chi.is_real else l_val * l_val.conjugate(), e)
     for q, factor in euler.finite:
@@ -91,48 +100,45 @@ def euler_identity_sides(
     return lhs, rhs.real
 
 
-def local_factor_gap_q691(s: float = 2.0, p_limit: int = 10**4) -> float:
-    """Max |log LHS_p - log RHS_p| of the T(s)^690 identity over primes <= p_limit.
+def local_factor_gap(case, s: float = 2.0, p_limit: int = 10**4) -> float:
+    """Max |n log T_p - log RHS_p| over primes p <= p_limit and over the
+    case's factorizations, with x = p^-s.
 
-    LHS_p is the 690th power of T's local factor at p; RHS_p collects
-    zeta^689, the character L-factors (odd powers up, even powers down),
-    and the residual products selected by nu(p).
+    T_p = sum_k f(p^k) x^k is 1/(1 - x) for m0 = NEVER, 1 for ALWAYS, and
+    (1 - x^(m0-1))/((1 - x)(1 - x^m0)) otherwise.
     """
-    chi = generator_character(691, 3, 1)
-    dlog = chi._dlog
-    j = np.arange(690)
-    odd_j = j % 2 == 1
-    even_j = (j % 2 == 0) & (j >= 2)
+    spec, _ = _factorization(case)
+    table = sieve_primes(p_limit)
+    p = table.primes
+    x = np.exp(-s * table.logs)
+    m0 = zero_periods(spec, p_limit)
+    finite_m0 = np.where(m0 >= 2, m0, 2)
+    log_t = np.where(
+        m0 == M_NEVER,
+        -np.log1p(-x),
+        np.log1p(-(x ** (finite_m0 - 1))) - np.log1p(-x) - np.log1p(-(x**finite_m0)),
+    )
+    log_t[m0 == M_ALWAYS] = 0.0
+    idx = class_index(spec, p_limit)
     worst = 0.0
-    for p in sieve_primes(p_limit).primes.tolist():
-        x = float(p) ** (-s)
-        m0 = zero_period("q691", p)
-        if m0 == M_NEVER:  # p = 691, local factor 1/(1-x)
-            lhs = -690.0 * math.log1p(-x)
-        else:
-            lhs = 690.0 * (
-                math.log1p(-(x ** (m0 - 1))) - math.log1p(-x) - math.log1p(-(x**m0))
-            )
-        rhs = complex(-689.0 * math.log1p(-x))
-        if p == 691:
-            rhs += -math.log1p(-x)
-            nu = None
-        else:
-            a = int(dlog[p % 691])
-            z = x * np.exp(2j * np.pi * a * j / 690.0)
-            logs = np.log1p(-z)
-            # L(s, chi^1) and the ratio prod L(chi^(2j+1)) / L(chi^(2j))
-            rhs += complex(-np.sum(logs[odd_j]) + np.sum(logs[even_j]))
-            nu = 690 // math.gcd(a, 690)
-        if nu is not None:
-            if nu == 2:
-                rhs += -345.0 * math.log1p(-(x**2))
-            if nu == 1:
-                rhs += 690.0 * (math.log1p(-(x**690)) - math.log1p(-(x**691)))
-            if nu >= 4 and nu % 2 == 0:
-                xh = x ** (nu / 2.0)
-                rhs += (690.0 / nu) * (math.log1p(xh) - math.log1p(-xh))
-            if 2 < nu < 691:
-                rhs += 690.0 * (math.log1p(-(x ** (nu - 1))) - math.log1p(-(x**nu)))
-        worst = max(worst, abs(lhs - rhs))
+    for euler in filter(None, (spec.euler, spec.b_euler)):
+        m = euler.modulus
+        phi = euler_phi(m)
+        j, w = np.array(euler.l_weights()).T
+        dlog = _dlog_table(m, GENERATORS[m])[0][p % m]
+        # log |1 - chi^j(p) x| for every (p, j); chi^j(p) = 0 where m | p
+        angle = 2.0 * np.pi * ((np.outer(dlog, j) % phi) / phi)
+        log_l = 0.5 * np.log1p(x[:, None] * (x[:, None] - 2.0 * np.cos(angle)))
+        log_l[dlog < 0] = 0.0
+        rhs = -float(euler.n * spec.tau) * np.log1p(-x) - log_l @ w
+        if euler.zeta2:
+            rhs -= euler.zeta2 * np.log1p(-x * x)
+        for q, factor in euler.finite:
+            at_q = p == q
+            rhs[at_q] += sum(c * np.log1p(-(x[at_q] ** a)) for c, a in factor)
+        for k, factor in enumerate(euler.classes):
+            members = idx == k
+            for c, a in factor:
+                rhs[members] += c * np.log1p(-(x[members] ** a))
+        worst = max(worst, float(np.max(np.abs(euler.n * log_t - rhs))))
     return worst

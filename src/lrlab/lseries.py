@@ -103,8 +103,7 @@ def _gamma_batch(m: int, k: int, depth: float) -> tuple[np.ndarray, np.ndarray]:
     if X < m:
         raise InvalidArgumentError(f"depth {depth} leaves cutoff {X} below the modulus {m}")
     n = np.arange(1, X + 1, dtype=np.float64)
-    ln = np.log(n)
-    w = (ln**k) / n if k else 1.0 / n
+    w = np.log(n) ** k / n if k else 1.0 / n
     vals = np.empty(m)
     buds = np.empty(m)
     for r in range(1, m + 1):
@@ -196,42 +195,32 @@ def prime_tail_bound(k: float, x: float) -> float:
         raise PreconditionError(f"tail bound needs k > 1, got {k}")
     if x < THETA_X_MIN:
         raise PreconditionError(f"tail bound needs x >= {THETA_X_MIN}, got {x}")
-    return x / (x**k - 1.0) * (-THETA_LO + THETA_HI * k / (k - 1.0))
+    r = math.exp(-k * math.log(x))  # x^(-k), 0 when it underflows
+    return x * r / (1.0 - r) * (-THETA_LO + THETA_HI * k / (k - 1.0))
 
 
-def prime_log_sum(
-    selector,
-    k: int,
-    cutoff: int,
-    rigorous: bool = True,
-) -> ValueWithBudget:
+def prime_log_sum(mask, k: int, cutoff: int) -> ValueWithBudget:
     """sum_{p <= cutoff, p in class} log p / (p^k - 1) with the class tail budget.
 
-    ``selector`` is None (all primes), a boolean mask aligned with
-    sieve_primes(cutoff).primes, or a callable mapping that prime array to
-    such a mask.
+    ``mask`` is None (all primes) or a boolean mask aligned with
+    sieve_primes(cutoff).primes.  Each term is log p r/(1 - r) with
+    r = p^(-k); primes with p^k > e^690 are left out, so r never underflows.
+    Each term left out is below 1e-295, and all of them together are far
+    below the rounding allowance in the budget.
     """
     if k < 2:
         raise PreconditionError(f"prime_log_sum needs k >= 2, got {k}")
     cutoff = int(cutoff)
-    if rigorous and cutoff < THETA_X_MIN:
-        raise PreconditionError(
-            f"rigorous tail budget needs cutoff >= {THETA_X_MIN}, got {cutoff}"
-        )
+    if cutoff < THETA_X_MIN:
+        raise PreconditionError(f"tail budget needs cutoff >= {THETA_X_MIN}, got {cutoff}")
     table = sieve_primes(cutoff)
-    p = table.primes
-    logs = table.logs
-    if selector is None:
-        mask = slice(None)
-    elif callable(selector):
-        mask = np.asarray(selector(p), dtype=bool)
-    else:
-        mask = np.asarray(selector, dtype=bool)
-    pf = p[mask].astype(np.float64)
-    terms = logs[mask] / (pf**k - 1.0)
-    value = csum(terms)
-    tail = prime_tail_bound(k, float(cutoff)) if rigorous else 0.0
-    budget = tail + _EPS * (value + 1.0)
+    # an int key: a float one would convert the whole prime array
+    top = cutoff if k * math.log(cutoff) <= 690.0 else int(math.exp(690.0 / k))
+    n = int(np.searchsorted(table.primes, top, side="right"))
+    keep = slice(n) if mask is None else np.asarray(mask, dtype=bool)[:n]
+    r = table.primes[:n][keep].astype(np.float64) ** -float(k)
+    value = csum(table.logs[:n][keep] * r / (1.0 - r))
+    budget = prime_tail_bound(k, float(cutoff)) + _EPS * (value + 1.0)
     return ValueWithBudget(value, budget)
 
 

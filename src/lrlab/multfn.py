@@ -40,7 +40,6 @@ from typing import Callable
 import numpy as np
 
 from .budget import ValueWithBudget, csum
-from .characters import generator_character, kronecker_character
 from .errors import (
     InvalidArgumentError,
     PreconditionError,
@@ -81,19 +80,27 @@ COUNT_DESK_LIMIT = 10_000_000
 
 @dataclass(frozen=True)
 class EulerFactorization:
-    """T(s)^n = zeta(s)^(n tau) zeta(2s)^zeta2 prod L(s, chi)^e H(s).
+    """T(s)^n = zeta(s)^(n tau) zeta(2s)^zeta2 prod L(s, chi^j)^e H(s).
 
-    ``l_exponents`` is ((chi, e), ...); a complex chi stands for itself and
-    its conjugate, each to the power e.  A local factor ((c, a), ...) is
+    chi is the character mod ``modulus`` with chi(g) = exp(2 pi i/phi) at
+    the generator g = characters.GENERATORS[modulus].  ``l_exponents`` is
+    ((j, e), ...); a complex chi^j stands for itself and its conjugate
+    chi^(phi - j), each to the power e.  A local factor ((c, a), ...) is
     prod (1 - p^(-a s))^c: ``finite`` pairs single primes q with theirs, and
     ``classes[j]`` is the one shared by the primes of class j.
     """
 
     n: int
+    modulus: int
     l_exponents: tuple
     finite: tuple
     classes: tuple
     zeta2: int = 0
+
+    def l_weights(self) -> tuple:
+        """((j, w), ...): w = e for a real chi^j, 2e for a complex one and its conjugate."""
+        phi = pr.euler_phi(self.modulus)
+        return tuple((j, e if 2 * j % phi == 0 else 2 * e) for j, e in self.l_exponents)
 
 
 @dataclass(frozen=True)
@@ -130,9 +137,15 @@ def _order_class(p: np.ndarray) -> np.ndarray:
     return lut[p % 691]
 
 
-_CHI_3, _CHI_4, _CHI_7, _CHI_23 = (kronecker_character(d) for d in (-3, -4, -7, -23))
-_CHI_C5 = generator_character(5, 2, 1)  # chi_c(2) = i; complex, so it brings its conjugate
-_CHI_5 = generator_character(5, 2, 2)
+def _order_factor(nu: int) -> tuple:
+    """The local factor of the T(s)^690 identity at the primes of order nu mod 691."""
+    if nu == 1:
+        return ((690, 690), (-690, 691))
+    if nu == 2:
+        return ((-345, 2),)
+    even = ((690 // nu, nu), (-(1380 // nu), nu // 2)) if nu % 2 == 0 else ()
+    return even + ((690, nu - 1), (-690, nu))
+
 
 CASES: dict[str, CaseSpec] = {
     c.tag: c
@@ -144,39 +157,52 @@ CASES: dict[str, CaseSpec] = {
                  # classes: p = 3, p = 2 (3), p = 1 (3)
                  classify=_by_residue(3, [0, 2, 1]), m0=(M_ALWAYS, 2, 3),
                  euler=EulerFactorization(
-                     n=2, l_exponents=((_CHI_3, 1),), finite=((3, ((1, 1),)),),
+                     # chi_-3 = chi^1 mod 3
+                     n=2, modulus=3, l_exponents=((1, 1),), finite=((3, ((1, 1),)),),
                      classes=((), ((-1, 2),), ((-2, 3), (2, 2)))),
                  b_euler=EulerFactorization(
-                     n=2, l_exponents=((_CHI_3, 1),), finite=((3, ((1, 1), (-2, 2))),),
+                     n=2, modulus=3, l_exponents=((1, 1),), finite=((3, ((1, 1), (-2, 2))),),
                      classes=((), ((-3, 2),), ((-2, 3),)), zeta2=-2)),
         CaseSpec("q5", Fraction(3, 4), Fraction(1, 4), 5, "5 does not divide tau(n)",
                  # classes: p = 5, p = 1 (5), p = +-2 (5), p = 4 (5)
                  classify=_by_residue(5, [0, 1, 2, 2, 3]), m0=(M_ALWAYS, 5, 4, 2),
                  euler=EulerFactorization(
-                     n=4, l_exponents=((_CHI_C5, 1), (_CHI_5, -1)), finite=((5, ((3, 1),)),),
+                     # chi_c = chi^1 mod 5 (chi_c(2) = i, with its conjugate), chi_5 = chi^2
+                     n=4, modulus=5, l_exponents=((1, 1), (2, -1)), finite=((5, ((3, 1),)),),
                      classes=((), ((4, 4), (-4, 5)), ((4, 3), (-2, 2), (-3, 4)), ((-2, 2),)))),
         CaseSpec("q7", Fraction(1, 2), Fraction(1, 2), 7, "7 does not divide tau(n)",
                  # classes: p = 7, quadratic residues mod 7, non-residues
                  classify=_by_residue(7, [0, 1, 1, 2, 1, 2, 2]), m0=(M_ALWAYS, 7, 2),
                  euler=EulerFactorization(
-                     n=2, l_exponents=((_CHI_7, 1),), finite=((7, ((1, 1),)),),
+                     # chi_-7 = chi^3 mod 7
+                     n=2, modulus=7, l_exponents=((3, 1),), finite=((7, ((1, 1),)),),
                      classes=((), ((2, 6), (-2, 7)), ((-1, 2),)))),
         CaseSpec("q23", Fraction(1, 2), Fraction(1, 2), 23, "23 does not divide tau(n)",
                  # classes: the Wilton classes S1, S2, S3, P23 (primes module)
                  classify=pr.wilton_classes, m0=(2, 3, 23, M_NEVER),
                  euler=EulerFactorization(
-                     n=2, l_exponents=((_CHI_23, 1),), finite=((23, ((-1, 1),)),),
+                     # chi_-23 = chi^11 mod 23
+                     n=2, modulus=23, l_exponents=((11, 1),), finite=((23, ((-1, 1),)),),
                      classes=(((-1, 2),), ((2, 2), (-2, 3)), ((2, 22), (-2, 23)), ()))),
         CaseSpec("q691", Fraction(689, 690), Fraction(1, 690), 691, "691 does not divide tau(n)",
                  # classes: by the order nu of p mod 691 (m0 = nu, but 691 for nu = 1),
-                 # then p = 691.  B_f comes from character sums (constants), not from here.
+                 # then p = 691.  L(s, chi^j) mod 691 to the power +1 for odd j and -1 for
+                 # even j, j = 1..689: the pairs j, 690 - j are conjugate, and j = 345 is
+                 # the real quadratic character.  The local factors are the four residual
+                 # products that the paper's formula (constants.b691_approx) leaves out.
                  classify=_order_class,
-                 m0=tuple(691 if d == 1 else d for d in _DIVISORS_690) + (M_NEVER,)),
+                 m0=tuple(691 if d == 1 else d for d in _DIVISORS_690) + (M_NEVER,),
+                 euler=EulerFactorization(
+                     n=690, modulus=691,
+                     l_exponents=tuple((j, 1 if j % 2 else -1) for j in range(1, 346)),
+                     finite=((691, ((-1, 1),)),),
+                     classes=tuple(_order_factor(d) for d in _DIVISORS_690) + ((),))),
         CaseSpec("two_squares", Fraction(1, 2), Fraction(1, 2), None, "n is a sum of two squares",
                  # classes: p = 2 or p = 1 (4), p = 3 (4)
                  classify=_by_residue(4, [0, 0, 0, 1]), m0=(M_NEVER, 2),
                  euler=EulerFactorization(
-                     n=2, l_exponents=((_CHI_4, 1),), finite=((2, ((-1, 1),)),),
+                     # chi_-4 = chi^1 mod 4
+                     n=2, modulus=4, l_exponents=((1, 1),), finite=((2, ((-1, 1),)),),
                      classes=((), ((-1, 2),)))),
         CaseSpec("ones", Fraction(1), Fraction(0), None, "constant function 1",
                  classify=_by_residue(1, [0]), m0=(M_NEVER,)),
@@ -375,7 +401,7 @@ def _int_kth_root(n: int, k: int) -> int:
     return r
 
 
-def h_f(case, x: float, depth_limit: int = COUNT_DESK_LIMIT) -> ValueWithBudget:
+def h_f(case, x: float) -> ValueWithBudget:
     """H_f(x) = sum_{p^k <= x} Lambda_f(p^k)/p^k - tau*log x.
 
     Exact truncation (there is no tail): the budget covers summation
@@ -385,8 +411,8 @@ def h_f(case, x: float, depth_limit: int = COUNT_DESK_LIMIT) -> ValueWithBudget:
     if x < 2:
         raise InvalidArgumentError(f"x must be >= 2, got {x}")
     xi = int(math.floor(x))
-    if xi > depth_limit:
-        raise ResourceLimitError(f"prime-power enumeration limit is {depth_limit}, got {xi}")
+    if xi > COUNT_DESK_LIMIT:
+        raise ResourceLimitError(f"prime-power enumeration limit is {COUNT_DESK_LIMIT}, got {xi}")
     table = pr.sieve_primes(xi)
     p = table.primes
     logs = table.logs

@@ -108,11 +108,6 @@ def _check_table_row(report) -> list[CheckResult]:
                 f"(computed fifth digit {_fifth_digit(b)})",
             )
         )
-    elif tag == "q691":
-        ok = abs(b - b_ref) <= 2e-4
-        out.append(
-            _res("table1/B_f", tag, ok, f"B = {b:.7f} vs {b_ref} ± 2e-4")
-        )
     else:
         out.append(
             _res(
@@ -218,7 +213,8 @@ def _check_l_values(depth: float) -> list[CheckResult]:
 # Criterion 3: the q691 character sums
 # ---------------------------------------------------------------------------
 
-def _check_q691(depth: float, cutoff: int) -> list[CheckResult]:
+def _check_q691(row_b, depth: float) -> list[CheckResult]:
+    """The paper's character-sum formula, against its printed values and the table row."""
     out = []
     odd, even = co.b691_character_sums(depth)
     out.append(
@@ -241,13 +237,13 @@ def _check_q691(depth: float, cutoff: int) -> list[CheckResult]:
     out.append(
         _res("q691/b691", "q691", abs(b.value - (-0.5717)) <= 2e-4, f"{b.value:.7f} vs -0.5717 ± 2e-4")
     )
-    ob = co.omitted_products_bound(cutoff)
+    share = row_b.value - b.value  # the four residual products the formula leaves out
     out.append(
         _res(
             "q691/omitted-products",
             "q691",
-            abs(ob.value) < 1e-5,
-            f"|{ob.value:.3e}| < 1e-5 (budget {ob.budget:.1e})",
+            abs(share) < 1e-5,
+            f"|B_f - b691| = |{share:.3e}| < 1e-5 (budgets {row_b.budget:.1e} + {b.budget:.1e})",
         )
     )
     return out
@@ -388,7 +384,7 @@ def _check_identities() -> list[CheckResult]:
                 f"|lhs - rhs| = {gap:.2e} <= {lhs.budget + rhs.budget:.2e}",
             )
         )
-    gap = idn.local_factor_gap_q691(2.0, 10**4)
+    gap = idn.local_factor_gap("q691", 2.0, 10**4)
     out.append(
         _res("identity/local-factors", "q691", gap <= 1e-9, f"max log gap {gap:.2e} over p <= 1e4")
     )
@@ -450,9 +446,9 @@ def run_checks(
             results.extend(_check_table_row(r))
     if {"q5", "q7", "q23"} & wanted:
         results.extend(x for x in _check_l_values(depth) if x.case in wanted)
-    if "q691" in wanted:
-        results.extend(_check_q691(depth, prime_cutoff))
     by_case = {r.case: r for r in reports}
+    if "q691" in wanted:
+        results.extend(_check_q691(by_case["q691"].b_f, depth))
     if "q3" in wanted:
         results.extend(_check_q3_forms(by_case["q3"], prime_cutoff, depth))
     results.extend(_check_first_order(by_case))

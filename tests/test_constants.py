@@ -7,6 +7,7 @@ import pytest
 
 from lrlab import constants
 from lrlab.budget import ValueWithBudget
+from lrlab.characters import GENERATORS, generator_character
 from lrlab.constants import (
     CLAIM_FALSE,
     INCONCLUSIVE,
@@ -15,15 +16,15 @@ from lrlab.constants import (
     b691_character_sums,
     first_order_C5,
     landau_ramanujan_K,
-    omitted_products_bound,
     q3_direct_b,
     second_order_constant,
     table1,
     verdict,
 )
-from lrlab.errors import ConsistencyError, PreconditionError, UnsupportedCaseError
-from lrlab.lseries import prime_tail_bound
-from lrlab.primes import PrimeTable, sieve_primes
+from lrlab.errors import PreconditionError, UnsupportedCaseError
+from lrlab.lseries import l_derivative_at_1, prime_tail_bound
+from lrlab.multfn import get_case
+from lrlab.primes import euler_phi, sieve_primes
 
 CUTOFF = 10**6  # module tests run at 1e6; the acceptance suite runs 1e7
 
@@ -88,40 +89,42 @@ class TestAssemblies:
             second_order_constant("q5", 5000)
 
 
+@pytest.fixture(scope="module")
+def q691_row():
+    """q691's B_f from its table row at the 1e7 cutoff."""
+    return table1(10**7, cases=["q691"])[0].b_f
+
+
 class TestB691:
     def test_character_sums(self):
         odd, even = b691_character_sums()
         assert odd.value.real == pytest.approx(1.9018228, abs=1e-5)
         assert even.value.real == pytest.approx(5.10942407, abs=1e-5)
 
-    def test_b691(self):
+    def test_b691(self, q691_row):
         b = b691_approx()
         assert b.value == pytest.approx(-0.5717, abs=2e-4)
-        # the 1e-5 residual-products allowance is part of the budget
-        assert b.budget >= 1e-5
+        assert q691_row.budget < 1e-6
+        # the paper's formula leaves out the four residual products, whose
+        # share is below 1e-5 (test_omitted_products)
+        assert abs(q691_row.value - b.value) <= 1e-5 + q691_row.budget + b.budget
 
-    def test_omitted_products(self):
-        ob = omitted_products_bound(CUTOFF)
-        assert abs(ob.value) < 1e-5
+    def test_omitted_products(self, q691_row):
+        share = q691_row.value - b691_approx().value
+        assert abs(share) < 1e-5
         # first 1381 term is included: log(1381)/(1381^2 - 1)
-        assert ob.value > math.log(1381) / (1381**2 - 1) / 2
-
-    def test_omitted_products_rejects_non_finite_terms(self, monkeypatch):
-        table = sieve_primes(10**4)
-        broken = PrimeTable(table.limit, table.primes.copy())
-        broken._logs = np.where(table.primes == 2, np.nan, table.logs)  # 2 has order 230 mod 691
-        monkeypatch.setattr(constants, "sieve_primes", lambda limit: broken)
-        with pytest.raises(ConsistencyError, match="not finite"):
-            omitted_products_bound(10**4)
+        assert share > math.log(1381) / (1381**2 - 1) / 2
 
     def test_omitted_products_without_float_exceptions(self):
         # p^690 overflows binary64 for every p = 1 (mod 691), and p^(-690)
         # underflows; neither may be computed
         cutoff = 20000
+        spec = get_case("q691")
         with np.errstate(all="raise"):
-            ob = omitted_products_bound(cutoff)
-        # against the docstring formulas in 30-digit arithmetic, within the
-        # rounding share of the budget (the tail beyond the cutoff is not summed)
+            row = constants._b_from_euler(spec, spec.euler, cutoff, 1.0)
+            b = b691_approx()
+        # the four residual products in 30-digit arithmetic, within the
+        # rounding shares of the budgets (the tail beyond the cutoff is not summed)
         exact = mp.mpf(0)
         with mp.workdps(30):
             for p in sieve_primes(cutoff).primes.tolist():
@@ -137,13 +140,31 @@ class TestB691:
                     exact += lp / (p ** (nu // 2) - p ** (-(nu // 2)))
                 if nu >= 3:
                     exact += -(nu - 1) * lp / (p ** (nu - 1) - 1) + nu * lp / (p**nu - 1)
-        rounding = ob.budget - 4.0 * prime_tail_bound(2, float(cutoff))
-        assert abs(ob.value - float(exact)) <= rounding
+        tails = math.fsum(
+            abs(c * a) * prime_tail_bound(a, float(cutoff))
+            for factor in spec.euler.classes
+            for c, a in factor
+        ) / spec.euler.n
+        rounding = row.budget - tails + b.budget
+        assert abs(row.value - b.value - float(exact)) <= rounding
 
-    def test_omitted_products_tail_soundness(self):
-        v6 = omitted_products_bound(10**6)
-        v7 = omitted_products_bound(10**7)
-        assert abs(v7.value - v6.value) <= v6.budget
+    def test_omitted_products_tail_soundness(self, reports, q691_row):
+        v6 = reports["q691"].b_f
+        assert abs(q691_row.value - v6.value) <= v6.budget
+
+
+class TestLRatios:
+    @pytest.mark.parametrize("m", [3, 4, 5, 7, 23, 691])
+    def test_dft_against_l_derivatives(self, m):
+        ratios, budgets = constants._l_ratios(m, 1.0)
+        phi = euler_phi(m)
+        # 20 characters mod 691: the two quadratic neighbours, the ends, a spread
+        js = range(1, phi) if m < 691 else sorted({1, 2, 344, 345, 346, 689, *range(5, 690, 50)})
+        for j in js:
+            chi = generator_character(m, GENERATORS[m], j)
+            ref = l_derivative_at_1(chi, 1) / l_derivative_at_1(chi, 0)
+            assert abs(complex(ratios[j]) - ref.value) <= budgets[j] + ref.budget, (m, j)
+        assert np.isnan(ratios[0]), "the principal character has no L'/L(1)"
 
 
 class TestFirstOrder:

@@ -1,11 +1,13 @@
 import cmath
 import math
+from dataclasses import replace
 
 import pytest
 
 from lrlab.errors import UnsupportedCaseError
-from lrlab.identities import euler_identity_sides, local_factor_gap_q691, truncated_T
-from lrlab.multfn import class_index, dirichlet_series_truncated, f_prime_power, get_case
+from lrlab.characters import GENERATORS, generator_character
+from lrlab.identities import euler_identity_sides, local_factor_gap, truncated_T
+from lrlab.multfn import CASES, class_index, dirichlet_series_truncated, f_prime_power, get_case
 from lrlab.primes import sieve_primes
 
 # Every factorization row of the case table: (case, CaseSpec field)
@@ -16,6 +18,7 @@ FACTORIZATIONS = [
     ("q5", "euler"),
     ("q7", "euler"),
     ("q23", "euler"),
+    ("q691", "euler"),
 ]
 
 
@@ -43,32 +46,46 @@ class TestLocalFactors:
         # x standing for p^-s.  B_f sees only the products c a; this sees each (c, a).
         spec = get_case(tag)
         euler = getattr(spec, form)
-        primes = sieve_primes(2000).primes
-        idx = class_index(tag, 2000)
+        primes = sieve_primes(10**4).primes  # q691's classes of order 1 and 3 start at 6911, 4583
+        idx = class_index(tag, 10**4)
         finite = dict(euler.finite)
         samples = {int(p): int(j) for j in range(len(spec.m0)) for p in primes[idx == j][:4]}
         assert set(samples.values()) == set(range(len(spec.m0))) and set(finite) <= set(samples)
+        m = euler.modulus
+        characters = [(generator_character(m, GENERATORS[m], j), e) for j, e in euler.l_exponents]
         for p, j in samples.items():
+            f_p = [f_prime_power(tag, p, k) for k in range(200)]
             for x in (1 / 2, 1 / 3):
-                t_p = math.fsum(f_prime_power(tag, p, k) * x**k for k in range(200))
+                t_p = math.fsum(f * x**k for k, f in enumerate(f_p))
                 lhs = euler.n * math.log(t_p)
-                rhs = -float(euler.n * spec.tau) * math.log1p(-x)
-                rhs -= euler.zeta2 * math.log1p(-x * x)
-                for chi, e in euler.l_exponents:
+                terms = [-float(euler.n * spec.tau) * math.log1p(-x)]
+                terms.append(-euler.zeta2 * math.log1p(-x * x))
+                for chi, e in characters:
                     weight = e if chi.is_real else 2 * e  # a complex chi comes with its conjugate
-                    rhs -= weight * cmath.log(1 - chi(p) * x).real
+                    terms.append(-weight * cmath.log(1 - chi(p) * x).real)
                 for c, a in finite.get(p, ()) + euler.classes[j]:
-                    rhs += c * math.log1p(-(x**a))
-                assert lhs == pytest.approx(rhs, abs=1e-12), (tag, form, p, x)
+                    terms.append(c * math.log1p(-(x**a)))
+                assert lhs == pytest.approx(math.fsum(terms), abs=1e-12), (tag, form, p, x)
 
 
-class TestLocalFactors691:
-    def test_gap_small_to_1e3(self):
-        assert local_factor_gap_q691(2.0, 10**3) <= 1e-10
+class TestLocalFactorGap:
+    @pytest.mark.parametrize("s", [2.0, 3.0])
+    @pytest.mark.parametrize("tag", ["two_squares", "q3", "q5", "q7", "q23", "q691"])
+    def test_every_row(self, tag, s):
+        # the identity is an identity in s, not a numerical accident at s = 2;
+        # for q3 both of its factorizations are checked
+        assert local_factor_gap(tag, s, 10**4) <= 1e-10, tag
 
-    def test_gap_other_s(self):
-        # the identity is an identity in s, not a numerical accident at s = 2
-        assert local_factor_gap_q691(3.0, 500) <= 1e-10
+    def test_sees_a_wrong_exponent(self, monkeypatch):
+        spec = get_case("q691")
+        exponents = ((1, -1),) + spec.euler.l_exponents[1:]  # L(s, chi^1) has exponent +1
+        broken = replace(spec, euler=replace(spec.euler, l_exponents=exponents))
+        monkeypatch.setitem(CASES, "q691", broken)
+        assert local_factor_gap("q691", 2.0, 100) > 0.1
+
+    def test_unknown_case(self):
+        with pytest.raises(UnsupportedCaseError):
+            local_factor_gap("q2")
 
 
 class TestTruncatedSeries:

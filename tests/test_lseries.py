@@ -1,6 +1,7 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from lrlab.budget import ValueWithBudget
@@ -183,7 +184,7 @@ class TestPrimeLogSum:
 
     def test_class_sum_against_direct_loop(self):
         cutoff = 20000
-        s = prime_log_sum(lambda p: p % 3 == 2, 2, cutoff)
+        s = prime_log_sum(sieve_primes(cutoff).primes % 3 == 2, 2, cutoff)
         direct = math.fsum(
             math.log(p) / (p**2 - 1)
             for p in sieve_primes(cutoff).primes.tolist()
@@ -193,17 +194,35 @@ class TestPrimeLogSum:
 
     def test_tail_soundness(self):
         # |S(1e7) - S(1e6)| <= bound at 1e6, per class
-        for sel in (None, lambda p: p % 4 == 3, lambda p: p % 3 == 2):
-            s6 = prime_log_sum(sel, 2, 10**6)
-            s7 = prime_log_sum(sel, 2, 10**7)
+        for q, r in ((1, 0), (4, 3), (3, 2)):
+            s6 = prime_log_sum(sieve_primes(10**6).primes % q == r, 2, 10**6)
+            s7 = prime_log_sum(sieve_primes(10**7).primes % q == r, 2, 10**7)
             assert abs(s7.value - s6.value) <= prime_tail_bound(2, 10**6)
 
     def test_rigorous_cutoff_precondition(self):
         with pytest.raises(PreconditionError):
             prime_log_sum(None, 2, 5000)
-        # non-rigorous mode accepts small cutoffs
-        v = prime_log_sum(None, 2, 5000, rigorous=False)
-        assert v.value > 0
+
+    @pytest.mark.parametrize("k", [2, 3, 345, 689, 690, 691])
+    def test_large_exponents_without_float_exceptions(self, k):
+        # p^k overflows binary64 and p^(-k) underflows for large k; neither
+        # may be computed.  Against 30-digit sums at cutoff 2e4, within the
+        # rounding share of the budget.
+        cutoff = 20000
+        with np.errstate(all="raise"):
+            s = prime_log_sum(None, k, cutoff)
+            tail = prime_tail_bound(k, float(cutoff))
+            deep = prime_log_sum(None, k, 10**7)
+            assert prime_tail_bound(k, 1e7) >= 0.0
+        with mp.workdps(30):
+            primes = sieve_primes(cutoff).primes.tolist()
+            exact = mp.fsum(mp.log(p) / (mp.mpf(p) ** k - 1) for p in primes)
+            x = mp.mpf(cutoff)
+            exact_tail = x / (x**k - 1) * (-mp.mpf("0.98") + mp.mpf("1.017") * k / (k - 1))
+        assert abs(s.value - float(exact)) <= s.budget - tail
+        assert s.value == pytest.approx(float(exact), rel=1e-14)
+        assert tail == pytest.approx(float(exact_tail), rel=1e-13)
+        assert abs(deep.value - s.value) <= s.budget
 
 
 class TestZetaLogDerivative:
