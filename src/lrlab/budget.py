@@ -17,9 +17,11 @@ import numpy as np
 __all__ = ["ValueWithBudget", "csum"]
 
 # Below this many terms math.fsum is as fast as the bucketed exact sum or
-# faster.  On the package's own prime and gamma_k sums the bucketed sum costs
-# about 60 us plus 10-15 ns a term, fsum over a list 40-45 ns a term; the two
-# cross between 2,000 and 3,000 terms.
+# faster.  On the package's prime sums the bucketed sum costs about 60 us
+# plus 10-15 ns a term, fsum over a list 40-45 ns a term; the two cross
+# between 2,000 and 3,000 terms.  The gamma_k rows (40 to 103 terms for
+# k <= 2) stay below it and go to fsum; the bucketed path serves the prime
+# sums.
 _BUCKET_MIN_TERMS = 3000
 # Terms per bucketing pass.  With at most 2^16 terms a pass, the per-bucket
 # sums of 26-bit mantissa halves stay below 2^42, exact in float64.

@@ -97,7 +97,7 @@ def _print_report_text(r: co.ConstantReport) -> None:
 
 def _cmd_table1(args) -> int:
     cases = args.case or None
-    reports = co.table1(args.prime_limit, tuple(args.hf_checkpoints), args.depth, cases)
+    reports = co.table1(args.prime_limit, tuple(args.hf_checkpoints), cases)
     if args.format == "json":
         print(json.dumps([_report_dict(r) for r in reports], indent=2))
         return EXIT_OK
@@ -118,7 +118,7 @@ def _cmd_table1(args) -> int:
 
 def _cmd_constant(args) -> int:
     report = co.verdict(
-        co.second_order_constant(args.case, args.prime_limit, args.depth, tuple(args.hf_checkpoints))
+        co.second_order_constant(args.case, args.prime_limit, tuple(args.hf_checkpoints))
     )
     if args.format == "json":
         print(json.dumps(_report_dict(report), indent=2))
@@ -129,7 +129,7 @@ def _cmd_constant(args) -> int:
 
 def _cmd_lvalue(args) -> int:
     chi = character_group(args.modulus)[args.index]
-    v = ls.l_derivative_at_1(chi, args.derivative, args.depth)
+    v = ls.l_derivative_at_1(chi, args.derivative)
     if args.format == "json":
         print(json.dumps({"modulus": args.modulus, "index": args.index, "derivative": args.derivative, "L": _vwb_json(v)}))
     else:
@@ -138,7 +138,7 @@ def _cmd_lvalue(args) -> int:
 
 
 def _cmd_gammak(args) -> int:
-    v = ls.gamma_k(args.residue, args.modulus, args.k, args.depth)
+    v = ls.gamma_k(args.residue, args.modulus, args.k)
     if args.format == "json":
         print(json.dumps({"residue": args.residue, "modulus": args.modulus, "k": args.k, "gamma": _vwb_json(v)}))
     else:
@@ -185,7 +185,7 @@ def _cmd_verify(args) -> int:
     cases = None
     if args.case and args.case != "all":
         cases = [args.case]
-    results = run_checks(cases, args.prime_limit, args.depth)
+    results = run_checks(cases, args.prime_limit)
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -203,13 +203,6 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from exc
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"value must be finite, got {text!r}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = _finite_float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"value must be positive, got {text!r}")
     return value
 
 
@@ -246,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, with_cutoff=True):
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        p.add_argument("--depth", type=_positive_float, default=1.0, help="Euler-Maclaurin depth multiplier")
         if with_cutoff:
             p.add_argument("--prime-limit", type=int, default=10**7, dest="prime_limit")
 

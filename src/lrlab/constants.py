@@ -54,6 +54,7 @@ from .errors import ConsistencyError, PreconditionError, UnsupportedCaseError
 from .lseries import (
     _EPS,
     _gamma_batch,
+    class_primes,
     euler_gamma_value,
     l_derivative_at_1,
     prime_log_sum,
@@ -111,7 +112,7 @@ class ConstantReport:
 
 
 @lru_cache(maxsize=16)
-def _l_ratios(m: int, depth: float) -> tuple[np.ndarray, np.ndarray]:
+def _l_ratios(m: int) -> tuple[np.ndarray, np.ndarray]:
     """L'/L(1, chi^j) and budgets for j = 0..phi(m)-1 (chi(g) = exp(2 pi i/phi)).
 
     With the residues r = g^a ordered by a, L^(k)(1, chi^j) =
@@ -123,7 +124,7 @@ def _l_ratios(m: int, depth: float) -> tuple[np.ndarray, np.ndarray]:
     phi = euler_phi(m)
     l_k, bud_k = [], []
     for k in (0, 1):
-        g, b = _gamma_batch(m, k, depth)
+        g, b = _gamma_batch(m, k)
         seq = np.zeros(phi)
         seq[dlog[unit]] = g[unit]
         l_k.append((-1) ** k * phi * np.fft.ifft(seq))
@@ -145,10 +146,10 @@ def _scaled(coef, v):
     return v if coef == 1 else -v if coef == -1 else coef * v
 
 
-def _b_from_euler(spec, euler, cutoff: int, depth: float) -> ValueWithBudget:
+def _b_from_euler(spec, euler, cutoff: int) -> ValueWithBudget:
     """B_f from one Euler factorization of T(s)^n (module docstring)."""
     idx = class_index(spec, cutoff)
-    ratios, rb = _l_ratios(euler.modulus, depth)
+    ratios, rb = _l_ratios(euler.modulus)
     terms = [
         (w, ValueWithBudget(float(ratios[j].real), float(rb[j]))) for j, w in euler.l_weights()
     ]
@@ -157,27 +158,28 @@ def _b_from_euler(spec, euler, cutoff: int, depth: float) -> ValueWithBudget:
     finite = [c * a * math.log(q) / (q**a - 1.0) for q, factor in euler.finite for c, a in factor]
     terms.append((1, math.fsum(finite)))
     for j, factor in enumerate(euler.classes):
-        members = idx == j
-        terms += [(c * a, prime_log_sum(members, a, cutoff)) for c, a in factor]
-    n_b = _scaled(-float(euler.n * spec.tau), euler_gamma_value(depth))
+        if factor:
+            members = class_primes(idx == j, cutoff, min(a for _, a in factor))
+            terms += [(c * a, prime_log_sum(members, a, cutoff)) for c, a in factor]
+    n_b = _scaled(-float(euler.n * spec.tau), euler_gamma_value())
     for coef, v in terms:
         n_b = n_b - _scaled(coef, v)
     return n_b / euler.n
 
 
-def q3_direct_b(cutoff: int = 10**7, depth: float = 1.0) -> ValueWithBudget:
+def q3_direct_b(cutoff: int = 10**7) -> ValueWithBudget:
     """B_f for q3 from the direct factorization (no zeta(2s) rewrite), a cross-check."""
     spec = get_case("q3")
-    return _b_from_euler(spec, spec.euler, int(cutoff), depth)
+    return _b_from_euler(spec, spec.euler, int(cutoff))
 
 
 # ---------------------------------------------------------------------------
 # q = 691: the paper's character-sum formula, a cross-check of the table row
 # ---------------------------------------------------------------------------
 
-def b691_character_sums(depth: float = 1.0) -> tuple[ValueWithBudget, ValueWithBudget]:
+def b691_character_sums() -> tuple[ValueWithBudget, ValueWithBudget]:
     """The odd- and even-character sums of L'/L(1, chi_c^j) mod 691."""
-    ratios, rb = _l_ratios(691, depth)
+    ratios, rb = _l_ratios(691)
     odd = ratios[1::2]  # j = 1, 3, ..., 689  (345 terms)
     even = ratios[2::2]  # j = 2, 4, ..., 688  (344 terms)
     odd_sum = complex(csum(odd.real), csum(odd.imag))
@@ -188,13 +190,13 @@ def b691_character_sums(depth: float = 1.0) -> tuple[ValueWithBudget, ValueWithB
     )
 
 
-def b691_approx(depth: float = 1.0) -> ValueWithBudget:
+def b691_approx() -> ValueWithBudget:
     """The paper's B_f for q = 691, without the four residual products.
 
     B ~ (log 691)/690^2 - (689/690) gamma - odd_sum/690 + even_sum/690.
     """
-    odd, even = b691_character_sums(depth)
-    g = euler_gamma_value(depth)
+    odd, even = b691_character_sums()
+    g = euler_gamma_value()
     return (
         math.log(691.0) / 690.0**2
         - (689.0 / 690.0) * g
@@ -222,7 +224,7 @@ def landau_ramanujan_K(cutoff: int = 10**7) -> ValueWithBudget:
     return ValueWithBudget(value, value * math.expm1(log_budget))
 
 
-def first_order_C5(cutoff: int = 10**7, depth: float = 1.0) -> ValueWithBudget:
+def first_order_C5(cutoff: int = 10**7) -> ValueWithBudget:
     """First-order constant for the q5 count, computed by both expressions.
 
     Both the L-value form and the fully closed form are evaluated; they must
@@ -254,9 +256,9 @@ def first_order_C5(cutoff: int = 10**7, depth: float = 1.0) -> ValueWithBudget:
 
     chi_c = generator_character(5, 2, 1)
     chi_5 = generator_character(5, 2, 2)
-    l_c = l_derivative_at_1(chi_c, 0, depth)
+    l_c = l_derivative_at_1(chi_c, 0)
     l_pair = _real(l_c * l_c.conjugate())
-    l_5 = _real(l_derivative_at_1(chi_5, 0, depth))
+    l_5 = _real(l_derivative_at_1(chi_5, 0))
     inner = 64.0 * l_pair / (125.0 * l_5)
     quarter = _vwb_pow(inner, 0.25)
     gamma34 = math.gamma(0.75)
@@ -291,7 +293,6 @@ def _vwb_pow(v: ValueWithBudget, a: float) -> ValueWithBudget:
 def second_order_constant(
     case: str,
     prime_cutoff: int = 10**7,
-    depth: float = 1.0,
     hf_checkpoints: tuple = (10**5, 10**6),
 ) -> ConstantReport:
     """Assemble B_f, C_2 = (1 - tau)(1 + B_f), and H_f checkpoints for a case."""
@@ -302,7 +303,7 @@ def second_order_constant(
     if prime_cutoff < 7481:
         raise PreconditionError(f"prime_cutoff must be >= 7481, got {prime_cutoff}")
 
-    b = _b_from_euler(spec, spec.b_euler or spec.euler, int(prime_cutoff), depth)
+    b = _b_from_euler(spec, spec.b_euler or spec.euler, int(prime_cutoff))
     c2 = float(1 - spec.tau) * (1.0 + b)
 
     checkpoints = tuple((int(x), h_f(spec, float(x))) for x in hf_checkpoints)
@@ -314,7 +315,7 @@ def second_order_constant(
     if tag == "two_squares":
         first_order = landau_ramanujan_K(int(prime_cutoff))
     elif tag == "q5":
-        first_order = first_order_C5(int(prime_cutoff), depth)
+        first_order = first_order_C5(int(prime_cutoff))
     elif tag == "q3":
         lambda_c2 = c2 - 0.5 * math.log(3.0)
         notes = (
@@ -361,7 +362,6 @@ def verdict(report: ConstantReport) -> ConstantReport:
 def table1(
     prime_cutoff: int = 10**7,
     hf_checkpoints: tuple = (10**5, 10**6),
-    depth: float = 1.0,
     cases=None,
 ) -> list[ConstantReport]:
     """The six-row summary: one verdict-carrying report per case."""
@@ -370,6 +370,6 @@ def table1(
         if t not in TABLE_CASES:
             raise UnsupportedCaseError(f"{t!r} is not a summary-table case")
     return [
-        verdict(second_order_constant(t, int(prime_cutoff), depth, tuple(hf_checkpoints)))
+        verdict(second_order_constant(t, int(prime_cutoff), tuple(hf_checkpoints)))
         for t in tags
     ]

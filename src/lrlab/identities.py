@@ -14,8 +14,11 @@ must agree within their combined budgets.
 local_factor_gap compares the two sides prime by prime: n log of T's local
 factor at p, in closed form from the zero period m0 of p, against the log
 of the right side's local factor, summed over all the characters at once.
-This sees each (c, a) of H, where B_f sees only the products c a, and it
-is cheap enough for q691's 345 characters.
+Both are power series in x = p^-s, and they are compared at a fixed x such
+as 1/2, where each (c, a) of H moves the gap by |c log(1 - x^a)|.  At
+x = p^-s a wrong exponent of a high-order factor would vanish below
+rounding; B_f sees only the products c a.  The check is cheap enough for
+q691's 345 characters.
 """
 
 from __future__ import annotations
@@ -100,23 +103,22 @@ def euler_identity_sides(
     return lhs, rhs.real
 
 
-def local_factor_gap(case, s: float = 2.0, p_limit: int = 10**4) -> float:
-    """Max |n log T_p - log RHS_p| over primes p <= p_limit and over the
-    case's factorizations, with x = p^-s.
+def local_factor_gap(case, x: float = 0.5, p_limit: int = 10**4) -> float:
+    """Max |n log T_p(x) - log RHS_p(x)| over primes p <= p_limit and over
+    the case's factorizations, at a fixed 0 < x < 1 standing for p^-s.
 
     T_p = sum_k f(p^k) x^k is 1/(1 - x) for m0 = NEVER, 1 for ALWAYS, and
     (1 - x^(m0-1))/((1 - x)(1 - x^m0)) otherwise.
     """
     spec, _ = _factorization(case)
-    table = sieve_primes(p_limit)
-    p = table.primes
-    x = np.exp(-s * table.logs)
+    p = sieve_primes(p_limit).primes
     m0 = zero_periods(spec, p_limit)
     finite_m0 = np.where(m0 >= 2, m0, 2)
+    log_1mx = math.log1p(-x)
     log_t = np.where(
         m0 == M_NEVER,
-        -np.log1p(-x),
-        np.log1p(-(x ** (finite_m0 - 1))) - np.log1p(-x) - np.log1p(-(x**finite_m0)),
+        -log_1mx,
+        np.log1p(-(x ** (finite_m0 - 1))) - log_1mx - np.log1p(-(x**finite_m0)),
     )
     log_t[m0 == M_ALWAYS] = 0.0
     idx = class_index(spec, p_limit)
@@ -128,17 +130,14 @@ def local_factor_gap(case, s: float = 2.0, p_limit: int = 10**4) -> float:
         dlog = _dlog_table(m, GENERATORS[m])[0][p % m]
         # log |1 - chi^j(p) x| for every (p, j); chi^j(p) = 0 where m | p
         angle = 2.0 * np.pi * ((np.outer(dlog, j) % phi) / phi)
-        log_l = 0.5 * np.log1p(x[:, None] * (x[:, None] - 2.0 * np.cos(angle)))
+        log_l = 0.5 * np.log1p(x * (x - 2.0 * np.cos(angle)))
         log_l[dlog < 0] = 0.0
-        rhs = -float(euler.n * spec.tau) * np.log1p(-x) - log_l @ w
+        rhs = -float(euler.n * spec.tau) * log_1mx - log_l @ w
         if euler.zeta2:
-            rhs -= euler.zeta2 * np.log1p(-x * x)
+            rhs -= euler.zeta2 * math.log1p(-x * x)
         for q, factor in euler.finite:
-            at_q = p == q
-            rhs[at_q] += sum(c * np.log1p(-(x[at_q] ** a)) for c, a in factor)
+            rhs[p == q] += sum(c * math.log1p(-(x**a)) for c, a in factor)
         for k, factor in enumerate(euler.classes):
-            members = idx == k
-            for c, a in factor:
-                rhs[members] += c * np.log1p(-(x[members] ** a))
+            rhs[idx == k] += sum(c * math.log1p(-(x**a)) for c, a in factor)
         worst = max(worst, float(np.max(np.abs(euler.n * log_t - rhs))))
     return worst

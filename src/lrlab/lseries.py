@@ -5,10 +5,23 @@ Generalized Euler constants for arithmetic progressions,
     gamma_k(r, m) = lim_x { sum_{0<n<=x, n=r (m)} log^k n / n
                             - log^(k+1) x / (m (k+1)) },
 
-are evaluated by compensated summation over the progression up to
-X = max(1e6, 2000 m) followed by Euler-Maclaurin corrections through the
-Bernoulli B4 term on g(t) = log^k(r + t m)/(r + t m); the budget is twice
-the first omitted (B6) correction plus summation rounding.  For a
+are computed for all residues r = 1..m at once.  With g(t) = log^k u / u at
+u = r + t m, the first T terms (t < T) are summed directly and exactly per
+residue, and the rest by Euler-Maclaurin at U = r + T m:
+
+    gamma_k(r, m) = sum_{t<T} g(t) - log^(k+1) U / (m (k+1)) + g(T)/2
+                    - sum_{j=1}^{K} B_2j/(2j)! g^(2j-1)(T) + R,   K = 7.
+
+Every derivative is m^i d^i/du^i [log^k u / u] = m^i P_i(log u) / u^(i+1)
+with an integer polynomial P_i.  Where g^(2K+2) has one sign on [T, oo),
+|R| is at most twice the first omitted term, 2 |B_16|/16! |g^(15)(T)|.  That
+sign condition is checked in exact arithmetic: P_16 is Taylor-shifted to a
+rational L0 <= log U, and no sign change among its coefficients leaves no
+root past L0 (Descartes' rule).  U_k is the smallest u that passes, and
+T = max(40, ceil((U_k - 1)/m)); U_k is 104 for k = 2 and 3.7e6 for k = 12.
+GAMMA_K_MAX is the largest k with U_k <= 1e7, the most terms one batch sums.
+With T >= 40 the remainder is below 1e-22 (2e-26 for k <= 2), so the rest
+of the budget is rounding: a few ulps of the summed magnitudes.  For a
 non-principal character chi mod m,
 
     L^(k)(1, chi) = (-1)^k sum_{r=1}^{m} chi(r) gamma_k(r, m).
@@ -25,6 +38,7 @@ series with an explicit interval for the remainder past the cutoff.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -41,6 +55,7 @@ __all__ = [
     "euler_gamma_value",
     "l_derivative_at_1",
     "closed_form_l_values",
+    "class_primes",
     "prime_log_sum",
     "prime_tail_bound",
     "zeta_log_derivative_at_2",
@@ -49,7 +64,6 @@ __all__ = [
     "THETA_LO",
     "THETA_HI",
     "THETA_X_MIN",
-    "GAMMA_DESK_LIMIT",
     "GAMMA_K_MAX",
     "CLOSED_FORM_TAGS",
 ]
@@ -66,68 +80,116 @@ THETA_X_MIN = 7481
 # Generalized Euler constants
 # ---------------------------------------------------------------------------
 
-def _log_poly_deriv_coeffs(k: int, order: int) -> tuple[list[float], int]:
-    """d^order/du^order [log^k u / u] as sum_j a_j log^j(u) u^(-q)."""
-    a = [0.0] * k + [1.0]
-    q = 1
-    for _ in range(order):
-        a = [((j + 1) * a[j + 1] if j + 1 <= k else 0.0) - q * a[j] for j in range(k + 1)]
-        q += 1
-    return a, q
+# B_2j/(2j)! for j = 1..K+1 (B_2j = p/q, each quotient correctly rounded):
+# K = 7 Euler-Maclaurin corrections and the first omitted one
+_BERNOULLI_2J = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510))
+_EM_COEFFS = tuple(p / (q * math.factorial(2 * j)) for j, (p, q) in enumerate(_BERNOULLI_2J, 1))
+_EM_TERMS = len(_EM_COEFFS) - 1
+_DIRECT_MIN = 40  # direct terms per residue class, at least
+# One batch sums at most this many terms; it caps the modulus at 2.5e5 and,
+# through U_k, the derivative order.
+_BATCH_MAX = 10**7
 
 
-def _g_derivative(u: float, lnu: float, k: int, order: int, m: int) -> float:
-    """d^order/dt^order of log^k(r + t m)/(r + t m) at r + t m = u."""
-    a, q = _log_poly_deriv_coeffs(k, order)
-    poly = math.fsum(a[j] * lnu**j for j in range(k + 1))
-    return (m**order) * poly / u**q
+def _log_poly_deriv_coeffs(k: int, order: int) -> list[int]:
+    """d^order/du^order [log^k u / u] as sum_j a_j log^j(u) u^(-order-1), integer a_j."""
+    a = [0] * k + [1]
+    for q in range(1, order + 1):
+        a = [((j + 1) * a[j + 1] if j < k else 0) - q * a[j] for j in range(k + 1)]
+    return a
 
 
-# Desk limit on the terms of one gamma_k batch (each float64 work array then
-# stays at or below 80 MB); it allows depth <= 7 at m = 691, <= 10 for m <= 500.
-GAMMA_DESK_LIMIT = 10**7
-GAMMA_K_MAX = 100  # log^k n < 1e121 for n <= 1e7 terms: nothing overflows
+def _remainder_one_signed(k: int, u: int) -> bool:
+    """True if d^(2K+2)/du^(2K+2) [log^k u / u] has one sign on [u, oo).
+
+    Its polynomial P(L) = sum_j a_j L^j is Taylor-shifted to a rational
+    L0 = l0 / 2^20 <= log u; when the coefficients of P(L0 + y) show no
+    sign change, P has no root y > 0 (Descartes' rule of signs).  With
+    L = (l0 + z) / 2^20, 2^(20k) P is an integer polynomial in z whose
+    coefficients have the signs of those in y, so the shift is exact.
+    """
+    a = _log_poly_deriv_coeffs(k, 2 * _EM_TERMS + 2)
+    c = [x << (20 * (k - j)) for j, x in enumerate(a)]
+    l0 = math.floor(math.log(u) * 2**20) - 1
+    for i in range(k):
+        for j in range(k - 1, i - 1, -1):
+            c[j] += l0 * c[j + 1]
+    signs = [x > 0 for x in c if x]
+    return all(signs) or not any(signs)
+
+
+# The largest k such that the check passes at u = 1e7 for every order up to k.
+GAMMA_K_MAX = next(k for k in itertools.count() if not _remainder_one_signed(k + 1, _BATCH_MAX))
+
+
+@lru_cache(maxsize=None)
+def _em_start(k: int) -> int:
+    """U_k: the smallest u >= 1 from which the remainder check passes.
+
+    The check is monotone in u: shifting coefficients of one sign further
+    right keeps them of one sign.
+    """
+    lo, hi = 0, _BATCH_MAX  # the check passes at hi for k <= GAMMA_K_MAX
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _remainder_one_signed(k, mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _direct_terms(m: int, k: int) -> int:
+    """T: at least 40 terms per residue, and U = r + T m >= U_k for every r >= 1."""
+    return max(_DIRECT_MIN, -(-(_em_start(k) - 1) // m))
+
+
+def _g_derivative(u: np.ndarray, lnu: np.ndarray, k: int, order: int, m: int):
+    """d^order/dt^order of log^k(r + t m)/(r + t m) at r + t m = u, and the
+    same with every polynomial coefficient replaced by its absolute value."""
+    a = np.array(_log_poly_deriv_coeffs(k, order), dtype=np.float64)
+    scale = (m / u) ** order / u
+    poly = np.polynomial.polynomial.polyval
+    return poly(lnu, a) * scale, poly(lnu, np.abs(a)) * scale
 
 
 @lru_cache(maxsize=32)
-def _gamma_batch(m: int, k: int, depth: float) -> tuple[np.ndarray, np.ndarray]:
+def _gamma_batch(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """gamma_k(r, m) and budgets for r = 1..m (r = m is the zero class)."""
     if not 0 <= k <= GAMMA_K_MAX:
         raise InvalidArgumentError(f"derivative order must lie in 0..{GAMMA_K_MAX}, got {k}")
-    terms = depth * max(10**6, 2000 * m)
-    if not terms <= GAMMA_DESK_LIMIT:
+    direct = _direct_terms(m, k)
+    if m * direct > _BATCH_MAX:
         raise ResourceLimitError(
-            f"gamma_k desk limit is {GAMMA_DESK_LIMIT} terms, depth {depth} asks for {terms:.4g}"
+            f"a gamma_{k} batch mod {m} needs {m * direct:.4g} terms, more than {_BATCH_MAX:.0e}"
         )
-    X = int(terms)
-    if X < m:
-        raise InvalidArgumentError(f"depth {depth} leaves cutoff {X} below the modulus {m}")
-    n = np.arange(1, X + 1, dtype=np.float64)
+    r = np.arange(1, m + 1, dtype=np.float64)
+    n = r[:, None] + m * np.arange(direct, dtype=np.float64)
     w = np.log(n) ** k / n if k else 1.0 / n
-    vals = np.empty(m)
-    buds = np.empty(m)
-    for r in range(1, m + 1):
-        sl = np.ascontiguousarray(w[r - 1 :: m])
-        s = csum(sl)
-        j_last = (X - r) // m
-        u = float(r + j_last * m)
-        lnu = math.log(u)
-        norm = lnu ** (k + 1) / (m * (k + 1))
-        g0 = lnu**k / u
-        g1 = _g_derivative(u, lnu, k, 1, m)
-        g3 = _g_derivative(u, lnu, k, 3, m)
-        g5 = _g_derivative(u, lnu, k, 5, m)
-        val = s - norm - 0.5 * g0 - g1 / 12.0 + g3 / 720.0
-        trunc = 2.0 * abs(g5) / 30240.0
-        # log^k n / n is nonnegative, so s bounds the summand magnitudes
-        buds[r - 1] = trunc + _EPS * (s + abs(norm) + abs(val) + 1.0)
-        vals[r - 1] = val
+    s = np.array([csum(row) for row in w])
+    u = r + direct * m
+    lnu = np.log(u)
+    norm = lnu ** (k + 1) / (m * (k + 1))
+    g0 = lnu**k / u
+    vals = s - norm + 0.5 * g0
+    absum = s + norm + 0.5 * g0  # s, norm and g0 are nonnegative
+    for j, coef in enumerate(_EM_COEFFS[:_EM_TERMS], 1):
+        g, g_abs = _g_derivative(u, lnu, k, 2 * j - 1, m)
+        vals -= coef * g
+        absum += abs(coef) * g_abs
+    # g^(2K+2) has one sign on [U, oo), so the remainder is at most twice the
+    # first omitted term.  Rounding, with log and powers good to one ulp: the
+    # summands, norm and g0 are off by at most k + 3 ulps (k + 1 from the
+    # log and its power, the divisions, the row sum), the corrections (below
+    # 1% of s) by 2k + 10, and the additions that form vals by 8 ulps of |vals|.
+    g = _g_derivative(u, lnu, k, 2 * _EM_TERMS + 1, m)[0]
+    buds = 2.0 * abs(_EM_COEFFS[-1] * g) + _EPS * ((k + 3) * absum + 8.0 * np.abs(vals))
     vals.flags.writeable = False
     buds.flags.writeable = False
     return vals, buds
 
 
-def gamma_k(r: int, m: int, k: int = 0, depth: float = 1.0) -> ValueWithBudget:
+def gamma_k(r: int, m: int, k: int = 0) -> ValueWithBudget:
     """Generalized Euler constant of the progression r mod m, weight log^k n / n.
 
     Residues are taken in 1..m with r = m (equivalently r = 0) meaning the
@@ -139,26 +201,25 @@ def gamma_k(r: int, m: int, k: int = 0, depth: float = 1.0) -> ValueWithBudget:
         r = m
     if not 1 <= r <= m:
         raise InvalidArgumentError(f"residue {r} outside 0..{m}")
-    vals, buds = _gamma_batch(m, k, depth)
+    vals, buds = _gamma_batch(m, k)
     return ValueWithBudget(float(vals[r - 1]), float(buds[r - 1]))
 
 
-@lru_cache(maxsize=8)
-def euler_gamma_value(depth: float = 1.0) -> ValueWithBudget:
+def euler_gamma_value() -> ValueWithBudget:
     """Euler's constant as gamma_0(0, 1), with budget."""
-    return gamma_k(0, 1, 0, depth)
+    return gamma_k(0, 1, 0)
 
 
 # ---------------------------------------------------------------------------
 # L-function derivatives at s = 1
 # ---------------------------------------------------------------------------
 
-def l_derivative_at_1(chi: DirichletCharacter, k: int = 0, depth: float = 1.0) -> ValueWithBudget:
+def l_derivative_at_1(chi: DirichletCharacter, k: int = 0) -> ValueWithBudget:
     """L^(k)(1, chi) = (-1)^k sum_{r=1}^m chi(r) gamma_k(r, m), chi non-principal."""
     if chi.principal:
         raise InvalidArgumentError("L(s, chi) diverges at s = 1 for principal chi")
     m = chi.modulus
-    vals, buds = _gamma_batch(m, k, depth)
+    vals, buds = _gamma_batch(m, k)
     # chi(r) for r = 1..m; chi(m) = chi(0) = 0 off the unit group
     cvals = np.concatenate([chi.values[1:], chi.values[:1]])
     terms = cvals * vals
@@ -199,27 +260,42 @@ def prime_tail_bound(k: float, x: float) -> float:
     return x * r / (1.0 - r) * (-THETA_LO + THETA_HI * k / (k - 1.0))
 
 
-def prime_log_sum(mask, k: int, cutoff: int) -> ValueWithBudget:
+def _largest_term_prime(k: int, cutoff: int) -> int:
+    """prime_log_sum reads the primes up to this bound: p <= cutoff, p^k <= e^690."""
+    return cutoff if k * math.log(cutoff) <= 690.0 else int(math.exp(690.0 / k))
+
+
+def class_primes(mask, cutoff: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The primes of a class and their logs, as far as prime_log_sum reads
+    them for exponents >= k.  ``mask`` is None (all primes) or a boolean
+    mask aligned with sieve_primes(cutoff).primes."""
+    table = sieve_primes(cutoff)
+    # an int key: a float one would convert the whole prime array
+    n = int(np.searchsorted(table.primes, _largest_term_prime(k, cutoff), side="right"))
+    keep = slice(n) if mask is None else np.asarray(mask, dtype=bool)[:n]
+    return table.primes[:n][keep], table.logs[:n][keep]
+
+
+def prime_log_sum(members, k: int, cutoff: int) -> ValueWithBudget:
     """sum_{p <= cutoff, p in class} log p / (p^k - 1) with the class tail budget.
 
-    ``mask`` is None (all primes) or a boolean mask aligned with
-    sieve_primes(cutoff).primes.  Each term is log p r/(1 - r) with
-    r = p^(-k); primes with p^k > e^690 are left out, so r never underflows.
-    Each term left out is below 1e-295, and all of them together are far
-    below the rounding allowance in the budget.
+    ``members`` is None (all primes), a boolean mask aligned with
+    sieve_primes(cutoff).primes, or what class_primes returns for one; a
+    caller that sums one class for several k gathers it once that way.
+    Each term is log p r/(1 - r) with r = p^(-k); primes with p^k > e^690
+    are left out, so r never underflows.  Each term left out is below
+    1e-295, and all of them together are far below the rounding allowance
+    in the budget.
     """
     if k < 2:
         raise PreconditionError(f"prime_log_sum needs k >= 2, got {k}")
     cutoff = int(cutoff)
     if cutoff < THETA_X_MIN:
         raise PreconditionError(f"tail budget needs cutoff >= {THETA_X_MIN}, got {cutoff}")
-    table = sieve_primes(cutoff)
-    # an int key: a float one would convert the whole prime array
-    top = cutoff if k * math.log(cutoff) <= 690.0 else int(math.exp(690.0 / k))
-    n = int(np.searchsorted(table.primes, top, side="right"))
-    keep = slice(n) if mask is None else np.asarray(mask, dtype=bool)[:n]
-    r = table.primes[:n][keep].astype(np.float64) ** -float(k)
-    value = csum(table.logs[:n][keep] * r / (1.0 - r))
+    primes, logs = members if isinstance(members, tuple) else class_primes(members, cutoff, k)
+    n = int(np.searchsorted(primes, _largest_term_prime(k, cutoff), side="right"))
+    r = primes[:n].astype(np.float64) ** -float(k)
+    value = csum(logs[:n] * r / (1.0 - r))
     budget = prime_tail_bound(k, float(cutoff)) + _EPS * (value + 1.0)
     return ValueWithBudget(value, budget)
 

@@ -50,7 +50,6 @@ __all__ = [
     "wilton_classes",
     "wilton_codes",
     "wilton_codes_cubic",
-    "order_codes",
     "order_table_691",
     "S1",
     "S2",
@@ -69,10 +68,15 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 @dataclass
 class PrimeTable:
-    """All primes <= limit, ascending, as a read-only int64 array."""
+    """All primes <= limit, ascending, as a read-only int64 array.
+
+    ``source`` is the larger table this one is a prefix of, if any; the
+    logs are then a prefix of its logs.
+    """
 
     limit: int
     primes: np.ndarray
+    source: "PrimeTable | None" = None
 
     def __post_init__(self):
         self.primes.flags.writeable = False
@@ -84,8 +88,11 @@ class PrimeTable:
     @property
     def logs(self) -> np.ndarray:
         if self._logs is None:
-            logs = np.log(self.primes.astype(np.float64))
-            logs.flags.writeable = False
+            if self.source is not None:
+                logs = self.source.logs[: len(self.primes)]
+            else:
+                logs = np.log(self.primes.astype(np.float64))
+                logs.flags.writeable = False
             self._logs = logs
         return self._logs
 
@@ -123,8 +130,7 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-@lru_cache(maxsize=6)
-def _sieve_cached(limit: int) -> PrimeTable:
+def _segmented_sieve(limit: int) -> np.ndarray:
     base = _simple_sieve(math.isqrt(limit))
     chunks = []
     lo = 2
@@ -139,7 +145,22 @@ def _sieve_cached(limit: int) -> PrimeTable:
             mask[start - lo :: p] = False
         chunks.append((lo + np.flatnonzero(mask)).astype(np.int64))
         lo = hi
-    return PrimeTable(limit, np.concatenate(chunks) if chunks else np.array([], dtype=np.int64))
+    return np.concatenate(chunks) if chunks else np.array([], dtype=np.int64)
+
+
+_largest: PrimeTable | None = None  # the table of the largest limit sieved so far
+
+
+@lru_cache(maxsize=16)
+def _sieve_cached(limit: int) -> PrimeTable:
+    """Sieve past the largest limit seen so far, else slice its table."""
+    global _largest
+    if _largest is None or _largest.limit < limit:
+        _largest = PrimeTable(limit, _segmented_sieve(limit))
+    if _largest.limit == limit:
+        return _largest
+    n = int(np.searchsorted(_largest.primes, limit, side="right"))
+    return PrimeTable(limit, _largest.primes[:n], _largest)
 
 
 def sieve_primes(limit: int) -> PrimeTable:
@@ -381,12 +402,3 @@ def wilton_codes(limit: int) -> np.ndarray:
 def wilton_codes_cubic(limit: int) -> np.ndarray:
     """The codes of `wilton_codes(limit)`, with S3 decided by `cubic_splits` instead."""
     return _wilton_codes(sieve_primes(limit).primes, cubic_splits)
-
-
-@lru_cache(maxsize=4)
-def order_codes(limit: int) -> np.ndarray:
-    """Multiplicative order mod 691 for each prime <= limit (0 at p = 691)."""
-    table = sieve_primes(limit)
-    codes = order_table_691()[table.primes % 691]
-    codes.flags.writeable = False
-    return codes

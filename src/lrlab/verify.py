@@ -153,11 +153,11 @@ def _check_table_row(report) -> list[CheckResult]:
 # Criterion 2: quoted L-values
 # ---------------------------------------------------------------------------
 
-def _check_l_values(depth: float) -> list[CheckResult]:
+def _check_l_values() -> list[CheckResult]:
     out = []
     chi5 = generator_character(5, 2, 2)
     chic = generator_character(5, 2, 1)
-    r5 = (ls.l_derivative_at_1(chi5, 1, depth) / ls.l_derivative_at_1(chi5, 0, depth)).value
+    r5 = (ls.l_derivative_at_1(chi5, 1) / ls.l_derivative_at_1(chi5, 0)).value
     out.append(
         _res(
             "lvalues/L'/L(chi_5)",
@@ -166,7 +166,7 @@ def _check_l_values(depth: float) -> list[CheckResult]:
             f"{r5.real:.8f} vs 0.82767947 ± 1e-6",
         )
     )
-    rc = (ls.l_derivative_at_1(chic, 1, depth) / ls.l_derivative_at_1(chic, 0, depth)).value
+    rc = (ls.l_derivative_at_1(chic, 1) / ls.l_derivative_at_1(chic, 0)).value
     out.append(
         _res(
             "lvalues/L'/L(chi_c mod 5)",
@@ -175,11 +175,11 @@ def _check_l_values(depth: float) -> list[CheckResult]:
             f"{rc.real:.8f} {rc.imag:+.8f}i vs 0.15786453 - 0.08833613i ± 1e-6",
         )
     )
-    lp7 = ls.l_derivative_at_1(kronecker_character(-7), 1, depth).value.real
+    lp7 = ls.l_derivative_at_1(kronecker_character(-7), 1).value.real
     out.append(
         _res("lvalues/L'(chi_-7)", "q7", abs(lp7 - 0.01856598) <= 1e-6, f"{lp7:.8f} vs 0.01856598")
     )
-    lp23 = ls.l_derivative_at_1(kronecker_character(-23), 1, depth).value.real
+    lp23 = ls.l_derivative_at_1(kronecker_character(-23), 1).value.real
     out.append(
         _res(
             "lvalues/L'(chi_-23)",
@@ -188,7 +188,7 @@ def _check_l_values(depth: float) -> list[CheckResult]:
             f"{lp23:.8f} vs -0.82955295",
         )
     )
-    l7 = ls.l_derivative_at_1(kronecker_character(-7), 0, depth).value.real
+    l7 = ls.l_derivative_at_1(kronecker_character(-7), 0).value.real
     out.append(
         _res(
             "lvalues/L(chi_-7)=pi/sqrt7",
@@ -197,7 +197,7 @@ def _check_l_values(depth: float) -> list[CheckResult]:
             f"{l7:.10f} vs {ls.closed_form_l_values('chi_minus7'):.10f}",
         )
     )
-    l23 = ls.l_derivative_at_1(kronecker_character(-23), 0, depth).value.real
+    l23 = ls.l_derivative_at_1(kronecker_character(-23), 0).value.real
     out.append(
         _res(
             "lvalues/L(chi_-23)=3pi/sqrt23",
@@ -213,10 +213,10 @@ def _check_l_values(depth: float) -> list[CheckResult]:
 # Criterion 3: the q691 character sums
 # ---------------------------------------------------------------------------
 
-def _check_q691(row_b, depth: float) -> list[CheckResult]:
+def _check_q691(row_b) -> list[CheckResult]:
     """The paper's character-sum formula, against its printed values and the table row."""
     out = []
-    odd, even = co.b691_character_sums(depth)
+    odd, even = co.b691_character_sums()
     out.append(
         _res(
             "q691/odd-character-sum",
@@ -233,7 +233,7 @@ def _check_q691(row_b, depth: float) -> list[CheckResult]:
             f"{even.value.real:.8f} vs 5.10942407 ± 1e-5 (|imag| = {abs(even.value.imag):.1e})",
         )
     )
-    b = co.b691_approx(depth)
+    b = co.b691_approx()
     out.append(
         _res("q691/b691", "q691", abs(b.value - (-0.5717)) <= 2e-4, f"{b.value:.7f} vs -0.5717 ± 2e-4")
     )
@@ -253,9 +253,9 @@ def _check_q691(row_b, depth: float) -> list[CheckResult]:
 # Criterion 4 / 5: explicit constants
 # ---------------------------------------------------------------------------
 
-def _check_q3_forms(q3_report, cutoff: int, depth: float) -> list[CheckResult]:
+def _check_q3_forms(q3_report, cutoff: int) -> list[CheckResult]:
     rewrite = q3_report.b_f
-    direct = co.q3_direct_b(cutoff, depth)
+    direct = co.q3_direct_b(cutoff)
     out = [
         _res(
             "q3/B-rewrite",
@@ -384,10 +384,9 @@ def _check_identities() -> list[CheckResult]:
                 f"|lhs - rhs| = {gap:.2e} <= {lhs.budget + rhs.budget:.2e}",
             )
         )
-    gap = idn.local_factor_gap("q691", 2.0, 10**4)
-    out.append(
-        _res("identity/local-factors", "q691", gap <= 1e-9, f"max log gap {gap:.2e} over p <= 1e4")
-    )
+    gap = max(idn.local_factor_gap("q691", x, 10**4) for x in (1 / 2, 1 / 3))
+    detail = f"max log gap {gap:.2e} over p <= 1e4 at x = 1/2, 1/3"
+    out.append(_res("identity/local-factors", "q691", gap <= 1e-9, detail))
     return out
 
 
@@ -431,7 +430,6 @@ def _check_verdicts(reports) -> list[CheckResult]:
 def run_checks(
     cases=None,
     prime_cutoff: int = 10**7,
-    depth: float = 1.0,
     heavy: bool = True,
 ) -> list[CheckResult]:
     """Run the verification suite, optionally filtered to some case tags."""
@@ -441,16 +439,16 @@ def run_checks(
 
     reports = []
     if table_tags:
-        reports = co.table1(prime_cutoff, (10**5, 10**6), depth, cases=table_tags)
+        reports = co.table1(prime_cutoff, (10**5, 10**6), cases=table_tags)
         for r in reports:
             results.extend(_check_table_row(r))
     if {"q5", "q7", "q23"} & wanted:
-        results.extend(x for x in _check_l_values(depth) if x.case in wanted)
+        results.extend(x for x in _check_l_values() if x.case in wanted)
     by_case = {r.case: r for r in reports}
     if "q691" in wanted:
-        results.extend(_check_q691(by_case["q691"].b_f, depth))
+        results.extend(_check_q691(by_case["q691"].b_f))
     if "q3" in wanted:
-        results.extend(_check_q3_forms(by_case["q3"], prime_cutoff, depth))
+        results.extend(_check_q3_forms(by_case["q3"], prime_cutoff))
     results.extend(_check_first_order(by_case))
     if heavy:
         results.extend(x for x in _check_oracles() if x.case in wanted)

@@ -95,8 +95,8 @@ def test_criterion_3_runtime_budget():
     # all 690 gamma_1 (and gamma_0) evaluations at m = 691, cold
     lseries._gamma_batch.cache_clear()
     t0 = time.monotonic()
-    lseries._gamma_batch(691, 0, 1.0)
-    lseries._gamma_batch(691, 1, 1.0)
+    lseries._gamma_batch(691, 0)
+    lseries._gamma_batch(691, 1)
     elapsed = time.monotonic() - t0
     print(f"\nPASS [criterion 3] 690 gamma_0+gamma_1 evaluations: {elapsed:.1f}s (< 120s)")
     assert elapsed < 120.0

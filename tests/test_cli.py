@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lrlab.cli import main
+from lrlab.lseries import GAMMA_K_MAX
 from lrlab.multfn import CASES, TABLE_CASES
 
 
@@ -109,10 +110,6 @@ class TestExitCodes:
             ("lvalue", "--modulus", "5", "--index", "-5"),
             ("hf", "--case", "q3", "--x", "nan"),
             ("hf", "--case", "q3", "--x", "inf"),
-            ("lvalue", "--modulus", "5", "--index", "1", "--depth", "0"),
-            ("lvalue", "--modulus", "5", "--index", "1", "--depth", "nan"),
-            ("lvalue", "--modulus", "5", "--index", "1", "--depth", "-1"),
-            ("lvalue", "--modulus", "5", "--index", "1", "--depth", "1e-9"),
             ("tau", "--limit", "0"),
             ("count", "--case", "q3", "--x", "0"),
         ):
@@ -135,18 +132,26 @@ class TestExitCodes:
         assert code == 3
         assert out == "" and len(err.strip().splitlines()) == 1 and "error:" in err
 
-    def test_large_depth_is_refused_before_allocating(self, capsys):
+    def test_derivative_order_out_of_range_is_a_usage_error(self, capsys):
+        for value in (-1, GAMMA_K_MAX + 1, 101, 10**9):
+            for argv in (
+                ("gammak", "--modulus", "5", "--residue", "2", "--k", str(value)),
+                ("lvalue", "--modulus", "5", "--index", "1", "--derivative", str(value)),
+            ):
+                code, out, err = run_cli(capsys, *argv)
+                assert code == 2, argv
+                assert out == "" and len(err.strip().splitlines()) == 1 and "error:" in err, argv
+
+    def test_large_modulus_is_refused_before_allocating(self, capsys):
         tracemalloc.start()
         try:
-            code, out, err = run_cli(
-                capsys, "lvalue", "--modulus", "5", "--index", "1", "--depth", "1e6"
-            )
+            code, out, err = run_cli(capsys, "gammak", "--modulus", str(10**9), "--residue", "1")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 3
         assert out == "" and len(err.strip().splitlines()) == 1 and "error:" in err
-        assert peak < 1 << 20  # 1e12 gamma_k terms were asked for; no work array was made
+        assert peak < 1 << 20  # 4e10 gamma_0 terms were asked for; no work array was made
 
     def test_large_prime_limit_is_refused_before_allocating(self, capsys):
         tracemalloc.start()
@@ -173,21 +178,19 @@ FORMATS = ("text", "json", "csv")
 # Small valid values per flag; () marks a flag that only takes hostile values,
 # so table1, constant and verify are refused before any full-size work starts.
 COMMANDS = {
-    "table1": {"--prime-limit": (), "--depth": (), "--format": FORMATS},
-    "constant": {"--case": TABLE_CASES, "--prime-limit": (), "--depth": (), "--format": FORMATS},
-    "verify": {"--case": ("all", *TABLE_CASES), "--prime-limit": (), "--depth": ()},
+    "table1": {"--prime-limit": (), "--format": FORMATS},
+    "constant": {"--case": TABLE_CASES, "--prime-limit": (), "--format": FORMATS},
+    "verify": {"--case": ("all", *TABLE_CASES), "--prime-limit": ()},
     "lvalue": {
         "--modulus": ("5", "7"),
         "--index": ("1", "-1", "2"),
         "--derivative": ("1", "2"),
-        "--depth": ("1",),
         "--format": FORMATS,
     },
     "gammak": {
         "--modulus": ("5", "7"),
         "--residue": ("1", "2"),
         "--k": ("1", "2"),
-        "--depth": ("1",),
         "--format": FORMATS,
     },
     "hf": {"--case": tuple(sorted(CASES)), "--x": ("100", "2500.5"), "--format": FORMATS},

@@ -121,7 +121,7 @@ class TestB691:
         cutoff = 20000
         spec = get_case("q691")
         with np.errstate(all="raise"):
-            row = constants._b_from_euler(spec, spec.euler, cutoff, 1.0)
+            row = constants._b_from_euler(spec, spec.euler, cutoff)
             b = b691_approx()
         # the four residual products in 30-digit arithmetic, within the
         # rounding shares of the budgets (the tail beyond the cutoff is not summed)
@@ -156,7 +156,7 @@ class TestB691:
 class TestLRatios:
     @pytest.mark.parametrize("m", [3, 4, 5, 7, 23, 691])
     def test_dft_against_l_derivatives(self, m):
-        ratios, budgets = constants._l_ratios(m, 1.0)
+        ratios, budgets = constants._l_ratios(m)
         phi = euler_phi(m)
         # 20 characters mod 691: the two quadratic neighbours, the ends, a spread
         js = range(1, phi) if m < 691 else sorted({1, 2, 344, 345, 346, 689, *range(5, 690, 50)})

@@ -69,19 +69,31 @@ class TestLocalFactors:
 
 
 class TestLocalFactorGap:
-    @pytest.mark.parametrize("s", [2.0, 3.0])
+    @pytest.mark.parametrize("inv_x", [2.0, 3.0])
     @pytest.mark.parametrize("tag", ["two_squares", "q3", "q5", "q7", "q23", "q691"])
-    def test_every_row(self, tag, s):
-        # the identity is an identity in s, not a numerical accident at s = 2;
-        # for q3 both of its factorizations are checked
-        assert local_factor_gap(tag, s, 10**4) <= 1e-10, tag
+    def test_every_row(self, tag, inv_x):
+        # an identity of power series, checked at x = 1/2 and 1/3; for q3
+        # both of its factorizations are checked
+        assert local_factor_gap(tag, 1 / inv_x, 10**4) <= 1e-10, tag
 
     def test_sees_a_wrong_exponent(self, monkeypatch):
         spec = get_case("q691")
         exponents = ((1, -1),) + spec.euler.l_exponents[1:]  # L(s, chi^1) has exponent +1
         broken = replace(spec, euler=replace(spec.euler, l_exponents=exponents))
         monkeypatch.setitem(CASES, "q691", broken)
-        assert local_factor_gap("q691", 2.0, 100) > 0.1
+        assert local_factor_gap("q691", 0.5, 100) > 0.1
+
+    def test_sees_a_wrong_high_order_factor(self, monkeypatch):
+        # (-345, 2) -> (-344, 2) on the order-2 class (p = -1 mod 691, from
+        # 1381): at x = p^-2 it moves the gap by under 3e-13, at x = 1/2 by log(4/3)
+        spec = get_case("q691")
+        classes = list(spec.euler.classes)
+        assert classes[1] == ((-345, 2),)
+        classes[1] = ((-344, 2),)
+        broken = replace(spec, euler=replace(spec.euler, classes=tuple(classes)))
+        monkeypatch.setitem(CASES, "q691", broken)
+        for x in (1 / 2, 1 / 3):
+            assert local_factor_gap("q691", x, 10**4) > 1e-9
 
     def test_unknown_case(self):
         with pytest.raises(UnsupportedCaseError):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath as mp
@@ -8,6 +9,10 @@ from lrlab.budget import ValueWithBudget
 from lrlab.characters import character_group, generator_character, kronecker_character
 from lrlab.errors import InvalidArgumentError, PreconditionError
 from lrlab.lseries import (
+    GAMMA_K_MAX,
+    _direct_terms,
+    _em_start,
+    _remainder_one_signed,
     closed_form_l_values,
     euler_gamma_value,
     gamma_k,
@@ -23,17 +28,22 @@ from lrlab.primes import sieve_primes
 mp.mp.dps = 30
 
 
+@functools.lru_cache(maxsize=None)
+def _stieltjes(n, r, m):
+    return mp.stieltjes(n, mp.mpf(r) / m)
+
+
 def gamma_k_reference(r, m, k):
-    """Independent oracle via generalized Stieltjes constants:
-    m^-s zeta(s, r/m) = 1/(m(s-1)) + sum_k (-1)^k gamma_k(r, m) (s-1)^k / k!.
+    """Independent oracle via generalized Stieltjes constants: from
+    m^-s zeta(s, r/m) = 1/(m(s-1)) + sum_k (-1)^k gamma_k(r, m) (s-1)^k / k!,
+    gamma_k(r, m) = (-1)^k k!/m [(-log m)^(k+1)/(k+1)!
+                     + sum_{n<=k} (-1)^n gamma_n(r/m) (-log m)^(k-n)/(n! (k-n)!)].
     """
-    a = mp.mpf(r) / m
-    g0 = -mp.digamma(a)
-    if k == 0:
-        return (g0 - mp.log(m)) / m
-    if k == 1:
-        return mp.stieltjes(1, a) / m + g0 * mp.log(m) / m - mp.log(m) ** 2 / (2 * m)
-    raise ValueError(k)
+    neg_log = -mp.log(m)
+    total = neg_log ** (k + 1) / mp.factorial(k + 1)
+    for n in range(k + 1):
+        total += (-1) ** n * _stieltjes(n, r, m) * neg_log ** (k - n) / (mp.factorial(n) * mp.factorial(k - n))
+    return (-1) ** k * mp.factorial(k) / m * total
 
 
 def l_reference(m, chi_values, k):
@@ -82,9 +92,6 @@ class TestGammaK:
     def test_stieltjes_gamma1(self):
         g1 = gamma_k(0, 1, 1)
         assert g1.value == pytest.approx(-0.0728158454836767, abs=1e-10)
-        # stability under doubled depth
-        g1_deep = gamma_k(0, 1, 1, depth=2.0)
-        assert abs(g1.value - g1_deep.value) <= 1e-10
 
     def test_against_stieltjes_oracle(self):
         for m in (3, 4, 5, 7, 23):
@@ -94,6 +101,46 @@ class TestGammaK:
                     ref = float(gamma_k_reference(r, m, k))
                     assert ours.value == pytest.approx(ref, abs=1e-12), (m, r, k)
                     assert abs(ours.value - ref) <= ours.budget
+
+    @pytest.mark.parametrize("k", range(GAMMA_K_MAX + 1))
+    def test_stieltjes_constants_within_budget(self, k):
+        # every derivative order the kernel serves, against the Stieltjes constants
+        ours = gamma_k(0, 1, k)
+        assert abs(ours.value - mp.stieltjes(k)) <= ours.budget, k
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 7, 23])
+    def test_small_moduli_within_budget(self, m):
+        for k in range(5):
+            for r in range(1, m + 1):
+                ours = gamma_k(r, m, k)
+                assert abs(ours.value - gamma_k_reference(r, m, k)) <= ours.budget, (m, r, k)
+
+    def test_mod_691_within_budget(self):
+        for r in range(1, 692, 36):  # 20 residues, 685 the last
+            for k in range(3):
+                ours = gamma_k(r, 691, k)
+                assert abs(ours.value - gamma_k_reference(r, 691, k)) <= ours.budget, (r, k)
+
+    def test_order_out_of_range(self):
+        for k in (-1, GAMMA_K_MAX + 1):
+            with pytest.raises(InvalidArgumentError):
+                gamma_k(1, 5, k)
+
+    def test_remainder_sign_check(self):
+        # d^16/du^16 [log^2 u / u] changes sign at u = 103.5, and nowhere past it
+        assert not _remainder_one_signed(2, 100)
+        assert _remainder_one_signed(2, 164)
+        assert _em_start(2) <= 164 and not _remainder_one_signed(2, _em_start(2) - 1)
+        assert all(_remainder_one_signed(k, _em_start(k)) for k in range(GAMMA_K_MAX + 1))
+        assert not _remainder_one_signed(GAMMA_K_MAX + 1, 10**7)
+
+    def test_tail_starts_where_the_sign_check_passes(self):
+        # U = r + T m >= U_k for every residue r >= 1, with no more terms than that needs
+        for m in (1, 2, 3, 23, 691, 5000):
+            for k in range(GAMMA_K_MAX + 1):
+                t = _direct_terms(m, k)
+                assert 1 + t * m >= _em_start(k), (m, k)
+                assert t == 40 or 1 + (t - 1) * m < _em_start(k), (m, k)
 
     def test_partition_identity_all_moduli(self):
         g = euler_gamma_value().value

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrlab import primes
 from lrlab.errors import InvalidArgumentError, ResourceLimitError
 from lrlab.primes import (
     P23,
@@ -20,7 +21,6 @@ from lrlab.primes import (
     kronecker_symbol,
     mult_order,
     multiplicative_order,
-    order_codes,
     order_table_691,
     sieve_primes,
     wilton_class,
@@ -69,6 +69,23 @@ class TestSieve:
     def test_small_limit_rejected(self):
         with pytest.raises(InvalidArgumentError):
             sieve_primes(1)
+
+    def test_smaller_limits_slice_the_largest_table(self, monkeypatch):
+        # one sieve to the largest limit seen; smaller limits are prefixes of
+        # it, equal to a fresh sieve and read-only like it
+        monkeypatch.setattr(primes, "_largest", None)
+        primes._sieve_cached.cache_clear()
+        try:
+            for limit in (1000, 10**5, 2, 3, 7919, 7920, 99991, 10**5 - 1, 150000):
+                t = sieve_primes(limit)
+                assert t.limit == limit
+                assert np.array_equal(t.primes, primes._segmented_sieve(limit)), limit
+                assert np.array_equal(t.logs, np.log(t.primes.astype(np.float64))), limit
+                assert not t.primes.flags.writeable and not t.logs.flags.writeable
+            assert primes._largest.limit == 150000
+            assert sieve_primes(5000).source is primes._largest
+        finally:
+            primes._sieve_cached.cache_clear()
 
     def test_desk_limit(self):
         with pytest.raises(ResourceLimitError):
@@ -225,14 +242,3 @@ class TestWilton:
         with pytest.raises(InvalidArgumentError):
             wilton_class(25)
 
-
-class TestClassify:
-    """Per-prime class codes, aligned with the sieve."""
-
-    def test_order_codes_aligned(self):
-        codes = order_codes(10**4)
-        primes = sieve_primes(10**4).primes.tolist()
-        for i in (0, 10, 500, len(primes) - 1):
-            p = primes[i]
-            expected = 0 if p == 691 else mult_order(p, 691)
-            assert codes[i] == expected
