@@ -33,9 +33,12 @@ from .lseries import (
     euler_gamma_value,
     gamma_k,
     l_derivative_at_1,
+    l_value,
+    prime_class_sum,
     prime_log_sum,
     prime_tail_bound,
     zeta_log_derivative_at_2,
+    zeta_value,
 )
 from .modforms import lambda_mod3, odd_tau_count, tau_exact, tau_mod
 from .multfn import (

@@ -95,13 +95,35 @@ def _up(x: float) -> float:
     return x * (1.0 + 8e-16)
 
 
+def _rounding(result, a, b) -> float:
+    """A bound for the rounding of one binary64 operation on a and b that gave
+    ``result``: one ulp of |result|, which covers each component's half-ulp
+    rounding, and four for a product or quotient of two non-real values,
+    whose error is below sqrt(5) eps |result| (product) or a few eps (quotient).
+    """
+    both_complex = isinstance(a, complex) and a.imag and isinstance(b, complex) and b.imag
+    return (4.0 if both_complex else 1.0) * math.ulp(abs(result))
+
+
+def _value(v):
+    return v.value if isinstance(v, ValueWithBudget) else v
+
+
+def _result(value, budget: float, a=0.0, b=0.0) -> "ValueWithBudget":
+    """value with the propagated budget plus its own rounding, rounded up;
+    an infinite or undefined bound (an overflowed value, 0 * inf) is inf."""
+    bound = _up(budget + _rounding(value, a, b))
+    return ValueWithBudget(value, math.inf if math.isnan(bound) else bound)
+
+
 @dataclass(frozen=True)
 class ValueWithBudget:
     """A real or complex value with an absolute error bound.
 
     ``budget`` must be a nonnegative bound on ``|computed - true|``.
-    Budget arithmetic rounds upward, so propagated bounds stay sound in
-    binary64.
+    Arithmetic adds the rounding of the computed value (_rounding) to the
+    propagated bounds, and budget arithmetic rounds upward, so results stay
+    sound in binary64.  A plain number operand is taken as exact.
     """
 
     value: complex
@@ -126,9 +148,8 @@ class ValueWithBudget:
         return ValueWithBudget(-self.value, self.budget)
 
     def __add__(self, other) -> "ValueWithBudget":
-        if isinstance(other, ValueWithBudget):
-            return ValueWithBudget(self.value + other.value, _up(self.budget + other.budget))
-        return ValueWithBudget(self.value + other, self.budget)
+        value = self.value + _value(other)
+        return _result(value, self.budget + (other.budget if isinstance(other, ValueWithBudget) else 0.0))
 
     __radd__ = __add__
 
@@ -139,25 +160,27 @@ class ValueWithBudget:
         return (-self) + other
 
     def __mul__(self, other) -> "ValueWithBudget":
+        a, b = self.value, _value(other)
+        value = a * b
         if isinstance(other, ValueWithBudget):
-            a, b = self.value, other.value
-            return ValueWithBudget(
-                a * b,
-                _up(abs(a) * other.budget + abs(b) * self.budget + self.budget * other.budget),
-            )
-        return ValueWithBudget(self.value * other, _up(abs(other) * self.budget))
+            bud = abs(a) * other.budget + abs(b) * self.budget + self.budget * other.budget
+        else:
+            bud = abs(b) * self.budget
+        return _result(value, bud, a, b)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "ValueWithBudget":
+        a, b = self.value, _value(other)
+        value = a / b
         if isinstance(other, ValueWithBudget):
-            a, b = self.value, other.value
             if other.budget >= abs(b):
-                return ValueWithBudget(a / b, math.inf)
+                return ValueWithBudget(value, math.inf)
             # |a/b - a'/b'| <= (|Δa| + |a/b||Δb|) / (|b| - |Δb|)
-            bud = (self.budget + abs(a / b) * other.budget) / (abs(b) - other.budget)
-            return ValueWithBudget(a / b, _up(bud))
-        return ValueWithBudget(self.value / other, _up(self.budget / abs(other)))
+            bud = (self.budget + abs(value) * other.budget) / (abs(b) - other.budget)
+        else:
+            bud = self.budget / abs(b)
+        return _result(value, bud, a, b)
 
     def agrees_with(self, other: "ValueWithBudget") -> bool:
         """True if the two intervals overlap (values agree within budgets)."""

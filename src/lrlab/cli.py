@@ -240,7 +240,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, with_cutoff=True):
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         if with_cutoff:
-            p.add_argument("--prime-limit", type=int, default=10**7, dest="prime_limit")
+            p.add_argument(
+                "--prime-limit", type=int, default=10**7, dest="prime_limit",
+                help="sieve cutoff for q23's S3 class sums, 7481..1e8 (every other class sum is exact)",
+            )
 
     p = sub.add_parser("table1", help="six-case summary table")
     common(p)

@@ -17,10 +17,15 @@ T(s)^n = zeta(s)^(n tau) zeta(2s)^z prod L(s, chi)^e H(s).  Since
                                + sum over the local factors (c, a) of H of
                                  c a sum_p log p/(p^a - 1) ],
 
-with the prime sums of each class truncated at the cutoff and their tails
-bounded (lseries.prime_log_sum).  For q3 the zeta(2s)^-2 rewrite of the
-factorization is used, because its class sums converge faster; the direct
-form is kept as a cross-check (q3_direct_b).
+where each class of primes is a union of residue classes and its sum is
+exact to rounding (lseries.prime_class_sum: direct below P = 1000, Moebius
+inversion of L-values at s >= 2 above), and zeta'/zeta(2) comes from the
+same Euler-Maclaurin kernel.  The exception is q23's S3, which the Wilton
+test carves out of S2's residues (x^3 - x - 1 splits mod p): its a = 2, 3
+sums are sieved up to the prime cutoff, and the rest lies between 0 and the
+exact remaining sum over S2's residues (_carved_sum).  For q3 the
+zeta(2s)^-2 rewrite of the factorization is used; the direct form is kept
+as a cross-check (q3_direct_b).
 
 L'/L(1, chi^j) for every character mod m comes from one inverse DFT per
 derivative order (_l_ratios), which serves the 345 characters of q691's
@@ -32,8 +37,9 @@ paper's q691 value leaves out the local factors H of that factorization:
 It is kept as a cross-check (b691_approx); B_f - b691_approx is the share of
 those four residual products, about 2.7e-6.
 
-First-order constants: the two-squares leading constant
-K = 2^(-1/2) prod_{p=3(4)} (1 - p^-2)^(-1/2), and for q5
+First-order constants, from the class sums of -log(1 - p^-a): the
+two-squares leading constant K = 2^(-1/2) prod_{p=3(4)} (1 - p^-2)^(-1/2),
+and for q5
 C = Gamma(3/4)^(-1) (64 L(1,chi_c) L(1,chi_c~) / (125 L(1,chi_5)))^(1/4) D
   = (4/(5 Gamma(3/4))) (pi^2 / (2 sqrt5 log((3+sqrt5)/2)))^(1/4) D,
 evaluated both ways and required to agree.
@@ -49,19 +55,23 @@ from functools import lru_cache
 import numpy as np
 
 from .budget import ValueWithBudget, csum
-from .characters import GENERATORS, _dlog_table, generator_character
-from .errors import ConsistencyError, PreconditionError, UnsupportedCaseError
+from .characters import generator_character
+from .errors import ConsistencyError, PreconditionError, ResourceLimitError, UnsupportedCaseError
 from .lseries import (
     _EPS,
     _gamma_batch,
+    MOBIUS_P,
+    SIGMA_MAX,
+    character_dft,
     class_primes,
     euler_gamma_value,
     l_derivative_at_1,
-    prime_log_sum,
+    prime_class_sum,
+    prime_partial_sum,
     zeta_log_derivative_at_2,
 )
 from .multfn import TABLE_CASES, class_index, get_case, h_f
-from .primes import euler_phi, sieve_primes
+from .primes import PRIME_DESK_LIMIT
 
 __all__ = [
     "ConstantReport",
@@ -115,22 +125,13 @@ class ConstantReport:
 def _l_ratios(m: int) -> tuple[np.ndarray, np.ndarray]:
     """L'/L(1, chi^j) and budgets for j = 0..phi(m)-1 (chi(g) = exp(2 pi i/phi)).
 
-    With the residues r = g^a ordered by a, L^(k)(1, chi^j) =
-    (-1)^k sum_a exp(2 pi i j a/phi) gamma_k(g^a, m) is one inverse DFT per
-    derivative order.  The principal j = 0 has no L-value and holds nan.
+    L^(k)(1, chi^j) = (-1)^k sum_r chi^j(r) gamma_k(r, m) is one inverse DFT
+    per derivative order (lseries.character_dft).  The principal j = 0 has
+    no L-value and holds nan.
     """
-    dlog = _dlog_table(m, GENERATORS[m])[0][np.arange(1, m + 1) % m]
-    unit = dlog >= 0
-    phi = euler_phi(m)
-    l_k, bud_k = [], []
-    for k in (0, 1):
-        g, b = _gamma_batch(m, k)
-        seq = np.zeros(phi)
-        seq[dlog[unit]] = g[unit]
-        l_k.append((-1) ** k * phi * np.fft.ifft(seq))
-        bud_k.append(float(np.sum(b[unit])) + _EPS * float(np.sum(np.abs(seq))) * 16.0)
-    (l0, l1), (bud_l0, bud_l1) = l_k, bud_k
-    ratios = l1 / l0
+    l0, bud_l0 = character_dft(m, *_gamma_batch(m, 0))
+    l1, bud_l1 = character_dft(m, *_gamma_batch(m, 1))
+    ratios = -l1 / l0
     rb = (bud_l1 + np.abs(ratios) * bud_l0) / (np.abs(l0) - bud_l0)
     ratios[0] = rb[0] = np.nan
     ratios.flags.writeable = rb.flags.writeable = False
@@ -146,31 +147,85 @@ def _scaled(coef, v):
     return v if coef == 1 else -v if coef == -1 else coef * v
 
 
-def _b_from_euler(spec, euler, cutoff: int) -> ValueWithBudget:
-    """B_f from one Euler factorization of T(s)^n (module docstring)."""
-    idx = class_index(spec, cutoff)
+def _rounded(x: float) -> ValueWithBudget:
+    """A float constant from one correctly rounded (or one-ulp) evaluation."""
+    return ValueWithBudget(x, math.ulp(x))
+
+
+def _exp(v: ValueWithBudget) -> ValueWithBudget:
+    """exp of a real value: |e^(x + d) - e^x| <= e^x expm1(|d|), plus one ulp."""
+    value = math.exp(v.value)
+    return ValueWithBudget(value, value * math.expm1(v.budget) * (1.0 + 4.0 * _EPS) + math.ulp(value))
+
+
+@lru_cache(maxsize=16)
+def _class_members(tag: str, j: int, y: int) -> tuple[np.ndarray, np.ndarray]:
+    """The primes of class j up to y and their logs, gathered once for every exponent."""
+    return class_primes(class_index(tag, y) == j, y, 2)
+
+
+@lru_cache(maxsize=64)
+def _carved_sum(tag: str, j: int, a: int, cutoff: int) -> ValueWithBudget:
+    """sum_{p in class j} log p/(p^a - 1) for a class the classifier carves
+    out of another class's residues (q23's S3 out of S2's).
+
+    The sieve sums the primes up to y.  Every term is positive and class j
+    lies inside the residues of the class h it is carved from, so the rest
+    of class j lies in [0, t]: t is the exact sum over those residues less
+    the sieved sums of every class they hold.  y is the cutoff where that
+    rest matters (a <= SIGMA_MAX), and P beyond, where t is below 1e-22.
+    """
+    spec = get_case(tag)
+    h = dict(spec.carved)[j]
+    y = cutoff if a <= SIGMA_MAX else MOBIUS_P
+    part = prime_partial_sum(_class_members(tag, j, y), a, y)
+    tail = prime_class_sum(len(spec.residues), spec.class_residues(h), a)
+    for i in [h] + [i for i, g in spec.carved if g == h]:
+        tail = tail - (part if i == j else prime_partial_sum(_class_members(tag, i, y), a, y))
+    half = 0.5 * max(tail.value + tail.budget, 0.0)
+    return (part + half) + ValueWithBudget(0.0, half)
+
+
+def _class_sum(spec, j: int, a: int, cutoff: int) -> ValueWithBudget:
+    """sum_{p in class j} log p/(p^a - 1): exact over residue classes, with a
+    carved class taken out of the class it is carved from."""
+    carved = dict(spec.carved)
+    if j in carved:
+        return _carved_sum(spec.tag, j, a, cutoff)
+    total = prime_class_sum(len(spec.residues), spec.class_residues(j), a)
+    for i, h in spec.carved:
+        if h == j:
+            total = total - _carved_sum(spec.tag, i, a, cutoff)
+    return total
+
+
+def _b_from_euler(spec, euler, cutoff: int = 10**7) -> ValueWithBudget:
+    """B_f from one Euler factorization of T(s)^n (module docstring).
+
+    ``cutoff`` is the sieve limit for carved classes (q23's S3); the other
+    class sums are exact.
+    """
     ratios, rb = _l_ratios(euler.modulus)
     terms = [
         (w, ValueWithBudget(float(ratios[j].real), float(rb[j]))) for j, w in euler.l_weights()
     ]
     if euler.zeta2:
-        terms.append((2 * euler.zeta2, zeta_log_derivative_at_2(cutoff)))
+        terms.append((2 * euler.zeta2, zeta_log_derivative_at_2()))
     finite = [c * a * math.log(q) / (q**a - 1.0) for q, factor in euler.finite for c, a in factor]
-    terms.append((1, math.fsum(finite)))
+    # each term is off by at most 3 ulps (log, subtraction, division)
+    terms.append((1, ValueWithBudget(math.fsum(finite), 4.0 * _EPS * math.fsum(map(abs, finite)))))
     for j, factor in enumerate(euler.classes):
-        if factor:
-            members = class_primes(idx == j, cutoff, min(a for _, a in factor))
-            terms += [(c * a, prime_log_sum(members, a, cutoff)) for c, a in factor]
+        terms += [(c * a, _class_sum(spec, j, a, cutoff)) for c, a in factor]
     n_b = _scaled(-float(euler.n * spec.tau), euler_gamma_value())
     for coef, v in terms:
         n_b = n_b - _scaled(coef, v)
     return n_b / euler.n
 
 
-def q3_direct_b(cutoff: int = 10**7) -> ValueWithBudget:
+def q3_direct_b() -> ValueWithBudget:
     """B_f for q3 from the direct factorization (no zeta(2s) rewrite), a cross-check."""
     spec = get_case("q3")
-    return _b_from_euler(spec, spec.euler, int(cutoff))
+    return _b_from_euler(spec, spec.euler)
 
 
 # ---------------------------------------------------------------------------
@@ -209,50 +264,33 @@ def b691_approx() -> ValueWithBudget:
 # First-order constants
 # ---------------------------------------------------------------------------
 
-def landau_ramanujan_K(cutoff: int = 10**7) -> ValueWithBudget:
-    """K = 2^(-1/2) prod_{p = 3 (4)} (1 - p^-2)^(-1/2), truncated with tail."""
-    cutoff = int(cutoff)
-    if cutoff < 2:
-        raise PreconditionError("cutoff must be >= 2")
-    table = sieve_primes(cutoff)
-    p = table.primes.astype(np.float64)
-    m = table.primes % 4 == 3
-    log_k = -0.5 * math.log(2.0) - 0.5 * csum(np.log1p(-1.0 / p[m] ** 2))
-    value = math.exp(log_k)
-    # |log tail| <= 0.51 sum_{p > x} p^-2 <= 0.51/x  (plus rounding)
-    log_budget = 0.51 / cutoff + _EPS * abs(log_k) * 8.0
-    return ValueWithBudget(value, value * math.expm1(log_budget))
+def landau_ramanujan_K() -> ValueWithBudget:
+    """K = 2^(-1/2) prod_{p = 3 (4)} (1 - p^-2)^(-1/2)."""
+    log_k = 0.5 * prime_class_sum(4, [3], 2, derivative=0) - _rounded(0.5 * math.log(2.0))
+    return _exp(log_k)
 
 
-def first_order_C5(cutoff: int = 10**7) -> ValueWithBudget:
+# q5's D = prod over the residue classes R mod 5 of prod (1 - p^-a)^c over p in R
+_D5_FACTORS = (
+    ((1,), ((1, 4), (-1, 5))),
+    ((2, 3), ((1, 3), (-0.5, 2), (-0.75, 4))),
+    ((4,), ((-0.5, 2),)),
+)
+
+
+def first_order_C5() -> ValueWithBudget:
     """First-order constant for the q5 count, computed by both expressions.
 
     Both the L-value form and the fully closed form are evaluated; they must
     agree within combined budgets (ConsistencyError otherwise).  Returns the
     L-value form.
     """
-    cutoff = int(cutoff)
-    if cutoff < 7481:
-        raise PreconditionError(f"cutoff must be >= 7481, got {cutoff}")
-    table = sieve_primes(cutoff)
-    pf = table.primes.astype(np.float64)
-    r = table.primes % 5
-    m1 = r == 1
-    m23 = (r == 2) | (r == 3)
-    m4 = r == 4
-    log_d = csum(
-        np.concatenate(
-            [
-                np.log1p(-pf[m1] ** -4.0) - np.log1p(-pf[m1] ** -5.0),
-                np.log1p(-pf[m23] ** -3.0)
-                - 0.5 * np.log1p(-pf[m23] ** -2.0)
-                - 0.75 * np.log1p(-pf[m23] ** -4.0),
-                -0.5 * np.log1p(-pf[m4] ** -2.0),
-            ]
-        )
-    )
-    d_val = math.exp(log_d)
-    d = ValueWithBudget(d_val, d_val * math.expm1(1.2 / cutoff + _EPS * abs(log_d) * 8.0))
+    log_d = ValueWithBudget(0.0, 0.0)
+    for residues, factor in _D5_FACTORS:
+        for c, a in factor:
+            # c log(1 - p^-a) summed over the class is -c times the class sum
+            log_d = log_d - c * prime_class_sum(5, residues, a, derivative=0)
+    d = _exp(log_d)
 
     chi_c = generator_character(5, 2, 1)
     chi_5 = generator_character(5, 2, 2)
@@ -262,12 +300,13 @@ def first_order_C5(cutoff: int = 10**7) -> ValueWithBudget:
     inner = 64.0 * l_pair / (125.0 * l_5)
     quarter = _vwb_pow(inner, 0.25)
     gamma34 = math.gamma(0.75)
-    c_lvalue = quarter * d / gamma34
+    c_lvalue = quarter * d / _rounded(gamma34)
 
     pref_closed = (4.0 / (5.0 * gamma34)) * (
         math.pi**2 / (2.0 * math.sqrt(5.0) * math.log((3.0 + math.sqrt(5.0)) / 2.0))
     ) ** 0.25
-    c_closed = pref_closed * d
+    # about a dozen roundings, each of at most one ulp
+    c_closed = ValueWithBudget(pref_closed, 16.0 * _EPS * pref_closed) * d
 
     if not c_lvalue.agrees_with(c_closed):
         raise ConsistencyError(
@@ -295,13 +334,19 @@ def second_order_constant(
     prime_cutoff: int = 10**7,
     hf_checkpoints: tuple = (10**5, 10**6),
 ) -> ConstantReport:
-    """Assemble B_f, C_2 = (1 - tau)(1 + B_f), and H_f checkpoints for a case."""
+    """Assemble B_f, C_2 = (1 - tau)(1 + B_f), and H_f checkpoints for a case.
+
+    ``prime_cutoff`` is the sieve limit for q23's S3 sums; every case checks
+    it against the same range, 7481 to the sieve's desk limit.
+    """
     spec = get_case(case)
     tag = spec.tag
     if tag in ("q2", "ones"):
         raise UnsupportedCaseError(f"{tag} has an exact count; no second-order constant")
     if prime_cutoff < 7481:
         raise PreconditionError(f"prime_cutoff must be >= 7481, got {prime_cutoff}")
+    if prime_cutoff > PRIME_DESK_LIMIT:
+        raise ResourceLimitError(f"prime sieve desk limit is {PRIME_DESK_LIMIT}, got {prime_cutoff}")
 
     b = _b_from_euler(spec, spec.b_euler or spec.euler, int(prime_cutoff))
     c2 = float(1 - spec.tau) * (1.0 + b)
@@ -313,9 +358,9 @@ def second_order_constant(
     printed_ref = None
     notes: tuple = ()
     if tag == "two_squares":
-        first_order = landau_ramanujan_K(int(prime_cutoff))
+        first_order = landau_ramanujan_K()
     elif tag == "q5":
-        first_order = first_order_C5(int(prime_cutoff))
+        first_order = first_order_C5()
     elif tag == "q3":
         lambda_c2 = c2 - 0.5 * math.log(3.0)
         notes = (

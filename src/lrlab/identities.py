@@ -7,8 +7,9 @@ Each case's Euler factorization in multfn.CASES,
 is checked two ways at a real s > 1.
 
 euler_identity_sides evaluates both sides: T(s) as a truncated Dirichlet
-series, zeta and the L-series by truncated sums with tail bounds, and H as
-a truncated Euler product with a tail bound.  Both sides carry budgets and
+series, zeta and the L-functions by the Euler-Maclaurin kernel
+(lseries.zeta_value, lseries.l_value), and H as a truncated Euler product
+with a tail bound.  Both sides carry budgets and
 must agree within their combined budgets.
 
 local_factor_gap compares the two sides prime by prime: n log of T's local
@@ -30,7 +31,7 @@ import numpy as np
 from .budget import ValueWithBudget, csum
 from .characters import GENERATORS, _dlog_table, generator_character
 from .errors import UnsupportedCaseError
-from .lseries import _EPS, l_series_truncated, zeta_real
+from .lseries import _EPS, l_value, zeta_value
 from .multfn import M_ALWAYS, M_NEVER, class_index, dirichlet_series_truncated, get_case, zero_periods
 from .primes import euler_phi, sieve_primes
 
@@ -79,19 +80,18 @@ def euler_identity_sides(
     s: float = 2.0,
     n_terms: int = 10**5,
     cutoff: int = 10**6,
-    l_terms: int = 10**6,
 ):
     """Left and right side of the case's factorization identity, with budgets."""
     spec, euler = _factorization(tag)
     t = truncated_T(spec, s, n_terms)
     lhs = _times_power(ValueWithBudget(1.0, 0.0), t, euler.n)
-    rhs = _times_power(ValueWithBudget(1.0, 0.0), zeta_real(s), int(euler.n * spec.tau))
+    rhs = _times_power(ValueWithBudget(1.0, 0.0), zeta_value(s), int(euler.n * spec.tau))
     if euler.zeta2:
-        rhs = _times_power(rhs, zeta_real(2.0 * s), euler.zeta2)
+        rhs = _times_power(rhs, zeta_value(2.0 * s), euler.zeta2)
     m = euler.modulus
     for j, e in euler.l_exponents:
         chi = generator_character(m, GENERATORS[m], j)
-        l_val = l_series_truncated(chi, s, l_terms)
+        l_val = l_value(chi, s)
         rhs = _times_power(rhs, l_val if chi.is_real else l_val * l_val.conjugate(), e)
     for q, factor in euler.finite:
         for c, a in factor:

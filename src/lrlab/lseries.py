@@ -1,70 +1,110 @@
 """Numerical evaluation kernel.
 
-Generalized Euler constants for arithmetic progressions,
+Progression sums.  For a modulus m, a weight log^k n n^(-s) and all
+residues r = 1..m at once, one Euler-Maclaurin batch gives
 
-    gamma_k(r, m) = lim_x { sum_{0<n<=x, n=r (m)} log^k n / n
-                            - log^(k+1) x / (m (k+1)) },
+    s = 1:  gamma_k(r, m) = lim_x { sum_{0<n<=x, n=r (m)} log^k n / n
+                                    - log^(k+1) x / (m (k+1)) },
+    s > 1:  H_k(r, m, s) = sum_{n>=1, n=r (m)} log^k n n^(-s).
 
-are computed for all residues r = 1..m at once.  With g(t) = log^k u / u at
-u = r + t m, the first T terms (t < T) are summed directly and exactly per
-residue, and the rest by Euler-Maclaurin at U = r + T m:
+With g(t) = log^k u u^(-s) at u = r + t m, the first T terms (t < T) are
+summed directly per residue (exactly rounded at s = 1, by compensated
+summation within 2 ulps at s > 1), and the rest by Euler-Maclaurin at
+U = r + T m:
 
-    gamma_k(r, m) = sum_{t<T} g(t) - log^(k+1) U / (m (k+1)) + g(T)/2
-                    - sum_{j=1}^{K} B_2j/(2j)! g^(2j-1)(T) + R,   K = 7.
+    sum_{t>=T} g(t) = I + g(T)/2 - sum_{j=1}^{K} B_2j/(2j)! g^(2j-1)(T) + R,   K = 7,
 
-Every derivative is m^i d^i/du^i [log^k u / u] = m^i P_i(log u) / u^(i+1)
-with an integer polynomial P_i.  Where g^(2K+2) has one sign on [T, oo),
-|R| is at most twice the first omitted term, 2 |B_16|/16! |g^(15)(T)|.  That
-sign condition is checked in exact arithmetic: P_16 is Taylor-shifted to a
-rational L0 <= log U, and no sign change among its coefficients leaves no
-root past L0 (Descartes' rule).  U_k is the smallest u that passes, and
-T = max(40, ceil((U_k - 1)/m)); U_k is 104 for k = 2 and 3.7e6 for k = 12.
-GAMMA_K_MAX is the largest k with U_k <= 1e7, the most terms one batch sums.
-With T >= 40 the remainder is below 1e-22 (2e-26 for k <= 2), so the rest
-of the budget is rounding: a few ulps of the summed magnitudes.  For a
-non-principal character chi mod m,
+where I = (1/m) int_U^oo log^k u u^(-s) du for s > 1, and
+I = -log^(k+1) U/(m (k+1)) takes the place of the divergent integral at
+s = 1.  Every derivative is m^i d^i/du^i [log^k u u^(-s)] = m^i P_i(log u)
+/ u^(s+i) with a polynomial P_i whose coefficients are exact (integers for
+integer s).  Where g^(2K+2) has one sign on [T, oo), |R| is at most twice
+the first omitted term, 2 |B_16|/16! |g^(15)(T)|.  That sign condition is
+checked in exact arithmetic: P_16 is Taylor-shifted to a rational
+L0 <= log U, and no sign change among its coefficients leaves no root past
+L0 (Descartes' rule).  U_k(s) is the smallest u that passes, and
+T = max(40, ceil((U_k - 1)/m)).  At s = 1, U_k is 104 for k = 2 and 3.7e6
+for k = 12; for the weight log u u^(-s) the condition reads
+log u >= sum_{l<16} 1/(s + l), so U_1(2) = 12, and u^(-s) passes
+everywhere.  GAMMA_K_MAX is the largest k with U_k(1) <= 1e7, the most terms
+one batch sums.  With T >= 40 the remainder is below 1e-22 (2e-26 for
+k <= 2 at s = 1), so the rest of the budget is rounding: a few ulps of the
+summed magnitudes.  For a character chi mod m,
 
-    L^(k)(1, chi) = (-1)^k sum_{r=1}^{m} chi(r) gamma_k(r, m).
+    L^(k)(1, chi) = (-1)^k sum_{r=1}^{m} chi(r) gamma_k(r, m)   (chi non-principal),
+    L^(k)(s, chi) = (-1)^k sum_{r=1}^{m} chi(r) H_k(r, m, s)      (s > 1),
 
-Prime log-sums over a class of primes carry the explicit tail bound
+and one inverse DFT over the discrete-log order of the residues gives them
+for every character mod m at once (character_dft).
+
+Prime sums over residue classes.  prime_class_sum sums log p/(p^s - 1),
+-log(1 - p^(-s)), log p p^(-s) or p^(-s) over the primes in a union of
+residue classes mod m, s >= 2, to full precision.  The primes p <= P = 1000
+(and those dividing m) are summed directly.  The rest come from L-values by
+Moebius inversion (H. Cohen, "High precision computation of Hardy-Littlewood
+constants", 1991; Ettahri, Ramare and Surel, arXiv:1908.06808): with
+L_P(s, chi) = L(s, chi) prod_{p<=P} (1 - chi(p) p^(-s)), g the generator of
+(Z/mZ)^* and b the discrete log of the residue,
+
+    sum_{p>P, p=g^b} log p p^(-s) = sum_k mu(k) sum_{c: kc=b (phi)} G_ks(c),
+    G_s(c) = sum_{p>P, e>=1, p^e=g^c} log p p^(-es)
+           = (1/phi) sum_chi conj(chi(g^c)) (-L_P'/L_P)(s, chi),
+
+and the same with p^(-es)/e, log L_P and mu(k)/k for the sums of p^(-s).
+Summing over s = j a, j >= 1, gives the sums with 1/(p^a - 1) and
+-log(1 - p^(-a)).  G_s is one forward DFT of -L'/L(s, chi) over all
+characters, less the prime powers of p <= P, which are summed exactly per
+class.  Only s = n a <= SIGMA_MAX (= 8) is evaluated.  Every dropped
+(n, k) term is bounded through B(s) = P^(1-s) (log P/(s-1) + 1/(s-1)^2)
+>= sum_{n>P} log n n^(-s) (Lambda(n) <= log n; no theta bound), which
+gives a remainder below 1e-22.
+
+zeta'(2)/zeta(2) is -H_1(1, 1, 2)/H_0(1, 1, 2).
+
+The sieve route is kept as an independent cross-check: prime_log_sum sums a
+class of primes up to a cutoff x >= 7481 and bounds the rest by
 
     sum_{p > x} log p / (p^k - 1) <= x/(x^k - 1) * (-0.98 + 1.017 k/(k-1)),
 
-valid for k > 1 and x >= 7481, a consequence of 0.98 x <= theta(x) <= 1.017 x
-on that range; a class sum's tail is bounded by the all-primes tail.  The
-same two-sided theta bounds give zeta'(2)/zeta(2) from the Lambda(n)/n^2
-series with an explicit interval for the remainder past the cutoff.
+a consequence of 0.98 x <= theta(x) <= 1.017 x on that range; a class sum's
+tail is bounded by the all-primes tail.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .budget import ValueWithBudget, csum
-from .characters import DirichletCharacter
+from .characters import GENERATORS, DirichletCharacter, _dlog_table
 from .errors import InvalidArgumentError, PreconditionError, ResourceLimitError
-from .primes import sieve_primes
+from .primes import euler_phi, is_prime, sieve_primes
 
 __all__ = [
     "ValueWithBudget",
     "gamma_k",
     "euler_gamma_value",
     "l_derivative_at_1",
+    "l_value",
+    "zeta_value",
+    "character_dft",
     "closed_form_l_values",
+    "prime_class_sum",
     "class_primes",
+    "prime_partial_sum",
     "prime_log_sum",
     "prime_tail_bound",
     "zeta_log_derivative_at_2",
-    "zeta_real",
-    "l_series_truncated",
     "THETA_LO",
     "THETA_HI",
     "THETA_X_MIN",
     "GAMMA_K_MAX",
+    "MOBIUS_P",
+    "SIGMA_MAX",
     "CLOSED_FORM_TAGS",
 ]
 
@@ -77,7 +117,7 @@ THETA_X_MIN = 7481
 
 
 # ---------------------------------------------------------------------------
-# Generalized Euler constants
+# Progression sums: generalized Euler constants and Dirichlet series
 # ---------------------------------------------------------------------------
 
 # B_2j/(2j)! for j = 1..K+1 (B_2j = p/q, each quotient correctly rounded):
@@ -91,25 +131,36 @@ _DIRECT_MIN = 40  # direct terms per residue class, at least
 _BATCH_MAX = 10**7
 
 
-def _log_poly_deriv_coeffs(k: int, order: int) -> list[int]:
-    """d^order/du^order [log^k u / u] as sum_j a_j log^j(u) u^(-order-1), integer a_j."""
+def _exact(s):
+    """s as an int, or as a Fraction when it is not integral (exact for floats)."""
+    if not math.isfinite(s):
+        raise PreconditionError(f"s must be finite, got {s}")
+    f = Fraction(s)
+    return f.numerator if f.denominator == 1 else f
+
+
+def _log_poly_deriv_coeffs(k: int, order: int, s=1) -> list:
+    """d^order/du^order [log^k u u^(-s)] as sum_j a_j log^j(u) u^(-s-order).
+
+    The a_j are exact: integers for integer s, fractions otherwise.
+    """
     a = [0] * k + [1]
-    for q in range(1, order + 1):
-        a = [((j + 1) * a[j + 1] if j < k else 0) - q * a[j] for j in range(k + 1)]
+    for q in range(order):
+        a = [((j + 1) * a[j + 1] if j < k else 0) - (s + q) * a[j] for j in range(k + 1)]
     return a
 
 
-def _remainder_one_signed(k: int, u: int) -> bool:
-    """True if d^(2K+2)/du^(2K+2) [log^k u / u] has one sign on [u, oo).
+def _remainder_one_signed(k: int, u: int, s=1) -> bool:
+    """True if d^(2K+2)/du^(2K+2) [log^k u u^(-s)] has one sign on [u, oo).
 
     Its polynomial P(L) = sum_j a_j L^j is Taylor-shifted to a rational
     L0 = l0 / 2^20 <= log u; when the coefficients of P(L0 + y) show no
     sign change, P has no root y > 0 (Descartes' rule of signs).  With
-    L = (l0 + z) / 2^20, 2^(20k) P is an integer polynomial in z whose
-    coefficients have the signs of those in y, so the shift is exact.
+    L = (l0 + z) / 2^20, 2^(20k) P is a polynomial in z with exact
+    coefficients whose signs are those in y, so the shift is exact.
     """
-    a = _log_poly_deriv_coeffs(k, 2 * _EM_TERMS + 2)
-    c = [x << (20 * (k - j)) for j, x in enumerate(a)]
+    a = _log_poly_deriv_coeffs(k, 2 * _EM_TERMS + 2, s)
+    c = [x * (1 << (20 * (k - j))) for j, x in enumerate(a)]
     l0 = math.floor(math.log(u) * 2**20) - 1
     for i in range(k):
         for j in range(k - 1, i - 1, -1):
@@ -122,71 +173,123 @@ def _remainder_one_signed(k: int, u: int) -> bool:
 GAMMA_K_MAX = next(k for k in itertools.count() if not _remainder_one_signed(k + 1, _BATCH_MAX))
 
 
-@lru_cache(maxsize=None)
-def _em_start(k: int) -> int:
-    """U_k: the smallest u >= 1 from which the remainder check passes.
+@lru_cache(maxsize=256)
+def _em_start(k: int, s=1) -> int:
+    """U_k(s): the smallest u >= 1 from which the remainder check passes.
 
     The check is monotone in u: shifting coefficients of one sign further
-    right keeps them of one sign.
+    right keeps them of one sign.  Doubling finds a u that passes (the check
+    passes at 1e7 for k <= GAMMA_K_MAX), bisection the smallest.
     """
-    lo, hi = 0, _BATCH_MAX  # the check passes at hi for k <= GAMMA_K_MAX
+    lo, hi = 0, 1
+    while hi < _BATCH_MAX and not _remainder_one_signed(k, hi, s):
+        lo, hi = hi, min(2 * hi, _BATCH_MAX)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _remainder_one_signed(k, mid):
+        if _remainder_one_signed(k, mid, s):
             hi = mid
         else:
             lo = mid
     return hi
 
 
-def _direct_terms(m: int, k: int) -> int:
-    """T: at least 40 terms per residue, and U = r + T m >= U_k for every r >= 1."""
-    return max(_DIRECT_MIN, -(-(_em_start(k) - 1) // m))
+def _direct_terms(m: int, k: int, s=1) -> int:
+    """T: at least 40 terms per residue, and U = r + T m >= U_k(s) for every r >= 1."""
+    return max(_DIRECT_MIN, -(-(_em_start(k, s) - 1) // m))
 
 
-def _g_derivative(u: np.ndarray, lnu: np.ndarray, k: int, order: int, m: int):
-    """d^order/dt^order of log^k(r + t m)/(r + t m) at r + t m = u, and the
-    same with every polynomial coefficient replaced by its absolute value."""
-    a = np.array(_log_poly_deriv_coeffs(k, order), dtype=np.float64)
-    scale = (m / u) ** order / u
+@lru_cache(maxsize=1024)
+def _deriv_coeff_array(k: int, order: int, s) -> np.ndarray:
+    a = np.array(_log_poly_deriv_coeffs(k, order, s), dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
+def _g_derivative(u: np.ndarray, lnu: np.ndarray, k: int, order: int, m: int, s=1):
+    """d^order/dt^order of log^k(r + t m) (r + t m)^(-s) at r + t m = u, and
+    the same with every polynomial coefficient replaced by its absolute value."""
+    a = _deriv_coeff_array(k, order, s)
+    scale = (m / u) ** order / u ** float(s)
     poly = np.polynomial.polynomial.polyval
     return poly(lnu, a) * scale, poly(lnu, np.abs(a)) * scale
+
+
+def _row_sums(w: np.ndarray) -> np.ndarray:
+    """Row sums of a nonnegative array by Neumaier's compensated summation,
+    one column at a time: each is within 2 ulps of the exact sum (the
+    compensation leaves at most n^2 eps^2 of the row's magnitude)."""
+    total = w[:, 0].copy()
+    comp = np.zeros_like(total)
+    for col in w.T[1:]:
+        t = total + col
+        comp += np.where(total >= col, (total - t) + col, (col - t) + total)
+        total = t
+    return total + comp
+
+
+def _em_sums(m: int, k: int, s) -> tuple[np.ndarray, np.ndarray]:
+    """gamma_k(r, m) (s = 1) or H_k(r, m, s) (s > 1), and budgets, for r = 1..m
+    (r = m is the zero class)."""
+    direct = _direct_terms(m, k, s)
+    if m * direct > _BATCH_MAX:
+        what = f"gamma_{k}" if s == 1 else f"log^{k} n n^-{s}"
+        raise ResourceLimitError(
+            f"a {what} batch mod {m} needs {m * direct:.4g} terms, more than {_BATCH_MAX:.0e}"
+        )
+    sf = float(s)
+    r = np.arange(1, m + 1, dtype=np.float64)
+    n = r[:, None] + m * np.arange(direct, dtype=np.float64)
+    w = np.log(n) ** k / n**sf if k else 1.0 / n**sf
+    # exactly rounded at s = 1, which keeps the gamma_k batches bit for bit;
+    # vectorized within 2 ulps at s > 1
+    total = np.array([csum(row) for row in w]) if s == 1 else _row_sums(w)
+    u = r + direct * m
+    lnu = np.log(u)
+    if s == 1:
+        integral = -(lnu ** (k + 1)) / (m * (k + 1))
+    else:
+        # (1/m) int_U^oo log^k u u^(-s) du = U^(1-s)/m sum_i k!/(k-i)! log^(k-i) U/(s-1)^(i+1)
+        poly = sum(math.perm(k, i) * lnu ** (k - i) / (sf - 1.0) ** (i + 1) for i in range(k + 1))
+        integral = poly * u ** (1.0 - sf) / m
+    g0 = lnu**k / u**sf
+    vals = total + integral + 0.5 * g0
+    absum = total + np.abs(integral) + 0.5 * g0  # total and g0 are nonnegative
+    for j, coef in enumerate(_EM_COEFFS[:_EM_TERMS], 1):
+        g, g_abs = _g_derivative(u, lnu, k, 2 * j - 1, m, s)
+        vals -= coef * g
+        absum += abs(coef) * g_abs
+    # g^(2K+2) has one sign on [U, oo), so the remainder is at most twice the
+    # first omitted term.  Rounding, with log and powers good to one ulp: the
+    # summands, the integral term and g0 are off by at most k + 3 ulps (k + 1
+    # from the log and its power, the power of n or U, the divisions, the row
+    # sum), the corrections (below 1% of the total) by 2k + 10, and the
+    # additions that form vals by 8 ulps of |vals|.
+    g = _g_derivative(u, lnu, k, 2 * _EM_TERMS + 1, m, s)[0]
+    buds = 2.0 * abs(_EM_COEFFS[-1] * g) + _EPS * ((k + 3) * absum + 8.0 * np.abs(vals))
+    vals.flags.writeable = False
+    buds.flags.writeable = False
+    return vals, buds
+
+
+def _check_order(k: int) -> None:
+    if not 0 <= k <= GAMMA_K_MAX:
+        raise InvalidArgumentError(f"derivative order must lie in 0..{GAMMA_K_MAX}, got {k}")
 
 
 @lru_cache(maxsize=32)
 def _gamma_batch(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """gamma_k(r, m) and budgets for r = 1..m (r = m is the zero class)."""
-    if not 0 <= k <= GAMMA_K_MAX:
-        raise InvalidArgumentError(f"derivative order must lie in 0..{GAMMA_K_MAX}, got {k}")
-    direct = _direct_terms(m, k)
-    if m * direct > _BATCH_MAX:
-        raise ResourceLimitError(
-            f"a gamma_{k} batch mod {m} needs {m * direct:.4g} terms, more than {_BATCH_MAX:.0e}"
-        )
-    r = np.arange(1, m + 1, dtype=np.float64)
-    n = r[:, None] + m * np.arange(direct, dtype=np.float64)
-    w = np.log(n) ** k / n if k else 1.0 / n
-    s = np.array([csum(row) for row in w])
-    u = r + direct * m
-    lnu = np.log(u)
-    norm = lnu ** (k + 1) / (m * (k + 1))
-    g0 = lnu**k / u
-    vals = s - norm + 0.5 * g0
-    absum = s + norm + 0.5 * g0  # s, norm and g0 are nonnegative
-    for j, coef in enumerate(_EM_COEFFS[:_EM_TERMS], 1):
-        g, g_abs = _g_derivative(u, lnu, k, 2 * j - 1, m)
-        vals -= coef * g
-        absum += abs(coef) * g_abs
-    # g^(2K+2) has one sign on [U, oo), so the remainder is at most twice the
-    # first omitted term.  Rounding, with log and powers good to one ulp: the
-    # summands, norm and g0 are off by at most k + 3 ulps (k + 1 from the
-    # log and its power, the divisions, the row sum), the corrections (below
-    # 1% of s) by 2k + 10, and the additions that form vals by 8 ulps of |vals|.
-    g = _g_derivative(u, lnu, k, 2 * _EM_TERMS + 1, m)[0]
-    buds = 2.0 * abs(_EM_COEFFS[-1] * g) + _EPS * ((k + 3) * absum + 8.0 * np.abs(vals))
-    vals.flags.writeable = False
-    buds.flags.writeable = False
-    return vals, buds
+    _check_order(k)
+    return _em_sums(m, k, 1)
+
+
+@lru_cache(maxsize=128)
+def _series_batch(m: int, k: int, s) -> tuple[np.ndarray, np.ndarray]:
+    """H_k(r, m, s) and budgets for r = 1..m, s > 1 exact (_exact)."""
+    _check_order(k)
+    if not s > 1:
+        raise PreconditionError(f"the Dirichlet series need s > 1, got {s}")
+    return _em_sums(m, k, s)
 
 
 def gamma_k(r: int, m: int, k: int = 0) -> ValueWithBudget:
@@ -211,15 +314,11 @@ def euler_gamma_value() -> ValueWithBudget:
 
 
 # ---------------------------------------------------------------------------
-# L-function derivatives at s = 1
+# L-functions
 # ---------------------------------------------------------------------------
 
-def l_derivative_at_1(chi: DirichletCharacter, k: int = 0) -> ValueWithBudget:
-    """L^(k)(1, chi) = (-1)^k sum_{r=1}^m chi(r) gamma_k(r, m), chi non-principal."""
-    if chi.principal:
-        raise InvalidArgumentError("L(s, chi) diverges at s = 1 for principal chi")
-    m = chi.modulus
-    vals, buds = _gamma_batch(m, k)
+def _character_sum(chi: DirichletCharacter, vals: np.ndarray, buds: np.ndarray, k: int) -> ValueWithBudget:
+    """(-1)^k sum_{r=1}^m chi(r) vals[r-1], with budget."""
     # chi(r) for r = 1..m; chi(m) = chi(0) = 0 off the unit group
     cvals = np.concatenate([chi.values[1:], chi.values[:1]])
     terms = cvals * vals
@@ -228,6 +327,51 @@ def l_derivative_at_1(chi: DirichletCharacter, k: int = 0) -> ValueWithBudget:
     absc = np.abs(cvals)
     budget = float(np.dot(absc, buds)) + _EPS * float(np.sum(np.abs(terms))) * 4.0
     return ValueWithBudget(value, budget)
+
+
+def l_derivative_at_1(chi: DirichletCharacter, k: int = 0) -> ValueWithBudget:
+    """L^(k)(1, chi) = (-1)^k sum_{r=1}^m chi(r) gamma_k(r, m), chi non-principal."""
+    if chi.principal:
+        raise InvalidArgumentError("L(s, chi) diverges at s = 1 for principal chi")
+    return _character_sum(chi, *_gamma_batch(chi.modulus, k), k)
+
+
+def l_value(chi: DirichletCharacter, s: float, k: int = 0) -> ValueWithBudget:
+    """L^(k)(s, chi) = (-1)^k sum_{r=1}^m chi(r) H_k(r, m, s) at real s > 1, any chi."""
+    return _character_sum(chi, *_series_batch(chi.modulus, k, _exact(s)), k)
+
+
+def zeta_value(s: float, k: int = 0) -> ValueWithBudget:
+    """zeta^(k)(s) = (-1)^k sum_n log^k n n^(-s) at real s > 1."""
+    vals, buds = _series_batch(1, k, _exact(s))
+    return ValueWithBudget(-float(vals[0]) if k % 2 else float(vals[0]), float(buds[0]))
+
+
+def zeta_log_derivative_at_2() -> ValueWithBudget:
+    """zeta'(2)/zeta(2) = -sum_n log n n^-2 / sum_n n^-2."""
+    return zeta_value(2, 1) / zeta_value(2)
+
+
+@lru_cache(maxsize=None)
+def _unit_dlogs(m: int) -> np.ndarray:
+    """Discrete log of r = 1..m base GENERATORS[m]; -1 off the unit group."""
+    return _dlog_table(m, GENERATORS[m])[0][np.arange(1, m + 1) % m]
+
+
+def character_dft(m: int, vals: np.ndarray, buds: np.ndarray) -> tuple[np.ndarray, float]:
+    """sum_{r=1}^m chi^j(r) vals[r-1] for j = 0..phi-1, chi(g) = exp(2 pi i/phi).
+
+    With the residues r = g^a ordered by a this is one inverse DFT.  The
+    budget holds for every j: the input budgets plus 16 ulps of the summed
+    magnitudes for the transform.
+    """
+    dlog = _unit_dlogs(m)
+    unit = dlog >= 0
+    phi = euler_phi(m)
+    seq = np.zeros(phi)
+    seq[dlog[unit]] = vals[unit]
+    budget = float(np.sum(buds[unit])) + _EPS * float(np.sum(np.abs(seq))) * 16.0
+    return phi * np.fft.ifft(seq), budget
 
 
 CLOSED_FORM_TAGS = ("chi5", "chi_minus7", "chi_minus23", "chi_c_pair_mod5")
@@ -247,7 +391,199 @@ def closed_form_l_values(tag: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Prime log-sums with explicit tails
+# Prime sums over residue classes by Moebius inversion
+# ---------------------------------------------------------------------------
+
+# Primes up to P are summed directly; L-values give the rest.
+MOBIUS_P = 1000
+# Powers p^e with p <= P are removed from the L-values while p^(-es) >= e^-64.
+_POWER_LOG_CUT = 64.0
+# p^(-s) stays a normal float while s log p <= 690.
+_LOG_FLOOR = 690.0
+
+
+def _rough_tail(s: float) -> float:
+    """B(s) = P^(1-s) (log P/(s-1) + 1/(s-1)^2) >= sum_{n > P} log n n^(-s)."""
+    lp = math.log(MOBIUS_P)
+    return math.exp((1.0 - s) * lp) * (lp / (s - 1.0) + 1.0 / (s - 1.0) ** 2)
+
+
+# The largest s = n a whose L-values are used: B(SIGMA_MAX + 1) < 1e-24.
+SIGMA_MAX = next(s for s in itertools.count(2) if _rough_tail(s + 1) < 1e-24)
+
+
+def _mobius_remainder(s: float, n_max: int) -> float:
+    """Bound for the dropped terms n > N = n_max of a class sum.
+
+    Term n is sum_{k | n} |coef| times a class share of the prime-power
+    sums at n s, each at most B(n s) <= P^(1 - n s) (log P + 1); with
+    d(n) <= n and x = P^-s, sum_{n>N} n P^(1-ns) (log P + 1)
+    <= P (log P + 1) (N+1) x^(N+1) / (1 - x)^2.
+    """
+    lp = math.log(MOBIUS_P)
+    x = math.exp(-s * lp)
+    log_head = math.log(MOBIUS_P * (lp + 1.0) * (n_max + 1)) - s * (n_max + 1) * lp
+    return math.exp(log_head) / (1.0 - x) ** 2
+
+
+def _mobius(n: int) -> int:
+    result, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            result = -result
+        d += 1
+    return -result if n > 1 else result
+
+
+@lru_cache(maxsize=128)
+def _l_table(m: int, s) -> tuple:
+    """L(s, chi^j) and -L'(s, chi^j) for j = 0..phi-1, each with one budget."""
+    l0, b0 = character_dft(m, *_series_batch(m, 0, s))
+    l1, b1 = character_dft(m, *_series_batch(m, 1, s))
+    return l0, b0, l1, b1
+
+
+def _small_power_sums(m: int, s, derivative: int) -> tuple[np.ndarray, float]:
+    """Per unit class c, the exactly rounded sum over p <= P, e >= 1 with
+    p^e = g^c of p^(-es)/e (derivative 0) or log p p^(-es) (derivative 1),
+    for p^(-es) >= e^-64; and a bound for all the powers left out."""
+    phi = euler_phi(m)
+    p = sieve_primes(MOBIUS_P).primes
+    b = _dlog_table(m, GENERATORS[m])[0][p % m]
+    p, b = p[b >= 0], b[b >= 0]
+    pf = p.astype(np.float64)
+    lp = np.log(pf)
+    sf = float(s)
+    e_max = np.floor(_POWER_LOG_CUT / (sf * lp)).astype(np.int64)
+    which = np.repeat(np.arange(len(p)), e_max)
+    e = np.arange(len(which)) - np.repeat(np.cumsum(e_max) - e_max, e_max) + 1
+    x = pf[which] ** (-sf * e)
+    w = lp[which] * x if derivative else x / e
+    c = (e * b[which]) % phi
+    order = np.argsort(c, kind="stable")
+    c, w = c[order], w[order]
+    cuts = np.flatnonzero(np.diff(c)) + 1
+    sums = np.zeros(phi)
+    for cls, group in zip(c[np.r_[0, cuts]].tolist(), np.split(w, cuts)):
+        sums[cls] = math.fsum(group.tolist())
+    # each p leaves out at most lp^d x^(E+1)/(1 - x), x = p^-s
+    left = lp**derivative * pf ** (-sf * (e_max + 1)) / (1.0 - pf**-sf)
+    return sums, 1.01 * math.fsum(left.tolist())
+
+
+@lru_cache(maxsize=128)
+def _rough_sums(m: int, s, derivative: int) -> tuple:
+    """Prime-power sums over p > P per unit class c (residue g^c mod m).
+
+    X(c) = sum_{p > P, e >= 1, p^e = g^c} of p^(-es)/e (derivative 0) or
+    log p p^(-es) (derivative 1), from log L(s, chi) or -L'/L(s, chi) for
+    every chi by one forward DFT, less the powers of p <= P.  Returns X, a
+    rounding bound per class, the root mean square over the characters of
+    the input error (a sum of X over S classes is off by at most sqrt(|S|)
+    times it, by Cauchy-Schwarz and Parseval), and a bound for the small
+    prime powers left in X.
+    """
+    phi = euler_phi(m)
+    l0, b0, l1, b1 = _l_table(m, s)
+    absl = np.abs(l0)
+    if derivative:
+        y = l1 / l0
+        dy = (b1 + np.abs(y) * b0) / (absl - b0)
+    else:
+        # the principal branch is the Euler-product log: |log L| <= log zeta(2) < pi
+        y = np.log(l0)
+        dy = -np.log1p(-b0 / absl)
+    dy = dy + 4.0 * _EPS * np.abs(y)  # the division or the log itself
+    full = np.fft.fft(y).real / phi
+    small, left = _small_power_sums(m, s, derivative)
+    x = full - small
+    fft_rounding = 16.0 * _EPS * float(np.sum(np.abs(y))) / phi
+    err = fft_rounding + 4.0 * _EPS * small + _EPS * np.abs(x)
+    rms = float(np.sqrt(np.mean(dy * dy)))
+    for a in (x, err):
+        a.flags.writeable = False
+    return x, err, rms, left
+
+
+def _direct_primes(m: int) -> np.ndarray:
+    """The primes summed directly for modulus m: p <= P and the prime divisors of m."""
+    big = [q for q in range(MOBIUS_P + 1, m + 1) if m % q == 0 and is_prime(q)]
+    return np.concatenate([sieve_primes(MOBIUS_P).primes, np.array(big, dtype=np.int64)])
+
+
+def _prime_terms(primes: np.ndarray, s: float, derivative: int, powers: bool):
+    """Per prime: log p/(p^s - 1), -log(1 - p^-s), log p p^-s or p^-s, and a
+    bound for the terms left out because p^-s would not be a normal float."""
+    lp = np.log(primes.astype(np.float64))
+    keep = float(s) * lp <= _LOG_FLOOR
+    x = primes[keep].astype(np.float64) ** -float(s)
+    if powers:
+        terms = lp[keep] * x / (1.0 - x) if derivative else -np.log1p(-x)
+    else:
+        terms = lp[keep] * x if derivative else x
+    # a left-out term is below 2 max(log p, 1) e^-690
+    left = 2.0 * float(np.sum(np.maximum(lp[~keep], 1.0))) * math.exp(-_LOG_FLOOR)
+    return terms, left
+
+
+@lru_cache(maxsize=1024)
+def _class_sum(m: int, residues: tuple, s, derivative: int, powers: bool) -> ValueWithBudget:
+    """prime_class_sum for sorted residues and an exact s: the direct terms,
+    then sum_n sum_{k | n} coef * (X at n s over the classes c with kc in R)."""
+    phi = euler_phi(m)
+    primes = _direct_primes(m)
+    terms, left = _prime_terms(primes[np.isin(primes % m, residues)], s, derivative, powers)
+    pieces = terms.tolist()
+    # each term is off by at most 5 ulps (log, power, subtraction, division)
+    budget = 5.0 * _EPS * float(np.sum(terms)) + left
+    dlog = _dlog_table(m, GENERATORS[m])[0][list(residues)]
+    in_class = np.zeros(phi, dtype=bool)
+    in_class[dlog[dlog >= 0]] = True
+    n_max = int(SIGMA_MAX // s) if in_class.any() else 0
+    for n in range(1, n_max + 1):
+        x, err, rms, small_left = _rough_sums(m, n * s, derivative)
+        for k in range(1, n + 1) if powers else (n,):
+            mu = _mobius(k)
+            if n % k or not mu:
+                continue
+            mask = in_class[(k * np.arange(phi)) % phi]
+            part = csum(x[mask])
+            coef = mu / n if derivative == 0 else mu
+            pieces.append(coef * part)
+            share = math.sqrt(np.count_nonzero(mask)) * rms + float(np.sum(err[mask]))
+            budget += abs(coef) * (share + small_left + _EPS * abs(part)) + _EPS * abs(coef * part)
+    if in_class.any():
+        budget += _mobius_remainder(float(s), n_max)
+    value = csum(pieces)
+    return ValueWithBudget(value, budget + _EPS * abs(value))
+
+
+def prime_class_sum(m: int, residues, s: float, derivative: int = 1, powers: bool = True) -> ValueWithBudget:
+    """Sum over the primes p = r (mod m), r in ``residues``, at real s >= 2, of
+
+        derivative 1: log p/(p^s - 1) (powers) or log p p^-s,
+        derivative 0: -log(1 - p^-s)  (powers) or p^-s,
+
+    that is of sum_j w_j log^d p p^(-js) with w_j = 1/j^(1-d) (powers) or
+    of its j = 1 term.  m is one of the moduli in characters.GENERATORS.
+    Direct below P, Moebius inversion of L-values above (module docstring);
+    the budget covers rounding and the bounded remainder.
+    """
+    if m not in GENERATORS:
+        raise InvalidArgumentError(f"unsupported modulus {m}; expected one of {sorted(GENERATORS)}")
+    if derivative not in (0, 1):
+        raise InvalidArgumentError(f"derivative must be 0 or 1, got {derivative}")
+    if not s >= 2:
+        raise PreconditionError(f"prime class sums need s >= 2, got {s}")
+    key = tuple(sorted({int(r) % m for r in residues}))
+    return _class_sum(m, key, _exact(s), derivative, bool(powers))
+
+
+# ---------------------------------------------------------------------------
+# The sieve route: prime log-sums with explicit theta tails
 # ---------------------------------------------------------------------------
 
 def prime_tail_bound(k: float, x: float) -> float:
@@ -261,14 +597,14 @@ def prime_tail_bound(k: float, x: float) -> float:
 
 
 def _largest_term_prime(k: int, cutoff: int) -> int:
-    """prime_log_sum reads the primes up to this bound: p <= cutoff, p^k <= e^690."""
-    return cutoff if k * math.log(cutoff) <= 690.0 else int(math.exp(690.0 / k))
+    """prime_partial_sum reads the primes up to this bound: p <= cutoff, p^k <= e^690."""
+    return cutoff if k * math.log(cutoff) <= _LOG_FLOOR else int(math.exp(_LOG_FLOOR / k))
 
 
 def class_primes(mask, cutoff: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The primes of a class and their logs, as far as prime_log_sum reads
-    them for exponents >= k.  ``mask`` is None (all primes) or a boolean
-    mask aligned with sieve_primes(cutoff).primes."""
+    """The primes of a class and their logs, as far as prime_partial_sum
+    reads them for exponents >= k.  ``mask`` is None (all primes) or a
+    boolean mask aligned with sieve_primes(cutoff).primes."""
     table = sieve_primes(cutoff)
     # an int key: a float one would convert the whole prime array
     n = int(np.searchsorted(table.primes, _largest_term_prime(k, cutoff), side="right"))
@@ -276,81 +612,32 @@ def class_primes(mask, cutoff: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return table.primes[:n][keep], table.logs[:n][keep]
 
 
-def prime_log_sum(members, k: int, cutoff: int) -> ValueWithBudget:
-    """sum_{p <= cutoff, p in class} log p / (p^k - 1) with the class tail budget.
+def prime_partial_sum(members, k: int, cutoff: int) -> ValueWithBudget:
+    """sum_{p <= cutoff, p in class} log p / (p^k - 1), with a rounding budget.
 
     ``members`` is None (all primes), a boolean mask aligned with
     sieve_primes(cutoff).primes, or what class_primes returns for one; a
     caller that sums one class for several k gathers it once that way.
-    Each term is log p r/(1 - r) with r = p^(-k); primes with p^k > e^690
-    are left out, so r never underflows.  Each term left out is below
-    1e-295, and all of them together are far below the rounding allowance
-    in the budget.
+    Each term is log p r/(1 - r) with r = p^(-k), off by at most 4 ulps;
+    primes with p^k > e^690 are left out, so r never underflows.  Each term
+    left out is below 1e-295, and all of them together are far below the
+    one ulp of 1 in the budget.
     """
     if k < 2:
-        raise PreconditionError(f"prime_log_sum needs k >= 2, got {k}")
+        raise PreconditionError(f"prime sums need k >= 2, got {k}")
     cutoff = int(cutoff)
-    if cutoff < THETA_X_MIN:
-        raise PreconditionError(f"tail budget needs cutoff >= {THETA_X_MIN}, got {cutoff}")
     primes, logs = members if isinstance(members, tuple) else class_primes(members, cutoff, k)
     n = int(np.searchsorted(primes, _largest_term_prime(k, cutoff), side="right"))
     r = primes[:n].astype(np.float64) ** -float(k)
     value = csum(logs[:n] * r / (1.0 - r))
-    budget = prime_tail_bound(k, float(cutoff)) + _EPS * (value + 1.0)
-    return ValueWithBudget(value, budget)
+    return ValueWithBudget(value, _EPS * (4.0 * value + 1.0))
 
 
-def zeta_log_derivative_at_2(cutoff: int = 10**7) -> ValueWithBudget:
-    """zeta'(2)/zeta(2) = -sum_n Lambda(n)/n^2, with a theta-corrected tail.
-
-    The partial sum over prime powers p^k with p <= N telescopes to
-    sum_{p <= N} log p/(p^2 - 1); the remainder over p > N is pinned to
-    [1.96/N - theta(N)/N^2, 2.034/N - theta(N)/N^2] by the two-sided
-    theta(x)/x bounds, with theta(N) summed exactly from the sieve.
-    """
+def prime_log_sum(members, k: int, cutoff: int) -> ValueWithBudget:
+    """sum_{p in class} log p / (p^k - 1) by the sieve: the partial sum to the
+    cutoff (prime_partial_sum) plus the theta bound on the class tail."""
     cutoff = int(cutoff)
     if cutoff < THETA_X_MIN:
-        raise PreconditionError(f"cutoff must be >= {THETA_X_MIN}, got {cutoff}")
-    table = sieve_primes(cutoff)
-    pf = table.primes.astype(np.float64)
-    s = csum(table.logs / (pf * pf - 1.0))
-    theta = csum(table.logs)
-    n = float(cutoff)
-    slack = 2.0 * math.log(n) / n**3  # log p/(p^2(p^2-1)) remainder past N
-    r_lo = 2.0 * THETA_LO / n - theta / n**2
-    r_hi = 2.0 * THETA_HI / n - theta / n**2 + slack
-    mid = 0.5 * (r_lo + r_hi)
-    half = 0.5 * (r_hi - r_lo)
-    value = -(s + mid)
-    budget = half + _EPS * (s + theta / n**2 + 1.0) * 4.0
-    return ValueWithBudget(value, budget)
-
-
-# ---------------------------------------------------------------------------
-# Direct Dirichlet series at real s > 1 (plumbing for the identity checks)
-# ---------------------------------------------------------------------------
-
-def zeta_real(s: float, n_terms: int = 100_000) -> ValueWithBudget:
-    """zeta(s) for real s > 1 by Euler-Maclaurin through the B4 term."""
-    if s <= 1:
-        raise PreconditionError(f"zeta_real needs s > 1, got {s}")
-    n = np.arange(1, n_terms + 1, dtype=np.float64)
-    partial = csum(n ** (-s))
-    N = float(n_terms)
-    tail = N ** (1 - s) / (s - 1) - 0.5 * N ** (-s) + s / 12.0 * N ** (-s - 1)
-    b4 = s * (s + 1) * (s + 2) / 720.0 * N ** (-s - 3)
-    value = partial + tail - b4
-    b6 = s * (s + 1) * (s + 2) * (s + 3) * (s + 4) / 30240.0 * N ** (-s - 5)
-    return ValueWithBudget(value, 2.0 * b6 + _EPS * (partial + 1.0) * 4.0)
-
-
-def l_series_truncated(chi: DirichletCharacter, s: float, n_terms: int = 10**6) -> ValueWithBudget:
-    """sum_{n <= N} chi(n)/n^s with an Abel-summation tail budget m * N^(-s)."""
-    if s <= 1:
-        raise PreconditionError(f"l_series_truncated needs s > 1, got {s}")
-    n = np.arange(1, n_terms + 1, dtype=np.float64)
-    cv = np.tile(chi.values, n_terms // chi.modulus + 2)[1 : n_terms + 1]
-    terms = cv * n ** (-s)
-    value = complex(csum(terms.real), csum(terms.imag))
-    budget = chi.modulus * float(n_terms) ** (-s) + _EPS * float(np.sum(np.abs(terms))) * 4.0
-    return ValueWithBudget(value, budget)
+        raise PreconditionError(f"tail budget needs cutoff >= {THETA_X_MIN}, got {cutoff}")
+    partial = prime_partial_sum(members, k, cutoff)
+    return ValueWithBudget(partial.value, prime_tail_bound(k, float(cutoff)) + partial.budget)

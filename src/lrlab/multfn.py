@@ -7,9 +7,10 @@ On prime powers every case reduces to a single congruence on the exponent:
     f(p^k) = 0  iff  k = -1 (mod m0),
 
 where the period m0 depends only on the prime's class.  Each case's entry
-in CASES holds a classifier, which maps an array of primes to class indices
-(a residue table, the order mod 691, or the Wilton class mod 23), the m0
-of every class, and the Euler factorization
+in CASES holds the class of every residue mod a modulus (so each class is
+a union of residue classes, by residue mod 3, 4, 5, 7 or by the order mod
+691; only q23's S3 is carved out of S2's residues by the Wilton test), the
+m0 of every class, and the Euler factorization
 
     T(s)^n = zeta(s)^(n tau) zeta(2s)^z prod_chi L(s, chi)^e H(s)
 
@@ -105,36 +106,47 @@ class EulerFactorization:
 
 @dataclass(frozen=True)
 class CaseSpec:
-    """One counting problem: density, prime classes and Euler factorization."""
+    """One counting problem: density, prime classes and Euler factorization.
+
+    The class of a prime p is residues[p % len(residues)], so each class is
+    a union of residue classes, unless ``classify`` is given.  q23's
+    classifier moves the primes of one class's residues that pass the
+    Wilton test to another class; ``carved`` lists such pairs (j, h): class
+    j is carved out of the residues of class h.
+    """
 
     tag: str
     tau: Fraction      # Dirichlet density of primes with f(p) = 1
     delta: Fraction    # 1 - tau; the claimed logarithm exponent
     modulus: int | None  # the prime q, or None for two_squares/ones
     description: str
-    classify: Callable[[np.ndarray], np.ndarray]  # primes -> uint8 class index
+    residues: tuple    # class index of each residue mod len(residues)
     m0: tuple          # zero period of each class
     euler: EulerFactorization | None = None    # T(s)^n as a product
     b_euler: EulerFactorization | None = None  # a rewrite preferred for B_f
+    classify: Callable[[np.ndarray], np.ndarray] | None = None  # primes -> uint8 class index
+    carved: tuple = ()
+
+    def __post_init__(self):
+        if self.classify is None:
+            lut = np.array(self.residues, dtype=np.uint8)
+            object.__setattr__(self, "classify", lambda p: lut[p % len(lut)])
+
+    def class_residues(self, j: int) -> list[int]:
+        """The residues r mod len(residues) with residues[r] = j; a carved class has none."""
+        return [r for r, c in enumerate(self.residues) if c == j]
 
     def __str__(self):
         return self.tag
 
 
-def _by_residue(m: int, classes) -> Callable[[np.ndarray], np.ndarray]:
-    """Classifier mapping a prime p to classes[p % m]."""
-    lut = np.array(classes, dtype=np.uint8)
-    return lambda p: lut[p % m]
-
-
 _DIVISORS_690 = tuple(d for d in range(1, 691) if 690 % d == 0)
-
-
-def _order_class(p: np.ndarray) -> np.ndarray:
-    """Class j when the order of p mod 691 is _DIVISORS_690[j]; the last class is p = 691."""
-    lut = np.searchsorted(_DIVISORS_690, pr.order_table_691()).astype(np.uint8)
-    lut[0] = len(_DIVISORS_690)
-    return lut[p % 691]
+# The class of r mod 691: the index of its order in _DIVISORS_690; the last class is p = 691.
+_ORDER_CLASSES = (len(_DIVISORS_690),) + tuple(
+    _DIVISORS_690.index(int(nu)) for nu in pr.order_table_691()[1:]
+)
+# The classes mod 23: p = 23 (P23), (p|23) = -1 (S1), (p|23) = 1 (S2, less S3)
+_WILTON_RESIDUES = tuple(3 if r == 0 else 0 if pr.kronecker_symbol(r, 23) == -1 else 1 for r in range(23))
 
 
 def _order_factor(nu: int) -> tuple:
@@ -152,10 +164,10 @@ CASES: dict[str, CaseSpec] = {
     for c in [
         CaseSpec("q2", Fraction(0), Fraction(1), 2, "2 does not divide tau(n)",
                  # classes: p = 2, odd p
-                 classify=_by_residue(2, [0, 1]), m0=(M_ALWAYS, 2)),
+                 residues=(0, 1), m0=(M_ALWAYS, 2)),
         CaseSpec("q3", Fraction(1, 2), Fraction(1, 2), 3, "3 does not divide tau(n)",
                  # classes: p = 3, p = 2 (3), p = 1 (3)
-                 classify=_by_residue(3, [0, 2, 1]), m0=(M_ALWAYS, 2, 3),
+                 residues=(0, 2, 1), m0=(M_ALWAYS, 2, 3),
                  euler=EulerFactorization(
                      # chi_-3 = chi^1 mod 3
                      n=2, modulus=3, l_exponents=((1, 1),), finite=((3, ((1, 1),)),),
@@ -165,21 +177,23 @@ CASES: dict[str, CaseSpec] = {
                      classes=((), ((-3, 2),), ((-2, 3),)), zeta2=-2)),
         CaseSpec("q5", Fraction(3, 4), Fraction(1, 4), 5, "5 does not divide tau(n)",
                  # classes: p = 5, p = 1 (5), p = +-2 (5), p = 4 (5)
-                 classify=_by_residue(5, [0, 1, 2, 2, 3]), m0=(M_ALWAYS, 5, 4, 2),
+                 residues=(0, 1, 2, 2, 3), m0=(M_ALWAYS, 5, 4, 2),
                  euler=EulerFactorization(
                      # chi_c = chi^1 mod 5 (chi_c(2) = i, with its conjugate), chi_5 = chi^2
                      n=4, modulus=5, l_exponents=((1, 1), (2, -1)), finite=((5, ((3, 1),)),),
                      classes=((), ((4, 4), (-4, 5)), ((4, 3), (-2, 2), (-3, 4)), ((-2, 2),)))),
         CaseSpec("q7", Fraction(1, 2), Fraction(1, 2), 7, "7 does not divide tau(n)",
                  # classes: p = 7, quadratic residues mod 7, non-residues
-                 classify=_by_residue(7, [0, 1, 1, 2, 1, 2, 2]), m0=(M_ALWAYS, 7, 2),
+                 residues=(0, 1, 1, 2, 1, 2, 2), m0=(M_ALWAYS, 7, 2),
                  euler=EulerFactorization(
                      # chi_-7 = chi^3 mod 7
                      n=2, modulus=7, l_exponents=((3, 1),), finite=((7, ((1, 1),)),),
                      classes=((), ((2, 6), (-2, 7)), ((-1, 2),)))),
         CaseSpec("q23", Fraction(1, 2), Fraction(1, 2), 23, "23 does not divide tau(n)",
-                 # classes: the Wilton classes S1, S2, S3, P23 (primes module)
-                 classify=pr.wilton_classes, m0=(2, 3, 23, M_NEVER),
+                 # classes: the Wilton classes S1, S2, S3, P23 (primes module); S3 is
+                 # carved out of S2's residues
+                 residues=_WILTON_RESIDUES, classify=pr.wilton_classes, carved=((2, 1),),
+                 m0=(2, 3, 23, M_NEVER),
                  euler=EulerFactorization(
                      # chi_-23 = chi^11 mod 23
                      n=2, modulus=23, l_exponents=((11, 1),), finite=((23, ((-1, 1),)),),
@@ -190,7 +204,7 @@ CASES: dict[str, CaseSpec] = {
                  # even j, j = 1..689: the pairs j, 690 - j are conjugate, and j = 345 is
                  # the real quadratic character.  The local factors are the four residual
                  # products that the paper's formula (constants.b691_approx) leaves out.
-                 classify=_order_class,
+                 residues=_ORDER_CLASSES,
                  m0=tuple(691 if d == 1 else d for d in _DIVISORS_690) + (M_NEVER,),
                  euler=EulerFactorization(
                      n=690, modulus=691,
@@ -199,13 +213,13 @@ CASES: dict[str, CaseSpec] = {
                      classes=tuple(_order_factor(d) for d in _DIVISORS_690) + ((),))),
         CaseSpec("two_squares", Fraction(1, 2), Fraction(1, 2), None, "n is a sum of two squares",
                  # classes: p = 2 or p = 1 (4), p = 3 (4)
-                 classify=_by_residue(4, [0, 0, 0, 1]), m0=(M_NEVER, 2),
+                 residues=(0, 0, 0, 1), m0=(M_NEVER, 2),
                  euler=EulerFactorization(
                      # chi_-4 = chi^1 mod 4
                      n=2, modulus=4, l_exponents=((1, 1),), finite=((2, ((-1, 1),)),),
                      classes=((), ((-1, 2),)))),
         CaseSpec("ones", Fraction(1), Fraction(0), None, "constant function 1",
-                 classify=_by_residue(1, [0]), m0=(M_NEVER,)),
+                 residues=(0,), m0=(M_NEVER,)),
     ]
 }
 

@@ -256,16 +256,15 @@ def mult_order(p: int, m: int = 691):
 
 @lru_cache(maxsize=2)
 def order_table_691() -> np.ndarray:
-    """orders[r] = multiplicative order of r mod 691 (0 at r = 0)."""
-    divisors = sorted(
-        d for d in range(1, 691) if 690 % d == 0
-    )
+    """orders[r] = multiplicative order of r mod 691 (0 at r = 0).
+
+    3 generates (Z/691Z)^*, and 3^a has order 690/gcd(a, 690).
+    """
     orders = np.zeros(691, dtype=np.int64)
-    for r in range(1, 691):
-        for d in divisors:
-            if pow(r, d, 691) == 1:
-                orders[r] = d
-                break
+    x = 1
+    for a in range(690):
+        orders[x] = 690 // math.gcd(a, 690)
+        x = x * 3 % 691
     orders.flags.writeable = False
     return orders
 

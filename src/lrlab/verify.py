@@ -253,9 +253,9 @@ def _check_q691(row_b) -> list[CheckResult]:
 # Criterion 4 / 5: explicit constants
 # ---------------------------------------------------------------------------
 
-def _check_q3_forms(q3_report, cutoff: int) -> list[CheckResult]:
+def _check_q3_forms(q3_report) -> list[CheckResult]:
     rewrite = q3_report.b_f
-    direct = co.q3_direct_b(cutoff)
+    direct = co.q3_direct_b()
     out = [
         _res(
             "q3/B-rewrite",
@@ -448,7 +448,7 @@ def run_checks(
     if "q691" in wanted:
         results.extend(_check_q691(by_case["q691"].b_f))
     if "q3" in wanted:
-        results.extend(_check_q3_forms(by_case["q3"], prime_cutoff))
+        results.extend(_check_q3_forms(by_case["q3"]))
     results.extend(_check_first_order(by_case))
     if heavy:
         results.extend(x for x in _check_oracles() if x.case in wanted)

@@ -22,9 +22,10 @@ from lrlab.constants import (
     verdict,
 )
 from lrlab.errors import PreconditionError, UnsupportedCaseError
-from lrlab.lseries import l_derivative_at_1, prime_tail_bound
+from lrlab.lseries import l_derivative_at_1
 from lrlab.multfn import get_case
-from lrlab.primes import euler_phi, sieve_primes
+from lrlab.primes import euler_phi
+from mobius_reference import reference
 
 CUTOFF = 10**6  # module tests run at 1e6; the acceptance suite runs 1e7
 
@@ -65,7 +66,7 @@ class TestAssemblies:
             assert abs(h6 - r.b_f.value) <= 2e-3, tag
 
     def test_q3_forms_agree(self, reports):
-        direct = q3_direct_b(CUTOFF)
+        direct = q3_direct_b()
         assert direct.agrees_with(reports["q3"].b_f)
 
     def test_q23_flag(self, reports):
@@ -115,38 +116,25 @@ class TestB691:
         # first 1381 term is included: log(1381)/(1381^2 - 1)
         assert share > math.log(1381) / (1381**2 - 1) / 2
 
-    def test_omitted_products_without_float_exceptions(self):
+    def test_omitted_products_without_float_exceptions(self, q691_row):
         # p^690 overflows binary64 for every p = 1 (mod 691), and p^(-690)
         # underflows; neither may be computed
-        cutoff = 20000
         spec = get_case("q691")
         with np.errstate(all="raise"):
-            row = constants._b_from_euler(spec, spec.euler, cutoff)
+            row = constants._b_from_euler(spec, spec.euler, 7481)
             b = b691_approx()
-        # the four residual products in 30-digit arithmetic, within the
-        # rounding shares of the budgets (the tail beyond the cutoff is not summed)
-        exact = mp.mpf(0)
+        assert row.value == q691_row.value  # no class of q691 depends on the cutoff
+        # the four residual products, -(1/690) sum over the order classes of
+        # c a sum_p log p/(p^a - 1), against 30-digit class sums
+        share, bound = mp.mpf(0), 0.0
         with mp.workdps(30):
-            for p in sieve_primes(cutoff).primes.tolist():
-                if p == 691:
-                    continue
-                nu = min(d for d in range(1, 691) if 690 % d == 0 and pow(p, d, 691) == 1)
-                lp, p = mp.log(p), mp.mpf(p)
-                if nu == 2:
-                    exact += lp / (p**2 - 1)
-                if nu == 1:
-                    exact += -690 * lp / (p**690 - 1) + 691 * lp / (p**691 - 1)
-                if nu >= 4 and nu % 2 == 0:
-                    exact += lp / (p ** (nu // 2) - p ** (-(nu // 2)))
-                if nu >= 3:
-                    exact += -(nu - 1) * lp / (p ** (nu - 1) - 1) + nu * lp / (p**nu - 1)
-        tails = math.fsum(
-            abs(c * a) * prime_tail_bound(a, float(cutoff))
-            for factor in spec.euler.classes
-            for c, a in factor
-        ) / spec.euler.n
-        rounding = row.budget - tails + b.budget
-        assert abs(row.value - b.value - float(exact)) <= rounding
+            for j, factor in enumerate(spec.euler.classes):
+                for c, a in factor:
+                    ref, ref_bound = reference(691, spec.class_residues(j), a)
+                    share -= mp.mpf(c * a) / 690 * ref
+                    bound += abs(c * a) / 690 * ref_bound
+            err = abs(mp.mpf(row.value) - mp.mpf(b.value) - share) + bound
+        assert err <= row.budget + b.budget
 
     def test_omitted_products_tail_soundness(self, reports, q691_row):
         v6 = reports["q691"].b_f
@@ -169,25 +157,9 @@ class TestLRatios:
 
 class TestFirstOrder:
     def test_landau_K(self):
-        k = landau_ramanujan_K(CUTOFF)
+        k = landau_ramanujan_K()
         assert k.value == pytest.approx(0.764, abs=5e-4)
         assert k.value == pytest.approx(0.76422365358922, abs=1e-6)
-
-    def test_one_factor_truncation(self):
-        # only p = 3 contributes below 5: (1/sqrt2) (1 - 1/9)^(-1/2) = 0.75
-        k = landau_ramanujan_K(4)
-        assert k.value == pytest.approx(0.75, abs=1e-12)
-
-    def test_doubling_cutoff_within_budget(self):
-        k1 = landau_ramanujan_K(10**6)
-        k2 = landau_ramanujan_K(2 * 10**6)
-        assert abs(k1.value - k2.value) <= k1.budget
-
-    def test_first_order_q5_two_cutoffs(self):
-        c6 = first_order_C5(10**6)
-        c7 = first_order_C5(10**7)
-        assert abs(c6.value - c7.value) <= c6.budget + c7.budget
-        assert c7.value == pytest.approx(0.8932162, abs=1e-5)
 
     def test_empty_product_prefactor(self):
         # D over no primes leaves C = (4/(5 Gamma(3/4))) (pi^2/(2 sqrt5 log((3+sqrt5)/2)))^(1/4);
@@ -195,7 +167,7 @@ class TestFirstOrder:
         pref = (4.0 / (5.0 * math.gamma(0.75))) * (
             math.pi**2 / (2.0 * math.sqrt(5.0) * math.log((3.0 + math.sqrt(5.0)) / 2.0))
         ) ** 0.25
-        c = first_order_C5(CUTOFF)
+        c = first_order_C5()
         d_alone = c.value / pref
 
         from lrlab.primes import sieve_primes

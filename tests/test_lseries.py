@@ -1,5 +1,6 @@
 import functools
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -17,11 +18,11 @@ from lrlab.lseries import (
     euler_gamma_value,
     gamma_k,
     l_derivative_at_1,
-    l_series_truncated,
+    l_value,
     prime_log_sum,
     prime_tail_bound,
     zeta_log_derivative_at_2,
-    zeta_real,
+    zeta_value,
 )
 from lrlab.primes import sieve_primes
 
@@ -59,7 +60,8 @@ class TestValueWithBudget:
         assert (a + b).budget == pytest.approx(0.3)
         assert (a - b).value == -1.0
         assert (2.0 * a).budget == pytest.approx(0.2)
-        assert (a + 1.0).budget == a.budget
+        # a plain operand is exact; the sum's own rounding is one ulp of 3
+        assert a.budget < (a + 1.0).budget <= a.budget + 2 * math.ulp(3.0)
 
     def test_product_quotient_bounds(self):
         a = ValueWithBudget(2.0, 0.1)
@@ -225,7 +227,7 @@ class TestPrimeLogSum:
 
     def test_all_primes_k2_matches_zeta(self):
         s = prime_log_sum(None, 2, 10**6)
-        z = zeta_log_derivative_at_2(10**6)
+        z = zeta_log_derivative_at_2()
         assert abs(s.value - (-z.value)) <= s.budget + z.budget
         assert s.value == pytest.approx(0.569961, abs=2e-6)
 
@@ -274,24 +276,64 @@ class TestPrimeLogSum:
 
 class TestZetaLogDerivative:
     def test_value_against_reference(self):
-        ref = float(mp.zeta(2, derivative=1) / mp.zeta(2))
-        z = zeta_log_derivative_at_2(10**7)
-        assert abs(z.value - ref) <= 1e-9
+        ref = mp.zeta(2, derivative=1) / mp.zeta(2)
+        z = zeta_log_derivative_at_2()
         assert abs(z.value - ref) <= z.budget
-        assert z.budget <= 5e-9
-
-    def test_budget_decreases_with_depth(self):
-        assert zeta_log_derivative_at_2(10**7).budget < zeta_log_derivative_at_2(10**6).budget
+        # no theta interval: the budget is rounding only
+        assert z.budget <= 1e-14
 
     def test_zeta_real(self):
-        assert zeta_real(2.0).value == pytest.approx(math.pi**2 / 6, abs=1e-13)
-        assert zeta_real(3.0).value == pytest.approx(float(mp.zeta(3)), abs=1e-13)
+        assert abs(zeta_value(2.0).value - mp.pi**2 / 6) <= zeta_value(2.0).budget
+        assert abs(zeta_value(3.0).value - mp.zeta(3)) <= zeta_value(3.0).budget
 
-    def test_l_series_truncated(self):
+
+class TestDirichletSeries:
+    """zeta(s) and L(s, chi) at real s > 1 from the Euler-Maclaurin kernel."""
+
+    @pytest.mark.parametrize("s", [2, 3, 4, 2.5, 7])
+    def test_zeta_values(self, s):
+        for k in (0, 1, 2):
+            v = zeta_value(s, k)
+            assert abs(v.value - mp.zeta(s, 1, k)) <= v.budget, (s, k)
+            assert v.budget <= 1e-14
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 7, 23])
+    def test_l_values_within_budget(self, m):
+        # every character, principal included, at s = 2 and 3: L^(k)(s, chi) =
+        # sum_r chi(r) d^k/ds^k [m^-s zeta(s, r/m)], from Hurwitz zeta values
+        for s in (2, 3):
+            hz = [(mp.zeta(s, mp.mpf(r) / m), mp.zeta(s, mp.mpf(r) / m, 1)) for r in range(1, m)]
+            terms = [
+                [z / mp.mpf(m) ** s for z, _ in hz],
+                [(dz - mp.log(m) * z) / mp.mpf(m) ** s for z, dz in hz],
+            ]
+            for chi in character_group(m):
+                for k in (0, 1):
+                    ours = l_value(chi, s, k)
+                    ref = mp.fsum(complex(chi(r)) * t for r, t in enumerate(terms[k], 1))
+                    assert abs(ours.value - ref) <= ours.budget, (m, chi.label, s, k)
+
+    def test_l_value_at_2_matches_quadratic_reference(self):
         chi = kronecker_character(-3)
-        v = l_series_truncated(chi, 2.0, 10**5)
-        ref = float(l_reference_at_2(3, [0, 1, -1]))
-        assert abs(v.value.real - ref) <= v.budget
+        v = l_value(chi, 2.0)
+        ref = l_reference_at_2(3, [0, 1, -1])
+        assert abs(v.value - ref) <= v.budget
+
+    def test_remainder_sign_check_for_series(self):
+        # d^16/du^16 [log u u^-s] = u^(-s-16) (s)_16 (log u - sum_{l<16} 1/(s + l)):
+        # one sign from u = exp(sum 1/(s + l)) on
+        for s in (2, 3, Fraction(5, 2)):
+            start = mp.exp(mp.fsum(mp.mpf(1) / (s + mp.mpf(l)) for l in range(16)))
+            assert _em_start(1, s) == int(mp.ceil(start)), s
+        assert _em_start(0, 2) == 1  # u^-s: every derivative of one sign
+        assert _direct_terms(691, 1, 2) == 40
+
+    def test_order_and_domain(self):
+        for s in (1, 0.5, math.inf, math.nan):
+            with pytest.raises(PreconditionError):
+                zeta_value(s)
+        with pytest.raises(InvalidArgumentError):
+            zeta_value(2, GAMMA_K_MAX + 1)
 
 
 def l_reference_at_2(m, chi_values):

@@ -1,0 +1,210 @@
+"""Prime sums over residue classes and the constants built on them.
+
+Soundness: against 30-digit values of the same Moebius formula built
+independently in mpmath (mobius_reference).  |computed - true| <= budget,
+with the reference's own error bound counted against the budget: no slack.
+Cross-check: every class sum of the six cases against the sieve route to
+1e7 with its theta tail.  Floating point: B_f, K and the q5 constant raise
+no overflow, underflow or invalid operation.
+"""
+
+import math
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+from lrlab import constants, lseries
+from lrlab.constants import first_order_C5, landau_ramanujan_K
+from lrlab.errors import InvalidArgumentError, PreconditionError
+from lrlab.lseries import prime_class_sum, prime_log_sum, zeta_log_derivative_at_2
+from lrlab.multfn import TABLE_CASES, class_index, get_case
+from lrlab.primes import sieve_primes
+from mobius_reference import reference
+
+SIEVE = 10**7
+
+
+def assert_within(v, ref, ref_bound, what):
+    """|v - ref| + ref_bound <= v.budget, the difference taken in 30 digits."""
+    with mp.workdps(30):
+        err = abs(mp.mpf(v.value) - ref) + ref_bound
+        assert err <= v.budget, (what, v, float(err))
+
+
+def residue_classes(tag):
+    """(class j, its residues, exponents a) of every class of the case that is a union of residue classes."""
+    spec = get_case(tag)
+    carved = dict(spec.carved)
+    for j in range(len(spec.m0)):
+        if j in carved:
+            continue
+        exps = {a for euler in (spec.euler, spec.b_euler) if euler for _, a in euler.classes[j]}
+        exps |= {a for i, h in spec.carved if h == j for _, a in spec.euler.classes[i]}
+        if exps:
+            yield j, spec.class_residues(j), sorted(exps)
+
+
+class TestSoundness:
+    @pytest.mark.parametrize("m", [3, 4, 5, 7, 23])
+    def test_every_residue(self, m):
+        # sum_{p = r} log p p^-2 and sum_{p = r} p^-2, every residue
+        for r in range(m):
+            for derivative in (0, 1):
+                v = prime_class_sum(m, [r], 2, derivative, powers=False)
+                assert_within(v, *reference(m, [r], 2, derivative, powers=False), (m, r, derivative))
+
+    @pytest.mark.parametrize("tag", ["two_squares", "q3", "q5", "q7", "q23"])
+    def test_case_classes(self, tag):
+        # sum_{p in class} log p/(p^a - 1) for every exponent of the class's local factors
+        m = len(get_case(tag).residues)
+        for j, residues, exps in residue_classes(tag):
+            for a in exps:
+                v = prime_class_sum(m, residues, a)
+                assert_within(v, *reference(m, residues, a), (tag, j, a))
+
+    def test_mod_691(self):
+        # the class nu = 2 (p = -1 mod 691) and a spread of residues, one per order class
+        nu2 = prime_class_sum(691, [690], 2)
+        assert_within(nu2, *reference(691, [690], 2), "nu = 2")
+        for r in (1, 2, 3, 5, 6, 100, 345, 346, 500, 689):
+            v = prime_class_sum(691, [r], 2, powers=False)
+            assert_within(v, *reference(691, [r], 2, powers=False), r)
+
+    def test_zeta_log_derivative(self):
+        z = zeta_log_derivative_at_2()
+        with mp.workdps(30):
+            assert_within(z, mp.zeta(2, derivative=1) / mp.zeta(2), 0, "zeta'/zeta(2)")
+        assert z.budget < 1e-14
+
+    def test_landau_K_within_budget(self):
+        # log K = -log(2)/2 + (1/2) sum_{p = 3 (4)} -log(1 - p^-2)
+        ref, bound = reference(4, [3], 2, derivative=0)
+        with mp.workdps(30):
+            k_ref = mp.exp(-mp.log(2) / 2 + ref / 2)
+            bound = float(k_ref * mp.expm1(bound / 2))
+        k = landau_ramanujan_K()
+        assert_within(k, k_ref, bound, "K")
+        assert k.budget < 1e-14
+
+    def test_q5_constant_within_budget(self):
+        # C = (4/(5 Gamma(3/4))) (pi^2/(2 sqrt5 log((3+sqrt5)/2)))^(1/4) D, with
+        # log D = -sum over the classes of c times sum_p -log(1 - p^-a)
+        log_d, bound = mp.mpf(0), 0.0
+        for residues, factor in constants._D5_FACTORS:
+            for c, a in factor:
+                ref, b = reference(5, residues, a, derivative=0)
+                log_d -= c * ref
+                bound += abs(c) * b
+        with mp.workdps(30):
+            pref = 4 / (5 * mp.gamma(0.75)) * (mp.pi**2 / (2 * mp.sqrt(5) * mp.log((3 + mp.sqrt(5)) / 2))) ** 0.25
+            c_ref = pref * mp.exp(log_d)
+            bound = float(c_ref * mp.expm1(bound))
+        c5 = first_order_C5()
+        assert_within(c5, c_ref, bound, "C5")
+        assert c5.budget < 1e-13
+
+
+class TestSieveCrossCheck:
+    @pytest.mark.parametrize("tag", TABLE_CASES)
+    def test_every_class_sum(self, tag):
+        # each class sum of the case table agrees with the sieve to 1e7 plus its theta tail
+        spec = get_case(tag)
+        idx = class_index(spec, SIEVE)
+        for euler in filter(None, (spec.euler, spec.b_euler)):
+            for j, factor in enumerate(euler.classes):
+                for _, a in factor:
+                    new = constants._class_sum(spec, j, a, SIEVE)
+                    sieve = prime_log_sum(idx == j, a, SIEVE)
+                    assert abs(new.value - sieve.value) <= new.budget + sieve.budget, (tag, j, a)
+
+    @pytest.mark.parametrize("a", [2, 3])
+    def test_q23_s3_intervals_nest(self, a):
+        # S3's sum lies in [sieve to x, sieve to x + rest of (p|23) = 1 past x]:
+        # a deeper cutoff gives an interval inside the shallower one
+        wide = constants._carved_sum("q23", 2, a, 10**6)
+        deep = constants._carved_sum("q23", 2, a, SIEVE)
+        assert wide.value - wide.budget <= deep.value - deep.budget
+        assert deep.value + deep.budget <= wide.value + wide.budget
+        assert deep.budget < wide.budget
+
+    def test_zeta_log_derivative(self):
+        # -zeta'/zeta(2) = sum_p log p/(p^2 - 1)
+        z = zeta_log_derivative_at_2()
+        sieve = prime_log_sum(None, 2, SIEVE)
+        assert abs(-z.value - sieve.value) <= z.budget + sieve.budget
+
+
+def _clear_caches():
+    """Drop every cached L-value, class sum and constant, so the next call recomputes them."""
+    for module in (lseries, constants):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear") and obj.__module__ == module.__name__:
+                obj.cache_clear()
+
+
+class TestFloatExceptions:
+    @pytest.mark.parametrize("cutoff", [10**7, 7481])
+    def test_constants_without_float_exceptions(self, cutoff):
+        # q691's local factors reach p^-691, which underflows for every p >= 3;
+        # no overflow, underflow or invalid operation may occur anywhere
+        _clear_caches()
+        try:
+            with np.errstate(all="raise"):
+                for tag in TABLE_CASES:
+                    spec = get_case(tag)
+                    constants._b_from_euler(spec, spec.b_euler or spec.euler, cutoff)
+                constants._b_from_euler(get_case("q3"), get_case("q3").euler, cutoff)
+                landau_ramanujan_K()
+                first_order_C5()
+        finally:
+            _clear_caches()
+
+
+class TestPrimeClassSum:
+    @pytest.mark.parametrize("tag", TABLE_CASES)
+    def test_classes_are_unions_of_residue_classes(self, tag):
+        # the premise of the exact class sums: a prime's class is its residue's,
+        # except that a carved class takes primes only from its hull's residues
+        spec = get_case(tag)
+        primes = sieve_primes(10**5).primes
+        by_residue = np.array(spec.residues)[primes % len(spec.residues)]
+        idx = class_index(spec, 10**5).astype(np.int64)
+        carved = dict(spec.carved)
+        hull = np.array([carved.get(j, j) for j in range(len(spec.m0))])[idx]
+        assert np.array_equal(hull, by_residue)
+        assert set(carved) <= set(idx.tolist())
+
+    def test_budgets_are_rounding_except_q23(self):
+        # q23's budget is its S3 tail past the sieve cutoff; the other rows' are rounding
+        for tag in TABLE_CASES:
+            b = constants.second_order_constant(tag).b_f
+            assert b.budget < (1e-7 if tag == "q23" else 1e-12), (tag, b.budget)
+
+    def test_union_of_all_classes_is_every_prime(self):
+        total = prime_class_sum(5, range(5), 2)
+        z = zeta_log_derivative_at_2()
+        assert abs(total.value + z.value) <= total.budget + z.budget
+
+    def test_empty_and_non_unit_residues(self):
+        assert prime_class_sum(4, [0], 2).value == 0.0
+        assert prime_class_sum(4, [2], 2).value == pytest.approx(math.log(2) / 3, rel=1e-15)
+        p691 = prime_class_sum(691, [0], 3)
+        assert p691.value == pytest.approx(math.log(691) / (691**3 - 1), rel=1e-15)
+
+    def test_bad_arguments(self):
+        with pytest.raises(InvalidArgumentError):
+            prime_class_sum(11, [1], 2)
+        with pytest.raises(InvalidArgumentError):
+            prime_class_sum(5, [1], 2, derivative=2)
+        with pytest.raises(PreconditionError):
+            prime_class_sum(5, [1], 1.5)
+
+    def test_remainder_is_explicit(self):
+        # no L-values past SIGMA_MAX: the class sum there is the direct part plus a bound
+        a = lseries.SIGMA_MAX + 1
+        v = prime_class_sum(7, [1, 2, 4], a)
+        primes = sieve_primes(lseries.MOBIUS_P).primes.tolist()
+        direct = math.fsum(math.log(p) / (p**a - 1) for p in primes if p % 7 in (1, 2, 4))
+        assert v.value == pytest.approx(direct, rel=1e-15)
+        assert lseries._mobius_remainder(lseries.SIGMA_MAX + 1, 0) < 1e-20
