@@ -161,6 +161,45 @@ class TestFirstOrder:
         assert k.value == pytest.approx(0.764, abs=5e-4)
         assert k.value == pytest.approx(0.76422365358922, abs=1e-6)
 
+    def test_one_factor_truncation(self):
+        # only p = 3 contributes below 5: (1/sqrt2) (1 - 1/9)^(-1/2) = 0.75; the
+        # factors over 7 <= p <= 1e5 come from a direct product, and those past 1e5
+        # raise it by exp(t), 0 <= t <= (1/2) sum_{n > 1e5} 1/(n^2 - 1) <= 1/(2 1e5)
+        k = landau_ramanujan_K()
+        one = 2.0**-0.5 * (1.0 - 1.0 / 9.0) ** -0.5
+        assert one == pytest.approx(0.75, abs=1e-15)
+
+        from lrlab.primes import sieve_primes
+
+        p = sieve_primes(10**5).primes.astype(np.float64)
+        p = p[(p >= 7) & (p % 4 == 3)]
+        rest = math.exp(-0.5 * math.fsum(np.log1p(-(p**-2.0)).tolist()))
+        lo, hi = 0.75 * rest, 0.75 * rest * math.exp(0.5e-5)
+        # the direct product is good to 1e-13 relative (fsum of logs off by 1 ulp each)
+        assert lo * (1 - 1e-13) - k.budget <= k.value <= hi * (1 + 1e-13) + k.budget
+
+    def test_doubling_cutoff_within_budget(self):
+        # products truncated at x and 2x: K_x <= K_2x <= K <= K_x exp(1/(2x)),
+        # the last from (1/2) sum_{n > x} 1/(n^2 - 1) <= 1/(2x); K's budget is
+        # far below either tail
+        k = landau_ramanujan_K()
+
+        from lrlab.primes import sieve_primes
+
+        p = sieve_primes(2 * 10**6).primes.astype(np.float64)
+        p = p[p % 4 == 3]
+
+        def truncated(x):
+            q = p[p <= x]
+            return 2.0**-0.5 * math.exp(-0.5 * math.fsum(np.log1p(-(q**-2.0)).tolist()))
+
+        k1, k2 = truncated(10**6), truncated(2 * 10**6)
+        assert k1 < k2
+        for x, kx in ((10**6, k1), (2 * 10**6, k2)):
+            assert kx * (1 - 1e-13) <= k.value + k.budget
+            assert k.value - k.budget <= kx * math.exp(0.5 / x) * (1 + 1e-13)
+        assert k.budget < (k2 - k1) / 100
+
     def test_empty_product_prefactor(self):
         # D over no primes leaves C = (4/(5 Gamma(3/4))) (pi^2/(2 sqrt5 log((3+sqrt5)/2)))^(1/4);
         # dividing it back out must recover D, cross-checked by a direct product
