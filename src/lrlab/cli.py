@@ -10,10 +10,11 @@ Subcommands:
     count     the counting function for one case
     verify    run the verification gate (exit 0 iff everything passes)
 
-Every numeric output carries its error budget.  Output is deterministic:
-fixed 10-significant-digit formatting, ordered reductions, no
-locale-dependent pieces.  Exit codes: 0 success, 1 a failed verify check,
-2 argument/usage error, 3 computational precondition failure.
+Every subcommand but verify prints text or, with --format json, JSON;
+table1 also prints csv.  Every numeric output carries its error budget.
+Output is deterministic: fixed 10-significant-digit formatting, ordered
+reductions, no locale-dependent pieces.  Exit codes: 0 success, 1 a failed
+verify check, 2 argument/usage error, 3 computational precondition failure.
 """
 
 from __future__ import annotations
@@ -97,16 +98,16 @@ def _print_report_text(r: co.ConstantReport) -> None:
 
 def _cmd_table1(args) -> int:
     cases = args.case or None
-    reports = co.table1(args.prime_limit, tuple(args.hf_checkpoints), cases)
+    reports = co.table1(args.prime_limit, cases)
     if args.format == "json":
         print(json.dumps([_report_dict(r) for r in reports], indent=2))
         return EXIT_OK
     if args.format == "csv":
         print("case,H_1e5,H_1e6,B_f,B_f_budget,C2,C2_ramanujan,verdict")
         for r in reports:
-            h = {x: v.value for x, v in r.h_checkpoints}
+            h5, h6 = (v.value for _, v in r.h_checkpoints)
             print(
-                f"{r.case},{h.get(10**5, float('nan')):.10g},{h.get(10**6, float('nan')):.10g},"
+                f"{r.case},{h5:.10g},{h6:.10g},"
                 f"{r.b_f.value:.10g},{r.b_f.budget:.10g},{r.c2.value:.10g},"
                 f"{r.c2_ramanujan},{r.verdict}"
             )
@@ -117,9 +118,7 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_constant(args) -> int:
-    report = co.verdict(
-        co.second_order_constant(args.case, args.prime_limit, tuple(args.hf_checkpoints))
-    )
+    report = co.verdict(co.second_order_constant(args.case, args.prime_limit))
     if args.format == "json":
         print(json.dumps(_report_dict(report), indent=2))
     else:
@@ -206,13 +205,6 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _checkpoints(text: str) -> list[float]:
-    try:
-        return [float(t) for t in text.split(",") if t]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad checkpoint list {text!r}") from exc
-
-
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors are one line on stderr (exit 2)."""
 
@@ -237,8 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_cutoff=True):
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    def common(p, formats=("text", "json"), with_cutoff=False):
+        if formats:
+            p.add_argument("--format", choices=formats, default="text")
         if with_cutoff:
             p.add_argument(
                 "--prime-limit", type=int, default=10**7, dest="prime_limit",
@@ -246,51 +239,49 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     p = sub.add_parser("table1", help="six-case summary table")
-    common(p)
+    common(p, ("text", "json", "csv"), with_cutoff=True)
     p.add_argument("--case", action="append", choices=mu.TABLE_CASES, help="restrict to a case (repeatable)")
-    p.add_argument("--hf-checkpoints", type=_checkpoints, default=[10**5, 10**6], dest="hf_checkpoints")
     p.set_defaults(func=_cmd_table1)
 
     p = sub.add_parser("constant", help="one case's constants")
-    common(p)
+    common(p, with_cutoff=True)
     p.add_argument("--case", required=True, choices=mu.TABLE_CASES)
-    p.add_argument("--hf-checkpoints", type=_checkpoints, default=[10**5, 10**6], dest="hf_checkpoints")
     p.set_defaults(func=_cmd_constant)
 
     p = sub.add_parser("lvalue", help="L^(k)(1, chi_c^j mod m)")
-    common(p, with_cutoff=False)
+    common(p)
     p.add_argument("--modulus", type=int, required=True)
     p.add_argument("--index", type=int, required=True, help="character index j (chi = chi_c^j)")
     p.add_argument("--derivative", type=int, default=0)
     p.set_defaults(func=_cmd_lvalue)
 
     p = sub.add_parser("gammak", help="generalized Euler constant gamma_k(r, m)")
-    common(p, with_cutoff=False)
+    common(p)
     p.add_argument("--modulus", type=int, required=True)
     p.add_argument("--residue", type=int, required=True)
     p.add_argument("--k", type=int, default=0)
     p.set_defaults(func=_cmd_gammak)
 
     p = sub.add_parser("hf", help="H_f(x) for one case")
-    common(p, with_cutoff=False)
+    common(p)
     p.add_argument("--case", required=True, choices=sorted(mu.CASES))
     p.add_argument("--x", type=_finite_float, required=True)
     p.set_defaults(func=_cmd_hf)
 
     p = sub.add_parser("tau", help="tau(n), exact or mod q")
-    common(p, with_cutoff=False)
+    common(p)
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--mod", type=int, default=None, choices=(2, 3, 5, 7, 23, 691))
     p.set_defaults(func=_cmd_tau)
 
     p = sub.add_parser("count", help="counting function for one case")
-    common(p, with_cutoff=False)
+    common(p)
     p.add_argument("--case", required=True, choices=sorted(mu.CASES))
     p.add_argument("--x", type=int, required=True)
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("verify", help="verification gate")
-    common(p)
+    common(p, formats=(), with_cutoff=True)
     p.add_argument("--case", default="all", choices=("all",) + ALL_CASES)
     p.set_defaults(func=_cmd_verify)
 

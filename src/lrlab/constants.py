@@ -59,10 +59,9 @@ from .characters import generator_character
 from .errors import ConsistencyError, PreconditionError, ResourceLimitError, UnsupportedCaseError
 from .lseries import (
     _EPS,
-    _gamma_batch,
+    _l_table,
     MOBIUS_P,
     SIGMA_MAX,
-    character_dft,
     class_primes,
     euler_gamma_value,
     l_derivative_at_1,
@@ -102,6 +101,9 @@ TABLE1_PRINTED = {
     "q23": (-0.217, -0.217, -0.2166, 0.6083, Fraction(1, 2)),
 }
 
+# The x at which every report evaluates H_f, as in the printed table.
+HF_CHECKPOINTS = (10**5, 10**6)
+
 
 @dataclass(frozen=True)
 class ConstantReport:
@@ -123,23 +125,15 @@ class ConstantReport:
 
 @lru_cache(maxsize=16)
 def _l_ratios(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """L'/L(1, chi^j) and budgets for j = 0..phi(m)-1 (chi(g) = exp(2 pi i/phi)).
-
-    L^(k)(1, chi^j) = (-1)^k sum_r chi^j(r) gamma_k(r, m) is one inverse DFT
-    per derivative order (lseries.character_dft).  The principal j = 0 has
-    no L-value and holds nan.
-    """
-    l0, bud_l0 = character_dft(m, *_gamma_batch(m, 0))
-    l1, bud_l1 = character_dft(m, *_gamma_batch(m, 1))
+    """L'/L(1, chi^j) and budgets for j = 0..phi(m)-1 (chi(g) = exp(2 pi i/phi)),
+    from lseries' DFT table at s = 1.  The principal j = 0 has no L-value
+    and holds nan."""
+    l0, bud_l0, l1, bud_l1 = _l_table(m, 1)
     ratios = -l1 / l0
     rb = (bud_l1 + np.abs(ratios) * bud_l0) / (np.abs(l0) - bud_l0)
     ratios[0] = rb[0] = np.nan
     ratios.flags.writeable = rb.flags.writeable = False
     return ratios, rb
-
-
-def _real(v: ValueWithBudget) -> ValueWithBudget:
-    return ValueWithBudget(v.value.real if isinstance(v.value, complex) else v.value, v.budget)
 
 
 def _scaled(coef, v):
@@ -255,8 +249,8 @@ def b691_approx() -> ValueWithBudget:
     return (
         math.log(691.0) / 690.0**2
         - (689.0 / 690.0) * g
-        - _real(odd) / 690.0
-        + _real(even) / 690.0
+        - odd.real / 690.0
+        + even.real / 690.0
     )
 
 
@@ -295,8 +289,8 @@ def first_order_C5() -> ValueWithBudget:
     chi_c = generator_character(5, 2, 1)
     chi_5 = generator_character(5, 2, 2)
     l_c = l_derivative_at_1(chi_c, 0)
-    l_pair = _real(l_c * l_c.conjugate())
-    l_5 = _real(l_derivative_at_1(chi_5, 0))
+    l_pair = (l_c * l_c.conjugate()).real
+    l_5 = l_derivative_at_1(chi_5, 0).real
     inner = 64.0 * l_pair / (125.0 * l_5)
     quarter = _vwb_pow(inner, 0.25)
     gamma34 = math.gamma(0.75)
@@ -329,12 +323,8 @@ def _vwb_pow(v: ValueWithBudget, a: float) -> ValueWithBudget:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=32)
-def second_order_constant(
-    case: str,
-    prime_cutoff: int = 10**7,
-    hf_checkpoints: tuple = (10**5, 10**6),
-) -> ConstantReport:
-    """Assemble B_f, C_2 = (1 - tau)(1 + B_f), and H_f checkpoints for a case.
+def second_order_constant(case: str, prime_cutoff: int = 10**7) -> ConstantReport:
+    """Assemble B_f, C_2 = (1 - tau)(1 + B_f), and H_f at the printed checkpoints for a case.
 
     ``prime_cutoff`` is the sieve limit for q23's S3 sums; every case checks
     it against the same range, 7481 to the sieve's desk limit.
@@ -351,7 +341,7 @@ def second_order_constant(
     b = _b_from_euler(spec, spec.b_euler or spec.euler, int(prime_cutoff))
     c2 = float(1 - spec.tau) * (1.0 + b)
 
-    checkpoints = tuple((int(x), h_f(spec, float(x))) for x in hf_checkpoints)
+    checkpoints = tuple((x, h_f(spec, float(x))) for x in HF_CHECKPOINTS)
 
     first_order = None
     lambda_c2 = None
@@ -404,17 +394,10 @@ def verdict(report: ConstantReport) -> ConstantReport:
     return replace(report, verdict=v)
 
 
-def table1(
-    prime_cutoff: int = 10**7,
-    hf_checkpoints: tuple = (10**5, 10**6),
-    cases=None,
-) -> list[ConstantReport]:
+def table1(prime_cutoff: int = 10**7, cases=None) -> list[ConstantReport]:
     """The six-row summary: one verdict-carrying report per case."""
     tags = list(cases) if cases else list(TABLE_CASES)
     for t in tags:
         if t not in TABLE_CASES:
             raise UnsupportedCaseError(f"{t!r} is not a summary-table case")
-    return [
-        verdict(second_order_constant(t, int(prime_cutoff), tuple(hf_checkpoints)))
-        for t in tags
-    ]
+    return [verdict(second_order_constant(t, int(prime_cutoff))) for t in tags]

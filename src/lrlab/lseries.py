@@ -7,10 +7,9 @@ residues r = 1..m at once, one Euler-Maclaurin batch gives
                                     - log^(k+1) x / (m (k+1)) },
     s > 1:  H_k(r, m, s) = sum_{n>=1, n=r (m)} log^k n n^(-s).
 
-With g(t) = log^k u u^(-s) at u = r + t m, the first T terms (t < T) are
-summed directly per residue (exactly rounded at s = 1, by compensated
-summation within 2 ulps at s > 1), and the rest by Euler-Maclaurin at
-U = r + T m:
+With g(t) = log^k u u^(-s) at u = r + t m, the first T = 40 terms
+(t < T) are summed directly per residue (by compensated summation, within
+2 ulps), and the rest by Euler-Maclaurin at U = r + T m:
 
     sum_{t>=T} g(t) = I + g(T)/2 - sum_{j=1}^{K} B_2j/(2j)! g^(2j-1)(T) + R,   K = 7,
 
@@ -18,18 +17,12 @@ where I = (1/m) int_U^oo log^k u u^(-s) du for s > 1, and
 I = -log^(k+1) U/(m (k+1)) takes the place of the divergent integral at
 s = 1.  Every derivative is m^i d^i/du^i [log^k u u^(-s)] = m^i P_i(log u)
 / u^(s+i) with a polynomial P_i whose coefficients are exact (integers for
-integer s).  Where g^(2K+2) has one sign on [T, oo), |R| is at most twice
-the first omitted term, 2 |B_16|/16! |g^(15)(T)|.  That sign condition is
-checked in exact arithmetic: P_16 is Taylor-shifted to a rational
-L0 <= log U, and no sign change among its coefficients leaves no root past
-L0 (Descartes' rule).  U_k(s) is the smallest u that passes, and
-T = max(40, ceil((U_k - 1)/m)).  At s = 1, U_k is 104 for k = 2 and 3.7e6
-for k = 12; for the weight log u u^(-s) the condition reads
-log u >= sum_{l<16} 1/(s + l), so U_1(2) = 12, and u^(-s) passes
-everywhere.  GAMMA_K_MAX is the largest k with U_k(1) <= 1e7, the most terms
-one batch sums.  With T >= 40 the remainder is below 1e-22 (2e-26 for
-k <= 2 at s = 1), so the rest of the budget is rounding: a few ulps of the
-summed magnitudes.  For a character chi mod m,
+integer s).  The remainder needs no sign condition (DLMF 2.10(i); T. M.
+Apostol, Amer. Math. Monthly 106, 1999): |R| <= |B_14|/14! int_T^oo |g^(14)|,
+which with |P_14| <= sum_j |a_j| log^j u is in closed form (as is I at
+s > 1).  For k <= GAMMA_K_MAX = 12 and m <= 691 it is below 1.1e-13 (1.1e-22
+for k <= 2 at s = 1): the budget is a few ulps of the summed magnitudes.
+For a character chi mod m,
 
     L^(k)(1, chi) = (-1)^k sum_{r=1}^{m} chi(r) gamma_k(r, m)   (chi non-principal),
     L^(k)(s, chi) = (-1)^k sum_{r=1}^{m} chi(r) H_k(r, m, s)      (s > 1),
@@ -120,15 +113,16 @@ THETA_X_MIN = 7481
 # Progression sums: generalized Euler constants and Dirichlet series
 # ---------------------------------------------------------------------------
 
-# B_2j/(2j)! for j = 1..K+1 (B_2j = p/q, each quotient correctly rounded):
-# K = 7 Euler-Maclaurin corrections and the first omitted one
-_BERNOULLI_2J = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510))
+# B_2j/(2j)! for the K = 7 Euler-Maclaurin corrections (B_2j = p/q, each
+# quotient correctly rounded); the last one also scales the remainder bound
+_BERNOULLI_2J = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6))
 _EM_COEFFS = tuple(p / (q * math.factorial(2 * j)) for j, (p, q) in enumerate(_BERNOULLI_2J, 1))
-_EM_TERMS = len(_EM_COEFFS) - 1
-_DIRECT_MIN = 40  # direct terms per residue class, at least
-# One batch sums at most this many terms; it caps the modulus at 2.5e5 and,
-# through U_k, the derivative order.
+_EM_ORDER = 2 * len(_EM_COEFFS)  # 2K = 14, the derivative order in the remainder
+_DIRECT = 40  # direct terms per residue class
+# One batch sums at most this many terms, which caps the modulus at 2.5e5.
 _BATCH_MAX = 10**7
+# Derivative orders served: 0..12.  gamma_12(0, 1)'s budget is already 1e-4 of its value.
+GAMMA_K_MAX = 12
 
 
 def _exact(s):
@@ -150,68 +144,32 @@ def _log_poly_deriv_coeffs(k: int, order: int, s=1) -> list:
     return a
 
 
-def _remainder_one_signed(k: int, u: int, s=1) -> bool:
-    """True if d^(2K+2)/du^(2K+2) [log^k u u^(-s)] has one sign on [u, oo).
-
-    Its polynomial P(L) = sum_j a_j L^j is Taylor-shifted to a rational
-    L0 = l0 / 2^20 <= log u; when the coefficients of P(L0 + y) show no
-    sign change, P has no root y > 0 (Descartes' rule of signs).  With
-    L = (l0 + z) / 2^20, 2^(20k) P is a polynomial in z with exact
-    coefficients whose signs are those in y, so the shift is exact.
-    """
-    a = _log_poly_deriv_coeffs(k, 2 * _EM_TERMS + 2, s)
-    c = [x * (1 << (20 * (k - j))) for j, x in enumerate(a)]
-    l0 = math.floor(math.log(u) * 2**20) - 1
-    for i in range(k):
-        for j in range(k - 1, i - 1, -1):
-            c[j] += l0 * c[j + 1]
-    signs = [x > 0 for x in c if x]
-    return all(signs) or not any(signs)
-
-
-# The largest k such that the check passes at u = 1e7 for every order up to k.
-GAMMA_K_MAX = next(k for k in itertools.count() if not _remainder_one_signed(k + 1, _BATCH_MAX))
-
-
-@lru_cache(maxsize=256)
-def _em_start(k: int, s=1) -> int:
-    """U_k(s): the smallest u >= 1 from which the remainder check passes.
-
-    The check is monotone in u: shifting coefficients of one sign further
-    right keeps them of one sign.  Doubling finds a u that passes (the check
-    passes at 1e7 for k <= GAMMA_K_MAX), bisection the smallest.
-    """
-    lo, hi = 0, 1
-    while hi < _BATCH_MAX and not _remainder_one_signed(k, hi, s):
-        lo, hi = hi, min(2 * hi, _BATCH_MAX)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _remainder_one_signed(k, mid, s):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _direct_terms(m: int, k: int, s=1) -> int:
-    """T: at least 40 terms per residue, and U = r + T m >= U_k(s) for every r >= 1."""
-    return max(_DIRECT_MIN, -(-(_em_start(k, s) - 1) // m))
-
-
-@lru_cache(maxsize=1024)
-def _deriv_coeff_array(k: int, order: int, s) -> np.ndarray:
-    a = np.array(_log_poly_deriv_coeffs(k, order, s), dtype=np.float64)
-    a.flags.writeable = False
-    return a
+def _log_power_integral(u: np.ndarray, lnu: np.ndarray, j: int, sigma: float) -> np.ndarray:
+    """int_U^oo log^j u u^(-sigma) du
+    = U^(1-sigma) sum_{i<=j} j!/(j-i)! log^(j-i) U/(sigma-1)^(i+1), sigma > 1."""
+    poly = sum(math.perm(j, i) * lnu ** (j - i) / (sigma - 1.0) ** (i + 1) for i in range(j + 1))
+    return poly * u ** (1.0 - sigma)
 
 
 def _g_derivative(u: np.ndarray, lnu: np.ndarray, k: int, order: int, m: int, s=1):
     """d^order/dt^order of log^k(r + t m) (r + t m)^(-s) at r + t m = u, and
     the same with every polynomial coefficient replaced by its absolute value."""
-    a = _deriv_coeff_array(k, order, s)
+    a = np.array(_log_poly_deriv_coeffs(k, order, s), dtype=np.float64)
     scale = (m / u) ** order / u ** float(s)
     poly = np.polynomial.polynomial.polyval
     return poly(lnu, a) * scale, poly(lnu, np.abs(a)) * scale
+
+
+def _em_remainder_bound(u: np.ndarray, lnu: np.ndarray, k: int, m: int, s=1) -> np.ndarray:
+    """|R| <= |B_14|/14! int_T^oo |g^(14)(t)| dt for the tail at U = r + T m >= 1
+    (the periodic Bernoulli function is at most |B_14|), which with
+    h^(14)(u) = sum_j a_j log^j u u^(-s-14) is at most
+    |B_14|/14! m^13 sum_j |a_j| int_U^oo log^j u u^(-s-14) du; the factor
+    1.01 covers the rounding of the bound itself."""
+    a = _log_poly_deriv_coeffs(k, _EM_ORDER, s)
+    sigma = float(s) + _EM_ORDER
+    tail = sum(abs(float(x)) * _log_power_integral(u, lnu, j, sigma) for j, x in enumerate(a) if x)
+    return 1.01 * abs(_EM_COEFFS[-1]) * float(m) ** (_EM_ORDER - 1) * tail
 
 
 def _row_sums(w: np.ndarray) -> np.ndarray:
@@ -230,42 +188,35 @@ def _row_sums(w: np.ndarray) -> np.ndarray:
 def _em_sums(m: int, k: int, s) -> tuple[np.ndarray, np.ndarray]:
     """gamma_k(r, m) (s = 1) or H_k(r, m, s) (s > 1), and budgets, for r = 1..m
     (r = m is the zero class)."""
-    direct = _direct_terms(m, k, s)
-    if m * direct > _BATCH_MAX:
+    if m * _DIRECT > _BATCH_MAX:
         what = f"gamma_{k}" if s == 1 else f"log^{k} n n^-{s}"
         raise ResourceLimitError(
-            f"a {what} batch mod {m} needs {m * direct:.4g} terms, more than {_BATCH_MAX:.0e}"
+            f"a {what} batch mod {m} needs {m * _DIRECT:.4g} terms, more than {_BATCH_MAX:.0e}"
         )
     sf = float(s)
     r = np.arange(1, m + 1, dtype=np.float64)
-    n = r[:, None] + m * np.arange(direct, dtype=np.float64)
+    n = r[:, None] + m * np.arange(_DIRECT, dtype=np.float64)
     w = np.log(n) ** k / n**sf if k else 1.0 / n**sf
-    # exactly rounded at s = 1, which keeps the gamma_k batches bit for bit;
-    # vectorized within 2 ulps at s > 1
-    total = np.array([csum(row) for row in w]) if s == 1 else _row_sums(w)
-    u = r + direct * m
+    total = _row_sums(w)
+    u = r + _DIRECT * m
     lnu = np.log(u)
     if s == 1:
         integral = -(lnu ** (k + 1)) / (m * (k + 1))
     else:
-        # (1/m) int_U^oo log^k u u^(-s) du = U^(1-s)/m sum_i k!/(k-i)! log^(k-i) U/(s-1)^(i+1)
-        poly = sum(math.perm(k, i) * lnu ** (k - i) / (sf - 1.0) ** (i + 1) for i in range(k + 1))
-        integral = poly * u ** (1.0 - sf) / m
+        integral = _log_power_integral(u, lnu, k, sf) / m
     g0 = lnu**k / u**sf
     vals = total + integral + 0.5 * g0
     absum = total + np.abs(integral) + 0.5 * g0  # total and g0 are nonnegative
-    for j, coef in enumerate(_EM_COEFFS[:_EM_TERMS], 1):
+    for j, coef in enumerate(_EM_COEFFS, 1):
         g, g_abs = _g_derivative(u, lnu, k, 2 * j - 1, m, s)
         vals -= coef * g
         absum += abs(coef) * g_abs
-    # g^(2K+2) has one sign on [U, oo), so the remainder is at most twice the
-    # first omitted term.  Rounding, with log and powers good to one ulp: the
-    # summands, the integral term and g0 are off by at most k + 3 ulps (k + 1
-    # from the log and its power, the power of n or U, the divisions, the row
-    # sum), the corrections (below 1% of the total) by 2k + 10, and the
-    # additions that form vals by 8 ulps of |vals|.
-    g = _g_derivative(u, lnu, k, 2 * _EM_TERMS + 1, m, s)[0]
-    buds = 2.0 * abs(_EM_COEFFS[-1] * g) + _EPS * ((k + 3) * absum + 8.0 * np.abs(vals))
+    # Rounding, with log and powers good to one ulp: the summands, the
+    # integral term and g0 are off by at most k + 3 ulps (k + 1 from the log
+    # and its power, the power of n or U, the divisions, the row sum), the
+    # corrections (below 1% of the total) by 2k + 10, and the additions that
+    # form vals by 8 ulps of |vals|.
+    buds = _em_remainder_bound(u, lnu, k, m, s) + _EPS * ((k + 3) * absum + 8.0 * np.abs(vals))
     vals.flags.writeable = False
     buds.flags.writeable = False
     return vals, buds
@@ -440,9 +391,12 @@ def _mobius(n: int) -> int:
 
 @lru_cache(maxsize=128)
 def _l_table(m: int, s) -> tuple:
-    """L(s, chi^j) and -L'(s, chi^j) for j = 0..phi-1, each with one budget."""
-    l0, b0 = character_dft(m, *_series_batch(m, 0, s))
-    l1, b1 = character_dft(m, *_series_batch(m, 1, s))
+    """L(s, chi^j) and -L'(s, chi^j) for j = 0..phi-1, each with one budget,
+    at s = 1 (from the gamma_k batches; the principal j = 0 entries are then
+    not L-values) or at an exact s > 1."""
+    (l0, b0), (l1, b1) = (
+        character_dft(m, *(_gamma_batch(m, k) if s == 1 else _series_batch(m, k, s))) for k in (0, 1)
+    )
     return l0, b0, l1, b1
 
 

@@ -427,11 +427,7 @@ def _check_verdicts(reports) -> list[CheckResult]:
     return out
 
 
-def run_checks(
-    cases=None,
-    prime_cutoff: int = 10**7,
-    heavy: bool = True,
-) -> list[CheckResult]:
+def run_checks(cases=None, prime_cutoff: int = 10**7) -> list[CheckResult]:
     """Run the verification suite, optionally filtered to some case tags."""
     wanted = set(cases) if cases else set(ALL_CASES)
     table_tags = [t for t in mu.TABLE_CASES if t in wanted]
@@ -439,7 +435,7 @@ def run_checks(
 
     reports = []
     if table_tags:
-        reports = co.table1(prime_cutoff, (10**5, 10**6), cases=table_tags)
+        reports = co.table1(prime_cutoff, cases=table_tags)
         for r in reports:
             results.extend(_check_table_row(r))
     if {"q5", "q7", "q23"} & wanted:
@@ -450,8 +446,7 @@ def run_checks(
     if "q3" in wanted:
         results.extend(_check_q3_forms(by_case["q3"]))
     results.extend(_check_first_order(by_case))
-    if heavy:
-        results.extend(x for x in _check_oracles() if x.case in wanted)
-        results.extend(x for x in _check_identities() if x.case in wanted)
+    results.extend(x for x in _check_oracles() if x.case in wanted)
+    results.extend(x for x in _check_identities() if x.case in wanted)
     results.extend(x for x in _check_verdicts(reports) if x.case in wanted)
     return results

@@ -46,6 +46,13 @@ class TestBasicCommands:
         payload = json.loads(out)
         assert set(payload["gamma"]) == {"value", "budget"}
 
+    def test_gammak_highest_order_budget(self, capsys):
+        # gamma_12 is about 1.7e-4
+        assert GAMMA_K_MAX == 12
+        code, out, _ = run_cli(capsys, "gammak", "--modulus", "1", "--residue", "0", "--k", "12")
+        assert code == 0
+        assert float(out.split(" ± ")[1]) < 1e-7
+
     def test_lvalue(self, capsys):
         code, out, _ = run_cli(
             capsys, "lvalue", "--modulus", "5", "--index", "1", "--derivative", "1"
@@ -171,14 +178,28 @@ class TestExitCodes:
         assert code == 0
         assert "PASS" in out and "FAIL" not in out
 
+    def test_removed_checkpoint_flag_is_a_usage_error(self, capsys):
+        # the H_f checkpoints are the printed table's 1e5 and 1e6; the flag is
+        # refused before any B_f work
+        for value in ("nan", "inf"):
+            code, out, err = run_cli(capsys, "constant", "--case", "q5", "--hf-checkpoints", value)
+            assert code == 2, value
+            assert out == "" and len(err.strip().splitlines()) == 1 and "error:" in err, value
+
+    def test_csv_only_where_it_is_printed(self, capsys):
+        code, out, err = run_cli(capsys, "lvalue", "--modulus", "5", "--index", "1", "--format", "csv")
+        assert code == 2
+        assert out == "" and len(err.strip().splitlines()) == 1 and "error:" in err
+        assert run_cli(capsys, "verify", "--case", "q2", "--format", "json")[0] == 2
+
 
 
 HOSTILE = ("0", "-1", "nan", "inf", "1e400", "", "abc", str(10**12), str(10**30))
-FORMATS = ("text", "json", "csv")
+FORMATS = ("text", "json")
 # Small valid values per flag; () marks a flag that only takes hostile values,
 # so table1, constant and verify are refused before any full-size work starts.
 COMMANDS = {
-    "table1": {"--prime-limit": (), "--format": FORMATS},
+    "table1": {"--prime-limit": (), "--format": FORMATS + ("csv",)},
     "constant": {"--case": TABLE_CASES, "--prime-limit": (), "--format": FORMATS},
     "verify": {"--case": ("all", *TABLE_CASES), "--prime-limit": ()},
     "lvalue": {

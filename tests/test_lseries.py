@@ -1,6 +1,5 @@
 import functools
 import math
-from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -11,9 +10,7 @@ from lrlab.characters import character_group, generator_character, kronecker_cha
 from lrlab.errors import InvalidArgumentError, PreconditionError
 from lrlab.lseries import (
     GAMMA_K_MAX,
-    _direct_terms,
-    _em_start,
-    _remainder_one_signed,
+    _em_remainder_bound,
     closed_form_l_values,
     euler_gamma_value,
     gamma_k,
@@ -128,21 +125,14 @@ class TestGammaK:
             with pytest.raises(InvalidArgumentError):
                 gamma_k(1, 5, k)
 
-    def test_remainder_sign_check(self):
-        # d^16/du^16 [log^2 u / u] changes sign at u = 103.5, and nowhere past it
-        assert not _remainder_one_signed(2, 100)
-        assert _remainder_one_signed(2, 164)
-        assert _em_start(2) <= 164 and not _remainder_one_signed(2, _em_start(2) - 1)
-        assert all(_remainder_one_signed(k, _em_start(k)) for k in range(GAMMA_K_MAX + 1))
-        assert not _remainder_one_signed(GAMMA_K_MAX + 1, 10**7)
-
-    def test_tail_starts_where_the_sign_check_passes(self):
-        # U = r + T m >= U_k for every residue r >= 1, with no more terms than that needs
-        for m in (1, 2, 3, 23, 691, 5000):
-            for k in range(GAMMA_K_MAX + 1):
-                t = _direct_terms(m, k)
-                assert 1 + t * m >= _em_start(k), (m, k)
-                assert t == 40 or 1 + (t - 1) * m < _em_start(k), (m, k)
+    @pytest.mark.parametrize("k", range(GAMMA_K_MAX + 1))
+    def test_stieltjes_budgets_are_tight(self, k):
+        # a budget means something: small against the constant, and within
+        # 10^3 of the actual error
+        ours = gamma_k(0, 1, k)
+        err = abs(ours.value - mp.stieltjes(k))
+        assert ours.budget <= 1e-3 * abs(ours.value), k
+        assert ours.budget <= 1e3 * err, (k, ours.budget, err)
 
     def test_partition_identity_all_moduli(self):
         g = euler_gamma_value().value
@@ -319,21 +309,56 @@ class TestDirichletSeries:
         ref = l_reference_at_2(3, [0, 1, -1])
         assert abs(v.value - ref) <= v.budget
 
-    def test_remainder_sign_check_for_series(self):
-        # d^16/du^16 [log u u^-s] = u^(-s-16) (s)_16 (log u - sum_{l<16} 1/(s + l)):
-        # one sign from u = exp(sum 1/(s + l)) on
-        for s in (2, 3, Fraction(5, 2)):
-            start = mp.exp(mp.fsum(mp.mpf(1) / (s + mp.mpf(l)) for l in range(16)))
-            assert _em_start(1, s) == int(mp.ceil(start)), s
-        assert _em_start(0, 2) == 1  # u^-s: every derivative of one sign
-        assert _direct_terms(691, 1, 2) == 40
-
     def test_order_and_domain(self):
         for s in (1, 0.5, math.inf, math.nan):
             with pytest.raises(PreconditionError):
                 zeta_value(s)
         with pytest.raises(InvalidArgumentError):
             zeta_value(2, GAMMA_K_MAX + 1)
+
+
+class TestRemainderBound:
+    """The Euler-Maclaurin remainder bound alone, against the true remainder
+    of the same formula (T = 40 direct terms, K = 7 corrections) at 40 digits."""
+
+    T, K = 40, 7
+
+    @classmethod
+    def true_remainder(cls, k, m, r, s):
+        u0 = mp.mpf(r + cls.T * m)
+
+        def h(u):
+            return mp.log(u) ** k * u ** -s
+
+        if s == 1:
+            # the regularized tail sum_{t>=0} h(U + t m) is the Laurent
+            # constant of m^-s zeta(s, U/m), whose series starts at n = U
+            tail = gamma_k_reference(r + cls.T * m, m, k)
+            integral = -mp.log(u0) ** (k + 1) / (m * (k + 1))
+        else:
+            # (-1)^k d^k/ds^k [m^-s zeta(s, U/m)]
+            tail = (-1) ** k * mp.fsum(
+                mp.binomial(k, i) * (-mp.log(m)) ** (k - i) * mp.zeta(s, u0 / m, i) for i in range(k + 1)
+            ) / mp.mpf(m) ** s
+            # int_U^oo log^k u u^-s du = Gamma(k + 1, (s - 1) log U)/(s - 1)^(k + 1)
+            integral = mp.gammainc(k + 1, (s - 1) * mp.log(u0)) / (s - 1) ** (k + 1) / m
+        corrections = mp.fsum(
+            mp.bernoulli(2 * j) / mp.factorial(2 * j) * mp.mpf(m) ** (2 * j - 1) * mp.diff(h, u0, 2 * j - 1)
+            for j in range(1, cls.K + 1)
+        )
+        return tail - (integral + h(u0) / 2 - corrections)
+
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("m", [1, 23])
+    @pytest.mark.parametrize("k", [0, 2, 6, 12])
+    def test_bound_covers_the_true_remainder(self, k, m, s):
+        for r in sorted({1, m}):
+            u = np.array([r + self.T * m], dtype=np.float64)
+            bound = _em_remainder_bound(u, np.log(u), k, m, s)[0]
+            with mp.workdps(40):
+                exact = self.true_remainder(k, m, r, s)
+            assert abs(exact) <= bound, (k, m, r, s, exact, bound)
+            assert bound <= 1e-13
 
 
 def l_reference_at_2(m, chi_values):
