@@ -30,8 +30,8 @@ for d, tag in ((-7, "chi_minus7"), (-23, "chi_minus23")):
     print(f"  L'(1, chi_{d}) = {l_derivative_at_1(chi, 1)}")
 
 print("\nmod 5: the quartic character chi_c (chi_c(2) = i) and chi_5:")
-chi_c = generator_character(5, 2, 1)
-chi_5 = generator_character(5, 2, 2)
+chi_c = generator_character(5, 1)
+chi_5 = generator_character(5, 2)
 rat_c = l_derivative_at_1(chi_c, 1) / l_derivative_at_1(chi_c, 0)
 rat_5 = l_derivative_at_1(chi_5, 1) / l_derivative_at_1(chi_5, 0)
 print("  L'/L(1, chi_c) =", rat_c)

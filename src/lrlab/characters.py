@@ -1,27 +1,30 @@
 """Dirichlet characters for the moduli {3, 4, 5, 7, 23, 691}.
 
-Characters on these (cyclic) unit groups are stored as discrete-log exponent
-tables plus a root-of-unity index: chi(g^a) = exp(2*pi*i * j * a / phi(m))
-for a fixed generator g and character index j.  Powers of a character cost an
-index multiplication, and every value is produced from angle arithmetic at
-full binary64 accuracy rather than by accumulated complex multiplication.
+Every unit group here is cyclic, with the fixed generator g = GENERATORS[m]:
+2 mod 3, 3 mod 4, 2 mod 5, 3 mod 7, 5 mod 23, 3 mod 691.  The generator
+character chi_c has chi_c(g) = exp(2*pi*i/phi(m)), and a character is the
+pair (m, j) standing for chi_c^j, j = 0..phi(m)-1:
+chi_c^j(g^a) = exp(2*pi*i * j * a / phi(m)).  Powers and conjugates are
+index arithmetic, and every value comes from angle arithmetic at full
+binary64 accuracy (quarter turns exactly), never from accumulated complex
+multiplication.
 
-Fixed generators: 2 mod 3, 3 mod 4, 2 mod 5, 3 mod 7, 5 mod 23, 3 mod 691.
 The mod-5 characters of interest are chi_c with chi_c(2) = i (index 1) and
 chi_5 with chi_5(2) = -1 (index 2); mod 691 the generator character has
-chi_c(3) = exp(2*pi*i/690).
+chi_c(3) = exp(2*pi*i/690).  The quadratic character of index phi(m)/2 is
+the Kronecker symbol (D|.) with D = -m.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .primes import euler_phi, kronecker_symbol, multiplicative_order
+from .primes import euler_phi
 
 __all__ = [
     "DirichletCharacter",
@@ -35,119 +38,94 @@ GENERATORS = {3: 2, 4: 3, 5: 2, 7: 3, 23: 5, 691: 3}
 
 _SUPPORTED_KRONECKER = (-3, -4, -7, -23)
 
+# exp(2 pi i q/4) for the quarter turns q = 0..3
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
+
 
 @dataclass(frozen=True)
 class DirichletCharacter:
-    """A Dirichlet character mod m with a full value table.
+    """chi_c^index mod ``modulus`` (module docstring).
 
     ``values[r]`` is chi(r) for r = 0 .. m-1 (zero off the unit group).
     """
 
     modulus: int
-    values: np.ndarray
-    order: int
-    principal: bool
-    label: str
-    _dlog: np.ndarray | None = field(default=None, repr=False)
-    _index: int | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        self.values.flags.writeable = False
+    index: int
 
     def __call__(self, n: int) -> complex:
         return complex(self.values[int(n) % self.modulus])
 
+    @cached_property
+    def values(self) -> np.ndarray:
+        m, phi = self.modulus, euler_phi(self.modulus)
+        dlog = _dlog_table(m)
+        unit = dlog >= 0
+        turns = (self.index * dlog[unit]) % phi  # chi(r) = exp(2 pi i turns/phi)
+        angles = 2.0 * np.pi * turns / phi
+        on_units = np.cos(angles) + 1j * np.sin(angles)
+        quarter = 4 * turns % phi == 0
+        on_units[quarter] = _QUARTER_TURNS[4 * turns[quarter] // phi]
+        values = np.zeros(m, dtype=np.complex128)
+        values[unit] = on_units
+        values.flags.writeable = False
+        return values
+
     @property
-    def parity(self) -> int:
-        """chi(-1), +1 for even characters and -1 for odd ones."""
-        v = self.values[self.modulus - 1] if self.modulus > 2 else self.values[0]
-        return int(round(v.real))
+    def order(self) -> int:
+        phi = euler_phi(self.modulus)
+        return phi // math.gcd(self.index, phi)
+
+    @property
+    def principal(self) -> bool:
+        return self.index == 0
 
     @property
     def is_real(self) -> bool:
-        return bool(np.max(np.abs(self.values.imag)) < 1e-15)
+        return 2 * self.index % euler_phi(self.modulus) == 0
 
-    def power(self, j: int) -> "DirichletCharacter":
-        if self._dlog is None or self._index is None:
-            raise InvalidArgumentError("power() requires a generator-based character")
-        m = self.modulus
-        return generator_character(m, GENERATORS[m], (self._index * j) % euler_phi(m))
+    @property
+    def parity(self) -> int:
+        """chi(-1) = (-1)^j, since -1 = g^(phi/2): +1 for even characters and -1 for odd ones."""
+        return -1 if self.index % 2 else 1
+
+    @property
+    def label(self) -> str:
+        return f"chi_c^{self.index} mod {self.modulus}" if self.index else f"principal mod {self.modulus}"
+
+    def power(self, n: int) -> "DirichletCharacter":
+        return generator_character(self.modulus, self.index * n)
 
     def conjugate(self) -> "DirichletCharacter":
-        if self._dlog is not None and self._index is not None:
-            phi = euler_phi(self.modulus)
-            return generator_character(self.modulus, GENERATORS[self.modulus], (-self._index) % phi)
-        out = DirichletCharacter(
-            self.modulus, self.values.conj(), self.order, self.principal, self.label + "~"
-        )
-        return out
-
-    def same_values(self, other: "DirichletCharacter", tol: float = 1e-12) -> bool:
-        return (
-            self.modulus == other.modulus
-            and bool(np.max(np.abs(self.values - other.values)) <= tol)
-        )
+        return generator_character(self.modulus, -self.index)
 
 
 @lru_cache(maxsize=None)
-def _dlog_table(m: int, g: int) -> tuple:
-    """Discrete logs base g mod m; -1 marks residues off the unit group."""
-    phi = euler_phi(m)
-    if math.gcd(g, m) != 1 or multiplicative_order(g, m) != phi:
-        raise InvalidArgumentError(f"{g} does not generate (Z/{m}Z)^*")
+def _dlog_table(m: int) -> np.ndarray:
+    """Discrete logs base GENERATORS[m] mod m; -1 marks residues off the unit group."""
     dlog = np.full(m, -1, dtype=np.int64)
-    a, x = 0, 1
-    while True:
+    x = 1
+    for a in range(euler_phi(m)):
         dlog[x] = a
-        a += 1
-        x = x * g % m
-        if x == 1:
-            break
-    if a != phi:
-        raise InvalidArgumentError(f"{g} does not generate (Z/{m}Z)^*")
+        x = x * GENERATORS[m] % m
     dlog.flags.writeable = False
-    return (dlog, phi)
+    return dlog
 
 
-@lru_cache(maxsize=None)
-def generator_character(m: int, g: int, root_index: int) -> DirichletCharacter:
-    """Character determined by chi(g) = exp(2*pi*i*root_index/phi(m))."""
-    dlog, phi = _dlog_table(m, g)
-    root_index %= phi
-    values = np.zeros(m, dtype=np.complex128)
-    coprime = dlog >= 0
-    angles = 2.0 * np.pi * ((root_index * dlog[coprime]) % phi) / phi
-    values[coprime] = np.cos(angles) + 1j * np.sin(angles)
-    order = phi // math.gcd(root_index, phi)
-    return DirichletCharacter(
-        modulus=m,
-        values=values,
-        order=order,
-        principal=(root_index == 0),
-        label=f"chi_c^{root_index} mod {m}" if root_index else f"principal mod {m}",
-        _dlog=dlog,
-        _index=root_index,
-    )
+def generator_character(m: int, j: int) -> DirichletCharacter:
+    """chi_c^j mod m, the character with chi(g) = exp(2*pi*i*j/phi(m))."""
+    return character_group(m)[j % euler_phi(m)]
 
 
-@lru_cache(maxsize=None)
 def kronecker_character(D: int) -> DirichletCharacter:
     """The real quadratic character chi_D(n) = (D|n) mod |D| for D in {-3,-4,-7,-23}."""
     if D not in _SUPPORTED_KRONECKER:
         raise InvalidArgumentError(f"unsupported discriminant {D}")
-    m = abs(D)
-    values = np.array(
-        [0] + [kronecker_symbol(D, r) for r in range(1, m)], dtype=np.complex128
-    )
-    return DirichletCharacter(
-        modulus=m, values=values, order=2, principal=False, label=f"chi_{{{D}}}"
-    )
+    return character_group(-D)[euler_phi(-D) // 2]
 
 
 @lru_cache(maxsize=None)
 def character_group(m: int) -> tuple[DirichletCharacter, ...]:
-    """All phi(m) characters mod m as powers of a fixed generator character."""
+    """All phi(m) characters mod m, chi_c^j at position j."""
     if m not in GENERATORS:
         raise InvalidArgumentError(f"unsupported modulus {m}")
-    g = GENERATORS[m]
-    return tuple(generator_character(m, g, j) for j in range(euler_phi(m)))
+    return tuple(DirichletCharacter(m, j) for j in range(euler_phi(m)))

@@ -27,10 +27,11 @@ exact remaining sum over S2's residues (_carved_sum).  For q3 the
 zeta(2s)^-2 rewrite of the factorization is used; the direct form is kept
 as a cross-check (q3_direct_b).
 
-L'/L(1, chi^j) for every character mod m comes from one inverse DFT per
-derivative order (_l_ratios), which serves the 345 characters of q691's
-T(s)^690 factorization as well as the one or two of the other rows.  The
-paper's q691 value leaves out the local factors H of that factorization:
+L'/L(1, chi^j) for every character mod m is read from one table
+(lseries._log_l_table, built from one inverse DFT per derivative order),
+which serves the 345 characters of q691's T(s)^690 factorization as well
+as the one or two of the other rows.  The paper's q691 value leaves out
+the local factors H of that factorization:
   B ~ (log 691)/690^2 - (689/690) gamma
       - (1/690) sum_{j=0}^{344} L'/L(1, chi_c^(2j+1))
       + (1/690) sum_{j=1}^{344} L'/L(1, chi_c^(2j)).
@@ -59,7 +60,7 @@ from .characters import generator_character
 from .errors import ConsistencyError, PreconditionError, ResourceLimitError, UnsupportedCaseError
 from .lseries import (
     _EPS,
-    _l_table,
+    _log_l_table,
     MOBIUS_P,
     SIGMA_MAX,
     class_primes,
@@ -121,19 +122,6 @@ class ConstantReport:
     lambda_c2: ValueWithBudget | None = None  # q3 companion C_2(l) = C_2(t) - log(3)/2
     c2_printed_reference: float | None = None  # q23: the printed 0.6083
     notes: tuple = ()
-
-
-@lru_cache(maxsize=16)
-def _l_ratios(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """L'/L(1, chi^j) and budgets for j = 0..phi(m)-1 (chi(g) = exp(2 pi i/phi)),
-    from lseries' DFT table at s = 1.  The principal j = 0 has no L-value
-    and holds nan."""
-    l0, bud_l0, l1, bud_l1 = _l_table(m, 1)
-    ratios = -l1 / l0
-    rb = (bud_l1 + np.abs(ratios) * bud_l0) / (np.abs(l0) - bud_l0)
-    ratios[0] = rb[0] = np.nan
-    ratios.flags.writeable = rb.flags.writeable = False
-    return ratios, rb
 
 
 def _scaled(coef, v):
@@ -199,10 +187,9 @@ def _b_from_euler(spec, euler, cutoff: int = 10**7) -> ValueWithBudget:
     ``cutoff`` is the sieve limit for carved classes (q23's S3); the other
     class sums are exact.
     """
-    ratios, rb = _l_ratios(euler.modulus)
-    terms = [
-        (w, ValueWithBudget(float(ratios[j].real), float(rb[j]))) for j, w in euler.l_weights()
-    ]
+    # -L'/L(1, chi^j) and budgets
+    y, dy = _log_l_table(euler.modulus, 1, 1)
+    terms = [(w, ValueWithBudget(-float(y[j].real), float(dy[j]))) for j, w in euler.l_weights()]
     if euler.zeta2:
         terms.append((2 * euler.zeta2, zeta_log_derivative_at_2()))
     finite = [c * a * math.log(q) / (q**a - 1.0) for q, factor in euler.finite for c, a in factor]
@@ -228,14 +215,11 @@ def q3_direct_b() -> ValueWithBudget:
 
 def b691_character_sums() -> tuple[ValueWithBudget, ValueWithBudget]:
     """The odd- and even-character sums of L'/L(1, chi_c^j) mod 691."""
-    ratios, rb = _l_ratios(691)
-    odd = ratios[1::2]  # j = 1, 3, ..., 689  (345 terms)
-    even = ratios[2::2]  # j = 2, 4, ..., 688  (344 terms)
-    odd_sum = complex(csum(odd.real), csum(odd.imag))
-    even_sum = complex(csum(even.real), csum(even.imag))
-    return (
-        ValueWithBudget(odd_sum, float(np.sum(rb[1::2]))),
-        ValueWithBudget(even_sum, float(np.sum(rb[2::2]))),
+    y, dy = _log_l_table(691, 1, 1)  # -L'/L(1, chi_c^j)
+    # odd j = 1, 3, ..., 689 (345 terms), even j = 2, 4, ..., 688 (344 terms)
+    return tuple(
+        ValueWithBudget(-complex(csum(y[j::2].real), csum(y[j::2].imag)), float(np.sum(dy[j::2])))
+        for j in (1, 2)
     )
 
 
@@ -286,8 +270,8 @@ def first_order_C5() -> ValueWithBudget:
             log_d = log_d - c * prime_class_sum(5, residues, a, derivative=0)
     d = _exp(log_d)
 
-    chi_c = generator_character(5, 2, 1)
-    chi_5 = generator_character(5, 2, 2)
+    chi_c = generator_character(5, 1)
+    chi_5 = generator_character(5, 2)
     l_c = l_derivative_at_1(chi_c, 0)
     l_pair = (l_c * l_c.conjugate()).real
     l_5 = l_derivative_at_1(chi_5, 0).real

@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .budget import ValueWithBudget, csum
-from .characters import GENERATORS, _dlog_table, generator_character
+from .characters import _dlog_table, generator_character
 from .errors import UnsupportedCaseError
 from .lseries import _EPS, l_value, zeta_value
 from .multfn import M_ALWAYS, M_NEVER, class_index, dirichlet_series_truncated, get_case, zero_periods
@@ -90,7 +90,7 @@ def euler_identity_sides(
         rhs = _times_power(rhs, zeta_value(2.0 * s), euler.zeta2)
     m = euler.modulus
     for j, e in euler.l_exponents:
-        chi = generator_character(m, GENERATORS[m], j)
+        chi = generator_character(m, j)
         l_val = l_value(chi, s)
         rhs = _times_power(rhs, l_val if chi.is_real else l_val * l_val.conjugate(), e)
     for q, factor in euler.finite:
@@ -127,7 +127,7 @@ def local_factor_gap(case, x: float = 0.5, p_limit: int = 10**4) -> float:
         m = euler.modulus
         phi = euler_phi(m)
         j, w = np.array(euler.l_weights()).T
-        dlog = _dlog_table(m, GENERATORS[m])[0][p % m]
+        dlog = _dlog_table(m)[p % m]
         # log |1 - chi^j(p) x| for every (p, j); chi^j(p) = 0 where m | p
         angle = 2.0 * np.pi * ((np.outer(dlog, j) % phi) / phi)
         log_l = 0.5 * np.log1p(x * (x - 2.0 * np.cos(angle)))

@@ -28,7 +28,9 @@ For a character chi mod m,
     L^(k)(s, chi) = (-1)^k sum_{r=1}^{m} chi(r) H_k(r, m, s)      (s > 1),
 
 and one inverse DFT over the discrete-log order of the residues gives them
-for every character mod m at once (character_dft).
+for every character mod m at once: _l_table holds L^(k)(s, chi^j) for all j,
+one table per (m, s, k), and every L-value is read from it.  _log_l_table
+holds -L'/L or log L from it, with a budget per character.
 
 Prime sums over residue classes.  prime_class_sum sums log p/(p^s - 1),
 -log(1 - p^(-s)), log p p^(-s) or p^(-s) over the primes in a union of
@@ -84,7 +86,6 @@ __all__ = [
     "l_derivative_at_1",
     "l_value",
     "zeta_value",
-    "character_dft",
     "closed_form_l_values",
     "prime_class_sum",
     "class_primes",
@@ -268,28 +269,63 @@ def euler_gamma_value() -> ValueWithBudget:
 # L-functions
 # ---------------------------------------------------------------------------
 
-def _character_sum(chi: DirichletCharacter, vals: np.ndarray, buds: np.ndarray, k: int) -> ValueWithBudget:
-    """(-1)^k sum_{r=1}^m chi(r) vals[r-1], with budget."""
-    # chi(r) for r = 1..m; chi(m) = chi(0) = 0 off the unit group
-    cvals = np.concatenate([chi.values[1:], chi.values[:1]])
-    terms = cvals * vals
-    sign = -1.0 if k % 2 else 1.0
-    value = sign * complex(csum(terms.real), csum(terms.imag))
-    absc = np.abs(cvals)
-    budget = float(np.dot(absc, buds)) + _EPS * float(np.sum(np.abs(terms))) * 4.0
-    return ValueWithBudget(value, budget)
+@lru_cache(maxsize=256)
+def _l_table(m: int, s, k: int) -> tuple[np.ndarray, float]:
+    """L^(k)(s, chi^j) for j = 0..phi-1, chi(g) = exp(2 pi i/phi), and one
+    budget for every j: at s = 1 from the gamma_k batch (the principal j = 0
+    entry is then not an L-value), or at an exact s > 1 from the H_k batch.
+
+    With the residues r = g^a ordered by a, sum_r chi^j(r) vals[r-1] is one
+    inverse DFT.  The budget is the batch budgets plus 16 ulps of the summed
+    magnitudes for the transform.
+    """
+    vals, buds = _gamma_batch(m, k) if s == 1 else _series_batch(m, k, s)
+    dlog = _dlog_table(m)[np.arange(1, m + 1) % m]
+    unit = dlog >= 0
+    seq = np.zeros(euler_phi(m))
+    seq[dlog[unit]] = vals[unit]
+    budget = float(np.sum(buds[unit])) + _EPS * float(np.sum(np.abs(seq))) * 16.0
+    table = (-len(seq) if k % 2 else len(seq)) * np.fft.ifft(seq)
+    table.flags.writeable = False
+    return table, budget
+
+
+@lru_cache(maxsize=128)
+def _log_l_table(m: int, s, derivative: int) -> tuple[np.ndarray, np.ndarray]:
+    """-L'/L(s, chi^j) (derivative 1) or log L(s, chi^j) (derivative 0) for
+    j = 0..phi-1, with a budget per j that includes the rounding of the
+    division or the log.  At s = 1 the principal j = 0 holds nan."""
+    l0, b0 = _l_table(m, s, 0)
+    absl = np.abs(l0)
+    if derivative:
+        l1, b1 = _l_table(m, s, 1)
+        y = -l1 / l0
+        dy = (b1 + np.abs(y) * b0) / (absl - b0)
+    else:
+        # the principal branch is the Euler-product log: |log L| <= log zeta(2) < pi
+        y = np.log(l0)
+        dy = -np.log1p(-b0 / absl)
+    dy = dy + 4.0 * _EPS * np.abs(y)  # the division or the log itself
+    if s == 1:
+        y[0] = dy[0] = np.nan
+    y.flags.writeable = dy.flags.writeable = False
+    return y, dy
 
 
 def l_derivative_at_1(chi: DirichletCharacter, k: int = 0) -> ValueWithBudget:
     """L^(k)(1, chi) = (-1)^k sum_{r=1}^m chi(r) gamma_k(r, m), chi non-principal."""
     if chi.principal:
         raise InvalidArgumentError("L(s, chi) diverges at s = 1 for principal chi")
-    return _character_sum(chi, *_gamma_batch(chi.modulus, k), k)
+    table, budget = _l_table(chi.modulus, 1, k)
+    return ValueWithBudget(complex(table[chi.index]), budget)
 
 
 def l_value(chi: DirichletCharacter, s: float, k: int = 0) -> ValueWithBudget:
     """L^(k)(s, chi) = (-1)^k sum_{r=1}^m chi(r) H_k(r, m, s) at real s > 1, any chi."""
-    return _character_sum(chi, *_series_batch(chi.modulus, k, _exact(s)), k)
+    if not s > 1:
+        raise PreconditionError(f"the Dirichlet series need s > 1, got {s}")
+    table, budget = _l_table(chi.modulus, _exact(s), k)
+    return ValueWithBudget(complex(table[chi.index]), budget)
 
 
 def zeta_value(s: float, k: int = 0) -> ValueWithBudget:
@@ -301,28 +337,6 @@ def zeta_value(s: float, k: int = 0) -> ValueWithBudget:
 def zeta_log_derivative_at_2() -> ValueWithBudget:
     """zeta'(2)/zeta(2) = -sum_n log n n^-2 / sum_n n^-2."""
     return zeta_value(2, 1) / zeta_value(2)
-
-
-@lru_cache(maxsize=None)
-def _unit_dlogs(m: int) -> np.ndarray:
-    """Discrete log of r = 1..m base GENERATORS[m]; -1 off the unit group."""
-    return _dlog_table(m, GENERATORS[m])[0][np.arange(1, m + 1) % m]
-
-
-def character_dft(m: int, vals: np.ndarray, buds: np.ndarray) -> tuple[np.ndarray, float]:
-    """sum_{r=1}^m chi^j(r) vals[r-1] for j = 0..phi-1, chi(g) = exp(2 pi i/phi).
-
-    With the residues r = g^a ordered by a this is one inverse DFT.  The
-    budget holds for every j: the input budgets plus 16 ulps of the summed
-    magnitudes for the transform.
-    """
-    dlog = _unit_dlogs(m)
-    unit = dlog >= 0
-    phi = euler_phi(m)
-    seq = np.zeros(phi)
-    seq[dlog[unit]] = vals[unit]
-    budget = float(np.sum(buds[unit])) + _EPS * float(np.sum(np.abs(seq))) * 16.0
-    return phi * np.fft.ifft(seq), budget
 
 
 CLOSED_FORM_TAGS = ("chi5", "chi_minus7", "chi_minus23", "chi_c_pair_mod5")
@@ -389,24 +403,13 @@ def _mobius(n: int) -> int:
     return -result if n > 1 else result
 
 
-@lru_cache(maxsize=128)
-def _l_table(m: int, s) -> tuple:
-    """L(s, chi^j) and -L'(s, chi^j) for j = 0..phi-1, each with one budget,
-    at s = 1 (from the gamma_k batches; the principal j = 0 entries are then
-    not L-values) or at an exact s > 1."""
-    (l0, b0), (l1, b1) = (
-        character_dft(m, *(_gamma_batch(m, k) if s == 1 else _series_batch(m, k, s))) for k in (0, 1)
-    )
-    return l0, b0, l1, b1
-
-
 def _small_power_sums(m: int, s, derivative: int) -> tuple[np.ndarray, float]:
     """Per unit class c, the exactly rounded sum over p <= P, e >= 1 with
     p^e = g^c of p^(-es)/e (derivative 0) or log p p^(-es) (derivative 1),
     for p^(-es) >= e^-64; and a bound for all the powers left out."""
     phi = euler_phi(m)
     p = sieve_primes(MOBIUS_P).primes
-    b = _dlog_table(m, GENERATORS[m])[0][p % m]
+    b = _dlog_table(m)[p % m]
     p, b = p[b >= 0], b[b >= 0]
     pf = p.astype(np.float64)
     lp = np.log(pf)
@@ -441,16 +444,7 @@ def _rough_sums(m: int, s, derivative: int) -> tuple:
     prime powers left in X.
     """
     phi = euler_phi(m)
-    l0, b0, l1, b1 = _l_table(m, s)
-    absl = np.abs(l0)
-    if derivative:
-        y = l1 / l0
-        dy = (b1 + np.abs(y) * b0) / (absl - b0)
-    else:
-        # the principal branch is the Euler-product log: |log L| <= log zeta(2) < pi
-        y = np.log(l0)
-        dy = -np.log1p(-b0 / absl)
-    dy = dy + 4.0 * _EPS * np.abs(y)  # the division or the log itself
+    y, dy = _log_l_table(m, s, derivative)
     full = np.fft.fft(y).real / phi
     small, left = _small_power_sums(m, s, derivative)
     x = full - small
@@ -493,7 +487,7 @@ def _class_sum(m: int, residues: tuple, s, derivative: int, powers: bool) -> Val
     pieces = terms.tolist()
     # each term is off by at most 5 ulps (log, power, subtraction, division)
     budget = 5.0 * _EPS * float(np.sum(terms)) + left
-    dlog = _dlog_table(m, GENERATORS[m])[0][list(residues)]
+    dlog = _dlog_table(m)[list(residues)]
     in_class = np.zeros(phi, dtype=bool)
     in_class[dlog[dlog >= 0]] = True
     n_max = int(SIGMA_MAX // s) if in_class.any() else 0

@@ -48,7 +48,6 @@ __all__ = [
     "cubic_root_exists",
     "cubic_splits",
     "wilton_classes",
-    "wilton_codes",
     "wilton_codes_cubic",
     "order_table_691",
     "S1",
@@ -390,14 +389,7 @@ def wilton_classes(primes) -> np.ndarray:
     return _wilton_codes(p, lambda q: form[q])
 
 
-@lru_cache(maxsize=4)
-def wilton_codes(limit: int) -> np.ndarray:
-    """Wilton class code for each prime <= limit (order matches sieve_primes)."""
-    codes = wilton_classes(sieve_primes(limit).primes)
-    codes.flags.writeable = False
-    return codes
-
-
 def wilton_codes_cubic(limit: int) -> np.ndarray:
-    """The codes of `wilton_codes(limit)`, with S3 decided by `cubic_splits` instead."""
+    """Wilton class code for each prime <= limit (order matches sieve_primes),
+    with S3 decided by `cubic_splits`."""
     return _wilton_codes(sieve_primes(limit).primes, cubic_splits)

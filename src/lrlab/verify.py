@@ -155,8 +155,8 @@ def _check_table_row(report) -> list[CheckResult]:
 
 def _check_l_values() -> list[CheckResult]:
     out = []
-    chi5 = generator_character(5, 2, 2)
-    chic = generator_character(5, 2, 1)
+    chi5 = generator_character(5, 2)
+    chic = generator_character(5, 1)
     r5 = (ls.l_derivative_at_1(chi5, 1) / ls.l_derivative_at_1(chi5, 0)).value
     out.append(
         _res(
@@ -352,9 +352,9 @@ def _check_oracles() -> list[CheckResult]:
         _res("oracle/koppeling", "q3", ok, "sum_{k<=x} l_k = sum_{n<=3x+1} t_n, x <= 2000 (k >= 0)")
     )
 
-    bad = int(np.count_nonzero(pr.wilton_codes_cubic(10**5) != pr.wilton_codes(10**5)))
+    bad = int(np.count_nonzero(pr.wilton_codes_cubic(10**5) != mu.class_index("q23", 10**5)))
     out.append(_res("oracle/wilton-dual", "q23", bad == 0, f"{bad} mismatches over p <= 1e5"))
-    codes6 = pr.wilton_codes(10**6)
+    codes6 = mu.class_index("q23", 10**6)
     n6 = len(codes6)
     freqs = [np.count_nonzero(codes6 == c) / n6 for c in (pr.W_S1, pr.W_S2, pr.W_S3)]
     ok = (

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from lrlab.characters import character_group, generator_character, kronecker_character
+from lrlab.characters import GENERATORS, character_group, generator_character, kronecker_character
 from lrlab.errors import InvalidArgumentError
+from lrlab.primes import euler_phi, kronecker_symbol, multiplicative_order
 
 
 class TestGeneratorCharacter:
     def test_chi_c_mod5_values(self):
         # chi_c(2) = i forces the rest by multiplicativity
-        chi = generator_character(5, 2, 1)
+        chi = generator_character(5, 1)
         assert chi(2) == pytest.approx(1j)
         assert chi(4) == pytest.approx(-1)
         assert chi(3) == pytest.approx(-1j)
@@ -16,14 +17,14 @@ class TestGeneratorCharacter:
         assert chi(0) == 0
 
     def test_chi_5_mod5(self):
-        chi5 = generator_character(5, 2, 2)
+        chi5 = generator_character(5, 2)
         assert chi5(2) == pytest.approx(-1)
         assert chi5.is_real
         # chi_c^2 = chi_5
-        assert generator_character(5, 2, 1).power(2).same_values(chi5)
+        assert generator_character(5, 1).power(2) is chi5
 
     def test_mod691_index_345_is_quadratic(self):
-        chi = generator_character(691, 3, 345)
+        chi = generator_character(691, 345)
         vals = chi.values
         # all values on the unit group are ±1, matching Euler's criterion
         for r in (2, 3, 5, 100, 690):
@@ -32,9 +33,9 @@ class TestGeneratorCharacter:
             assert vals[r].real == pytest.approx(expected)
             assert abs(vals[r].imag) < 1e-12
 
-    def test_non_generator_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            generator_character(7, 2, 1)  # ord(2 mod 7) = 3 != 6
+    def test_generators_have_full_order(self):
+        for m, g in GENERATORS.items():
+            assert multiplicative_order(g, m) == euler_phi(m), m
 
 
 class TestKroneckerCharacter:
@@ -42,6 +43,15 @@ class TestKroneckerCharacter:
         assert kronecker_character(-3)(2) == pytest.approx(-1)  # 2 is a non-residue mod 3
         assert kronecker_character(-4)(3) == pytest.approx(-1)
         assert kronecker_character(-23)(2) == pytest.approx(1)  # -23 = 1 (mod 8)
+
+    def test_values_are_exact(self):
+        for d in (-3, -4, -7, -23):
+            chi = kronecker_character(d)
+            assert chi(0) == 0 and all(chi(r) == kronecker_symbol(d, r) for r in range(1, abs(d))), d
+
+    def test_is_the_quadratic_group_member(self):
+        for d in (-3, -4, -7, -23):
+            assert kronecker_character(d) is character_group(-d)[euler_phi(-d) // 2]
 
     def test_odd_parity(self):
         for d in (-3, -4, -7, -23):
@@ -68,7 +78,7 @@ class TestCharacterGroup:
         group = character_group(7)
         real = [c for c in group[1:] if c.is_real]
         assert len(real) == 1
-        assert real[0].same_values(kronecker_character(-7))
+        assert real[0] is kronecker_character(-7)
 
     def test_orthogonality(self):
         for m in (3, 4, 5, 7, 23, 691):
@@ -89,7 +99,8 @@ class TestCharacterGroup:
         group = character_group(23)
         for chi in group[1:]:
             conj = chi.conjugate()
-            assert any(conj.same_values(other) for other in group)
+            assert conj is group[-chi.index]
+            assert np.max(np.abs(conj.values - chi.values.conj())) <= 1e-15
 
     def test_unsupported_modulus(self):
         with pytest.raises(InvalidArgumentError):
@@ -99,4 +110,4 @@ class TestCharacterGroup:
         group = character_group(691)
         assert character_group(691) is group
         assert isinstance(group, tuple)
-        assert group[-1] is group[689] is generator_character(691, 3, 689)
+        assert group[-1] is group[689] is generator_character(691, 689)

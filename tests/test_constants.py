@@ -7,7 +7,6 @@ import pytest
 
 from lrlab import constants
 from lrlab.budget import ValueWithBudget
-from lrlab.characters import GENERATORS, generator_character
 from lrlab.constants import (
     CLAIM_FALSE,
     INCONCLUSIVE,
@@ -22,10 +21,10 @@ from lrlab.constants import (
     verdict,
 )
 from lrlab.errors import PreconditionError, UnsupportedCaseError
-from lrlab.lseries import l_derivative_at_1
+from lrlab.lseries import _EPS, _log_l_table, gamma_k
 from lrlab.multfn import get_case
-from lrlab.primes import euler_phi
-from mobius_reference import reference
+from mobius_reference import _dlogs, reference
+from test_lseries import l_reference
 
 CUTOFF = 10**6  # module tests run at 1e6; the acceptance suite runs 1e7
 
@@ -144,15 +143,35 @@ class TestB691:
 class TestLRatios:
     @pytest.mark.parametrize("m", [3, 4, 5, 7, 23, 691])
     def test_dft_against_l_derivatives(self, m):
-        ratios, budgets = constants._l_ratios(m)
-        phi = euler_phi(m)
-        # 20 characters mod 691: the two quadratic neighbours, the ends, a spread
-        js = range(1, phi) if m < 691 else sorted({1, 2, 344, 345, 346, 689, *range(5, 690, 50)})
-        for j in js:
-            chi = generator_character(m, GENERATORS[m], j)
-            ref = l_derivative_at_1(chi, 1) / l_derivative_at_1(chi, 0)
-            assert abs(complex(ratios[j]) - ref.value) <= budgets[j] + ref.budget, (m, j)
-        assert np.isnan(ratios[0]), "the principal character has no L'/L(1)"
+        # -L'/L(1, chi^j) from the table against references built here from
+        # exact characters: mpmath's Stieltjes constants for m <= 23 (every
+        # character), and for 691 a direct fsum of chi(r) gamma_k(r, 691) over
+        # 20 characters (the two quadratic neighbours, the ends, a spread)
+        y, dy = _log_l_table(m, 1, 1)
+        assert np.isnan(y[0]), "the principal character has no L'/L(1)"
+        dlog, phi = _dlogs(m)
+        if m < 691:
+            for j in range(1, phi):
+                chi = [mp.expjpi(mp.mpf(2 * j * int(a)) / phi) if a >= 0 else 0 for a in dlog]
+                ref = -l_reference(m, chi, 1) / l_reference(m, chi, 0)
+                assert abs(mp.mpc(complex(y[j])) - ref) <= dy[j], (m, j)
+            return
+        roots = [complex(mp.expjpi(mp.mpf(2 * t) / phi)) for t in range(phi)]
+        units = [r for r in range(1, m) if dlog[r] >= 0]
+        batch = [[gamma_k(r, m, k) for r in units] for k in (0, 1)]
+        for j in sorted({1, 2, 344, 345, 346, 689, *range(5, 690, 50)}):
+            chi = [roots[j * int(dlog[r]) % phi] for r in units]
+            sums = []
+            for g in batch:
+                terms = [c * v.value for c, v in zip(chi, g)]
+                value = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+                # each chi(r) and product is off by an ulp, fsum by half an ulp
+                budget = math.fsum(v.budget for v in g) + 4 * _EPS * math.fsum(abs(v.value) for v in g)
+                sums.append((value, budget))
+            (l0, b0), (l1, b1) = sums  # L(1, chi) and -L'(1, chi)
+            ref = l1 / l0
+            ref_budget = (b1 + abs(ref) * b0) / (abs(l0) - b0) + 4 * _EPS * abs(ref)
+            assert abs(complex(y[j]) - ref) <= dy[j] + ref_budget, (m, j)
 
 
 class TestFirstOrder:

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from lrlab.errors import UnsupportedCaseError
-from lrlab.characters import GENERATORS, generator_character
+from lrlab.characters import generator_character
 from lrlab.identities import euler_identity_sides, local_factor_gap, truncated_T
 from lrlab.multfn import CASES, class_index, dirichlet_series_truncated, f_prime_power, get_case
 from lrlab.primes import sieve_primes
@@ -52,7 +52,7 @@ class TestLocalFactors:
         samples = {int(p): int(j) for j in range(len(spec.m0)) for p in primes[idx == j][:4]}
         assert set(samples.values()) == set(range(len(spec.m0))) and set(finite) <= set(samples)
         m = euler.modulus
-        characters = [(generator_character(m, GENERATORS[m], j), e) for j, e in euler.l_exponents]
+        characters = [(generator_character(m, j), e) for j, e in euler.l_exponents]
         for p, j in samples.items():
             f_p = [f_prime_power(tag, p, k) for k in range(200)]
             for x in (1 / 2, 1 / 3):

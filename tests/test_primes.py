@@ -25,7 +25,7 @@ from lrlab.primes import (
     sieve_primes,
     wilton_class,
     wilton_class_cubic,
-    wilton_codes,
+    wilton_classes,
     wilton_codes_cubic,
 )
 
@@ -195,7 +195,9 @@ class TestWilton:
 
     def test_dual_agreement_to_2e4(self):
         # the full 1e5 agreement runs in the acceptance suite
-        np.testing.assert_array_equal(wilton_codes_cubic(2 * 10**4), wilton_codes(2 * 10**4))
+        np.testing.assert_array_equal(
+            wilton_codes_cubic(2 * 10**4), wilton_classes(sieve_primes(2 * 10**4).primes)
+        )
 
     def test_split_test_matches_scan(self):
         # every prime below 5000 with (p|23) = 1, where the split test is exact
@@ -234,7 +236,7 @@ class TestWilton:
         assert [wilton_class_cubic(int(p)) for p in ps] == labels
 
     def test_vector_codes_match_scalar(self):
-        codes = wilton_codes(10**4)
+        codes = wilton_classes(sieve_primes(10**4).primes)
         for i, p in enumerate(sieve_primes(10**4).primes.tolist()):
             assert WILTON_LABELS[int(codes[i])] == wilton_class(p)
 
