@@ -90,9 +90,14 @@ def csum(terms) -> float:
     return total / (1 << 1075)
 
 
+_ETA = 5e-324  # smallest subnormal: twice the rounding of a product or quotient that underflows
+
+
 def _up(x: float) -> float:
-    """Round a budget upward so float evaluation stays conservative."""
-    return x * (1.0 + 8e-16)
+    """Round a budget upward so float evaluation stays conservative: a relative
+    margin for the roundings in the normal range, and a few subnormal units for
+    the absolute rounding of products and quotients that underflowed."""
+    return x * (1.0 + 8e-16) + 4 * _ETA
 
 
 def _rounding(result, a, b) -> float:
@@ -176,8 +181,9 @@ class ValueWithBudget:
         if isinstance(other, ValueWithBudget):
             if other.budget >= abs(b):
                 return ValueWithBudget(value, math.inf)
-            # |a/b - a'/b'| <= (|Δa| + |a/b||Δb|) / (|b| - |Δb|)
-            bud = (self.budget + abs(value) * other.budget) / (abs(b) - other.budget)
+            # |a/b - a'/b'| <= (|Δa| + |a/b||Δb|) / (|b| - |Δb|); the numerator
+            # is rounded up first, so a small |b| - |Δb| cannot magnify its underflow
+            bud = _up(self.budget + _up(abs(value)) * other.budget) / (abs(b) - other.budget)
         else:
             bud = self.budget / abs(b)
         return _result(value, bud, a, b)
