@@ -35,8 +35,6 @@ from .lseries import (
     l_derivative_at_1,
     l_value,
     prime_class_sum,
-    prime_log_sum,
-    prime_tail_bound,
     zeta_log_derivative_at_2,
     zeta_value,
 )

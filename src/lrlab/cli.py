@@ -98,7 +98,7 @@ def _print_report_text(r: co.ConstantReport) -> None:
 
 def _cmd_table1(args) -> int:
     cases = args.case or None
-    reports = co.table1(args.prime_limit, cases)
+    reports = co.table1(cases)
     if args.format == "json":
         print(json.dumps([_report_dict(r) for r in reports], indent=2))
         return EXIT_OK
@@ -118,7 +118,7 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_constant(args) -> int:
-    report = co.verdict(co.second_order_constant(args.case, args.prime_limit))
+    report = co.verdict(co.second_order_constant(args.case))
     if args.format == "json":
         print(json.dumps(_report_dict(report), indent=2))
     else:
@@ -184,7 +184,7 @@ def _cmd_verify(args) -> int:
     cases = None
     if args.case and args.case != "all":
         cases = [args.case]
-    results = run_checks(cases, args.prime_limit)
+    results = run_checks(cases)
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -229,22 +229,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=("text", "json"), with_cutoff=False):
-        if formats:
-            p.add_argument("--format", choices=formats, default="text")
-        if with_cutoff:
-            p.add_argument(
-                "--prime-limit", type=int, default=10**7, dest="prime_limit",
-                help="sieve cutoff for q23's S3 class sums, 7481..1e8 (every other class sum is exact)",
-            )
+    def common(p, formats=("text", "json")):
+        p.add_argument("--format", choices=formats, default="text")
 
     p = sub.add_parser("table1", help="six-case summary table")
-    common(p, ("text", "json", "csv"), with_cutoff=True)
+    common(p, ("text", "json", "csv"))
     p.add_argument("--case", action="append", choices=mu.TABLE_CASES, help="restrict to a case (repeatable)")
     p.set_defaults(func=_cmd_table1)
 
     p = sub.add_parser("constant", help="one case's constants")
-    common(p, with_cutoff=True)
+    common(p)
     p.add_argument("--case", required=True, choices=mu.TABLE_CASES)
     p.set_defaults(func=_cmd_constant)
 
@@ -281,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("verify", help="verification gate")
-    common(p, formats=(), with_cutoff=True)
     p.add_argument("--case", default="all", choices=("all",) + ALL_CASES)
     p.set_defaults(func=_cmd_verify)
 

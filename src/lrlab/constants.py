@@ -17,13 +17,12 @@ T(s)^n = zeta(s)^(n tau) zeta(2s)^z prod L(s, chi)^e H(s).  Since
                                + sum over the local factors (c, a) of H of
                                  c a sum_p log p/(p^a - 1) ],
 
-where each class of primes is a union of residue classes and its sum is
-exact to rounding (lseries.prime_class_sum: direct below P = 1000, Moebius
-inversion of L-values at s >= 2 above), and zeta'/zeta(2) comes from the
-same Euler-Maclaurin kernel.  The exception is q23's S3, which the Wilton
-test carves out of S2's residues (x^3 - x - 1 splits mod p): its a = 2, 3
-sums are sieved up to the prime cutoff, and the rest lies between 0 and the
-exact remaining sum over S2's residues (_carved_sum).  For q3 the
+where each class sum is exact to rounding: direct below P = 1000, Moebius
+inversion of L-values at s >= 2 above.  A class is a union of residue
+classes (lseries.prime_class_sum), or one of q23's Wilton classes S2 and S3,
+which are Frobenius classes of the Hilbert class field of Q(sqrt(-23))
+(lseries.frobenius_class_sum, through L(s, rho) of eta(z) eta(23z)).
+zeta'/zeta(2) comes from the same Euler-Maclaurin kernel.  For q3 the
 zeta(2s)^-2 rewrite of the factorization is used; the direct form is kept
 as a cross-check (q3_direct_b).
 
@@ -57,21 +56,18 @@ import numpy as np
 
 from .budget import ValueWithBudget, csum
 from .characters import generator_character
-from .errors import ConsistencyError, PreconditionError, ResourceLimitError, UnsupportedCaseError
+from .errors import ConsistencyError, UnsupportedCaseError
 from .lseries import (
     _EPS,
     _log_l_table,
-    MOBIUS_P,
-    SIGMA_MAX,
-    class_primes,
+    _rounded,
     euler_gamma_value,
+    frobenius_class_sum,
     l_derivative_at_1,
     prime_class_sum,
-    prime_partial_sum,
     zeta_log_derivative_at_2,
 )
-from .multfn import TABLE_CASES, class_index, get_case, h_f
-from .primes import PRIME_DESK_LIMIT
+from .multfn import TABLE_CASES, get_case, h_f
 
 __all__ = [
     "ConstantReport",
@@ -129,64 +125,21 @@ def _scaled(coef, v):
     return v if coef == 1 else -v if coef == -1 else coef * v
 
 
-def _rounded(x: float) -> ValueWithBudget:
-    """A float constant from one correctly rounded (or one-ulp) evaluation."""
-    return ValueWithBudget(x, math.ulp(x))
-
-
 def _exp(v: ValueWithBudget) -> ValueWithBudget:
     """exp of a real value: |e^(x + d) - e^x| <= e^x expm1(|d|), plus one ulp."""
     value = math.exp(v.value)
     return ValueWithBudget(value, value * math.expm1(v.budget) * (1.0 + 4.0 * _EPS) + math.ulp(value))
 
 
-@lru_cache(maxsize=16)
-def _class_members(tag: str, j: int, y: int) -> tuple[np.ndarray, np.ndarray]:
-    """The primes of class j up to y and their logs, gathered once for every exponent."""
-    return class_primes(class_index(tag, y) == j, y, 2)
+def _class_sum(spec, j: int, a: int) -> ValueWithBudget:
+    """sum_{p in class j} log p/(p^a - 1), over a Frobenius class or a union of residue classes."""
+    if j in spec.frobenius:
+        return frobenius_class_sum([j], a)
+    return prime_class_sum(len(spec.residues), spec.class_residues(j), a)
 
 
-@lru_cache(maxsize=64)
-def _carved_sum(tag: str, j: int, a: int, cutoff: int) -> ValueWithBudget:
-    """sum_{p in class j} log p/(p^a - 1) for a class the classifier carves
-    out of another class's residues (q23's S3 out of S2's).
-
-    The sieve sums the primes up to y.  Every term is positive and class j
-    lies inside the residues of the class h it is carved from, so the rest
-    of class j lies in [0, t]: t is the exact sum over those residues less
-    the sieved sums of every class they hold.  y is the cutoff where that
-    rest matters (a <= SIGMA_MAX), and P beyond, where t is below 1e-22.
-    """
-    spec = get_case(tag)
-    h = dict(spec.carved)[j]
-    y = cutoff if a <= SIGMA_MAX else MOBIUS_P
-    part = prime_partial_sum(_class_members(tag, j, y), a, y)
-    tail = prime_class_sum(len(spec.residues), spec.class_residues(h), a)
-    for i in [h] + [i for i, g in spec.carved if g == h]:
-        tail = tail - (part if i == j else prime_partial_sum(_class_members(tag, i, y), a, y))
-    half = 0.5 * max(tail.value + tail.budget, 0.0)
-    return (part + half) + ValueWithBudget(0.0, half)
-
-
-def _class_sum(spec, j: int, a: int, cutoff: int) -> ValueWithBudget:
-    """sum_{p in class j} log p/(p^a - 1): exact over residue classes, with a
-    carved class taken out of the class it is carved from."""
-    carved = dict(spec.carved)
-    if j in carved:
-        return _carved_sum(spec.tag, j, a, cutoff)
-    total = prime_class_sum(len(spec.residues), spec.class_residues(j), a)
-    for i, h in spec.carved:
-        if h == j:
-            total = total - _carved_sum(spec.tag, i, a, cutoff)
-    return total
-
-
-def _b_from_euler(spec, euler, cutoff: int = 10**7) -> ValueWithBudget:
-    """B_f from one Euler factorization of T(s)^n (module docstring).
-
-    ``cutoff`` is the sieve limit for carved classes (q23's S3); the other
-    class sums are exact.
-    """
+def _b_from_euler(spec, euler) -> ValueWithBudget:
+    """B_f from one Euler factorization of T(s)^n (module docstring)."""
     # -L'/L(1, chi^j) and budgets
     y, dy = _log_l_table(euler.modulus, 1, 1)
     terms = [(w, ValueWithBudget(-float(y[j].real), float(dy[j]))) for j, w in euler.l_weights()]
@@ -196,7 +149,7 @@ def _b_from_euler(spec, euler, cutoff: int = 10**7) -> ValueWithBudget:
     # each term is off by at most 3 ulps (log, subtraction, division)
     terms.append((1, ValueWithBudget(math.fsum(finite), 4.0 * _EPS * math.fsum(map(abs, finite)))))
     for j, factor in enumerate(euler.classes):
-        terms += [(c * a, _class_sum(spec, j, a, cutoff)) for c, a in factor]
+        terms += [(c * a, _class_sum(spec, j, a)) for c, a in factor]
     n_b = _scaled(-float(euler.n * spec.tau), euler_gamma_value())
     for coef, v in terms:
         n_b = n_b - _scaled(coef, v)
@@ -307,22 +260,14 @@ def _vwb_pow(v: ValueWithBudget, a: float) -> ValueWithBudget:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=32)
-def second_order_constant(case: str, prime_cutoff: int = 10**7) -> ConstantReport:
-    """Assemble B_f, C_2 = (1 - tau)(1 + B_f), and H_f at the printed checkpoints for a case.
-
-    ``prime_cutoff`` is the sieve limit for q23's S3 sums; every case checks
-    it against the same range, 7481 to the sieve's desk limit.
-    """
+def second_order_constant(case: str) -> ConstantReport:
+    """Assemble B_f, C_2 = (1 - tau)(1 + B_f), and H_f at the printed checkpoints for a case."""
     spec = get_case(case)
     tag = spec.tag
     if tag in ("q2", "ones"):
         raise UnsupportedCaseError(f"{tag} has an exact count; no second-order constant")
-    if prime_cutoff < 7481:
-        raise PreconditionError(f"prime_cutoff must be >= 7481, got {prime_cutoff}")
-    if prime_cutoff > PRIME_DESK_LIMIT:
-        raise ResourceLimitError(f"prime sieve desk limit is {PRIME_DESK_LIMIT}, got {prime_cutoff}")
 
-    b = _b_from_euler(spec, spec.b_euler or spec.euler, int(prime_cutoff))
+    b = _b_from_euler(spec, spec.b_euler or spec.euler)
     c2 = float(1 - spec.tau) * (1.0 + b)
 
     checkpoints = tuple((x, h_f(spec, float(x))) for x in HF_CHECKPOINTS)
@@ -378,10 +323,10 @@ def verdict(report: ConstantReport) -> ConstantReport:
     return replace(report, verdict=v)
 
 
-def table1(prime_cutoff: int = 10**7, cases=None) -> list[ConstantReport]:
+def table1(cases=None) -> list[ConstantReport]:
     """The six-row summary: one verdict-carrying report per case."""
     tags = list(cases) if cases else list(TABLE_CASES)
     for t in tags:
         if t not in TABLE_CASES:
             raise UnsupportedCaseError(f"{t!r} is not a summary-table case")
-    return [verdict(second_order_constant(t, int(prime_cutoff))) for t in tags]
+    return [verdict(second_order_constant(t)) for t in tags]

@@ -54,15 +54,19 @@ class.  Only s = n a <= SIGMA_MAX (= 8) is evaluated.  Every dropped
 >= sum_{n>P} log n n^(-s) (Lambda(n) <= log n; no theta bound), which
 gives a remainder below 1e-22.
 
+The same inversion runs over any classes with a power map c -> c^k:
+frobenius_class_sum runs it over the Frobenius classes S1, S2, S3
+(transpositions, 3-cycles, the identity) of Gal(H/Q) = S_3, H the Hilbert
+class field of Q(sqrt(-23)), which are Wilton's classes of the primes
+p != 23.  There G_s(C) = (|C|/6) sum_chi chi(C) (-L_P'/L_P)(s, chi) over
+the characters 1, chi_-23 and rho, (1, 1, 1), (-1, 1, 1) and (0, -1, 2) on
+(S1, S2, S3).  L(s, rho) = (Z_[1,1,6](s) - Z_[2,1,3](s))/2, the L-function
+of eta(z) eta(23 z), comes from the Epstein zeta functions of the reduced
+forms of discriminant -23 by the Chowla-Selberg formula (Chowla and
+Selberg, J. reine angew. Math. 227, 1967).  23 ramifies: its Euler factor
+is 1/(1 - 23^-s) in zeta and L(s, rho), and 1 in L(s, chi_-23).
+
 zeta'(2)/zeta(2) is -H_1(1, 1, 2)/H_0(1, 1, 2).
-
-The sieve route is kept as an independent cross-check: prime_log_sum sums a
-class of primes up to a cutoff x >= 7481 and bounds the rest by
-
-    sum_{p > x} log p / (p^k - 1) <= x/(x^k - 1) * (-0.98 + 1.017 k/(k-1)),
-
-a consequence of 0.98 x <= theta(x) <= 1.017 x on that range; a class sum's
-tail is bounded by the all-primes tail.
 """
 
 from __future__ import annotations
@@ -77,7 +81,7 @@ import numpy as np
 from .budget import ValueWithBudget, csum
 from .characters import GENERATORS, DirichletCharacter, _dlog_table
 from .errors import InvalidArgumentError, PreconditionError, ResourceLimitError
-from .primes import euler_phi, is_prime, sieve_primes
+from .primes import euler_phi, is_prime, sieve_primes, wilton_classes
 
 __all__ = [
     "ValueWithBudget",
@@ -88,14 +92,8 @@ __all__ = [
     "zeta_value",
     "closed_form_l_values",
     "prime_class_sum",
-    "class_primes",
-    "prime_partial_sum",
-    "prime_log_sum",
-    "prime_tail_bound",
+    "frobenius_class_sum",
     "zeta_log_derivative_at_2",
-    "THETA_LO",
-    "THETA_HI",
-    "THETA_X_MIN",
     "GAMMA_K_MAX",
     "MOBIUS_P",
     "SIGMA_MAX",
@@ -103,12 +101,6 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
-
-# 0.98 x <= theta(x) <= 1.017 x for x >= 7481.
-THETA_LO = 0.98
-THETA_HI = 1.017
-THETA_X_MIN = 7481
-
 
 # ---------------------------------------------------------------------------
 # Progression sums: generalized Euler constants and Dirichlet series
@@ -356,6 +348,80 @@ def closed_form_l_values(tag: str) -> float:
 
 
 # ---------------------------------------------------------------------------
+# L(s, rho) of eta(z) eta(23 z), by the Chowla-Selberg formula
+# ---------------------------------------------------------------------------
+
+_NODES = np.arange(81) / 16.0  # the trapezoid rule on [0, 5], step 1/16
+_WEIGHTS = np.where(_NODES == 0.0, 1.0 / 32.0, 1.0 / 16.0)
+
+
+def _rounded(x: float) -> ValueWithBudget:
+    """A float constant from one correctly rounded (or one-ulp) evaluation."""
+    return ValueWithBudget(x, math.ulp(x))
+
+
+def _bessel_k(nu: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K_nu(z) and dK_nu/dnu for z >= 15, 0 < nu <= 15/2, within 1e-12 relative
+    plus 1e-44: the trapezoid rule on the integrals over t >= 0 of
+    e^(-z cosh t) cosh(nu t) and e^(-z cosh t) t sinh(nu t).  Both are even
+    and analytic; on |Im t| = pi/3 their moduli integrate to at most
+    4 K_(nu+1)(z/2), so the rule errs by less than 2 K_(nu+1)(z/2)
+    e^(-32 pi^2/3) < 1e-45 (Trefethen and Weideman, SIAM Rev. 56, 2014, thm
+    5.1).  Nodes past 5 or with z cosh t > 690 (left out) add below e^(-640).
+    A kept node is off by (6 z cosh t + 9) eps <= 4200 eps, the sums by 80 eps.
+    """
+    arg = z[:, None] * np.cosh(_NODES)
+    e = np.exp(-np.where(arg <= _LOG_FLOOR, arg, np.inf))
+    return e @ (np.cosh(nu * _NODES) * _WEIGHTS), e @ (_NODES * np.sinh(nu * _NODES) * _WEIGHTS)
+
+
+def _epstein_23(a: int, b: int, s: int) -> tuple[ValueWithBudget, ValueWithBudget]:
+    """Z(s) = sum_{(x, y) != 0} (a x^2 + b x y + c y^2)^-s and Z'(s) for a form
+    of discriminant -23 at an integer s >= 2 (Chowla-Selberg):
+
+        Z(s) = 2 zeta(2s) a^-s + 4 a^(s-1) C(2s-2, s-1) pi zeta(2s-1) 23^(1/2-s)
+               + F(s) sum_n w_n(s) cos(pi n b/a) K_(s-1/2)(pi n sqrt(23)/a),
+
+    F(s) = 2^(s+5/2) pi^s/(Gamma(s) sqrt(a) 23^((s-1/2)/2)), w_n(s) =
+    sum_{d|n} (n/d^2)^(s-1/2).  The middle term's log-derivative is log a
+    + sum_{k<s} 1/(k(2k-1)) - log 23 + 2 zeta'/zeta(2s-1); F'/F = log(2 pi)
+    - psi(s) - log(23)/2.  cos(pi n b/a) = (1, 0, -1, 0)[2nb/a mod 4] keeps
+    terms with z >= 15, and those past n = 12 sum to less than 1e-35.  With
+    K within 1e-12 and every other factor within 20 ulps, 1e-11 of the
+    series' summed magnitudes, plus 1e-30, bounds its error.
+    """
+    z2, dz2 = zeta_value(2 * s), zeta_value(2 * s, 1)
+    z1, dz1 = zeta_value(2 * s - 1), zeta_value(2 * s - 1, 1)
+    log_a = _rounded(math.log(a))
+    head = (2.0 / a**s) * z2  # a^-s is exact for a = 1, 2
+    d_head = (4.0 / a**s) * dz2 - log_a * head
+    scale = 4.0 * a ** (s - 1) * math.comb(2 * s - 2, s - 1) * _rounded(math.pi) * _rounded(23.0 ** (0.5 - s))
+    harmonic = _rounded(float(sum(Fraction(1, k * (2 * k - 1)) for k in range(1, s))))
+    mid = scale * z1
+    d_mid = mid * (log_a + harmonic - _rounded(math.log(23.0))) + 2.0 * scale * dz1
+    nu, n = s - 0.5, np.arange(1, 13)
+    cos = np.array((1.0, 0.0, -1.0, 0.0))[(2 * n * b // a) % 4]
+    n, cos = n[cos != 0], cos[cos != 0]
+    k, dk = _bessel_k(nu, math.pi * math.sqrt(23.0) / a * n)
+    ratios = [np.array([q / d**2 for d in range(1, q + 1) if q % d == 0]) for q in n.tolist()]
+    w, dw = np.array([(np.sum(r**nu), np.sum(np.log(r) * r**nu)) for r in ratios]).T
+    f = 2.0 ** (s + 2.5) * math.pi**s / (math.factorial(s - 1) * math.sqrt(a) * 23.0 ** (nu / 2))
+    psi = math.fsum(1.0 / j for j in range(1, s)) - 0.5772156649015329
+    dlog_f = math.log(2.0 * math.pi) - psi - 0.5 * math.log(23.0)
+    terms = cos * w * k
+    size = np.sum(np.abs(terms) * (2.0 + abs(dlog_f)) + np.abs(dw * k) + np.abs(w * dk))
+    bessel = ValueWithBudget(f * math.fsum(terms), f * 1e-11 * float(size) + 1e-30)
+    d_bessel = ValueWithBudget(f * math.fsum(cos * (dw * k + w * dk) + dlog_f * terms), bessel.budget)
+    return head + mid + bessel, d_head + d_mid + d_bessel
+
+
+def _rho_log_derivative(s: int) -> ValueWithBudget:
+    """-L'/L(s, rho) at an integer s >= 2; L(s, rho) = (Z_[1,1,6](s) - Z_[2,1,3](s))/2."""
+    (z1, dz1), (z2, dz2) = _epstein_23(1, 1, s), _epstein_23(2, 1, s)
+    return (dz2 - dz1) / (z1 - z2)
+
+
+# ---------------------------------------------------------------------------
 # Prime sums over residue classes by Moebius inversion
 # ---------------------------------------------------------------------------
 
@@ -403,14 +469,15 @@ def _mobius(n: int) -> int:
     return -result if n > 1 else result
 
 
-def _small_power_sums(m: int, s, derivative: int) -> tuple[np.ndarray, float]:
-    """Per unit class c, the exactly rounded sum over p <= P, e >= 1 with
-    p^e = g^c of p^(-es)/e (derivative 0) or log p p^(-es) (derivative 1),
-    for p^(-es) >= e^-64; and a bound for all the powers left out."""
-    phi = euler_phi(m)
+def _small_power_sums(classify, power, n_classes: int, s, derivative: int):
+    """Per class c, the exactly rounded sum over the primes p <= P of class
+    b = classify(p) in 0..n_classes-1 and e >= 1 with power(b, e) = c of
+    p^(-es)/e (derivative 0) or log p p^(-es) (derivative 1), for
+    p^(-es) >= e^-64; and a bound for all the powers left out."""
     p = sieve_primes(MOBIUS_P).primes
-    b = _dlog_table(m)[p % m]
-    p, b = p[b >= 0], b[b >= 0]
+    b = classify(p)
+    keep = (b >= 0) & (b < n_classes)  # off the classes: p | m, or p = 23
+    p, b = p[keep], b[keep]
     pf = p.astype(np.float64)
     lp = np.log(pf)
     sf = float(s)
@@ -419,11 +486,11 @@ def _small_power_sums(m: int, s, derivative: int) -> tuple[np.ndarray, float]:
     e = np.arange(len(which)) - np.repeat(np.cumsum(e_max) - e_max, e_max) + 1
     x = pf[which] ** (-sf * e)
     w = lp[which] * x if derivative else x / e
-    c = (e * b[which]) % phi
+    c = power(b[which], e)
     order = np.argsort(c, kind="stable")
     c, w = c[order], w[order]
     cuts = np.flatnonzero(np.diff(c)) + 1
-    sums = np.zeros(phi)
+    sums = np.zeros(n_classes)
     for cls, group in zip(c[np.r_[0, cuts]].tolist(), np.split(w, cuts)):
         sums[cls] = math.fsum(group.tolist())
     # each p leaves out at most lp^d x^(E+1)/(1 - x), x = p^-s
@@ -446,7 +513,8 @@ def _rough_sums(m: int, s, derivative: int) -> tuple:
     phi = euler_phi(m)
     y, dy = _log_l_table(m, s, derivative)
     full = np.fft.fft(y).real / phi
-    small, left = _small_power_sums(m, s, derivative)
+    small, left = _small_power_sums(
+        lambda p: _dlog_table(m)[p % m], lambda c, k: (k * c) % phi, phi, s, derivative)
     x = full - small
     fft_rounding = 16.0 * _EPS * float(np.sum(np.abs(y))) / phi
     err = fft_rounding + 4.0 * _EPS * small + _EPS * np.abs(x)
@@ -477,27 +545,22 @@ def _prime_terms(primes: np.ndarray, s: float, derivative: int, powers: bool):
     return terms, left
 
 
-@lru_cache(maxsize=1024)
-def _class_sum(m: int, residues: tuple, s, derivative: int, powers: bool) -> ValueWithBudget:
-    """prime_class_sum for sorted residues and an exact s: the direct terms,
-    then sum_n sum_{k | n} coef * (X at n s over the classes c with kc in R)."""
-    phi = euler_phi(m)
-    primes = _direct_primes(m)
-    terms, left = _prime_terms(primes[np.isin(primes % m, residues)], s, derivative, powers)
+def _inversion(terms: np.ndarray, left: float, in_class, power, rough, s, derivative: int, powers: bool):
+    """The direct terms (``left`` bounds those left out), then sum_n sum_{k|n}
+    coef * (X at n s over the classes c with power(c, k) in ``in_class``), X
+    and its bounds from rough(n s) as from _rough_sums, and the remainder."""
     pieces = terms.tolist()
     # each term is off by at most 5 ulps (log, power, subtraction, division)
     budget = 5.0 * _EPS * float(np.sum(terms)) + left
-    dlog = _dlog_table(m)[list(residues)]
-    in_class = np.zeros(phi, dtype=bool)
-    in_class[dlog[dlog >= 0]] = True
+    classes = np.arange(len(in_class))
     n_max = int(SIGMA_MAX // s) if in_class.any() else 0
     for n in range(1, n_max + 1):
-        x, err, rms, small_left = _rough_sums(m, n * s, derivative)
+        x, err, rms, small_left = rough(n * s)
         for k in range(1, n + 1) if powers else (n,):
             mu = _mobius(k)
             if n % k or not mu:
                 continue
-            mask = in_class[(k * np.arange(phi)) % phi]
+            mask = in_class[power(classes, k)]
             part = csum(x[mask])
             coef = mu / n if derivative == 0 else mu
             pieces.append(coef * part)
@@ -507,6 +570,20 @@ def _class_sum(m: int, residues: tuple, s, derivative: int, powers: bool) -> Val
         budget += _mobius_remainder(float(s), n_max)
     value = csum(pieces)
     return ValueWithBudget(value, budget + _EPS * abs(value))
+
+
+@lru_cache(maxsize=1024)
+def _class_sum(m: int, residues: tuple, s, derivative: int, powers: bool) -> ValueWithBudget:
+    """prime_class_sum for sorted residues and an exact s: the classes are the
+    unit residues g^c, and (g^c)^k = g^(kc)."""
+    phi = euler_phi(m)
+    primes = _direct_primes(m)
+    terms, left = _prime_terms(primes[np.isin(primes % m, residues)], s, derivative, powers)
+    dlog = _dlog_table(m)[list(residues)]
+    in_class = np.zeros(phi, dtype=bool)
+    in_class[dlog[dlog >= 0]] = True
+    return _inversion(terms, left, in_class, lambda c, k: (k * c) % phi,
+                      lambda sigma: _rough_sums(m, sigma, derivative), s, derivative, powers)
 
 
 def prime_class_sum(m: int, residues, s: float, derivative: int = 1, powers: bool = True) -> ValueWithBudget:
@@ -531,61 +608,45 @@ def prime_class_sum(m: int, residues, s: float, derivative: int = 1, powers: boo
 
 
 # ---------------------------------------------------------------------------
-# The sieve route: prime log-sums with explicit theta tails
+# Prime sums over the Frobenius classes of the Hilbert class field of Q(sqrt(-23))
 # ---------------------------------------------------------------------------
 
-def prime_tail_bound(k: float, x: float) -> float:
-    """Upper bound for sum_{p > x} log p / (p^k - 1); needs k > 1, x >= 7481."""
-    if k <= 1:
-        raise PreconditionError(f"tail bound needs k > 1, got {k}")
-    if x < THETA_X_MIN:
-        raise PreconditionError(f"tail bound needs x >= {THETA_X_MIN}, got {x}")
-    r = math.exp(-k * math.log(x))  # x^(-k), 0 when it underflows
-    return x * r / (1.0 - r) * (-THETA_LO + THETA_HI * k / (k - 1.0))
+# |C| chi(C)/6 on the classes C = S1, S2, S3 (rows) for chi = 1, chi_-23, rho
+_S3_WEIGHTS = np.array([[3], [2], [1]]) * np.array([[1, 1, 1], [-1, 1, 1], [0, -1, 2]]).T / 6.0
 
 
-def _largest_term_prime(k: int, cutoff: int) -> int:
-    """prime_partial_sum reads the primes up to this bound: p <= cutoff, p^k <= e^690."""
-    return cutoff if k * math.log(cutoff) <= _LOG_FLOOR else int(math.exp(_LOG_FLOOR / k))
+def _s3_power(c, k):
+    """The class of g^k for g in class c: the identity (S3) iff the order of g,
+    2 for a transposition (S1) and 3 for a 3-cycle (S2), divides k."""
+    return np.where(k % np.array([2, 3, 1])[c] == 0, 2, c)
 
 
-def class_primes(mask, cutoff: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The primes of a class and their logs, as far as prime_partial_sum
-    reads them for exponents >= k.  ``mask`` is None (all primes) or a
-    boolean mask aligned with sieve_primes(cutoff).primes."""
-    table = sieve_primes(cutoff)
-    # an int key: a float one would convert the whole prime array
-    n = int(np.searchsorted(table.primes, _largest_term_prime(k, cutoff), side="right"))
-    keep = slice(n) if mask is None else np.asarray(mask, dtype=bool)[:n]
-    return table.primes[:n][keep], table.logs[:n][keep]
+@lru_cache(maxsize=16)
+def _frobenius_rough(s) -> tuple:
+    """_rough_sums over the classes C (derivative 1): X(C) = (|C|/6) sum_chi
+    chi(C) (-L'/L)(s, chi), each L without its factor at 23 (the table mod 23
+    for 1 and chi_-23), less the powers of p <= P.  The bound per class
+    holds the L-values' budgets."""
+    y, dy = _log_l_table(23, s, 1)
+    ramified = math.log(23.0) / (23.0**s - 1.0)  # within 3 ulps
+    rho = _rho_log_derivative(s) - ValueWithBudget(ramified, 4.0 * _EPS * ramified)
+    ys = np.array([y[0].real, y[11].real, rho.value])
+    small, left = _small_power_sums(wilton_classes, _s3_power, 3, s, 1)
+    x = _S3_WEIGHTS @ ys - small
+    dys = np.array([dy[0], dy[11], rho.budget]) + 4.0 * _EPS * np.abs(ys)  # with the weights' rounding
+    err = np.abs(_S3_WEIGHTS) @ dys + 4.0 * _EPS * small + _EPS * np.abs(x)
+    return x, err, 0.0, left
 
 
-def prime_partial_sum(members, k: int, cutoff: int) -> ValueWithBudget:
-    """sum_{p <= cutoff, p in class} log p / (p^k - 1), with a rounding budget.
-
-    ``members`` is None (all primes), a boolean mask aligned with
-    sieve_primes(cutoff).primes, or what class_primes returns for one; a
-    caller that sums one class for several k gathers it once that way.
-    Each term is log p r/(1 - r) with r = p^(-k), off by at most 4 ulps;
-    primes with p^k > e^690 are left out, so r never underflows.  Each term
-    left out is below 1e-295, and all of them together are far below the
-    one ulp of 1 in the budget.
-    """
-    if k < 2:
-        raise PreconditionError(f"prime sums need k >= 2, got {k}")
-    cutoff = int(cutoff)
-    primes, logs = members if isinstance(members, tuple) else class_primes(members, cutoff, k)
-    n = int(np.searchsorted(primes, _largest_term_prime(k, cutoff), side="right"))
-    r = primes[:n].astype(np.float64) ** -float(k)
-    value = csum(logs[:n] * r / (1.0 - r))
-    return ValueWithBudget(value, _EPS * (4.0 * value + 1.0))
-
-
-def prime_log_sum(members, k: int, cutoff: int) -> ValueWithBudget:
-    """sum_{p in class} log p / (p^k - 1) by the sieve: the partial sum to the
-    cutoff (prime_partial_sum) plus the theta bound on the class tail."""
-    cutoff = int(cutoff)
-    if cutoff < THETA_X_MIN:
-        raise PreconditionError(f"tail budget needs cutoff >= {THETA_X_MIN}, got {cutoff}")
-    partial = prime_partial_sum(members, k, cutoff)
-    return ValueWithBudget(partial.value, prime_tail_bound(k, float(cutoff)) + partial.budget)
+def frobenius_class_sum(classes, a: int) -> ValueWithBudget:
+    """Sum of log p/(p^a - 1) over the primes whose Frobenius in Gal(H/Q) = S_3
+    lies in ``classes`` (0 = S1, 1 = S2, 2 = S3, Wilton's classes), integer
+    a >= 2: direct below P, Moebius inversion above (module docstring)."""
+    in_class = np.isin(np.arange(3), list(classes))
+    if np.count_nonzero(in_class) != len(set(classes)):
+        raise InvalidArgumentError(f"Frobenius classes are 0, 1, 2; got {sorted(classes)}")
+    if a != int(a) or a < 2:
+        raise PreconditionError(f"Frobenius class sums need an integer a >= 2, got {a}")
+    p = sieve_primes(MOBIUS_P).primes
+    terms, left = _prime_terms(p[np.isin(wilton_classes(p), list(classes))], a, 1, True)
+    return _inversion(terms, left, in_class, _s3_power, _frobenius_rough, int(a), 1, True)

@@ -9,8 +9,9 @@ On prime powers every case reduces to a single congruence on the exponent:
 where the period m0 depends only on the prime's class.  Each case's entry
 in CASES holds the class of every residue mod a modulus (so each class is
 a union of residue classes, by residue mod 3, 4, 5, 7 or by the order mod
-691; only q23's S3 is carved out of S2's residues by the Wilton test), the
-m0 of every class, and the Euler factorization
+691), or for q23 a classifier whose Wilton classes S1, S2, S3 are the
+Frobenius classes of the Hilbert class field of Q(sqrt(-23)), the m0 of
+every class, and the Euler factorization
 
     T(s)^n = zeta(s)^(n tau) zeta(2s)^z prod_chi L(s, chi)^e H(s)
 
@@ -110,9 +111,9 @@ class CaseSpec:
 
     The class of a prime p is residues[p % len(residues)], so each class is
     a union of residue classes, unless ``classify`` is given.  q23's
-    classifier moves the primes of one class's residues that pass the
-    Wilton test to another class; ``carved`` lists such pairs (j, h): class
-    j is carved out of the residues of class h.
+    classifier splits the residues of S2 by the Wilton test; ``frobenius``
+    lists the classes j that are not unions of residue classes, each the
+    Frobenius class j of lseries.frobenius_class_sum.
     """
 
     tag: str
@@ -125,7 +126,7 @@ class CaseSpec:
     euler: EulerFactorization | None = None    # T(s)^n as a product
     b_euler: EulerFactorization | None = None  # a rewrite preferred for B_f
     classify: Callable[[np.ndarray], np.ndarray] | None = None  # primes -> uint8 class index
-    carved: tuple = ()
+    frobenius: tuple = ()
 
     def __post_init__(self):
         if self.classify is None:
@@ -133,7 +134,7 @@ class CaseSpec:
             object.__setattr__(self, "classify", lambda p: lut[p % len(lut)])
 
     def class_residues(self, j: int) -> list[int]:
-        """The residues r mod len(residues) with residues[r] = j; a carved class has none."""
+        """The residues r mod len(residues) with residues[r] = j."""
         return [r for r, c in enumerate(self.residues) if c == j]
 
     def __str__(self):
@@ -190,9 +191,9 @@ CASES: dict[str, CaseSpec] = {
                      n=2, modulus=7, l_exponents=((3, 1),), finite=((7, ((1, 1),)),),
                      classes=((), ((2, 6), (-2, 7)), ((-1, 2),)))),
         CaseSpec("q23", Fraction(1, 2), Fraction(1, 2), 23, "23 does not divide tau(n)",
-                 # classes: the Wilton classes S1, S2, S3, P23 (primes module); S3 is
-                 # carved out of S2's residues
-                 residues=_WILTON_RESIDUES, classify=pr.wilton_classes, carved=((2, 1),),
+                 # classes: the Wilton classes S1, S2, S3, P23 (primes module); S2 and
+                 # S3 split the residues with (p|23) = 1
+                 residues=_WILTON_RESIDUES, classify=pr.wilton_classes, frobenius=(1, 2),
                  m0=(2, 3, 23, M_NEVER),
                  euler=EulerFactorization(
                      # chi_-23 = chi^11 mod 23

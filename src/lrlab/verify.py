@@ -427,7 +427,7 @@ def _check_verdicts(reports) -> list[CheckResult]:
     return out
 
 
-def run_checks(cases=None, prime_cutoff: int = 10**7) -> list[CheckResult]:
+def run_checks(cases=None) -> list[CheckResult]:
     """Run the verification suite, optionally filtered to some case tags."""
     wanted = set(cases) if cases else set(ALL_CASES)
     table_tags = [t for t in mu.TABLE_CASES if t in wanted]
@@ -435,7 +435,7 @@ def run_checks(cases=None, prime_cutoff: int = 10**7) -> list[CheckResult]:
 
     reports = []
     if table_tags:
-        reports = co.table1(prime_cutoff, cases=table_tags)
+        reports = co.table1(table_tags)
         for r in reports:
             results.extend(_check_table_row(r))
     if {"q5", "q7", "q23"} & wanted:

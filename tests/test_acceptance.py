@@ -52,11 +52,11 @@ def test_criterion_1_table_reproduction(full_checks):
 
 
 def test_criterion_1_runtime_budget():
-    # full six-case table at prime cutoff 1e7 and H_f to 1e6, in a fresh
-    # interpreter so that every cache (sieve, masks, codes, characters) is cold
+    # full six-case table with H_f to 1e6, in a fresh interpreter so that
+    # every cache (sieve, masks, codes, characters) is cold
     script = (
         "import time; from lrlab import table1; t0 = time.monotonic(); "
-        "reports = table1(10**7); print(len(reports), time.monotonic() - t0)"
+        "reports = table1(); print(len(reports), time.monotonic() - t0)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=600

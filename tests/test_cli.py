@@ -61,9 +61,7 @@ class TestBasicCommands:
         assert "L^(1)(1, chi_c^1 mod 5)" in out
 
     def test_constant_q3(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "constant", "--case", "q3", "--prime-limit", "1000000"
-        )
+        code, out, _ = run_cli(capsys, "constant", "--case", "q3")
         assert code == 0
         assert "B_f = -0.534" in out
         assert "CLAIM_FALSE" in out
@@ -71,9 +69,7 @@ class TestBasicCommands:
 
 class TestTable1Formats:
     def test_csv_schema(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "table1", "--prime-limit", "1000000", "--format", "csv"
-        )
+        code, out, _ = run_cli(capsys, "table1", "--format", "csv")
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "case,H_1e5,H_1e6,B_f,B_f_budget,C2,C2_ramanujan,verdict"
@@ -82,9 +78,7 @@ class TestTable1Formats:
         assert all(line.endswith("CLAIM_FALSE") for line in lines[1:])
 
     def test_json_budgets_everywhere(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "table1", "--prime-limit", "1000000", "--format", "json"
-        )
+        code, out, _ = run_cli(capsys, "table1", "--format", "json")
         assert code == 0
         rows = json.loads(out)
         assert len(rows) == 6
@@ -93,14 +87,12 @@ class TestTable1Formats:
             assert set(row["c2"]) == {"value", "budget"}
 
     def test_deterministic_output(self, capsys):
-        _, out1, _ = run_cli(capsys, "table1", "--prime-limit", "1000000", "--format", "csv")
-        _, out2, _ = run_cli(capsys, "table1", "--prime-limit", "1000000", "--format", "csv")
+        _, out1, _ = run_cli(capsys, "table1", "--format", "csv")
+        _, out2, _ = run_cli(capsys, "table1", "--format", "csv")
         assert out1 == out2
 
     def test_case_filter(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "table1", "--prime-limit", "1000000", "--case", "q5", "--format", "csv"
-        )
+        code, out, _ = run_cli(capsys, "table1", "--case", "q5", "--format", "csv")
         assert code == 0
         lines = out.strip().splitlines()
         assert len(lines) == 2 and lines[1].startswith("q5,")
@@ -130,9 +122,10 @@ class TestExitCodes:
         assert code == 0 and out.split(" = ")[1] == last.split(" = ")[1]
 
     def test_precondition_error_is_3(self, capsys):
-        code, _, err = run_cli(capsys, "constant", "--case", "q5", "--prime-limit", "5000")
+        # H_f past the prime-power desk limit of 1e7
+        code, out, err = run_cli(capsys, "hf", "--case", "q5", "--x", "1e8")
         assert code == 3
-        assert "error:" in err
+        assert out == "" and len(err.strip().splitlines()) == 1 and "error:" in err
 
     def test_resource_limit_error_is_3(self, capsys):
         code, out, err = run_cli(capsys, "tau", "--limit", "200000")
@@ -160,21 +153,8 @@ class TestExitCodes:
         assert out == "" and len(err.strip().splitlines()) == 1 and "error:" in err
         assert peak < 1 << 20  # 4e10 gamma_0 terms were asked for; no work array was made
 
-    def test_large_prime_limit_is_refused_before_allocating(self, capsys):
-        tracemalloc.start()
-        try:
-            code, out, err = run_cli(
-                capsys, "constant", "--case", "q5", "--prime-limit", "100000000000"
-            )
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 3
-        assert out == "" and len(err.strip().splitlines()) == 1 and "error:" in err
-        assert peak < 1 << 20  # 4e9 primes were asked for; no sieve segment was made
-
     def test_verify_single_case_exits_0(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--case", "q2", "--prime-limit", "1000000")
+        code, out, _ = run_cli(capsys, "verify", "--case", "q2")
         assert code == 0
         assert "PASS" in out and "FAIL" not in out
 
@@ -186,6 +166,13 @@ class TestExitCodes:
             assert code == 2, value
             assert out == "" and len(err.strip().splitlines()) == 1 and "error:" in err, value
 
+    def test_removed_prime_limit_flag_is_a_usage_error(self, capsys):
+        # every class sum is exact; no sieve limit is left to set
+        for command in (("table1",), ("constant", "--case", "q23"), ("verify", "--case", "q2")):
+            code, out, err = run_cli(capsys, *command, "--prime-limit", "10000000")
+            assert code == 2, command
+            assert out == "" and len(err.strip().splitlines()) == 1 and "error:" in err, command
+
     def test_csv_only_where_it_is_printed(self, capsys):
         code, out, err = run_cli(capsys, "lvalue", "--modulus", "5", "--index", "1", "--format", "csv")
         assert code == 2
@@ -196,12 +183,11 @@ class TestExitCodes:
 
 HOSTILE = ("0", "-1", "nan", "inf", "1e400", "", "abc", str(10**12), str(10**30))
 FORMATS = ("text", "json")
-# Small valid values per flag; () marks a flag that only takes hostile values,
-# so table1, constant and verify are refused before any full-size work starts.
+# Small valid values per flag
 COMMANDS = {
-    "table1": {"--prime-limit": (), "--format": FORMATS + ("csv",)},
-    "constant": {"--case": TABLE_CASES, "--prime-limit": (), "--format": FORMATS},
-    "verify": {"--case": ("all", *TABLE_CASES), "--prime-limit": ()},
+    "table1": {"--format": FORMATS + ("csv",)},
+    "constant": {"--case": TABLE_CASES, "--format": FORMATS},
+    "verify": {"--case": ("all", *TABLE_CASES)},
     "lvalue": {
         "--modulus": ("5", "7"),
         "--index": ("1", "-1", "2"),
@@ -234,8 +220,7 @@ def assert_clean_exit(argv):
 
 
 def _flag_value(valid):
-    hostile = st.sampled_from(HOSTILE)
-    return st.one_of(st.sampled_from(valid), hostile) if valid else hostile
+    return st.one_of(st.sampled_from(valid), st.sampled_from(HOSTILE))
 
 
 _ARGV = st.sampled_from(sorted(COMMANDS)).flatmap(
@@ -252,10 +237,9 @@ def test_fuzzed_argv_never_ends_in_a_traceback(argv):
 
 
 def test_each_hostile_value_alone():
-    # every flag takes every hostile value while the others stay valid (a
-    # hostile-only flag stays at a value the desk limits refuse)
+    # every flag takes every hostile value while the others stay valid
     for command, flags in COMMANDS.items():
-        base = {flag: valid[0] if valid else str(10**12) for flag, valid in flags.items()}
+        base = {flag: valid[0] for flag, valid in flags.items()}
         for flag in flags:
             for value in HOSTILE:
                 argv = dict(base, **{flag: value})

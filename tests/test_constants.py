@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from dataclasses import replace
 
 import mpmath as mp
@@ -20,18 +22,15 @@ from lrlab.constants import (
     table1,
     verdict,
 )
-from lrlab.errors import PreconditionError, UnsupportedCaseError
+from lrlab.errors import UnsupportedCaseError
 from lrlab.lseries import _EPS, _log_l_table, gamma_k
 from lrlab.multfn import get_case
 from mobius_reference import _dlogs, reference
 from test_lseries import l_reference
 
-CUTOFF = 10**6  # module tests run at 1e6; the acceptance suite runs 1e7
-
-
 @pytest.fixture(scope="module")
 def reports():
-    return {r.case: r for r in table1(CUTOFF)}
+    return {r.case: r for r in table1()}
 
 
 class TestAssemblies:
@@ -80,19 +79,23 @@ class TestAssemblies:
         assert r.lambda_c2.value == pytest.approx(expected, abs=1e-15)
         assert abs(r.lambda_c2.value - 0.5) > r.lambda_c2.budget
 
+    def test_table_sieves_only_to_the_checkpoints(self):
+        # every class sum is exact, so the largest prime table a cold table1
+        # builds is the one for H_f(1e6)
+        script = "import lrlab; from lrlab import primes; lrlab.table1(); print(primes._largest.limit)"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) == 10**6
+
     def test_q2_unsupported(self):
         with pytest.raises(UnsupportedCaseError):
-            second_order_constant("q2", CUTOFF)
-
-    def test_small_cutoff_rejected(self):
-        with pytest.raises(PreconditionError):
-            second_order_constant("q5", 5000)
+            second_order_constant("q2")
 
 
 @pytest.fixture(scope="module")
 def q691_row():
-    """q691's B_f from its table row at the 1e7 cutoff."""
-    return table1(10**7, cases=["q691"])[0].b_f
+    """q691's B_f from its table row."""
+    return table1(cases=["q691"])[0].b_f
 
 
 class TestB691:
@@ -120,9 +123,9 @@ class TestB691:
         # underflows; neither may be computed
         spec = get_case("q691")
         with np.errstate(all="raise"):
-            row = constants._b_from_euler(spec, spec.euler, 7481)
+            row = constants._b_from_euler(spec, spec.euler)
             b = b691_approx()
-        assert row.value == q691_row.value  # no class of q691 depends on the cutoff
+        assert row.value == q691_row.value
         # the four residual products, -(1/690) sum over the order classes of
         # c a sum_p log p/(p^a - 1), against 30-digit class sums
         share, bound = mp.mpf(0), 0.0
@@ -258,5 +261,5 @@ class TestVerdicts:
         assert verdict(fake).verdict == INCONCLUSIVE
 
     def test_row_order(self):
-        tags = [r.case for r in table1(CUTOFF)]
+        tags = [r.case for r in table1()]
         assert tags == ["two_squares", "q5", "q7", "q3", "q691", "q23"]

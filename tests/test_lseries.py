@@ -16,12 +16,11 @@ from lrlab.lseries import (
     gamma_k,
     l_derivative_at_1,
     l_value,
-    prime_log_sum,
-    prime_tail_bound,
     zeta_log_derivative_at_2,
     zeta_value,
 )
 from lrlab.primes import sieve_primes
+from sieve_reference import prime_log_sum, prime_tail_bound
 
 mp.mp.dps = 30
 

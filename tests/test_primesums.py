@@ -4,7 +4,7 @@ Soundness: against 30-digit values of the same Moebius formula built
 independently in mpmath (mobius_reference).  |computed - true| <= budget,
 with the reference's own error bound counted against the budget: no slack.
 Cross-check: every class sum of the six cases against the sieve route to
-1e7 with its theta tail.  Floating point: B_f, K and the q5 constant raise
+1e7 with its theta tail (sieve_reference).  Floating point: B_f, K and the q5 constant raise
 no overflow, underflow or invalid operation.
 """
 
@@ -17,10 +17,11 @@ import pytest
 from lrlab import constants, lseries
 from lrlab.constants import first_order_C5, landau_ramanujan_K
 from lrlab.errors import InvalidArgumentError, PreconditionError
-from lrlab.lseries import prime_class_sum, prime_log_sum, zeta_log_derivative_at_2
+from lrlab.lseries import prime_class_sum, zeta_log_derivative_at_2
 from lrlab.multfn import TABLE_CASES, class_index, get_case
 from lrlab.primes import sieve_primes
 from mobius_reference import reference
+from sieve_reference import prime_log_sum, prime_partial_sum
 
 SIEVE = 10**7
 
@@ -35,12 +36,10 @@ def assert_within(v, ref, ref_bound, what):
 def residue_classes(tag):
     """(class j, its residues, exponents a) of every class of the case that is a union of residue classes."""
     spec = get_case(tag)
-    carved = dict(spec.carved)
     for j in range(len(spec.m0)):
-        if j in carved:
+        if j in spec.frobenius:
             continue
         exps = {a for euler in (spec.euler, spec.b_euler) if euler for _, a in euler.classes[j]}
-        exps |= {a for i, h in spec.carved if h == j for _, a in spec.euler.classes[i]}
         if exps:
             yield j, spec.class_residues(j), sorted(exps)
 
@@ -114,19 +113,29 @@ class TestSieveCrossCheck:
         for euler in filter(None, (spec.euler, spec.b_euler)):
             for j, factor in enumerate(euler.classes):
                 for _, a in factor:
-                    new = constants._class_sum(spec, j, a, SIEVE)
+                    new = constants._class_sum(spec, j, a)
                     sieve = prime_log_sum(idx == j, a, SIEVE)
                     assert abs(new.value - sieve.value) <= new.budget + sieve.budget, (tag, j, a)
 
     @pytest.mark.parametrize("a", [2, 3])
     def test_q23_s3_intervals_nest(self, a):
-        # S3's sum lies in [sieve to x, sieve to x + rest of (p|23) = 1 past x]:
-        # a deeper cutoff gives an interval inside the shallower one
-        wide = constants._carved_sum("q23", 2, a, 10**6)
-        deep = constants._carved_sum("q23", 2, a, SIEVE)
-        assert wide.value - wide.budget <= deep.value - deep.budget
-        assert deep.value + deep.budget <= wide.value + wide.budget
-        assert deep.budget < wide.budget
+        # S3 lies in S2's residues, (p|23) = 1, and every term is positive, so its
+        # sum lies in [S3 to x, S3 to x + the rest of those residues past x]: the
+        # interval at 1e7 lies inside the one at 1e6, and both hold the exact sum
+        spec = get_case("q23")
+        residues = prime_class_sum(23, spec.class_residues(1), a)
+        exact = constants._class_sum(spec, 2, a)
+        intervals = []
+        for x in (10**6, SIEVE):
+            idx = class_index(spec, x)
+            s3 = prime_partial_sum(idx == 2, a, x)
+            rest = residues - prime_partial_sum(idx == 1, a, x) - s3
+            intervals.append((s3.value - s3.budget, s3.value + s3.budget + rest.value + rest.budget))
+            lo, hi = intervals[-1]
+            assert lo <= exact.value + exact.budget and exact.value - exact.budget <= hi, x
+        (wide_lo, wide_hi), (deep_lo, deep_hi) = intervals
+        assert wide_lo <= deep_lo and deep_hi <= wide_hi
+        assert deep_hi - deep_lo < wide_hi - wide_lo
 
     def test_zeta_log_derivative(self):
         # -zeta'/zeta(2) = sum_p log p/(p^2 - 1)
@@ -144,8 +153,7 @@ def _clear_caches():
 
 
 class TestFloatExceptions:
-    @pytest.mark.parametrize("cutoff", [10**7, 7481])
-    def test_constants_without_float_exceptions(self, cutoff):
+    def test_constants_without_float_exceptions(self):
         # q691's local factors reach p^-691, which underflows for every p >= 3;
         # no overflow, underflow or invalid operation may occur anywhere
         _clear_caches()
@@ -153,8 +161,8 @@ class TestFloatExceptions:
             with np.errstate(all="raise"):
                 for tag in TABLE_CASES:
                     spec = get_case(tag)
-                    constants._b_from_euler(spec, spec.b_euler or spec.euler, cutoff)
-                constants._b_from_euler(get_case("q3"), get_case("q3").euler, cutoff)
+                    constants._b_from_euler(spec, spec.b_euler or spec.euler)
+                constants._b_from_euler(get_case("q3"), get_case("q3").euler)
                 landau_ramanujan_K()
                 first_order_C5()
         finally:
@@ -165,21 +173,21 @@ class TestPrimeClassSum:
     @pytest.mark.parametrize("tag", TABLE_CASES)
     def test_classes_are_unions_of_residue_classes(self, tag):
         # the premise of the exact class sums: a prime's class is its residue's,
-        # except that a carved class takes primes only from its hull's residues
+        # except that the Frobenius classes split the residues they share
         spec = get_case(tag)
         primes = sieve_primes(10**5).primes
         by_residue = np.array(spec.residues)[primes % len(spec.residues)]
         idx = class_index(spec, 10**5).astype(np.int64)
-        carved = dict(spec.carved)
-        hull = np.array([carved.get(j, j) for j in range(len(spec.m0))])[idx]
-        assert np.array_equal(hull, by_residue)
-        assert set(carved) <= set(idx.tolist())
+        split = np.isin(idx, spec.frobenius)
+        assert np.array_equal(np.isin(by_residue, spec.frobenius), split)
+        assert np.array_equal(idx[~split], by_residue[~split])
+        assert set(spec.frobenius) <= set(idx.tolist())
 
     def test_budgets_are_rounding_except_q23(self):
-        # q23's budget is its S3 tail past the sieve cutoff; the other rows' are rounding
+        # every row's budget is rounding, q23's too since its S2 and S3 sums are exact
         for tag in TABLE_CASES:
             b = constants.second_order_constant(tag).b_f
-            assert b.budget < (1e-7 if tag == "q23" else 1e-12), (tag, b.budget)
+            assert b.budget < 1e-12, (tag, b.budget)
 
     def test_union_of_all_classes_is_every_prime(self):
         total = prime_class_sum(5, range(5), 2)
