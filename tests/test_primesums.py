@@ -4,8 +4,8 @@ Soundness: against 30-digit values of the same Moebius formula built
 independently in mpmath (mobius_reference).  |computed - true| <= budget,
 with the reference's own error bound counted against the budget: no slack.
 Cross-check: every class sum of the six cases against the sieve route to
-1e7 with its theta tail (sieve_reference).  Floating point: B_f, K and the q5 constant raise
-no overflow, underflow or invalid operation.
+1e7 with its theta tail (sieve_reference).  Floating point: B_f, K, the q5
+constant and the sieve route raise no overflow, underflow or invalid operation.
 """
 
 import math
@@ -153,15 +153,23 @@ def _clear_caches():
 
 
 class TestFloatExceptions:
-    def test_constants_without_float_exceptions(self):
+    @pytest.mark.parametrize("cutoff", [10**7, 7481])
+    def test_constants_without_float_exceptions(self, cutoff):
         # q691's local factors reach p^-691, which underflows for every p >= 3;
-        # no overflow, underflow or invalid operation may occur anywhere
+        # no overflow, underflow or invalid operation may occur anywhere: not in
+        # the exact constants, nor in the sieve route to the cutoff that checks
+        # every class sum of the table
         _clear_caches()
         try:
             with np.errstate(all="raise"):
                 for tag in TABLE_CASES:
                     spec = get_case(tag)
                     constants._b_from_euler(spec, spec.b_euler or spec.euler)
+                    idx = class_index(spec, cutoff)
+                    for euler in filter(None, (spec.euler, spec.b_euler)):
+                        for j, factor in enumerate(euler.classes):
+                            for _, a in factor:
+                                prime_log_sum(idx == j, a, cutoff)
                 constants._b_from_euler(get_case("q3"), get_case("q3").euler)
                 landau_ramanujan_K()
                 first_order_C5()
