@@ -10,8 +10,9 @@ The claimed integral form of the asymptotic forces B_f = 0, so a computed
 B_f bounded away from zero (beyond its error budget) refutes the claim.
 
 B_f is read off the case's Euler factorization in multfn.CASES,
-T(s)^n = zeta(s)^(n tau) zeta(2s)^z prod L(s, chi)^e H(s).  Since
--d/ds log (1 - p^(-a s))^c = -c a log p/(p^(a s) - 1),
+T(s)^n = zeta(s)^(n tau) zeta(2s)^z prod L(s, chi)^e H(s) = zeta(s)^(n tau) g(s)^n,
+by one assembler (_log_g) that gives n log g(s) or -n g'/g(s) term by
+term.  Since -d/ds log (1 - p^(-a s))^c = -c a log p/(p^(a s) - 1),
 
     B_f = -tau gamma - (1/n) [ sum_chi e Re L'/L(1, chi) + 2 z zeta'/zeta(2)
                                + sum over the local factors (c, a) of H of
@@ -37,12 +38,14 @@ the local factors H of that factorization:
 It is kept as a cross-check (b691_approx); B_f - b691_approx is the share of
 those four residual products, about 2.7e-6.
 
-First-order constants, from the class sums of -log(1 - p^-a): the
-two-squares leading constant K = 2^(-1/2) prod_{p=3(4)} (1 - p^-2)^(-1/2),
-and for q5
-C = Gamma(3/4)^(-1) (64 L(1,chi_c) L(1,chi_c~) / (125 L(1,chi_5)))^(1/4) D
-  = (4/(5 Gamma(3/4))) (pi^2 / (2 sqrt5 log((3+sqrt5)/2)))^(1/4) D,
-evaluated both ways and required to agree.
+First-order constants, C = g(1)/Gamma(tau), from the class sums of
+-log(1 - p^-a).  For q5 the same assembler reads g(1) off the table's
+T(s)^4 = zeta(s)^3 L(s, chi_c) L(s, chi_c~) L(s, chi_5)^-1 (1 - 5^-s)^3 H(s);
+its L-values must agree with the closed forms L(1, chi_5) =
+log((3+sqrt5)/2)/sqrt5 and |L(1, chi_c)|^2 = 2 pi^2/25.  The two-squares
+constant K = 2^(-1/2) prod_{p=3(4)} (1 - p^-2)^(-1/2) keeps its closed
+product: the table route would read L(1, chi_-4) = pi/4 from the kernel,
+which raises K's budget from 6.6e-15 to 1.1e-14.
 """
 
 from __future__ import annotations
@@ -59,13 +62,17 @@ from .characters import generator_character
 from .errors import ConsistencyError, UnsupportedCaseError
 from .lseries import (
     _EPS,
+    _exact,
+    _log,
     _log_l_table,
     _rounded,
+    _weight,
+    closed_form_l_values,
     euler_gamma_value,
     frobenius_class_sum,
     l_derivative_at_1,
     prime_class_sum,
-    zeta_log_derivative_at_2,
+    zeta_value,
 )
 from .multfn import TABLE_CASES, get_case, h_f
 
@@ -131,29 +138,42 @@ def _exp(v: ValueWithBudget) -> ValueWithBudget:
     return ValueWithBudget(value, value * math.expm1(v.budget) * (1.0 + 4.0 * _EPS) + math.ulp(value))
 
 
-def _class_sum(spec, j: int, a: int) -> ValueWithBudget:
-    """sum_{p in class j} log p/(p^a - 1), over a Frobenius class or a union of residue classes."""
+def _class_sum(spec, j: int, s, derivative: int = 1) -> ValueWithBudget:
+    """sum_{p in class j} log p/(p^s - 1) (derivative 1) or -log(1 - p^-s)
+    (derivative 0), over a Frobenius class or a union of residue classes."""
     if j in spec.frobenius:
-        return frobenius_class_sum([j], a)
-    return prime_class_sum(len(spec.residues), spec.class_residues(j), a)
+        return frobenius_class_sum([j], s, derivative)
+    return prime_class_sum(len(spec.residues), spec.class_residues(j), s, derivative)
+
+
+def _log_g(spec, euler, s, derivative: int, start) -> ValueWithBudget:
+    """start + n log g(s) (derivative 0) or start - n g'/g(s) (derivative 1),
+    where T(s)^n = zeta(s)^(n tau) g(s)^n is the Euler factorization ``euler``
+    of the case (module docstring), at s = 1 or an integer s >= 2.
+
+    A local factor (1 - p^(-a s))^c adds -c a^d times the class sum at a s,
+    d the derivative; zeta(2s)^z is the factor (-z, 2) over every prime.
+    """
+    s = _exact(s)
+    # -L'/L(s, chi^j) or log L(s, chi^j), and budgets
+    y, dy = _log_l_table(euler.modulus, s, derivative)
+    terms = [(w, ValueWithBudget(float(y[j].real), float(dy[j]))) for j, w in euler.l_weights()]
+    if euler.zeta2:
+        every_prime = -(zeta_value(2 * s, 1) / zeta_value(2 * s)) if derivative else _log(zeta_value(2 * s))
+        terms.append((2**derivative * euler.zeta2, every_prime))
+    finite = [c * a**derivative * _weight(q, a * s, derivative) for q, factor in euler.finite for c, a in factor]
+    # each term is off by at most 3 ulps (log, power, subtraction, division)
+    terms.append((-1, ValueWithBudget(math.fsum(finite), 4.0 * _EPS * math.fsum(map(abs, finite)))))
+    for j, factor in enumerate(euler.classes):
+        terms += [(-c * a**derivative, _class_sum(spec, j, a * s, derivative)) for c, a in factor]
+    for coef, v in terms:
+        start = start + _scaled(coef, v)
+    return start
 
 
 def _b_from_euler(spec, euler) -> ValueWithBudget:
-    """B_f from one Euler factorization of T(s)^n (module docstring)."""
-    # -L'/L(1, chi^j) and budgets
-    y, dy = _log_l_table(euler.modulus, 1, 1)
-    terms = [(w, ValueWithBudget(-float(y[j].real), float(dy[j]))) for j, w in euler.l_weights()]
-    if euler.zeta2:
-        terms.append((2 * euler.zeta2, zeta_log_derivative_at_2()))
-    finite = [c * a * math.log(q) / (q**a - 1.0) for q, factor in euler.finite for c, a in factor]
-    # each term is off by at most 3 ulps (log, subtraction, division)
-    terms.append((1, ValueWithBudget(math.fsum(finite), 4.0 * _EPS * math.fsum(map(abs, finite)))))
-    for j, factor in enumerate(euler.classes):
-        terms += [(c * a, _class_sum(spec, j, a)) for c, a in factor]
-    n_b = _scaled(-float(euler.n * spec.tau), euler_gamma_value())
-    for coef, v in terms:
-        n_b = n_b - _scaled(coef, v)
-    return n_b / euler.n
+    """B_f = -tau gamma - g'(1)/g(1) from one Euler factorization of T(s)^n."""
+    return _log_g(spec, euler, 1, 1, _scaled(-float(euler.n * spec.tau), euler_gamma_value())) / euler.n
 
 
 def q3_direct_b() -> ValueWithBudget:
@@ -201,58 +221,23 @@ def landau_ramanujan_K() -> ValueWithBudget:
     return _exp(log_k)
 
 
-# q5's D = prod over the residue classes R mod 5 of prod (1 - p^-a)^c over p in R
-_D5_FACTORS = (
-    ((1,), ((1, 4), (-1, 5))),
-    ((2, 3), ((1, 3), (-0.5, 2), (-0.75, 4))),
-    ((4,), ((-0.5, 2),)),
-)
-
-
 def first_order_C5() -> ValueWithBudget:
-    """First-order constant for the q5 count, computed by both expressions.
+    """First-order constant of the q5 count, C = g(1)/Gamma(3/4), from the
+    table's factorization T(s)^4 = zeta(s)^3 g(s)^4.
 
-    Both the L-value form and the fully closed form are evaluated; they must
-    agree within combined budgets (ConsistencyError otherwise).  Returns the
-    L-value form.
+    The L-values in it, L(1, chi_5) and |L(1, chi_c)|^2, must agree with
+    their closed forms within budgets (ConsistencyError otherwise).
     """
-    log_d = ValueWithBudget(0.0, 0.0)
-    for residues, factor in _D5_FACTORS:
-        for c, a in factor:
-            # c log(1 - p^-a) summed over the class is -c times the class sum
-            log_d = log_d - c * prime_class_sum(5, residues, a, derivative=0)
-    d = _exp(log_d)
-
-    chi_c = generator_character(5, 1)
-    chi_5 = generator_character(5, 2)
-    l_c = l_derivative_at_1(chi_c, 0)
-    l_pair = (l_c * l_c.conjugate()).real
-    l_5 = l_derivative_at_1(chi_5, 0).real
-    inner = 64.0 * l_pair / (125.0 * l_5)
-    quarter = _vwb_pow(inner, 0.25)
-    gamma34 = math.gamma(0.75)
-    c_lvalue = quarter * d / _rounded(gamma34)
-
-    pref_closed = (4.0 / (5.0 * gamma34)) * (
-        math.pi**2 / (2.0 * math.sqrt(5.0) * math.log((3.0 + math.sqrt(5.0)) / 2.0))
-    ) ** 0.25
-    # about a dozen roundings, each of at most one ulp
-    c_closed = ValueWithBudget(pref_closed, 16.0 * _EPS * pref_closed) * d
-
-    if not c_lvalue.agrees_with(c_closed):
-        raise ConsistencyError(
-            f"first-order q5 expressions disagree: {c_lvalue} vs {c_closed}"
-        )
-    return c_lvalue
-
-
-def _vwb_pow(v: ValueWithBudget, a: float) -> ValueWithBudget:
-    x = v.value.real if isinstance(v.value, complex) else v.value
-    if x <= 0 or v.budget >= x:
-        raise ConsistencyError("power of a non-positive or unresolved value")
-    val = x**a
-    lo, hi = (x - v.budget) ** a, (x + v.budget) ** a
-    return ValueWithBudget(val, max(hi - val, val - lo))
+    l_c = l_derivative_at_1(generator_character(5, 1), 0)
+    l_values = {"chi5": l_derivative_at_1(generator_character(5, 2), 0).real,
+                "chi_c_pair_mod5": (l_c * l_c.conjugate()).real}
+    for tag, v in l_values.items():
+        closed = closed_form_l_values(tag)
+        # a handful of roundings, each of at most one ulp
+        if not v.agrees_with(ValueWithBudget(closed, 8.0 * _EPS * closed)):
+            raise ConsistencyError(f"L-value {tag} disagrees with its closed form: {v} vs {closed}")
+    spec = get_case("q5")
+    return _exp(_log_g(spec, spec.euler, 1, 0, 0.0) / spec.euler.n) / _rounded(math.gamma(0.75))
 
 
 # ---------------------------------------------------------------------------

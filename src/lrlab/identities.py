@@ -1,16 +1,17 @@
-"""Euler-identity cross checks at real s > 1.
+"""Euler-identity cross checks.
 
 Each case's Euler factorization in multfn.CASES,
 
     T(s)^n = zeta(s)^(n tau) zeta(2s)^z prod_chi L(s, chi)^e H(s),
 
-is checked two ways at a real s > 1.
+is checked two ways.
 
-euler_identity_sides evaluates both sides: T(s) as a truncated Dirichlet
-series, zeta and the L-functions by the Euler-Maclaurin kernel
-(lseries.zeta_value, lseries.l_value), and H as a truncated Euler product
-with a tail bound.  Both sides carry budgets and
-must agree within their combined budgets.
+euler_identity_sides evaluates both sides at an integer s >= 2: T(s) as a
+truncated Dirichlet series, and the right side by the assembler that gives
+B_f (constants._log_g): log zeta and log L from the Euler-Maclaurin kernel,
+and log H from exact prime sums over each class (direct below P, Moebius
+inversion of L-values above).  Both sides carry budgets and must agree
+within their combined budgets.
 
 local_factor_gap compares the two sides prime by prime: n log of T's local
 factor at p, in closed form from the zero period m0 of p, against the log
@@ -28,10 +29,11 @@ import math
 
 import numpy as np
 
-from .budget import ValueWithBudget, csum
-from .characters import _dlog_table, generator_character
+from .budget import ValueWithBudget
+from .characters import _dlog_table
+from .constants import _exp, _log_g
 from .errors import UnsupportedCaseError
-from .lseries import _EPS, l_value, zeta_value
+from .lseries import _EPS, _log, zeta_value
 from .multfn import M_ALWAYS, M_NEVER, class_index, dirichlet_series_truncated, get_case, zero_periods
 from .primes import euler_phi, sieve_primes
 
@@ -45,29 +47,6 @@ def truncated_T(case, s: float, n_terms: int) -> ValueWithBudget:
     return ValueWithBudget(value, tail + _EPS * (abs(value) + 1.0) * 4.0)
 
 
-def _euler_product(mask: np.ndarray, factors, s: float, cutoff: int) -> ValueWithBudget:
-    """prod over masked primes of prod_i (1 - p^(-a_i s))^(c_i), with tail.
-
-    ``factors`` is a sequence of (c_i, a_i).  The log-tail past the cutoff is
-    bounded by sum_i |c_i| * 1.01 * cutoff^(1 - a_i s)/(a_i s - 1).
-    """
-    table = sieve_primes(cutoff)
-    pf = table.primes[mask].astype(np.float64)
-    log_parts = [c * np.log1p(-(pf ** (-a * s))) for c, a in factors]
-    log_val = csum(np.concatenate(log_parts)) if log_parts else 0.0
-    log_tail = sum(
-        abs(c) * 1.01 * float(cutoff) ** (1.0 - a * s) / (a * s - 1.0) for c, a in factors
-    )
-    value = math.exp(log_val)
-    return ValueWithBudget(value, value * math.expm1(log_tail + _EPS * (abs(log_val) + 1.0) * 8.0))
-
-
-def _times_power(acc: ValueWithBudget, v: ValueWithBudget, e: int) -> ValueWithBudget:
-    for _ in range(abs(e)):
-        acc = acc * v if e > 0 else acc / v
-    return acc
-
-
 def _factorization(case):
     spec = get_case(case)
     if spec.euler is None:
@@ -75,32 +54,13 @@ def _factorization(case):
     return spec, spec.euler
 
 
-def euler_identity_sides(
-    tag: str,
-    s: float = 2.0,
-    n_terms: int = 10**5,
-    cutoff: int = 10**6,
-):
-    """Left and right side of the case's factorization identity, with budgets."""
+def euler_identity_sides(tag: str, s: int = 2, n_terms: int = 10**5):
+    """T(s)^n and the right side of the case's factorization identity, with
+    budgets, at an integer s >= 2."""
     spec, euler = _factorization(tag)
-    t = truncated_T(spec, s, n_terms)
-    lhs = _times_power(ValueWithBudget(1.0, 0.0), t, euler.n)
-    rhs = _times_power(ValueWithBudget(1.0, 0.0), zeta_value(s), int(euler.n * spec.tau))
-    if euler.zeta2:
-        rhs = _times_power(rhs, zeta_value(2.0 * s), euler.zeta2)
-    m = euler.modulus
-    for j, e in euler.l_exponents:
-        chi = generator_character(m, j)
-        l_val = l_value(chi, s)
-        rhs = _times_power(rhs, l_val if chi.is_real else l_val * l_val.conjugate(), e)
-    for q, factor in euler.finite:
-        for c, a in factor:
-            rhs = rhs * (1.0 - float(q) ** (-a * s)) ** c
-    idx = class_index(spec, cutoff)
-    for j, factor in enumerate(euler.classes):
-        if factor:
-            rhs = rhs * _euler_product(idx == j, factor, s, cutoff)
-    return lhs, rhs.real
+    lhs = _exp(euler.n * _log(truncated_T(spec, s, n_terms)))
+    rhs = _exp(_log_g(spec, euler, s, 0, float(euler.n * spec.tau) * _log(zeta_value(s))))
+    return lhs, rhs
 
 
 def local_factor_gap(case, x: float = 0.5, p_limit: int = 10**4) -> float:

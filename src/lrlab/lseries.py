@@ -32,9 +32,9 @@ for every character mod m at once: _l_table holds L^(k)(s, chi^j) for all j,
 one table per (m, s, k), and every L-value is read from it.  _log_l_table
 holds -L'/L or log L from it, with a budget per character.
 
-Prime sums over residue classes.  prime_class_sum sums log p/(p^s - 1),
--log(1 - p^(-s)), log p p^(-s) or p^(-s) over the primes in a union of
-residue classes mod m, s >= 2, to full precision.  The primes p <= P = 1000
+Prime sums over residue classes.  prime_class_sum sums log p/(p^s - 1) or
+-log(1 - p^(-s)) over the primes in a union of residue classes mod m,
+s >= 2, to full precision.  The primes p <= P = 1000
 (and those dividing m) are summed directly.  The rest come from L-values by
 Moebius inversion (H. Cohen, "High precision computation of Hardy-Littlewood
 constants", 1991; Ettahri, Ramare and Surel, arXiv:1908.06808): with
@@ -58,7 +58,8 @@ The same inversion runs over any classes with a power map c -> c^k:
 frobenius_class_sum runs it over the Frobenius classes S1, S2, S3
 (transpositions, 3-cycles, the identity) of Gal(H/Q) = S_3, H the Hilbert
 class field of Q(sqrt(-23)), which are Wilton's classes of the primes
-p != 23.  There G_s(C) = (|C|/6) sum_chi chi(C) (-L_P'/L_P)(s, chi) over
+p != 23.  There G_s(C) = (|C|/6) sum_chi chi(C) (-L_P'/L_P)(s, chi) (or
+the same with log L_P) over
 the characters 1, chi_-23 and rho, (1, 1, 1), (-1, 1, 1) and (0, -1, 2) on
 (S1, S2, S3).  L(s, rho) = (Z_[1,1,6](s) - Z_[2,1,3](s))/2, the L-function
 of eta(z) eta(23 z), comes from the Epstein zeta functions of the reduced
@@ -360,6 +361,14 @@ def _rounded(x: float) -> ValueWithBudget:
     return ValueWithBudget(x, math.ulp(x))
 
 
+def _log(v: ValueWithBudget) -> ValueWithBudget:
+    """log of a positive real value: |log(x + d) - log x| <= -log(1 - |d|/x), plus one ulp."""
+    if v.budget >= v.value:
+        raise PreconditionError(f"log of a value not resolved from zero: {v}")
+    value = math.log(v.value)
+    return ValueWithBudget(value, -math.log1p(-v.budget / v.value) * (1.0 + 4.0 * _EPS) + math.ulp(value))
+
+
 def _bessel_k(nu: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """K_nu(z) and dK_nu/dnu for z >= 15, 0 < nu <= 15/2, within 1e-12 relative
     plus 1e-44: the trapezoid rule on the integrals over t >= 0 of
@@ -415,10 +424,11 @@ def _epstein_23(a: int, b: int, s: int) -> tuple[ValueWithBudget, ValueWithBudge
     return head + mid + bessel, d_head + d_mid + d_bessel
 
 
-def _rho_log_derivative(s: int) -> ValueWithBudget:
-    """-L'/L(s, rho) at an integer s >= 2; L(s, rho) = (Z_[1,1,6](s) - Z_[2,1,3](s))/2."""
+def _rho_log(s: int, derivative: int) -> ValueWithBudget:
+    """-L'/L(s, rho) (derivative 1) or log L(s, rho) (derivative 0) at an
+    integer s >= 2; L(s, rho) = (Z_[1,1,6](s) - Z_[2,1,3](s))/2."""
     (z1, dz1), (z2, dz2) = _epstein_23(1, 1, s), _epstein_23(2, 1, s)
-    return (dz2 - dz1) / (z1 - z2)
+    return (dz2 - dz1) / (z1 - z2) if derivative else _log((z1 - z2) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -530,22 +540,25 @@ def _direct_primes(m: int) -> np.ndarray:
     return np.concatenate([sieve_primes(MOBIUS_P).primes, np.array(big, dtype=np.int64)])
 
 
-def _prime_terms(primes: np.ndarray, s: float, derivative: int, powers: bool):
-    """Per prime: log p/(p^s - 1), -log(1 - p^-s), log p p^-s or p^-s, and a
-    bound for the terms left out because p^-s would not be a normal float."""
+def _weight(p: int, s, derivative: int) -> float:
+    """log p/(p^s - 1) (derivative 1) or -log(1 - p^-s) (derivative 0) for one
+    prime p, within 3 ulps."""
+    return math.log(p) / (float(p) ** s - 1.0) if derivative else -math.log1p(-(float(p) ** -s))
+
+
+def _prime_terms(primes: np.ndarray, s: float, derivative: int):
+    """Per prime: log p/(p^s - 1) or -log(1 - p^-s), and a bound for the
+    terms left out because p^-s would not be a normal float."""
     lp = np.log(primes.astype(np.float64))
     keep = float(s) * lp <= _LOG_FLOOR
     x = primes[keep].astype(np.float64) ** -float(s)
-    if powers:
-        terms = lp[keep] * x / (1.0 - x) if derivative else -np.log1p(-x)
-    else:
-        terms = lp[keep] * x if derivative else x
+    terms = lp[keep] * x / (1.0 - x) if derivative else -np.log1p(-x)
     # a left-out term is below 2 max(log p, 1) e^-690
     left = 2.0 * float(np.sum(np.maximum(lp[~keep], 1.0))) * math.exp(-_LOG_FLOOR)
     return terms, left
 
 
-def _inversion(terms: np.ndarray, left: float, in_class, power, rough, s, derivative: int, powers: bool):
+def _inversion(terms: np.ndarray, left: float, in_class, power, rough, s, derivative: int):
     """The direct terms (``left`` bounds those left out), then sum_n sum_{k|n}
     coef * (X at n s over the classes c with power(c, k) in ``in_class``), X
     and its bounds from rough(n s) as from _rough_sums, and the remainder."""
@@ -556,7 +569,7 @@ def _inversion(terms: np.ndarray, left: float, in_class, power, rough, s, deriva
     n_max = int(SIGMA_MAX // s) if in_class.any() else 0
     for n in range(1, n_max + 1):
         x, err, rms, small_left = rough(n * s)
-        for k in range(1, n + 1) if powers else (n,):
+        for k in range(1, n + 1):
             mu = _mobius(k)
             if n % k or not mu:
                 continue
@@ -573,27 +586,27 @@ def _inversion(terms: np.ndarray, left: float, in_class, power, rough, s, deriva
 
 
 @lru_cache(maxsize=1024)
-def _class_sum(m: int, residues: tuple, s, derivative: int, powers: bool) -> ValueWithBudget:
+def _class_sum(m: int, residues: tuple, s, derivative: int) -> ValueWithBudget:
     """prime_class_sum for sorted residues and an exact s: the classes are the
     unit residues g^c, and (g^c)^k = g^(kc)."""
     phi = euler_phi(m)
     primes = _direct_primes(m)
-    terms, left = _prime_terms(primes[np.isin(primes % m, residues)], s, derivative, powers)
+    terms, left = _prime_terms(primes[np.isin(primes % m, residues)], s, derivative)
     dlog = _dlog_table(m)[list(residues)]
     in_class = np.zeros(phi, dtype=bool)
     in_class[dlog[dlog >= 0]] = True
     return _inversion(terms, left, in_class, lambda c, k: (k * c) % phi,
-                      lambda sigma: _rough_sums(m, sigma, derivative), s, derivative, powers)
+                      lambda sigma: _rough_sums(m, sigma, derivative), s, derivative)
 
 
-def prime_class_sum(m: int, residues, s: float, derivative: int = 1, powers: bool = True) -> ValueWithBudget:
+def prime_class_sum(m: int, residues, s: float, derivative: int = 1) -> ValueWithBudget:
     """Sum over the primes p = r (mod m), r in ``residues``, at real s >= 2, of
 
-        derivative 1: log p/(p^s - 1) (powers) or log p p^-s,
-        derivative 0: -log(1 - p^-s)  (powers) or p^-s,
+        derivative 1: log p/(p^s - 1),
+        derivative 0: -log(1 - p^-s),
 
-    that is of sum_j w_j log^d p p^(-js) with w_j = 1/j^(1-d) (powers) or
-    of its j = 1 term.  m is one of the moduli in characters.GENERATORS.
+    that is of sum_j w_j log^d p p^(-js) with w_j = 1/j^(1-d).  m is one of
+    the moduli in characters.GENERATORS.
     Direct below P, Moebius inversion of L-values above (module docstring);
     the budget covers rounding and the bounded remainder.
     """
@@ -604,7 +617,7 @@ def prime_class_sum(m: int, residues, s: float, derivative: int = 1, powers: boo
     if not s >= 2:
         raise PreconditionError(f"prime class sums need s >= 2, got {s}")
     key = tuple(sorted({int(r) % m for r in residues}))
-    return _class_sum(m, key, _exact(s), derivative, bool(powers))
+    return _class_sum(m, key, _exact(s), derivative)
 
 
 # ---------------------------------------------------------------------------
@@ -621,32 +634,36 @@ def _s3_power(c, k):
     return np.where(k % np.array([2, 3, 1])[c] == 0, 2, c)
 
 
-@lru_cache(maxsize=16)
-def _frobenius_rough(s) -> tuple:
-    """_rough_sums over the classes C (derivative 1): X(C) = (|C|/6) sum_chi
-    chi(C) (-L'/L)(s, chi), each L without its factor at 23 (the table mod 23
-    for 1 and chi_-23), less the powers of p <= P.  The bound per class
-    holds the L-values' budgets."""
-    y, dy = _log_l_table(23, s, 1)
-    ramified = math.log(23.0) / (23.0**s - 1.0)  # within 3 ulps
-    rho = _rho_log_derivative(s) - ValueWithBudget(ramified, 4.0 * _EPS * ramified)
+@lru_cache(maxsize=32)
+def _frobenius_rough(s, derivative: int) -> tuple:
+    """_rough_sums over the classes C: X(C) = (|C|/6) sum_chi chi(C)
+    (-L'/L)(s, chi) (derivative 1) or log L(s, chi) (derivative 0), each L
+    without its factor at 23 (the table mod 23 for 1 and chi_-23), less the
+    powers of p <= P.  The bound per class holds the L-values' budgets."""
+    y, dy = _log_l_table(23, s, derivative)
+    ramified = _weight(23, s, derivative)
+    rho = _rho_log(s, derivative) - ValueWithBudget(ramified, 4.0 * _EPS * ramified)
     ys = np.array([y[0].real, y[11].real, rho.value])
-    small, left = _small_power_sums(wilton_classes, _s3_power, 3, s, 1)
+    small, left = _small_power_sums(wilton_classes, _s3_power, 3, s, derivative)
     x = _S3_WEIGHTS @ ys - small
     dys = np.array([dy[0], dy[11], rho.budget]) + 4.0 * _EPS * np.abs(ys)  # with the weights' rounding
     err = np.abs(_S3_WEIGHTS) @ dys + 4.0 * _EPS * small + _EPS * np.abs(x)
     return x, err, 0.0, left
 
 
-def frobenius_class_sum(classes, a: int) -> ValueWithBudget:
-    """Sum of log p/(p^a - 1) over the primes whose Frobenius in Gal(H/Q) = S_3
-    lies in ``classes`` (0 = S1, 1 = S2, 2 = S3, Wilton's classes), integer
-    a >= 2: direct below P, Moebius inversion above (module docstring)."""
+def frobenius_class_sum(classes, a: int, derivative: int = 1) -> ValueWithBudget:
+    """Sum of log p/(p^a - 1) (derivative 1) or -log(1 - p^-a) (derivative 0)
+    over the primes whose Frobenius in Gal(H/Q) = S_3 lies in ``classes``
+    (0 = S1, 1 = S2, 2 = S3, Wilton's classes), integer a >= 2: direct below
+    P, Moebius inversion above (module docstring)."""
     in_class = np.isin(np.arange(3), list(classes))
     if np.count_nonzero(in_class) != len(set(classes)):
         raise InvalidArgumentError(f"Frobenius classes are 0, 1, 2; got {sorted(classes)}")
+    if derivative not in (0, 1):
+        raise InvalidArgumentError(f"derivative must be 0 or 1, got {derivative}")
     if a != int(a) or a < 2:
         raise PreconditionError(f"Frobenius class sums need an integer a >= 2, got {a}")
     p = sieve_primes(MOBIUS_P).primes
-    terms, left = _prime_terms(p[np.isin(wilton_classes(p), list(classes))], a, 1, True)
-    return _inversion(terms, left, in_class, _s3_power, _frobenius_rough, int(a), 1, True)
+    terms, left = _prime_terms(p[np.isin(wilton_classes(p), list(classes))], a, derivative)
+    return _inversion(terms, left, in_class, _s3_power, lambda sigma: _frobenius_rough(sigma, derivative),
+                      int(a), derivative)

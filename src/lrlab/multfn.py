@@ -17,8 +17,9 @@ every class, and the Euler factorization
 
 of the case's Dirichlet series T(s) = sum f(n) n^-s, where H is a product
 of local factors (1 - p^(-a s))^c over a few single primes and over the
-primes of each class.  B_f (constants), the s = 2 identity checks
-(identities) and the sieves here are all read off these entries.
+primes of each class.  B_f and q5's first-order constant (constants), the
+s = 2 identity checks (identities) and the sieves here are all read off
+these entries.
 
 The generalized von Mangoldt function of f, defined by
 f(n) log n = sum_{d|n} f(d) Lambda_f(n/d), is supported on prime powers and
@@ -36,7 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -237,16 +237,27 @@ def get_case(case) -> CaseSpec:
         raise UnsupportedCaseError(f"unknown case tag {case!r}") from None
 
 
-@lru_cache(maxsize=32)
-def _class_index(tag: str, limit: int) -> np.ndarray:
-    idx = CASES[tag].classify(pr.sieve_primes(limit).primes)
-    idx.flags.writeable = False
-    return idx
+_class_indices: dict[str, np.ndarray] = {}  # per case, the index to the widest limit so far
 
 
 def class_index(case, limit: int) -> np.ndarray:
-    """Class index of every prime <= limit, aligned with sieve_primes(limit)."""
-    return _class_index(get_case(case).tag, int(limit))
+    """Class index of every prime <= limit, aligned with sieve_primes(limit).
+
+    One read-only index per case grows the way the prime table does: only
+    the primes past the widest limit so far are classified, and every limit
+    reads a prefix of it.
+    """
+    spec = get_case(case)
+    primes = pr.sieve_primes(int(limit)).primes
+    idx = _class_indices.get(spec.tag, np.zeros(0, dtype=np.uint8))
+    if len(idx) < len(primes):
+        grown = spec.classify(primes[len(idx) :])
+        # the first index is kept as classified: copying it raised the peak
+        # memory of counting every case to 1e7 by 2.5 MB
+        idx = np.concatenate([idx, grown]) if len(idx) else grown
+        idx.flags.writeable = False
+        _class_indices[spec.tag] = idx
+    return idx[: len(primes)]
 
 
 def zero_period(case, p: int) -> int:

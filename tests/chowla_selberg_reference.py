@@ -6,9 +6,10 @@ the Chowla-Selberg formula in mpmath at 40 digits, with mpmath's own Bessel
 K at real order and the s-derivative by mp.diff: no half-integer closed
 form, no digamma identity and no trapezoid rule is shared with lrlab.
 
-The class sums follow mobius_reference: the Moebius formula over the
-classes of S_3, with the principal character and chi_-23 mod 23 from its
-Hurwitz progression sums, P = 600 and n a <= 8.  The primes p <= P are
+The class sums, of log p/(p^a - 1) or -log(1 - p^-a), follow
+mobius_reference: the Moebius formula over the classes of S_3, from -L'/L
+or log L with the principal character and chi_-23 mod 23 from its Hurwitz
+progression sums, P = 600 and n a <= 8.  The primes p <= P are
 classified here: S3 if p = x^2 + x y + 6 y^2, else S2 if (p|23) = 1, else
 S1.  `frobenius_reference` returns the value and a bound on its error.
 """
@@ -53,10 +54,10 @@ def l_rho(s):
 
 
 @lru_cache(maxsize=None)
-def rho_log_derivative(s: int):
-    """-L'/L(s, rho)."""
+def rho_log(s: int, derivative: int):
+    """-L'/L(s, rho) (derivative 1) or log L(s, rho) (derivative 0)."""
     with mp.workdps(DPS):
-        return -mp.diff(l_rho, s) / l_rho(s)
+        return -mp.diff(l_rho, s) / l_rho(s) if derivative else mp.log(l_rho(s))
 
 
 def frobenius_class(p: int) -> int:
@@ -71,36 +72,48 @@ def _power(c: int, k: int) -> int:
     return 2 if k % ORDERS[c] == 0 else c
 
 
+def _weight(p: int, s: int, derivative: int):
+    """log p/(p^s - 1) or -log(1 - p^-s)."""
+    x = mp.mpf(p) ** -s
+    return mp.log(p) * x / (1 - x) if derivative else -mp.log(1 - x)
+
+
 @lru_cache(maxsize=None)
-def _class_functions(s: int) -> tuple:
-    """X(C) = (|C|/6) sum_chi chi(C) (-L_P'/L_P)(s, chi), 23 left out, per class C."""
+def _class_functions(s: int, derivative: int) -> tuple:
+    """X(C) = (|C|/6) sum_chi chi(C) (-L_P'/L_P)(s, chi) or log L_P(s, chi),
+    23 left out, per class C."""
     h0, h1 = _progressions(23, s)
     with mp.workdps(DPS):
-        ys = [mp.fsum(h1) / mp.fsum(h0),
-              mp.fsum((-1) ** b * v for b, v in enumerate(h1)) / mp.fsum((-1) ** b * v for b, v in enumerate(h0)),
-              rho_log_derivative(s) - mp.log(23) / (mp.mpf(23) ** s - 1)]
+        quadratic = [mp.fsum((-1) ** b * v for b, v in enumerate(h)) for h in (h0, h1)]
+        if derivative:
+            ys = [mp.fsum(h1) / mp.fsum(h0), quadratic[1] / quadratic[0]]
+        else:
+            ys = [mp.log(mp.fsum(h0)), mp.log(quadratic[0])]
+        ys.append(rho_log(s, derivative) - _weight(23, s, derivative))
         x = [mp.mpf(SIZES[c]) / 6 * mp.fsum(chi[c] * y for chi, y in zip(CHARACTERS, ys)) for c in range(3)]
         for p in sieve_primes(BIG_P).primes.tolist():
             if p == 23:
                 continue
             c = frobenius_class(p)
             for e in range(1, int(_POWER_CUT / (s * math.log(p))) + 1):
-                x[_power(c, e)] -= mp.log(p) * mp.mpf(p) ** (-e * s)
+                x[_power(c, e)] -= mp.log(p) * mp.mpf(p) ** (-e * s) if derivative else mp.mpf(p) ** (-e * s) / e
         return tuple(x)
 
 
-def frobenius_reference(classes, a: int):
+def frobenius_reference(classes, a: int, derivative: int = 1):
     """(value, bound) for the sum over the primes in the Frobenius classes
-    ``classes`` of log p/(p^a - 1); |true - value| <= bound."""
+    ``classes`` of log p/(p^a - 1) (derivative 1) or -log(1 - p^-a)
+    (derivative 0); |true - value| <= bound."""
     n_max = SIGMA_MAX // a
     with mp.workdps(DPS):
-        total = mp.fsum(mp.log(p) / (mp.mpf(p) ** a - 1) for p in sieve_primes(BIG_P).primes.tolist()
+        total = mp.fsum(_weight(p, a, derivative) for p in sieve_primes(BIG_P).primes.tolist()
                         if p != 23 and frobenius_class(p) in classes)
         for n in range(1, n_max + 1):
-            x = _class_functions(n * a)
+            x = _class_functions(n * a, derivative)
             for k in range(1, n + 1):
                 if n % k == 0 and _mobius(k):
-                    total += _mobius(k) * mp.fsum(x[c] for c in range(3) if _power(c, k) in classes)
+                    coef = mp.mpf(_mobius(k)) if derivative else mp.mpf(_mobius(k)) / n
+                    total += coef * mp.fsum(x[c] for c in range(3) if _power(c, k) in classes)
     lp, y = math.log(BIG_P), BIG_P ** -float(a)
     dropped = BIG_P * (lp + 1) * (n_max + 1) * y ** (n_max + 1) / (1 - y) ** 2
     powers_left = 2.0 * math.exp(-_POWER_CUT) * 2.2 * BIG_P * n_max * n_max

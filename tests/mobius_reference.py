@@ -153,16 +153,14 @@ def _small_powers(m: int, s: int, derivative: int, big_p: int, classes: frozense
     return {c: mp.fsum(v) for c, v in out.items()}
 
 
-def _term(p: int, s: int, derivative: int, powers: bool):
+def _term(p: int, s: int, derivative: int):
     x = mp.mpf(p) ** -s
-    if powers:
-        return mp.log(p) * x / (1 - x) if derivative else -mp.log(1 - x)
-    return mp.log(p) * x if derivative else x
+    return mp.log(p) * x / (1 - x) if derivative else -mp.log(1 - x)
 
 
-def reference(m: int, residues, s: int, derivative: int = 1, powers: bool = True):
+def reference(m: int, residues, s: int, derivative: int = 1):
     """(value, bound) for the sum over primes p = r (mod m), r in ``residues``, of
-    log p/(p^s - 1), -log(1 - p^-s) (powers) or log p p^-s, p^-s; |true - value| <= bound."""
+    log p/(p^s - 1) or -log(1 - p^-s); |true - value| <= bound."""
     big_p, s_max = PARAMS.get(m, DEFAULT_PARAMS)
     dlog, phi = _dlogs(m)
     res = {r % m for r in residues}
@@ -173,9 +171,9 @@ def reference(m: int, residues, s: int, derivative: int = 1, powers: bool = True
     with mp.workdps(DPS):
         primes = [p for p in sieve_primes(big_p).primes.tolist() if p % m in res]
         primes += [q for q in range(big_p + 1, m + 1) if m % q == 0 and q % m in res]
-        total = mp.fsum(_term(p, s, derivative, powers) for p in primes)
+        total = mp.fsum(_term(p, s, derivative) for p in primes)
         for n in range(1, n_max + 1):
-            for k in range(1, n + 1) if powers else (n,):
+            for k in range(1, n + 1):
                 mu = _mobius(k)
                 if n % k or not mu:
                     continue

@@ -22,8 +22,8 @@ from lrlab.constants import (
     table1,
     verdict,
 )
-from lrlab.errors import UnsupportedCaseError
-from lrlab.lseries import _EPS, _log_l_table, gamma_k
+from lrlab.errors import ConsistencyError, UnsupportedCaseError
+from lrlab.lseries import _EPS, _log_l_table, _rounded, gamma_k
 from lrlab.multfn import get_case
 from mobius_reference import _dlogs, reference
 from test_lseries import l_reference
@@ -221,6 +221,18 @@ class TestFirstOrder:
             assert kx * (1 - 1e-13) <= k.value + k.budget
             assert k.value - k.budget <= kx * math.exp(0.5 / x) * (1 + 1e-13)
         assert k.budget < (k2 - k1) / 100
+
+    def test_two_squares_c1_from_the_table(self):
+        # C1 = g(1)/Gamma(1/2) for T(s)^2 = zeta(s) g(s)^2 is K, from the closed product
+        spec = get_case("two_squares")
+        log_g = constants._log_g(spec, spec.euler, 1, 0, 0.0)
+        c1 = constants._exp(log_g / spec.euler.n) / _rounded(math.sqrt(math.pi))
+        assert c1.agrees_with(landau_ramanujan_K())
+
+    def test_c5_checks_its_l_values(self, monkeypatch):
+        monkeypatch.setattr(constants, "closed_form_l_values", lambda tag: 1.0)
+        with pytest.raises(ConsistencyError):
+            first_order_C5()
 
     def test_empty_product_prefactor(self):
         # D over no primes leaves C = (4/(5 Gamma(3/4))) (pi^2/(2 sqrt5 log((3+sqrt5)/2)))^(1/4);

@@ -4,6 +4,8 @@ The mpmath Chowla-Selberg reference is checked first against a lattice sum
 and an Euler product; lrlab's -L'/L(s, rho), its Bessel K and the S2 and S3
 class sums are then checked against it with no slack (soundness), and each
 budget within 10^3 times the observed error, floored at one ulp (tightness).
+log L(s, rho) and the sums of -log(1 - p^-a) over every class are checked
+for soundness.
 """
 
 import math
@@ -12,11 +14,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from chowla_selberg_reference import epstein, frobenius_class, frobenius_reference, l_rho, rho_log_derivative
+from chowla_selberg_reference import epstein, frobenius_class, frobenius_reference, l_rho, rho_log
 from lrlab import lseries
 from lrlab.errors import InvalidArgumentError, PreconditionError
 from lrlab.lseries import frobenius_class_sum
 from lrlab.primes import sieve_primes, wilton_classes
+from test_primesums import assert_within
 
 SIGMAS = (2, 3, 4, 6, 8)  # the s = n a <= SIGMA_MAX of q23's a = 2, 3
 
@@ -80,12 +83,22 @@ class TestSoundness:
 
     @pytest.mark.parametrize("s", SIGMAS)
     def test_rho_log_derivative(self, s):
-        assert_sound_and_tight(lseries._rho_log_derivative(s), rho_log_derivative(s), 0, s)
+        assert_sound_and_tight(lseries._rho_log(s, 1), rho_log(s, 1), 0, s)
+
+    @pytest.mark.parametrize("s", SIGMAS)
+    def test_log_rho(self, s):
+        assert_within(lseries._rho_log(s, 0), rho_log(s, 0), 0, s)
 
     @pytest.mark.parametrize("a", [2, 3])
     @pytest.mark.parametrize("c", [1, 2])
     def test_s2_and_s3(self, c, a):
         assert_sound_and_tight(frobenius_class_sum([c], a), *frobenius_reference({c}, a), (c, a))
+
+    @pytest.mark.parametrize("a", [2, 3, 4])
+    @pytest.mark.parametrize("c", [0, 1, 2])
+    def test_log_sums(self, c, a):
+        # sum over the class of -log(1 - p^-a), the factors of q23's identity at s = 2
+        assert_within(frobenius_class_sum([c], a, 0), *frobenius_reference({c}, a, 0), (c, a))
 
     def test_union_of_the_classes_is_every_prime_but_23(self):
         # sum over S1, S2, S3 = -zeta'/zeta(2) less log 23/(23^2 - 1)
@@ -98,6 +111,8 @@ class TestArguments:
     def test_bad_arguments(self):
         with pytest.raises(InvalidArgumentError):
             frobenius_class_sum([3], 2)
+        with pytest.raises(InvalidArgumentError):
+            frobenius_class_sum([2], 2, derivative=2)
         with pytest.raises(PreconditionError):
             frobenius_class_sum([2], 1)
         with pytest.raises(PreconditionError):

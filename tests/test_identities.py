@@ -6,6 +6,7 @@ import pytest
 
 from lrlab.errors import UnsupportedCaseError
 from lrlab.characters import generator_character
+from lrlab.constants import _log_g
 from lrlab.identities import euler_identity_sides, local_factor_gap, truncated_T
 from lrlab.multfn import CASES, class_index, dirichlet_series_truncated, f_prime_power, get_case
 from lrlab.primes import sieve_primes
@@ -25,8 +26,26 @@ FACTORIZATIONS = [
 class TestEulerIdentities:
     @pytest.mark.parametrize("tag", ["q3", "q5", "q7", "q23", "two_squares"])
     def test_sides_agree_within_budgets(self, tag):
-        lhs, rhs = euler_identity_sides(tag, 2.0, 10**5, 10**6)
+        lhs, rhs = euler_identity_sides(tag, 2, 10**5)
         assert abs(lhs.value - rhs.value) <= lhs.budget + rhs.budget, tag
+
+    def test_sees_a_wrong_low_order_exponent(self, monkeypatch):
+        # (-1, 2) -> (-2, 2) on q7's non-residues multiplies the right side by
+        # prod_p (1 - p^-4)^-1 over them, about 1.014
+        spec = get_case("q7")
+        classes = list(spec.euler.classes)
+        assert classes[2] == ((-1, 2),)
+        classes[2] = ((-2, 2),)
+        broken = replace(spec, euler=replace(spec.euler, classes=tuple(classes)))
+        monkeypatch.setitem(CASES, "q7", broken)
+        lhs, rhs = euler_identity_sides("q7")
+        assert abs(lhs.value - rhs.value) > 100 * (lhs.budget + rhs.budget)
+
+    def test_q3_forms_agree(self):
+        # the zeta(2s)^-2 rewrite of q3's factorization gives the same right side
+        spec = get_case("q3")
+        direct, rewrite = (_log_g(spec, euler, 2, 0, 0.0) for euler in (spec.euler, spec.b_euler))
+        assert direct.agrees_with(rewrite)
 
     def test_budgets_are_sound_for_T(self):
         # deepening the truncation moves T by less than the shallow budget

@@ -106,9 +106,11 @@ class TestClasses:
             assert [zero_period(tag, p) for p in primes] == zero_periods(tag, 3000).tolist(), tag
 
     def test_class_index_is_cached_and_read_only(self):
+        # every limit reads a prefix of one index per case, grown to the widest limit
+        wide = class_index("q5", 10**5)
         idx = class_index("q5", 10**4)
-        assert idx is class_index("q5", 10**4) and idx.dtype == np.uint8
-        assert not idx.flags.writeable
+        assert idx.dtype == np.uint8 and not idx.flags.writeable and not wide.flags.writeable
+        assert np.shares_memory(idx, wide) and np.array_equal(idx, wide[: len(idx)])
         assert sorted(set(idx.tolist())) == list(range(len(CASES["q5"].m0)))
 
     def test_composite_rejected(self):

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lrlab import primes
@@ -132,7 +132,15 @@ class TestKronecker:
     )
     @settings(max_examples=300, deadline=None)
     def test_multiplicative_in_numerator(self, a, b, n):
+        # not at n = -1 with a zero factor: (0|-1) = 1 (test_sign_convention)
+        assume(n > 0 or a * b != 0)
         assert kronecker_symbol(a * b, n) == kronecker_symbol(a, n) * kronecker_symbol(b, n)
+
+    def test_sign_convention(self):
+        # (a|-1) is the sign of a, and 1 at a = 0, so (0 * -1|-1) = 1 but (0|-1)(-1|-1) = -1
+        assert kronecker_symbol(0, -1) == 1
+        assert kronecker_symbol(-1, -1) == -1
+        assert kronecker_symbol(5, -1) == 1
 
     @given(
         st.integers(min_value=-200, max_value=200),

@@ -47,11 +47,11 @@ def residue_classes(tag):
 class TestSoundness:
     @pytest.mark.parametrize("m", [3, 4, 5, 7, 23])
     def test_every_residue(self, m):
-        # sum_{p = r} log p p^-2 and sum_{p = r} p^-2, every residue
+        # sum_{p = r} log p/(p^2 - 1) and sum_{p = r} -log(1 - p^-2), every residue
         for r in range(m):
             for derivative in (0, 1):
-                v = prime_class_sum(m, [r], 2, derivative, powers=False)
-                assert_within(v, *reference(m, [r], 2, derivative, powers=False), (m, r, derivative))
+                v = prime_class_sum(m, [r], 2, derivative)
+                assert_within(v, *reference(m, [r], 2, derivative), (m, r, derivative))
 
     @pytest.mark.parametrize("tag", ["two_squares", "q3", "q5", "q7", "q23"])
     def test_case_classes(self, tag):
@@ -67,8 +67,8 @@ class TestSoundness:
         nu2 = prime_class_sum(691, [690], 2)
         assert_within(nu2, *reference(691, [690], 2), "nu = 2")
         for r in (1, 2, 3, 5, 6, 100, 345, 346, 500, 689):
-            v = prime_class_sum(691, [r], 2, powers=False)
-            assert_within(v, *reference(691, [r], 2, powers=False), r)
+            v = prime_class_sum(691, [r], 2)
+            assert_within(v, *reference(691, [r], 2), r)
 
     def test_zeta_log_derivative(self):
         z = zeta_log_derivative_at_2()
@@ -87,18 +87,24 @@ class TestSoundness:
         assert k.budget < 1e-14
 
     def test_q5_constant_within_budget(self):
-        # C = (4/(5 Gamma(3/4))) (pi^2/(2 sqrt5 log((3+sqrt5)/2)))^(1/4) D, with
-        # log D = -sum over the classes of c times sum_p -log(1 - p^-a)
-        log_d, bound = mp.mpf(0), 0.0
-        for residues, factor in constants._D5_FACTORS:
-            for c, a in factor:
-                ref, b = reference(5, residues, a, derivative=0)
-                log_d -= c * ref
-                bound += abs(c) * b
+        # C = g(1)/Gamma(3/4) with T(s)^4 = zeta(s)^3 g(s)^4 from the case table:
+        # 4 log g(1) = 2 log |L(1, chi_c)| - log L(1, chi_5) + 3 log(4/5)
+        #              - sum over the class factors (c, a) of c sum_p -log(1 - p^-a)
+        spec = get_case("q5")
+        euler = spec.euler
+        bound = 0.0
         with mp.workdps(30):
-            pref = 4 / (5 * mp.gamma(0.75)) * (mp.pi**2 / (2 * mp.sqrt(5) * mp.log((3 + mp.sqrt(5)) / 2))) ** 0.25
-            c_ref = pref * mp.exp(log_d)
-            bound = float(c_ref * mp.expm1(bound))
+            # L(1, chi_c) L(1, conj chi_c) = 2 pi^2/25 (j = 1), L(1, chi_5) = log((3 + sqrt5)/2)/sqrt5 (j = 2)
+            l_values = {1: 2 * mp.pi**2 / 25, 2: mp.log((3 + mp.sqrt(5)) / 2) / mp.sqrt(5)}
+            log_g = mp.fsum(e * mp.log(l_values[j]) for j, e in euler.l_exponents)
+            log_g += mp.fsum(c * mp.log(1 - mp.mpf(q) ** -a) for q, factor in euler.finite for c, a in factor)
+            for j, factor in enumerate(euler.classes):
+                for c, a in factor:
+                    ref, b = reference(5, spec.class_residues(j), a, derivative=0)
+                    log_g -= c * ref
+                    bound += abs(c) * b
+            c_ref = mp.exp(log_g / euler.n) / mp.gamma(0.75)
+            bound = float(c_ref * mp.expm1(bound / euler.n))
         c5 = first_order_C5()
         assert_within(c5, c_ref, bound, "C5")
         assert c5.budget < 1e-13
@@ -157,8 +163,8 @@ class TestFloatExceptions:
     def test_constants_without_float_exceptions(self, cutoff):
         # q691's local factors reach p^-691, which underflows for every p >= 3;
         # no overflow, underflow or invalid operation may occur anywhere: not in
-        # the exact constants, nor in the sieve route to the cutoff that checks
-        # every class sum of the table
+        # the exact constants or the identity right sides at s = 2, nor in the
+        # sieve route to the cutoff that checks every class sum of the table
         _clear_caches()
         try:
             with np.errstate(all="raise"):
@@ -167,6 +173,7 @@ class TestFloatExceptions:
                     constants._b_from_euler(spec, spec.b_euler or spec.euler)
                     idx = class_index(spec, cutoff)
                     for euler in filter(None, (spec.euler, spec.b_euler)):
+                        constants._log_g(spec, euler, 2, 0, 0.0)
                         for j, factor in enumerate(euler.classes):
                             for _, a in factor:
                                 prime_log_sum(idx == j, a, cutoff)
