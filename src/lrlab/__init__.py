@@ -35,7 +35,6 @@ from .lseries import (
     l_derivative_at_1,
     l_value,
     prime_class_sum,
-    zeta_log_derivative_at_2,
     zeta_value,
 )
 from .modforms import lambda_mod3, odd_tau_count, tau_exact, tau_mod
@@ -46,19 +45,8 @@ from .multfn import (
     count_f,
     dirichlet_series_truncated,
     f_sieve,
-    f_value,
     h_f,
-    lambda_f_prime_power,
-    lambda_table,
 )
-from .primes import (
-    PrimeTable,
-    is_prime,
-    kronecker_symbol,
-    mult_order,
-    sieve_primes,
-    wilton_class,
-    wilton_class_cubic,
-)
+from .primes import PrimeTable, sieve_primes
 
 __version__ = "0.1.0"

@@ -34,10 +34,11 @@ holds -L'/L or log L from it, with a budget per character.
 
 Prime sums over residue classes.  prime_class_sum sums log p/(p^s - 1) or
 -log(1 - p^(-s)) over the primes in a union of residue classes mod m,
-s >= 2, to full precision.  The primes p <= P = 1000
-(and those dividing m) are summed directly.  The rest come from L-values by
-Moebius inversion (H. Cohen, "High precision computation of Hardy-Littlewood
-constants", 1991; Ettahri, Ramare and Surel, arXiv:1908.06808): with
+s >= 2, to full precision.  The primes p <= P = 1000 (the prime divisors
+of every modulus m <= 691 among them) are summed directly.  The rest come
+from L-values by Moebius inversion (H. Cohen, "High precision computation
+of Hardy-Littlewood constants", 1991; Ettahri, Ramare and Surel,
+arXiv:1908.06808): with
 L_P(s, chi) = L(s, chi) prod_{p<=P} (1 - chi(p) p^(-s)), g the generator of
 (Z/mZ)^* and b the discrete log of the residue,
 
@@ -82,7 +83,7 @@ import numpy as np
 from .budget import ValueWithBudget, csum
 from .characters import GENERATORS, DirichletCharacter, _dlog_table
 from .errors import InvalidArgumentError, PreconditionError, ResourceLimitError
-from .primes import euler_phi, is_prime, sieve_primes, wilton_classes
+from .primes import euler_phi, sieve_primes, wilton_classes
 
 __all__ = [
     "ValueWithBudget",
@@ -94,7 +95,6 @@ __all__ = [
     "closed_form_l_values",
     "prime_class_sum",
     "frobenius_class_sum",
-    "zeta_log_derivative_at_2",
     "GAMMA_K_MAX",
     "MOBIUS_P",
     "SIGMA_MAX",
@@ -327,11 +327,6 @@ def zeta_value(s: float, k: int = 0) -> ValueWithBudget:
     return ValueWithBudget(-float(vals[0]) if k % 2 else float(vals[0]), float(buds[0]))
 
 
-def zeta_log_derivative_at_2() -> ValueWithBudget:
-    """zeta'(2)/zeta(2) = -sum_n log n n^-2 / sum_n n^-2."""
-    return zeta_value(2, 1) / zeta_value(2)
-
-
 CLOSED_FORM_TAGS = ("chi5", "chi_minus7", "chi_minus23", "chi_c_pair_mod5")
 
 
@@ -534,12 +529,6 @@ def _rough_sums(m: int, s, derivative: int) -> tuple:
     return x, err, rms, left
 
 
-def _direct_primes(m: int) -> np.ndarray:
-    """The primes summed directly for modulus m: p <= P and the prime divisors of m."""
-    big = [q for q in range(MOBIUS_P + 1, m + 1) if m % q == 0 and is_prime(q)]
-    return np.concatenate([sieve_primes(MOBIUS_P).primes, np.array(big, dtype=np.int64)])
-
-
 def _weight(p: int, s, derivative: int) -> float:
     """log p/(p^s - 1) (derivative 1) or -log(1 - p^-s) (derivative 0) for one
     prime p, within 3 ulps."""
@@ -590,7 +579,7 @@ def _class_sum(m: int, residues: tuple, s, derivative: int) -> ValueWithBudget:
     """prime_class_sum for sorted residues and an exact s: the classes are the
     unit residues g^c, and (g^c)^k = g^(kc)."""
     phi = euler_phi(m)
-    primes = _direct_primes(m)
+    primes = sieve_primes(MOBIUS_P).primes
     terms, left = _prime_terms(primes[np.isin(primes % m, residues)], s, derivative)
     dlog = _dlog_table(m)[list(residues)]
     in_class = np.zeros(phi, dtype=bool)

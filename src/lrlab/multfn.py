@@ -27,9 +27,12 @@ has the closed form
 
     Lambda_f(p^k) = log p * (1 + m0*[m0 | k] - (m0-1)*[(m0-1) | k])
 
-for finite m0 (log p for NEVER, 0 for ALWAYS); the divisor recursion is kept
-as an oracle.  H_f(x) = sum_{p^k <= x} Lambda_f(p^k)/p^k - tau*log x tracks
-the constant term B_f of the logarithmic prime sum.
+for finite m0 (log p for NEVER, 0 for ALWAYS).  H_f(x) =
+sum_{p^k <= x} Lambda_f(p^k)/p^k - tau*log x, which h_f evaluates from
+this closed form for all primes at once, tracks the constant term B_f of
+the logarithmic prime sum.  The scalar references for one prime or one n
+(m0, f by trial division, and Lambda_f by the prime-power recursion) live
+with the tests, in tests/scalar_reference.py.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from typing import Callable
 import numpy as np
 
 from .budget import ValueWithBudget, csum
+from .characters import _dlog_table
 from .errors import (
     InvalidArgumentError,
     PreconditionError,
@@ -57,14 +61,9 @@ __all__ = [
     "TABLE_CASES",
     "get_case",
     "class_index",
-    "zero_period",
     "zero_periods",
-    "f_prime_power",
-    "f_value",
     "f_sieve",
     "count_f",
-    "lambda_f_prime_power",
-    "lambda_f_closed_form",
     "h_f",
     "dirichlet_series_truncated",
     "M_NEVER",
@@ -143,11 +142,12 @@ class CaseSpec:
 
 _DIVISORS_690 = tuple(d for d in range(1, 691) if 690 % d == 0)
 # The class of r mod 691: the index of its order in _DIVISORS_690; the last class is p = 691.
+# g^a has order 690/gcd(a, 690) for the generator g = characters.GENERATORS[691].
 _ORDER_CLASSES = (len(_DIVISORS_690),) + tuple(
-    _DIVISORS_690.index(int(nu)) for nu in pr.order_table_691()[1:]
+    _DIVISORS_690.index(690 // math.gcd(int(a), 690)) for a in _dlog_table(691)[1:]
 )
 # The classes mod 23: p = 23 (P23), (p|23) = -1 (S1), (p|23) = 1 (S2, less S3)
-_WILTON_RESIDUES = tuple(3 if r == 0 else 0 if pr.kronecker_symbol(r, 23) == -1 else 1 for r in range(23))
+_WILTON_RESIDUES = tuple(3 if r == 0 else 0 if pr._KRON23[r] == -1 else 1 for r in range(23))
 
 
 def _order_factor(nu: int) -> tuple:
@@ -260,56 +260,10 @@ def class_index(case, limit: int) -> np.ndarray:
     return idx[: len(primes)]
 
 
-def zero_period(case, p: int) -> int:
-    """The exponent-congruence period m0 for the prime p (scalar path)."""
-    spec = get_case(case)
-    p = int(p)
-    if not pr.is_prime(p):
-        raise InvalidArgumentError(f"{p} is not prime")
-    return spec.m0[int(spec.classify(np.array([p], dtype=np.int64))[0])]
-
-
 def zero_periods(case, limit: int) -> np.ndarray:
     """m0 for every prime <= limit, aligned with sieve_primes(limit)."""
     spec = get_case(case)
     return np.array(spec.m0, dtype=np.int64)[class_index(spec, limit)]
-
-
-def f_prime_power(case, p: int, k: int) -> int:
-    """f(p^k) in {0, 1}; f(p^0) = 1."""
-    if k < 0:
-        raise InvalidArgumentError(f"exponent must be >= 0, got {k}")
-    if k == 0:
-        return 1
-    m0 = zero_period(case, p)
-    if m0 == M_NEVER:
-        return 1
-    return 0 if k % m0 == m0 - 1 else 1
-
-
-def f_value(case, n: int) -> int:
-    """Multiplicative extension of the exponent rule; f(1) = 1."""
-    n = int(n)
-    if n < 1:
-        raise InvalidArgumentError(f"n must be >= 1, got {n}")
-    spec = get_case(case)
-    if n == 1:
-        return 1
-    table = pr.sieve_primes(max(2, math.isqrt(n)))
-    for p in table.primes:
-        p = int(p)
-        if p * p > n:
-            break
-        if n % p == 0:
-            k = 0
-            while n % p == 0:
-                n //= p
-                k += 1
-            if f_prime_power(spec, p, k) == 0:
-                return 0
-    if n > 1 and f_prime_power(spec, n, 1) == 0:
-        return 0
-    return 1
 
 
 def f_sieve(case, x: int) -> np.ndarray:
@@ -361,59 +315,6 @@ def f_sieve(case, x: int) -> np.ndarray:
 def count_f(case, x: int) -> int:
     """Exact #{n <= x : f(n) = 1} by sieving the exponent rules."""
     return int(np.count_nonzero(f_sieve(case, x)))
-
-
-def lambda_f_prime_power(case, p: int, k: int) -> float:
-    """Lambda_f(p^k) by the prime-power recursion.
-
-    Lambda_f(p^k) = k f(p^k) log p - sum_{j=1}^{k-1} f(p^j) Lambda_f(p^(k-j)).
-    """
-    if k < 1:
-        raise InvalidArgumentError(f"exponent must be >= 1, got {k}")
-    spec = get_case(case)
-    logp = math.log(p)
-    fvals = [f_prime_power(spec, p, j) for j in range(k + 1)]
-    lam = [0.0] * (k + 1)
-    for i in range(1, k + 1):
-        lam[i] = i * fvals[i] * logp - math.fsum(
-            fvals[j] * lam[i - j] for j in range(1, i)
-        )
-    return lam[k]
-
-
-def lambda_f_closed_form(m0: int, k: int, logp: float) -> float:
-    """Lambda_f(p^k) from the logarithmic derivative of the local factor."""
-    if m0 == M_NEVER:
-        return logp
-    if m0 == M_ALWAYS:
-        return 0.0
-    a, b = m0 - 1, m0
-    coeff = 1 + b * (k % b == 0) - a * (k % a == 0)
-    return logp * coeff
-
-
-def lambda_table(case, x: int) -> dict[int, float]:
-    """Lambda_f on every prime power p^k <= x, keyed by p^k.
-
-    Off prime powers Lambda_f vanishes (f is multiplicative with f(1) = 1).
-    """
-    spec = get_case(case)
-    x = int(x)
-    if x < 2:
-        raise InvalidArgumentError(f"x must be >= 2, got {x}")
-    if x > COUNT_DESK_LIMIT:
-        raise ResourceLimitError(f"prime-power enumeration limit is {COUNT_DESK_LIMIT}, got {x}")
-    table = pr.sieve_primes(x)
-    m0s = zero_periods(spec, x)
-    out: dict[int, float] = {}
-    for p, m0 in zip(table.primes.tolist(), m0s.tolist()):
-        logp = math.log(p)
-        pk, k = p, 1
-        while pk <= x:
-            out[pk] = lambda_f_closed_form(m0, k, logp)
-            pk *= p
-            k += 1
-    return out
 
 
 def _int_kth_root(n: int, k: int) -> int:

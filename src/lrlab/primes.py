@@ -1,17 +1,19 @@
-"""Prime generation, multiplicative orders and the Wilton classes mod 23.
+"""Prime generation and the Wilton classes mod 23.
 
 Provides a segmented sieve of Eratosthenes with a fixed segment size (so
-enumeration order is deterministic), the Kronecker symbol, multiplicative
-orders modulo 691, and the Wilton classes of primes modulo 23:
+enumeration order is deterministic), Euler's totient, and the Wilton
+classes of primes modulo 23, as codes W_S1, W_S2, W_S3, W_P23:
 
     S1 : (p|23) = -1
     S3 : p = U^2 + 23 V^2 with U != 0
     S2 : the remaining primes != 23
     P23: p = 23
 
-S1, S2, S3 have natural densities 1/2, 1/3, 1/6.  An independent classifier
-decides S3 through solvability of x^3 = x + 1 (mod p); both routes must
-agree (the cubic x^3 - x - 1 has discriminant -23).
+S1, S2, S3 have natural densities 1/2, 1/3, 1/6.  (p|23) comes from
+Euler's criterion p^11 mod 23.  `wilton_classes` decides S3 from the table
+of values U^2 + 23 V^2; `wilton_codes_cubic` decides it independently
+through solvability of x^3 = x + 1 (mod p), and both routes must agree
+(the cubic x^3 - x - 1 has discriminant -23).
 
 The independent classifier tests solvability without a scan over x.  For
 p != 23, f = x^3 - x - 1 is squarefree mod p and Frobenius permutes its
@@ -21,8 +23,8 @@ f has either no root or three roots mod p, and three roots means f divides
 x^p - x, i.e. x^p = x mod (f, p).  `cubic_splits` evaluates x^p mod (f, p)
 by square-and-multiply on degree-2 residues, for a whole array of primes at
 once.  It also decides p = 2 correctly: f = x^3 + x + 1 is irreducible mod 2
-and x^2 != x.  The exhaustive `cubic_root_exists` scan is kept as the
-reference the tests compare against.
+and x^2 != x.  The scalar references (the U^2 + 23 V^2 search, the
+exhaustive root scan) live with the tests, in tests/scalar_reference.py.
 """
 
 from __future__ import annotations
@@ -39,30 +41,18 @@ __all__ = [
     "PrimeTable",
     "PRIME_DESK_LIMIT",
     "sieve_primes",
-    "is_prime",
     "euler_phi",
-    "kronecker_symbol",
-    "mult_order",
-    "wilton_class",
-    "wilton_class_cubic",
-    "cubic_root_exists",
     "cubic_splits",
     "wilton_classes",
     "wilton_codes_cubic",
-    "order_table_691",
-    "S1",
-    "S2",
-    "S3",
-    "P23",
+    "W_S1",
+    "W_S2",
+    "W_S3",
+    "W_P23",
 ]
 
 SEGMENT_SIZE = 1 << 20
 PRIME_DESK_LIMIT = 10**8  # the 5.8e6 primes below it take 46 MB
-
-S1, S2, S3, P23 = "S1", "S2", "S3", "P23"
-
-# Miller-Rabin with this witness set is deterministic for n < 3.3 * 10^24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 @dataclass
@@ -94,30 +84,6 @@ class PrimeTable:
                 logs.flags.writeable = False
             self._logs = logs
         return self._logs
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (valid for n < 3.3e24)."""
-    n = int(n)
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = (d & -d).bit_length() - 1
-    d >>= s
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _simple_sieve(limit: int) -> np.ndarray:
@@ -172,36 +138,6 @@ def sieve_primes(limit: int) -> PrimeTable:
     return _sieve_cached(limit)
 
 
-def kronecker_symbol(a: int, n: int) -> int:
-    """Kronecker symbol (a|n), fully multiplicative in both arguments."""
-    a, n = int(a), int(n)
-    if n == 0:
-        raise InvalidArgumentError("kronecker_symbol undefined for n = 0")
-    result = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            result = -result
-    if n % 2 == 0:
-        if a % 2 == 0:
-            return 0
-        z = (n & -n).bit_length() - 1
-        n >>= z
-        if z % 2 == 1 and a % 8 in (3, 5):
-            result = -result
-    a %= n
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
 def _factorize_small(n: int) -> list[int]:
     """Distinct prime factors by trial division (n is small here)."""
     out = []
@@ -217,18 +153,6 @@ def _factorize_small(n: int) -> list[int]:
     return out
 
 
-def multiplicative_order(a: int, m: int) -> int:
-    """Order of a in (Z/mZ)^*.  Requires gcd(a, m) = 1 and cyclic-friendly m."""
-    a, m = int(a) % int(m), int(m)
-    if math.gcd(a, m) != 1:
-        raise InvalidArgumentError(f"{a} is not invertible mod {m}")
-    order = phi = euler_phi(m)
-    for q in _factorize_small(phi):
-        while order % q == 0 and pow(a, order // q, m) == 1:
-            order //= q
-    return order
-
-
 def euler_phi(m: int) -> int:
     """Euler's totient: the size of (Z/mZ)^*."""
     phi = m
@@ -237,74 +161,12 @@ def euler_phi(m: int) -> int:
     return phi
 
 
-def mult_order(p: int, m: int = 691):
-    """Multiplicative order of the prime p mod m; math.inf when p == m.
-
-    For p = m (the p | m case with m prime) the convention is "infinite":
-    the corresponding local Euler factor degenerates to 1/(1 - p^-s).
-    """
-    p = int(p)
-    if not is_prime(p):
-        raise InvalidArgumentError(f"{p} is not prime")
-    if p == m:
-        return math.inf
-    if p % m == 0:
-        raise InvalidArgumentError(f"{p} is not invertible mod {m}")
-    return multiplicative_order(p, m)
-
-
-@lru_cache(maxsize=2)
-def order_table_691() -> np.ndarray:
-    """orders[r] = multiplicative order of r mod 691 (0 at r = 0).
-
-    3 generates (Z/691Z)^*, and 3^a has order 690/gcd(a, 690).
-    """
-    orders = np.zeros(691, dtype=np.int64)
-    x = 1
-    for a in range(690):
-        orders[x] = 690 // math.gcd(a, 690)
-        x = x * 3 % 691
-    orders.flags.writeable = False
-    return orders
-
-
 # ---------------------------------------------------------------------------
 # Wilton classes mod 23
 # ---------------------------------------------------------------------------
 
-_KRON23 = np.array([kronecker_symbol(r, 23) for r in range(23)], dtype=np.int8)
-
-
-def wilton_class(p: int) -> str:
-    """Primary Wilton classifier: S3 decided by the U^2 + 23 V^2 search."""
-    p = int(p)
-    if not is_prime(p):
-        raise InvalidArgumentError(f"{p} is not prime")
-    if p == 23:
-        return P23
-    if kronecker_symbol(p, 23) == -1:
-        return S1
-    v = 1
-    while 23 * v * v < p:
-        u2 = p - 23 * v * v
-        r = math.isqrt(u2)
-        if r * r == u2:
-            return S3
-        v += 1
-    return S2
-
-
-def cubic_root_exists(p: int, chunk: int = 1 << 16) -> bool:
-    """Does x^3 = x + 1 (mod p) have a solution?  Exhaustive scan.
-
-    int64-safe: (x*x % p) * x stays below 2^63 for p < 3e9.
-    """
-    p = int(p)
-    for lo in range(0, p, chunk):
-        x = np.arange(lo, min(lo + chunk, p), dtype=np.int64)
-        if np.any((x * x % p * x - x - 1) % p == 0):
-            return True
-    return False
+# (r|23) by Euler's criterion r^11 = +-1 (mod 23); 0 at r = 0
+_KRON23 = np.array([0] + [1 if pow(r, 11, 23) == 1 else -1 for r in range(1, 23)], dtype=np.int8)
 
 
 # x^p is reduced mod p after each product of two residues below p, so every
@@ -335,14 +197,6 @@ def cubic_splits(primes) -> np.ndarray:
     return (a == 0) & (b == 1) & (c == 0)
 
 
-def wilton_class_cubic(p: int) -> str:
-    """Independent Wilton classifier: S3 iff (p|23) = 1 and x^3 = x+1 solvable mod p."""
-    p = int(p)
-    if not is_prime(p):
-        raise InvalidArgumentError(f"{p} is not prime")
-    return WILTON_LABELS[int(_wilton_codes(np.array([p], dtype=np.int64), cubic_splits)[0])]
-
-
 @lru_cache(maxsize=4)
 def _form_values_mask(limit: int) -> np.ndarray:
     """mask[n] = True iff n = u^2 + 23 v^2 for some u >= 1, v >= 1, n <= limit."""
@@ -358,9 +212,8 @@ def _form_values_mask(limit: int) -> np.ndarray:
     return mask
 
 
-# Vectorized class codes.
+# Class codes.
 W_S1, W_S2, W_S3, W_P23 = 0, 1, 2, 3
-WILTON_LABELS = {W_S1: S1, W_S2: S2, W_S3: S3, W_P23: P23}
 
 
 def _wilton_codes(p: np.ndarray, is_s3) -> np.ndarray:

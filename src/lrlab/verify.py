@@ -34,13 +34,18 @@ class CheckResult:
     detail: str
 
 
-def matches_truncated(value: float, printed: float, decimals: int, slack: float = 1e-9) -> bool:
+# Widens every truncation interval, for values within rounding of a decimal boundary.
+TRUNCATION_SLACK = 1e-9
+
+
+def matches_truncated(value: float, printed: float, decimals: int) -> bool:
     """True if ``value`` truncates to the printed ``decimals``-digit decimal.
 
     A printed value like -0.401 (with trailing dots) means the true value
-    lies in (-0.402, -0.401]; +0.163 means [0.163, 0.164).
+    lies in (-0.402, -0.401]; +0.163 means [0.163, 0.164), each widened by
+    TRUNCATION_SLACK.
     """
-    step = 10.0**-decimals
+    step, slack = 10.0**-decimals, TRUNCATION_SLACK
     if printed >= 0:
         return printed - slack <= value < printed + step + slack
     return printed - step - slack < value <= printed + slack
@@ -371,21 +376,29 @@ def _check_oracles() -> list[CheckResult]:
     return out
 
 
+def _local_factor_gap(tag: str) -> tuple[float, str]:
+    """The largest local_factor_gap over p <= 1e4 at x = 1/2 and 1/3, and its detail."""
+    gap = max(idn.local_factor_gap(tag, x, 10**4) for x in (1 / 2, 1 / 3))
+    return gap, f"max log gap {gap:.2e} over p <= 1e4 at x = 1/2, 1/3"
+
+
 def _check_identities() -> list[CheckResult]:
+    """Each s = 2 identity within its budgets, and its local factors at x = 1/2, 1/3,
+    where a wrong high-order factor, invisible at x = p^-2, shows."""
     out = []
     for tag in ("q3", "q5", "q7", "q23"):
         lhs, rhs = idn.euler_identity_sides(tag)
         gap = abs(lhs.value - rhs.value)
+        local, detail = _local_factor_gap(tag)
         out.append(
             _res(
                 "identity/euler-product",
                 tag,
-                gap <= lhs.budget + rhs.budget,
-                f"|lhs - rhs| = {gap:.2e} <= {lhs.budget + rhs.budget:.2e}",
+                gap <= lhs.budget + rhs.budget and local <= 1e-9,
+                f"|lhs - rhs| = {gap:.2e} <= {lhs.budget + rhs.budget:.2e}; {detail}",
             )
         )
-    gap = max(idn.local_factor_gap("q691", x, 10**4) for x in (1 / 2, 1 / 3))
-    detail = f"max log gap {gap:.2e} over p <= 1e4 at x = 1/2, 1/3"
+    gap, detail = _local_factor_gap("q691")
     out.append(_res("identity/local-factors", "q691", gap <= 1e-9, detail))
     return out
 

@@ -3,7 +3,8 @@ import pytest
 
 from lrlab.characters import GENERATORS, character_group, generator_character, kronecker_character
 from lrlab.errors import InvalidArgumentError
-from lrlab.primes import euler_phi, kronecker_symbol, multiplicative_order
+from lrlab.primes import euler_phi
+from scalar_reference import kronecker_symbol, multiplicative_order
 
 
 class TestGeneratorCharacter:

@@ -8,8 +8,10 @@ from lrlab.errors import UnsupportedCaseError
 from lrlab.characters import generator_character
 from lrlab.constants import _log_g
 from lrlab.identities import euler_identity_sides, local_factor_gap, truncated_T
-from lrlab.multfn import CASES, class_index, dirichlet_series_truncated, f_prime_power, get_case
+from lrlab.multfn import CASES, class_index, dirichlet_series_truncated, get_case
 from lrlab.primes import sieve_primes
+from lrlab.verify import _check_identities
+from scalar_reference import f_prime_power
 
 # Every factorization row of the case table: (case, CaseSpec field)
 FACTORIZATIONS = [
@@ -40,6 +42,21 @@ class TestEulerIdentities:
         monkeypatch.setitem(CASES, "q7", broken)
         lhs, rhs = euler_identity_sides("q7")
         assert abs(lhs.value - rhs.value) > 100 * (lhs.budget + rhs.budget)
+
+    def test_gate_sees_a_wrong_high_order_factor(self, monkeypatch):
+        # (-2, 23) -> (-2, 24) on q23's S3 (from p = 59) moves the s = 2 sides
+        # by about 59^-46, far inside their budgets; the identity/euler-product
+        # check fails on the local factors at x = 1/2 and 1/3
+        spec = get_case("q23")
+        classes = list(spec.euler.classes)
+        assert classes[2] == ((2, 22), (-2, 23))
+        classes[2] = ((2, 22), (-2, 24))
+        broken = replace(spec, euler=replace(spec.euler, classes=tuple(classes)))
+        monkeypatch.setitem(CASES, "q23", broken)
+        lhs, rhs = euler_identity_sides("q23")
+        assert abs(lhs.value - rhs.value) <= lhs.budget + rhs.budget
+        (check,) = [c for c in _check_identities() if c.case == "q23"]
+        assert check.name == "identity/euler-product" and not check.passed, check.detail
 
     def test_q3_forms_agree(self):
         # the zeta(2s)^-2 rewrite of q3's factorization gives the same right side

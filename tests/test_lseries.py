@@ -16,7 +16,6 @@ from lrlab.lseries import (
     gamma_k,
     l_derivative_at_1,
     l_value,
-    zeta_log_derivative_at_2,
     zeta_value,
 )
 from lrlab.primes import sieve_primes
@@ -216,7 +215,7 @@ class TestPrimeLogSum:
 
     def test_all_primes_k2_matches_zeta(self):
         s = prime_log_sum(None, 2, 10**6)
-        z = zeta_log_derivative_at_2()
+        z = zeta_value(2, 1) / zeta_value(2)
         assert abs(s.value - (-z.value)) <= s.budget + z.budget
         assert s.value == pytest.approx(0.569961, abs=2e-6)
 
@@ -266,7 +265,7 @@ class TestPrimeLogSum:
 class TestZetaLogDerivative:
     def test_value_against_reference(self):
         ref = mp.zeta(2, derivative=1) / mp.zeta(2)
-        z = zeta_log_derivative_at_2()
+        z = zeta_value(2, 1) / zeta_value(2)
         assert abs(z.value - ref) <= z.budget
         # no theta interval: the budget is rounding only
         assert z.budget <= 1e-14

@@ -9,27 +9,38 @@ from lrlab.errors import InvalidArgumentError, PreconditionError, UnsupportedCas
 from lrlab.modforms import tau_exact
 from lrlab.multfn import (
     CASES,
-    M_NEVER,
     class_index,
     count_f,
     dirichlet_series_truncated,
-    f_prime_power,
     f_sieve,
-    f_value,
     get_case,
     h_f,
-    lambda_f_closed_form,
-    lambda_f_prime_power,
-    lambda_table,
-    zero_period,
     zero_periods,
 )
-from lrlab.primes import P23, S1, S2, S3, mult_order, sieve_primes, wilton_class
+from lrlab.primes import sieve_primes
+from scalar_reference import f_prime_power, f_value, lambda_f_prime_power, zero_period
 
 
 def divisors(n):
     out = [d for d in range(1, int(math.isqrt(n)) + 1) if n % d == 0]
     return sorted(set(out + [n // d for d in out]))
+
+
+def prime_powers(x, primes=None):
+    """(p, k, p^k) for every prime power p^k <= x, or only for the given primes."""
+    for p in sieve_primes(x).primes.tolist() if primes is None else primes:
+        pk, k = p, 1
+        while pk <= x:
+            yield p, k, pk
+            pk *= p
+            k += 1
+
+
+def lambda_from_h_f(tag, pk):
+    """Lambda_f(p^k) read off h_f's closed form, as x (H_f(x) - H_f(x - 1) +
+    tau log(x/(x - 1))) at x = p^k >= 3."""
+    jump = h_f(tag, float(pk)).value - h_f(tag, float(pk - 1)).value
+    return pk * (jump + float(get_case(tag).tau) * math.log1p(1 / (pk - 1)))
 
 
 class TestCaseSpecs:
@@ -71,7 +82,7 @@ class TestFValue:
     def test_q691_order_one_rule(self):
         # p = 8293 = 1 (mod 691): zero exactly at k = 690 (mod 691),
         # matching sigma_11(p^k) = k + 1 (mod 691)
-        assert zero_period("q691", 8293) == 691
+        assert zero_periods("q691", 8293)[-1] == zero_period("q691", 8293) == 691
         assert f_prime_power("q691", 8293, 1) == 1
         assert f_prime_power("q691", 8293, 689) == 1
         assert f_prime_power("q691", 8293, 690) == 0
@@ -91,19 +102,19 @@ class TestFValue:
 
 class TestClasses:
     def test_zero_periods_match_scalar_references(self):
-        # q23 through the U^2 + 23 V^2 search, q691 through the multiplicative order
+        # q23 through the U^2 + 23 V^2 search, q691 through the multiplicative
+        # order, the other cases through their residue tables
         primes = sieve_primes(10**4).primes.tolist()
-        by_wilton = {S1: 2, S2: 3, S3: 23, P23: M_NEVER}
-        assert zero_periods("q23", 10**4).tolist() == [by_wilton[wilton_class(p)] for p in primes]
-        orders = [mult_order(p, 691) for p in primes]
-        expected = [M_NEVER if nu == math.inf else 691 if nu == 1 else nu for nu in orders]
-        assert zero_periods("q691", 10**4).tolist() == expected
+        for tag in CASES:
+            assert zero_periods(tag, 10**4).tolist() == [zero_period(tag, p) for p in primes], tag
 
     def test_scalar_path_matches_vector_path(self):
-        # for q23 this pits the split test (one prime) against the form table (all primes)
-        primes = sieve_primes(3000).primes.tolist()
-        for tag in CASES:
-            assert [zero_period(tag, p) for p in primes] == zero_periods(tag, 3000).tolist(), tag
+        # each prime classified alone against the index of all primes; for q23
+        # this pits the split test (one prime) against the form table (all primes)
+        primes = sieve_primes(3000).primes
+        for tag, spec in CASES.items():
+            alone = [spec.m0[int(spec.classify(primes[i : i + 1])[0])] for i in range(len(primes))]
+            assert alone == zero_periods(tag, 3000).tolist(), tag
 
     def test_class_index_is_cached_and_read_only(self):
         # every limit reads a prefix of one index per case, grown to the widest limit
@@ -114,6 +125,7 @@ class TestClasses:
         assert sorted(set(idx.tolist())) == list(range(len(CASES["q5"].m0)))
 
     def test_composite_rejected(self):
+        # the scalar reference checks its prime
         with pytest.raises(InvalidArgumentError):
             zero_period("q5", 21)
 
@@ -126,7 +138,7 @@ class TestLambda:
         # q5, p = 11 = 1 (mod 5): local factor (1-x^4)/((1-x)(1-x^5)), k = 4
         val = lambda_f_prime_power("q5", 11, 4)
         assert val == pytest.approx(-3 * math.log(11), abs=1e-12)
-        assert lambda_f_closed_form(5, 4, math.log(11)) == pytest.approx(val, abs=1e-12)
+        assert lambda_from_h_f("q5", 11**4) == pytest.approx(val, abs=1e-9)
 
     def test_even_exponent_rule(self):
         # q3, p = 2 (mod 3): local factor (1-x^2)^{-1}: Lambda = 2 log p at even k
@@ -134,19 +146,19 @@ class TestLambda:
         assert lambda_f_prime_power("q3", 2, 2) == pytest.approx(2 * math.log(2), abs=1e-12)
 
     def test_recursion_matches_closed_form(self):
-        for tag in ("q3", "q5", "q7", "q23", "q691", "two_squares", "q2", "ones"):
-            for p in (2, 3, 5, 7, 23, 29):
-                m0 = zero_period(tag, p)
-                for k in range(1, 13):
+        # h_f's closed-form term at every p^k <= 1e4 of these primes (p^k > 2)
+        for tag in CASES:
+            for p, k, pk in prime_powers(10**4, (2, 3, 5, 7, 11, 23, 29, 53)):
+                if pk > 2:
                     rec = lambda_f_prime_power(tag, p, k)
-                    closed = lambda_f_closed_form(m0, k, math.log(p))
-                    assert rec == pytest.approx(closed, abs=1e-10), (tag, p, k)
+                    assert lambda_from_h_f(tag, pk) == pytest.approx(rec, abs=1e-9), (tag, p, k)
 
     def test_divisor_sum_recursion_oracle(self):
         # f(n) log n = sum_{d | n} f(d) Lambda_f(n/d) with Lambda supported
-        # on prime powers, for all n <= 5000
+        # on prime powers, for all n <= 5000: the sieve's f against the
+        # recursion's Lambda_f from the scalar f on prime powers
         for tag in ("q5", "q23", "two_squares"):
-            lam = lambda_table(tag, 5000)
+            lam = {pk: lambda_f_prime_power(tag, p, k) for p, k, pk in prime_powers(5000)}
             fvals = f_sieve(tag, 5000)
             for n in range(2, 5001):
                 lhs = fvals[n] * math.log(n)
@@ -155,25 +167,12 @@ class TestLambda:
                 )
                 assert lhs == pytest.approx(rhs, abs=1e-9), (tag, n)
 
-    def test_lambda_table_matches_recursion(self):
-        lam = lambda_table("q5", 3000)
-        for p, k in ((2, 5), (3, 4), (11, 2), (53, 1)):
-            assert lam[p**k] == pytest.approx(
-                lambda_f_prime_power("q5", p, k), abs=1e-12
-            )
-
     def test_ones_is_von_mangoldt(self):
         # Lambda_ones(p^k) = log p on every prime power <= 10^4 (off prime
         # powers Lambda_f vanishes by construction; the divisor-sum oracle
         # above checks the full convolution identity)
-        for p in sieve_primes(10**4).primes.tolist():
-            pk, k = p, 1
-            while pk <= 10**4:
-                assert lambda_f_prime_power("ones", p, k) == pytest.approx(
-                    math.log(p), abs=1e-12
-                )
-                pk *= p
-                k += 1
+        for p, k, _ in prime_powers(10**4):
+            assert lambda_f_prime_power("ones", p, k) == pytest.approx(math.log(p), abs=1e-12)
 
     def test_zero_exponent_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -221,17 +220,11 @@ class TestCountAndSieve:
 
 class TestHf:
     def test_exact_against_recursion(self):
-        # brute-force H from the scalar recursion, x = 2000
-        for tag in ("q5", "q23", "two_squares", "q691"):
-            terms = []
-            for p in sieve_primes(2000).primes.tolist():
-                pk, k = p, 1
-                while pk <= 2000:
-                    terms.append(lambda_f_prime_power(tag, p, k) / pk)
-                    pk *= p
-                    k += 1
+        # brute-force H from the scalar recursion, x = 2000, for every case
+        for tag in CASES:
+            terms = [lambda_f_prime_power(tag, p, k) / pk for p, k, pk in prime_powers(2000)]
             brute = math.fsum(terms) - float(get_case(tag).tau) * math.log(2000)
-            assert h_f(tag, 2000.0).value == pytest.approx(brute, abs=1e-12)
+            assert h_f(tag, 2000.0).value == pytest.approx(brute, abs=1e-12), tag
 
     def test_checkpoint_truncations(self):
         # printed reference values are truncated decimals

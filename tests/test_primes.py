@@ -8,25 +8,25 @@ from hypothesis import strategies as st
 
 from lrlab import primes
 from lrlab.errors import InvalidArgumentError, ResourceLimitError
+from lrlab.multfn import _DIVISORS_690, _ORDER_CLASSES, class_index
 from lrlab.primes import (
-    P23,
     PRIME_DESK_LIMIT,
-    S1,
-    S2,
-    S3,
-    WILTON_LABELS,
-    cubic_root_exists,
+    W_P23,
+    W_S1,
+    W_S2,
+    W_S3,
     cubic_splits,
-    is_prime,
-    kronecker_symbol,
-    mult_order,
-    multiplicative_order,
-    order_table_691,
     sieve_primes,
-    wilton_class,
-    wilton_class_cubic,
     wilton_classes,
     wilton_codes_cubic,
+)
+from scalar_reference import (
+    cubic_root_exists,
+    is_prime,
+    kronecker_symbol,
+    multiplicative_order,
+    wilton_class,
+    zero_period,
 )
 
 
@@ -100,6 +100,8 @@ class TestKronecker:
         residues = {pow(a, 2, 23) for a in range(1, 23)}
         assert 5 not in residues
         assert kronecker_symbol(5, 23) == -1
+        # the Wilton classifier's (r|23), from Euler's criterion
+        assert primes._KRON23.tolist() == [kronecker_symbol(r, 23) for r in range(23)]
 
     def test_at_two(self):
         # (a|2) = +1 iff a = ±1 (mod 8)
@@ -156,11 +158,18 @@ class TestKronecker:
             kronecker_symbol(3, 0)
 
 
+def order_691(p):
+    """The order of p mod 691 as the case table reads it; 0 for p = 691."""
+    j = _ORDER_CLASSES[p % 691]
+    return _DIVISORS_690[j] if j < len(_DIVISORS_690) else 0
+
+
 class TestMultOrder:
     def test_examples(self):
-        assert mult_order(1381, 691) == 2  # 1381 = -1 (mod 691)
-        assert mult_order(691, 691) == math.inf
-        assert mult_order(3, 691) == 690
+        assert multiplicative_order(1381, 691) == order_691(1381) == 2  # 1381 = -1 (mod 691)
+        assert multiplicative_order(3, 691) == order_691(3) == 690
+        # p = 691 has a class of its own, past the order classes
+        assert order_691(691) == 0 and class_index("q691", 691)[-1] == len(_DIVISORS_690)
 
     def test_three_generates_by_repeated_squaring(self):
         # oracle: 3^d != 1 for every proper divisor d of 690
@@ -173,33 +182,33 @@ class TestMultOrder:
         for p in sieve_primes(10**5).primes.tolist():
             if p == 691:
                 continue
-            assert 690 % mult_order(p, 691) == 0
+            assert 690 % multiplicative_order(p, 691) == 0
 
     def test_order_table_matches_scalar(self):
-        table = order_table_691()
-        for r in (1, 2, 3, 100, 690):
-            assert table[r] == multiplicative_order(r, 691)
-        assert table[1] == 1 and table[690] == 2
+        # the order of every unit mod 691, read from the discrete logs
+        assert [order_691(r) for r in range(1, 691)] == [multiplicative_order(r, 691) for r in range(1, 691)]
+        assert order_691(1) == 1 and order_691(690) == 2
 
     def test_composite_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            mult_order(10, 691)
+            zero_period("q691", 10)
+        with pytest.raises(InvalidArgumentError):
+            multiplicative_order(1382, 691)
 
 
 class TestWilton:
     def test_examples(self):
-        assert wilton_class(23) == P23
-        assert wilton_class(5) == S1  # (5|23) = -1
-        assert wilton_class(59) == S3  # 59 = 6^2 + 23*1^2; 4^3 - 4 - 1 = 59
+        assert wilton_class(23) == W_P23
+        assert wilton_class(5) == W_S1  # (5|23) = -1
+        assert wilton_class(59) == W_S3  # 59 = 6^2 + 23*1^2; 4^3 - 4 - 1 = 59
         assert (4**3 - 4 - 1) % 59 == 0
-        assert wilton_class(2) == S2  # 2 != U^2 + 23 V^2, (2|23) = 1
+        assert wilton_class(2) == W_S2  # 2 != U^2 + 23 V^2, (2|23) = 1
 
     def test_cubic_classifier_examples(self):
         assert cubic_root_exists(59)
         assert not cubic_root_exists(2)
-        assert wilton_class_cubic(59) == S3
-        assert wilton_class_cubic(2) == S2
-        assert wilton_class_cubic(5) == S1
+        codes = dict(zip(sieve_primes(59).primes.tolist(), wilton_codes_cubic(59).tolist()))
+        assert (codes[59], codes[2], codes[5], codes[23]) == (W_S3, W_S2, W_S1, W_P23)
 
     def test_dual_agreement_to_2e4(self):
         # the full 1e5 agreement runs in the acceptance suite
@@ -239,14 +248,13 @@ class TestWilton:
             cubic_splits(np.array([3 * 10**9 + 19]))
 
     def test_scalar_cubic_classifier_matches_codes(self):
+        # one prime at a time, wilton_classes takes the split test past p = 64
         ps = sieve_primes(3000).primes
-        labels = [WILTON_LABELS[int(c)] for c in wilton_codes_cubic(3000)]
-        assert [wilton_class_cubic(int(p)) for p in ps] == labels
+        assert [int(wilton_classes([p])[0]) for p in ps] == wilton_codes_cubic(3000).tolist()
 
     def test_vector_codes_match_scalar(self):
         codes = wilton_classes(sieve_primes(10**4).primes)
-        for i, p in enumerate(sieve_primes(10**4).primes.tolist()):
-            assert WILTON_LABELS[int(codes[i])] == wilton_class(p)
+        assert codes.tolist() == [wilton_class(p) for p in sieve_primes(10**4).primes.tolist()]
 
     def test_composite_rejected(self):
         with pytest.raises(InvalidArgumentError):

@@ -17,7 +17,7 @@ import pytest
 from lrlab import constants, lseries
 from lrlab.constants import first_order_C5, landau_ramanujan_K
 from lrlab.errors import InvalidArgumentError, PreconditionError
-from lrlab.lseries import prime_class_sum, zeta_log_derivative_at_2
+from lrlab.lseries import prime_class_sum, zeta_value
 from lrlab.multfn import TABLE_CASES, class_index, get_case
 from lrlab.primes import sieve_primes
 from mobius_reference import reference
@@ -71,7 +71,7 @@ class TestSoundness:
             assert_within(v, *reference(691, [r], 2), r)
 
     def test_zeta_log_derivative(self):
-        z = zeta_log_derivative_at_2()
+        z = zeta_value(2, 1) / zeta_value(2)
         with mp.workdps(30):
             assert_within(z, mp.zeta(2, derivative=1) / mp.zeta(2), 0, "zeta'/zeta(2)")
         assert z.budget < 1e-14
@@ -145,7 +145,7 @@ class TestSieveCrossCheck:
 
     def test_zeta_log_derivative(self):
         # -zeta'/zeta(2) = sum_p log p/(p^2 - 1)
-        z = zeta_log_derivative_at_2()
+        z = zeta_value(2, 1) / zeta_value(2)
         sieve = prime_log_sum(None, 2, SIEVE)
         assert abs(-z.value - sieve.value) <= z.budget + sieve.budget
 
@@ -206,7 +206,7 @@ class TestPrimeClassSum:
 
     def test_union_of_all_classes_is_every_prime(self):
         total = prime_class_sum(5, range(5), 2)
-        z = zeta_log_derivative_at_2()
+        z = zeta_value(2, 1) / zeta_value(2)
         assert abs(total.value + z.value) <= total.budget + z.budget
 
     def test_empty_and_non_unit_residues(self):
