@@ -153,6 +153,13 @@ class TestLambda:
                     rec = lambda_f_prime_power(tag, p, k)
                     assert lambda_from_h_f(tag, pk) == pytest.approx(rec, abs=1e-9), (tag, p, k)
 
+    def test_lambda_table_matches_recursion(self):
+        # the product's Lambda_f (h_f's closed-form term) at q5's table points
+        for p, k in ((2, 5), (3, 4), (11, 2), (53, 1)):
+            assert lambda_from_h_f("q5", p**k) == pytest.approx(
+                lambda_f_prime_power("q5", p, k), abs=1e-12
+            )
+
     def test_divisor_sum_recursion_oracle(self):
         # f(n) log n = sum_{d | n} f(d) Lambda_f(n/d) with Lambda supported
         # on prime powers, for all n <= 5000: the sieve's f against the
