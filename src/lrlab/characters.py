@@ -17,7 +17,6 @@ the Kronecker symbol (D|.) with D = -m.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -69,11 +68,6 @@ class DirichletCharacter:
         values[unit] = on_units
         values.flags.writeable = False
         return values
-
-    @property
-    def order(self) -> int:
-        phi = euler_phi(self.modulus)
-        return phi // math.gcd(self.index, phi)
 
     @property
     def principal(self) -> bool:

@@ -39,17 +39,6 @@ EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 
 
-def _fmt(x) -> str:
-    if isinstance(x, ValueWithBudget):
-        return format(x, ".10g")
-    if isinstance(x, complex):
-        sign = "+" if x.imag >= 0 else "-"
-        return f"{x.real:.10g} {sign} {abs(x.imag):.10g}i"
-    if isinstance(x, float):
-        return f"{x:.10g}"
-    return str(x)
-
-
 def _vwb_json(v: ValueWithBudget) -> dict:
     val = v.value
     if isinstance(val, complex):
@@ -85,13 +74,13 @@ def _report_dict(r: co.ConstantReport) -> dict:
 def _print_report_text(r: co.ConstantReport) -> None:
     print(f"case {r.case}: tau = {r.tau}, delta = {r.delta}")
     for x, h in r.h_checkpoints:
-        print(f"  H_f({x:.10g}) = {_fmt(h)}")
-    print(f"  B_f = {_fmt(r.b_f)}")
-    print(f"  C_2 = {_fmt(r.c2)}   claimed {r.c2_ramanujan}   -> {r.verdict}")
+        print(f"  H_f({x:.10g}) = {h}")
+    print(f"  B_f = {r.b_f}")
+    print(f"  C_2 = {r.c2}   claimed {r.c2_ramanujan}   -> {r.verdict}")
     if r.first_order is not None:
-        print(f"  first-order constant = {_fmt(r.first_order)}")
+        print(f"  first-order constant = {r.first_order}")
     if r.lambda_c2 is not None:
-        print(f"  C_2(lambda) = {_fmt(r.lambda_c2)}   claimed 1/2")
+        print(f"  C_2(lambda) = {r.lambda_c2}   claimed 1/2")
     for note in r.notes:
         print(f"  note: {note}")
 
@@ -132,7 +121,7 @@ def _cmd_lvalue(args) -> int:
     if args.format == "json":
         print(json.dumps({"modulus": args.modulus, "index": args.index, "derivative": args.derivative, "L": _vwb_json(v)}))
     else:
-        print(f"L^({args.derivative})(1, chi_c^{args.index} mod {args.modulus}) = {_fmt(v)}")
+        print(f"L^({args.derivative})(1, chi_c^{args.index} mod {args.modulus}) = {v}")
     return EXIT_OK
 
 
@@ -141,7 +130,7 @@ def _cmd_gammak(args) -> int:
     if args.format == "json":
         print(json.dumps({"residue": args.residue, "modulus": args.modulus, "k": args.k, "gamma": _vwb_json(v)}))
     else:
-        print(f"gamma_{args.k}({args.residue}, {args.modulus}) = {_fmt(v)}")
+        print(f"gamma_{args.k}({args.residue}, {args.modulus}) = {v}")
     return EXIT_OK
 
 
@@ -150,7 +139,7 @@ def _cmd_hf(args) -> int:
     if args.format == "json":
         print(json.dumps({"case": args.case, "x": args.x, "h_f": _vwb_json(v)}))
     else:
-        print(f"H_f({args.case}, {args.x:.10g}) = {_fmt(v)}")
+        print(f"H_f({args.case}, {args.x:.10g}) = {v}")
     return EXIT_OK
 
 

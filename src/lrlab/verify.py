@@ -1,9 +1,18 @@
 """Verification gate: every computed quantity against its reference target.
 
 Each check returns a CheckResult; the CLI `verify` subcommand prints one
-PASS/FAIL line per check and exits 0 iff everything passed.  Printed
-reference values ending in "..." are truncated decimals, so "matches to d
-decimals" means the computed value truncates to the same d digits.
+PASS/FAIL line per check and exits 0 iff everything passed.  Each printed
+number is written once, and a check's detail shows the numbers it compared.
+
+Summary-table cells come from `constants.TABLE1_PRINTED`.  They are
+truncated decimals: a cell matches when the computed value truncates to its
+digits (`matches_truncated`).  q691's H_f(1e6) and q23's C2 cells are
+irreproducible from their definitions: the report must flag each in a note,
+and the value is held instead to 2e-3 around B_f and to 1e-4 around
+(1 - tau)(1 + printed B_f).  q23's B_f, printed with its fifth digit open,
+is also held to 1e-4 around the text's five-digit value.  Every other quoted
+decimal is a `PUBLISHED` row, matched when |computed - printed| <= tolerance
+in each component (a row may give the imaginary part its own tolerance).
 """
 
 from __future__ import annotations
@@ -21,9 +30,25 @@ from . import multfn as mu
 from . import primes as pr
 from .characters import generator_character, kronecker_character
 
-__all__ = ["CheckResult", "run_checks", "matches_truncated", "ALL_CASES"]
+__all__ = ["CheckResult", "run_checks", "matches_truncated", "ALL_CASES", "PUBLISHED"]
 
-ALL_CASES = ("two_squares", "q5", "q7", "q3", "q691", "q23", "q2")
+ALL_CASES = (*mu.TABLE_CASES, "q2")
+
+# Quoted decimals outside the summary table: check name -> (case, printed
+# value, tolerance per component[, tolerance of the imaginary part]).
+PUBLISHED = {
+    "lvalues/L'/L(chi_5)": ("q5", 0.82767947, 1e-6),
+    "lvalues/L'/L(chi_c mod 5)": ("q5", 0.15786453 - 0.08833613j, 1e-6),
+    "lvalues/L'(chi_-7)": ("q7", 0.01856598, 1e-6),
+    "lvalues/L'(chi_-23)": ("q23", -0.82955295, 1e-6),
+    "q691/odd-character-sum": ("q691", 1.9018228, 1e-5, 1e-8),
+    "q691/even-character-sum": ("q691", 5.10942407, 1e-5, 1e-8),
+    "q691/b691": ("q691", -0.5717, 2e-4),
+    "q3/B-rewrite": ("q3", -0.5349219, 1e-5),
+    "constants/K": ("two_squares", 0.764, 5e-4),
+    "constants/two-squares-C2": ("two_squares", 0.5819, 5e-4),
+    "constants/two-squares-C2-shanks": ("two_squares", 0.5819486, 1e-4),
+}
 
 
 @dataclass(frozen=True)
@@ -55,256 +80,119 @@ def _res(name, case, passed, detail) -> CheckResult:
     return CheckResult(name, case, bool(passed), detail)
 
 
-def _fifth_digit(b: float) -> int:
-    return int(abs(b) * 1e5) % 10
+def _near(case, name, value, ref, tol, tol_imag=None) -> CheckResult:
+    """|value - ref| <= tol, in each component of a complex ``value`` (the
+    imaginary part within ``tol_imag`` if given)."""
+    parts = [(value.real, ref.real, tol)]
+    if isinstance(value, complex):
+        parts.append((value.imag, ref.imag, tol if tol_imag is None else tol_imag))
+    detail = f"{value:.10g} vs {ref:.10g} ± {tol:g}"
+    if tol_imag is not None:
+        detail += f" (imaginary part ± {tol_imag:g})"
+    return _res(name, case, all(abs(v - r) <= t for v, r, t in parts), detail)
+
+
+def _published(name, value) -> CheckResult:
+    case, *row = PUBLISHED[name]
+    return _near(case, name, value, *row)
 
 
 # ---------------------------------------------------------------------------
 # Criterion 1: the six-row table
 # ---------------------------------------------------------------------------
 
+def _cell(case, cell, v, printed, decimals, near=None, flagged=None) -> CheckResult:
+    """A table cell: ``v`` truncates to its ``printed`` decimal or, for an
+    irreproducible cell, ``flagged`` says whether the report notes it;
+    ``near`` = (reference, tolerance) adds |v - reference| <= tolerance."""
+    if flagged is None:
+        ok, detail = matches_truncated(v.value, printed, decimals), f"truncates to printed {printed}"
+    else:
+        ok, detail = flagged, f"printed {printed} is irreproducible, flagged: {flagged}"
+    if near is not None:
+        also = _near(case, cell, v.value, *near)
+        ok, detail = ok and also.passed, f"{detail}; {also.detail}"
+    return _res(f"table1/{cell}", case, ok, f"{cell} = {v:.7f}, {detail}")
+
+
 def _check_table_row(report) -> list[CheckResult]:
-    tag = report.case
+    """The printed row, cell by cell, with its three exceptions (module docstring)."""
+    tag, b, notes = report.case, report.b_f.value, report.notes
     h5_ref, h6_ref, b_ref, c2_ref, _ = co.TABLE1_PRINTED[tag]
-    out = []
-    (x5, h5), (x6, h6) = ((x, h.value) for x, h in report.h_checkpoints[:2])
-    out.append(
-        _res(
-            "table1/H_f(1e5)",
-            tag,
-            matches_truncated(h5, h5_ref, 3),
-            f"H({x5}) = {h5:.6f}, printed {h5_ref}",
-        )
-    )
+    (_, h5), (_, h6) = report.h_checkpoints[:2]
+    one_minus_tau = 1.0 - float(report.tau)
+    ident = one_minus_tau * (1.0 + b)
+    h6_rule = b_rule = c2_rule = {}
     if tag == "q691":
-        # The printed H(1e6) cell (-0.571) is inconsistent with the defining
-        # sum, which evaluates to -0.5721 (see the report note); check the
-        # cross-method invariant |H(1e6) - B_f| <= 0.002 instead and flag it.
-        ok = abs(h6 - report.b_f.value) <= 2e-3 and any("H_f(1e6)" in n for n in report.notes)
-        out.append(
-            _res(
-                "table1/H_f(1e6)",
-                tag,
-                ok,
-                f"H({x6}) = {h6:.6f} (printed cell {h6_ref} is irreproducible from "
-                f"the definition; |H - B_f| = {abs(h6 - report.b_f.value):.1e} <= 2e-3, flagged)",
-            )
-        )
-    else:
-        out.append(
-            _res(
-                "table1/H_f(1e6)",
-                tag,
-                matches_truncated(h6, h6_ref, 3),
-                f"H({x6}) = {h6:.6f}, printed {h6_ref}",
-            )
-        )
-    b = report.b_f.value
+        h6_rule = {"near": (b, 2e-3), "flagged": any("H_f(1e6)" in n for n in notes)}
     if tag == "q23":
-        # printed -0.2166... with the (stated) fifth digit left open; the
-        # operational tolerance for this row is 1e-4 around -0.21666
-        ok = matches_truncated(b, b_ref, 4) and abs(b - (-0.21666)) <= 1e-4
-        out.append(
-            _res(
-                "table1/B_f",
-                tag,
-                ok,
-                f"B = {b:.7f} ± {report.b_f.budget:.1e}, printed {b_ref} "
-                f"(computed fifth digit {_fifth_digit(b)})",
-            )
-        )
-    else:
-        out.append(
-            _res(
-                "table1/B_f",
-                tag,
-                matches_truncated(b, b_ref, 4),
-                f"B = {b:.7f} ± {report.b_f.budget:.1e}, printed {b_ref}",
-            )
-        )
-    ident = (1.0 - float(report.tau)) * (1.0 + b)
-    out.append(
-        _res(
-            "table1/C2-identity",
-            tag,
-            abs(report.c2.value - ident) <= 1e-15 * (1.0 + abs(ident)),
-            f"C2 = {report.c2.value:.10f} vs (1-tau)(1+B) = {ident:.10f}",
-        )
-    )
-    if tag == "q23":
-        ok = abs(report.c2.value - 0.3917) <= 1e-4 and report.c2_printed_reference == c2_ref
-        out.append(
-            _res(
-                "table1/C2",
-                tag,
-                ok,
-                f"C2 = {report.c2.value:.6f} (identity value, vs 0.3917; printed table "
-                f"has {c2_ref}, flagged: {bool(report.notes)})",
-            )
-        )
-    else:
-        out.append(
-            _res(
-                "table1/C2",
-                tag,
-                matches_truncated(report.c2.value, c2_ref, 4),
-                f"C2 = {report.c2.value:.6f}, printed {c2_ref}",
-            )
-        )
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Criterion 2: quoted L-values
-# ---------------------------------------------------------------------------
-
-def _check_l_values() -> list[CheckResult]:
-    out = []
-    chi5 = generator_character(5, 2)
-    chic = generator_character(5, 1)
-    r5 = (ls.l_derivative_at_1(chi5, 1) / ls.l_derivative_at_1(chi5, 0)).value
-    out.append(
-        _res(
-            "lvalues/L'/L(chi_5)",
-            "q5",
-            abs(r5.real - 0.82767947) <= 1e-6 and abs(r5.imag) <= 1e-6,
-            f"{r5.real:.8f} vs 0.82767947 ± 1e-6",
-        )
-    )
-    rc = (ls.l_derivative_at_1(chic, 1) / ls.l_derivative_at_1(chic, 0)).value
-    out.append(
-        _res(
-            "lvalues/L'/L(chi_c mod 5)",
-            "q5",
-            abs(rc.real - 0.15786453) <= 1e-6 and abs(rc.imag - (-0.08833613)) <= 1e-6,
-            f"{rc.real:.8f} {rc.imag:+.8f}i vs 0.15786453 - 0.08833613i ± 1e-6",
-        )
-    )
-    lp7 = ls.l_derivative_at_1(kronecker_character(-7), 1).value.real
-    out.append(
-        _res("lvalues/L'(chi_-7)", "q7", abs(lp7 - 0.01856598) <= 1e-6, f"{lp7:.8f} vs 0.01856598")
-    )
-    lp23 = ls.l_derivative_at_1(kronecker_character(-23), 1).value.real
-    out.append(
-        _res(
-            "lvalues/L'(chi_-23)",
-            "q23",
-            abs(lp23 - (-0.82955295)) <= 1e-6,
-            f"{lp23:.8f} vs -0.82955295",
-        )
-    )
-    l7 = ls.l_derivative_at_1(kronecker_character(-7), 0).value.real
-    out.append(
-        _res(
-            "lvalues/L(chi_-7)=pi/sqrt7",
-            "q7",
-            abs(l7 - ls.closed_form_l_values("chi_minus7")) <= 1e-8,
-            f"{l7:.10f} vs {ls.closed_form_l_values('chi_minus7'):.10f}",
-        )
-    )
-    l23 = ls.l_derivative_at_1(kronecker_character(-23), 0).value.real
-    out.append(
-        _res(
-            "lvalues/L(chi_-23)=3pi/sqrt23",
-            "q23",
-            abs(l23 - ls.closed_form_l_values("chi_minus23")) <= 1e-8,
-            f"{l23:.10f} vs {ls.closed_form_l_values('chi_minus23'):.10f}",
-        )
-    )
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Criterion 3: the q691 character sums
-# ---------------------------------------------------------------------------
-
-def _check_q691(row_b) -> list[CheckResult]:
-    """The paper's character-sum formula, against its printed values and the table row."""
-    out = []
-    odd, even = co.b691_character_sums()
-    out.append(
-        _res(
-            "q691/odd-character-sum",
-            "q691",
-            abs(odd.value.real - 1.9018228) <= 1e-5 and abs(odd.value.imag) <= 1e-8,
-            f"{odd.value.real:.8f} vs 1.9018228 ± 1e-5 (|imag| = {abs(odd.value.imag):.1e})",
-        )
-    )
-    out.append(
-        _res(
-            "q691/even-character-sum",
-            "q691",
-            abs(even.value.real - 5.10942407) <= 1e-5 and abs(even.value.imag) <= 1e-8,
-            f"{even.value.real:.8f} vs 5.10942407 ± 1e-5 (|imag| = {abs(even.value.imag):.1e})",
-        )
-    )
-    b = co.b691_approx()
-    out.append(
-        _res("q691/b691", "q691", abs(b.value - (-0.5717)) <= 2e-4, f"{b.value:.7f} vs -0.5717 ± 2e-4")
-    )
-    share = row_b.value - b.value  # the four residual products the formula leaves out
-    out.append(
-        _res(
-            "q691/omitted-products",
-            "q691",
-            abs(share) < 1e-5,
-            f"|B_f - b691| = |{share:.3e}| < 1e-5 (budgets {row_b.budget:.1e} + {b.budget:.1e})",
-        )
-    )
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Criterion 4 / 5: explicit constants
-# ---------------------------------------------------------------------------
-
-def _check_q3_forms(q3_report) -> list[CheckResult]:
-    rewrite = q3_report.b_f
-    direct = co.q3_direct_b()
-    out = [
-        _res(
-            "q3/B-rewrite",
-            "q3",
-            abs(rewrite.value - (-0.5349219)) <= 1e-5,
-            f"{rewrite.value:.7f} vs -0.5349219 ± 1e-5",
-        ),
-        _res(
-            "q3/forms-agree",
-            "q3",
-            rewrite.agrees_with(direct),
-            f"rewrite {rewrite.value:.8f} vs direct {direct.value:.8f} "
-            f"(budgets {rewrite.budget:.1e} + {direct.budget:.1e})",
-        ),
+        b_rule = {"near": (-0.21666, 1e-4)}
+        flagged = report.c2_printed_reference == c2_ref and any("C2" in n for n in notes)
+        c2_rule = {"near": (one_minus_tau * (1.0 + b_ref), 1e-4), "flagged": flagged}
+    c2_ok = abs(report.c2.value - ident) <= 1e-15 * (1.0 + abs(ident))
+    return [
+        _cell(tag, "H_f(1e5)", h5, h5_ref, 3),
+        _cell(tag, "H_f(1e6)", h6, h6_ref, 3, **h6_rule),
+        _cell(tag, "B_f", report.b_f, b_ref, 4, **b_rule),
+        _res("table1/C2-identity", tag, c2_ok, f"C2 = {report.c2.value:.10f} vs (1-tau)(1+B) = {ident:.10f}"),
+        _cell(tag, "C2", report.c2, c2_ref, 4, **c2_rule),
     ]
-    return out
 
 
-def _check_first_order(by_case) -> list[CheckResult]:
-    """K and C2 from the two_squares report, C from the q5 report (either may be absent)."""
+# ---------------------------------------------------------------------------
+# Criteria 2-5: the quoted decimals
+# ---------------------------------------------------------------------------
+
+def _check_quoted(by_case, wanted) -> list[CheckResult]:
+    """The wanted cases' quoted L-values, q691 character sums, q3 forms and
+    first-order constants (K and C2 from two_squares, C from q5)."""
     out = []
-    if "two_squares" in by_case:
-        k = by_case["two_squares"].first_order
-        c2b = by_case["two_squares"].c2
+    if {"q5", "q7", "q23"} & wanted:
+        def ratio(chi):
+            return (ls.l_derivative_at_1(chi, 1) / ls.l_derivative_at_1(chi, 0)).value
+
+        def l_value(d, k):
+            return ls.l_derivative_at_1(kronecker_character(d), k).value.real
+
+        closed = ls.closed_form_l_values
+        l_checks = [
+            _published("lvalues/L'/L(chi_5)", ratio(generator_character(5, 2))),
+            _published("lvalues/L'/L(chi_c mod 5)", ratio(generator_character(5, 1))),
+            _published("lvalues/L'(chi_-7)", l_value(-7, 1)),
+            _published("lvalues/L'(chi_-23)", l_value(-23, 1)),
+            _near("q7", "lvalues/L(chi_-7)=pi/sqrt7", l_value(-7, 0), closed("chi_minus7"), 1e-8),
+            _near("q23", "lvalues/L(chi_-23)=3pi/sqrt23", l_value(-23, 0), closed("chi_minus23"), 1e-8),
+        ]
+        out += [x for x in l_checks if x.case in wanted]
+    if "q691" in wanted:
+        (odd, even), b, row_b = co.b691_character_sums(), co.b691_approx(), by_case["q691"].b_f
+        share = row_b.value - b.value  # the four residual products the formula leaves out
+        detail = f"|B_f - b691| = |{share:.3e}| < 1e-5 (budgets {row_b.budget:.1e} + {b.budget:.1e})"
         out += [
-            _res("constants/K", "two_squares", abs(k.value - 0.764) <= 5e-4, f"K = {k.value:.7f} vs 0.764 ± 5e-4"),
-            _res(
-                "constants/two-squares-C2",
-                "two_squares",
-                abs(c2b.value - 0.5819) <= 5e-4,
-                f"C2 = {c2b.value:.7f} vs 0.5819 ± 5e-4",
-            ),
-            _res(
-                "constants/two-squares-C2-shanks",
-                "two_squares",
-                abs(c2b.value - 0.5819486) <= 1e-4,
-                f"C2 = {c2b.value:.7f} vs 0.5819486 ± 1e-4",
-            ),
+            _published("q691/odd-character-sum", odd.value),
+            _published("q691/even-character-sum", even.value),
+            _published("q691/b691", b.value),
+            _res("q691/omitted-products", "q691", abs(share) < 1e-5, detail),
+        ]
+    if "q3" in wanted:
+        rewrite, direct = by_case["q3"].b_f, co.q3_direct_b()
+        detail = f"rewrite {rewrite.value:.8f} vs direct {direct.value:.8f} "
+        detail += f"(budgets {rewrite.budget:.1e} + {direct.budget:.1e})"
+        out += [
+            _published("q3/B-rewrite", rewrite.value),
+            _res("q3/forms-agree", "q3", rewrite.agrees_with(direct), detail),
+        ]
+    if "two_squares" in by_case:
+        c2 = by_case["two_squares"].c2.value
+        out += [
+            _published("constants/K", by_case["two_squares"].first_order.value),
+            _published("constants/two-squares-C2", c2),
+            _published("constants/two-squares-C2-shanks", c2),
         ]
     if "q5" in by_case:
         c5 = by_case["q5"].first_order
-        out.append(
-            _res("constants/first-order-q5-consistent", "q5", c5.budget < 1e-4, f"C = {c5}")
-        )
+        detail = f"C = {c5}, budget < 1e-4"
+        out.append(_res("constants/first-order-q5-consistent", "q5", c5.budget < 1e-4, detail))
     return out
 
 
@@ -420,23 +308,11 @@ def _check_verdicts(reports) -> list[CheckResult]:
             )
         )
         if r.case == "q3":
-            ok = (
-                r.lambda_c2 is not None
-                and abs(r.lambda_c2.value - 0.5) > r.lambda_c2.budget
-            )
-            out.append(
-                _res(
-                    "verdict/lambda-c2",
-                    "q3",
-                    ok,
-                    f"C2(lambda) = {r.lambda_c2.value:.6f} != 1/2",
-                )
-            )
+            ok = r.lambda_c2 is not None and abs(r.lambda_c2.value - 0.5) > r.lambda_c2.budget
+            out.append(_res("verdict/lambda-c2", "q3", ok, f"C2(lambda) = {r.lambda_c2.value:.6f} != 1/2"))
         if r.case == "q23":
-            ok = r.c2_printed_reference == 0.6083 and bool(r.notes)
-            out.append(
-                _res("verdict/q23-discrepancy-flag", "q23", ok, "printed-table flag present")
-            )
+            ok = r.c2_printed_reference == co.TABLE1_PRINTED["q23"][3] and bool(r.notes)
+            out.append(_res("verdict/q23-discrepancy-flag", "q23", ok, "printed-table flag present"))
     return out
 
 
@@ -451,14 +327,7 @@ def run_checks(cases=None) -> list[CheckResult]:
         reports = co.table1(table_tags)
         for r in reports:
             results.extend(_check_table_row(r))
-    if {"q5", "q7", "q23"} & wanted:
-        results.extend(x for x in _check_l_values() if x.case in wanted)
-    by_case = {r.case: r for r in reports}
-    if "q691" in wanted:
-        results.extend(_check_q691(by_case["q691"].b_f))
-    if "q3" in wanted:
-        results.extend(_check_q3_forms(by_case["q3"]))
-    results.extend(_check_first_order(by_case))
+    results.extend(_check_quoted({r.case: r for r in reports}, wanted))
     results.extend(x for x in _check_oracles() if x.case in wanted)
     results.extend(x for x in _check_identities() if x.case in wanted)
     results.extend(x for x in _check_verdicts(reports) if x.case in wanted)
