@@ -5,17 +5,20 @@ exact integer arithmetic.  The expansion goes through Jacobi's identity
 
     prod (1 - x^n)^3 = sum_{k>=0} (-1)^k (2k+1) x^{k(k+1)/2},
 
-whose few nonzero terms give the 6th power by a sparse convolution; the
-24th power then needs two polynomial squarings, each done by Kronecker
-substitution in base 10: every coefficient c becomes a w-digit
-decimal field holding c + 5*10^(w-1), the packed string is read as one
-Decimal, squared, and the fields of the square are sliced back out.  The
-width is chosen so that n * max|c|^2 < 10^(w-1), which bounds every
-coefficient of the square, so each offset field stays inside
-[4*10^(w-1), 6*10^(w-1)) and never carries into its neighbour.  The
-standard library's decimal module (libmpdec) multiplies large operands by
-number-theoretic transform and converts to and from strings in linear time;
-its context traps Inexact and Rounded, so any loss of digits raises.
+whose few nonzero terms give, with E = prod (1 - x^n), E^6 by a sparse
+convolution and E^12 = E^6 * E^3 * E^3 by two int64 passes, one slice-add
+per term of the series.  Each pass first checks that sum |c| * max|a| <
+2^63, which bounds every partial sum, and raises rather than wraps.  E^24
+is then one polynomial squaring, done by Kronecker substitution in base
+10: every coefficient c becomes a w-digit decimal field holding
+c + 5*10^(w-1), the packed string is read as one Decimal, squared, and the
+fields of the square are sliced back out.  The width is chosen so that
+n * max|c|^2 < 10^(w-1), which bounds every coefficient of the square, so
+each offset field stays inside [4*10^(w-1), 6*10^(w-1)) and never carries
+into its neighbour.  The standard library's decimal module (libmpdec)
+multiplies large operands by number-theoretic transform and converts to
+and from strings in linear time; its context traps Inexact and Rounded, so
+any loss of digits raises.
 
 Congruence shortcuts:
     tau(n) = n*sigma_1(n)   (mod 3)
@@ -34,7 +37,8 @@ most once, by one scatter per cofactor j = n/p.
 lambda(n) counts partitions of n into parts that are not multiples of 9.  Its
 generating function E(x^9)/E(x), E(x) = prod (1 - x^n), is E(x)^8 mod 3, since
 (1 - x^m)^9 = 1 - x^(9m) mod 3: the dense E^6 above times Euler's pentagonal
-series E = sum_{k in Z} (-1)^k x^(k(3k-1)/2) twice, one slice-add per term.
+series E = sum_{k in Z} (-1)^k x^(k(3k-1)/2) twice, by the same int64 passes,
+reduced mod 3 after each.
 """
 
 from __future__ import annotations
@@ -84,20 +88,40 @@ class TauWindow:
         return self.values[n - 1]
 
 
+def _jacobi_series(length: int) -> tuple[np.ndarray, np.ndarray]:
+    """(expo, coeff): the terms of prod (1-x^n)^3 below x^length, by Jacobi's identity."""
+    k = np.arange(math.isqrt(2 * length) + 1, dtype=np.int64)
+    k = k[k * (k + 1) // 2 < length]
+    return k * (k + 1) // 2, np.where(k % 2 == 0, 1, -1) * (2 * k + 1)
+
+
 def _eta6_coeffs(length: int) -> np.ndarray:
     """Coefficients of prod (1-x^n)^6 up to x^(length-1).
 
     The square of Jacobi's sparse series: about sqrt(2*length) terms give
     fewer than 2*length products, each far inside int64.
     """
-    k = np.arange(math.isqrt(2 * length) + 1, dtype=np.int64)
-    k = k[k * (k + 1) // 2 < length]
-    expo = k * (k + 1) // 2
-    coeff = np.where(k % 2 == 0, 1, -1) * (2 * k + 1)
+    expo, coeff = _jacobi_series(length)
     idx = (expo[:, None] + expo[None, :]).ravel()
     keep = idx < length
     out = np.zeros(length, dtype=np.int64)
     np.add.at(out, idx[keep], (coeff[:, None] * coeff[None, :]).ravel()[keep])
+    return out
+
+
+def _sparse_mul(a: np.ndarray, expo: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """a times sum coeff[i] x^expo[i], truncated to len(a), in int64.
+
+    Every partial sum is at most sum |coeff| * max|a| in size, so the
+    product is exact when that bound is below 2^63; otherwise this raises
+    OverflowError instead of wrapping.
+    """
+    if int(np.abs(coeff).sum()) * int(np.abs(a).max(initial=0)) >= 2**63:
+        raise OverflowError("sparse product would leave int64")
+    n = len(a)
+    out = np.zeros_like(a)
+    for e, c in zip(expo.tolist(), coeff.tolist()):
+        out[e:] += c * a[: n - e]
     return out
 
 
@@ -132,9 +156,9 @@ def tau_exact(n_max: int) -> TauWindow:
         raise InvalidArgumentError(f"n_max must be >= 1, got {n_max}")
     if n_max > TAU_DESK_LIMIT:
         raise ResourceLimitError(f"tau_exact desk limit is {TAU_DESK_LIMIT}, got {n_max}")
-    e6 = _eta6_coeffs(n_max).tolist()
-    e12 = _poly_square_trunc(e6, n_max)
-    e24 = _poly_square_trunc(e12, n_max)
+    jacobi = _jacobi_series(n_max)
+    e12 = _sparse_mul(_sparse_mul(_eta6_coeffs(n_max), *jacobi), *jacobi)
+    e24 = _poly_square_trunc(e12.tolist(), n_max)
     return TauWindow(n_max, e24)
 
 
@@ -216,13 +240,10 @@ def lambda_mod3(n_max: int) -> np.ndarray:
     k = np.arange(-math.isqrt(length), math.isqrt(length) + 1, dtype=np.int64)
     expo = k * (3 * k - 1) // 2  # Euler's pentagonal series; (-1)^k is 1 or 2 mod 3
     keep = expo < length
-    pentagonal = list(zip(expo[keep].tolist(), np.where(k[keep] % 2 == 0, 1, 2).tolist()))
+    pentagonal = expo[keep], np.where(k[keep] % 2 == 0, 1, 2)
     a = _eta6_coeffs(length) % 3
     for _ in range(2):
-        out = np.zeros_like(a)
-        for e, c in pentagonal:
-            out[e:] += c * a[: length - e]
-        a = out % 3
+        a = _sparse_mul(a, *pentagonal) % 3
     return a.astype(np.uint8)
 
 

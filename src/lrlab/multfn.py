@@ -266,9 +266,13 @@ def zero_periods(case, limit: int) -> np.ndarray:
     return np.array(spec.m0, dtype=np.int64)[class_index(spec, limit)]
 
 
-def f_sieve(case, x: int) -> np.ndarray:
-    """Boolean array b with b[n] = f(n) for 0 <= n <= x (b[0] = False)."""
-    x = int(x)
+def _sieve_small_primes(case, x: int) -> tuple[np.ndarray, np.ndarray]:
+    """f_sieve's array before its big-prime pass, and the primes that pass needs.
+
+    Returns (b, zero): b[n] is False for n = 0 and for every n <= x that a
+    prime p <= sqrt(x) rules out (f(p^v_p(n)) = 0), True otherwise; zero
+    lists the primes sqrt(x) < p <= x with f(p) = 0.
+    """
     if x < 1:
         raise InvalidArgumentError(f"x must be >= 1, got {x}")
     if x > COUNT_DESK_LIMIT:
@@ -277,7 +281,7 @@ def f_sieve(case, x: int) -> np.ndarray:
     out = np.ones(x + 1, dtype=bool)
     out[0] = False
     if x == 1:
-        return out
+        return out, np.zeros(0, dtype=np.int64)
     primes = pr.sieve_primes(x).primes
     m0s = zero_periods(spec, x)
     small = int(np.searchsorted(primes, math.isqrt(x), side="right"))
@@ -302,10 +306,16 @@ def f_sieve(case, x: int) -> np.ndarray:
             if pk > x // step:
                 break
             pk *= step
+    big = m0s[small:]
+    return out, primes[small:][(big == 2) | (big == M_ALWAYS)]
+
+
+def f_sieve(case, x: int) -> np.ndarray:
+    """Boolean array b with b[n] = f(n) for 0 <= n <= x (b[0] = False)."""
+    x = int(x)
+    out, zero = _sieve_small_primes(case, x)
     # A prime p > sqrt(x) divides n <= x at most once, as n = j*p with j < p,
     # and f(n) = 0 exactly when f(p) = 0.  Mark those multiples per cofactor j.
-    big = m0s[small:]
-    zero = primes[small:][(big == 2) | (big == M_ALWAYS)]
     if len(zero):
         for j in range(1, x // int(zero[0]) + 1):
             out[j * zero[: np.searchsorted(zero, x // j, side="right")]] = False
@@ -313,8 +323,25 @@ def f_sieve(case, x: int) -> np.ndarray:
 
 
 def count_f(case, x: int) -> int:
-    """Exact #{n <= x : f(n) = 1} by sieving the exponent rules."""
-    return int(np.count_nonzero(f_sieve(case, x)))
+    """Exact #{n <= x : f(n) = 1}, with f_sieve's rules but no big-prime pass.
+
+    A prime p > sqrt(x) divides n <= x at most once, as n = m*p with
+    m <= x/p < sqrt(x), and no n <= x has two such primes.  Let b mark the
+    rules of the primes <= sqrt(x) only, and F(y) = #{m <= y : b[m] = 1}.
+    Then
+
+        count_f(x) = #{n <= x : b[n] = 1} - sum_{p > sqrt(x), f(p) = 0} F(x // p).
+
+    The identity is exact.  b[n] = f(n) unless n = m*p for such a p, and
+    then b[n] = b[m] = f(m), since every prime factor of m < sqrt(x) is
+    small; f(n) = f(m) f(p).  So b overcounts exactly the n = m*p with
+    f(m) = 1 and f(p) = 0, and the sum counts each once, by its one big
+    prime.  F is a running count of b, needed only up to sqrt(x).
+    """
+    x = int(x)
+    b, zero = _sieve_small_primes(case, x)
+    running = np.cumsum(b[: math.isqrt(x) + 1])
+    return int(np.count_nonzero(b)) - int(running[x // zero].sum())
 
 
 def _int_kth_root(n: int, k: int) -> int:

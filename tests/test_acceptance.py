@@ -51,7 +51,7 @@ def test_criterion_1_table_reproduction(full_checks):
     _report(full_checks, 1)
 
 
-def test_criterion_1_runtime_budget():
+def test_criterion_1_runtime_budget(src_env):
     # full six-case table with H_f to 1e6, in a fresh interpreter so that
     # every cache (sieve, masks, codes, characters) is cold
     script = (
@@ -59,7 +59,7 @@ def test_criterion_1_runtime_budget():
         "reports = table1(); print(len(reports), time.monotonic() - t0)"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=600
+        [sys.executable, "-c", script], capture_output=True, text=True, env=src_env, timeout=600
     )
     assert proc.returncode == 0, proc.stderr
     count, elapsed = proc.stdout.split()
@@ -118,11 +118,12 @@ def test_criterion_7_verdicts(full_checks):
     _report(full_checks, 7)
 
 
-def test_criterion_7_cli_verify_exits_zero():
+def test_criterion_7_cli_verify_exits_zero(src_env):
     proc = subprocess.run(
         [sys.executable, "-m", "lrlab.cli", "verify", "--case", "all"],
         capture_output=True,
         text=True,
+        env=src_env,
         timeout=1200,
     )
     print("\n" + proc.stdout.strip().splitlines()[-1])

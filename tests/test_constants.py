@@ -79,11 +79,13 @@ class TestAssemblies:
         assert r.lambda_c2.value == pytest.approx(expected, abs=1e-15)
         assert abs(r.lambda_c2.value - 0.5) > r.lambda_c2.budget
 
-    def test_table_sieves_only_to_the_checkpoints(self):
+    def test_table_sieves_only_to_the_checkpoints(self, src_env):
         # every class sum is exact, so the largest prime table a cold table1
         # builds is the one for H_f(1e6)
         script = "import lrlab; from lrlab import primes; lrlab.table1(); print(primes._largest.limit)"
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=600)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=src_env, timeout=600
+        )
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) == 10**6
 

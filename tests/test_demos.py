@@ -4,7 +4,6 @@ The demos import the package's public names, so a renamed or deleted name
 they still use fails here.
 """
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,12 +15,9 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
-def test_demo_runs(script):
-    src = str(ROOT / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+def test_demo_runs(script, src_env):
     proc = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=300
+        [sys.executable, str(script)], capture_output=True, text=True, env=src_env, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
 

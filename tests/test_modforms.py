@@ -8,8 +8,12 @@ from hypothesis import strategies as st
 
 from lrlab.errors import InvalidArgumentError, ResourceLimitError
 from lrlab.modforms import (
+    TAU_DESK_LIMIT,
+    _eta6_coeffs,
+    _jacobi_series,
     _poly_square_trunc,
     _sigma_power_mod,
+    _sparse_mul,
     lambda_mod3,
     odd_tau_count,
     tau_exact,
@@ -113,6 +117,31 @@ class TestPolySquare:
         big = 2**300
         for coeffs in ([big] * 60, [(-1) ** i * big for i in range(60)], [-big], [0] * 7):
             assert _poly_square_trunc(coeffs, 119) == naive_square_trunc(coeffs, 119)
+
+
+class TestSparsePasses:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5000])
+    def test_e12_matches_decimal_square(self, n):
+        jacobi = _jacobi_series(n)
+        e12 = _sparse_mul(_sparse_mul(_eta6_coeffs(n), *jacobi), *jacobi)
+        assert e12.tolist() == _poly_square_trunc(_eta6_coeffs(n).tolist(), n)
+
+    def test_int64_headroom_at_desk_limit(self):
+        # a shorter window truncates the same series: its terms and its
+        # coefficients are prefixes of these, so both factors only shrink
+        expo, coeff = _jacobi_series(TAU_DESK_LIMIT)
+        l1 = int(np.abs(coeff).sum())
+        e6 = _eta6_coeffs(TAU_DESK_LIMIT)
+        e9 = _sparse_mul(e6, expo, coeff)
+        for a in (e6, e9):
+            assert l1 * int(np.abs(a).max()) < 2**63
+
+    def test_raises_instead_of_wrapping(self):
+        expo, coeff = np.array([0, 1]), np.array([1, 1])
+        top = 2**62 - 1  # 2 * top is the largest bound that still fits
+        assert _sparse_mul(np.array([top, top]), expo, coeff).tolist() == [top, 2 * top]
+        with pytest.raises(OverflowError):
+            _sparse_mul(np.array([top + 1, 0]), expo, coeff)
 
 
 class TestTauExact:

@@ -6,7 +6,7 @@ import pytest
 
 from lrlab.budget import csum
 from lrlab.errors import InvalidArgumentError, PreconditionError, UnsupportedCaseError
-from lrlab.modforms import tau_exact
+from lrlab.modforms import odd_tau_count, tau_exact
 from lrlab.multfn import (
     CASES,
     class_index,
@@ -19,6 +19,13 @@ from lrlab.multfn import (
 )
 from lrlab.primes import sieve_primes
 from scalar_reference import f_prime_power, f_value, lambda_f_prime_power, zero_period
+
+
+# x on both sides of the square of a prime p, where p moves between the
+# small-prime rules and the big-prime pass, and the degenerate x = 1, 2, 3
+EDGE_LIMITS = [1, 2, 3] + [
+    p * p + d for p in (2, 3, 5, 7, 11, 13, 29, 31, 37, 41) for d in (-1, 0, 1)
+]
 
 
 def divisors(n):
@@ -199,15 +206,26 @@ class TestCountAndSieve:
                 assert int(fs[n]) == f_value(tag, n), (tag, n)
 
     def test_sieve_matches_f_value_at_sqrt_split(self):
-        # f_sieve treats primes above sqrt(x) by cofactor: check x on both
-        # sides of each square, and the degenerate x = 1, 2, 3
-        edge_primes = (2, 3, 5, 7, 11, 13, 29, 31, 37, 41)
-        limits = [1, 2, 3] + [p * p + d for p in edge_primes for d in (-1, 0, 1)]
+        # f_sieve treats primes above sqrt(x) by cofactor
         for tag in CASES:
-            ref = [f_value(tag, n) for n in range(1, max(limits) + 1)]
-            for x in limits:
+            ref = [f_value(tag, n) for n in range(1, max(EDGE_LIMITS) + 1)]
+            for x in EDGE_LIMITS:
                 fs = f_sieve(tag, x)
                 assert not fs[0] and fs[1:].astype(int).tolist() == ref[:x], (tag, x)
+
+    @pytest.mark.parametrize("tag", sorted(CASES))
+    def test_count_matches_sieve(self, tag):
+        # count_f subtracts the big-prime zeros by prefix counts instead of
+        # marking them: it must agree with the marked array at every split
+        fixed = [10, 99, 1000, 4096, 10007, 65535, 99991, 100000, 151321, 199999, 200000]
+        for x in EDGE_LIMITS + fixed:
+            assert count_f(tag, x) == int(np.count_nonzero(f_sieve(tag, x))), (tag, x)
+
+    def test_q2_counts_odd_squares(self):
+        # tau(n) is odd exactly when n is an odd square
+        grid = np.unique(np.geomspace(1, 10**6, 60).astype(np.int64)).tolist()
+        for x in grid + [(2 * j + 1) ** 2 + d for j in (10, 100, 499) for d in (-1, 0, 1)]:
+            assert count_f("q2", x) == odd_tau_count(x), x
 
     def test_two_squares_brute_force(self):
         x = 5000
