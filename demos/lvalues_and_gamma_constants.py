@@ -41,7 +41,10 @@ print(f"  L(1,chi_c) L(1,chi_c~) = {pair.value.real:.12f}  (2 pi^2/25 = {2*math.
 
 print("\nmod 691: 690 characters, one inverse DFT; the odd/even ratio sums")
 group = character_group(691)
-print(f"  group size {len(group)}, chi_c(3) = {group[1](3):.6f}")
+# a character is an index j (chi_c^j); its conjugate is the index -j mod 690
+conj = generator_character(691, -1)
+print(f"  group size {len(group)}, conj(chi_c) = chi_c^{conj.index}")
+print(f"  L(1, chi_c) = {l_derivative_at_1(group[1], 0)}, L(1, chi_c^{conj.index}) = {l_derivative_at_1(conj, 0)}")
 from lrlab import b691_character_sums
 
 odd, even = b691_character_sums()

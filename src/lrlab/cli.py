@@ -29,9 +29,8 @@ from . import lseries as ls
 from . import modforms as mf
 from . import multfn as mu
 from .budget import ValueWithBudget
-from .characters import GENERATORS, character_group
+from .characters import GENERATORS, character_group, euler_phi
 from .errors import InvalidArgumentError, LrlabError
-from .primes import euler_phi
 from .verify import ALL_CASES, run_checks
 
 EXIT_OK = 0

@@ -30,12 +30,12 @@ import math
 import numpy as np
 
 from .budget import ValueWithBudget
-from .characters import _dlog_table
+from .characters import _dlog_table, euler_phi
 from .constants import _exp, _log_g
-from .errors import UnsupportedCaseError
+from .errors import InvalidArgumentError, UnsupportedCaseError
 from .lseries import _EPS, _log, zeta_value
 from .multfn import M_ALWAYS, M_NEVER, class_index, dirichlet_series_truncated, get_case, zero_periods
-from .primes import euler_phi, sieve_primes
+from .primes import sieve_primes
 
 __all__ = ["truncated_T", "euler_identity_sides", "local_factor_gap"]
 
@@ -71,6 +71,8 @@ def local_factor_gap(case, x: float = 0.5, p_limit: int = 10**4) -> float:
     (1 - x^(m0-1))/((1 - x)(1 - x^m0)) otherwise.
     """
     spec, _ = _factorization(case)
+    if not 0 < x < 1:
+        raise InvalidArgumentError(f"x must lie in (0, 1), got {x}")
     p = sieve_primes(p_limit).primes
     m0 = zero_periods(spec, p_limit)
     finite_m0 = np.where(m0 >= 2, m0, 2)

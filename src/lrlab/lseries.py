@@ -81,9 +81,9 @@ from functools import lru_cache
 import numpy as np
 
 from .budget import ValueWithBudget, csum
-from .characters import GENERATORS, DirichletCharacter, _dlog_table
+from .characters import GENERATORS, DirichletCharacter, _dlog_table, euler_phi
 from .errors import InvalidArgumentError, PreconditionError, ResourceLimitError
-from .primes import euler_phi, sieve_primes, wilton_classes
+from .primes import sieve_primes, wilton_classes
 
 __all__ = [
     "ValueWithBudget",

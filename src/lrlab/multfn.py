@@ -45,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from .budget import ValueWithBudget, csum
-from .characters import _dlog_table
+from .characters import _dlog_table, euler_phi
 from .errors import (
     InvalidArgumentError,
     PreconditionError,
@@ -100,7 +100,7 @@ class EulerFactorization:
 
     def l_weights(self) -> tuple:
         """((j, w), ...): w = e for a real chi^j, 2e for a complex one and its conjugate."""
-        phi = pr.euler_phi(self.modulus)
+        phi = euler_phi(self.modulus)
         return tuple((j, e if 2 * j % phi == 0 else 2 * e) for j, e in self.l_exponents)
 
 
@@ -117,9 +117,6 @@ class CaseSpec:
 
     tag: str
     tau: Fraction      # Dirichlet density of primes with f(p) = 1
-    delta: Fraction    # 1 - tau; the claimed logarithm exponent
-    modulus: int | None  # the prime q, or None for two_squares/ones
-    description: str
     residues: tuple    # class index of each residue mod len(residues)
     m0: tuple          # zero period of each class
     euler: EulerFactorization | None = None    # T(s)^n as a product
@@ -131,6 +128,10 @@ class CaseSpec:
         if self.classify is None:
             lut = np.array(self.residues, dtype=np.uint8)
             object.__setattr__(self, "classify", lambda p: lut[p % len(lut)])
+
+    @property
+    def delta(self) -> Fraction:  # 1 - tau, the claimed logarithm exponent
+        return 1 - self.tau
 
     def class_residues(self, j: int) -> list[int]:
         """The residues r mod len(residues) with residues[r] = j."""
@@ -163,11 +164,10 @@ def _order_factor(nu: int) -> tuple:
 CASES: dict[str, CaseSpec] = {
     c.tag: c
     for c in [
-        CaseSpec("q2", Fraction(0), Fraction(1), 2, "2 does not divide tau(n)",
-                 # classes: p = 2, odd p
-                 residues=(0, 1), m0=(M_ALWAYS, 2)),
-        CaseSpec("q3", Fraction(1, 2), Fraction(1, 2), 3, "3 does not divide tau(n)",
-                 # classes: p = 3, p = 2 (3), p = 1 (3)
+        # 2 does not divide tau(n); classes: p = 2, odd p
+        CaseSpec("q2", Fraction(0), residues=(0, 1), m0=(M_ALWAYS, 2)),
+        # 3 does not divide tau(n); classes: p = 3, p = 2 (3), p = 1 (3)
+        CaseSpec("q3", Fraction(1, 2),
                  residues=(0, 2, 1), m0=(M_ALWAYS, 2, 3),
                  euler=EulerFactorization(
                      # chi_-3 = chi^1 mod 3
@@ -176,35 +176,35 @@ CASES: dict[str, CaseSpec] = {
                  b_euler=EulerFactorization(
                      n=2, modulus=3, l_exponents=((1, 1),), finite=((3, ((1, 1), (-2, 2))),),
                      classes=((), ((-3, 2),), ((-2, 3),)), zeta2=-2)),
-        CaseSpec("q5", Fraction(3, 4), Fraction(1, 4), 5, "5 does not divide tau(n)",
-                 # classes: p = 5, p = 1 (5), p = +-2 (5), p = 4 (5)
+        # 5 does not divide tau(n); classes: p = 5, p = 1 (5), p = +-2 (5), p = 4 (5)
+        CaseSpec("q5", Fraction(3, 4),
                  residues=(0, 1, 2, 2, 3), m0=(M_ALWAYS, 5, 4, 2),
                  euler=EulerFactorization(
                      # chi_c = chi^1 mod 5 (chi_c(2) = i, with its conjugate), chi_5 = chi^2
                      n=4, modulus=5, l_exponents=((1, 1), (2, -1)), finite=((5, ((3, 1),)),),
                      classes=((), ((4, 4), (-4, 5)), ((4, 3), (-2, 2), (-3, 4)), ((-2, 2),)))),
-        CaseSpec("q7", Fraction(1, 2), Fraction(1, 2), 7, "7 does not divide tau(n)",
-                 # classes: p = 7, quadratic residues mod 7, non-residues
+        # 7 does not divide tau(n); classes: p = 7, quadratic residues mod 7, non-residues
+        CaseSpec("q7", Fraction(1, 2),
                  residues=(0, 1, 1, 2, 1, 2, 2), m0=(M_ALWAYS, 7, 2),
                  euler=EulerFactorization(
                      # chi_-7 = chi^3 mod 7
                      n=2, modulus=7, l_exponents=((3, 1),), finite=((7, ((1, 1),)),),
                      classes=((), ((2, 6), (-2, 7)), ((-1, 2),)))),
-        CaseSpec("q23", Fraction(1, 2), Fraction(1, 2), 23, "23 does not divide tau(n)",
-                 # classes: the Wilton classes S1, S2, S3, P23 (primes module); S2 and
-                 # S3 split the residues with (p|23) = 1
+        # 23 does not divide tau(n); classes: the Wilton classes S1, S2, S3, P23
+        # (primes module); S2 and S3 split the residues with (p|23) = 1
+        CaseSpec("q23", Fraction(1, 2),
                  residues=_WILTON_RESIDUES, classify=pr.wilton_classes, frobenius=(1, 2),
                  m0=(2, 3, 23, M_NEVER),
                  euler=EulerFactorization(
                      # chi_-23 = chi^11 mod 23
                      n=2, modulus=23, l_exponents=((11, 1),), finite=((23, ((-1, 1),)),),
                      classes=(((-1, 2),), ((2, 2), (-2, 3)), ((2, 22), (-2, 23)), ()))),
-        CaseSpec("q691", Fraction(689, 690), Fraction(1, 690), 691, "691 does not divide tau(n)",
-                 # classes: by the order nu of p mod 691 (m0 = nu, but 691 for nu = 1),
-                 # then p = 691.  L(s, chi^j) mod 691 to the power +1 for odd j and -1 for
-                 # even j, j = 1..689: the pairs j, 690 - j are conjugate, and j = 345 is
-                 # the real quadratic character.  The local factors are the four residual
-                 # products that the paper's formula (constants.b691_approx) leaves out.
+        # 691 does not divide tau(n); classes: by the order nu of p mod 691 (m0 = nu,
+        # but 691 for nu = 1), then p = 691.  L(s, chi^j) mod 691 to the power +1 for
+        # odd j and -1 for even j, j = 1..689: the pairs j, 690 - j are conjugate, and
+        # j = 345 is the real quadratic character.  The local factors are the four
+        # residual products that the paper's formula (constants.b691_approx) leaves out.
+        CaseSpec("q691", Fraction(689, 690),
                  residues=_ORDER_CLASSES,
                  m0=tuple(691 if d == 1 else d for d in _DIVISORS_690) + (M_NEVER,),
                  euler=EulerFactorization(
@@ -212,15 +212,15 @@ CASES: dict[str, CaseSpec] = {
                      l_exponents=tuple((j, 1 if j % 2 else -1) for j in range(1, 346)),
                      finite=((691, ((-1, 1),)),),
                      classes=tuple(_order_factor(d) for d in _DIVISORS_690) + ((),))),
-        CaseSpec("two_squares", Fraction(1, 2), Fraction(1, 2), None, "n is a sum of two squares",
-                 # classes: p = 2 or p = 1 (4), p = 3 (4)
+        # n is a sum of two squares; classes: p = 2 or p = 1 (4), p = 3 (4)
+        CaseSpec("two_squares", Fraction(1, 2),
                  residues=(0, 0, 0, 1), m0=(M_NEVER, 2),
                  euler=EulerFactorization(
                      # chi_-4 = chi^1 mod 4
                      n=2, modulus=4, l_exponents=((1, 1),), finite=((2, ((-1, 1),)),),
                      classes=((), ((-1, 2),)))),
-        CaseSpec("ones", Fraction(1), Fraction(0), None, "constant function 1",
-                 residues=(0,), m0=(M_NEVER,)),
+        # the constant function 1
+        CaseSpec("ones", Fraction(1), residues=(0,), m0=(M_NEVER,)),
     ]
 }
 
@@ -362,6 +362,8 @@ def h_f(case, x: float) -> ValueWithBudget:
     rounding only.
     """
     spec = get_case(case)
+    if not math.isfinite(x):
+        raise InvalidArgumentError(f"x must be finite, got {x}")
     if x < 2:
         raise InvalidArgumentError(f"x must be >= 2, got {x}")
     xi = int(math.floor(x))

@@ -1,8 +1,8 @@
 """Prime generation and the Wilton classes mod 23.
 
 Provides a segmented sieve of Eratosthenes with a fixed segment size (so
-enumeration order is deterministic), Euler's totient, and the Wilton
-classes of primes modulo 23, as codes W_S1, W_S2, W_S3, W_P23:
+enumeration order is deterministic) and the Wilton classes of primes
+modulo 23, as codes W_S1, W_S2, W_S3, W_P23:
 
     S1 : (p|23) = -1
     S3 : p = U^2 + 23 V^2 with U != 0
@@ -41,7 +41,6 @@ __all__ = [
     "PrimeTable",
     "PRIME_DESK_LIMIT",
     "sieve_primes",
-    "euler_phi",
     "cubic_splits",
     "wilton_classes",
     "wilton_codes_cubic",
@@ -136,29 +135,6 @@ def sieve_primes(limit: int) -> PrimeTable:
     if limit > PRIME_DESK_LIMIT:
         raise ResourceLimitError(f"prime sieve desk limit is {PRIME_DESK_LIMIT}, got {limit}")
     return _sieve_cached(limit)
-
-
-def _factorize_small(n: int) -> list[int]:
-    """Distinct prime factors by trial division (n is small here)."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def euler_phi(m: int) -> int:
-    """Euler's totient: the size of (Z/mZ)^*."""
-    phi = m
-    for q in _factorize_small(m):
-        phi -= phi // q
-    return phi
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,12 @@ against:
 
 * is_prime: deterministic Miller-Rabin;
 * kronecker_symbol: the binary algorithm with quadratic reciprocity;
+* totient: phi(m) as the count of 1 <= r <= m with gcd(r, m) = 1;
 * multiplicative_order: phi(m) divided by its prime factors while
   a^(order/q) = 1;
+* character_values: the value table of chi_c^j mod m, from the powers of
+  the generator g = GENERATORS[m] (lrlab keeps no value table: its
+  L-values come from one inverse DFT over the discrete logs);
 * wilton_class: S1 by (p|23) = -1, S3 by the search for p = U^2 + 23 V^2,
   as a code W_* of lrlab.primes; cubic_root_exists: the exhaustive scan for
   a root of x^3 - x - 1 mod p;
@@ -26,18 +30,23 @@ against:
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
+from lrlab.characters import GENERATORS
 from lrlab.errors import InvalidArgumentError
 from lrlab.multfn import M_NEVER, get_case
-from lrlab.primes import W_P23, W_S1, W_S2, W_S3, euler_phi
+from lrlab.primes import W_P23, W_S1, W_S2, W_S3
 
 # Miller-Rabin with this witness set is deterministic for n < 3.3 * 10^24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # q23's zero period of each Wilton class
 _WILTON_PERIODS = {W_S1: 2, W_S2: 3, W_S3: 23, W_P23: M_NEVER}
+
+# exp(2 pi i q/4) for the quarter turns q = 0..3
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 
 
 def is_prime(n: int) -> bool:
@@ -94,12 +103,17 @@ def kronecker_symbol(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+def totient(m: int) -> int:
+    """Euler's phi(m), counted: #{1 <= r <= m : gcd(r, m) = 1}."""
+    return sum(math.gcd(r, m) == 1 for r in range(1, m + 1))
+
+
 def multiplicative_order(a: int, m: int) -> int:
     """Order of a in (Z/mZ)^*; requires gcd(a, m) = 1."""
     a, m = int(a) % int(m), int(m)
     if math.gcd(a, m) != 1:
         raise InvalidArgumentError(f"{a} is not invertible mod {m}")
-    order = n = euler_phi(m)
+    order = n = totient(m)
     q = 2
     while n > 1:  # q runs through the prime factors of phi(m)
         if n % q == 0:
@@ -109,6 +123,33 @@ def multiplicative_order(a: int, m: int) -> int:
                 order //= q
         q += 1
     return order
+
+
+@lru_cache(maxsize=None)
+def _generator_powers(m: int) -> np.ndarray:
+    """g^a mod m for a = 0..phi(m)-1, g = GENERATORS[m]."""
+    powers = [1]
+    for _ in range(totient(m) - 1):
+        powers.append(powers[-1] * GENERATORS[m] % m)
+    return np.array(powers)
+
+
+def character_values(m: int, j: int) -> np.ndarray:
+    """chi_c^j(r) for r = 0..m-1, zero off the unit group.
+
+    chi_c^j(g^a) = exp(2 pi i turns/phi) with turns = j a mod phi, from
+    cos and sin of the angle, and exact at the quarter turns.
+    """
+    powers = _generator_powers(m)
+    phi = len(powers)
+    turns = j * np.arange(phi) % phi
+    angles = 2.0 * np.pi * turns / phi
+    on_units = np.cos(angles) + 1j * np.sin(angles)
+    quarter = 4 * turns % phi == 0
+    on_units[quarter] = _QUARTER_TURNS[4 * turns[quarter] // phi]
+    values = np.zeros(m, dtype=np.complex128)
+    values[powers] = on_units
+    return values
 
 
 def wilton_class(p: int) -> int:

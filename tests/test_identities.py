@@ -4,14 +4,13 @@ from dataclasses import replace
 
 import pytest
 
-from lrlab.errors import UnsupportedCaseError
-from lrlab.characters import generator_character
+from lrlab.errors import InvalidArgumentError, UnsupportedCaseError
 from lrlab.constants import _log_g
 from lrlab.identities import euler_identity_sides, local_factor_gap, truncated_T
 from lrlab.multfn import CASES, class_index, dirichlet_series_truncated, get_case
 from lrlab.primes import sieve_primes
 from lrlab.verify import _check_identities
-from scalar_reference import f_prime_power
+from scalar_reference import character_values, f_prime_power, totient
 
 # Every factorization row of the case table: (case, CaseSpec field)
 FACTORIZATIONS = [
@@ -88,7 +87,10 @@ class TestLocalFactors:
         samples = {int(p): int(j) for j in range(len(spec.m0)) for p in primes[idx == j][:4]}
         assert set(samples.values()) == set(range(len(spec.m0))) and set(finite) <= set(samples)
         m = euler.modulus
-        characters = [(generator_character(m, j), e) for j, e in euler.l_exponents]
+        # (values, weight): a complex chi^j comes with its conjugate, so its weight is 2e
+        characters = [
+            (character_values(m, j), e if 2 * j % totient(m) == 0 else 2 * e) for j, e in euler.l_exponents
+        ]
         for p, j in samples.items():
             f_p = [f_prime_power(tag, p, k) for k in range(200)]
             for x in (1 / 2, 1 / 3):
@@ -96,9 +98,8 @@ class TestLocalFactors:
                 lhs = euler.n * math.log(t_p)
                 terms = [-float(euler.n * spec.tau) * math.log1p(-x)]
                 terms.append(-euler.zeta2 * math.log1p(-x * x))
-                for chi, e in characters:
-                    weight = e if chi.is_real else 2 * e  # a complex chi comes with its conjugate
-                    terms.append(-weight * cmath.log(1 - chi(p) * x).real)
+                for chi, weight in characters:
+                    terms.append(-weight * cmath.log(1 - chi[p % m] * x).real)
                 for c, a in finite.get(p, ()) + euler.classes[j]:
                     terms.append(c * math.log1p(-(x**a)))
                 assert lhs == pytest.approx(math.fsum(terms), abs=1e-12), (tag, form, p, x)
@@ -134,6 +135,11 @@ class TestLocalFactorGap:
     def test_unknown_case(self):
         with pytest.raises(UnsupportedCaseError):
             local_factor_gap("q2")
+
+    @pytest.mark.parametrize("x", [1.5, -1.0, 0.0, 1.0, math.nan])
+    def test_x_outside_the_unit_interval_is_invalid(self, x):
+        with pytest.raises(InvalidArgumentError):
+            local_factor_gap("q5", x)
 
 
 class TestTruncatedSeries:

@@ -273,6 +273,11 @@ class TestHf:
         with pytest.raises(InvalidArgumentError):
             h_f("q5", 1.5)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x_is_invalid(self, x):
+        with pytest.raises(InvalidArgumentError):
+            h_f("q5", x)
+
     def test_enumeration_limit(self):
         from lrlab.errors import ResourceLimitError
 
