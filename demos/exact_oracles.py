@@ -12,11 +12,10 @@ import numpy as np
 from lrlab import count_f, f_sieve, odd_tau_count, sieve_primes, tau_exact, tau_mod
 from lrlab.modforms import lambda_mod3
 from lrlab.multfn import class_index
-from lrlab.primes import wilton_codes_cubic
 
 w = tau_exact(20)
 print("tau(1..10)      =", w.values[:10])
-print("tau(2) mod 23   =", tau_mod(23, 4)[2], " (Wilton/Hecke route; tau(2) = -24)")
+print("tau(2) mod 23   =", tau_mod(23, 4)[2], " (from x E(x) E(x^23); tau(2) = -24)")
 
 print("\ncongruence shortcuts vs exact tau, n <= 20000:")
 exact = tau_exact(20000)
@@ -34,13 +33,12 @@ print("\nparity: #{n <= x : tau(n) odd} = floor((1 + sqrt x)/2)")
 for x in (1, 80, 100, 10_000):
     print(f"  x = {x:>6}: {odd_tau_count(x)}")
 
-print("\ndual Wilton classifiers (U^2 + 23 V^2 table vs cubic solvability):")
+print("\nWilton classes (U^2 + 23 V^2 table) vs tau(p) mod 23 (0 on S1, 22 on S2, 2 on S3):")
 labels = ("S1", "S2", "S3", "P23")
 primes = sieve_primes(9973).primes.tolist()
-form, cubic = class_index("q23", 9973), wilton_codes_cubic(9973)
+form, t23 = class_index("q23", 9973), tau_mod(23, 9973)
 for p in (2, 5, 23, 59, 101, 9973):
-    i = primes.index(p)
-    print(f"  p = {p:>5}: {labels[form[i]]:>3} / {labels[cubic[i]]:>3}")
+    print(f"  p = {p:>5}: {labels[form[primes.index(p)]]:>3}, tau(p) mod 23 = {t23[p]:>2}")
 
 print("\npartition coupling: sum_{k<=x} l_k = sum_{n<=3x+1} t_n   (l from lambda mod 3)")
 lam = lambda_mod3(2000)

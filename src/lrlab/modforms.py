@@ -25,20 +25,19 @@ Congruence shortcuts:
     tau(n) = n*sigma_1(n)   (mod 5)
     tau(n) = n*sigma_3(n)   (mod 7)
     tau(n) = sigma_11(n)    (mod 691)
-    mod 23: Wilton's prime values extended multiplicatively by the Hecke
-            recursion tau(p^(k+1)) = tau(p) tau(p^k) - p^11 tau(p^(k-1))
+    tau(n) = [x^n] x E(x) E(x^23)   (mod 23)
     mod 2:  tau(n) is odd iff n is an odd square
 
-tau mod 23 is assembled in arrays: tau(p) for all primes from their Wilton
-classes, tau(p^k) by the Hecke recursion on the multiples of each p <= sqrt(n)
-(one strided multiply per prime), and each larger prime, which divides n at
-most once, by one scatter per cofactor j = n/p.
+The mod-23 line is the product behind Wilton's congruence for tau(p) mod
+23: (1 - x^k)^23 = 1 - x^(23k) mod 23, so Delta = x E^24 = x E(x) E(x^23).
+Both factors are Euler's pentagonal series
+E = sum_{k in Z} (-1)^k x^(k(3k-1)/2), so the product is one fancy-indexed
+add of E's terms per term of E(x^23).
 
 lambda(n) counts partitions of n into parts that are not multiples of 9.  Its
 generating function E(x^9)/E(x), E(x) = prod (1 - x^n), is E(x)^8 mod 3, since
-(1 - x^m)^9 = 1 - x^(9m) mod 3: the dense E^6 above times Euler's pentagonal
-series E = sum_{k in Z} (-1)^k x^(k(3k-1)/2) twice, by the same int64 passes,
-reduced mod 3 after each.
+(1 - x^m)^9 = 1 - x^(9m) mod 3: the dense E^6 above times the pentagonal
+series twice, by the same int64 passes, reduced mod 3 after each.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidArgumentError, ResourceLimitError
-from .primes import sieve_primes, wilton_classes
 
 __all__ = [
     "TauWindow",
@@ -93,6 +91,15 @@ def _jacobi_series(length: int) -> tuple[np.ndarray, np.ndarray]:
     k = np.arange(math.isqrt(2 * length) + 1, dtype=np.int64)
     k = k[k * (k + 1) // 2 < length]
     return k * (k + 1) // 2, np.where(k % 2 == 0, 1, -1) * (2 * k + 1)
+
+
+def _pentagonal_series(length: int, step: int) -> tuple[np.ndarray, np.ndarray]:
+    """(expo, sign): the terms of E(x^step) below x^length, ascending, by Euler's
+    pentagonal theorem E = sum_{k in Z} (-1)^k x^(k(3k-1)/2)."""
+    k = np.arange(-math.isqrt(length), math.isqrt(length) + 1, dtype=np.int64)
+    expo = step * (k * (3 * k - 1) // 2)
+    order = np.argsort(expo)[: np.count_nonzero(expo < length)]
+    return expo[order], np.where(k[order] % 2 == 0, 1, -1)
 
 
 def _eta6_coeffs(length: int) -> np.ndarray:
@@ -181,30 +188,6 @@ def _sigma_power_mod(n_max: int, power: int, q: int) -> np.ndarray:
     return sig % q
 
 
-def _tau_mod_23(n_max: int) -> np.ndarray:
-    """tau mod 23 from Wilton's prime values plus the Hecke recursion (module docstring)."""
-    out = np.ones(n_max + 1, dtype=np.int64)
-    out[0] = 0
-    primes = sieve_primes(max(2, n_max)).primes
-    primes = primes[: np.searchsorted(primes, n_max, side="right")]
-    tp = np.array([0, 22, 2, 1])[wilton_classes(primes)]  # tau(p) in classes S1, S2, S3, P23
-    root = math.isqrt(n_max)
-    small = int(np.searchsorted(primes, root, side="right"))
-    for p, t1 in zip(primes[:small].tolist(), tp[:small].tolist()):
-        tpk = [1, t1]  # tau(p^k) mod 23, with p^11 = (p|23) mod 23
-        while p ** len(tpk) <= n_max:
-            tpk.append((t1 * tpk[-1] - pow(p, 11, 23) * tpk[-2]) % 23)
-        expo = np.zeros(n_max // p, dtype=np.int64)  # v_p(j*p) - 1 for j*p <= n_max
-        for k in range(1, len(tpk) - 1):
-            expo[p**k - 1 :: p**k] += 1
-        out[p::p] = out[p::p] * np.array(tpk[1:])[expo] % 23
-    big, tbig = primes[small:], tp[small:]
-    for j in range(1, n_max // (root + 1) + 1):
-        top = np.searchsorted(big, n_max // j, side="right")
-        out[j * big[:top]] = out[j * big[:top]] * tbig[:top] % 23
-    return out
-
-
 def tau_mod(q: int, n_max: int) -> np.ndarray:
     """tau(n) mod q for n = 1..n_max via the congruence shortcuts.
 
@@ -227,7 +210,13 @@ def tau_mod(q: int, n_max: int) -> np.ndarray:
         return n * _sigma_power_mod(n_max, 3, q) % q
     if q == 691:
         return _sigma_power_mod(n_max, 11, q)
-    return _tau_mod_23(n_max)
+    expo, sign = _pentagonal_series(n_max, 1)
+    outer_expo, outer_sign = _pentagonal_series(n_max, 23)
+    out = np.zeros(n_max + 1, dtype=np.int64)  # out[n] = [x^(n-1)] E(x) E(x^23)
+    for g, s in zip(outer_expo.tolist(), outer_sign.tolist()):
+        cut = int(np.searchsorted(expo, n_max - g))  # the terms with g + e < n_max
+        out[1 + g + expo[:cut]] += s * sign[:cut]
+    return out % 23
 
 
 def lambda_mod3(n_max: int) -> np.ndarray:
@@ -237,10 +226,7 @@ def lambda_mod3(n_max: int) -> np.ndarray:
     if n_max > TAU_DESK_LIMIT:
         raise ResourceLimitError(f"lambda_mod3 desk limit is {TAU_DESK_LIMIT}, got {n_max}")
     length = n_max + 1
-    k = np.arange(-math.isqrt(length), math.isqrt(length) + 1, dtype=np.int64)
-    expo = k * (3 * k - 1) // 2  # Euler's pentagonal series; (-1)^k is 1 or 2 mod 3
-    keep = expo < length
-    pentagonal = expo[keep], np.where(k[keep] % 2 == 0, 1, 2)
+    pentagonal = _pentagonal_series(length, 1)
     a = _eta6_coeffs(length) % 3
     for _ in range(2):
         a = _sparse_mul(a, *pentagonal) % 3

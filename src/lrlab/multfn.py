@@ -368,7 +368,7 @@ def h_f(case, x: float) -> ValueWithBudget:
         raise InvalidArgumentError(f"x must be >= 2, got {x}")
     xi = int(math.floor(x))
     if xi > COUNT_DESK_LIMIT:
-        raise ResourceLimitError(f"prime-power enumeration limit is {COUNT_DESK_LIMIT}, got {xi}")
+        raise ResourceLimitError(f"prime-power enumeration limit is {COUNT_DESK_LIMIT}, got {x:.10g}")
     table = pr.sieve_primes(xi)
     p = table.primes
     logs = table.logs

@@ -1,8 +1,8 @@
 """Prime generation and the Wilton classes mod 23.
 
-Provides a segmented sieve of Eratosthenes with a fixed segment size (so
-enumeration order is deterministic) and the Wilton classes of primes
-modulo 23, as codes W_S1, W_S2, W_S3, W_P23:
+Provides a segmented sieve of Eratosthenes, whose fixed segment size bounds
+its working memory, and the Wilton classes of primes modulo 23, as codes
+W_S1, W_S2, W_S3, W_P23:
 
     S1 : (p|23) = -1
     S3 : p = U^2 + 23 V^2 with U != 0
@@ -10,21 +10,10 @@ modulo 23, as codes W_S1, W_S2, W_S3, W_P23:
     P23: p = 23
 
 S1, S2, S3 have natural densities 1/2, 1/3, 1/6.  (p|23) comes from
-Euler's criterion p^11 mod 23.  `wilton_classes` decides S3 from the table
-of values U^2 + 23 V^2; `wilton_codes_cubic` decides it independently
-through solvability of x^3 = x + 1 (mod p), and both routes must agree
-(the cubic x^3 - x - 1 has discriminant -23).
-
-The independent classifier tests solvability without a scan over x.  For
-p != 23, f = x^3 - x - 1 is squarefree mod p and Frobenius permutes its
-three roots; the permutation is even iff the discriminant -23 is a square
-mod p, and (-23|p) = (p|23) by quadratic reciprocity.  So when (p|23) = 1,
-f has either no root or three roots mod p, and three roots means f divides
-x^p - x, i.e. x^p = x mod (f, p).  `cubic_splits` evaluates x^p mod (f, p)
-by square-and-multiply on degree-2 residues, for a whole array of primes at
-once.  It also decides p = 2 correctly: f = x^3 + x + 1 is irreducible mod 2
-and x^2 != x.  The scalar references (the U^2 + 23 V^2 search, the
-exhaustive root scan) live with the tests, in tests/scalar_reference.py.
+Euler's criterion p^11 mod 23, and `wilton_classes` decides S3 from the
+table of values U^2 + 23 V^2.  The scalar reference (the U^2 + 23 V^2
+search) and the split test of x^3 - x - 1, whose discriminant is -23, live
+with the tests, in tests/scalar_reference.py.
 """
 
 from __future__ import annotations
@@ -41,9 +30,7 @@ __all__ = [
     "PrimeTable",
     "PRIME_DESK_LIMIT",
     "sieve_primes",
-    "cubic_splits",
     "wilton_classes",
-    "wilton_codes_cubic",
     "W_S1",
     "W_S2",
     "W_S3",
@@ -145,46 +132,13 @@ def sieve_primes(limit: int) -> PrimeTable:
 _KRON23 = np.array([0] + [1 if pow(r, 11, 23) == 1 else -1 for r in range(1, 23)], dtype=np.int8)
 
 
-# x^p is reduced mod p after each product of two residues below p, so every
-# intermediate stays below p^2 < 2^63.
-_SPLIT_P_LIMIT = 3 * 10**9
-
-
-def cubic_splits(primes) -> np.ndarray:
-    """x^p = x mod (x^3 - x - 1, p) for each prime p: does the cubic split mod p?
-
-    Left-to-right square-and-multiply on residues a + b x + c x^2 (int64),
-    using x^3 = x + 1 and x^4 = x^2 + x, over all primes at once.  When
-    (p|23) = 1 this decides x^3 = x + 1 (mod p) exactly (module docstring).
-    """
-    p = np.asarray(primes, dtype=np.int64)
-    if not p.size:
-        return np.zeros(0, dtype=bool)
-    if int(p.min()) < 2 or int(p.max()) >= _SPLIT_P_LIMIT:
-        raise InvalidArgumentError(f"primes must lie in [2, {_SPLIT_P_LIMIT}) for the int64 split test")
-    a, b, c = np.ones_like(p), np.zeros_like(p), np.zeros_like(p)
-    for bit in reversed(range(int(p.max()).bit_length())):
-        aa, bb, cc = a * a % p, b * b % p, c * c % p
-        ab, ac, bc = a * b % p, a * c % p, b * c % p
-        a, b, c = (aa + 2 * bc) % p, (2 * ab + 2 * bc + cc) % p, (bb + 2 * ac + cc) % p
-        odd = ((p >> bit) & 1).astype(bool)
-        # (a + b x + c x^2) x = c + (a + c) x + b x^2
-        a, b, c = np.where(odd, c, a), np.where(odd, (a + c) % p, b), np.where(odd, b, c)
-    return (a == 0) & (b == 1) & (c == 0)
-
-
-@lru_cache(maxsize=4)
-def _form_values_mask(limit: int) -> np.ndarray:
-    """mask[n] = True iff n = u^2 + 23 v^2 for some u >= 1, v >= 1, n <= limit."""
-    mask = np.zeros(limit + 1, dtype=bool)
-    v = 1
-    while 23 * v * v < limit:
-        umax = math.isqrt(limit - 23 * v * v)
-        if umax >= 1:
-            u = np.arange(1, umax + 1, dtype=np.int64)
-            mask[u * u + 23 * v * v] = True
-        v += 1
-    mask.flags.writeable = False
+def _form_values_mask(lo: int, hi: int) -> np.ndarray:
+    """mask[n - lo] = True iff n = u^2 + 23 v^2 for some u >= 1, v >= 1, lo <= n <= hi."""
+    mask = np.zeros(hi - lo + 1, dtype=bool)
+    for v in range(1, math.isqrt(hi // 23) + 1):
+        w = 23 * v * v  # u runs from ceil(sqrt(lo - w)), and from 1 when lo <= w
+        u = np.arange(math.isqrt(max(lo - w - 1, 0)) + 1, math.isqrt(hi - w) + 1, dtype=np.int64)
+        mask[u * u + (w - lo)] = True
     return mask
 
 
@@ -192,33 +146,19 @@ def _form_values_mask(limit: int) -> np.ndarray:
 W_S1, W_S2, W_S3, W_P23 = 0, 1, 2, 3
 
 
-def _wilton_codes(p: np.ndarray, is_s3) -> np.ndarray:
-    """Class codes for the primes p; is_s3 decides S3 among those with (p|23) = 1."""
+def wilton_classes(primes) -> np.ndarray:
+    """Wilton class code of each prime in an array, S3 decided by the table
+    of values U^2 + 23 V^2 between the smallest and the largest prime."""
+    p = np.asarray(primes, dtype=np.int64)
+    lo, top = (int(p.min()), int(p.max())) if p.size else (2, 2)
+    if lo < 2:
+        raise InvalidArgumentError(f"primes must be >= 2, got {lo}")
+    if top > PRIME_DESK_LIMIT:
+        raise ResourceLimitError(f"Wilton class desk limit is {PRIME_DESK_LIMIT}, got {top}")
     qr = _KRON23[p % 23]
     codes = np.full(len(p), W_S2, dtype=np.uint8)
     codes[qr == -1] = W_S1
-    residue = qr == 1
-    codes[np.flatnonzero(residue)[is_s3(p[residue])]] = W_S3
+    residue = np.flatnonzero(qr == 1)
+    codes[residue[_form_values_mask(lo, top)[p[residue] - lo]]] = W_S3
     codes[p == 23] = W_P23
     return codes
-
-
-def wilton_classes(primes) -> np.ndarray:
-    """Wilton class code of each prime in an array.
-
-    S3 is decided by the table of values U^2 + 23 V^2 up to the largest
-    prime, or by the equivalent split test when that table would hold more
-    than 64 entries per prime (a handful of primes, or a single one).
-    """
-    p = np.asarray(primes, dtype=np.int64)
-    top = int(p.max(initial=0))
-    if top > 64 * len(p):
-        return _wilton_codes(p, cubic_splits)
-    form = _form_values_mask(top)
-    return _wilton_codes(p, lambda q: form[q])
-
-
-def wilton_codes_cubic(limit: int) -> np.ndarray:
-    """Wilton class code for each prime <= limit (order matches sieve_primes),
-    with S3 decided by `cubic_splits`."""
-    return _wilton_codes(sieve_primes(limit).primes, cubic_splits)

@@ -245,7 +245,12 @@ def _check_oracles() -> list[CheckResult]:
         _res("oracle/koppeling", "q3", ok, "sum_{k<=x} l_k = sum_{n<=3x+1} t_n, x <= 2000 (k >= 0)")
     )
 
-    bad = int(np.count_nonzero(pr.wilton_codes_cubic(10**5) != mu.class_index("q23", 10**5)))
+    # Wilton: tau(p) = 0, -1, 2 (mod 23) on S1, S2, S3, read from the eta product
+    p = pr.sieve_primes(10**5).primes
+    by_tau = np.full(23, 255, dtype=np.uint8)
+    by_tau[[0, 22, 2]] = pr.W_S1, pr.W_S2, pr.W_S3
+    expected = np.where(p == 23, pr.W_P23, by_tau[mf.tau_mod(23, 10**5)[p]])
+    bad = int(np.count_nonzero(expected != mu.class_index("q23", 10**5)))
     out.append(_res("oracle/wilton-dual", "q23", bad == 0, f"{bad} mismatches over p <= 1e5"))
     codes6 = mu.class_index("q23", 10**6)
     n6 = len(codes6)

@@ -1,12 +1,11 @@
 """Scalar references for the per-prime rules, one integer at a time.
 
 lrlab decides every per-prime rule for arrays of primes: the Wilton classes
-mod 23 from the table of values U^2 + 23 V^2 or the split test of
-x^3 - x - 1 (lrlab.primes), the order mod 691 from the discrete-log table
-(lrlab.multfn), and f and Lambda_f through the zero period m0 of each
-class (lrlab.multfn.f_sieve and h_f).  The functions here decide the same
-things for a single integer, by other routes, for the tests to compare
-against:
+mod 23 from the table of values U^2 + 23 V^2 (lrlab.primes), the order
+mod 691 from the discrete-log table (lrlab.multfn), and f and Lambda_f
+through the zero period m0 of each class (lrlab.multfn.f_sieve and h_f).
+The functions here decide the same things for a single integer, or by
+other routes, for the tests to compare against:
 
 * is_prime: deterministic Miller-Rabin;
 * kronecker_symbol: the binary algorithm with quadratic reciprocity;
@@ -19,6 +18,12 @@ against:
 * wilton_class: S1 by (p|23) = -1, S3 by the search for p = U^2 + 23 V^2,
   as a code W_* of lrlab.primes; cubic_root_exists: the exhaustive scan for
   a root of x^3 - x - 1 mod p;
+* cubic_splits, wilton_codes_cubic: the split test of x^3 - x - 1 for an
+  array of primes, and the Wilton classes with S3 decided by it;
+* tau_mod23_hecke: tau(n) mod 23 from Wilton's values tau(p) = 0, -1, 2
+  on the classes of lrlab.primes.wilton_classes, extended by the Hecke
+  recursion, so that its agreement with lrlab.modforms.tau_mod(23, n), the
+  coefficients of x E(x) E(x^23), ties the classes to tau;
 * zero_period, f_prime_power, f_value: f(p^k) = 0 iff k = -1 (mod m0),
   with m0 from wilton_class (q23), multiplicative_order (q691) or the
   case's residue table (every other case), and f multiplicative by trial
@@ -37,7 +42,7 @@ import numpy as np
 from lrlab.characters import GENERATORS
 from lrlab.errors import InvalidArgumentError
 from lrlab.multfn import M_NEVER, get_case
-from lrlab.primes import W_P23, W_S1, W_S2, W_S3
+from lrlab.primes import W_P23, W_S1, W_S2, W_S3, sieve_primes, wilton_classes
 
 # Miller-Rabin with this witness set is deterministic for n < 3.3 * 10^24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -182,6 +187,81 @@ def cubic_root_exists(p: int, chunk: int = 1 << 16) -> bool:
         if np.any((x * x % p * x - x - 1) % p == 0):
             return True
     return False
+
+
+# x^p is reduced mod p after each product of two residues below p, so every
+# intermediate stays below p^2 < 2^63.
+_SPLIT_P_LIMIT = 3 * 10**9
+
+
+def cubic_splits(primes) -> np.ndarray:
+    """x^p = x mod (x^3 - x - 1, p) for each prime p: does the cubic split mod p?
+
+    For p != 23, f = x^3 - x - 1 is squarefree mod p and Frobenius permutes
+    its three roots; the permutation is even iff the discriminant -23 is a
+    square mod p, and (-23|p) = (p|23) by quadratic reciprocity.  So when
+    (p|23) = 1, f has either no root or three roots mod p, and three roots
+    means f divides x^p - x.  x^p is evaluated by left-to-right
+    square-and-multiply on residues a + b x + c x^2 (int64), using
+    x^3 = x + 1 and x^4 = x^2 + x, over all primes at once.  p = 2 is
+    decided correctly too: f = x^3 + x + 1 is irreducible mod 2 and x^2 != x.
+    """
+    p = np.asarray(primes, dtype=np.int64)
+    if not p.size:
+        return np.zeros(0, dtype=bool)
+    if int(p.min()) < 2 or int(p.max()) >= _SPLIT_P_LIMIT:
+        raise InvalidArgumentError(f"primes must lie in [2, {_SPLIT_P_LIMIT}) for the int64 split test")
+    a, b, c = np.ones_like(p), np.zeros_like(p), np.zeros_like(p)
+    for bit in reversed(range(int(p.max()).bit_length())):
+        aa, bb, cc = a * a % p, b * b % p, c * c % p
+        ab, ac, bc = a * b % p, a * c % p, b * c % p
+        a, b, c = (aa + 2 * bc) % p, (2 * ab + 2 * bc + cc) % p, (bb + 2 * ac + cc) % p
+        odd = ((p >> bit) & 1).astype(bool)
+        # (a + b x + c x^2) x = c + (a + c) x + b x^2
+        a, b, c = np.where(odd, c, a), np.where(odd, (a + c) % p, b), np.where(odd, b, c)
+    return (a == 0) & (b == 1) & (c == 0)
+
+
+def wilton_codes_cubic(limit: int) -> np.ndarray:
+    """Wilton class code of each prime <= limit (order matches sieve_primes),
+    with S3 decided by cubic_splits among the primes with (p|23) = 1."""
+    p = sieve_primes(limit).primes
+    residue = np.isin(p % 23, [r * r % 23 for r in range(1, 23)])
+    codes = np.where(residue, W_S2, W_S1).astype(np.uint8)
+    codes[residue & cubic_splits(p)] = W_S3
+    codes[p == 23] = W_P23
+    return codes
+
+
+def tau_mod23_hecke(n_max: int) -> np.ndarray:
+    """tau(n) mod 23 for n = 0..n_max (a[0] = 0) from Wilton's prime values.
+
+    tau(p) for all primes from their Wilton classes, tau(p^k) by the Hecke
+    recursion tau(p^(k+1)) = tau(p) tau(p^k) - p^11 tau(p^(k-1)) on the
+    multiples of each p <= sqrt(n_max) (one strided multiply per prime), and
+    each larger prime, which divides n at most once, by one scatter per
+    cofactor j = n/p.
+    """
+    out = np.ones(n_max + 1, dtype=np.int64)
+    out[0] = 0
+    primes = sieve_primes(max(2, n_max)).primes
+    primes = primes[: np.searchsorted(primes, n_max, side="right")]
+    tp = np.array([0, 22, 2, 1])[wilton_classes(primes)]  # tau(p) in classes S1, S2, S3, P23
+    root = math.isqrt(n_max)
+    small = int(np.searchsorted(primes, root, side="right"))
+    for p, t1 in zip(primes[:small].tolist(), tp[:small].tolist()):
+        tpk = [1, t1]  # tau(p^k) mod 23, with p^11 = (p|23) mod 23
+        while p ** len(tpk) <= n_max:
+            tpk.append((t1 * tpk[-1] - pow(p, 11, 23) * tpk[-2]) % 23)
+        expo = np.zeros(n_max // p, dtype=np.int64)  # v_p(j*p) - 1 for j*p <= n_max
+        for k in range(1, len(tpk) - 1):
+            expo[p**k - 1 :: p**k] += 1
+        out[p::p] = out[p::p] * np.array(tpk[1:])[expo] % 23
+    big, tbig = primes[small:], tp[small:]
+    for j in range(1, n_max // (root + 1) + 1):
+        top = np.searchsorted(big, n_max // j, side="right")
+        out[j * big[:top]] = out[j * big[:top]] * tbig[:top] % 23
+    return out
 
 
 def zero_period(case, p: int) -> int:

@@ -127,6 +127,13 @@ class TestExitCodes:
         assert code == 3
         assert out == "" and len(err.strip().splitlines()) == 1 and "error:" in err
 
+    def test_huge_x_is_printed_as_given(self, capsys):
+        # floor(1e300) in full would be a 301-digit integer on the error line
+        code, out, err = run_cli(capsys, "hf", "--case", "q5", "--x", "1e300")
+        assert code == 3
+        assert out == "" and len(err.strip().splitlines()) == 1 and "error:" in err
+        assert len(err.strip()) < 120 and "1e+300" in err
+
     def test_resource_limit_error_is_3(self, capsys):
         code, out, err = run_cli(capsys, "tau", "--limit", "200000")
         assert code == 3

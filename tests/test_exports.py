@@ -15,6 +15,8 @@ REMOVED = (
     "wilton_class",
     "wilton_class_cubic",
     "cubic_root_exists",
+    "cubic_splits",
+    "wilton_codes_cubic",
     "WILTON_LABELS",
     "S1",
     "S2",

@@ -1,11 +1,14 @@
+import ast
 import math
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrlab import modforms
 from lrlab.errors import InvalidArgumentError, ResourceLimitError
 from lrlab.modforms import (
     TAU_DESK_LIMIT,
@@ -20,6 +23,7 @@ from lrlab.modforms import (
     tau_mod,
 )
 from lrlab.primes import sieve_primes
+from scalar_reference import tau_mod23_hecke
 
 # first values of tau(n), long established
 TAU_KNOWN = [
@@ -213,7 +217,7 @@ class TestTauMod:
             tau_mod(11, 100)
 
     def test_mod23_matches_eta_product(self):
-        # an independent route that never looks at the Wilton classes
+        # the same product, written out densely with the pentagonal terms as a loop
         got = tau_mod(23, 10**5)
         assert got.dtype == np.int64
         assert np.array_equal(got, tau_mod23_from_eta_product(10**5))
@@ -223,6 +227,22 @@ class TestTauMod:
         for n_max in (1, 2, 3, 22, 23, 24, 529, 530):
             exact = np.array([0] + [t % 23 for t in tau_exact(n_max).values])
             assert np.array_equal(tau_mod(23, n_max), exact), n_max
+
+    def test_mod23_matches_hecke_assembly(self):
+        # Wilton's classes with the Hecke recursion against the eta product
+        for n_max in (1, 2, 3, 22, 23, 24, 529, 530, 10**6):
+            assert np.array_equal(tau_mod(23, n_max), tau_mod23_hecke(n_max)), n_max
+
+    def test_modforms_imports_nothing_from_primes(self):
+        tree = ast.parse(Path(modforms.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert not imported & {"primes", "lrlab.primes"}, imported
 
     def test_sigma_power_mod_matches_divisor_sum(self):
         for power, q in ((1, 3), (1, 5), (3, 7), (11, 691)):

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,17 +16,17 @@ from lrlab.primes import (
     W_S1,
     W_S2,
     W_S3,
-    cubic_splits,
     sieve_primes,
     wilton_classes,
-    wilton_codes_cubic,
 )
 from scalar_reference import (
     cubic_root_exists,
+    cubic_splits,
     is_prime,
     kronecker_symbol,
     multiplicative_order,
     wilton_class,
+    wilton_codes_cubic,
     zero_period,
 )
 
@@ -248,7 +249,7 @@ class TestWilton:
             cubic_splits(np.array([3 * 10**9 + 19]))
 
     def test_scalar_cubic_classifier_matches_codes(self):
-        # one prime at a time, wilton_classes takes the split test past p = 64
+        # one prime at a time, each with a one-entry form table
         ps = sieve_primes(3000).primes
         assert [int(wilton_classes([p])[0]) for p in ps] == wilton_codes_cubic(3000).tolist()
 
@@ -260,3 +261,19 @@ class TestWilton:
         with pytest.raises(InvalidArgumentError):
             wilton_class(25)
 
+    @pytest.mark.parametrize("p", [-5, 0, 1])
+    def test_classes_below_two_are_invalid(self, p):
+        with pytest.raises(InvalidArgumentError):
+            wilton_classes([p])
+
+    def test_classes_past_the_desk_limit_are_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                wilton_classes([PRIME_DESK_LIMIT + 7])
+            with pytest.raises(ResourceLimitError):
+                wilton_classes([2, PRIME_DESK_LIMIT + 7])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the form table from 2 to 1e8 would take 100 MB
