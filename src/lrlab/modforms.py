@@ -9,16 +9,16 @@ whose few nonzero terms give, with E = prod (1 - x^n), E^6 by a sparse
 convolution and E^12 = E^6 * E^3 * E^3 by two int64 passes, one slice-add
 per term of the series.  Each pass first checks that sum |c| * max|a| <
 2^63, which bounds every partial sum, and raises rather than wraps.  E^24
-is then one polynomial squaring, done by Kronecker substitution in base
-10: every coefficient c becomes a w-digit decimal field holding
-c + 5*10^(w-1), the packed string is read as one Decimal, squared, and the
-fields of the square are sliced back out.  The width is chosen so that
-n * max|c|^2 < 10^(w-1), which bounds every coefficient of the square, so
-each offset field stays inside [4*10^(w-1), 6*10^(w-1)) and never carries
-into its neighbour.  The standard library's decimal module (libmpdec)
-multiplies large operands by number-theoretic transform and converts to
-and from strings in linear time; its context traps Inexact and Rounded, so
-any loss of digits raises.
+is then one truncated squaring by a float64 FFT.  Every coefficient of
+E^12 (below 2^46 at n = 1e5) is split into balanced 12-bit limbs,
+|d| <= 2^11, four at the desk limit, and each limb is transformed once.
+The output limbs are then formed one at a time (the pointwise sum of
+F_p * F_q over p + q = k, one inverse transform, rounded to integers) and
+folded into an int64 carry chain, so only one output limb is held at a
+time.  Before any transform the code checks Percival's bound on the
+rounding error of every output limb, computed from the Euclidean norms of
+the limbs, against 1/4 (it is 0.018 at the desk limit), and raises rather
+than rounds wrongly.
 
 Congruence shortcuts:
     tau(n) = n*sigma_1(n)   (mod 3)
@@ -42,7 +42,6 @@ series twice, by the same int64 passes, reduced mod 3 after each.
 
 from __future__ import annotations
 
-import decimal
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -65,12 +64,10 @@ TAU_DESK_LIMIT = 100_000
 TAU_MOD_DESK_LIMIT = 10_000_000
 _SUPPORTED_MODULI = (2, 3, 5, 7, 23, 691)
 
-# Exact integer arithmetic on Decimal: any rounding raises instead of passing.
-_EXACT = decimal.Context(
-    prec=decimal.MAX_PREC,
-    Emax=decimal.MAX_EMAX,
-    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow],
-)
+_LIMB_BITS = 12
+_LOW_LIMBS = 5  # output limbs 0..4 fill the low 60-bit word of each coefficient
+_UNIT_ROUNDOFF = 2.0**-53
+_TWIDDLE_ERROR = 2.0**-51  # assumed bound on |computed - exact| for numpy's roots of unity
 
 
 @dataclass
@@ -132,28 +129,114 @@ def _sparse_mul(a: np.ndarray, expo: np.ndarray, coeff: np.ndarray) -> np.ndarra
     return out
 
 
-def _poly_square_trunc(coeffs: list[int], length: int) -> list[int]:
-    """Truncated square of an integer polynomial via decimal Kronecker substitution.
+def _balanced_limbs(a: np.ndarray) -> list[np.ndarray]:
+    """Digits d_j of a = sum_j d_j 2^(12 j) with -2^11 <= d_j < 2^11, lowest first.
 
-    The field width w satisfies len * max|c|^2 < 10^(w-1), the crude
-    convolution bound, so the offset fields provably never carry.
+    As many as the largest |a| needs, at least one.  Each step takes the
+    residue r of the rest mod 2^12 and carries 1 when r >= 2^11, so no
+    intermediate leaves int64.
     """
-    n = len(coeffs)
-    maxc = max(1, max(abs(c) for c in coeffs))
-    w = len(str(n * maxc * maxc)) + 1
-    half = 5 * 10 ** (w - 1)
-    half_field = str(half)
+    limbs = []
+    rest = a
+    while True:
+        r = rest & (2**_LIMB_BITS - 1)
+        up = r >= 2 ** (_LIMB_BITS - 1)
+        limbs.append(r - up * 2**_LIMB_BITS)
+        rest = (rest >> _LIMB_BITS) + up
+        if not rest.any():
+            return limbs
 
-    # |c| < 10^(w-1), so every c + half has exactly w digits
-    packed = "".join([str(c + half) for c in reversed(coeffs)])
-    v = _EXACT.subtract(decimal.Decimal(packed), decimal.Decimal(half_field * n))
 
-    m = 2 * n - 1  # number of coefficients of the full square
-    u = _EXACT.add(_EXACT.multiply(v, v), decimal.Decimal(half_field * m))
-    digits = str(u)  # exactly m*w digits, lowest coefficient last
-    take = min(length, m)
-    low = [int(digits[i : i + w]) - half for i in range((m - take) * w, m * w, w)]
-    return low[::-1] + [0] * (length - take)
+def _square_bounds(limbs: list[np.ndarray], size: int) -> tuple[float, float]:
+    """(rounding, high): the a-priori bounds of _fft_square_trunc.
+
+    With S_k = sum_{p+q=k} |d_p| |d_q| over the Euclidean norms of the
+    limbs, rounding = max_k S_k * c * 2^-53 bounds the error of every
+    computed output limb, and high = sum_{k>=5} S_k 2^(12(k-5)) + max_k S_k
+    bounds the high word of the carry chain and its carry in.
+    """
+    norms = [math.sqrt(int(d @ d)) for d in limbs]
+    count, m = len(norms), size.bit_length() - 1
+    s = [
+        sum(norms[p] * norms[k - p] for p in range(max(0, k - count + 1), min(k, count - 1) + 1))
+        for k in range(2 * count - 1)
+    ]
+    factor = math.expm1(
+        (3 * m + count - 1) * math.log1p(_UNIT_ROUNDOFF)
+        + (3 * m + 1) * math.log1p(math.sqrt(5) * _UNIT_ROUNDOFF)
+        + 3 * m * math.log1p(_TWIDDLE_ERROR)
+    )
+    high = max(s) + sum(s[k] * 2.0 ** (_LIMB_BITS * (k - _LOW_LIMBS)) for k in range(_LOW_LIMBS, len(s)))
+    return max(s) * factor, high
+
+
+def _fft_square_trunc(a: np.ndarray, length: int) -> list[int]:
+    """The low ``length`` coefficients of a(x)^2, exactly, for an int64 array a.
+
+    Each coefficient is split into balanced 12-bit limbs d_0..d_{L-1}, so
+    a = sum_p d_p 2^(12 p) and output limb k = 0..2L-2 is the convolution
+    sum_{p+q=k} d_p * d_q.  Each limb goes through one rfft of size N, a
+    power of two >= 2n - 1 (n = min(len(a), length)), so the cyclic
+    convolution is the linear one.  Output limbs are made one at a time:
+    the pointwise sum of F_p F_q, one irfft, rint, and a fold into an int64
+    carry chain (limbs 0..4 into a low 60-bit word, the rest into a high
+    word), so one output limb is held at a time.
+
+    Rounding.  Percival's theorem (Percival 2003; Brent and Zimmermann,
+    Modern Computer Arithmetic, Thm 3.3.2): if the cyclic convolution x * y
+    is computed by radix-2 transforms of size N = 2^m in arithmetic with
+    unit roundoff u, with twiddle factors in error by at most beta, every
+    entry is within
+        |x| |y| ((1+u)^(3m) (1+sqrt(5) u)^(3m+1) (1+beta)^(3m) - 1)
+    of exact, |.| the Euclidean norm.  An output limb sums up to L such
+    products before one inverse transform, so |x| |y| becomes S_k =
+    sum_{p+q=k} |d_p| |d_q| and the sum's L - 1 additions add (1+u)^(L-1).
+    The bound is S_k c u, with c = 21.7 m + L + 1.2 at u = 2^-53 and
+    beta = 2^-51 (c = 396 at N = 2^18, L = 4).  It rests on two
+    assumptions about numpy's pocketfft: its twiddle factors are within
+    beta = 4u of the true roots of unity, and its real transforms obey the
+    radix-2 error model.  If the bound is not below 1/4, or the high word
+    could leave int64, this raises OverflowError before any transform.
+    After each inverse transform, any value 1/4 or more from the nearest
+    integer also raises, which catches a gross failure of either
+    assumption (the largest distance seen at the desk limit is 1.9e-6).
+    S_k also bounds every entry of output limb k (Cauchy-Schwarz), so a
+    rounding bound below 1/4 keeps each limb below 2^53 / c in int64.
+    """
+    a = a[:length]
+    n = len(a)
+    take = min(length, 2 * n - 1)
+    size = 1 << (2 * n - 2).bit_length()
+    limbs = _balanced_limbs(a)
+    count = len(limbs)
+    rounding, high = _square_bounds(limbs, size)
+    if rounding >= 0.25:
+        raise OverflowError(f"FFT square could round wrongly: error bound {rounding:.3g} >= 1/4")
+    if high >= 2**62:
+        raise OverflowError("FFT square's high word would leave int64")
+    spectra = [np.fft.rfft(d, size) for d in limbs]
+    del limbs
+    lo = np.zeros(take, dtype=np.int64)
+    hi = np.zeros(take, dtype=np.int64)  # the carry out of the low word, then the high word
+    for k in range(2 * count - 1):
+        pairs = range(max(0, k - count + 1), (k + 1) // 2)  # p < q = k - p, each counted twice
+        spec = 2 * sum(spectra[p] * spectra[k - p] for p in pairs)
+        if k % 2 == 0:
+            spec = spec + spectra[k // 2] ** 2
+        raw = np.fft.irfft(spec, size)[:take]
+        limb = np.rint(raw)
+        if np.abs(raw - limb).max() >= 0.25:
+            raise OverflowError("FFT square rounded too far from an integer")
+        limb = limb.astype(np.int64)
+        if k < _LOW_LIMBS:
+            limb += hi
+            lo |= (limb & (2**_LIMB_BITS - 1)) << (_LIMB_BITS * k)
+            hi = limb >> _LIMB_BITS
+        else:
+            hi += limb << (_LIMB_BITS * (k - _LOW_LIMBS))
+    del spectra, spec, raw, limb  # room for the Python ints
+    shift = _LIMB_BITS * min(2 * count - 1, _LOW_LIMBS)
+    return [(h << shift) | w for h, w in zip(hi.tolist(), lo.tolist())] + [0] * (length - take)
 
 
 @lru_cache(maxsize=2)
@@ -165,8 +248,7 @@ def tau_exact(n_max: int) -> TauWindow:
         raise ResourceLimitError(f"tau_exact desk limit is {TAU_DESK_LIMIT}, got {n_max}")
     jacobi = _jacobi_series(n_max)
     e12 = _sparse_mul(_sparse_mul(_eta6_coeffs(n_max), *jacobi), *jacobi)
-    e24 = _poly_square_trunc(e12.tolist(), n_max)
-    return TauWindow(n_max, e24)
+    return TauWindow(n_max, _fft_square_trunc(e12, n_max))
 
 
 def _sigma_power_mod(n_max: int, power: int, q: int) -> np.ndarray:

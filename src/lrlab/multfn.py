@@ -362,13 +362,14 @@ def h_f(case, x: float) -> ValueWithBudget:
     rounding only.
     """
     spec = get_case(case)
-    if not math.isfinite(x):
+    if not (isinstance(x, int) or math.isfinite(x)):  # an int is finite, even past the float range
         raise InvalidArgumentError(f"x must be finite, got {x}")
     if x < 2:
         raise InvalidArgumentError(f"x must be >= 2, got {x}")
     xi = int(math.floor(x))
     if xi > COUNT_DESK_LIMIT:
-        raise ResourceLimitError(f"prime-power enumeration limit is {COUNT_DESK_LIMIT}, got {x:.10g}")
+        shown = f"{x:.10g}" if x < 1e308 else "more than 1e308"
+        raise ResourceLimitError(f"prime-power enumeration limit is {COUNT_DESK_LIMIT}, got {shown}")
     table = pr.sieve_primes(xi)
     p = table.primes
     logs = table.logs

@@ -24,6 +24,9 @@ other routes, for the tests to compare against:
   on the classes of lrlab.primes.wilton_classes, extended by the Hecke
   recursion, so that its agreement with lrlab.modforms.tau_mod(23, n), the
   coefficients of x E(x) E(x^23), ties the classes to tau;
+* decimal_square_trunc: the truncated square of an integer polynomial by
+  Kronecker substitution in base 10 and one exact Decimal multiply, the
+  reference for lrlab.modforms._fft_square_trunc;
 * zero_period, f_prime_power, f_value: f(p^k) = 0 iff k = -1 (mod m0),
   with m0 from wilton_class (q23), multiplicative_order (q691) or the
   case's residue table (every other case), and f multiplicative by trial
@@ -34,6 +37,7 @@ other routes, for the tests to compare against:
 
 from __future__ import annotations
 
+import decimal
 import math
 from functools import lru_cache
 
@@ -52,6 +56,13 @@ _WILTON_PERIODS = {W_S1: 2, W_S2: 3, W_S3: 23, W_P23: M_NEVER}
 
 # exp(2 pi i q/4) for the quarter turns q = 0..3
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
+
+# Exact integer arithmetic on Decimal: any rounding raises instead of passing.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow],
+)
 
 
 def is_prime(n: int) -> bool:
@@ -262,6 +273,35 @@ def tau_mod23_hecke(n_max: int) -> np.ndarray:
         top = np.searchsorted(big, n_max // j, side="right")
         out[j * big[:top]] = out[j * big[:top]] * tbig[:top] % 23
     return out
+
+
+def decimal_square_trunc(coeffs: list[int], length: int) -> list[int]:
+    """Truncated square of an integer polynomial via decimal Kronecker substitution.
+
+    Every coefficient c becomes a w-digit decimal field holding
+    c + 5*10^(w-1); the packed string is read as one Decimal, squared, and
+    the fields of the square are sliced back out.  The field width w
+    satisfies len * max|c|^2 < 10^(w-1), the crude convolution bound, so the
+    offset fields provably never carry into their neighbours.  libmpdec
+    multiplies large operands by number-theoretic transform, and the
+    context traps Inexact and Rounded, so any loss of digits raises.
+    """
+    n = len(coeffs)
+    maxc = max(1, max(abs(c) for c in coeffs))
+    w = len(str(n * maxc * maxc)) + 1
+    half = 5 * 10 ** (w - 1)
+    half_field = str(half)
+
+    # |c| < 10^(w-1), so every c + half has exactly w digits
+    packed = "".join([str(c + half) for c in reversed(coeffs)])
+    v = _EXACT.subtract(decimal.Decimal(packed), decimal.Decimal(half_field * n))
+
+    m = 2 * n - 1  # number of coefficients of the full square
+    u = _EXACT.add(_EXACT.multiply(v, v), decimal.Decimal(half_field * m))
+    digits = str(u)  # exactly m*w digits, lowest coefficient last
+    take = min(length, m)
+    low = [int(digits[i : i + w]) - half for i in range((m - take) * w, m * w, w)]
+    return low[::-1] + [0] * (length - take)
 
 
 def zero_period(case, p: int) -> int:

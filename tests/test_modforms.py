@@ -1,5 +1,6 @@
 import ast
 import math
+import tracemalloc
 from functools import lru_cache
 from pathlib import Path
 
@@ -12,18 +13,20 @@ from lrlab import modforms
 from lrlab.errors import InvalidArgumentError, ResourceLimitError
 from lrlab.modforms import (
     TAU_DESK_LIMIT,
+    _balanced_limbs,
     _eta6_coeffs,
+    _fft_square_trunc,
     _jacobi_series,
-    _poly_square_trunc,
     _sigma_power_mod,
     _sparse_mul,
+    _square_bounds,
     lambda_mod3,
     odd_tau_count,
     tau_exact,
     tau_mod,
 )
 from lrlab.primes import sieve_primes
-from scalar_reference import tau_mod23_hecke
+from scalar_reference import decimal_square_trunc, tau_mod23_hecke
 
 # first values of tau(n), long established
 TAU_KNOWN = [
@@ -93,6 +96,18 @@ def tau_mod23_from_eta_product(n_max):
     return np.concatenate(([0], out % 23))
 
 
+def modforms_imports():
+    """Every module and name that lrlab.modforms imports, from its source."""
+    imported = set()
+    for node in ast.walk(ast.parse(Path(modforms.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    return imported
+
+
 def naive_square_trunc(coeffs, length):
     """Schoolbook square of an integer polynomial, truncated to length terms."""
     out = [0] * length
@@ -114,13 +129,111 @@ class TestPolySquare:
     @given(st.lists(_coefficient, min_size=1, max_size=60), st.integers(min_value=1, max_value=130))
     @settings(max_examples=300, deadline=None)
     def test_matches_schoolbook(self, coeffs, length):
-        assert _poly_square_trunc(coeffs, length) == naive_square_trunc(coeffs, length)
+        assert decimal_square_trunc(coeffs, length) == naive_square_trunc(coeffs, length)
 
     def test_extreme_fields(self):
         # every coefficient at the bound, with alternating and equal signs
         big = 2**300
         for coeffs in ([big] * 60, [(-1) ** i * big for i in range(60)], [-big], [0] * 7):
-            assert _poly_square_trunc(coeffs, 119) == naive_square_trunc(coeffs, 119)
+            assert decimal_square_trunc(coeffs, 119) == naive_square_trunc(coeffs, 119)
+
+
+_int64_coefficient = st.one_of(
+    st.sampled_from([0, 1, -1, 2**46, -(2**46)]),
+    st.integers(min_value=-(2**46), max_value=2**46),
+)
+
+
+def e12_coeffs(n):
+    jacobi = _jacobi_series(n)
+    return _sparse_mul(_sparse_mul(_eta6_coeffs(n), *jacobi), *jacobi)
+
+
+class TestFftSquare:
+    @given(st.lists(_int64_coefficient, min_size=1, max_size=60), st.integers(min_value=-70, max_value=70))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_schoolbook(self, coeffs, offset):
+        # length below, at and above len(a)
+        length = max(1, len(coeffs) + offset)
+        got = _fft_square_trunc(np.array(coeffs, dtype=np.int64), length)
+        assert got == naive_square_trunc(coeffs, length)
+
+    def test_edge_shapes(self):
+        big = 2**46
+        for coeffs in ([big], [-big], [0], [1], [-1], [big] * 60, [(-1) ** i * big for i in range(60)]):
+            n = len(coeffs)
+            for length in {1, max(1, n - 1), n, n + 1, 2 * n - 1, 2 * n, 3 * n + 2}:
+                got = _fft_square_trunc(np.array(coeffs, dtype=np.int64), length)
+                assert got == naive_square_trunc(coeffs, length), (coeffs[:2], length)
+
+    def test_balanced_limbs_span_int64(self):
+        values = [0, 1, -1, 2047, 2048, -2048, -2049, 2**46, -(2**46), 2**63 - 1, -(2**63)]
+        limbs = _balanced_limbs(np.array(values, dtype=np.int64))
+        assert len(limbs) == 6
+        for d in limbs:
+            assert d.min() >= -(2**11) and d.max() < 2**11
+        assert [sum(int(d[i]) << (12 * j) for j, d in enumerate(limbs)) for i in range(len(values))] == values
+
+    @pytest.mark.parametrize("n", [20000, TAU_DESK_LIMIT])
+    def test_tau_exact_matches_decimal_square(self, n):
+        assert tau_exact(n).values == decimal_square_trunc(e12_coeffs(n).tolist(), n)
+
+    def test_headroom_at_desk_limit(self):
+        # a shorter window squares prefixes of these limbs at a size no
+        # larger, so its norms, its error bound and its high word only shrink
+        n = TAU_DESK_LIMIT
+        e12 = e12_coeffs(n)
+        assert int(np.abs(e12).max()) < 2**46
+        limbs = _balanced_limbs(e12)
+        assert len(limbs) == 4
+        rounding, high = _square_bounds(limbs, 2**18)
+        assert rounding == pytest.approx(0.01797, rel=1e-3)  # recorded: 0.01797, against 1/4
+        # each output limb is at most L n 2^22 in size, and the low chain
+        # adds it to a carry below 2^30
+        limb_max = 4 * n * 2**22
+        assert limb_max < 2**41
+        # the high word holds limbs 5 and 6 (shifted by 12) and the carry
+        assert limb_max * (1 + 2**12) + 2**30 < 2**62
+        assert high < 2**62
+
+    def test_rounding_bound_raises_before_any_transform(self, monkeypatch):
+        def no_transform(*args, **kwargs):
+            raise AssertionError("a transform ran")
+
+        monkeypatch.setattr(np.fft, "rfft", no_transform)
+        monkeypatch.setattr(np.fft, "irfft", no_transform)
+        # every limb at -2^11, so S_3 = 4 * 2^22 * 2^19 and the bound is about 0.43
+        a = np.full(2**19, -2048 * (1 + 2**12 + 2**24 + 2**36), dtype=np.int64)
+        with pytest.raises(OverflowError, match="error bound"):
+            _fft_square_trunc(a, len(a))
+
+    def test_high_word_raises_instead_of_wrapping(self):
+        assert _fft_square_trunc(np.array([2**60], dtype=np.int64), 1) == [2**120]
+        for top in (2**62, -(2**63)):
+            with pytest.raises(OverflowError, match="high word"):
+                _fft_square_trunc(np.array([top, 0], dtype=np.int64), 2)
+
+    def test_rounding_far_from_an_integer_raises(self, monkeypatch):
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda spec, size: irfft(spec, size) + 0.3)
+        with pytest.raises(OverflowError, match="integer"):
+            _fft_square_trunc(np.array([3, 4], dtype=np.int64), 3)
+
+    def test_modforms_imports_no_decimal(self):
+        # the Decimal route is the test reference, not a second path
+        assert "decimal" not in modforms_imports()
+
+    def test_tracemalloc_peak_at_desk_limit(self):
+        # one output limb at a time, and the spectra freed before the Python
+        # ints are built: holding all seven inverse transforms adds about 13 MB
+        tau_exact.cache_clear()
+        tracemalloc.start()
+        try:
+            tau_exact(TAU_DESK_LIMIT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 10**6, peak  # measured: 20.1 MB
 
 
 class TestSparsePasses:
@@ -128,7 +241,7 @@ class TestSparsePasses:
     def test_e12_matches_decimal_square(self, n):
         jacobi = _jacobi_series(n)
         e12 = _sparse_mul(_sparse_mul(_eta6_coeffs(n), *jacobi), *jacobi)
-        assert e12.tolist() == _poly_square_trunc(_eta6_coeffs(n).tolist(), n)
+        assert e12.tolist() == decimal_square_trunc(_eta6_coeffs(n).tolist(), n)
 
     def test_int64_headroom_at_desk_limit(self):
         # a shorter window truncates the same series: its terms and its
@@ -234,14 +347,7 @@ class TestTauMod:
             assert np.array_equal(tau_mod(23, n_max), tau_mod23_hecke(n_max)), n_max
 
     def test_modforms_imports_nothing_from_primes(self):
-        tree = ast.parse(Path(modforms.__file__).read_text())
-        imported = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                imported.add(node.module or "")
-                imported.update(alias.name for alias in node.names)
-            elif isinstance(node, ast.Import):
-                imported.update(alias.name for alias in node.names)
+        imported = modforms_imports()
         assert not imported & {"primes", "lrlab.primes"}, imported
 
     def test_sigma_power_mod_matches_divisor_sum(self):

@@ -278,6 +278,14 @@ class TestHf:
         with pytest.raises(InvalidArgumentError):
             h_f("q5", x)
 
+    @pytest.mark.parametrize("x", [10**20, 10**400])
+    def test_int_past_the_limit_is_a_resource_limit(self, x):
+        # 10**400 is past the float range: the same error, not an OverflowError
+        from lrlab.errors import ResourceLimitError
+
+        with pytest.raises(ResourceLimitError, match="enumeration limit"):
+            h_f("q5", x)
+
     def test_enumeration_limit(self):
         from lrlab.errors import ResourceLimitError
 
