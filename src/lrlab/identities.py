@@ -34,7 +34,7 @@ from .characters import _dlog_table, euler_phi
 from .constants import _exp, _log_g
 from .errors import InvalidArgumentError, UnsupportedCaseError
 from .lseries import _EPS, _log, zeta_value
-from .multfn import M_ALWAYS, M_NEVER, class_index, dirichlet_series_truncated, get_case, zero_periods
+from .multfn import M_ALWAYS, M_NEVER, class_index, dirichlet_series_truncated, get_case
 from .primes import sieve_primes
 
 __all__ = ["truncated_T", "euler_identity_sides", "local_factor_gap"]
@@ -74,7 +74,8 @@ def local_factor_gap(case, x: float = 0.5, p_limit: int = 10**4) -> float:
     if not 0 < x < 1:
         raise InvalidArgumentError(f"x must lie in (0, 1), got {x}")
     p = sieve_primes(p_limit).primes
-    m0 = zero_periods(spec, p_limit)
+    idx = class_index(spec, p_limit)
+    m0 = np.array(spec.m0, dtype=np.int64)[idx]
     finite_m0 = np.where(m0 >= 2, m0, 2)
     log_1mx = math.log1p(-x)
     log_t = np.where(
@@ -83,7 +84,6 @@ def local_factor_gap(case, x: float = 0.5, p_limit: int = 10**4) -> float:
         np.log1p(-(x ** (finite_m0 - 1))) - log_1mx - np.log1p(-(x**finite_m0)),
     )
     log_t[m0 == M_ALWAYS] = 0.0
-    idx = class_index(spec, p_limit)
     worst = 0.0
     for euler in filter(None, (spec.euler, spec.b_euler)):
         m = euler.modulus

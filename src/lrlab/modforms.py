@@ -239,13 +239,19 @@ def _fft_square_trunc(a: np.ndarray, length: int) -> list[int]:
     return [(h << shift) | w for h, w in zip(hi.tolist(), lo.tolist())] + [0] * (length - take)
 
 
-@lru_cache(maxsize=2)
+def _check_n_max(n_max, least: int, limit: int, name: str) -> None:
+    if not isinstance(n_max, (int, np.integer)):
+        raise InvalidArgumentError(f"n_max must be an integer, got {n_max!r}")
+    if n_max < least:
+        raise InvalidArgumentError(f"n_max must be >= {least}, got {n_max}")
+    if n_max > limit:
+        raise ResourceLimitError(f"{name} desk limit is {limit}, got {n_max}")
+
+
+@lru_cache(maxsize=2, typed=True)  # typed: 100.0 must not hit the entry of 100
 def tau_exact(n_max: int) -> TauWindow:
     """Exact tau(1..n_max) from x * prod (1-x^n)^24."""
-    if n_max < 1:
-        raise InvalidArgumentError(f"n_max must be >= 1, got {n_max}")
-    if n_max > TAU_DESK_LIMIT:
-        raise ResourceLimitError(f"tau_exact desk limit is {TAU_DESK_LIMIT}, got {n_max}")
+    _check_n_max(n_max, 1, TAU_DESK_LIMIT, "tau_exact")
     jacobi = _jacobi_series(n_max)
     e12 = _sparse_mul(_sparse_mul(_eta6_coeffs(n_max), *jacobi), *jacobi)
     return TauWindow(n_max, _fft_square_trunc(e12, n_max))
@@ -277,10 +283,7 @@ def tau_mod(q: int, n_max: int) -> np.ndarray:
     """
     if q not in _SUPPORTED_MODULI:
         raise InvalidArgumentError(f"unsupported modulus {q}; expected one of {_SUPPORTED_MODULI}")
-    if n_max < 1:
-        raise InvalidArgumentError(f"n_max must be >= 1, got {n_max}")
-    if n_max > TAU_MOD_DESK_LIMIT:
-        raise ResourceLimitError(f"tau_mod desk limit is {TAU_MOD_DESK_LIMIT}, got {n_max}")
+    _check_n_max(n_max, 1, TAU_MOD_DESK_LIMIT, "tau_mod")
     n = np.arange(n_max + 1, dtype=np.int64)
     if q == 2:
         out = np.zeros(n_max + 1, dtype=np.int64)
@@ -303,10 +306,7 @@ def tau_mod(q: int, n_max: int) -> np.ndarray:
 
 def lambda_mod3(n_max: int) -> np.ndarray:
     """Partition counts lambda(0..n_max) mod 3, parts not divisible by 9: E^6 * E * E mod 3."""
-    if n_max < 0:
-        raise InvalidArgumentError(f"n_max must be >= 0, got {n_max}")
-    if n_max > TAU_DESK_LIMIT:
-        raise ResourceLimitError(f"lambda_mod3 desk limit is {TAU_DESK_LIMIT}, got {n_max}")
+    _check_n_max(n_max, 0, TAU_DESK_LIMIT, "lambda_mod3")
     length = n_max + 1
     pentagonal = _pentagonal_series(length, 1)
     a = _eta6_coeffs(length) % 3

@@ -9,9 +9,9 @@ On prime powers every case reduces to a single congruence on the exponent:
 where the period m0 depends only on the prime's class.  Each case's entry
 in CASES holds the class of every residue mod a modulus (so each class is
 a union of residue classes, by residue mod 3, 4, 5, 7 or by the order mod
-691), or for q23 a classifier whose Wilton classes S1, S2, S3 are the
-Frobenius classes of the Hilbert class field of Q(sqrt(-23)), the m0 of
-every class, and the Euler factorization
+691; for q23, whose Wilton classes S1, S2, S3 are the Frobenius classes of
+the Hilbert class field of Q(sqrt(-23)), S2 and S3 split one residue
+class), the m0 of every class, and the Euler factorization
 
     T(s)^n = zeta(s)^(n tau) zeta(2s)^z prod_chi L(s, chi)^e H(s)
 
@@ -20,6 +20,11 @@ of local factors (1 - p^(-a s))^c over a few single primes and over the
 primes of each class.  B_f and q5's first-order constant (constants), the
 s = 2 identity checks (identities) and the sieves here are all read off
 these entries.
+
+Up to x, the sieves, the counts and H_f classify only the primes
+p <= sqrt(x); a larger p divides n <= x at most once and needs only f(p),
+which is 0 iff m0 is 2 or ALWAYS: a residue rule, as the classes that
+split a residue class (q23's S2 and S3) both have f(p) = 1.
 
 The generalized von Mangoldt function of f, defined by
 f(n) log n = sum_{d|n} f(d) Lambda_f(n/d), is supported on prime powers and
@@ -40,7 +45,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -109,10 +113,11 @@ class CaseSpec:
     """One counting problem: density, prime classes and Euler factorization.
 
     The class of a prime p is residues[p % len(residues)], so each class is
-    a union of residue classes, unless ``classify`` is given.  q23's
-    classifier splits the residues of S2 by the Wilton test; ``frobenius``
-    lists the classes j that are not unions of residue classes, each the
-    Frobenius class j of lseries.frobenius_class_sum.
+    a union of residue classes, unless ``frobenius`` is non-empty: it lists
+    the classes j that are not (q23's S2 and S3, split by the Wilton test),
+    each the Frobenius class j of lseries.frobenius_class_sum.  f(p) is a
+    residue rule either way, as both classes of such a split have m0 > 2,
+    so the sieves to x classify only the primes p <= sqrt(x).
     """
 
     tag: str
@@ -121,13 +126,13 @@ class CaseSpec:
     m0: tuple          # zero period of each class
     euler: EulerFactorization | None = None    # T(s)^n as a product
     b_euler: EulerFactorization | None = None  # a rewrite preferred for B_f
-    classify: Callable[[np.ndarray], np.ndarray] | None = None  # primes -> uint8 class index
     frobenius: tuple = ()
 
-    def __post_init__(self):
-        if self.classify is None:
-            lut = np.array(self.residues, dtype=np.uint8)
-            object.__setattr__(self, "classify", lambda p: lut[p % len(lut)])
+    def classify(self, primes) -> np.ndarray:
+        """The uint8 class index of each prime in an array."""
+        if self.frobenius:
+            return pr.wilton_classes(primes)
+        return np.array(self.residues, dtype=np.uint8)[primes % len(self.residues)]
 
     @property
     def delta(self) -> Fraction:  # 1 - tau, the claimed logarithm exponent
@@ -193,7 +198,7 @@ CASES: dict[str, CaseSpec] = {
         # 23 does not divide tau(n); classes: the Wilton classes S1, S2, S3, P23
         # (primes module); S2 and S3 split the residues with (p|23) = 1
         CaseSpec("q23", Fraction(1, 2),
-                 residues=_WILTON_RESIDUES, classify=pr.wilton_classes, frobenius=(1, 2),
+                 residues=_WILTON_RESIDUES, frobenius=(1, 2),
                  m0=(2, 3, 23, M_NEVER),
                  euler=EulerFactorization(
                      # chi_-23 = chi^11 mod 23
@@ -237,33 +242,23 @@ def get_case(case) -> CaseSpec:
         raise UnsupportedCaseError(f"unknown case tag {case!r}") from None
 
 
-_class_indices: dict[str, np.ndarray] = {}  # per case, the index to the widest limit so far
-
-
 def class_index(case, limit: int) -> np.ndarray:
-    """Class index of every prime <= limit, aligned with sieve_primes(limit).
-
-    One read-only index per case grows the way the prime table does: only
-    the primes past the widest limit so far are classified, and every limit
-    reads a prefix of it.
-    """
+    """Class index of every prime <= limit, aligned with sieve_primes(limit)."""
     spec = get_case(case)
-    primes = pr.sieve_primes(int(limit)).primes
-    idx = _class_indices.get(spec.tag, np.zeros(0, dtype=np.uint8))
-    if len(idx) < len(primes):
-        grown = spec.classify(primes[len(idx) :])
-        # the first index is kept as classified: copying it raised the peak
-        # memory of counting every case to 1e7 by 2.5 MB
-        idx = np.concatenate([idx, grown]) if len(idx) else grown
-        idx.flags.writeable = False
-        _class_indices[spec.tag] = idx
-    return idx[: len(primes)]
+    return spec.classify(pr.sieve_primes(int(limit)).primes)
 
 
 def zero_periods(case, limit: int) -> np.ndarray:
     """m0 for every prime <= limit, aligned with sieve_primes(limit)."""
     spec = get_case(case)
     return np.array(spec.m0, dtype=np.int64)[class_index(spec, limit)]
+
+
+def _f_zero(spec: CaseSpec, primes: np.ndarray) -> np.ndarray:
+    """f(p) = 0, i.e. m0 in {2, ALWAYS}, for each prime in an array, by residue."""
+    m0 = np.array(spec.m0)
+    zero = ((m0 == 2) | (m0 == M_ALWAYS))[np.array(spec.residues)]
+    return zero[primes - primes // len(zero) * len(zero)]  # numpy's // by a scalar is 2x its %
 
 
 def _sieve_small_primes(case, x: int) -> tuple[np.ndarray, np.ndarray]:
@@ -283,9 +278,9 @@ def _sieve_small_primes(case, x: int) -> tuple[np.ndarray, np.ndarray]:
     if x == 1:
         return out, np.zeros(0, dtype=np.int64)
     primes = pr.sieve_primes(x).primes
-    m0s = zero_periods(spec, x)
     small = int(np.searchsorted(primes, math.isqrt(x), side="right"))
-    for p, m0 in zip(primes[:small].tolist(), m0s[:small].tolist()):
+    m0s = np.array(spec.m0)[spec.classify(primes[:small])]
+    for p, m0 in zip(primes[:small].tolist(), m0s.tolist()):
         if m0 == M_NEVER:
             continue
         if m0 == M_ALWAYS:
@@ -306,8 +301,8 @@ def _sieve_small_primes(case, x: int) -> tuple[np.ndarray, np.ndarray]:
             if pk > x // step:
                 break
             pk *= step
-    big = m0s[small:]
-    return out, primes[small:][(big == 2) | (big == M_ALWAYS)]
+    big = primes[small:]
+    return out, big[_f_zero(spec, big)]
 
 
 def f_sieve(case, x: int) -> np.ndarray:
@@ -327,8 +322,8 @@ def count_f(case, x: int) -> int:
 
     A prime p > sqrt(x) divides n <= x at most once, as n = m*p with
     m <= x/p < sqrt(x), and no n <= x has two such primes.  Let b mark the
-    rules of the primes <= sqrt(x) only, and F(y) = #{m <= y : b[m] = 1}.
-    Then
+    rules of the primes <= sqrt(x), the only primes classified, and
+    F(y) = #{m <= y : b[m] = 1}.  Then, with f(p) read from the residues,
 
         count_f(x) = #{n <= x : b[n] = 1} - sum_{p > sqrt(x), f(p) = 0} F(x // p).
 
@@ -373,13 +368,13 @@ def h_f(case, x: float) -> ValueWithBudget:
     table = pr.sieve_primes(xi)
     p = table.primes
     logs = table.logs
-    m0s = zero_periods(spec, xi)
 
     terms = []
-    # k = 1: Lambda_f(p) = f(p) log p, and f(p) = 0 iff m0 in {ALWAYS, 2}
-    keep = (m0s != M_ALWAYS) & (m0s != 2)
+    # k = 1: Lambda_f(p) = f(p) log p
+    keep = ~_f_zero(spec, p)
     terms.append(logs[keep] / p[keep])
-    # k >= 2
+    # k >= 2, so p <= sqrt(x)
+    m0s = np.array(spec.m0)[spec.classify(p[: int(np.searchsorted(p, math.isqrt(xi), side="right"))])]
     kmax = int(math.floor(math.log2(xi))) if xi >= 4 else 1
     for k in range(2, kmax + 1):
         root = _int_kth_root(xi, k)

@@ -29,6 +29,7 @@ from . import modforms as mf
 from . import multfn as mu
 from . import primes as pr
 from .characters import generator_character, kronecker_character
+from .errors import UnsupportedCaseError
 
 __all__ = ["CheckResult", "run_checks", "matches_truncated", "ALL_CASES", "PUBLISHED"]
 
@@ -323,7 +324,9 @@ def _check_verdicts(reports) -> list[CheckResult]:
 
 def run_checks(cases=None) -> list[CheckResult]:
     """Run the verification suite, optionally filtered to some case tags."""
-    wanted = set(cases) if cases else set(ALL_CASES)
+    if isinstance(cases, str) or not set(cases or ALL_CASES) <= set(ALL_CASES):
+        raise UnsupportedCaseError(f"cases must be a collection of tags from {ALL_CASES}, got {cases!r}")
+    wanted = set(cases or ALL_CASES)
     table_tags = [t for t in mu.TABLE_CASES if t in wanted]
     results: list[CheckResult] = []
 

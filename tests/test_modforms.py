@@ -311,6 +311,25 @@ class TestTauExact:
             tau_exact(200_000)
 
 
+@pytest.mark.parametrize(
+    "oracle, args",
+    [
+        (tau_exact, (100.0,)),
+        (tau_exact, ("100",)),
+        (tau_mod, (3, 100.0)),
+        (tau_mod, (23, 100.0)),
+        (tau_mod, (691, 1e3)),
+        (lambda_mod3, (100.0,)),
+        (lambda_mod3, (0.5,)),
+    ],
+)
+def test_non_integer_n_max_is_invalid(oracle, args):
+    if oracle is tau_exact:
+        tau_exact(100)  # a cached 100 must not answer for 100.0
+    with pytest.raises(InvalidArgumentError, match="n_max must be an integer"):
+        oracle(*args)
+
+
 class TestTauMod:
     def test_examples(self):
         assert tau_mod(23, 10)[2] == 22  # tau(2) = -24 = -1 (mod 23)

@@ -9,6 +9,9 @@ from lrlab.errors import InvalidArgumentError, PreconditionError, UnsupportedCas
 from lrlab.modforms import odd_tau_count, tau_exact
 from lrlab.multfn import (
     CASES,
+    M_ALWAYS,
+    CaseSpec,
+    _f_zero,
     class_index,
     count_f,
     dirichlet_series_truncated,
@@ -123,13 +126,37 @@ class TestClasses:
             alone = [spec.m0[int(spec.classify(primes[i : i + 1])[0])] for i in range(len(primes))]
             assert alone == zero_periods(tag, 3000).tolist(), tag
 
-    def test_class_index_is_cached_and_read_only(self):
-        # every limit reads a prefix of one index per case, grown to the widest limit
+    def test_class_index_is_a_prefix(self):
+        # every limit's index is a prefix of a wider limit's
         wide = class_index("q5", 10**5)
         idx = class_index("q5", 10**4)
-        assert idx.dtype == np.uint8 and not idx.flags.writeable and not wide.flags.writeable
-        assert np.shares_memory(idx, wide) and np.array_equal(idx, wide[: len(idx)])
+        assert idx.dtype == np.uint8 and wide.dtype == np.uint8
+        assert np.array_equal(idx, wide[: len(idx)])
         assert sorted(set(idx.tolist())) == list(range(len(CASES["q5"].m0)))
+
+    @pytest.mark.parametrize("tag", sorted(CASES))
+    def test_f_of_a_prime_is_a_residue_rule(self, tag):
+        # f(p) = 0 read from the residue table against f(p) = 0 read from the
+        # classes, for q23 the Wilton classes that split the residues of S2
+        spec = CASES[tag]
+        primes = sieve_primes(10**6).primes
+        from_classes = np.isin(np.array(spec.m0)[class_index(tag, 10**6)], (2, M_ALWAYS))
+        assert np.array_equal(_f_zero(spec, primes), from_classes)
+
+    @pytest.mark.parametrize("tag", sorted(CASES))
+    def test_no_prime_above_sqrt_x_is_classified(self, tag, monkeypatch):
+        largest = []
+        classify = CaseSpec.classify
+
+        def spy(spec, primes):
+            largest.append(int(np.max(primes, initial=0)))
+            return classify(spec, primes)
+
+        monkeypatch.setattr(CaseSpec, "classify", spy)
+        for run, x in ((count_f, 10**6), (f_sieve, 20000), (h_f, 1e6)):
+            largest.clear()
+            run(tag, x)
+            assert largest and max(largest) <= math.isqrt(int(x)), (run.__name__, largest)
 
     def test_composite_rejected(self):
         # the scalar reference checks its prime

@@ -11,8 +11,9 @@ import pytest
 
 from lrlab.budget import ValueWithBudget
 from lrlab.constants import TABLE1_PRINTED, table1
+from lrlab.errors import UnsupportedCaseError
 from lrlab.multfn import TABLE_CASES
-from lrlab.verify import TRUNCATION_SLACK, _check_table_row, _near
+from lrlab.verify import TRUNCATION_SLACK, _check_table_row, _near, run_checks
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "verify.json"
 
@@ -25,6 +26,13 @@ def _check(report, name):
 @pytest.fixture(scope="module")
 def reports():
     return {r.case: r for r in table1()}
+
+
+@pytest.mark.parametrize("cases", ["q5", ["q9"], ["ones"], ("q5", "q9")])
+def test_unknown_or_bare_string_cases_are_rejected(cases):
+    # an empty result would read as "all passed"
+    with pytest.raises(UnsupportedCaseError):
+        run_checks(cases)
 
 
 def test_checks_match_the_benchmark_golden(full_checks):
