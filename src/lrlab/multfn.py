@@ -33,11 +33,19 @@ has the closed form
     Lambda_f(p^k) = log p * (1 + m0*[m0 | k] - (m0-1)*[(m0-1) | k])
 
 for finite m0 (log p for NEVER, 0 for ALWAYS).  H_f(x) =
-sum_{p^k <= x} Lambda_f(p^k)/p^k - tau*log x, which h_f evaluates from
-this closed form for all primes at once, tracks the constant term B_f of
-the logarithmic prime sum.  The scalar references for one prime or one n
-(m0, f by trial division, and Lambda_f by the prime-power recursion) live
-with the tests, in tests/scalar_reference.py.
+sum_{p^k <= x} Lambda_f(p^k)/p^k - tau*log x tracks the constant term B_f
+of the logarithmic prime sum.  h_f splits it into S1(x), the sum of
+log p/p over the primes p <= x with f(p) = 1, the terms p^k <= x with
+k >= 2, and tau*log x.  Each case keeps S1 at every 256th prime of the
+shared prime table as an unevaluated pair hi + lo: a sequential float sum
+and the sum of the exact (TwoSum) rounding errors of its additions, with a
+stored bound on lo's own rounding.  A call reads one pair, adds the k = 1
+terms of the fewer than 256 primes left and the k >= 2 terms of the primes
+<= sqrt(x), all from the closed form, in one exactly rounded sum, and adds
+the stored bound to its budget.  The scalar references for one prime or
+one n (m0, f by trial division, and Lambda_f by the prime-power recursion)
+and the full-array reference for H_f live with the tests, in
+tests/scalar_reference.py.
 """
 
 from __future__ import annotations
@@ -45,12 +53,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .budget import ValueWithBudget, csum
 from .characters import _dlog_table, euler_phi
 from .errors import (
+    ConsistencyError,
     InvalidArgumentError,
     PreconditionError,
     ResourceLimitError,
@@ -65,7 +75,6 @@ __all__ = [
     "TABLE_CASES",
     "get_case",
     "class_index",
-    "zero_periods",
     "f_sieve",
     "count_f",
     "h_f",
@@ -132,7 +141,25 @@ class CaseSpec:
         """The uint8 class index of each prime in an array."""
         if self.frobenius:
             return pr.wilton_classes(primes)
-        return np.array(self.residues, dtype=np.uint8)[primes % len(self.residues)]
+        return self._residue_classes[primes % len(self.residues)]
+
+    # The tables below are built once per spec, on first use.
+    @cached_property
+    def _residue_classes(self) -> np.ndarray:
+        return np.array(self.residues, dtype=np.uint8)
+
+    @cached_property
+    def _m0s(self) -> np.ndarray:
+        return np.array(self.m0, dtype=np.int64)
+
+    @cached_property
+    def _residue_f_zero(self) -> np.ndarray:
+        """f(p) = 0, i.e. m0 in {2, ALWAYS}, for a prime p by its residue."""
+        return np.isin(self._m0s, (2, M_ALWAYS))[self._residue_classes]
+
+    @cached_property
+    def _s1_blocks(self) -> "_S1Blocks":
+        return _S1Blocks(self)
 
     @property
     def delta(self) -> Fraction:  # 1 - tau, the claimed logarithm exponent
@@ -248,16 +275,9 @@ def class_index(case, limit: int) -> np.ndarray:
     return spec.classify(pr.sieve_primes(int(limit)).primes)
 
 
-def zero_periods(case, limit: int) -> np.ndarray:
-    """m0 for every prime <= limit, aligned with sieve_primes(limit)."""
-    spec = get_case(case)
-    return np.array(spec.m0, dtype=np.int64)[class_index(spec, limit)]
-
-
 def _f_zero(spec: CaseSpec, primes: np.ndarray) -> np.ndarray:
     """f(p) = 0, i.e. m0 in {2, ALWAYS}, for each prime in an array, by residue."""
-    m0 = np.array(spec.m0)
-    zero = ((m0 == 2) | (m0 == M_ALWAYS))[np.array(spec.residues)]
+    zero = spec._residue_f_zero
     return zero[primes - primes // len(zero) * len(zero)]  # numpy's // by a scalar is 2x its %
 
 
@@ -279,7 +299,7 @@ def _sieve_small_primes(case, x: int) -> tuple[np.ndarray, np.ndarray]:
         return out, np.zeros(0, dtype=np.int64)
     primes = pr.sieve_primes(x).primes
     small = int(np.searchsorted(primes, math.isqrt(x), side="right"))
-    m0s = np.array(spec.m0)[spec.classify(primes[:small])]
+    m0s = spec._m0s[spec.classify(primes[:small])]
     for p, m0 in zip(primes[:small].tolist(), m0s.tolist()):
         if m0 == M_NEVER:
             continue
@@ -339,22 +359,95 @@ def count_f(case, x: int) -> int:
     return int(np.count_nonzero(b)) - int(running[x // zero].sum())
 
 
-def _int_kth_root(n: int, k: int) -> int:
-    if k == 1:
-        return n
-    r = int(round(n ** (1.0 / k)))
-    while r > 0 and r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
+# The S1 prefix holds one entry every _S1_BLOCK primes, so a call adds at
+# most _S1_BLOCK - 1 terms of k = 1 itself; it grows _S1_CHUNK primes a pass,
+# which bounds its temporaries.
+_S1_BLOCK = 256
+_S1_CHUNK = 1 << 15
+# One float addition rounds by at most 2^-53 times its result.  The factor
+# covers the rounding of the running sum of |lo| that this multiplies, which
+# can fall short of the exact sum by a factor (1 - 2^-53)^n for the n < 2^22
+# primes below COUNT_DESK_LIMIT.
+_LO_ROUNDING = 2.0**-53 * (1 + 2.0**-30)
+
+
+class _S1Blocks:
+    """S1 = sum of log p/p over the primes p with f(p) = 1, for one case, at
+    every _S1_BLOCK-th prime of the shared prime table.
+
+    Entry j covers the first j*_S1_BLOCK primes as the unevaluated pair
+    hi[j] + lo[j]: hi is the sequential float sum of the terms (0 where
+    f(p) = 0), lo the float sum of the exact rounding errors of hi's
+    additions (TwoSum).  So hi + lo is S1 up to lo's own rounding, which
+    bound(j) covers: each of lo's additions rounds by at most 2^-53 times
+    its result.  Every entry is the same float whatever calls built it, so a
+    budget depends on x only.  The entries reach only as far as the primes
+    of the largest x asked for, and read only f(p), from the residues.  Each
+    spec holds its own (CaseSpec._s1_blocks), so a copy of a spec starts empty.
+    """
+
+    def __init__(self, spec: CaseSpec):
+        self.spec = spec
+        self.hi = self.lo = self.abs_lo = np.zeros(1)
+
+    def bound(self, j: int) -> float:
+        """A bound on |hi[j] + lo[j] - the exact sum of entry j's float terms|."""
+        return float(self.abs_lo[j]) * _LO_ROUNDING
+
+    def extend(self, table: pr.PrimeTable) -> None:
+        """Add the entries of every full block of the table's primes."""
+        stop = len(table) // _S1_BLOCK * _S1_BLOCK
+        for start in range((len(self.hi) - 1) * _S1_BLOCK, stop, _S1_CHUNK):
+            end = min(start + _S1_CHUNK, stop)
+            p = table.primes[start:end]
+            t = table.logs[start:end] / p
+            t[_f_zero(self.spec, p)] = 0.0
+            run = np.cumsum(np.concatenate((self.hi[-1:], t)))
+            prev, hi = run[:-1], run[1:]
+            if not np.array_equal(prev + t, hi):
+                raise ConsistencyError("np.cumsum did not add the S1 terms one at a time")
+            back = hi - prev
+            err = (prev - (hi - back)) + (t - back)  # prev + t = hi + err, exactly
+            lo = np.cumsum(np.concatenate((self.lo[-1:], err)))[1:]
+            abs_lo = np.cumsum(np.concatenate((self.abs_lo[-1:], np.abs(lo))))[1:]
+            ends = slice(_S1_BLOCK - 1, None, _S1_BLOCK)
+            self.hi = np.concatenate((self.hi, hi[ends]))
+            self.lo = np.concatenate((self.lo, lo[ends]))
+            self.abs_lo = np.concatenate((self.abs_lo, abs_lo[ends]))
+
+
+def _prime_power_terms(spec: CaseSpec, table: pr.PrimeTable, x: int) -> np.ndarray:
+    """Lambda_f(p^k)/p^k for every p^k <= x with k >= 2, by k and then by p."""
+    r = int(np.searchsorted(table.primes, math.isqrt(x), side="right"))
+    if not r:
+        return np.zeros(0)
+    p, logs = table.primes[:r], table.logs[:r]
+    m0 = spec._m0s[spec.classify(p)]
+    # the largest k with p^k <= x: a float estimate, off by at most one, made exact
+    kmax = (math.log(x) / logs).astype(np.int64)
+    kmax -= p**kmax > x
+    kmax += p ** (kmax + 1) <= x
+    # the primes with kmax >= k are a prefix of p, as kmax falls with p
+    ks = np.arange(2, int(kmax[0]) + 1)
+    counts = np.searchsorted(-kmax, -ks, side="right")
+    k = np.repeat(ks, counts)
+    i = np.arange(len(k)) - np.repeat(np.cumsum(counts) - counts, counts)
+    m = m0[i]
+    b = np.maximum(m, 2)  # the closed form holds for finite m0; NEVER has 1, ALWAYS 0
+    coeff = np.where(m >= 2, 1 + b * (k % b == 0) - (b - 1) * (k % (b - 1) == 0), m == M_NEVER)
+    return logs[i] * coeff / p[i] ** k
 
 
 def h_f(case, x: float) -> ValueWithBudget:
     """H_f(x) = sum_{p^k <= x} Lambda_f(p^k)/p^k - tau*log x.
 
-    Exact truncation (there is no tail): the budget covers summation
-    rounding only.
+    Exact truncation (there is no tail).  The k = 1 terms of the first
+    j*_S1_BLOCK primes come from the case's S1 prefix (_S1Blocks) as one pair
+    hi + lo; math.fsum adds it to the k = 1 terms of the fewer than
+    _S1_BLOCK primes left and to the k >= 2 terms of the primes <= sqrt(x),
+    all read off the closed form, and tau*log x is subtracted.  The budget
+    covers rounding only: eps*(sum of |terms| + |tau log x| + |value|), plus
+    the prefix's bound on the rounding of lo.
     """
     spec = get_case(case)
     if not (isinstance(x, int) or math.isfinite(x)):  # an int is finite, even past the float range
@@ -366,37 +459,20 @@ def h_f(case, x: float) -> ValueWithBudget:
         shown = f"{x:.10g}" if x < 1e308 else "more than 1e308"
         raise ResourceLimitError(f"prime-power enumeration limit is {COUNT_DESK_LIMIT}, got {shown}")
     table = pr.sieve_primes(xi)
-    p = table.primes
-    logs = table.logs
-
-    terms = []
-    # k = 1: Lambda_f(p) = f(p) log p
+    blocks = spec._s1_blocks
+    j = len(table) // _S1_BLOCK
+    if j >= len(blocks.hi):
+        blocks.extend(table)
+    hi, lo = float(blocks.hi[j]), float(blocks.lo[j])
+    p, logs = table.primes[j * _S1_BLOCK :], table.logs[j * _S1_BLOCK :]
     keep = ~_f_zero(spec, p)
-    terms.append(logs[keep] / p[keep])
-    # k >= 2, so p <= sqrt(x)
-    m0s = np.array(spec.m0)[spec.classify(p[: int(np.searchsorted(p, math.isqrt(xi), side="right"))])]
-    kmax = int(math.floor(math.log2(xi))) if xi >= 4 else 1
-    for k in range(2, kmax + 1):
-        root = _int_kth_root(xi, k)
-        if root < 2:
-            break
-        cnt = int(np.searchsorted(p, root, side="right"))
-        sub_p = p[:cnt].astype(np.float64)
-        sub_log = logs[:cnt]
-        sub_m0 = m0s[:cnt]
-        coeff = np.ones(cnt)
-        finite = sub_m0 >= 2
-        a = sub_m0[finite] - 1
-        b = sub_m0[finite]
-        coeff[finite] = 1.0 + b * (k % b == 0) - a * (k % a == 0)
-        coeff[sub_m0 == M_ALWAYS] = 0.0
-        terms.append(sub_log * coeff / sub_p**k)
+    rest = np.concatenate((logs[keep] / p[keep], _prime_power_terms(spec, table, xi)))
 
-    flat = np.concatenate(terms) if terms else np.zeros(0)
     tau_log = float(spec.tau) * math.log(x)
-    value = csum(flat) - tau_log
+    value = math.fsum([hi, lo, *rest.tolist()]) - tau_log
     eps = np.finfo(float).eps
-    budget = eps * (float(np.sum(np.abs(flat))) + abs(tau_log) + abs(value))
+    abs_sum = hi + abs(lo) + float(np.sum(np.abs(rest)))
+    budget = eps * (abs_sum + abs(tau_log) + abs(value)) + blocks.bound(j)
     return ValueWithBudget(value, budget)
 
 

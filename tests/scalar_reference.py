@@ -27,6 +27,9 @@ other routes, for the tests to compare against:
 * decimal_square_trunc: the truncated square of an integer polynomial by
   Kronecker substitution in base 10 and one exact Decimal multiply, the
   reference for lrlab.modforms._fft_square_trunc;
+* h_f_reference: H_f(x) with every term of every prime <= x rebuilt on
+  each call, one array per exponent k found by integer k-th roots, and one
+  exactly rounded sum, the reference for lrlab.multfn.h_f's block prefix;
 * zero_period, f_prime_power, f_value: f(p^k) = 0 iff k = -1 (mod m0),
   with m0 from wilton_class (q23), multiplicative_order (q691) or the
   case's residue table (every other case), and f multiplicative by trial
@@ -43,9 +46,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from lrlab.budget import ValueWithBudget, csum
 from lrlab.characters import GENERATORS
 from lrlab.errors import InvalidArgumentError
-from lrlab.multfn import M_NEVER, get_case
+from lrlab.multfn import M_ALWAYS, M_NEVER, get_case
 from lrlab.primes import W_P23, W_S1, W_S2, W_S3, sieve_primes, wilton_classes
 
 # Miller-Rabin with this witness set is deterministic for n < 3.3 * 10^24.
@@ -302,6 +306,53 @@ def decimal_square_trunc(coeffs: list[int], length: int) -> list[int]:
     take = min(length, m)
     low = [int(digits[i : i + w]) - half for i in range((m - take) * w, m * w, w)]
     return low[::-1] + [0] * (length - take)
+
+
+def _int_kth_root(n: int, k: int) -> int:
+    r = int(round(n ** (1.0 / k)))
+    while r > 0 and r**k > n:
+        r -= 1
+    while (r + 1) ** k <= n:
+        r += 1
+    return r
+
+
+def h_f_reference(case, x: float) -> ValueWithBudget:
+    """H_f(x) from the closed form of Lambda_f over all primes <= x at once,
+    with the budget eps*(sum of |terms| + |tau log x| + |value|)."""
+    spec = get_case(case)
+    xi = int(math.floor(x))
+    table = sieve_primes(xi)
+    p = table.primes
+    logs = table.logs
+
+    m0_all = np.array(spec.m0)
+    zero = ((m0_all == 2) | (m0_all == M_ALWAYS))[np.array(spec.residues)]
+    keep = ~zero[p % len(zero)]
+    terms = [logs[keep] / p[keep]]  # k = 1: Lambda_f(p) = f(p) log p
+    m0s = m0_all[spec.classify(p[: int(np.searchsorted(p, math.isqrt(xi), side="right"))])]
+    kmax = int(math.floor(math.log2(xi))) if xi >= 4 else 1
+    for k in range(2, kmax + 1):
+        root = _int_kth_root(xi, k)
+        if root < 2:
+            break
+        cnt = int(np.searchsorted(p, root, side="right"))
+        sub_p = p[:cnt].astype(np.float64)
+        sub_m0 = m0s[:cnt]
+        coeff = np.ones(cnt)
+        finite = sub_m0 >= 2
+        a = sub_m0[finite] - 1
+        b = sub_m0[finite]
+        coeff[finite] = 1.0 + b * (k % b == 0) - a * (k % a == 0)
+        coeff[sub_m0 == M_ALWAYS] = 0.0
+        terms.append(logs[:cnt] * coeff / sub_p**k)
+
+    flat = np.concatenate(terms)
+    tau_log = float(spec.tau) * math.log(x)
+    value = csum(flat) - tau_log
+    eps = np.finfo(float).eps
+    budget = eps * (float(np.sum(np.abs(flat))) + abs(tau_log) + abs(value))
+    return ValueWithBudget(value, budget)
 
 
 def zero_period(case, p: int) -> int:

@@ -34,6 +34,7 @@ REMOVED = (
     "lambda_f_closed_form",
     "lambda_table",
     "zeta_log_derivative_at_2",
+    "zero_periods",
 )
 
 

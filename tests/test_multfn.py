@@ -1,11 +1,17 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from lrlab.budget import csum
-from lrlab.errors import InvalidArgumentError, PreconditionError, UnsupportedCaseError
+from lrlab.errors import (
+    ConsistencyError,
+    InvalidArgumentError,
+    PreconditionError,
+    UnsupportedCaseError,
+)
 from lrlab.modforms import odd_tau_count, tau_exact
 from lrlab.multfn import (
     CASES,
@@ -18,10 +24,15 @@ from lrlab.multfn import (
     f_sieve,
     get_case,
     h_f,
-    zero_periods,
 )
 from lrlab.primes import sieve_primes
-from scalar_reference import f_prime_power, f_value, lambda_f_prime_power, zero_period
+from scalar_reference import (
+    f_prime_power,
+    f_value,
+    h_f_reference,
+    lambda_f_prime_power,
+    zero_period,
+)
 
 
 # x on both sides of the square of a prime p, where p moves between the
@@ -92,7 +103,8 @@ class TestFValue:
     def test_q691_order_one_rule(self):
         # p = 8293 = 1 (mod 691): zero exactly at k = 690 (mod 691),
         # matching sigma_11(p^k) = k + 1 (mod 691)
-        assert zero_periods("q691", 8293)[-1] == zero_period("q691", 8293) == 691
+        m0s = np.array(CASES["q691"].m0)[class_index("q691", 8293)]
+        assert m0s[-1] == zero_period("q691", 8293) == 691
         assert f_prime_power("q691", 8293, 1) == 1
         assert f_prime_power("q691", 8293, 689) == 1
         assert f_prime_power("q691", 8293, 690) == 0
@@ -115,8 +127,9 @@ class TestClasses:
         # q23 through the U^2 + 23 V^2 search, q691 through the multiplicative
         # order, the other cases through their residue tables
         primes = sieve_primes(10**4).primes.tolist()
-        for tag in CASES:
-            assert zero_periods(tag, 10**4).tolist() == [zero_period(tag, p) for p in primes], tag
+        for tag, spec in CASES.items():
+            m0s = np.array(spec.m0)[class_index(tag, 10**4)]
+            assert m0s.tolist() == [zero_period(tag, p) for p in primes], tag
 
     def test_scalar_path_matches_vector_path(self):
         # each prime classified alone against the index of all primes; for q23
@@ -124,7 +137,7 @@ class TestClasses:
         primes = sieve_primes(3000).primes
         for tag, spec in CASES.items():
             alone = [spec.m0[int(spec.classify(primes[i : i + 1])[0])] for i in range(len(primes))]
-            assert alone == zero_periods(tag, 3000).tolist(), tag
+            assert alone == np.array(spec.m0)[class_index(tag, 3000)].tolist(), tag
 
     def test_class_index_is_a_prefix(self):
         # every limit's index is a prefix of a wider limit's
@@ -295,6 +308,53 @@ class TestHf:
 
     def test_ones_tends_to_minus_gamma(self):
         assert h_f("ones", 1e6).value == pytest.approx(-0.5772156649, abs=1e-3)
+
+    @staticmethod
+    def reference_points():
+        # every 10th point of perfbench's H_f grid (50 a decade over 1e3..1e6),
+        # x one below, at and one above the 256*j-th prime (a block boundary
+        # of the S1 prefix), prime powers and one below them, and x = 2, 3, 4
+        grid = [round(10 ** (3 + i / 50)) for i in range(0, 151, 10)]
+        primes = sieve_primes(10**6).primes
+        edges = [int(primes[256 * j - 1]) + d for j in (1, 2, 39, 306) for d in (-1, 0, 1)]
+        powers = [n + d for n in (2**19, 3**12, 997**2) for d in (-1, 0)]
+        return grid + edges + powers + [2, 3, 4, 1000.5]
+
+    @pytest.mark.parametrize("tag", sorted(CASES))
+    def test_matches_full_array_reference(self, tag):
+        # the block prefix against every term rebuilt and summed exactly: the
+        # same value, bit for bit, and a budget larger only by the bound on
+        # the rounding of the prefix's lo
+        for x in self.reference_points():
+            new, ref = h_f(tag, x), h_f_reference(tag, x)
+            assert new.value == ref.value, (tag, x)
+            assert ref.budget <= new.budget <= ref.budget * (1 + 1e-5), (tag, x)
+
+    @pytest.mark.parametrize("tag", sorted(CASES))
+    def test_independent_of_earlier_calls(self, tag):
+        # a copy of the spec starts with an empty S1 prefix; the value and the
+        # budget must not depend on which calls grew the prefix before
+        for x in (20, 1000.5, 7919, 10**5, 531441, 10**6):
+            cold = h_f(replace(CASES[tag]), x)
+            for before in (10 * x, x / 10):
+                spec = replace(CASES[tag])
+                h_f(spec, before)
+                warm = h_f(spec, x)
+                assert (warm.value, warm.budget) == (cold.value, cold.budget), (tag, x, before)
+
+    def test_prefix_refuses_a_cumsum_that_is_not_sequential(self, monkeypatch):
+        # lo holds the errors of hi's additions one at a time; a cumsum that
+        # rounds differently would leave them wrong, so the build raises
+        cumsum = np.cumsum
+
+        def nudged(a):
+            out = cumsum(a)
+            out[-1] = np.nextafter(out[-1], np.inf)
+            return out
+
+        monkeypatch.setattr(np, "cumsum", nudged)
+        with pytest.raises(ConsistencyError):
+            h_f(replace(CASES["q5"]), 10**4)
 
     def test_domain(self):
         with pytest.raises(InvalidArgumentError):
