@@ -243,6 +243,9 @@ def gamma_k(r: int, m: int, k: int = 0) -> ValueWithBudget:
     Residues are taken in 1..m with r = m (equivalently r = 0) meaning the
     class of multiples of m; gamma_0(0, 1) is Euler's constant.
     """
+    integer = (int, np.integer)
+    if not (isinstance(r, integer) and isinstance(m, integer) and isinstance(k, integer)):
+        raise InvalidArgumentError(f"r, m and k must be integers, got {r!r}, {m!r}, {k!r}")
     if m < 1:
         raise InvalidArgumentError(f"modulus must be >= 1, got {m}")
     if r == 0:

@@ -286,8 +286,12 @@ def _sieve_small_primes(case, x: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (b, zero): b[n] is False for n = 0 and for every n <= x that a
     prime p <= sqrt(x) rules out (f(p^v_p(n)) = 0), True otherwise; zero
-    lists the primes sqrt(x) < p <= x with f(p) = 0.
+    lists the primes sqrt(x) < p <= x with f(p) = 0.  A float x is
+    truncated to an integer; b has x + 1 entries.
     """
+    if not (isinstance(x, int) or math.isfinite(x)):
+        raise InvalidArgumentError(f"x must be finite, got {x}")
+    x = int(x)
     if x < 1:
         raise InvalidArgumentError(f"x must be >= 1, got {x}")
     if x > COUNT_DESK_LIMIT:
@@ -327,8 +331,8 @@ def _sieve_small_primes(case, x: int) -> tuple[np.ndarray, np.ndarray]:
 
 def f_sieve(case, x: int) -> np.ndarray:
     """Boolean array b with b[n] = f(n) for 0 <= n <= x (b[0] = False)."""
-    x = int(x)
     out, zero = _sieve_small_primes(case, x)
+    x = len(out) - 1
     # A prime p > sqrt(x) divides n <= x at most once, as n = j*p with j < p,
     # and f(n) = 0 exactly when f(p) = 0.  Mark those multiples per cofactor j.
     if len(zero):
@@ -353,8 +357,8 @@ def count_f(case, x: int) -> int:
     f(m) = 1 and f(p) = 0, and the sum counts each once, by its one big
     prime.  F is a running count of b, needed only up to sqrt(x).
     """
-    x = int(x)
     b, zero = _sieve_small_primes(case, x)
+    x = len(b) - 1
     running = np.cumsum(b[: math.isqrt(x) + 1])
     return int(np.count_nonzero(b)) - int(running[x // zero].sum())
 
@@ -478,7 +482,7 @@ def h_f(case, x: float) -> ValueWithBudget:
 
 def dirichlet_series_truncated(case, s: float, n_terms: int) -> float:
     """sum_{n <= N} f(n) n^(-s), compensated summation."""
-    if s <= 1:
+    if not s > 1:
         raise PreconditionError(f"s must be > 1, got {s}")
     f = f_sieve(case, n_terms)
     n = np.flatnonzero(f).astype(np.float64)

@@ -1,9 +1,11 @@
-"""csum must return exactly the float math.fsum returns, on either of its paths;
-ValueWithBudget arithmetic must bound the exact result of every operation."""
+"""csum must return exactly the float math.fsum returns, raise what it raises,
+and sum an array without copying it; ValueWithBudget arithmetic must bound the
+exact result of every operation."""
 
 import math
 import operator
 import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,21 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrlab.budget import _BLOCK, _BUCKET_MIN_TERMS, ValueWithBudget, csum
+from lrlab.budget import ValueWithBudget, csum
 
-# both sides of the fsum/bucketed crossover and of a block boundary
-LENGTHS = (
-    0,
-    1,
-    2,
-    _BUCKET_MIN_TERMS - 1,
-    _BUCKET_MIN_TERMS,
-    _BUCKET_MIN_TERMS + 1,
-    _BLOCK - 1,
-    _BLOCK,
-    _BLOCK + 1,
-    2 * _BLOCK + 17,
-)
+# Sizes on both sides of 3,000 terms and of 2^16 terms a block, where a
+# faster exact sum would switch paths or passes; csum must match fsum at each.
+LENGTHS = (0, 1, 2, 2999, 3000, 3001, 65535, 65536, 65537, 131089)
 
 TINY = 2.2250738585072014e-308  # smallest normal float
 
@@ -94,7 +86,7 @@ def test_generator_and_strided_inputs(x):
 
 
 def test_inf_minus_inf_raises_like_fsum():
-    x = np.ones(2 * _BUCKET_MIN_TERMS)
+    x = np.ones(6000)
     x[3], x[-2] = math.inf, -math.inf
     with pytest.raises(ValueError):
         math.fsum(x)
@@ -105,14 +97,26 @@ def test_inf_minus_inf_raises_like_fsum():
 @pytest.mark.parametrize(
     "x",
     [
-        np.full(3 * _BLOCK, 5e-324),  # many copies of the smallest subnormal
-        np.concatenate([[1.0], np.full(_BLOCK, 2.0**-60), [2.0**-53]]),  # rounding set by the tail
-        np.full(_BLOCK + 5, -0.0),  # exact zero: fsum decides the sign
-        np.full(_BLOCK, 1.7976931348623157e308),  # overflow
+        np.full(196608, 5e-324),  # many copies of the smallest subnormal
+        np.concatenate([[1.0], np.full(65536, 2.0**-60), [2.0**-53]]),  # rounding set by the tail
+        np.full(65541, -0.0),  # exact zero: the sign of fsum's zero
+        np.full(65536, 1.7976931348623157e308),  # overflow
     ],
 )
 def test_edge_sums(x):
     assert outcome(csum, x) == outcome(math.fsum, x)
+
+
+def test_array_is_summed_without_a_copy():
+    # 1e5 float64 terms as a list of Python floats would take 3.2 MB
+    x = np.random.default_rng(1).random(100_000)
+    tracemalloc.start()
+    try:
+        csum(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
 
 
 # --- ValueWithBudget ----------------------------------------------------------

@@ -11,6 +11,7 @@ from lrlab.errors import InvalidArgumentError, PreconditionError
 from lrlab.lseries import (
     GAMMA_K_MAX,
     _em_remainder_bound,
+    _gamma_batch,
     closed_form_l_values,
     euler_gamma_value,
     gamma_k,
@@ -146,6 +147,14 @@ class TestGammaK:
     def test_bad_residue(self):
         with pytest.raises(InvalidArgumentError):
             gamma_k(9, 7, 0)
+
+    @pytest.mark.parametrize("args", [(1, 2.5), (1.5, 5), (1, 5, 0.5), (1, 5.0)])
+    def test_non_integer_arguments(self, args):
+        # rejected before a batch is built (and cached) for a meaningless progression
+        misses = _gamma_batch.cache_info().misses
+        with pytest.raises(InvalidArgumentError):
+            gamma_k(*args)
+        assert _gamma_batch.cache_info().misses == misses
 
 
 class TestLDerivative:

@@ -239,6 +239,16 @@ class TestCountAndSieve:
         assert count_f("q2", 100) == 5
         assert count_f("two_squares", 10) == 7  # {1,2,4,5,8,9,10}
 
+    @pytest.mark.parametrize("run", [count_f, f_sieve])
+    @pytest.mark.parametrize("x", [0, 0.5, math.nan, math.inf, -math.inf])
+    def test_invalid_x(self, run, x):
+        with pytest.raises(InvalidArgumentError):
+            run("q5", x)
+
+    def test_float_x_is_truncated(self):
+        assert count_f("q691", 5000.9) == count_f("q691", 5000)
+        assert f_sieve("q5", 100.5).tolist() == f_sieve("q5", 100).tolist()
+
     def test_sieve_matches_f_value(self):
         for tag in ("q3", "q5", "q7", "q23", "q691", "two_squares", "q2"):
             fs = f_sieve(tag, 800)
@@ -406,3 +416,5 @@ class TestDirichletSeries:
     def test_s_precondition(self):
         with pytest.raises(PreconditionError):
             dirichlet_series_truncated("q3", 1.0, 100)
+        with pytest.raises(PreconditionError):  # s <= 1 is false for nan
+            dirichlet_series_truncated("q3", math.nan, 100)
