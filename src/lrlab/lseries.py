@@ -8,8 +8,8 @@ residues r = 1..m at once, one Euler-Maclaurin batch gives
     s > 1:  H_k(r, m, s) = sum_{n>=1, n=r (m)} log^k n n^(-s).
 
 With g(t) = log^k u u^(-s) at u = r + t m, the first T = 40 terms
-(t < T) are summed directly per residue (by compensated summation, within
-2 ulps), and the rest by Euler-Maclaurin at U = r + T m:
+(t < T) are summed directly per residue (exactly rounded, by math.fsum), and
+the rest by Euler-Maclaurin at U = r + T m:
 
     sum_{t>=T} g(t) = I + g(T)/2 - sum_{j=1}^{K} B_2j/(2j)! g^(2j-1)(T) + R,   K = 7,
 
@@ -121,7 +121,7 @@ GAMMA_K_MAX = 12
 
 def _exact(s):
     """s as an int, or as a Fraction when it is not integral (exact for floats)."""
-    if not math.isfinite(s):
+    if not isinstance(s, int) and not math.isfinite(s):
         raise PreconditionError(f"s must be finite, got {s}")
     f = Fraction(s)
     return f.numerator if f.denominator == 1 else f
@@ -160,40 +160,31 @@ def _em_remainder_bound(u: np.ndarray, lnu: np.ndarray, k: int, m: int, s=1) -> 
     h^(14)(u) = sum_j a_j log^j u u^(-s-14) is at most
     |B_14|/14! m^13 sum_j |a_j| int_U^oo log^j u u^(-s-14) du; the factor
     1.01 covers the rounding of the bound itself."""
-    a = _log_poly_deriv_coeffs(k, _EM_ORDER, s)
+    try:
+        a = [float(x) for x in _log_poly_deriv_coeffs(k, _EM_ORDER, s)]
+    except OverflowError:  # |a_k| = s (s+1) ... (s+13) is the largest coefficient of the batch
+        raise PreconditionError("s is too large (above about 1.04e22) for the float coefficients") from None
     sigma = float(s) + _EM_ORDER
-    tail = sum(abs(float(x)) * _log_power_integral(u, lnu, j, sigma) for j, x in enumerate(a) if x)
+    tail = sum(abs(x) * _log_power_integral(u, lnu, j, sigma) for j, x in enumerate(a) if x)
     return 1.01 * abs(_EM_COEFFS[-1]) * float(m) ** (_EM_ORDER - 1) * tail
 
 
-def _row_sums(w: np.ndarray) -> np.ndarray:
-    """Row sums of a nonnegative array by Neumaier's compensated summation,
-    one column at a time: each is within 2 ulps of the exact sum (the
-    compensation leaves at most n^2 eps^2 of the row's magnitude)."""
-    total = w[:, 0].copy()
-    comp = np.zeros_like(total)
-    for col in w.T[1:]:
-        t = total + col
-        comp += np.where(total >= col, (total - t) + col, (col - t) + total)
-        total = t
-    return total + comp
-
-
+@np.errstate(over="ignore")  # n^s and U^s overflow at large s; their reciprocals, 0, are right
 def _em_sums(m: int, k: int, s) -> tuple[np.ndarray, np.ndarray]:
     """gamma_k(r, m) (s = 1) or H_k(r, m, s) (s > 1), and budgets, for r = 1..m
     (r = m is the zero class)."""
     if m * _DIRECT > _BATCH_MAX:
         what = f"gamma_{k}" if s == 1 else f"log^{k} n n^-{s}"
-        raise ResourceLimitError(
-            f"a {what} batch mod {m} needs {m * _DIRECT:.4g} terms, more than {_BATCH_MAX:.0e}"
-        )
-    sf = float(s)
+        raise ResourceLimitError(f"a {what} batch mod {m} needs {m * _DIRECT:.4g} terms, "
+                                 f"more than {_BATCH_MAX:.0e}")
     r = np.arange(1, m + 1, dtype=np.float64)
-    n = r[:, None] + m * np.arange(_DIRECT, dtype=np.float64)
-    w = np.log(n) ** k / n**sf if k else 1.0 / n**sf
-    total = _row_sums(w)
     u = r + _DIRECT * m
     lnu = np.log(u)
+    remainder = _em_remainder_bound(u, lnu, k, m, s)  # first: it rejects an s too large for floats
+    sf = float(s)
+    n = r[:, None] + m * np.arange(_DIRECT, dtype=np.float64)
+    w = np.log(n) ** k / n**sf if k else 1.0 / n**sf
+    total = np.array([math.fsum(row.tolist()) for row in w])
     if s == 1:
         integral = -(lnu ** (k + 1)) / (m * (k + 1))
     else:
@@ -207,12 +198,11 @@ def _em_sums(m: int, k: int, s) -> tuple[np.ndarray, np.ndarray]:
         absum += abs(coef) * g_abs
     # Rounding, with log and powers good to one ulp: the summands, the
     # integral term and g0 are off by at most k + 3 ulps (k + 1 from the log
-    # and its power, the power of n or U, the divisions, the row sum), the
-    # corrections (below 1% of the total) by 2k + 10, and the additions that
-    # form vals by 8 ulps of |vals|.
-    buds = _em_remainder_bound(u, lnu, k, m, s) + _EPS * ((k + 3) * absum + 8.0 * np.abs(vals))
-    vals.flags.writeable = False
-    buds.flags.writeable = False
+    # and its power, the power of n or U, the divisions, the exactly rounded
+    # row sum), the corrections (below 1% of the total) by 2k + 10, and the
+    # additions that form vals by 8 ulps of |vals|.
+    buds = remainder + _EPS * ((k + 3) * absum + 8.0 * np.abs(vals))
+    vals.flags.writeable = buds.flags.writeable = False
     return vals, buds
 
 
@@ -441,14 +431,9 @@ _POWER_LOG_CUT = 64.0
 _LOG_FLOOR = 690.0
 
 
-def _rough_tail(s: float) -> float:
-    """B(s) = P^(1-s) (log P/(s-1) + 1/(s-1)^2) >= sum_{n > P} log n n^(-s)."""
-    lp = math.log(MOBIUS_P)
-    return math.exp((1.0 - s) * lp) * (lp / (s - 1.0) + 1.0 / (s - 1.0) ** 2)
-
-
-# The largest s = n a whose L-values are used: B(SIGMA_MAX + 1) < 1e-24.
-SIGMA_MAX = next(s for s in itertools.count(2) if _rough_tail(s + 1) < 1e-24)
+# The largest s = n a whose L-values are used: B(SIGMA_MAX + 1) < 1e-24, B(s) = int_P^oo log u u^-s du.
+SIGMA_MAX = next(s for s in itertools.count(2)
+                 if _log_power_integral(MOBIUS_P, math.log(MOBIUS_P), 1, s + 1) < 1e-24)
 
 
 def _mobius_remainder(s: float, n_max: int) -> float:
@@ -653,7 +638,7 @@ def frobenius_class_sum(classes, a: int, derivative: int = 1) -> ValueWithBudget
         raise InvalidArgumentError(f"Frobenius classes are 0, 1, 2; got {sorted(classes)}")
     if derivative not in (0, 1):
         raise InvalidArgumentError(f"derivative must be 0 or 1, got {derivative}")
-    if a != int(a) or a < 2:
+    if not (math.isfinite(a) and a == int(a) and a >= 2):
         raise PreconditionError(f"Frobenius class sums need an integer a >= 2, got {a}")
     p = sieve_primes(MOBIUS_P).primes
     terms, left = _prime_terms(p[np.isin(wilton_classes(p), list(classes))], a, derivative)

@@ -481,7 +481,7 @@ def h_f(case, x: float) -> ValueWithBudget:
 
 
 def dirichlet_series_truncated(case, s: float, n_terms: int) -> float:
-    """sum_{n <= N} f(n) n^(-s), compensated summation."""
+    """sum_{n <= N} f(n) n^(-s), exactly rounded (csum)."""
     if not s > 1:
         raise PreconditionError(f"s must be > 1, got {s}")
     f = f_sieve(case, n_terms)

@@ -116,7 +116,10 @@ def _sieve_cached(limit: int) -> PrimeTable:
 
 def sieve_primes(limit: int) -> PrimeTable:
     """All primes <= limit, ascending (segmented sieve, deterministic)."""
-    limit = int(limit)
+    try:
+        limit = int(limit)
+    except (OverflowError, ValueError):
+        raise InvalidArgumentError(f"sieve limit must be a finite number, got {limit!r}") from None
     if limit < 2:
         raise InvalidArgumentError(f"sieve limit must be >= 2, got {limit}")
     if limit > PRIME_DESK_LIMIT:

@@ -93,6 +93,10 @@ class TestAssemblies:
         with pytest.raises(UnsupportedCaseError):
             second_order_constant("q2")
 
+    def test_table1_rejects_a_bare_string(self):
+        with pytest.raises(UnsupportedCaseError, match="collection of tags"):
+            table1("q5")
+
 
 @pytest.fixture(scope="module")
 def q691_row():

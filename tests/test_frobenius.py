@@ -19,17 +19,9 @@ from lrlab import lseries
 from lrlab.errors import InvalidArgumentError, PreconditionError
 from lrlab.lseries import frobenius_class_sum
 from lrlab.primes import sieve_primes, wilton_classes
-from test_primesums import assert_within
+from test_primesums import assert_sound_and_tight, assert_within
 
 SIGMAS = (2, 3, 4, 6, 8)  # the s = n a <= SIGMA_MAX of q23's a = 2, 3
-
-
-def assert_sound_and_tight(v, ref, ref_bound, what):
-    """|v - ref| + ref_bound <= v.budget <= 1e3 max(|v - ref|, ulp(v))."""
-    with mp.workdps(30):
-        err = abs(mp.mpf(v.value) - ref)
-        assert err + ref_bound <= v.budget, (what, v, float(err))
-        assert v.budget <= 1e3 * max(float(err), math.ulp(v.value)), (what, v, float(err))
 
 
 class TestReference:
@@ -117,6 +109,11 @@ class TestArguments:
             frobenius_class_sum([2], 1)
         with pytest.raises(PreconditionError):
             frobenius_class_sum([2], 2.5)
+
+    @pytest.mark.parametrize("a", [math.inf, -math.inf, math.nan])
+    def test_non_finite_exponent(self, a):
+        with pytest.raises(PreconditionError):
+            frobenius_class_sum([0], a)
 
     def test_past_sigma_max_is_direct(self):
         # S3's a = 22, 23 factors: no L-values, the direct part plus the remainder

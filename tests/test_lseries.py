@@ -7,7 +7,7 @@ import pytest
 
 from lrlab.budget import ValueWithBudget
 from lrlab.characters import character_group, generator_character, kronecker_character
-from lrlab.errors import InvalidArgumentError, PreconditionError
+from lrlab.errors import InvalidArgumentError, LrlabError, PreconditionError
 from lrlab.lseries import (
     GAMMA_K_MAX,
     _em_remainder_bound,
@@ -325,6 +325,43 @@ class TestDirichletSeries:
             for s in (1, 0.5):
                 with pytest.raises(PreconditionError):
                     l_value(chi, s)
+
+    @pytest.mark.parametrize("m, s", [(691, 70), (5, 200)])
+    def test_large_s_against_the_first_terms(self, m, s):
+        # L^(k)(s, chi) = sum_n chi(n) (-log n)^k n^-s against its first 399
+        # terms in 40 digits (the rest is below 400^-s); n^s overflows for most
+        # n of the batch, and pytest turns any float warning into an error
+        values = character_values(m, 1)
+        for k in (0, 1, 12):
+            v = l_value(generator_character(m, 1), s, k)
+            with mp.workdps(40):
+                ref = mp.fsum(complex(values[n % m]) * (-mp.log(n)) ** k * mp.mpf(n) ** -s for n in range(1, 400))
+                assert abs(v.value - ref) <= v.budget, (m, s, k)
+
+    def test_s_past_the_overflow_of_n_to_the_s(self):
+        # every n >= 2 has n^s = inf here, so zeta(s) = 1 and zeta^(k)(s) = 0 in floats
+        for s in (1e15, 1e21):
+            v = zeta_value(s)
+            assert v.value == 1.0 and v.budget < 1e-14
+            assert zeta_value(s, 12).value == 0.0
+
+    @pytest.mark.parametrize("s", [1.05e22, 1e23, 1e300, pytest.param(10**400, id="10**400")])
+    def test_s_past_the_float_coefficients(self, s):
+        # the exact Euler-Maclaurin coefficients near s^14 leave the float range
+        for k in (0, 1, 12):
+            with pytest.raises(PreconditionError):
+                zeta_value(s, k)
+            with pytest.raises(PreconditionError):
+                l_value(generator_character(23, 1), s, k)
+
+    def test_every_finite_s_returns_or_raises_typed(self):
+        for e in range(1, 309, 4):
+            for k in (0, 1, 12):
+                try:
+                    v = zeta_value(1.0 + 10.0 ** (e - 1), k)
+                except LrlabError:
+                    continue
+                assert math.isfinite(v.value) and math.isfinite(v.budget), (e, k)
 
     def test_order_and_domain(self):
         for s in (1, 0.5, math.inf, math.nan):

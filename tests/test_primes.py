@@ -71,6 +71,11 @@ class TestSieve:
         with pytest.raises(InvalidArgumentError):
             sieve_primes(1)
 
+    @pytest.mark.parametrize("limit", [math.nan, math.inf, -math.inf])
+    def test_non_finite_limit_rejected(self, limit):
+        with pytest.raises(InvalidArgumentError):
+            sieve_primes(limit)
+
     def test_smaller_limits_slice_the_largest_table(self, monkeypatch):
         # one sieve to the largest limit seen; smaller limits are prefixes of
         # it, equal to a fresh sieve and read-only like it

@@ -3,6 +3,8 @@
 Soundness: against 30-digit values of the same Moebius formula built
 independently in mpmath (mobius_reference).  |computed - true| <= budget,
 with the reference's own error bound counted against the budget: no slack.
+K and the q5 constant must also be tight: each budget within 10^3 times
+the observed error, floored at one ulp.
 Cross-check: every class sum of the six cases against the sieve route to
 1e7 with its theta tail (sieve_reference).  Floating point: B_f, K, the q5
 constant and the sieve route raise no overflow, underflow or invalid operation.
@@ -31,6 +33,14 @@ def assert_within(v, ref, ref_bound, what):
     with mp.workdps(30):
         err = abs(mp.mpf(v.value) - ref) + ref_bound
         assert err <= v.budget, (what, v, float(err))
+
+
+def assert_sound_and_tight(v, ref, ref_bound, what):
+    """|v - ref| + ref_bound <= v.budget <= 1e3 max(|v - ref|, ulp(v))."""
+    with mp.workdps(30):
+        err = abs(mp.mpf(v.value) - ref)
+        assert err + ref_bound <= v.budget, (what, v, float(err))
+        assert v.budget <= 1e3 * max(float(err), math.ulp(v.value)), (what, v, float(err))
 
 
 def residue_classes(tag):
@@ -83,7 +93,7 @@ class TestSoundness:
             k_ref = mp.exp(-mp.log(2) / 2 + ref / 2)
             bound = float(k_ref * mp.expm1(bound / 2))
         k = landau_ramanujan_K()
-        assert_within(k, k_ref, bound, "K")
+        assert_sound_and_tight(k, k_ref, bound, "K")
         assert k.budget < 1e-14
 
     def test_q5_constant_within_budget(self):
@@ -106,7 +116,7 @@ class TestSoundness:
             c_ref = mp.exp(log_g / euler.n) / mp.gamma(0.75)
             bound = float(c_ref * mp.expm1(bound / euler.n))
         c5 = first_order_C5()
-        assert_within(c5, c_ref, bound, "C5")
+        assert_sound_and_tight(c5, c_ref, bound, "C5")
         assert c5.budget < 1e-13
 
 
