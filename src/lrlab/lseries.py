@@ -75,6 +75,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -317,7 +318,12 @@ def l_value(chi: DirichletCharacter, s: float, k: int = 0) -> ValueWithBudget:
 def zeta_value(s: float, k: int = 0) -> ValueWithBudget:
     """zeta^(k)(s) = (-1)^k sum_n log^k n n^(-s) at real s > 1."""
     vals, buds = _series_batch(1, k, _exact(s))
-    return ValueWithBudget(-float(vals[0]) if k % 2 else float(vals[0]), float(buds[0]))
+    value, budget = float(vals[0]), float(buds[0])
+    if value == 0.0:
+        # k >= 1 and every term n >= 2 was lost, which takes 2^s past the float
+        # range: the true value is then below log^k 2 2^-s (1 + 1e-170) < 2^-1024.
+        budget = max(budget, math.ldexp(1.0, -1024))
+    return ValueWithBudget(-value if k % 2 else value, budget)
 
 
 CLOSED_FORM_TAGS = ("chi5", "chi_minus7", "chi_minus23", "chi_c_pair_mod5")
@@ -593,8 +599,16 @@ def prime_class_sum(m: int, residues, s: float, derivative: int = 1) -> ValueWit
         raise InvalidArgumentError(f"derivative must be 0 or 1, got {derivative}")
     if not s >= 2:
         raise PreconditionError(f"prime class sums need s >= 2, got {s}")
+    s = _exact(s)
+    _check_float_range(s)
     key = tuple(sorted({int(r) % m for r in residues}))
-    return _class_sum(m, key, _exact(s), derivative)
+    return _class_sum(m, key, s, derivative)
+
+
+def _check_float_range(s) -> None:
+    """Reject an int exponent past the float range, which the direct terms' p^-s need."""
+    if s > sys.float_info.max:
+        raise InvalidArgumentError(f"the exponent must lie in the float range, got {s.bit_length()} bits")
 
 
 # ---------------------------------------------------------------------------
@@ -638,8 +652,9 @@ def frobenius_class_sum(classes, a: int, derivative: int = 1) -> ValueWithBudget
         raise InvalidArgumentError(f"Frobenius classes are 0, 1, 2; got {sorted(classes)}")
     if derivative not in (0, 1):
         raise InvalidArgumentError(f"derivative must be 0 or 1, got {derivative}")
-    if not (math.isfinite(a) and a == int(a) and a >= 2):
+    if not ((isinstance(a, int) or math.isfinite(a)) and a == int(a) and a >= 2):
         raise PreconditionError(f"Frobenius class sums need an integer a >= 2, got {a}")
+    _check_float_range(a)
     p = sieve_primes(MOBIUS_P).primes
     terms, left = _prime_terms(p[np.isin(wilton_classes(p), list(classes))], a, derivative)
     return _inversion(terms, left, in_class, _s3_power, lambda sigma: _frobenius_rough(sigma, derivative),

@@ -26,6 +26,15 @@ p <= sqrt(x); a larger p divides n <= x at most once and needs only f(p),
 which is 0 iff m0 is 2 or ALWAYS: a residue rule, as the classes that
 split a residue class (q23's S2 and S3) both have f(p) = 1.
 
+The small primes' rules are a flat list of (p, p^e, skip): the n <= x
+with v_p(n) = e exactly (skip) or with p | n (ALWAYS) have f(n) = 0.  One
+marker, _mark, applies them to any window [lo, lo + len) of an array,
+each rule by a strided view, in the spirit of the segmented sieve of
+Bays and Hudson (BIT 17, 1977).  f_sieve runs it over the
+primes.SEGMENT_SIZE windows of its full output array; count_f runs it on
+one reused window and never holds more, so its working memory is one
+window (about 1 MB) at any x.
+
 The generalized von Mangoldt function of f, defined by
 f(n) log n = sum_{d|n} f(d) Lambda_f(n/d), is supported on prime powers and
 has the closed form
@@ -281,14 +290,8 @@ def _f_zero(spec: CaseSpec, primes: np.ndarray) -> np.ndarray:
     return zero[primes - primes // len(zero) * len(zero)]  # numpy's // by a scalar is 2x its %
 
 
-def _sieve_small_primes(case, x: int) -> tuple[np.ndarray, np.ndarray]:
-    """f_sieve's array before its big-prime pass, and the primes that pass needs.
-
-    Returns (b, zero): b[n] is False for n = 0 and for every n <= x that a
-    prime p <= sqrt(x) rules out (f(p^v_p(n)) = 0), True otherwise; zero
-    lists the primes sqrt(x) < p <= x with f(p) = 0.  A float x is
-    truncated to an integer; b has x + 1 entries.
-    """
+def _desk_x(x) -> int:
+    """x as an int within 1..COUNT_DESK_LIMIT; a float x is truncated."""
     if not (isinstance(x, int) or math.isfinite(x)):
         raise InvalidArgumentError(f"x must be finite, got {x}")
     x = int(x)
@@ -296,45 +299,75 @@ def _sieve_small_primes(case, x: int) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidArgumentError(f"x must be >= 1, got {x}")
     if x > COUNT_DESK_LIMIT:
         raise ResourceLimitError(f"counting desk limit is {COUNT_DESK_LIMIT}, got {x}")
-    spec = get_case(case)
-    out = np.ones(x + 1, dtype=bool)
-    out[0] = False
+    return x
+
+
+def _small_rules(spec: CaseSpec, x: int) -> tuple[np.ndarray, list]:
+    """The primes <= x, and the rules (p, p^e, skip) of the primes p <= sqrt(x).
+
+    There is one rule for each e >= 1 with p^e <= x and f(p^e) = 0: for a
+    finite m0, e = m0-1, 2*m0-1, ..., and skip is True, as f(p^(e+1)) = 1;
+    for ALWAYS, one rule with e = 1 and skip False, as every n with p | n
+    is a zero.
+    """
     if x == 1:
-        return out, np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=np.int64), []
     primes = pr.sieve_primes(x).primes
-    small = int(np.searchsorted(primes, math.isqrt(x), side="right"))
-    m0s = spec._m0s[spec.classify(primes[:small])]
-    for p, m0 in zip(primes[:small].tolist(), m0s.tolist()):
-        if m0 == M_NEVER:
-            continue
+    small = primes[: np.searchsorted(primes, math.isqrt(x), side="right")]
+    rules = []
+    for p, m0 in zip(small.tolist(), spec._m0s[spec.classify(small)].tolist()):
         if m0 == M_ALWAYS:
-            out[p::p] = False
-            continue
-        # zeros at exponents k = m0-1, 2*m0-1, ...: mark v_p(n) = k exactly
-        pk = p ** (m0 - 1)
-        if pk > x:
-            continue
-        step = p**m0
-        while True:
-            # n = pk*t with p not dividing t: in each full row of p*pk numbers,
-            # every multiple of pk but the row's first; after the last full
-            # row, every multiple of pk (the next t divisible by p is past x)
-            blocks = x // (pk * p)
-            out[: blocks * p * pk].reshape(blocks, p * pk)[:, pk::pk] = False
-            out[pk * (blocks * p + 1) :: pk] = False
-            if pk > x // step:
-                break
-            pk *= step
-    big = primes[small:]
-    return out, big[_f_zero(spec, big)]
+            rules.append((p, p, False))
+        elif m0 != M_NEVER:
+            pe = p ** (m0 - 1)
+            while pe <= x:
+                rules.append((p, pe, True))
+                pe *= p**m0
+    return primes, rules
+
+
+def _mark(seg: np.ndarray, lo: int, rules) -> None:
+    """Clear seg[n - lo] for every n in [lo, lo + len(seg)) that a rule
+    (p, p^e, skip) rules out: v_p(n) = e exactly if skip, else p^e | n.
+
+    The multiples of p^e are the strided view v; every p-th of them is a
+    multiple of p^(e+1), which a skip rule saves and writes back after it
+    clears v.  So a rule changes only its own zeros, and the rules can run
+    in any order.  n = 0 counts as a multiple of every p^(e+1), which a skip
+    rule leaves as it was: seg[0] must be False already when lo = 0.
+    """
+    hi = lo + len(seg)
+    for p, pe, skip in rules:
+        start = -lo % pe
+        v = seg[start::pe]
+        if skip and p * pe < hi:
+            first = -((lo + start) // pe) % p  # the first multiple of p^(e+1) in v
+            kept = v[first::p].copy()
+            v[:] = False
+            v[first::p] = kept
+        else:
+            v[:] = False
 
 
 def f_sieve(case, x: int) -> np.ndarray:
-    """Boolean array b with b[n] = f(n) for 0 <= n <= x (b[0] = False)."""
-    out, zero = _sieve_small_primes(case, x)
-    x = len(out) - 1
-    # A prime p > sqrt(x) divides n <= x at most once, as n = j*p with j < p,
-    # and f(n) = 0 exactly when f(p) = 0.  Mark those multiples per cofactor j.
+    """Boolean array b with b[n] = f(n) for 0 <= n <= x (b[0] = False).
+
+    The rules of the primes p <= sqrt(x) are marked by _mark, one
+    primes.SEGMENT_SIZE window of b at a time.  A prime p > sqrt(x) divides
+    n <= x at most once, as n = j*p with j < p, and f(n) = 0 exactly when
+    f(p) = 0: those multiples are cleared per cofactor j.  A float x is
+    truncated to an integer; b has x + 1 entries.
+    """
+    spec = get_case(case)
+    x = _desk_x(x)
+    primes, rules = _small_rules(spec, x)
+    out = np.ones(x + 1, dtype=bool)
+    out[0] = False
+    size = pr.SEGMENT_SIZE
+    for lo in range(0, x + 1, size):
+        _mark(out[lo : lo + size], lo, rules)
+    big = primes[np.searchsorted(primes, math.isqrt(x), side="right") :]
+    zero = big[_f_zero(spec, big)]
     if len(zero):
         for j in range(1, x // int(zero[0]) + 1):
             out[j * zero[: np.searchsorted(zero, x // j, side="right")]] = False
@@ -356,11 +389,33 @@ def count_f(case, x: int) -> int:
     small; f(n) = f(m) f(p).  So b overcounts exactly the n = m*p with
     f(m) = 1 and f(p) = 0, and the sum counts each once, by its one big
     prime.  F is a running count of b, needed only up to sqrt(x).
+
+    b is never held whole: _mark fills one reused window of
+    max(primes.SEGMENT_SIZE, sqrt(x) + 1) entries at a time, the first of
+    which gives F, and each window subtracts the terms of its own big
+    primes.  So the working memory is one window and the big primes of one
+    window, besides the shared prime table.
     """
-    b, zero = _sieve_small_primes(case, x)
-    x = len(b) - 1
-    running = np.cumsum(b[: math.isqrt(x) + 1])
-    return int(np.count_nonzero(b)) - int(running[x // zero].sum())
+    spec = get_case(case)
+    x = _desk_x(x)
+    primes, rules = _small_rules(spec, x)
+    root = math.isqrt(x)
+    size = max(pr.SEGMENT_SIZE, root + 1)
+    seg = np.empty(min(size, x + 1), dtype=bool)
+    count = 0
+    for lo in range(0, x + 1, size):
+        window = seg[: min(size, x + 1 - lo)]
+        window[:] = True
+        if lo == 0:
+            window[0] = False
+        _mark(window, lo, rules)
+        count += int(np.count_nonzero(window))
+        if lo == 0:
+            running = np.cumsum(window[: root + 1])
+        a, b = np.searchsorted(primes, (max(lo, root + 1), lo + len(window)))
+        big = primes[a:b]
+        count -= int(running[x // big[_f_zero(spec, big)]].sum())
+    return count
 
 
 # The S1 prefix holds one entry every _S1_BLOCK primes, so a call adds at

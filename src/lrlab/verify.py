@@ -201,12 +201,15 @@ def _check_quoted(by_case, wanted) -> list[CheckResult]:
 # Criterion 6: oracle equivalence suites
 # ---------------------------------------------------------------------------
 
-def _check_oracles() -> list[CheckResult]:
+def _check_oracles(wanted) -> list[CheckResult]:
+    """The oracle checks of the wanted cases; nothing is computed for the others."""
     out = []
     n_max = 20_000
-    window = mf.tau_exact(n_max)
-    tau_arr = window.values
-    for q, tag in ((2, "q2"), (3, "q3"), (5, "q5"), (7, "q7"), (23, "q23"), (691, "q691")):
+    moduli = ((2, "q2"), (3, "q3"), (5, "q5"), (7, "q7"), (23, "q23"), (691, "q691"))
+    tau_cases = [(q, tag) for q, tag in moduli if tag in wanted]
+    if tau_cases:
+        tau_arr = mf.tau_exact(n_max).values
+    for q, tag in tau_cases:
         shortcut = mf.tau_mod(q, n_max)[1:]
         exact = np.array([t % q for t in tau_arr], dtype=np.int64)
         ok = np.array_equal(shortcut, exact)
@@ -215,58 +218,63 @@ def _check_oracles() -> list[CheckResult]:
         ok = np.array_equal(fs, exact != 0)
         out.append(_res("oracle/f-vs-tau", tag, ok, f"f(n) = [tau(n) mod {q} != 0], n <= {n_max}"))
 
-    sq = np.zeros(n_max + 1, dtype=bool)
-    for u in range(0, math.isqrt(n_max) + 1):
-        v2 = np.arange(0, math.isqrt(n_max - u * u) + 1)
-        sq[u * u + v2 * v2] = True
-    ok = np.array_equal(mu.f_sieve("two_squares", n_max)[1:], sq[1:])
-    out.append(_res("oracle/f-vs-tau", "two_squares", ok, f"two-square representability, n <= {n_max}"))
+    if "two_squares" in wanted:
+        sq = np.zeros(n_max + 1, dtype=bool)
+        for u in range(0, math.isqrt(n_max) + 1):
+            v2 = np.arange(0, math.isqrt(n_max - u * u) + 1)
+            sq[u * u + v2 * v2] = True
+        ok = np.array_equal(mu.f_sieve("two_squares", n_max)[1:], sq[1:])
+        out.append(_res("oracle/f-vs-tau", "two_squares", ok, f"two-square representability, n <= {n_max}"))
 
-    zeros = np.flatnonzero(~mu.f_sieve("q691", 11053))[1:]
-    expected = sorted([1381 * m for m in range(1, 9)] + [5527, 8291])
-    out.append(
-        _res(
-            "oracle/q691-zero-set",
-            "q691",
-            zeros.tolist() == expected,
-            f"zeros below 11054: {zeros.tolist()}",
+    if "q691" in wanted:
+        zeros = np.flatnonzero(~mu.f_sieve("q691", 11053))[1:]
+        expected = sorted([1381 * m for m in range(1, 9)] + [5527, 8291])
+        out.append(
+            _res(
+                "oracle/q691-zero-set",
+                "q691",
+                zeros.tolist() == expected,
+                f"zeros below 11054: {zeros.tolist()}",
+            )
         )
-    )
 
-    parity = np.cumsum([t % 2 for t in tau_arr[: 10**4]])
-    ok = all(int(parity[x - 1]) == mf.odd_tau_count(x) for x in range(1, 10**4 + 1))
-    out.append(_res("oracle/parity-count", "q2", ok, "#odd tau(n<=x) = floor((1+sqrt x)/2), x <= 1e4"))
+    if "q2" in wanted:
+        parity = np.cumsum([t % 2 for t in tau_arr[: 10**4]])
+        ok = all(int(parity[x - 1]) == mf.odd_tau_count(x) for x in range(1, 10**4 + 1))
+        out.append(_res("oracle/parity-count", "q2", ok, "#odd tau(n<=x) = floor((1+sqrt x)/2), x <= 1e4"))
 
-    lam = mf.lambda_mod3(2000)
-    t3 = mf.tau_mod(3, 6001)
-    l_sum = np.cumsum(lam != 0)  # includes k = 0
-    t_sum = np.cumsum(t3[1:] != 0)
-    ok = all(int(l_sum[x]) == int(t_sum[3 * x]) for x in range(0, 2001))
-    out.append(
-        _res("oracle/koppeling", "q3", ok, "sum_{k<=x} l_k = sum_{n<=3x+1} t_n, x <= 2000 (k >= 0)")
-    )
-
-    # Wilton: tau(p) = 0, -1, 2 (mod 23) on S1, S2, S3, read from the eta product
-    p = pr.sieve_primes(10**5).primes
-    by_tau = np.full(23, 255, dtype=np.uint8)
-    by_tau[[0, 22, 2]] = pr.W_S1, pr.W_S2, pr.W_S3
-    expected = np.where(p == 23, pr.W_P23, by_tau[mf.tau_mod(23, 10**5)[p]])
-    bad = int(np.count_nonzero(expected != mu.class_index("q23", 10**5)))
-    out.append(_res("oracle/wilton-dual", "q23", bad == 0, f"{bad} mismatches over p <= 1e5"))
-    codes6 = mu.class_index("q23", 10**6)
-    n6 = len(codes6)
-    freqs = [np.count_nonzero(codes6 == c) / n6 for c in (pr.W_S1, pr.W_S2, pr.W_S3)]
-    ok = (
-        abs(freqs[0] - 0.5) < 0.01 and abs(freqs[1] - 1 / 3) < 0.01 and abs(freqs[2] - 1 / 6) < 0.01
-    )
-    out.append(
-        _res(
-            "oracle/wilton-densities",
-            "q23",
-            ok,
-            f"S1/S2/S3 = {freqs[0]:.4f}/{freqs[1]:.4f}/{freqs[2]:.4f} vs 1/2, 1/3, 1/6 ± 0.01",
+    if "q3" in wanted:
+        lam = mf.lambda_mod3(2000)
+        t3 = mf.tau_mod(3, 6001)
+        l_sum = np.cumsum(lam != 0)  # includes k = 0
+        t_sum = np.cumsum(t3[1:] != 0)
+        ok = all(int(l_sum[x]) == int(t_sum[3 * x]) for x in range(0, 2001))
+        out.append(
+            _res("oracle/koppeling", "q3", ok, "sum_{k<=x} l_k = sum_{n<=3x+1} t_n, x <= 2000 (k >= 0)")
         )
-    )
+
+    if "q23" in wanted:
+        # Wilton: tau(p) = 0, -1, 2 (mod 23) on S1, S2, S3, read from the eta product
+        p = pr.sieve_primes(10**5).primes
+        by_tau = np.full(23, 255, dtype=np.uint8)
+        by_tau[[0, 22, 2]] = pr.W_S1, pr.W_S2, pr.W_S3
+        expected = np.where(p == 23, pr.W_P23, by_tau[mf.tau_mod(23, 10**5)[p]])
+        bad = int(np.count_nonzero(expected != mu.class_index("q23", 10**5)))
+        out.append(_res("oracle/wilton-dual", "q23", bad == 0, f"{bad} mismatches over p <= 1e5"))
+        codes6 = mu.class_index("q23", 10**6)
+        n6 = len(codes6)
+        freqs = [np.count_nonzero(codes6 == c) / n6 for c in (pr.W_S1, pr.W_S2, pr.W_S3)]
+        ok = (
+            abs(freqs[0] - 0.5) < 0.01 and abs(freqs[1] - 1 / 3) < 0.01 and abs(freqs[2] - 1 / 6) < 0.01
+        )
+        out.append(
+            _res(
+                "oracle/wilton-densities",
+                "q23",
+                ok,
+                f"S1/S2/S3 = {freqs[0]:.4f}/{freqs[1]:.4f}/{freqs[2]:.4f} vs 1/2, 1/3, 1/6 ± 0.01",
+            )
+        )
     return out
 
 
@@ -276,11 +284,14 @@ def _local_factor_gap(tag: str) -> tuple[float, str]:
     return gap, f"max log gap {gap:.2e} over p <= 1e4 at x = 1/2, 1/3"
 
 
-def _check_identities() -> list[CheckResult]:
-    """Each s = 2 identity within its budgets, and its local factors at x = 1/2, 1/3,
-    where a wrong high-order factor, invisible at x = p^-2, shows."""
+def _check_identities(wanted) -> list[CheckResult]:
+    """Each wanted case's s = 2 identity within its budgets, and its local
+    factors at x = 1/2, 1/3, where a wrong high-order factor, invisible at
+    x = p^-2, shows."""
     out = []
     for tag in ("q3", "q5", "q7", "q23"):
+        if tag not in wanted:
+            continue
         lhs, rhs = idn.euler_identity_sides(tag)
         gap = abs(lhs.value - rhs.value)
         local, detail = _local_factor_gap(tag)
@@ -292,8 +303,9 @@ def _check_identities() -> list[CheckResult]:
                 f"|lhs - rhs| = {gap:.2e} <= {lhs.budget + rhs.budget:.2e}; {detail}",
             )
         )
-    gap, detail = _local_factor_gap("q691")
-    out.append(_res("identity/local-factors", "q691", gap <= 1e-9, detail))
+    if "q691" in wanted:
+        gap, detail = _local_factor_gap("q691")
+        out.append(_res("identity/local-factors", "q691", gap <= 1e-9, detail))
     return out
 
 
@@ -336,7 +348,7 @@ def run_checks(cases=None) -> list[CheckResult]:
         for r in reports:
             results.extend(_check_table_row(r))
     results.extend(_check_quoted({r.case: r for r in reports}, wanted))
-    results.extend(x for x in _check_oracles() if x.case in wanted)
-    results.extend(x for x in _check_identities() if x.case in wanted)
+    results.extend(_check_oracles(wanted))
+    results.extend(_check_identities(wanted))
     results.extend(x for x in _check_verdicts(reports) if x.case in wanted)
     return results

@@ -115,6 +115,11 @@ class TestArguments:
         with pytest.raises(PreconditionError):
             frobenius_class_sum([0], a)
 
+    def test_int_exponent_past_the_float_range(self):
+        with pytest.raises(InvalidArgumentError):
+            frobenius_class_sum([0], 10**400)
+        assert frobenius_class_sum([0], 10**300).value == 0.0
+
     def test_past_sigma_max_is_direct(self):
         # S3's a = 22, 23 factors: no L-values, the direct part plus the remainder
         a = 22

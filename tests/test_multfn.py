@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from lrlab import primes
 from lrlab.budget import csum
 from lrlab.errors import (
     ConsistencyError,
@@ -18,6 +21,8 @@ from lrlab.multfn import (
     M_ALWAYS,
     CaseSpec,
     _f_zero,
+    _mark,
+    _small_rules,
     class_index,
     count_f,
     dirichlet_series_truncated,
@@ -291,6 +296,60 @@ class TestCountAndSieve:
 
     def test_ones_counts_everything(self):
         assert count_f("ones", 1234) == 1234
+
+
+class TestSegments:
+    """The small-prime marker window by window: tiny windows put many
+    boundaries, and the first window's end, below x."""
+
+    @pytest.fixture(params=[97, 1000])
+    def segment(self, request, monkeypatch):
+        monkeypatch.setattr(primes, "SEGMENT_SIZE", request.param)
+        return request.param
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def reference(tag):
+        return [f_value(tag, n) for n in range(1, 5001)]
+
+    @pytest.mark.parametrize("tag", sorted(CASES))
+    def test_sieve_matches_f_value(self, tag, segment):
+        ref = self.reference(tag)
+        for x in (segment - 1, segment, segment + 1, 2 * segment, 4999, 5000):
+            fs = f_sieve(tag, x)
+            assert not fs[0] and fs[1:].astype(int).tolist() == ref[:x], (tag, segment, x)
+
+    @pytest.mark.parametrize("tag", sorted(CASES))
+    def test_count_matches_sieve(self, tag, segment):
+        for x in EDGE_LIMITS + [segment - 1, segment, segment + 1, 3 * segment + 2, 4999, 5000]:
+            assert count_f(tag, x) == int(np.count_nonzero(f_sieve(tag, x))), (tag, segment, x)
+
+    @pytest.mark.parametrize("tag", sorted(CASES))
+    def test_rules_run_in_any_order(self, tag):
+        # a rule writes back the multiples of p^(e+1) it cleared, so no rule undoes another
+        x, lo = 5000, 1234
+        _, rules = _small_rules(get_case(tag), x)
+        forward, backward = np.ones(x + 1 - lo, dtype=bool), np.ones(x + 1 - lo, dtype=bool)
+        _mark(forward, lo, rules)
+        _mark(backward, lo, rules[::-1])
+        assert np.array_equal(forward, backward)
+
+    def test_counts_at_the_desk_limit(self):
+        counts = {"q2": 1581, "q3": 1045838, "q5": 4504714, "q7": 1577359,
+                  "q23": 1687791, "q691": 9981976, "two_squares": 1985459}
+        assert {tag: count_f(tag, 10**7) for tag in counts} == counts
+
+    @pytest.mark.parametrize("tag", sorted(CASES))
+    def test_count_holds_one_window(self, tag):
+        # the shared prime table aside, one 1 MB window and its big primes
+        sieve_primes(10**7)
+        tracemalloc.start()
+        try:
+            count_f(tag, 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, peak
 
 
 class TestHf:

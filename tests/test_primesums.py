@@ -233,6 +233,12 @@ class TestPrimeClassSum:
         with pytest.raises(PreconditionError):
             prime_class_sum(5, [1], 1.5)
 
+    def test_int_exponent_past_the_float_range(self):
+        # p^-s needs s as a float; an int s inside the float range gives the sum's limit, 0
+        with pytest.raises(InvalidArgumentError):
+            prime_class_sum(5, [1], 10**400)
+        assert prime_class_sum(5, [1], 10**300).value == 0.0
+
     def test_remainder_is_explicit(self):
         # no L-values past SIGMA_MAX: the class sum there is the direct part plus a bound
         a = lseries.SIGMA_MAX + 1

@@ -9,11 +9,12 @@ from pathlib import Path
 
 import pytest
 
+from lrlab import identities, multfn
 from lrlab.budget import ValueWithBudget
 from lrlab.constants import TABLE1_PRINTED, table1
 from lrlab.errors import UnsupportedCaseError
 from lrlab.multfn import TABLE_CASES
-from lrlab.verify import TRUNCATION_SLACK, _check_table_row, _near, run_checks
+from lrlab.verify import ALL_CASES, TRUNCATION_SLACK, _check_table_row, _near, run_checks
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "verify.json"
 
@@ -39,6 +40,29 @@ def test_checks_match_the_benchmark_golden(full_checks):
     """A renamed, dropped or reordered check fails here, not only in a benchmark run."""
     want = [tuple(pair) for pair in json.loads(GOLDEN.read_text())]
     assert [(c.case, c.name) for c in full_checks] == want
+
+
+@pytest.mark.parametrize("case", ALL_CASES)
+def test_one_case_runs_its_own_checks(full_checks, case):
+    # the same checks, in the same order and with the same details, as in the full run
+    want = [c for c in full_checks if c.case == case]
+    assert run_checks([case]) == want
+
+
+def test_one_case_builds_only_its_checks(monkeypatch):
+    def no_identity(tag):
+        raise AssertionError(f"euler_identity_sides({tag!r}) built for --case q2")
+
+    f_sieve = multfn.f_sieve
+
+    def sieve_q2_only(case, x):
+        assert case == "q2", f"f_sieve({case!r}) built for --case q2"
+        return f_sieve(case, x)
+
+    monkeypatch.setattr(identities, "euler_identity_sides", no_identity)
+    monkeypatch.setattr(multfn, "f_sieve", sieve_q2_only)
+    names = [c.name for c in run_checks(["q2"])]
+    assert names == ["oracle/tau-congruence", "oracle/f-vs-tau", "oracle/parity-count"]
 
 
 class TestNear:
