@@ -319,10 +319,11 @@ def zeta_value(s: float, k: int = 0) -> ValueWithBudget:
     """zeta^(k)(s) = (-1)^k sum_n log^k n n^(-s) at real s > 1."""
     vals, buds = _series_batch(1, k, _exact(s))
     value, budget = float(vals[0]), float(buds[0])
-    if value == 0.0:
-        # k >= 1 and every term n >= 2 was lost, which takes 2^s past the float
-        # range: the true value is then below log^k 2 2^-s (1 + 1e-170) < 2^-1024.
-        budget = max(budget, math.ldexp(1.0, -1024))
+    if abs(value) < sys.float_info.min:
+        # k >= 1 and every term n >= 2 is subnormal or lost, so the ulp-based
+        # budget no longer holds.  Then log^k 2 2^-s < 2^-1022 and s > 1015, the
+        # true value is log^k 2 2^-s (1 + 1e-170), and both lie in [0, 2^-1022].
+        budget = max(budget, math.ldexp(1.0, -1021))
     return ValueWithBudget(-value if k % 2 else value, budget)
 
 
@@ -529,6 +530,7 @@ def _weight(p: int, s, derivative: int) -> float:
     return math.log(p) / (float(p) ** s - 1.0) if derivative else -math.log1p(-(float(p) ** -s))
 
 
+@np.errstate(over="ignore")  # s log p overflows at large s; inf > _LOG_FLOOR leaves the term out, as it should
 def _prime_terms(primes: np.ndarray, s: float, derivative: int):
     """Per prime: log p/(p^s - 1) or -log(1 - p^-s), and a bound for the
     terms left out because p^-s would not be a normal float."""

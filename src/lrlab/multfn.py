@@ -30,10 +30,10 @@ The small primes' rules are a flat list of (p, p^e, skip): the n <= x
 with v_p(n) = e exactly (skip) or with p | n (ALWAYS) have f(n) = 0.  One
 marker, _mark, applies them to any window [lo, lo + len) of an array,
 each rule by a strided view, in the spirit of the segmented sieve of
-Bays and Hudson (BIT 17, 1977).  f_sieve runs it over the
-primes.SEGMENT_SIZE windows of its full output array; count_f runs it on
-one reused window and never holds more, so its working memory is one
-window (about 1 MB) at any x.
+Bays and Hudson (BIT 17, 1977).  f_sieve runs it once over its full
+output array; count_f runs it on one reused window of primes.SEGMENT_SIZE
+entries and never holds more, so its working memory is one window (about
+1 MB) at any x.
 
 The generalized von Mangoldt function of f, defined by
 f(n) log n = sum_{d|n} f(d) Lambda_f(n/d), is supported on prime powers and
@@ -352,8 +352,8 @@ def _mark(seg: np.ndarray, lo: int, rules) -> None:
 def f_sieve(case, x: int) -> np.ndarray:
     """Boolean array b with b[n] = f(n) for 0 <= n <= x (b[0] = False).
 
-    The rules of the primes p <= sqrt(x) are marked by _mark, one
-    primes.SEGMENT_SIZE window of b at a time.  A prime p > sqrt(x) divides
+    The rules of the primes p <= sqrt(x) are marked by _mark over all of
+    b.  A prime p > sqrt(x) divides
     n <= x at most once, as n = j*p with j < p, and f(n) = 0 exactly when
     f(p) = 0: those multiples are cleared per cofactor j.  A float x is
     truncated to an integer; b has x + 1 entries.
@@ -363,9 +363,7 @@ def f_sieve(case, x: int) -> np.ndarray:
     primes, rules = _small_rules(spec, x)
     out = np.ones(x + 1, dtype=bool)
     out[0] = False
-    size = pr.SEGMENT_SIZE
-    for lo in range(0, x + 1, size):
-        _mark(out[lo : lo + size], lo, rules)
+    _mark(out, 0, rules)
     big = primes[np.searchsorted(primes, math.isqrt(x), side="right") :]
     zero = big[_f_zero(spec, big)]
     if len(zero):

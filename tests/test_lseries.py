@@ -350,15 +350,16 @@ class TestDirichletSeries:
         v = zeta_value(1100, 1)
         assert v.value == 0.0 and abs(v.value - -mp.log(2) * mp.mpf(2) ** -1100) <= v.budget
 
-    @pytest.mark.parametrize("s", [1024, 1030, 1074, 1e15])
+    @pytest.mark.parametrize("s", [1016, 1021, 1022, 1023, 1024, 1030, 1074, 1e15])
     def test_every_term_lost_is_sound(self, s):
-        # from s = 1024 on, 2^s overflows and every term n >= 2 computes to 0,
-        # though the true value may still be a subnormal or normal float
+        # near s = 1022 the terms n >= 2 turn subnormal, and from s = 1024 on,
+        # where 2^s overflows, they compute to 0, though the true value may
+        # still be a subnormal or normal float
         for k in (1, 2, 12):
             v = zeta_value(s, k)
             with mp.workdps(40):
                 ref = mp.fsum((-mp.log(n)) ** k * mp.mpf(n) ** -s for n in range(2, 40))
-            assert v.value == 0.0 and abs(v.value - ref) <= v.budget, (s, k)
+            assert abs(v.value - ref) <= v.budget, (s, k)
 
     @pytest.mark.parametrize("s", [1.05e22, 1e23, 1e300, pytest.param(10**400, id="10**400")])
     def test_s_past_the_float_coefficients(self, s):

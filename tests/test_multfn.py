@@ -299,8 +299,9 @@ class TestCountAndSieve:
 
 
 class TestSegments:
-    """The small-prime marker window by window: tiny windows put many
-    boundaries, and the first window's end, below x."""
+    """count_f's marker window by window: tiny windows put many boundaries,
+    and the first window's end, below x.  f_sieve marks its whole array at
+    once and is checked against f_value at the same x."""
 
     @pytest.fixture(params=[97, 1000])
     def segment(self, request, monkeypatch):
