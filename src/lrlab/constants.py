@@ -9,12 +9,12 @@ second-order coefficient of the counting asymptotic is
 The claimed integral form of the asymptotic forces B_f = 0, so a computed
 B_f bounded away from zero (beyond its error budget) refutes the claim.
 
-B_f is read off the case's Euler factorization in multfn.CASES,
-T(s)^n = zeta(s)^(n tau) zeta(2s)^z prod L(s, chi)^e H(s) = zeta(s)^(n tau) g(s)^n,
+B_f is read off the case's one Euler factorization in multfn.CASES,
+T(s)^n = zeta(s)^(n tau) prod L(s, chi)^e H(s) = zeta(s)^(n tau) g(s)^n,
 by one assembler (_log_g) that gives n log g(s) or -n g'/g(s) term by
 term.  Since -d/ds log (1 - p^(-a s))^c = -c a log p/(p^(a s) - 1),
 
-    B_f = -tau gamma - (1/n) [ sum_chi e Re L'/L(1, chi) + 2 z zeta'/zeta(2)
+    B_f = -tau gamma - (1/n) [ sum_chi e Re L'/L(1, chi)
                                + sum over the local factors (c, a) of H of
                                  c a sum_p log p/(p^a - 1) ],
 
@@ -22,16 +22,15 @@ where each class sum is exact to rounding: direct below P = 1000, Moebius
 inversion of L-values at s >= 2 above.  A class is a union of residue
 classes (lseries.prime_class_sum), or one of q23's Wilton classes S2 and S3,
 which are Frobenius classes of the Hilbert class field of Q(sqrt(-23))
-(lseries.frobenius_class_sum, through L(s, rho) of eta(z) eta(23z)).
-zeta'/zeta(2) comes from the same Euler-Maclaurin kernel.  For q3 the
-zeta(2s)^-2 rewrite of the factorization is used; the direct form is kept
-as a cross-check (q3_direct_b).
+(lseries.frobenius_class_sum, through L(s, rho) of eta(z) eta(23z)).  A
+factor with a = 1 sits on the class of a prime that divides the modulus,
+a finite sum.  verify checks q3's B_f against its zeta(2s)^-2 rewrite.
 
 L'/L(1, chi^j) for every character mod m is read from one table
 (lseries._log_l_table, built from one inverse DFT per derivative order),
 which serves the 345 characters of q691's T(s)^690 factorization as well
 as the one or two of the other rows.  The paper's q691 value leaves out
-the local factors H of that factorization:
+the local factors of that factorization's order classes:
   B ~ (log 691)/690^2 - (689/690) gamma
       - (1/690) sum_{j=0}^{344} L'/L(1, chi_c^(2j+1))
       + (1/690) sum_{j=1}^{344} L'/L(1, chi_c^(2j)).
@@ -63,16 +62,13 @@ from .errors import ConsistencyError, UnsupportedCaseError
 from .lseries import (
     _EPS,
     _exact,
-    _log,
     _log_l_table,
     _rounded,
-    _weight,
     closed_form_l_values,
     euler_gamma_value,
     frobenius_class_sum,
     l_derivative_at_1,
     prime_class_sum,
-    zeta_value,
 )
 from .multfn import TABLE_CASES, get_case, h_f
 
@@ -82,7 +78,6 @@ __all__ = [
     "INCONCLUSIVE",
     "TABLE1_PRINTED",
     "second_order_constant",
-    "q3_direct_b",
     "b691_approx",
     "b691_character_sums",
     "landau_ramanujan_K",
@@ -146,24 +141,19 @@ def _class_sum(spec, j: int, s, derivative: int = 1) -> ValueWithBudget:
     return prime_class_sum(len(spec.residues), spec.class_residues(j), s, derivative)
 
 
-def _log_g(spec, euler, s, derivative: int, start) -> ValueWithBudget:
+def _log_g(spec, s, derivative: int, start) -> ValueWithBudget:
     """start + n log g(s) (derivative 0) or start - n g'/g(s) (derivative 1),
-    where T(s)^n = zeta(s)^(n tau) g(s)^n is the Euler factorization ``euler``
-    of the case (module docstring), at s = 1 or an integer s >= 2.
+    where T(s)^n = zeta(s)^(n tau) g(s)^n is the case's Euler factorization
+    (module docstring), at s = 1 or an integer s >= 2.
 
-    A local factor (1 - p^(-a s))^c adds -c a^d times the class sum at a s,
-    d the derivative; zeta(2s)^z is the factor (-z, 2) over every prime.
+    A local factor (1 - p^(-a s))^c of class j adds -c a^d times the class
+    sum at a s, d the derivative.
     """
+    euler = spec.euler
     s = _exact(s)
     # -L'/L(s, chi^j) or log L(s, chi^j), and budgets
     y, dy = _log_l_table(euler.modulus, s, derivative)
     terms = [(w, ValueWithBudget(float(y[j].real), float(dy[j]))) for j, w in euler.l_weights()]
-    if euler.zeta2:
-        every_prime = -(zeta_value(2 * s, 1) / zeta_value(2 * s)) if derivative else _log(zeta_value(2 * s))
-        terms.append((2**derivative * euler.zeta2, every_prime))
-    finite = [c * a**derivative * _weight(q, a * s, derivative) for q, factor in euler.finite for c, a in factor]
-    # each term is off by at most 3 ulps (log, power, subtraction, division)
-    terms.append((-1, ValueWithBudget(math.fsum(finite), 4.0 * _EPS * math.fsum(map(abs, finite)))))
     for j, factor in enumerate(euler.classes):
         terms += [(-c * a**derivative, _class_sum(spec, j, a * s, derivative)) for c, a in factor]
     for coef, v in terms:
@@ -171,15 +161,10 @@ def _log_g(spec, euler, s, derivative: int, start) -> ValueWithBudget:
     return start
 
 
-def _b_from_euler(spec, euler) -> ValueWithBudget:
-    """B_f = -tau gamma - g'(1)/g(1) from one Euler factorization of T(s)^n."""
-    return _log_g(spec, euler, 1, 1, _scaled(-float(euler.n * spec.tau), euler_gamma_value())) / euler.n
-
-
-def q3_direct_b() -> ValueWithBudget:
-    """B_f for q3 from the direct factorization (no zeta(2s) rewrite), a cross-check."""
-    spec = get_case("q3")
-    return _b_from_euler(spec, spec.euler)
+def _b_from_euler(spec) -> ValueWithBudget:
+    """B_f = -tau gamma - g'(1)/g(1) from the case's Euler factorization of T(s)^n."""
+    n = spec.euler.n
+    return _log_g(spec, 1, 1, _scaled(-float(n * spec.tau), euler_gamma_value())) / n
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +222,7 @@ def first_order_C5() -> ValueWithBudget:
         if not v.agrees_with(ValueWithBudget(closed, 8.0 * _EPS * closed)):
             raise ConsistencyError(f"L-value {tag} disagrees with its closed form: {v} vs {closed}")
     spec = get_case("q5")
-    return _exp(_log_g(spec, spec.euler, 1, 0, 0.0) / spec.euler.n) / _rounded(math.gamma(0.75))
+    return _exp(_log_g(spec, 1, 0, 0.0) / spec.euler.n) / _rounded(math.gamma(0.75))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +237,7 @@ def second_order_constant(case: str) -> ConstantReport:
     if tag in ("q2", "ones"):
         raise UnsupportedCaseError(f"{tag} has an exact count; no second-order constant")
 
-    b = _b_from_euler(spec, spec.b_euler or spec.euler)
+    b = _b_from_euler(spec)
     c2 = float(1 - spec.tau) * (1.0 + b)
 
     checkpoints = tuple((x, h_f(spec, float(x))) for x in HF_CHECKPOINTS)

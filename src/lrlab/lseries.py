@@ -34,11 +34,11 @@ holds -L'/L or log L from it, with a budget per character.
 
 Prime sums over residue classes.  prime_class_sum sums log p/(p^s - 1) or
 -log(1 - p^(-s)) over the primes in a union of residue classes mod m,
-s >= 2, to full precision.  The primes p <= P = 1000 (the prime divisors
-of every modulus m <= 691 among them) are summed directly.  The rest come
-from L-values by Moebius inversion (H. Cohen, "High precision computation
-of Hardy-Littlewood constants", 1991; Ettahri, Ramare and Surel,
-arXiv:1908.06808): with
+s >= 2 (s >= 1 over the primes that divide m), to full precision.  The
+primes p <= P = 1000 (the prime divisors of every modulus m <= 691 among
+them) are summed directly.  The rest come from L-values by Moebius
+inversion (H. Cohen, "High precision computation of Hardy-Littlewood
+constants", 1991; Ettahri, Ramare and Surel, arXiv:1908.06808): with
 L_P(s, chi) = L(s, chi) prod_{p<=P} (1 - chi(p) p^(-s)), g the generator of
 (Z/mZ)^* and b the discrete log of the residue,
 
@@ -203,6 +203,14 @@ def _em_sums(m: int, k: int, s) -> tuple[np.ndarray, np.ndarray]:
     # row sum), the corrections (below 1% of the total) by 2k + 10, and the
     # additions that form vals by 8 ulps of |vals|.
     buds = remainder + _EPS * ((k + 3) * absum + 8.0 * np.abs(vals))
+    # An entry below 2^-1022 at s > 1 lost its terms: the first nonzero one, at
+    # n0 = r (r + m for r = 1, k >= 1), is as small or overflowed, so s > 50
+    # (n0 <= 2m <= 5e5), and the term at n = n0 + t m >= n0 (1 + t/2) is at most
+    # (n0/n)^(s - 2k) times it.  The sum lies below 2 log^k n0 n0^-s, in log space.
+    lost = (np.abs(vals) < sys.float_info.min) & (s != 1)
+    n0 = np.where((r == 1) & (k > 0), r + m, r)[lost]
+    bound = 2.0 * np.exp(k * np.log(np.log(n0)) - sf * np.log(n0))
+    buds[lost] = np.maximum(buds[lost], np.maximum(bound, math.ulp(0.0)))
     vals.flags.writeable = buds.flags.writeable = False
     return vals, buds
 
@@ -318,13 +326,8 @@ def l_value(chi: DirichletCharacter, s: float, k: int = 0) -> ValueWithBudget:
 def zeta_value(s: float, k: int = 0) -> ValueWithBudget:
     """zeta^(k)(s) = (-1)^k sum_n log^k n n^(-s) at real s > 1."""
     vals, buds = _series_batch(1, k, _exact(s))
-    value, budget = float(vals[0]), float(buds[0])
-    if abs(value) < sys.float_info.min:
-        # k >= 1 and every term n >= 2 is subnormal or lost, so the ulp-based
-        # budget no longer holds.  Then log^k 2 2^-s < 2^-1022 and s > 1015, the
-        # true value is log^k 2 2^-s (1 + 1e-170), and both lie in [0, 2^-1022].
-        budget = max(budget, math.ldexp(1.0, -1021))
-    return ValueWithBudget(-value if k % 2 else value, budget)
+    value = float(vals[0])
+    return ValueWithBudget(-value if k % 2 else value, float(buds[0]))
 
 
 CLOSED_FORM_TAGS = ("chi5", "chi_minus7", "chi_minus23", "chi_c_pair_mod5")
@@ -524,16 +527,10 @@ def _rough_sums(m: int, s, derivative: int) -> tuple:
     return x, err, rms, left
 
 
-def _weight(p: int, s, derivative: int) -> float:
-    """log p/(p^s - 1) (derivative 1) or -log(1 - p^-s) (derivative 0) for one
-    prime p, within 3 ulps."""
-    return math.log(p) / (float(p) ** s - 1.0) if derivative else -math.log1p(-(float(p) ** -s))
-
-
 @np.errstate(over="ignore")  # s log p overflows at large s; inf > _LOG_FLOOR leaves the term out, as it should
 def _prime_terms(primes: np.ndarray, s: float, derivative: int):
-    """Per prime: log p/(p^s - 1) or -log(1 - p^-s), and a bound for the
-    terms left out because p^-s would not be a normal float."""
+    """Per prime: log p/(p^s - 1) or -log(1 - p^-s), each within 5 ulps, and
+    a bound for the terms left out because p^-s would not be a normal float."""
     lp = np.log(primes.astype(np.float64))
     keep = float(s) * lp <= _LOG_FLOOR
     x = primes[keep].astype(np.float64) ** -float(s)
@@ -591,7 +588,8 @@ def prime_class_sum(m: int, residues, s: float, derivative: int = 1) -> ValueWit
         derivative 0: -log(1 - p^-s),
 
     that is of sum_j w_j log^d p p^(-js) with w_j = 1/j^(1-d).  m is one of
-    the moduli in characters.GENERATORS.
+    the moduli in characters.GENERATORS; s >= 1 will do if no residue is a
+    unit, as the sum then runs over the primes that divide m.
     Direct below P, Moebius inversion of L-values above (module docstring);
     the budget covers rounding and the bounded remainder.
     """
@@ -599,11 +597,12 @@ def prime_class_sum(m: int, residues, s: float, derivative: int = 1) -> ValueWit
         raise InvalidArgumentError(f"unsupported modulus {m}; expected one of {sorted(GENERATORS)}")
     if derivative not in (0, 1):
         raise InvalidArgumentError(f"derivative must be 0 or 1, got {derivative}")
-    if not s >= 2:
-        raise PreconditionError(f"prime class sums need s >= 2, got {s}")
+    key = tuple(sorted({int(r) % m for r in residues}))
+    lowest = 2 if any(math.gcd(r, m) == 1 for r in key) else 1
+    if not s >= lowest:
+        raise PreconditionError(f"prime class sums over these residues need s >= {lowest}, got {s}")
     s = _exact(s)
     _check_float_range(s)
-    key = tuple(sorted({int(r) % m for r in residues}))
     return _class_sum(m, key, s, derivative)
 
 
@@ -634,8 +633,8 @@ def _frobenius_rough(s, derivative: int) -> tuple:
     without its factor at 23 (the table mod 23 for 1 and chi_-23), less the
     powers of p <= P.  The bound per class holds the L-values' budgets."""
     y, dy = _log_l_table(23, s, derivative)
-    ramified = _weight(23, s, derivative)
-    rho = _rho_log(s, derivative) - ValueWithBudget(ramified, 4.0 * _EPS * ramified)
+    (ramified,), _ = _prime_terms(np.array([23]), s, derivative)
+    rho = _rho_log(s, derivative) - ValueWithBudget(ramified, 5.0 * _EPS * ramified)
     ys = np.array([y[0].real, y[11].real, rho.value])
     small, left = _small_power_sums(wilton_classes, _s3_power, 3, s, derivative)
     x = _S3_WEIGHTS @ ys - small

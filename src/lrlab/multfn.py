@@ -11,15 +11,15 @@ in CASES holds the class of every residue mod a modulus (so each class is
 a union of residue classes, by residue mod 3, 4, 5, 7 or by the order mod
 691; for q23, whose Wilton classes S1, S2, S3 are the Frobenius classes of
 the Hilbert class field of Q(sqrt(-23)), S2 and S3 split one residue
-class), the m0 of every class, and the Euler factorization
+class), the m0 of every class, and the one Euler factorization
 
-    T(s)^n = zeta(s)^(n tau) zeta(2s)^z prod_chi L(s, chi)^e H(s)
+    T(s)^n = zeta(s)^(n tau) prod_chi L(s, chi)^e H(s)
 
 of the case's Dirichlet series T(s) = sum f(n) n^-s, where H is a product
-of local factors (1 - p^(-a s))^c over a few single primes and over the
-primes of each class.  B_f and q5's first-order constant (constants), the
-s = 2 identity checks (identities) and the sieves here are all read off
-these entries.
+of local factors (1 - p^(-a s))^c over the primes of each class; a prime
+that divides the modulus is a class of its own.  B_f and q5's first-order
+constant (constants), the identity checks (identities) and the sieves
+here are all read off these entries.
 
 Up to x, the sieves, the counts and H_f classify only the primes
 p <= sqrt(x); a larger p divides n <= x at most once and needs only f(p),
@@ -103,22 +103,19 @@ COUNT_DESK_LIMIT = 10_000_000
 
 @dataclass(frozen=True)
 class EulerFactorization:
-    """T(s)^n = zeta(s)^(n tau) zeta(2s)^zeta2 prod L(s, chi^j)^e H(s).
+    """T(s)^n = zeta(s)^(n tau) prod L(s, chi^j)^e H(s).
 
     chi is the character mod ``modulus`` with chi(g) = exp(2 pi i/phi) at
     the generator g = characters.GENERATORS[modulus].  ``l_exponents`` is
     ((j, e), ...); a complex chi^j stands for itself and its conjugate
-    chi^(phi - j), each to the power e.  A local factor ((c, a), ...) is
-    prod (1 - p^(-a s))^c: ``finite`` pairs single primes q with theirs, and
-    ``classes[j]`` is the one shared by the primes of class j.
+    chi^(phi - j), each to the power e.  ``classes[j]`` is the local factor
+    ((c, a), ...), prod (1 - p^(-a s))^c, shared by the primes of class j.
     """
 
     n: int
     modulus: int
     l_exponents: tuple
-    finite: tuple
     classes: tuple
-    zeta2: int = 0
 
     def l_weights(self) -> tuple:
         """((j, w), ...): w = e for a real chi^j, 2e for a complex one and its conjugate."""
@@ -142,8 +139,7 @@ class CaseSpec:
     tau: Fraction      # Dirichlet density of primes with f(p) = 1
     residues: tuple    # class index of each residue mod len(residues)
     m0: tuple          # zero period of each class
-    euler: EulerFactorization | None = None    # T(s)^n as a product
-    b_euler: EulerFactorization | None = None  # a rewrite preferred for B_f
+    euler: EulerFactorization | None = None  # T(s)^n as a product
     frobenius: tuple = ()
 
     def classify(self, primes) -> np.ndarray:
@@ -212,25 +208,22 @@ CASES: dict[str, CaseSpec] = {
                  residues=(0, 2, 1), m0=(M_ALWAYS, 2, 3),
                  euler=EulerFactorization(
                      # chi_-3 = chi^1 mod 3
-                     n=2, modulus=3, l_exponents=((1, 1),), finite=((3, ((1, 1),)),),
-                     classes=((), ((-1, 2),), ((-2, 3), (2, 2)))),
-                 b_euler=EulerFactorization(
-                     n=2, modulus=3, l_exponents=((1, 1),), finite=((3, ((1, 1), (-2, 2))),),
-                     classes=((), ((-3, 2),), ((-2, 3),)), zeta2=-2)),
+                     n=2, modulus=3, l_exponents=((1, 1),),
+                     classes=(((1, 1),), ((-1, 2),), ((-2, 3), (2, 2))))),
         # 5 does not divide tau(n); classes: p = 5, p = 1 (5), p = +-2 (5), p = 4 (5)
         CaseSpec("q5", Fraction(3, 4),
                  residues=(0, 1, 2, 2, 3), m0=(M_ALWAYS, 5, 4, 2),
                  euler=EulerFactorization(
                      # chi_c = chi^1 mod 5 (chi_c(2) = i, with its conjugate), chi_5 = chi^2
-                     n=4, modulus=5, l_exponents=((1, 1), (2, -1)), finite=((5, ((3, 1),)),),
-                     classes=((), ((4, 4), (-4, 5)), ((4, 3), (-2, 2), (-3, 4)), ((-2, 2),)))),
+                     n=4, modulus=5, l_exponents=((1, 1), (2, -1)),
+                     classes=(((3, 1),), ((4, 4), (-4, 5)), ((4, 3), (-2, 2), (-3, 4)), ((-2, 2),)))),
         # 7 does not divide tau(n); classes: p = 7, quadratic residues mod 7, non-residues
         CaseSpec("q7", Fraction(1, 2),
                  residues=(0, 1, 1, 2, 1, 2, 2), m0=(M_ALWAYS, 7, 2),
                  euler=EulerFactorization(
                      # chi_-7 = chi^3 mod 7
-                     n=2, modulus=7, l_exponents=((3, 1),), finite=((7, ((1, 1),)),),
-                     classes=((), ((2, 6), (-2, 7)), ((-1, 2),)))),
+                     n=2, modulus=7, l_exponents=((3, 1),),
+                     classes=(((1, 1),), ((2, 6), (-2, 7)), ((-1, 2),)))),
         # 23 does not divide tau(n); classes: the Wilton classes S1, S2, S3, P23
         # (primes module); S2 and S3 split the residues with (p|23) = 1
         CaseSpec("q23", Fraction(1, 2),
@@ -238,28 +231,28 @@ CASES: dict[str, CaseSpec] = {
                  m0=(2, 3, 23, M_NEVER),
                  euler=EulerFactorization(
                      # chi_-23 = chi^11 mod 23
-                     n=2, modulus=23, l_exponents=((11, 1),), finite=((23, ((-1, 1),)),),
-                     classes=(((-1, 2),), ((2, 2), (-2, 3)), ((2, 22), (-2, 23)), ()))),
+                     n=2, modulus=23, l_exponents=((11, 1),),
+                     classes=(((-1, 2),), ((2, 2), (-2, 3)), ((2, 22), (-2, 23)), ((-1, 1),)))),
         # 691 does not divide tau(n); classes: by the order nu of p mod 691 (m0 = nu,
         # but 691 for nu = 1), then p = 691.  L(s, chi^j) mod 691 to the power +1 for
         # odd j and -1 for even j, j = 1..689: the pairs j, 690 - j are conjugate, and
-        # j = 345 is the real quadratic character.  The local factors are the four
-        # residual products that the paper's formula (constants.b691_approx) leaves out.
+        # j = 345 is the real quadratic character.  The order classes' local factors
+        # are the four residual products that the paper's formula
+        # (constants.b691_approx) leaves out.
         CaseSpec("q691", Fraction(689, 690),
                  residues=_ORDER_CLASSES,
                  m0=tuple(691 if d == 1 else d for d in _DIVISORS_690) + (M_NEVER,),
                  euler=EulerFactorization(
                      n=690, modulus=691,
                      l_exponents=tuple((j, 1 if j % 2 else -1) for j in range(1, 346)),
-                     finite=((691, ((-1, 1),)),),
-                     classes=tuple(_order_factor(d) for d in _DIVISORS_690) + ((),))),
-        # n is a sum of two squares; classes: p = 2 or p = 1 (4), p = 3 (4)
+                     classes=tuple(_order_factor(d) for d in _DIVISORS_690) + (((-1, 1),),))),
+        # n is a sum of two squares; classes: p = 1 (4), p = 3 (4), p = 2
         CaseSpec("two_squares", Fraction(1, 2),
-                 residues=(0, 0, 0, 1), m0=(M_NEVER, 2),
+                 residues=(0, 0, 2, 1), m0=(M_NEVER, 2, M_NEVER),
                  euler=EulerFactorization(
                      # chi_-4 = chi^1 mod 4
-                     n=2, modulus=4, l_exponents=((1, 1),), finite=((2, ((-1, 1),)),),
-                     classes=((), ((-1, 2),)))),
+                     n=2, modulus=4, l_exponents=((1, 1),),
+                     classes=((), ((-1, 2),), ((-1, 1),)))),
         # the constant function 1
         CaseSpec("ones", Fraction(1), residues=(0,), m0=(M_NEVER,)),
     ]

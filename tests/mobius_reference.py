@@ -186,6 +186,8 @@ def reference(m: int, residues, s: int, derivative: int = 1):
         x = big_p ** -float(s)
         if n_max:
             dropped = big_p * (lp + 1) * (n_max + 1) * x ** (n_max + 1) / (1 - x) ** 2
+        elif not units:
+            dropped = 0.0  # only the primes that divide m, all summed: s >= 1 will do
         else:
             # each term is at most f(p) = log p p^-s/(1 - P^-s), decreasing, and
             # sum_{n > P, n = r (m)} f(n) <= f(P) + (1/m) int_P^oo f, per residue

@@ -17,13 +17,12 @@ from lrlab.constants import (
     b691_character_sums,
     first_order_C5,
     landau_ramanujan_K,
-    q3_direct_b,
     second_order_constant,
     table1,
     verdict,
 )
 from lrlab.errors import ConsistencyError, UnsupportedCaseError
-from lrlab.lseries import _EPS, _log_l_table, _rounded, gamma_k
+from lrlab.lseries import _EPS, _log_l_table, _rounded, gamma_k, zeta_value
 from lrlab.multfn import get_case
 from mobius_reference import _dlogs, reference
 from test_lseries import l_reference
@@ -64,8 +63,13 @@ class TestAssemblies:
             assert abs(h6 - r.b_f.value) <= 2e-3, tag
 
     def test_q3_forms_agree(self, reports):
-        direct = q3_direct_b()
-        assert direct.agrees_with(reports["q3"].b_f)
+        # the zeta(2s)^-2 rewrite of q3's direct factorization: (1 - p^-2s)^-2 on
+        # every class, and zeta(2s)^-2, which adds -(1/n) 2 (-2) zeta'/zeta(2) to B_f
+        spec = get_case("q3")
+        moved = tuple(factor + ((-2, 2),) for factor in spec.euler.classes)
+        rewrite = constants._b_from_euler(replace(spec, euler=replace(spec.euler, classes=moved)))
+        rewrite = rewrite + 2 * (zeta_value(2, 1) / zeta_value(2))
+        assert rewrite.agrees_with(reports["q3"].b_f)
 
     def test_q23_flag(self, reports):
         r = reports["q23"]
@@ -129,14 +133,15 @@ class TestB691:
         # underflows; neither may be computed
         spec = get_case("q691")
         with np.errstate(all="raise"):
-            row = constants._b_from_euler(spec, spec.euler)
+            row = constants._b_from_euler(spec)
             b = b691_approx()
         assert row.value == q691_row.value
         # the four residual products, -(1/690) sum over the order classes of
-        # c a sum_p log p/(p^a - 1), against 30-digit class sums
+        # c a sum_p log p/(p^a - 1), against 30-digit class sums; the last
+        # class, p = 691, is b691_approx's (log 691)/690^2
         share, bound = mp.mpf(0), 0.0
         with mp.workdps(30):
-            for j, factor in enumerate(spec.euler.classes):
+            for j, factor in enumerate(spec.euler.classes[:-1]):
                 for c, a in factor:
                     ref, ref_bound = reference(691, spec.class_residues(j), a)
                     share -= mp.mpf(c * a) / 690 * ref
@@ -227,7 +232,7 @@ class TestFirstOrder:
     def test_two_squares_c1_from_the_table(self):
         # C1 = g(1)/Gamma(1/2) for T(s)^2 = zeta(s) g(s)^2 is K, from the closed product
         spec = get_case("two_squares")
-        log_g = constants._log_g(spec, spec.euler, 1, 0, 0.0)
+        log_g = constants._log_g(spec, 1, 0, 0.0)
         c1 = constants._exp(log_g / spec.euler.n) / _rounded(math.sqrt(math.pi))
         assert c1.agrees_with(landau_ramanujan_K())
 

@@ -39,6 +39,7 @@ REMOVED = (
     "lambda_table",
     "zeta_log_derivative_at_2",
     "zero_periods",
+    "q3_direct_b",
 )
 
 

@@ -5,8 +5,9 @@ from dataclasses import replace
 import pytest
 
 from lrlab.errors import InvalidArgumentError, UnsupportedCaseError
-from lrlab.constants import _log_g
+from lrlab.constants import _class_sum
 from lrlab.identities import euler_identity_sides, local_factor_gap, truncated_T
+from lrlab.lseries import _log, zeta_value
 from lrlab.multfn import CASES, class_index, dirichlet_series_truncated, get_case
 from lrlab.primes import sieve_primes
 from lrlab.verify import _check_identities
@@ -16,7 +17,6 @@ from scalar_reference import character_values, f_prime_power, totient
 FACTORIZATIONS = [
     ("two_squares", "euler"),
     ("q3", "euler"),
-    ("q3", "b_euler"),
     ("q5", "euler"),
     ("q7", "euler"),
     ("q23", "euler"),
@@ -58,10 +58,12 @@ class TestEulerIdentities:
         assert check.name == "identity/euler-product" and not check.passed, check.detail
 
     def test_q3_forms_agree(self):
-        # the zeta(2s)^-2 rewrite of q3's factorization gives the same right side
+        # the zeta(2s)^-2 rewrite of q3's factorization moves (1 - p^-2s)^2 over
+        # every prime into zeta(2s)^-2, so at s = 2 it gives the same right side
+        # iff sum_p -log(1 - p^-4), over the classes mod 3, is log zeta(4)
         spec = get_case("q3")
-        direct, rewrite = (_log_g(spec, euler, 2, 0, 0.0) for euler in (spec.euler, spec.b_euler))
-        assert direct.agrees_with(rewrite)
+        every_prime = sum(_class_sum(spec, j, 4, 0) for j in range(len(spec.m0)))
+        assert every_prime.agrees_with(_log(zeta_value(4)))
 
     def test_budgets_are_sound_for_T(self):
         # deepening the truncation moves T by less than the shallow budget
@@ -83,9 +85,8 @@ class TestLocalFactors:
         euler = getattr(spec, form)
         primes = sieve_primes(10**4).primes  # q691's classes of order 1 and 3 start at 6911, 4583
         idx = class_index(tag, 10**4)
-        finite = dict(euler.finite)
         samples = {int(p): int(j) for j in range(len(spec.m0)) for p in primes[idx == j][:4]}
-        assert set(samples.values()) == set(range(len(spec.m0))) and set(finite) <= set(samples)
+        assert set(samples.values()) == set(range(len(spec.m0)))
         m = euler.modulus
         # (values, weight): a complex chi^j comes with its conjugate, so its weight is 2e
         characters = [
@@ -97,10 +98,9 @@ class TestLocalFactors:
                 t_p = math.fsum(f * x**k for k, f in enumerate(f_p))
                 lhs = euler.n * math.log(t_p)
                 terms = [-float(euler.n * spec.tau) * math.log1p(-x)]
-                terms.append(-euler.zeta2 * math.log1p(-x * x))
                 for chi, weight in characters:
                     terms.append(-weight * cmath.log(1 - chi[p % m] * x).real)
-                for c, a in finite.get(p, ()) + euler.classes[j]:
+                for c, a in euler.classes[j]:
                     terms.append(c * math.log1p(-(x**a)))
                 assert lhs == pytest.approx(math.fsum(terms), abs=1e-12), (tag, form, p, x)
 
@@ -109,8 +109,7 @@ class TestLocalFactorGap:
     @pytest.mark.parametrize("inv_x", [2.0, 3.0])
     @pytest.mark.parametrize("tag", ["two_squares", "q3", "q5", "q7", "q23", "q691"])
     def test_every_row(self, tag, inv_x):
-        # an identity of power series, checked at x = 1/2 and 1/3; for q3
-        # both of its factorizations are checked
+        # an identity of power series, checked at x = 1/2 and 1/3
         assert local_factor_gap(tag, 1 / inv_x, 10**4) <= 1e-10, tag
 
     def test_sees_a_wrong_exponent(self, monkeypatch):

@@ -12,6 +12,7 @@ from lrlab.lseries import (
     GAMMA_K_MAX,
     _em_remainder_bound,
     _gamma_batch,
+    _series_batch,
     closed_form_l_values,
     euler_gamma_value,
     gamma_k,
@@ -360,6 +361,27 @@ class TestDirichletSeries:
             with mp.workdps(40):
                 ref = mp.fsum((-mp.log(n)) ** k * mp.mpf(n) ** -s for n in range(2, 40))
             assert abs(v.value - ref) <= v.budget, (s, k)
+
+    @pytest.mark.parametrize("m, s", [(5, 1030), (4, 700)])
+    def test_l_value_with_every_term_lost_is_sound(self, m, s):
+        # n^s overflows for every n >= 2 of the batch, so L'(s, chi) computes to
+        # -0, though the true value is near -6e-311 (m = 5) or below the
+        # smallest subnormal (m = 4, near 1e-334)
+        values = character_values(m, 1)
+        v = l_value(generator_character(m, 1), s, 1)
+        with mp.workdps(40):
+            ref = mp.fsum(-complex(values[n % m]) * mp.log(n) * mp.mpf(n) ** -s for n in range(2, 40))
+            assert abs(v.value - ref) <= v.budget, (m, s, v)
+        assert v.budget < 1e-300
+
+    def test_a_lost_normal_value_is_sound(self):
+        # 690^110 overflows, so H_12(690, 691, 110) computes to 0, but its true
+        # value, 3.24e-303, is a normal float
+        vals, buds = _series_batch(691, 12, 110)
+        with mp.workdps(40):
+            ref = mp.fsum(mp.log(n) ** 12 * mp.mpf(n) ** -110 for n in range(690, 40 * 691, 691))
+        assert vals[689] == 0.0 and 3e-303 < ref < 3.5e-303
+        assert abs(vals[689] - ref) <= buds[689] <= 2.01 * ref
 
     @pytest.mark.parametrize("s", [1.05e22, 1e23, 1e300, pytest.param(10**400, id="10**400")])
     def test_s_past_the_float_coefficients(self, s):

@@ -3,10 +3,11 @@
 Soundness: against 30-digit values of the same Moebius formula built
 independently in mpmath (mobius_reference).  |computed - true| <= budget,
 with the reference's own error bound counted against the budget: no slack.
-K and the q5 constant must also be tight: each budget within 10^3 times
-the observed error, floored at one ulp.
-Cross-check: every class sum of the six cases against the sieve route to
-1e7 with its theta tail (sieve_reference).  Floating point: B_f, K, the q5
+K, the q5 constant and the a = 1 class sums must also be tight: each
+budget within 10^3 times the observed error, floored at one ulp.
+Cross-check: every class sum of the six cases with a >= 2 against the sieve
+route to 1e7 with its theta tail (sieve_reference); the a = 1 sums, over
+the primes that divide m, are finite.  Floating point: B_f, K, the q5
 constant and the sieve route raise no overflow, underflow or invalid operation.
 """
 
@@ -47,12 +48,9 @@ def assert_sound_and_tight(v, ref, ref_bound, what):
 def residue_classes(tag):
     """(class j, its residues, exponents a) of every class of the case that is a union of residue classes."""
     spec = get_case(tag)
-    for j in range(len(spec.m0)):
-        if j in spec.frobenius:
-            continue
-        exps = {a for euler in (spec.euler, spec.b_euler) if euler for _, a in euler.classes[j]}
-        if exps:
-            yield j, spec.class_residues(j), sorted(exps)
+    for j, factor in enumerate(spec.euler.classes):
+        if j not in spec.frobenius and factor:
+            yield j, spec.class_residues(j), sorted({a for _, a in factor})
 
 
 class TestSoundness:
@@ -72,6 +70,17 @@ class TestSoundness:
             for a in exps:
                 v = prime_class_sum(m, residues, a)
                 assert_within(v, *reference(m, residues, a), (tag, j, a))
+
+    @pytest.mark.parametrize("tag", TABLE_CASES)
+    def test_single_prime_classes_at_one(self, tag):
+        # the factors with a = 1 sit on the class of the prime that divides m
+        # (p = 2 for two_squares), a finite sum at s = 1: sound and tight
+        m = len(get_case(tag).residues)
+        ones = [(j, residues) for j, residues, exps in residue_classes(tag) if 1 in exps]
+        assert len(ones) == 1 and all(math.gcd(r, m) > 1 for r in ones[0][1]), ones
+        for derivative in (0, 1):
+            v = prime_class_sum(m, ones[0][1], 1, derivative)
+            assert_sound_and_tight(v, *reference(m, ones[0][1], 1, derivative), (tag, derivative))
 
     def test_mod_691(self):
         # the class nu = 2 (p = -1 mod 691) and a spread of residues, one per order class
@@ -99,8 +108,9 @@ class TestSoundness:
 
     def test_q5_constant_within_budget(self):
         # C = g(1)/Gamma(3/4) with T(s)^4 = zeta(s)^3 g(s)^4 from the case table:
-        # 4 log g(1) = 2 log |L(1, chi_c)| - log L(1, chi_5) + 3 log(4/5)
-        #              - sum over the class factors (c, a) of c sum_p -log(1 - p^-a)
+        # 4 log g(1) = 2 log |L(1, chi_c)| - log L(1, chi_5)
+        #              - sum over the class factors (c, a) of c sum_p -log(1 - p^-a),
+        # where p = 5's (3, 1) gives 3 log(4/5)
         spec = get_case("q5")
         euler = spec.euler
         bound = 0.0
@@ -108,7 +118,6 @@ class TestSoundness:
             # L(1, chi_c) L(1, conj chi_c) = 2 pi^2/25 (j = 1), L(1, chi_5) = log((3 + sqrt5)/2)/sqrt5 (j = 2)
             l_values = {1: 2 * mp.pi**2 / 25, 2: mp.log((3 + mp.sqrt(5)) / 2) / mp.sqrt(5)}
             log_g = mp.fsum(e * mp.log(l_values[j]) for j, e in euler.l_exponents)
-            log_g += mp.fsum(c * mp.log(1 - mp.mpf(q) ** -a) for q, factor in euler.finite for c, a in factor)
             for j, factor in enumerate(euler.classes):
                 for c, a in factor:
                     ref, b = reference(5, spec.class_residues(j), a, derivative=0)
@@ -124,12 +133,14 @@ class TestSoundness:
 class TestSieveCrossCheck:
     @pytest.mark.parametrize("tag", TABLE_CASES)
     def test_every_class_sum(self, tag):
-        # each class sum of the case table agrees with the sieve to 1e7 plus its theta tail
+        # each class sum of the case table with a >= 2 agrees with the sieve to
+        # 1e7 plus its theta tail; a = 1 comes only on the class of the prime
+        # that divides m, whose sum is finite (TestSoundness)
         spec = get_case(tag)
         idx = class_index(spec, SIEVE)
-        for euler in filter(None, (spec.euler, spec.b_euler)):
-            for j, factor in enumerate(euler.classes):
-                for _, a in factor:
+        for j, factor in enumerate(spec.euler.classes):
+            for _, a in factor:
+                if a >= 2:
                     new = constants._class_sum(spec, j, a)
                     sieve = prime_log_sum(idx == j, a, SIEVE)
                     assert abs(new.value - sieve.value) <= new.budget + sieve.budget, (tag, j, a)
@@ -181,14 +192,13 @@ class TestFloatExceptions:
             with np.errstate(all="raise"):
                 for tag in TABLE_CASES:
                     spec = get_case(tag)
-                    constants._b_from_euler(spec, spec.b_euler or spec.euler)
+                    constants._b_from_euler(spec)
+                    constants._log_g(spec, 2, 0, 0.0)
                     idx = class_index(spec, cutoff)
-                    for euler in filter(None, (spec.euler, spec.b_euler)):
-                        constants._log_g(spec, euler, 2, 0, 0.0)
-                        for j, factor in enumerate(euler.classes):
-                            for _, a in factor:
+                    for j, factor in enumerate(spec.euler.classes):
+                        for _, a in factor:
+                            if a >= 2:
                                 prime_log_sum(idx == j, a, cutoff)
-                constants._b_from_euler(get_case("q3"), get_case("q3").euler)
                 landau_ramanujan_K()
                 first_order_C5()
         finally:
@@ -233,6 +243,10 @@ class TestPrimeClassSum:
             prime_class_sum(5, [1], 2, derivative=2)
         with pytest.raises(PreconditionError):
             prime_class_sum(5, [1], 1.5)
+        # s = 1 only without a unit residue, whose primes divide m
+        with pytest.raises(PreconditionError):
+            prime_class_sum(5, [0, 1], 1)
+        assert prime_class_sum(5, [0], 1).value == pytest.approx(math.log(5) / 4, rel=1e-15)
 
     def test_int_exponent_past_the_float_range(self):
         # p^-s needs s as a float; an int s inside the float range gives the sum's limit, 0

@@ -9,12 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from lrlab import identities, multfn
+from lrlab import constants, identities, multfn
 from lrlab.budget import ValueWithBudget
 from lrlab.constants import TABLE1_PRINTED, table1
 from lrlab.errors import UnsupportedCaseError
 from lrlab.multfn import TABLE_CASES
-from lrlab.verify import ALL_CASES, TRUNCATION_SLACK, _check_table_row, _near, run_checks
+from lrlab.verify import ALL_CASES, TRUNCATION_SLACK, _check_quoted, _check_table_row, _near, run_checks
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "verify.json"
 
@@ -63,6 +63,24 @@ def test_one_case_builds_only_its_checks(monkeypatch):
     monkeypatch.setattr(multfn, "f_sieve", sieve_q2_only)
     names = [c.name for c in run_checks(["q2"])]
     assert names == ["oracle/tau-congruence", "oracle/f-vs-tau", "oracle/parity-count"]
+
+
+def test_q3_forms_agree_sees_a_wrong_class_sum(monkeypatch, reports):
+    # the class sum of p = 2 (3) at s = 2, about 0.35, scaled by 1 + 1e-12,
+    # moves the total by about 3.5e-13, past the budgets (2e-14 and 3e-15)
+    class_sum = constants._class_sum
+
+    def scaled(spec, j, s, derivative=1):
+        v = class_sum(spec, j, s, derivative)
+        return v * (1 + 1e-12) if (spec.tag, j, s) == ("q3", 1, 2) else v
+
+    def forms_agree():
+        (check,) = [c for c in _check_quoted({"q3": reports["q3"]}, {"q3"}) if c.name == "q3/forms-agree"]
+        return check
+
+    assert forms_agree().passed
+    monkeypatch.setattr(constants, "_class_sum", scaled)
+    assert not forms_agree().passed, forms_agree().detail
 
 
 class TestNear:
