@@ -281,7 +281,7 @@ def tau_mod(q: int, n_max: int) -> np.ndarray:
 
     Returns an array a with a[n] = tau(n) mod q (a[0] is unused and 0).
     """
-    if q not in _SUPPORTED_MODULI:
+    if not isinstance(q, (int, np.integer)) or q not in _SUPPORTED_MODULI:
         raise InvalidArgumentError(f"unsupported modulus {q}; expected one of {_SUPPORTED_MODULI}")
     _check_n_max(n_max, 1, TAU_MOD_DESK_LIMIT, "tau_mod")
     n = np.arange(n_max + 1, dtype=np.int64)
@@ -317,7 +317,10 @@ def lambda_mod3(n_max: int) -> np.ndarray:
 
 def odd_tau_count(x: int) -> int:
     """#{n <= x : tau(n) odd} = floor((1 + sqrt(x)) / 2), integer square root only."""
-    x = int(x)
+    try:
+        x = int(x)
+    except (OverflowError, TypeError, ValueError):
+        raise InvalidArgumentError(f"x must be a finite number, got {x!r}") from None
     if x < 0:
         raise InvalidArgumentError(f"x must be >= 0, got {x}")
     return (math.isqrt(x) + 1) // 2

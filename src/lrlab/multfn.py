@@ -28,12 +28,17 @@ split a residue class (q23's S2 and S3) both have f(p) = 1.
 
 The small primes' rules are a flat list of (p, p^e, skip): the n <= x
 with v_p(n) = e exactly (skip) or with p | n (ALWAYS) have f(n) = 0.  One
-marker, _mark, applies them to any window [lo, lo + len) of an array,
-each rule by a strided view, in the spirit of the segmented sieve of
-Bays and Hudson (BIT 17, 1977).  f_sieve runs it once over its full
-output array; count_f runs it on one reused window of primes.SEGMENT_SIZE
-entries and never holds more, so its working memory is one window (about
-1 MB) at any x.
+marker, _mark, applies them to any window of the progression
+n = lo + step*i, step 1 or 2, each rule by a strided view, in the spirit
+of the segmented sieve of Bays and Hudson (BIT 17, 1977).  f_sieve runs
+it once, with step 1, over its full output array.  count_f marks the odd
+n only, with step 2 and the odd primes' rules, the first step of wheel
+sieving (Pritchard, Acta Informatica 17, 1982), on one reused window of
+primes.SEGMENT_SIZE entries, and never holds more, so its working memory
+is one window (about 1 MB) at any x.  It adds the even n back by their
+power of 2: the marks are multiplicative, so n = 2^a m with m odd is
+marked iff 2^a and m are, and the count to x is the sum, over the a
+whose 2^a is marked, of the marked odd m <= x >> a.
 
 The generalized von Mangoldt function of f, defined by
 f(n) log n = sum_{d|n} f(d) Lambda_f(n/d), is supported on prime powers and
@@ -274,7 +279,7 @@ def get_case(case) -> CaseSpec:
 def class_index(case, limit: int) -> np.ndarray:
     """Class index of every prime <= limit, aligned with sieve_primes(limit)."""
     spec = get_case(case)
-    return spec.classify(pr.sieve_primes(int(limit)).primes)
+    return spec.classify(pr.sieve_primes(limit).primes)
 
 
 def _f_zero(spec: CaseSpec, primes: np.ndarray) -> np.ndarray:
@@ -283,10 +288,18 @@ def _f_zero(spec: CaseSpec, primes: np.ndarray) -> np.ndarray:
     return zero[primes - primes // len(zero) * len(zero)]  # numpy's // by a scalar is 2x its %
 
 
+def _is_finite(x) -> bool:
+    """x is a number and finite; an int is, even past the float range."""
+    try:
+        return isinstance(x, int) or math.isfinite(x)
+    except TypeError:  # not a number: a str, None, ...
+        return False
+
+
 def _desk_x(x) -> int:
     """x as an int within 1..COUNT_DESK_LIMIT; a float x is truncated."""
-    if not (isinstance(x, int) or math.isfinite(x)):
-        raise InvalidArgumentError(f"x must be finite, got {x}")
+    if not _is_finite(x):
+        raise InvalidArgumentError(f"x must be a finite number, got {x!r}")
     x = int(x)
     if x < 1:
         raise InvalidArgumentError(f"x must be >= 1, got {x}")
@@ -306,12 +319,12 @@ def _small_rules(spec: CaseSpec, x: int) -> tuple[np.ndarray, list]:
     if x == 1:
         return np.zeros(0, dtype=np.int64), []
     primes = pr.sieve_primes(x).primes
-    small = primes[: np.searchsorted(primes, math.isqrt(x), side="right")]
+    small = primes[: primes.searchsorted(math.isqrt(x), side="right")]
     rules = []
     for p, m0 in zip(small.tolist(), spec._m0s[spec.classify(small)].tolist()):
         if m0 == M_ALWAYS:
             rules.append((p, p, False))
-        elif m0 != M_NEVER:
+        elif m0 != M_NEVER and m0 <= x.bit_length():  # else p^(m0-1) >= 2^(m0-1) > x
             pe = p ** (m0 - 1)
             while pe <= x:
                 rules.append((p, pe, True))
@@ -319,22 +332,27 @@ def _small_rules(spec: CaseSpec, x: int) -> tuple[np.ndarray, list]:
     return primes, rules
 
 
-def _mark(seg: np.ndarray, lo: int, rules) -> None:
-    """Clear seg[n - lo] for every n in [lo, lo + len(seg)) that a rule
-    (p, p^e, skip) rules out: v_p(n) = e exactly if skip, else p^e | n.
+def _mark(seg: np.ndarray, lo: int, rules, step: int = 1) -> None:
+    """Clear seg[i] for every n = lo + step*i that a rule (p, p^e, skip)
+    rules out: v_p(n) = e exactly if skip, else p^e | n.  step is 1 or 2;
+    with step 2 (count_f marks the odd n so) every p must be odd.
 
-    The multiples of p^e are the strided view v; every p-th of them is a
-    multiple of p^(e+1), which a skip rule saves and writes back after it
-    clears v.  So a rule changes only its own zeros, and the rules can run
-    in any order.  n = 0 counts as a multiple of every p^(e+1), which a skip
-    rule leaves as it was: seg[0] must be False already when lo = 0.
+    The multiples of p^e are every p^e-th entry of seg, a strided view v;
+    every p-th of them is a multiple of p^(e+1), which a skip rule saves
+    and writes back after it clears v.  Both starts come from i1, the first
+    index of a multiple of p^(e+1): lo + step*i1 = 0 (mod p^(e+1)), where
+    1/2 = (m + 1)/2 modulo an odd m.  So a rule changes only its own zeros,
+    and the rules can run in any order.  n = 0 counts as a multiple of
+    every p^(e+1), which a skip rule leaves as it was: seg[0] must be False
+    already when lo = 0.
     """
-    hi = lo + len(seg)
+    hi = lo + step * len(seg)
     for p, pe, skip in rules:
-        start = -lo % pe
-        v = seg[start::pe]
-        if skip and p * pe < hi:
-            first = -((lo + start) // pe) % p  # the first multiple of p^(e+1) in v
+        m = p * pe
+        i1 = -lo * ((m + 1) >> 1 if step == 2 else 1) % m
+        v = seg[i1 % pe :: pe]
+        if skip and m < hi and i1 < len(seg):  # some n > 0 in seg is a multiple of m
+            first = i1 // pe
             kept = v[first::p].copy()
             v[:] = False
             v[first::p] = kept
@@ -381,32 +399,65 @@ def count_f(case, x: int) -> int:
     f(m) = 1 and f(p) = 0, and the sum counts each once, by its one big
     prime.  F is a running count of b, needed only up to sqrt(x).
 
+    Only the odd n are marked.  b is multiplicative, as each rule reads
+    one prime's exponent, so b(2^a m) = b(2^a) b(m) for odd m, and the n
+    <= y with 2-adic valuation a are the 2^a m with m odd and m <= y >> a:
+
+        #{n <= y : b[n] = 1} = sum_{a : b(2^a) = 1} G(y >> a),
+
+    with G(y) = #{odd m <= y : b[m] = 1}; b(2^a) = 1 for every a when 2 has
+    no rule.  The sum is exact: it sorts the n <= y by a, and each class is
+    counted once.  The cuts x >> a are prefixes of the windows.  F is built
+    from the first window: b(m) is copied to the n = 2^a m <= sqrt(x) at
+    each a with b(2^a) = 1, one strided slice each, and F is the running
+    count of that array.
+
     b is never held whole: _mark fills one reused window of
-    max(primes.SEGMENT_SIZE, sqrt(x) + 1) entries at a time, the first of
-    which gives F, and each window subtracts the terms of its own big
-    primes.  So the working memory is one window and the big primes of one
-    window, besides the shared prime table.
+    max(primes.SEGMENT_SIZE, sqrt(x)/2 + 1) odd n at a time, with the rules
+    of the odd primes and step 2, and each window subtracts the terms of
+    its own big primes.  So the working memory is one window and the big
+    primes of one window, besides the shared prime table.
     """
     spec = get_case(case)
     x = _desk_x(x)
     primes, rules = _small_rules(spec, x)
     root = math.isqrt(x)
-    size = max(pr.SEGMENT_SIZE, root + 1)
-    seg = np.empty(min(size, x + 1), dtype=bool)
+    # 2's rules come first; a rule (2, 2^e, skip) clears 2^a at a = e if
+    # skip, else at every a >= 1 (ALWAYS).  twos holds the a with 2^a <= x
+    # and b(2^a) = 1, a = 0 first.
+    odd = next((i for i, rule in enumerate(rules) if rule[0] != 2), len(rules))
+    cleared = {pe.bit_length() - 1 for _, pe, _ in rules[:odd]}
+    if odd and not rules[0][2]:
+        twos = [0]
+    else:
+        twos = [a for a in range(x.bit_length()) if a not in cleared]
+    cuts = [x >> a for a in twos]
+    odd_rules = rules[odd:]
+    n_odd = (x + 1) // 2
+    size = max(pr.SEGMENT_SIZE, (root + 1) // 2 + 1)
+    seg = np.empty(min(size, n_odd), dtype=bool)
     count = 0
-    for lo in range(0, x + 1, size):
-        window = seg[: min(size, x + 1 - lo)]
+    for start in range(0, n_odd, size):
+        lo = 2 * start + 1
+        window = seg[: min(size, n_odd - start)]  # the odd n in [lo, end)
+        end = lo + 2 * len(window)
         window[:] = True
-        if lo == 0:
-            window[0] = False
-        _mark(window, lo, rules)
-        count += int(np.count_nonzero(window))
-        if lo == 0:
-            running = np.cumsum(window[: root + 1])
-        a, b = np.searchsorted(primes, (max(lo, root + 1), lo + len(window)))
-        big = primes[a:b]
-        count -= int(running[x // big[_f_zero(spec, big)]].sum())
-    return count
+        _mark(window, lo, odd_rules, step=2)
+        full = np.count_nonzero(window)
+        for y in cuts:  # the odd m <= y in the window are a prefix of it
+            if y >= end:
+                count += full
+            elif y >= lo:
+                count += np.count_nonzero(window[: (y - lo) // 2 + 1])
+        if start == 0:  # F counts b(n) = b(2^a) b(m) over n = 2^a m <= sqrt(x)
+            marked = np.zeros(root + 1, dtype=bool)
+            for a in twos:
+                if 1 << a <= root:
+                    marked[1 << a :: 2 << a] = window[: ((root >> a) + 1) // 2]
+            running = marked.cumsum()
+        big = primes[slice(*primes.searchsorted((max(lo, root + 1), end)))]
+        count -= running[x // big[_f_zero(spec, big)]].sum()
+    return int(count)
 
 
 # The S1 prefix holds one entry every _S1_BLOCK primes, so a call adds at
@@ -500,8 +551,8 @@ def h_f(case, x: float) -> ValueWithBudget:
     the prefix's bound on the rounding of lo.
     """
     spec = get_case(case)
-    if not (isinstance(x, int) or math.isfinite(x)):  # an int is finite, even past the float range
-        raise InvalidArgumentError(f"x must be finite, got {x}")
+    if not _is_finite(x):
+        raise InvalidArgumentError(f"x must be a finite number, got {x!r}")
     if x < 2:
         raise InvalidArgumentError(f"x must be >= 2, got {x}")
     xi = int(math.floor(x))

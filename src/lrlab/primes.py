@@ -1,8 +1,8 @@
 """Prime generation and the Wilton classes mod 23.
 
-Provides a segmented sieve of Eratosthenes, whose fixed segment size bounds
-its working memory, and the Wilton classes of primes modulo 23, as codes
-W_S1, W_S2, W_S3, W_P23:
+Provides a segmented sieve of Eratosthenes over the odd numbers, whose
+fixed segment size (one bool per odd n) bounds its working memory, and the
+Wilton classes of primes modulo 23, as codes W_S1, W_S2, W_S3, W_P23:
 
     S1 : (p|23) = -1
     S3 : p = U^2 + 23 V^2 with U != 0
@@ -82,21 +82,33 @@ def _simple_sieve(limit: int) -> np.ndarray:
 
 
 def _segmented_sieve(limit: int) -> np.ndarray:
-    base = _simple_sieve(math.isqrt(limit))
-    chunks = []
-    lo = 2
+    """All primes <= limit (>= 2): 2, then the odd primes, one window at a time.
+
+    A window holds one bool per odd n: its at most SEGMENT_SIZE entries
+    cover up to 2*SEGMENT_SIZE integers, and one buffer, the size of the
+    first window, serves them all.  Only the odd base primes mark it: an
+    odd multiple of p is p*(p + 2j) for j >= 0, so p's marks are p apart
+    in the window, from the first odd multiple >= max(p*p, lo).
+    """
+    base = _simple_sieve(math.isqrt(limit))[1:].tolist()
+    chunks = [np.array([2], dtype=np.int64)]
+    lo = 3
+    seg = np.empty(min(SEGMENT_SIZE, (limit - 1) // 2), dtype=bool)
     while lo <= limit:
-        hi = min(lo + SEGMENT_SIZE, limit + 1)
-        mask = np.ones(hi - lo, dtype=bool)
+        size = min(SEGMENT_SIZE, (limit - lo) // 2 + 1)
+        hi = lo + 2 * size  # the window holds the odd n in [lo, hi)
+        mask = seg[:size]
+        mask[:] = True
         for p in base:
-            p = int(p)
             if p * p >= hi:
                 break
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            mask[start - lo :: p] = False
-        chunks.append((lo + np.flatnonzero(mask)).astype(np.int64))
+            start = max(p * p, (lo + p - 1) // p * p)
+            if start % 2 == 0:
+                start += p
+            mask[(start - lo) // 2 :: p] = False
+        chunks.append(np.flatnonzero(mask).astype(np.int64, copy=False) * 2 + lo)
         lo = hi
-    return np.concatenate(chunks) if chunks else np.array([], dtype=np.int64)
+    return np.concatenate(chunks)
 
 
 _largest: PrimeTable | None = None  # the table of the largest limit sieved so far
@@ -118,7 +130,7 @@ def sieve_primes(limit: int) -> PrimeTable:
     """All primes <= limit, ascending (segmented sieve, deterministic)."""
     try:
         limit = int(limit)
-    except (OverflowError, ValueError):
+    except (OverflowError, TypeError, ValueError):
         raise InvalidArgumentError(f"sieve limit must be a finite number, got {limit!r}") from None
     if limit < 2:
         raise InvalidArgumentError(f"sieve limit must be >= 2, got {limit}")

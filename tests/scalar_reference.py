@@ -123,6 +123,7 @@ def kronecker_symbol(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+@lru_cache(maxsize=None)
 def totient(m: int) -> int:
     """Euler's phi(m), counted: #{1 <= r <= m : gcd(r, m) = 1}."""
     return sum(math.gcd(r, m) == 1 for r in range(1, m + 1))

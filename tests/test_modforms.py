@@ -348,6 +348,12 @@ class TestTauMod:
         with pytest.raises(InvalidArgumentError):
             tau_mod(11, 100)
 
+    @pytest.mark.parametrize("q", [3.0, 23.0, "3", None])
+    def test_non_integer_modulus_is_invalid(self, q):
+        # 3.0 == 3 is in the supported moduli, but is not a modulus
+        with pytest.raises(InvalidArgumentError, match="unsupported modulus"):
+            tau_mod(q, 10)
+
     def test_mod23_matches_eta_product(self):
         # the same product, written out densely with the pentagonal terms as a loop
         got = tau_mod(23, 10**5)
@@ -411,6 +417,11 @@ class TestLambdaMod3:
 
 
 class TestOddTauCount:
+    @pytest.mark.parametrize("x", [-1, math.nan, math.inf, "x", None])
+    def test_invalid_x(self, x):
+        with pytest.raises(InvalidArgumentError):
+            odd_tau_count(x)
+
     def test_examples(self):
         assert odd_tau_count(100) == 5  # 1, 9, 25, 49, 81
         assert odd_tau_count(1) == 1

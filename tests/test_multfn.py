@@ -245,7 +245,7 @@ class TestCountAndSieve:
         assert count_f("two_squares", 10) == 7  # {1,2,4,5,8,9,10}
 
     @pytest.mark.parametrize("run", [count_f, f_sieve])
-    @pytest.mark.parametrize("x", [0, 0.5, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("x", [0, 0.5, math.nan, math.inf, -math.inf, "100", None])
     def test_invalid_x(self, run, x):
         with pytest.raises(InvalidArgumentError):
             run("q5", x)
@@ -322,7 +322,15 @@ class TestSegments:
 
     @pytest.mark.parametrize("tag", sorted(CASES))
     def test_count_matches_sieve(self, tag, segment):
-        for x in EDGE_LIMITS + [segment - 1, segment, segment + 1, 3 * segment + 2, 4999, 5000]:
+        # count_f marks the odd n and adds n = 2^a m as the odd m <= x >> a:
+        # x = 2^k - 1, 2^k, 2^k + 1 move the cuts x >> a across powers of 2,
+        # and x with x >> a at the edge of an odd window (the k-th starts at
+        # n = 2k*segment + 1) cut a window at its last or first entry
+        powers = [2**k + d for k in range(1, 14) for d in (-1, 0, 1)]
+        cuts = (2 * segment - 1, 2 * segment, 2 * segment + 1, 4 * segment + 1)
+        edges = [y << a | low for a in (1, 2, 3) for y in cuts for low in (0, (1 << a) - 1)]
+        near = [segment - 1, segment, segment + 1, 3 * segment + 2, 4999, 5000]
+        for x in EDGE_LIMITS + near + powers + edges:
             assert count_f(tag, x) == int(np.count_nonzero(f_sieve(tag, x))), (tag, segment, x)
 
     @pytest.mark.parametrize("tag", sorted(CASES))
@@ -334,6 +342,21 @@ class TestSegments:
         _mark(forward, lo, rules)
         _mark(backward, lo, rules[::-1])
         assert np.array_equal(forward, backward)
+
+    @pytest.mark.parametrize("tag", sorted(CASES))
+    def test_odd_rules_run_in_any_order(self, tag):
+        # count_f's step-2 marking of the odd n in [lo, lo + 2*len): the same
+        # in either rule order, and the odd entries of f_sieve's step-1 marking
+        x, lo = 5000, 1235
+        _, rules = _small_rules(get_case(tag), x)
+        odd = [rule for rule in rules if rule[0] != 2]
+        forward, backward = np.ones((x - lo) // 2 + 1, dtype=bool), np.ones((x - lo) // 2 + 1, dtype=bool)
+        _mark(forward, lo, odd, step=2)
+        _mark(backward, lo, odd[::-1], step=2)
+        assert np.array_equal(forward, backward)
+        every = np.ones(2 * len(forward), dtype=bool)
+        _mark(every, lo, odd)
+        assert np.array_equal(forward, every[::2])
 
     def test_counts_at_the_desk_limit(self):
         counts = {"q2": 1581, "q3": 1045838, "q5": 4504714, "q7": 1577359,
@@ -430,7 +453,7 @@ class TestHf:
         with pytest.raises(InvalidArgumentError):
             h_f("q5", 1.5)
 
-    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, "100", None])
     def test_non_finite_x_is_invalid(self, x):
         with pytest.raises(InvalidArgumentError):
             h_f("q5", x)

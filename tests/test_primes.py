@@ -60,21 +60,36 @@ class TestSieve:
         for p in rng.sample(t.primes.tolist(), 50):
             assert is_prime(p)
 
-    def test_crosses_segment_boundaries(self):
-        # limit above one segment; spot check around the boundary
-        t = sieve_primes((1 << 20) + 1000)
-        lo = 1 << 20
-        window = [int(p) for p in t.primes if lo - 50 <= p <= lo + 1000]
+    def test_crosses_segment_boundaries(self, monkeypatch):
+        # a window holds SEGMENT_SIZE odd n, the k-th from 2k*SEGMENT_SIZE + 3;
+        # small windows put many edges below the limit, and each limit ends
+        # at, just past or just before one.  Checked against trial division.
+        ref = np.array(trial_division_sieve(10_003))
+        for segment in (97, 1000):
+            monkeypatch.setattr(primes, "SEGMENT_SIZE", segment)
+            for limit in [2 * k * segment + d for k in range(1, 6) for d in range(4)] + [10_003]:
+                assert np.array_equal(primes._segmented_sieve(limit), ref[ref <= limit]), (segment, limit)
+        # the full-size window's first edge, n = 2^21 + 3
+        monkeypatch.undo()
+        lo = 2 * primes.SEGMENT_SIZE + 3
+        t = primes._segmented_sieve(lo + 1000)
+        window = [int(p) for p in t if lo - 50 <= p <= lo + 1000]
         assert window == [n for n in range(lo - 50, lo + 1001) if is_prime(n)]
 
     def test_small_limit_rejected(self):
         with pytest.raises(InvalidArgumentError):
             sieve_primes(1)
 
-    @pytest.mark.parametrize("limit", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("limit", [math.nan, math.inf, -math.inf, None])
     def test_non_finite_limit_rejected(self, limit):
         with pytest.raises(InvalidArgumentError):
             sieve_primes(limit)
+
+    @pytest.mark.parametrize("limit", [math.nan, math.inf, -math.inf, None, 1])
+    def test_class_index_limit_rejected(self, limit):
+        # class_index hands its limit to sieve_primes unconverted
+        with pytest.raises(InvalidArgumentError):
+            class_index("q3", limit)
 
     def test_smaller_limits_slice_the_largest_table(self, monkeypatch):
         # one sieve to the largest limit seen; smaller limits are prefixes of
@@ -85,7 +100,7 @@ class TestSieve:
             for limit in (1000, 10**5, 2, 3, 7919, 7920, 99991, 10**5 - 1, 150000):
                 t = sieve_primes(limit)
                 assert t.limit == limit
-                assert np.array_equal(t.primes, primes._segmented_sieve(limit)), limit
+                assert np.array_equal(t.primes, primes._simple_sieve(limit)), limit
                 assert np.array_equal(t.logs, np.log(t.primes.astype(np.float64))), limit
                 assert not t.primes.flags.writeable and not t.logs.flags.writeable
             assert primes._largest.limit == 150000
