@@ -297,7 +297,7 @@ def table1(cases=None) -> list[ConstantReport]:
     """The six-row summary: one verdict-carrying report per case."""
     if isinstance(cases, str):
         raise UnsupportedCaseError(f"cases must be a collection of tags from {TABLE_CASES}, got {cases!r}")
-    tags = list(cases) if cases else list(TABLE_CASES)
+    tags = tuple(cases or ()) or TABLE_CASES
     for t in tags:
         if t not in TABLE_CASES:
             raise UnsupportedCaseError(f"{t!r} is not a summary-table case")

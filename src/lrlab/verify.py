@@ -1,8 +1,12 @@
 """Verification gate: every computed quantity against its reference target.
 
-Each check returns a CheckResult; the CLI `verify` subcommand prints one
-PASS/FAIL line per check and exits 0 iff everything passed.  Each printed
-number is written once, and a check's detail shows the numbers it compared.
+The gate is one table, `CHECKS`, of (case, name, check) rows, where
+``check()`` returns (passed, detail).  `run_checks` runs the wanted cases'
+rows in registry order: `lrlab verify` prints one PASS/FAIL line per row and
+exits 0 iff all passed, and `verify --case X` runs only X's rows and prints
+the same lines for them as a full run.  Rows share work only through the
+library's caches.  Each printed number is written once, and a check's detail
+shows the numbers it compared.
 
 Summary-table cells come from `constants.TABLE1_PRINTED`.  They are
 truncated decimals: a cell matches when the computed value truncates to its
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -31,9 +36,7 @@ from . import primes as pr
 from .characters import generator_character, kronecker_character
 from .errors import UnsupportedCaseError
 
-__all__ = ["CheckResult", "run_checks", "matches_truncated", "ALL_CASES", "PUBLISHED"]
-
-ALL_CASES = (*mu.TABLE_CASES, "q2")
+__all__ = ["CheckResult", "run_checks", "matches_truncated", "ALL_CASES", "CHECKS", "PUBLISHED"]
 
 # Quoted decimals outside the summary table: check name -> (case, printed
 # value, tolerance per component[, tolerance of the imaginary part]).
@@ -77,11 +80,7 @@ def matches_truncated(value: float, printed: float, decimals: int) -> bool:
     return printed - step - slack < value <= printed + slack
 
 
-def _res(name, case, passed, detail) -> CheckResult:
-    return CheckResult(name, case, bool(passed), detail)
-
-
-def _near(case, name, value, ref, tol, tol_imag=None) -> CheckResult:
+def _near(value, ref, tol, tol_imag=None) -> tuple[bool, str]:
     """|value - ref| <= tol, in each component of a complex ``value`` (the
     imaginary part within ``tol_imag`` if given)."""
     parts = [(value.real, ref.real, tol)]
@@ -90,268 +89,240 @@ def _near(case, name, value, ref, tol, tol_imag=None) -> CheckResult:
     detail = f"{value:.10g} vs {ref:.10g} ± {tol:g}"
     if tol_imag is not None:
         detail += f" (imaginary part ± {tol_imag:g})"
-    return _res(name, case, all(abs(v - r) <= t for v, r, t in parts), detail)
+    return all(abs(v - r) <= t for v, r, t in parts), detail
 
 
-def _published(name, value) -> CheckResult:
-    case, *row = PUBLISHED[name]
-    return _near(case, name, value, *row)
+def _quoted(name, value):
+    """The row that holds ``value()`` to its PUBLISHED decimal."""
+    case, *ref = PUBLISHED[name]
+    return case, name, lambda: _near(value(), *ref)
+
+
+def _report(tag):
+    return co.table1([tag])[0]
 
 
 # ---------------------------------------------------------------------------
 # Criterion 1: the six-row table
 # ---------------------------------------------------------------------------
 
-def _cell(case, cell, v, printed, decimals, near=None, flagged=None) -> CheckResult:
-    """A table cell: ``v`` truncates to its ``printed`` decimal or, for an
-    irreproducible cell, ``flagged`` says whether the report notes it;
-    ``near`` = (reference, tolerance) adds |v - reference| <= tolerance."""
+def _table_cell(cell, report) -> tuple[bool, str]:
+    """One printed cell of the report's row, with its three exceptions (module docstring)."""
+    tag, b, notes = report.case, report.b_f.value, report.notes
+    h5_ref, h6_ref, b_ref, c2_ref, _ = co.TABLE1_PRINTED[tag]
+    one_minus_tau = 1.0 - float(report.tau)
+    if cell == "C2-identity":
+        ident = one_minus_tau * (1.0 + b)
+        ok = abs(report.c2.value - ident) <= 1e-15 * (1.0 + abs(ident))
+        return ok, f"C2 = {report.c2.value:.10f} vs (1-tau)(1+B) = {ident:.10f}"
+    (_, h5), (_, h6) = report.h_checkpoints[:2]
+    v, printed, decimals = {"H_f(1e5)": (h5, h5_ref, 3), "H_f(1e6)": (h6, h6_ref, 3),
+                            "B_f": (report.b_f, b_ref, 4), "C2": (report.c2, c2_ref, 4)}[cell]
+    near = flagged = None
+    if (tag, cell) == ("q691", "H_f(1e6)"):
+        near, flagged = (b, 2e-3), any("H_f(1e6)" in n for n in notes)
+    elif (tag, cell) == ("q23", "B_f"):
+        near = (-0.21666, 1e-4)
+    elif (tag, cell) == ("q23", "C2"):
+        near = (one_minus_tau * (1.0 + b_ref), 1e-4)
+        flagged = report.c2_printed_reference == c2_ref and any("C2" in n for n in notes)
     if flagged is None:
         ok, detail = matches_truncated(v.value, printed, decimals), f"truncates to printed {printed}"
     else:
         ok, detail = flagged, f"printed {printed} is irreproducible, flagged: {flagged}"
     if near is not None:
-        also = _near(case, cell, v.value, *near)
-        ok, detail = ok and also.passed, f"{detail}; {also.detail}"
-    return _res(f"table1/{cell}", case, ok, f"{cell} = {v:.7f}, {detail}")
-
-
-def _check_table_row(report) -> list[CheckResult]:
-    """The printed row, cell by cell, with its three exceptions (module docstring)."""
-    tag, b, notes = report.case, report.b_f.value, report.notes
-    h5_ref, h6_ref, b_ref, c2_ref, _ = co.TABLE1_PRINTED[tag]
-    (_, h5), (_, h6) = report.h_checkpoints[:2]
-    one_minus_tau = 1.0 - float(report.tau)
-    ident = one_minus_tau * (1.0 + b)
-    h6_rule = b_rule = c2_rule = {}
-    if tag == "q691":
-        h6_rule = {"near": (b, 2e-3), "flagged": any("H_f(1e6)" in n for n in notes)}
-    if tag == "q23":
-        b_rule = {"near": (-0.21666, 1e-4)}
-        flagged = report.c2_printed_reference == c2_ref and any("C2" in n for n in notes)
-        c2_rule = {"near": (one_minus_tau * (1.0 + b_ref), 1e-4), "flagged": flagged}
-    c2_ok = abs(report.c2.value - ident) <= 1e-15 * (1.0 + abs(ident))
-    return [
-        _cell(tag, "H_f(1e5)", h5, h5_ref, 3),
-        _cell(tag, "H_f(1e6)", h6, h6_ref, 3, **h6_rule),
-        _cell(tag, "B_f", report.b_f, b_ref, 4, **b_rule),
-        _res("table1/C2-identity", tag, c2_ok, f"C2 = {report.c2.value:.10f} vs (1-tau)(1+B) = {ident:.10f}"),
-        _cell(tag, "C2", report.c2, c2_ref, 4, **c2_rule),
-    ]
+        also, also_detail = _near(v.value, *near)
+        ok, detail = ok and also, f"{detail}; {also_detail}"
+    return ok, f"{cell} = {v:.7f}, {detail}"
 
 
 # ---------------------------------------------------------------------------
 # Criteria 2-5: the quoted decimals
 # ---------------------------------------------------------------------------
 
-def _check_quoted(by_case, wanted) -> list[CheckResult]:
-    """The wanted cases' quoted L-values, q691 character sums, q3 forms and
-    first-order constants (K and C2 from two_squares, C from q5)."""
-    out = []
-    if {"q5", "q7", "q23"} & wanted:
-        def ratio(chi):
-            return (ls.l_derivative_at_1(chi, 1) / ls.l_derivative_at_1(chi, 0)).value
+def _ratio(j):
+    """L'/L(1, chi) for chi = chi_c^j mod 5."""
+    chi = generator_character(5, j)
+    return (ls.l_derivative_at_1(chi, 1) / ls.l_derivative_at_1(chi, 0)).value
 
-        def l_value(d, k):
-            return ls.l_derivative_at_1(kronecker_character(d), k).value.real
 
-        closed = ls.closed_form_l_values
-        l_checks = [
-            _published("lvalues/L'/L(chi_5)", ratio(generator_character(5, 2))),
-            _published("lvalues/L'/L(chi_c mod 5)", ratio(generator_character(5, 1))),
-            _published("lvalues/L'(chi_-7)", l_value(-7, 1)),
-            _published("lvalues/L'(chi_-23)", l_value(-23, 1)),
-            _near("q7", "lvalues/L(chi_-7)=pi/sqrt7", l_value(-7, 0), closed("chi_minus7"), 1e-8),
-            _near("q23", "lvalues/L(chi_-23)=3pi/sqrt23", l_value(-23, 0), closed("chi_minus23"), 1e-8),
-        ]
-        out += [x for x in l_checks if x.case in wanted]
-    if "q691" in wanted:
-        (odd, even), b, row_b = co.b691_character_sums(), co.b691_approx(), by_case["q691"].b_f
-        share = row_b.value - b.value  # the four residual products the formula leaves out
-        detail = f"|B_f - b691| = |{share:.3e}| < 1e-5 (budgets {row_b.budget:.1e} + {b.budget:.1e})"
-        out += [
-            _published("q691/odd-character-sum", odd.value),
-            _published("q691/even-character-sum", even.value),
-            _published("q691/b691", b.value),
-            _res("q691/omitted-products", "q691", abs(share) < 1e-5, detail),
-        ]
-    if "q3" in wanted:
-        # the zeta(2s)^-2 rewrite moves (1 - p^-2s)^2 over every prime into zeta(2s)^-2, so
-        # the two forms agree iff the class sums mod 3 at s = 2 add up to -zeta'/zeta(2)
-        spec = mu.get_case("q3")
-        total = sum(co._class_sum(spec, j, 2) for j in range(len(spec.m0)))
-        every_prime = -(ls.zeta_value(2, 1) / ls.zeta_value(2))
-        detail = f"class sums mod 3 at s = 2: {total:.16g} vs -zeta'/zeta(2) = {every_prime:.16g}"
-        out += [
-            _published("q3/B-rewrite", by_case["q3"].b_f.value),
-            _res("q3/forms-agree", "q3", total.agrees_with(every_prime), detail),
-        ]
-    if "two_squares" in by_case:
-        c2 = by_case["two_squares"].c2.value
-        out += [
-            _published("constants/K", by_case["two_squares"].first_order.value),
-            _published("constants/two-squares-C2", c2),
-            _published("constants/two-squares-C2-shanks", c2),
-        ]
-    if "q5" in by_case:
-        c5 = by_case["q5"].first_order
-        detail = f"C = {c5}, budget < 1e-4"
-        out.append(_res("constants/first-order-q5-consistent", "q5", c5.budget < 1e-4, detail))
-    return out
+def _l_value(d, k):
+    return ls.l_derivative_at_1(kronecker_character(d), k).value.real
+
+
+def _omitted_products():
+    b, row_b = co.b691_approx(), _report("q691").b_f
+    share = row_b.value - b.value  # the four residual products the formula leaves out
+    detail = f"|B_f - b691| = |{share:.3e}| < 1e-5 (budgets {row_b.budget:.1e} + {b.budget:.1e})"
+    return abs(share) < 1e-5, detail
+
+
+def _q3_forms_agree():
+    # the zeta(2s)^-2 rewrite moves (1 - p^-2s)^2 over every prime into zeta(2s)^-2, so
+    # the two forms agree iff the class sums mod 3 at s = 2 add up to -zeta'/zeta(2)
+    spec = mu.get_case("q3")
+    total = sum(co._class_sum(spec, j, 2) for j in range(len(spec.m0)))
+    every_prime = -(ls.zeta_value(2, 1) / ls.zeta_value(2))
+    detail = f"class sums mod 3 at s = 2: {total:.16g} vs -zeta'/zeta(2) = {every_prime:.16g}"
+    return total.agrees_with(every_prime), detail
+
+
+def _c5_consistent():
+    c5 = _report("q5").first_order
+    return c5.budget < 1e-4, f"C = {c5}, budget < 1e-4"
 
 
 # ---------------------------------------------------------------------------
 # Criterion 6: oracle equivalence suites
 # ---------------------------------------------------------------------------
 
-def _check_oracles(wanted) -> list[CheckResult]:
-    """The oracle checks of the wanted cases; nothing is computed for the others."""
-    out = []
-    n_max = 20_000
-    moduli = ((2, "q2"), (3, "q3"), (5, "q5"), (7, "q7"), (23, "q23"), (691, "q691"))
-    tau_cases = [(q, tag) for q, tag in moduli if tag in wanted]
-    if tau_cases:
-        tau_arr = mf.tau_exact(n_max).values
-    for q, tag in tau_cases:
-        shortcut = mf.tau_mod(q, n_max)[1:]
-        exact = np.array([t % q for t in tau_arr], dtype=np.int64)
-        ok = np.array_equal(shortcut, exact)
-        out.append(_res("oracle/tau-congruence", tag, ok, f"tau mod {q} on n <= {n_max}"))
-        fs = mu.f_sieve(tag, n_max)[1:]
-        ok = np.array_equal(fs, exact != 0)
-        out.append(_res("oracle/f-vs-tau", tag, ok, f"f(n) = [tau(n) mod {q} != 0], n <= {n_max}"))
-
-    if "two_squares" in wanted:
-        sq = np.zeros(n_max + 1, dtype=bool)
-        for u in range(0, math.isqrt(n_max) + 1):
-            v2 = np.arange(0, math.isqrt(n_max - u * u) + 1)
-            sq[u * u + v2 * v2] = True
-        ok = np.array_equal(mu.f_sieve("two_squares", n_max)[1:], sq[1:])
-        out.append(_res("oracle/f-vs-tau", "two_squares", ok, f"two-square representability, n <= {n_max}"))
-
-    if "q691" in wanted:
-        zeros = np.flatnonzero(~mu.f_sieve("q691", 11053))[1:]
-        expected = sorted([1381 * m for m in range(1, 9)] + [5527, 8291])
-        out.append(
-            _res(
-                "oracle/q691-zero-set",
-                "q691",
-                zeros.tolist() == expected,
-                f"zeros below 11054: {zeros.tolist()}",
-            )
-        )
-
-    if "q2" in wanted:
-        parity = np.cumsum([t % 2 for t in tau_arr[: 10**4]])
-        ok = all(int(parity[x - 1]) == mf.odd_tau_count(x) for x in range(1, 10**4 + 1))
-        out.append(_res("oracle/parity-count", "q2", ok, "#odd tau(n<=x) = floor((1+sqrt x)/2), x <= 1e4"))
-
-    if "q3" in wanted:
-        lam = mf.lambda_mod3(2000)
-        t3 = mf.tau_mod(3, 6001)
-        l_sum = np.cumsum(lam != 0)  # includes k = 0
-        t_sum = np.cumsum(t3[1:] != 0)
-        ok = all(int(l_sum[x]) == int(t_sum[3 * x]) for x in range(0, 2001))
-        out.append(
-            _res("oracle/koppeling", "q3", ok, "sum_{k<=x} l_k = sum_{n<=3x+1} t_n, x <= 2000 (k >= 0)")
-        )
-
-    if "q23" in wanted:
-        # Wilton: tau(p) = 0, -1, 2 (mod 23) on S1, S2, S3, read from the eta product
-        p = pr.sieve_primes(10**5).primes
-        by_tau = np.full(23, 255, dtype=np.uint8)
-        by_tau[[0, 22, 2]] = pr.W_S1, pr.W_S2, pr.W_S3
-        expected = np.where(p == 23, pr.W_P23, by_tau[mf.tau_mod(23, 10**5)[p]])
-        bad = int(np.count_nonzero(expected != mu.class_index("q23", 10**5)))
-        out.append(_res("oracle/wilton-dual", "q23", bad == 0, f"{bad} mismatches over p <= 1e5"))
-        codes6 = mu.class_index("q23", 10**6)
-        n6 = len(codes6)
-        freqs = [np.count_nonzero(codes6 == c) / n6 for c in (pr.W_S1, pr.W_S2, pr.W_S3)]
-        ok = (
-            abs(freqs[0] - 0.5) < 0.01 and abs(freqs[1] - 1 / 3) < 0.01 and abs(freqs[2] - 1 / 6) < 0.01
-        )
-        out.append(
-            _res(
-                "oracle/wilton-densities",
-                "q23",
-                ok,
-                f"S1/S2/S3 = {freqs[0]:.4f}/{freqs[1]:.4f}/{freqs[2]:.4f} vs 1/2, 1/3, 1/6 ± 0.01",
-            )
-        )
-    return out
+N_MAX = 20_000
 
 
-def _local_factor_gap(tag: str) -> tuple[float, str]:
-    """The largest local_factor_gap over p <= 1e4 at x = 1/2 and 1/3, and its detail."""
+def _tau_residues(q):
+    return np.array([t % q for t in mf.tau_exact(N_MAX).values], dtype=np.int64)
+
+
+def _tau_congruence(q):
+    return np.array_equal(mf.tau_mod(q, N_MAX)[1:], _tau_residues(q)), f"tau mod {q} on n <= {N_MAX}"
+
+
+def _f_vs_tau(q, tag):
+    ok = np.array_equal(mu.f_sieve(tag, N_MAX)[1:], _tau_residues(q) != 0)
+    return ok, f"f(n) = [tau(n) mod {q} != 0], n <= {N_MAX}"
+
+
+def _two_squares():
+    sq = np.zeros(N_MAX + 1, dtype=bool)
+    for u in range(0, math.isqrt(N_MAX) + 1):
+        v2 = np.arange(0, math.isqrt(N_MAX - u * u) + 1)
+        sq[u * u + v2 * v2] = True
+    ok = np.array_equal(mu.f_sieve("two_squares", N_MAX)[1:], sq[1:])
+    return ok, f"two-square representability, n <= {N_MAX}"
+
+
+def _q691_zero_set():
+    zeros = np.flatnonzero(~mu.f_sieve("q691", 11053))[1:].tolist()
+    return zeros == sorted([1381 * m for m in range(1, 9)] + [5527, 8291]), f"zeros below 11054: {zeros}"
+
+
+def _parity_count():
+    parity = np.cumsum([t % 2 for t in mf.tau_exact(N_MAX).values[: 10**4]])
+    ok = all(int(parity[x - 1]) == mf.odd_tau_count(x) for x in range(1, 10**4 + 1))
+    return ok, "#odd tau(n<=x) = floor((1+sqrt x)/2), x <= 1e4"
+
+
+def _koppeling():
+    l_sum = np.cumsum(mf.lambda_mod3(2000) != 0)  # includes k = 0
+    t_sum = np.cumsum(mf.tau_mod(3, 6001)[1:] != 0)
+    ok = all(int(l_sum[x]) == int(t_sum[3 * x]) for x in range(0, 2001))
+    return ok, "sum_{k<=x} l_k = sum_{n<=3x+1} t_n, x <= 2000 (k >= 0)"
+
+
+def _wilton_dual():
+    # Wilton: tau(p) = 0, -1, 2 (mod 23) on S1, S2, S3, read from the eta product
+    p = pr.sieve_primes(10**5).primes
+    by_tau = np.full(23, 255, dtype=np.uint8)
+    by_tau[[0, 22, 2]] = pr.W_S1, pr.W_S2, pr.W_S3
+    expected = np.where(p == 23, pr.W_P23, by_tau[mf.tau_mod(23, 10**5)[p]])
+    bad = int(np.count_nonzero(expected != mu.class_index("q23", 10**5)))
+    return bad == 0, f"{bad} mismatches over p <= 1e5"
+
+
+def _wilton_densities():
+    codes6 = mu.class_index("q23", 10**6)
+    s1, s2, s3 = (np.count_nonzero(codes6 == c) / len(codes6) for c in (pr.W_S1, pr.W_S2, pr.W_S3))
+    ok = abs(s1 - 0.5) < 0.01 and abs(s2 - 1 / 3) < 0.01 and abs(s3 - 1 / 6) < 0.01
+    return ok, f"S1/S2/S3 = {s1:.4f}/{s2:.4f}/{s3:.4f} vs 1/2, 1/3, 1/6 ± 0.01"
+
+
+def _local_factors(tag):
+    """The largest local_factor_gap over p <= 1e4 at x = 1/2 and 1/3, within 1e-9."""
     gap = max(idn.local_factor_gap(tag, x, 10**4) for x in (1 / 2, 1 / 3))
-    return gap, f"max log gap {gap:.2e} over p <= 1e4 at x = 1/2, 1/3"
+    return gap <= 1e-9, f"max log gap {gap:.2e} over p <= 1e4 at x = 1/2, 1/3"
 
 
-def _check_identities(wanted) -> list[CheckResult]:
-    """Each wanted case's s = 2 identity within its budgets, and its local
-    factors at x = 1/2, 1/3, where a wrong high-order factor, invisible at
-    x = p^-2, shows."""
-    out = []
-    for tag in ("q3", "q5", "q7", "q23"):
-        if tag not in wanted:
-            continue
-        lhs, rhs = idn.euler_identity_sides(tag)
-        gap = abs(lhs.value - rhs.value)
-        local, detail = _local_factor_gap(tag)
-        out.append(
-            _res(
-                "identity/euler-product",
-                tag,
-                gap <= lhs.budget + rhs.budget and local <= 1e-9,
-                f"|log lhs - log rhs| = {gap:.2e} <= {lhs.budget + rhs.budget:.2e}; {detail}",
-            )
-        )
-    if "q691" in wanted:
-        gap, detail = _local_factor_gap("q691")
-        out.append(_res("identity/local-factors", "q691", gap <= 1e-9, detail))
-    return out
+def _euler_product(tag):
+    """The s = 2 identity within its budgets, and the local factors at x = 1/2,
+    1/3, where a wrong high-order factor, invisible at x = p^-2, shows."""
+    lhs, rhs = idn.euler_identity_sides(tag)
+    gap = abs(lhs.value - rhs.value)
+    local_ok, detail = _local_factors(tag)
+    ok = gap <= lhs.budget + rhs.budget and local_ok
+    return ok, f"|log lhs - log rhs| = {gap:.2e} <= {lhs.budget + rhs.budget:.2e}; {detail}"
 
 
 # ---------------------------------------------------------------------------
 # Criterion 7: verdicts
 # ---------------------------------------------------------------------------
 
-def _check_verdicts(reports) -> list[CheckResult]:
-    out = []
-    for r in reports:
-        out.append(
-            _res(
-                "verdict/claim-false",
-                r.case,
-                r.verdict == co.CLAIM_FALSE,
-                f"|C2 - {r.c2_ramanujan}| = {abs(r.c2.value - float(r.c2_ramanujan)):.4f} "
-                f"> budget {r.c2.budget:.1e}: {r.verdict}",
-            )
-        )
-        if r.case == "q3":
-            ok = r.lambda_c2 is not None and abs(r.lambda_c2.value - 0.5) > r.lambda_c2.budget
-            out.append(_res("verdict/lambda-c2", "q3", ok, f"C2(lambda) = {r.lambda_c2.value:.6f} != 1/2"))
-        if r.case == "q23":
-            ok = r.c2_printed_reference == co.TABLE1_PRINTED["q23"][3] and bool(r.notes)
-            out.append(_res("verdict/q23-discrepancy-flag", "q23", ok, "printed-table flag present"))
-    return out
+def _claim_false(tag):
+    r = _report(tag)
+    gap = abs(r.c2.value - float(r.c2_ramanujan))
+    detail = f"|C2 - {r.c2_ramanujan}| = {gap:.4f} > budget {r.c2.budget:.1e}: {r.verdict}"
+    return r.verdict == co.CLAIM_FALSE, detail
+
+
+def _lambda_c2():
+    lam = _report("q3").lambda_c2
+    return lam is not None and abs(lam.value - 0.5) > lam.budget, f"C2(lambda) = {lam.value:.6f} != 1/2"
+
+
+def _q23_flag():
+    r = _report("q23")
+    ok = r.c2_printed_reference == co.TABLE1_PRINTED["q23"][3] and bool(r.notes)
+    return ok, "printed-table flag present"
+
+
+CHECKS = (
+    *((tag, f"table1/{cell}", lambda tag=tag, cell=cell: _table_cell(cell, _report(tag)))
+      for tag in mu.TABLE_CASES for cell in ("H_f(1e5)", "H_f(1e6)", "B_f", "C2-identity", "C2")),
+    _quoted("lvalues/L'/L(chi_5)", lambda: _ratio(2)),
+    _quoted("lvalues/L'/L(chi_c mod 5)", lambda: _ratio(1)),
+    _quoted("lvalues/L'(chi_-7)", lambda: _l_value(-7, 1)),
+    _quoted("lvalues/L'(chi_-23)", lambda: _l_value(-23, 1)),
+    ("q7", "lvalues/L(chi_-7)=pi/sqrt7",
+     lambda: _near(_l_value(-7, 0), ls.closed_form_l_values("chi_minus7"), 1e-8)),
+    ("q23", "lvalues/L(chi_-23)=3pi/sqrt23",
+     lambda: _near(_l_value(-23, 0), ls.closed_form_l_values("chi_minus23"), 1e-8)),
+    _quoted("q691/odd-character-sum", lambda: co.b691_character_sums()[0].value),
+    _quoted("q691/even-character-sum", lambda: co.b691_character_sums()[1].value),
+    _quoted("q691/b691", lambda: co.b691_approx().value),
+    ("q691", "q691/omitted-products", _omitted_products),
+    _quoted("q3/B-rewrite", lambda: _report("q3").b_f.value),
+    ("q3", "q3/forms-agree", _q3_forms_agree),
+    _quoted("constants/K", lambda: _report("two_squares").first_order.value),
+    _quoted("constants/two-squares-C2", lambda: _report("two_squares").c2.value),
+    _quoted("constants/two-squares-C2-shanks", lambda: _report("two_squares").c2.value),
+    ("q5", "constants/first-order-q5-consistent", _c5_consistent),
+    *(row for q, tag in ((2, "q2"), (3, "q3"), (5, "q5"), (7, "q7"), (23, "q23"), (691, "q691"))
+      for row in ((tag, "oracle/tau-congruence", partial(_tau_congruence, q)),
+                  (tag, "oracle/f-vs-tau", partial(_f_vs_tau, q, tag)))),
+    ("two_squares", "oracle/f-vs-tau", _two_squares),
+    ("q691", "oracle/q691-zero-set", _q691_zero_set),
+    ("q2", "oracle/parity-count", _parity_count),
+    ("q3", "oracle/koppeling", _koppeling),
+    ("q23", "oracle/wilton-dual", _wilton_dual),
+    ("q23", "oracle/wilton-densities", _wilton_densities),
+    *((tag, "identity/euler-product", partial(_euler_product, tag)) for tag in ("q3", "q5", "q7", "q23")),
+    ("q691", "identity/local-factors", partial(_local_factors, "q691")),
+    *((tag, "verdict/claim-false", partial(_claim_false, tag)) for tag in ("two_squares", "q5", "q7", "q3")),
+    ("q3", "verdict/lambda-c2", _lambda_c2),
+    *((tag, "verdict/claim-false", partial(_claim_false, tag)) for tag in ("q691", "q23")),
+    ("q23", "verdict/q23-discrepancy-flag", _q23_flag),
+)
+
+ALL_CASES = tuple(dict.fromkeys(case for case, _, _ in CHECKS))
 
 
 def run_checks(cases=None) -> list[CheckResult]:
-    """Run the verification suite, optionally filtered to some case tags."""
-    if isinstance(cases, str) or not set(cases or ALL_CASES) <= set(ALL_CASES):
+    """Run the rows of some case tags (all by default), in registry order."""
+    wanted = tuple(cases or ()) or ALL_CASES
+    if isinstance(cases, str) or not set(wanted) <= set(ALL_CASES):
         raise UnsupportedCaseError(f"cases must be a collection of tags from {ALL_CASES}, got {cases!r}")
-    wanted = set(cases or ALL_CASES)
-    table_tags = [t for t in mu.TABLE_CASES if t in wanted]
-    results: list[CheckResult] = []
-
-    reports = []
-    if table_tags:
-        reports = co.table1(table_tags)
-        for r in reports:
-            results.extend(_check_table_row(r))
-    results.extend(_check_quoted({r.case: r for r in reports}, wanted))
-    results.extend(_check_oracles(wanted))
-    results.extend(_check_identities(wanted))
-    results.extend(x for x in _check_verdicts(reports) if x.case in wanted)
+    results = []
+    for case, name, check in CHECKS:
+        if case in wanted:
+            passed, detail = check()
+            results.append(CheckResult(name, case, bool(passed), detail))
     return results

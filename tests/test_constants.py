@@ -101,6 +101,11 @@ class TestAssemblies:
         with pytest.raises(UnsupportedCaseError, match="collection of tags"):
             table1("q5")
 
+    @pytest.mark.parametrize("tags", [[], ["q5"], ["q23", "two_squares"]])
+    def test_table1_takes_a_generator_like_its_list(self, tags):
+        # an empty generator is truthy, yet selects what [] selects: every row
+        assert table1(t for t in tags) == table1(tags)
+
 
 @pytest.fixture(scope="module")
 def q691_row():

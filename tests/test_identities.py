@@ -10,7 +10,7 @@ from lrlab.identities import euler_identity_sides, local_factor_gap, truncated_T
 from lrlab.lseries import _log, zeta_value
 from lrlab.multfn import CASES, class_index, dirichlet_series_truncated, get_case
 from lrlab.primes import sieve_primes
-from lrlab.verify import _check_identities
+from lrlab.verify import CHECKS
 from scalar_reference import character_values, f_prime_power, totient
 
 # Every factorization row of the case table: (case, CaseSpec field)
@@ -54,8 +54,11 @@ class TestEulerIdentities:
         monkeypatch.setitem(CASES, "q23", broken)
         lhs, rhs = euler_identity_sides("q23")
         assert abs(lhs.value - rhs.value) <= lhs.budget + rhs.budget
-        (check,) = _check_identities({"q23"})
-        assert check.name == "identity/euler-product" and not check.passed, check.detail
+        # q23's identity rows of the verification gate
+        rows = [(name, check) for case, name, check in CHECKS if case == "q23" and name.startswith("identity/")]
+        ((name, check),) = rows
+        passed, detail = check()
+        assert name == "identity/euler-product" and not passed, detail
 
     def test_q3_forms_agree(self):
         # the zeta(2s)^-2 rewrite of q3's factorization moves (1 - p^-2s)^2 over
