@@ -72,6 +72,8 @@ def euler_phi(m: int) -> int:
 
 def generator_character(m: int, j: int) -> DirichletCharacter:
     """chi_c^j mod m, the character with chi(g) = exp(2*pi*i*j/phi(m))."""
+    if not isinstance(j, (int, np.integer)):
+        raise InvalidArgumentError(f"character index must be an integer, got {j!r}")
     group = character_group(m)
     return group[j % len(group)]
 

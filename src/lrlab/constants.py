@@ -9,7 +9,8 @@ second-order coefficient of the counting asymptotic is
 The claimed integral form of the asymptotic forces B_f = 0, so a computed
 B_f bounded away from zero (beyond its error budget) refutes the claim.
 
-B_f is read off the case's one Euler factorization in multfn.CASES,
+B_f is read off the case's one Euler factorization, which multfn derives
+from the case's classes and zero periods (CaseSpec.euler),
 T(s)^n = zeta(s)^(n tau) prod L(s, chi)^e H(s) = zeta(s)^(n tau) g(s)^n,
 by one assembler (_log_g) that gives n log g(s) or -n g'/g(s) term by
 term.  Since -d/ds log (1 - p^(-a s))^c = -c a log p/(p^(a s) - 1),
@@ -38,13 +39,13 @@ It is kept as a cross-check (b691_approx); B_f - b691_approx is the share of
 those four residual products, about 2.7e-6.
 
 First-order constants, C = g(1)/Gamma(tau), from the class sums of
--log(1 - p^-a).  For q5 the same assembler reads g(1) off the table's
+-log(1 - p^-a).  For q5 the same assembler reads g(1) off the derived
 T(s)^4 = zeta(s)^3 L(s, chi_c) L(s, chi_c~) L(s, chi_5)^-1 (1 - 5^-s)^3 H(s);
 its L-values must agree with the closed forms L(1, chi_5) =
 log((3+sqrt5)/2)/sqrt5 and |L(1, chi_c)|^2 = 2 pi^2/25.  The two-squares
 constant K = 2^(-1/2) prod_{p=3(4)} (1 - p^-2)^(-1/2) keeps its closed
-product: the table route would read L(1, chi_-4) = pi/4 from the kernel,
-which raises K's budget from 6.6e-15 to 1.1e-14.
+product: the factorization route would read L(1, chi_-4) = pi/4 from the
+kernel, which raises K's budget from 6.6e-15 to 1.1e-14.
 """
 
 from __future__ import annotations
@@ -208,7 +209,7 @@ def landau_ramanujan_K() -> ValueWithBudget:
 
 def first_order_C5() -> ValueWithBudget:
     """First-order constant of the q5 count, C = g(1)/Gamma(3/4), from the
-    table's factorization T(s)^4 = zeta(s)^3 g(s)^4.
+    case's factorization T(s)^4 = zeta(s)^3 g(s)^4.
 
     The L-values in it, L(1, chi_5) and |L(1, chi_c)|^2, must agree with
     their closed forms within budgets (ConsistencyError otherwise).

@@ -1,10 +1,11 @@
 """Euler-identity cross checks.
 
-Each case's Euler factorization in multfn.CASES,
+Each case's Euler factorization, derived in multfn from the case's classes
+and zero periods (CaseSpec.euler),
 
     T(s)^n = zeta(s)^(n tau) prod_chi L(s, chi)^e H(s),
 
-is checked two ways.
+is checked two ways, each a check of that derivation.
 
 euler_identity_sides evaluates the log of both sides at an integer s >= 2:
 n log T(s) from a truncated Dirichlet series, and the log of the right side
@@ -32,7 +33,7 @@ import numpy as np
 from .budget import ValueWithBudget
 from .characters import _dlog_table, euler_phi
 from .constants import _log_g
-from .errors import InvalidArgumentError, UnsupportedCaseError
+from .errors import InvalidArgumentError
 from .lseries import _EPS, _log, zeta_value
 from .multfn import M_ALWAYS, M_NEVER, class_index, dirichlet_series_truncated, get_case
 from .primes import sieve_primes
@@ -47,17 +48,10 @@ def truncated_T(case, s: float, n_terms: int) -> ValueWithBudget:
     return ValueWithBudget(value, tail + _EPS * (abs(value) + 1.0) * 4.0)
 
 
-def _factorized(case):
-    spec = get_case(case)
-    if spec.euler is None:
-        raise UnsupportedCaseError(f"no product identity registered for {spec.tag!r}")
-    return spec
-
-
 def euler_identity_sides(tag: str, s: int = 2, n_terms: int = 10**5):
     """n log T(s) and the log of the right side of the case's factorization
     identity, with budgets, at an integer s >= 2."""
-    spec = _factorized(tag)
+    spec = get_case(tag)
     n = spec.euler.n
     lhs = n * _log(truncated_T(spec, s, n_terms))
     return lhs, _log_g(spec, s, 0, float(n * spec.tau) * _log(zeta_value(s)))
@@ -70,10 +64,10 @@ def local_factor_gap(case, x: float = 0.5, p_limit: int = 10**4) -> float:
     T_p = sum_k f(p^k) x^k is 1/(1 - x) for m0 = NEVER, 1 for ALWAYS, and
     (1 - x^(m0-1))/((1 - x)(1 - x^m0)) otherwise.
     """
-    spec = _factorized(case)
+    spec = get_case(case)
+    euler = spec.euler
     if not 0 < x < 1:
         raise InvalidArgumentError(f"x must lie in (0, 1), got {x}")
-    euler = spec.euler
     p = sieve_primes(p_limit).primes
     idx = class_index(spec, p_limit)
     m0 = spec._m0s[idx]

@@ -75,6 +75,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -122,6 +123,8 @@ GAMMA_K_MAX = 12
 
 def _exact(s):
     """s as an int, or as a Fraction when it is not integral (exact for floats)."""
+    if not isinstance(s, numbers.Real):
+        raise InvalidArgumentError(f"the exponent must be a real number, got {s!r}")
     if not isinstance(s, int) and not math.isfinite(s):
         raise PreconditionError(f"s must be finite, got {s}")
     f = Fraction(s)
@@ -216,8 +219,8 @@ def _em_sums(m: int, k: int, s) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_order(k: int) -> None:
-    if not 0 <= k <= GAMMA_K_MAX:
-        raise InvalidArgumentError(f"derivative order must lie in 0..{GAMMA_K_MAX}, got {k}")
+    if not (isinstance(k, (int, np.integer)) and 0 <= k <= GAMMA_K_MAX):
+        raise InvalidArgumentError(f"derivative order must be an integer in 0..{GAMMA_K_MAX}, got {k!r}")
 
 
 @lru_cache(maxsize=32)
@@ -229,8 +232,7 @@ def _gamma_batch(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=128)
 def _series_batch(m: int, k: int, s) -> tuple[np.ndarray, np.ndarray]:
-    """H_k(r, m, s) and budgets for r = 1..m, s > 1 exact (_exact)."""
-    _check_order(k)
+    """H_k(r, m, s) and budgets for r = 1..m, s > 1 exact (_exact), k checked by the caller."""
     if not s > 1:
         raise PreconditionError(f"the Dirichlet series need s > 1, got {s}")
     return _em_sums(m, k, s)
@@ -311,20 +313,24 @@ def l_derivative_at_1(chi: DirichletCharacter, k: int = 0) -> ValueWithBudget:
     """L^(k)(1, chi) = (-1)^k sum_{r=1}^m chi(r) gamma_k(r, m), chi non-principal."""
     if chi.principal:
         raise InvalidArgumentError("L(s, chi) diverges at s = 1 for principal chi")
+    _check_order(k)  # before the caches, where 1.0 would hit the entry of 1
     table, budget = _l_table(chi.modulus, 1, k)
     return ValueWithBudget(complex(table[chi.index]), budget)
 
 
 def l_value(chi: DirichletCharacter, s: float, k: int = 0) -> ValueWithBudget:
     """L^(k)(s, chi) = (-1)^k sum_{r=1}^m chi(r) H_k(r, m, s) at real s > 1, any chi."""
-    if not s > 1:
+    _check_order(k)
+    exact = _exact(s)
+    if not exact > 1:
         raise PreconditionError(f"the Dirichlet series need s > 1, got {s}")
-    table, budget = _l_table(chi.modulus, _exact(s), k)
+    table, budget = _l_table(chi.modulus, exact, k)
     return ValueWithBudget(complex(table[chi.index]), budget)
 
 
 def zeta_value(s: float, k: int = 0) -> ValueWithBudget:
     """zeta^(k)(s) = (-1)^k sum_n log^k n n^(-s) at real s > 1."""
+    _check_order(k)
     vals, buds = _series_batch(1, k, _exact(s))
     value = float(vals[0])
     return ValueWithBudget(-value if k % 2 else value, float(buds[0]))
@@ -597,13 +603,16 @@ def prime_class_sum(m: int, residues, s: float, derivative: int = 1) -> ValueWit
         raise InvalidArgumentError(f"unsupported modulus {m}; expected one of {sorted(GENERATORS)}")
     if derivative not in (0, 1):
         raise InvalidArgumentError(f"derivative must be 0 or 1, got {derivative}")
+    residues = tuple(residues)
+    if not all(isinstance(r, (int, np.integer)) for r in residues):
+        raise InvalidArgumentError(f"residues must be integers, got {residues}")
     key = tuple(sorted({int(r) % m for r in residues}))
     lowest = 2 if any(math.gcd(r, m) == 1 for r in key) else 1
-    if not s >= lowest:
+    exact = _exact(s)
+    if not exact >= lowest:
         raise PreconditionError(f"prime class sums over these residues need s >= {lowest}, got {s}")
-    s = _exact(s)
-    _check_float_range(s)
-    return _class_sum(m, key, s, derivative)
+    _check_float_range(exact)
+    return _class_sum(m, key, exact, derivative)
 
 
 def _check_float_range(s) -> None:
@@ -653,9 +662,10 @@ def frobenius_class_sum(classes, a: int, derivative: int = 1) -> ValueWithBudget
         raise InvalidArgumentError(f"Frobenius classes are 0, 1, 2; got {sorted(classes)}")
     if derivative not in (0, 1):
         raise InvalidArgumentError(f"derivative must be 0 or 1, got {derivative}")
-    if not ((isinstance(a, int) or math.isfinite(a)) and a == int(a) and a >= 2):
+    exact = _exact(a)
+    if not (isinstance(exact, int) and exact >= 2):
         raise PreconditionError(f"Frobenius class sums need an integer a >= 2, got {a}")
-    _check_float_range(a)
+    _check_float_range(exact)
     p = sieve_primes(MOBIUS_P).primes
     terms, left = _prime_terms(p[np.isin(wilton_classes(p), list(classes))], a, derivative)
     return _inversion(terms, left, in_class, _s3_power, lambda sigma: _frobenius_rough(sigma, derivative),

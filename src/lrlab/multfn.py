@@ -6,20 +6,32 @@ On prime powers every case reduces to a single congruence on the exponent:
 
     f(p^k) = 0  iff  k = -1 (mod m0),
 
-where the period m0 depends only on the prime's class.  Each case's entry
-in CASES holds the class of every residue mod a modulus (so each class is
-a union of residue classes, by residue mod 3, 4, 5, 7 or by the order mod
-691; for q23, whose Wilton classes S1, S2, S3 are the Frobenius classes of
-the Hilbert class field of Q(sqrt(-23)), S2 and S3 split one residue
-class), the m0 of every class, and the one Euler factorization
+where the period m0 depends only on the prime's class.  A case's entry in
+CASES is its definition: the class of every residue mod a modulus m (each
+class a union of residue classes, by residue mod 3, 4, 5, 7 or by the
+order mod 691; for q23, whose Wilton classes S1, S2, S3 are the Frobenius
+classes of the Hilbert class field of Q(sqrt(-23)), S2 and S3 split one
+residue class) and the m0 of every class; a prime p | m is a class of its
+own.  CaseSpec derives from it, on first use, the density tau (the mean
+of F(r) = f(p), p = r mod m, over the units) and the one Euler
+factorization of T(s) = sum f(n) n^-s,
 
-    T(s)^n = zeta(s)^(n tau) prod_chi L(s, chi)^e H(s)
+    T(s)^n = zeta(s)^(n tau) prod_chi L(s, chi)^e H(s):
 
-of the case's Dirichlet series T(s) = sum f(n) n^-s, where H is a product
-of local factors (1 - p^(-a s))^c over the primes of each class; a prime
-that divides the modulus is a class of its own.  B_f and q5's first-order
-constant (constants), the identity checks (identities) and the sieves
-here are all read off these entries.
+e_j = n F^(j), from the Fourier transform of F over the discrete logs,
+with n the least that makes every e_j an integer, and H a product of
+local factors (1 - p^(-a s))^c over the primes of each class, where
+
+    sum_{a | k} a c_a = -d_k,  d_k = n Lambda_f(p^k)/log p - n F(r^k)
+
+(n tau in place of n F(r^k) when p | m; Lambda_f below) equates the
+coefficients of p^-ks in the logs of the two sides' factors at p.  d_k
+depends only on gcd(k, L), L the lcm of m0, m0 - 1 and the orders of the
+class's residues, so the divisors k of L give every c_a.  Each prime
+residue of a class must give the same d_k and each c_a must be an
+integer (ConsistencyError otherwise).  B_f and q5's first-order constant
+(constants), the identity checks (identities) and the sieves here are
+all read off these.
 
 Up to x, the sieves, the counts and H_f classify only the primes
 p <= sqrt(x); a larger p divides n <= x at most once and needs only f(p),
@@ -65,6 +77,7 @@ tests/scalar_reference.py.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -72,7 +85,7 @@ from functools import cached_property
 import numpy as np
 
 from .budget import ValueWithBudget, csum
-from .characters import _dlog_table, euler_phi
+from .characters import GENERATORS, _dlog_table, euler_phi
 from .errors import (
     ConsistencyError,
     InvalidArgumentError,
@@ -130,7 +143,7 @@ class EulerFactorization:
 
 @dataclass(frozen=True)
 class CaseSpec:
-    """One counting problem: density, prime classes and Euler factorization.
+    """One counting problem: its prime classes and their zero periods.
 
     The class of a prime p is residues[p % len(residues)], so each class is
     a union of residue classes, unless ``frobenius`` is non-empty: it lists
@@ -138,13 +151,16 @@ class CaseSpec:
     each the Frobenius class j of lseries.frobenius_class_sum.  f(p) is a
     residue rule either way, as both classes of such a split have m0 > 2,
     so the sieves to x classify only the primes p <= sqrt(x).
+
+    tau (the mean of f(p) over the unit residues) and euler are derived
+    from these fields on first use (module docstring): each class's local
+    factor solves sum_{a | k} a c_a = -d_k, d_k = n Lambda_f(p^k)/log p -
+    n F(r^k) (n tau when p | m), over the divisors k of L.
     """
 
     tag: str
-    tau: Fraction      # Dirichlet density of primes with f(p) = 1
     residues: tuple    # class index of each residue mod len(residues)
     m0: tuple          # zero period of each class
-    euler: EulerFactorization | None = None  # T(s)^n as a product
     frobenius: tuple = ()
 
     def classify(self, primes) -> np.ndarray:
@@ -171,6 +187,52 @@ class CaseSpec:
     def _s1_blocks(self) -> "_S1Blocks":
         return _S1Blocks(self)
 
+    @cached_property
+    def tau(self) -> Fraction:
+        """The Dirichlet density of the primes with f(p) = 1: the mean of f(p) over the unit residues."""
+        m = len(self.residues)
+        units = np.gcd(np.arange(m), m) == 1
+        return Fraction(int(np.count_nonzero(~self._residue_f_zero[units])), int(np.count_nonzero(units)))
+
+    @cached_property
+    def euler(self) -> EulerFactorization:
+        """T(s)^n as a product, derived from the residues and m0 (module docstring)."""
+        m = len(self.residues)
+        if m not in GENERATORS:
+            raise UnsupportedCaseError(f"no product identity registered for {self.tag!r}")
+        dlog, phi = _dlog_table(m), euler_phi(m)
+        unit = dlog >= 0
+        f_one = np.zeros(phi, dtype=np.int64)  # F(g^a) at index a
+        f_one[dlog[unit]] = ~self._residue_f_zero[unit]
+        spectrum = np.fft.rfft(f_one)  # phi F^(j), j = 0..phi/2
+        e = np.rint(spectrum.real).astype(np.int64)
+        if np.max(np.abs(spectrum - e)) > 1e-9:
+            raise ConsistencyError(f"{self.tag}: f(p) is no integer combination of real characters")
+        n = phi // math.gcd(phi, *e.tolist())
+        e = e * n // phi  # e[0] = n tau, e[j] the exponent of L(s, chi^j)
+        ramified = [p % m for p in pr.sieve_primes(m).primes.tolist() if m % p == 0]
+        labels, classes = self._residue_classes, []
+        for c, m0 in enumerate(self.m0):
+            in_class = np.isin(labels, self.frobenius) if c in self.frobenius else labels == c
+            logs = dlog[in_class & unit]
+            orders = set((phi // np.gcd(logs, phi)).tolist())  # d_k depends on gcd(k, period) only
+            period = math.lcm(*orders, *((m0, m0 - 1) if m0 >= 2 else ()))
+            small = [k for k in range(1, math.isqrt(period) + 1) if period % k == 0]
+            ks = np.array(sorted({*small, *(period // k for k in small)}))  # the divisors of period
+            # n F(r^k) for each prime residue r of the class (rows) and k (columns)
+            rows = np.vstack((n * f_one[np.outer(logs, ks) % phi],
+                              np.full((np.count_nonzero(in_class[ramified]), len(ks)), e[0])))
+            if not len(rows) or (rows != rows[0]).any():
+                raise ConsistencyError(f"{self.tag}: class {c} has no prime residue, or two local factors")
+            ac = {}  # a c_a, by ascending a
+            for k, d in zip(ks.tolist(), (n * _lambda_over_log(m0, ks) - rows[0]).tolist()):
+                ac[k] = -d - sum(v for a, v in ac.items() if k % a == 0)
+                if ac[k] % k:
+                    raise ConsistencyError(f"{self.tag}: class {c} has a non-integral local factor at a = {k}")
+            classes.append(tuple((v // a, a) for a, v in ac.items() if v))
+        l_exponents = tuple((j, int(e[j])) for j in range(1, phi // 2 + 1) if e[j])
+        return EulerFactorization(n, m, l_exponents, tuple(classes))
+
     @property
     def delta(self) -> Fraction:  # 1 - tau, the claimed logarithm exponent
         return 1 - self.tau
@@ -183,6 +245,12 @@ class CaseSpec:
         return self.tag
 
 
+def _lambda_over_log(m0, k):
+    """Lambda_f(p^k)/log p for zero periods m0 and exponents k (arrays or ints)."""
+    b = np.maximum(m0, 2)  # the closed form holds for finite m0; NEVER has 1, ALWAYS 0
+    return np.where(m0 >= 2, 1 + b * (k % b == 0) - (b - 1) * (k % (b - 1) == 0), m0 == M_NEVER)
+
+
 _DIVISORS_690 = tuple(d for d in range(1, 691) if 690 % d == 0)
 # The class of r mod 691: the index of its order in _DIVISORS_690; the last class is p = 691.
 # g^a has order 690/gcd(a, 690) for the generator g = characters.GENERATORS[691].
@@ -192,74 +260,27 @@ _ORDER_CLASSES = (len(_DIVISORS_690),) + tuple(
 # The classes mod 23: p = 23 (P23), (p|23) = -1 (S1), (p|23) = 1 (S2, less S3)
 _WILTON_RESIDUES = tuple(3 if r == 0 else 0 if pr._KRON23[r] == -1 else 1 for r in range(23))
 
-
-def _order_factor(nu: int) -> tuple:
-    """The local factor of the T(s)^690 identity at the primes of order nu mod 691."""
-    if nu == 1:
-        return ((690, 690), (-690, 691))
-    if nu == 2:
-        return ((-345, 2),)
-    even = ((690 // nu, nu), (-(1380 // nu), nu // 2)) if nu % 2 == 0 else ()
-    return even + ((690, nu - 1), (-690, nu))
-
-
 CASES: dict[str, CaseSpec] = {
     c.tag: c
     for c in [
         # 2 does not divide tau(n); classes: p = 2, odd p
-        CaseSpec("q2", Fraction(0), residues=(0, 1), m0=(M_ALWAYS, 2)),
+        CaseSpec("q2", (0, 1), (M_ALWAYS, 2)),
         # 3 does not divide tau(n); classes: p = 3, p = 2 (3), p = 1 (3)
-        CaseSpec("q3", Fraction(1, 2),
-                 residues=(0, 2, 1), m0=(M_ALWAYS, 2, 3),
-                 euler=EulerFactorization(
-                     # chi_-3 = chi^1 mod 3
-                     n=2, modulus=3, l_exponents=((1, 1),),
-                     classes=(((1, 1),), ((-1, 2),), ((-2, 3), (2, 2))))),
+        CaseSpec("q3", (0, 2, 1), (M_ALWAYS, 2, 3)),
         # 5 does not divide tau(n); classes: p = 5, p = 1 (5), p = +-2 (5), p = 4 (5)
-        CaseSpec("q5", Fraction(3, 4),
-                 residues=(0, 1, 2, 2, 3), m0=(M_ALWAYS, 5, 4, 2),
-                 euler=EulerFactorization(
-                     # chi_c = chi^1 mod 5 (chi_c(2) = i, with its conjugate), chi_5 = chi^2
-                     n=4, modulus=5, l_exponents=((1, 1), (2, -1)),
-                     classes=(((3, 1),), ((4, 4), (-4, 5)), ((4, 3), (-2, 2), (-3, 4)), ((-2, 2),)))),
+        CaseSpec("q5", (0, 1, 2, 2, 3), (M_ALWAYS, 5, 4, 2)),
         # 7 does not divide tau(n); classes: p = 7, quadratic residues mod 7, non-residues
-        CaseSpec("q7", Fraction(1, 2),
-                 residues=(0, 1, 1, 2, 1, 2, 2), m0=(M_ALWAYS, 7, 2),
-                 euler=EulerFactorization(
-                     # chi_-7 = chi^3 mod 7
-                     n=2, modulus=7, l_exponents=((3, 1),),
-                     classes=(((1, 1),), ((2, 6), (-2, 7)), ((-1, 2),)))),
+        CaseSpec("q7", (0, 1, 1, 2, 1, 2, 2), (M_ALWAYS, 7, 2)),
         # 23 does not divide tau(n); classes: the Wilton classes S1, S2, S3, P23
         # (primes module); S2 and S3 split the residues with (p|23) = 1
-        CaseSpec("q23", Fraction(1, 2),
-                 residues=_WILTON_RESIDUES, frobenius=(1, 2),
-                 m0=(2, 3, 23, M_NEVER),
-                 euler=EulerFactorization(
-                     # chi_-23 = chi^11 mod 23
-                     n=2, modulus=23, l_exponents=((11, 1),),
-                     classes=(((-1, 2),), ((2, 2), (-2, 3)), ((2, 22), (-2, 23)), ((-1, 1),)))),
+        CaseSpec("q23", _WILTON_RESIDUES, (2, 3, 23, M_NEVER), frobenius=(1, 2)),
         # 691 does not divide tau(n); classes: by the order nu of p mod 691 (m0 = nu,
-        # but 691 for nu = 1), then p = 691.  L(s, chi^j) mod 691 to the power +1 for
-        # odd j and -1 for even j, j = 1..689: the pairs j, 690 - j are conjugate, and
-        # j = 345 is the real quadratic character.  The order classes' local factors
-        # are the four residual products that the paper's formula
-        # (constants.b691_approx) leaves out.
-        CaseSpec("q691", Fraction(689, 690),
-                 residues=_ORDER_CLASSES,
-                 m0=tuple(691 if d == 1 else d for d in _DIVISORS_690) + (M_NEVER,),
-                 euler=EulerFactorization(
-                     n=690, modulus=691,
-                     l_exponents=tuple((j, 1 if j % 2 else -1) for j in range(1, 346)),
-                     classes=tuple(_order_factor(d) for d in _DIVISORS_690) + (((-1, 1),),))),
+        # but 691 for nu = 1), then p = 691
+        CaseSpec("q691", _ORDER_CLASSES, tuple(691 if d == 1 else d for d in _DIVISORS_690) + (M_NEVER,)),
         # n is a sum of two squares; classes: p = 1 (4), p = 3 (4), p = 2
-        CaseSpec("two_squares", Fraction(1, 2),
-                 residues=(0, 0, 2, 1), m0=(M_NEVER, 2, M_NEVER),
-                 euler=EulerFactorization(
-                     # chi_-4 = chi^1 mod 4
-                     n=2, modulus=4, l_exponents=((1, 1),),
-                     classes=((), ((-1, 2),), ((-1, 1),)))),
+        CaseSpec("two_squares", (0, 0, 2, 1), (M_NEVER, 2, M_NEVER)),
         # the constant function 1
-        CaseSpec("ones", Fraction(1), residues=(0,), m0=(M_NEVER,)),
+        CaseSpec("ones", (0,), (M_NEVER,)),
     ]
 }
 
@@ -533,10 +554,7 @@ def _prime_power_terms(spec: CaseSpec, table: pr.PrimeTable, x: int) -> np.ndarr
     counts = np.searchsorted(-kmax, -ks, side="right")
     k = np.repeat(ks, counts)
     i = np.arange(len(k)) - np.repeat(np.cumsum(counts) - counts, counts)
-    m = m0[i]
-    b = np.maximum(m, 2)  # the closed form holds for finite m0; NEVER has 1, ALWAYS 0
-    coeff = np.where(m >= 2, 1 + b * (k % b == 0) - (b - 1) * (k % (b - 1) == 0), m == M_NEVER)
-    return logs[i] * coeff / p[i] ** k
+    return logs[i] * _lambda_over_log(m0[i], k) / p[i] ** k
 
 
 def h_f(case, x: float) -> ValueWithBudget:
@@ -579,6 +597,8 @@ def h_f(case, x: float) -> ValueWithBudget:
 
 def dirichlet_series_truncated(case, s: float, n_terms: int) -> float:
     """sum_{n <= N} f(n) n^(-s), exactly rounded (csum)."""
+    if not isinstance(s, numbers.Real):
+        raise InvalidArgumentError(f"s must be a real number, got {s!r}")
     if not s > 1:
         raise PreconditionError(f"s must be > 1, got {s}")
     f = f_sieve(case, n_terms)

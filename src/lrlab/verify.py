@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -179,8 +179,11 @@ def _c5_consistent():
 N_MAX = 20_000
 
 
+@lru_cache(maxsize=None)
 def _tau_residues(q):
-    return np.array([t % q for t in mf.tau_exact(N_MAX).values], dtype=np.int64)
+    out = np.array([t % q for t in mf.tau_exact(N_MAX).values], dtype=np.int64)
+    out.flags.writeable = False
+    return out
 
 
 def _tau_congruence(q):

@@ -24,6 +24,7 @@ from lrlab.constants import (
 from lrlab.errors import ConsistencyError, UnsupportedCaseError
 from lrlab.lseries import _EPS, _log_l_table, _rounded, gamma_k, zeta_value
 from lrlab.multfn import get_case
+from euler_reference import with_euler
 from mobius_reference import _dlogs, reference
 from test_lseries import l_reference
 
@@ -67,7 +68,7 @@ class TestAssemblies:
         # every class, and zeta(2s)^-2, which adds -(1/n) 2 (-2) zeta'/zeta(2) to B_f
         spec = get_case("q3")
         moved = tuple(factor + ((-2, 2),) for factor in spec.euler.classes)
-        rewrite = constants._b_from_euler(replace(spec, euler=replace(spec.euler, classes=moved)))
+        rewrite = constants._b_from_euler(with_euler(spec, replace(spec.euler, classes=moved)))
         rewrite = rewrite + 2 * (zeta_value(2, 1) / zeta_value(2))
         assert rewrite.agrees_with(reports["q3"].b_f)
 

@@ -11,6 +11,7 @@ from lrlab.lseries import _log, zeta_value
 from lrlab.multfn import CASES, class_index, dirichlet_series_truncated, get_case
 from lrlab.primes import sieve_primes
 from lrlab.verify import CHECKS
+from euler_reference import with_euler
 from scalar_reference import character_values, f_prime_power, totient
 
 # Every factorization row of the case table: (case, CaseSpec field)
@@ -37,7 +38,7 @@ class TestEulerIdentities:
         classes = list(spec.euler.classes)
         assert classes[2] == ((-1, 2),)
         classes[2] = ((-2, 2),)
-        broken = replace(spec, euler=replace(spec.euler, classes=tuple(classes)))
+        broken = with_euler(spec, replace(spec.euler, classes=tuple(classes)))
         monkeypatch.setitem(CASES, "q7", broken)
         lhs, rhs = euler_identity_sides("q7")
         assert abs(lhs.value - rhs.value) > 100 * (lhs.budget + rhs.budget)
@@ -50,7 +51,7 @@ class TestEulerIdentities:
         classes = list(spec.euler.classes)
         assert classes[2] == ((2, 22), (-2, 23))
         classes[2] = ((2, 22), (-2, 24))
-        broken = replace(spec, euler=replace(spec.euler, classes=tuple(classes)))
+        broken = with_euler(spec, replace(spec.euler, classes=tuple(classes)))
         monkeypatch.setitem(CASES, "q23", broken)
         lhs, rhs = euler_identity_sides("q23")
         assert abs(lhs.value - rhs.value) <= lhs.budget + rhs.budget
@@ -118,7 +119,7 @@ class TestLocalFactorGap:
     def test_sees_a_wrong_exponent(self, monkeypatch):
         spec = get_case("q691")
         exponents = ((1, -1),) + spec.euler.l_exponents[1:]  # L(s, chi^1) has exponent +1
-        broken = replace(spec, euler=replace(spec.euler, l_exponents=exponents))
+        broken = with_euler(spec, replace(spec.euler, l_exponents=exponents))
         monkeypatch.setitem(CASES, "q691", broken)
         assert local_factor_gap("q691", 0.5, 100) > 0.1
 
@@ -129,7 +130,7 @@ class TestLocalFactorGap:
         classes = list(spec.euler.classes)
         assert classes[1] == ((-345, 2),)
         classes[1] = ((-344, 2),)
-        broken = replace(spec, euler=replace(spec.euler, classes=tuple(classes)))
+        broken = with_euler(spec, replace(spec.euler, classes=tuple(classes)))
         monkeypatch.setitem(CASES, "q691", broken)
         for x in (1 / 2, 1 / 3):
             assert local_factor_gap("q691", x, 10**4) > 1e-9

@@ -15,11 +15,14 @@ from lrlab.lseries import (
     _series_batch,
     closed_form_l_values,
     euler_gamma_value,
+    frobenius_class_sum,
     gamma_k,
     l_derivative_at_1,
     l_value,
+    prime_class_sum,
     zeta_value,
 )
+from lrlab.multfn import dirichlet_series_truncated
 from lrlab.primes import sieve_primes
 from scalar_reference import character_values
 from sieve_reference import prime_log_sum, prime_tail_bound
@@ -407,6 +410,27 @@ class TestDirichletSeries:
                 zeta_value(s)
         with pytest.raises(InvalidArgumentError):
             zeta_value(2, GAMMA_K_MAX + 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: l_derivative_at_1(generator_character(5, 1), 1.0),
+        lambda: zeta_value(2, 1.0),
+        lambda: l_value(generator_character(5, 1), "3"),
+        lambda: prime_class_sum(5, [1], "2"),
+        lambda: frobenius_class_sum([0], "2"),
+        lambda: dirichlet_series_truncated("q5", "2", 10),
+        lambda: generator_character(5, 1.5),
+    ],
+)
+def test_non_numbers_are_invalid(call):
+    # a float derivative order, a str exponent or a float character index:
+    # a typed error, not a TypeError from the first comparison
+    l_derivative_at_1(generator_character(5, 1), 1)  # the cached k = 1 must not serve k = 1.0
+    zeta_value(2, 1)
+    with pytest.raises(InvalidArgumentError):
+        call()
 
 
 class TestRemainderBound:

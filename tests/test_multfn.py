@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -19,6 +22,7 @@ from lrlab.modforms import odd_tau_count, tau_exact
 from lrlab.multfn import (
     CASES,
     M_ALWAYS,
+    M_NEVER,
     CaseSpec,
     _f_zero,
     _mark,
@@ -31,6 +35,7 @@ from lrlab.multfn import (
     h_f,
 )
 from lrlab.primes import sieve_primes
+from euler_reference import REFERENCE, merged
 from scalar_reference import (
     f_prime_power,
     f_value,
@@ -86,6 +91,57 @@ class TestCaseSpecs:
     def test_unknown_case(self):
         with pytest.raises(UnsupportedCaseError):
             get_case("q13")
+
+    def test_a_case_is_its_definition(self):
+        assert [f.name for f in dataclasses.fields(CaseSpec)] == ["tag", "residues", "m0", "frobenius"]
+
+
+class TestEulerDerivation:
+    @pytest.mark.parametrize("tag", sorted(REFERENCE))
+    def test_matches_the_hand_table(self, tag):
+        tau, n, l_exponents, classes = REFERENCE[tag]
+        spec = replace(CASES[tag])  # derived afresh
+        assert spec.tau == tau
+        euler = spec.euler
+        assert (euler.n, euler.modulus, euler.l_exponents) == (n, len(spec.residues), l_exponents)
+        assert len(euler.classes) == len(classes)
+        for derived, typed in zip(euler.classes, classes):
+            assert dict((a, c) for c, a in derived) == merged(typed), (tag, derived, typed)
+            assert [a for _, a in derived] == sorted(merged(typed))
+
+    @pytest.mark.parametrize("tag, tau", [("q2", 0), ("ones", 1)])
+    def test_moduli_without_characters(self, tag, tau):
+        spec = get_case(tag)
+        assert spec.tau == tau
+        with pytest.raises(UnsupportedCaseError, match=f"no product identity registered for '{tag}'"):
+            spec.euler
+
+    @pytest.mark.parametrize(
+        "residues, m0",
+        [
+            # f(2) = f(3) = 0 but f(4) = 1: the rational class {2, 3} mod 5 is split
+            ((0, 1, 2, 3, 4), (M_ALWAYS, 5, 5, 2, 2)),
+            # a class of 3, 5 and 6 mod 7: f(3^2) = f(2) = 0 but f(6^2) = f(1) = 1
+            ((0, 1, 3, 2, 3, 2, 2), (M_ALWAYS, M_NEVER, 3, 2)),
+            # class 2 holds no residue
+            ((0, 1, 1), (M_ALWAYS, 3, 2)),
+        ],
+    )
+    def test_inconsistent_definitions_raise(self, residues, m0):
+        spec = CaseSpec("bad", residues, m0)
+        assert spec.tau  # the density needs no factorization
+        with pytest.raises(ConsistencyError):
+            spec.euler
+
+    def test_import_derives_nothing(self, src_env):
+        script = (
+            "import lrlab\n"
+            "from lrlab.multfn import CASES\n"
+            "print(sorted(k for c in CASES.values() for k in ('tau', 'euler') if k in vars(c)))"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=src_env,
+                              timeout=120)
+        assert proc.returncode == 0 and proc.stdout.strip() == "[]", proc.stderr
 
 
 class TestFValue:

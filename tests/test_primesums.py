@@ -243,6 +243,9 @@ class TestPrimeClassSum:
             prime_class_sum(5, [1], 2, derivative=2)
         with pytest.raises(PreconditionError):
             prime_class_sum(5, [1], 1.5)
+        for residues in ([1.5], ["a"]):  # not truncated to 1, nor a bare ValueError
+            with pytest.raises(InvalidArgumentError):
+                prime_class_sum(5, residues, 2)
         # s = 1 only without a unit residue, whose primes divide m
         with pytest.raises(PreconditionError):
             prime_class_sum(5, [0, 1], 1)
