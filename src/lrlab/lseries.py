@@ -218,6 +218,19 @@ def _em_sums(m: int, k: int, s) -> tuple[np.ndarray, np.ndarray]:
     return vals, buds
 
 
+def _check_character(chi) -> None:
+    if not isinstance(chi, DirichletCharacter):
+        raise InvalidArgumentError(f"chi must be a DirichletCharacter, got {chi!r}")
+
+
+def _members(items, name: str) -> tuple:
+    """items as a tuple; an object that is not iterable is an InvalidArgumentError."""
+    try:
+        return tuple(items)
+    except TypeError:
+        raise InvalidArgumentError(f"{name} must be an iterable, got {items!r}") from None
+
+
 def _check_order(k: int) -> None:
     if not (isinstance(k, (int, np.integer)) and 0 <= k <= GAMMA_K_MAX):
         raise InvalidArgumentError(f"derivative order must be an integer in 0..{GAMMA_K_MAX}, got {k!r}")
@@ -311,6 +324,7 @@ def _log_l_table(m: int, s, derivative: int) -> tuple[np.ndarray, np.ndarray]:
 
 def l_derivative_at_1(chi: DirichletCharacter, k: int = 0) -> ValueWithBudget:
     """L^(k)(1, chi) = (-1)^k sum_{r=1}^m chi(r) gamma_k(r, m), chi non-principal."""
+    _check_character(chi)
     if chi.principal:
         raise InvalidArgumentError("L(s, chi) diverges at s = 1 for principal chi")
     _check_order(k)  # before the caches, where 1.0 would hit the entry of 1
@@ -320,6 +334,7 @@ def l_derivative_at_1(chi: DirichletCharacter, k: int = 0) -> ValueWithBudget:
 
 def l_value(chi: DirichletCharacter, s: float, k: int = 0) -> ValueWithBudget:
     """L^(k)(s, chi) = (-1)^k sum_{r=1}^m chi(r) H_k(r, m, s) at real s > 1, any chi."""
+    _check_character(chi)
     _check_order(k)
     exact = _exact(s)
     if not exact > 1:
@@ -603,7 +618,7 @@ def prime_class_sum(m: int, residues, s: float, derivative: int = 1) -> ValueWit
         raise InvalidArgumentError(f"unsupported modulus {m}; expected one of {sorted(GENERATORS)}")
     if derivative not in (0, 1):
         raise InvalidArgumentError(f"derivative must be 0 or 1, got {derivative}")
-    residues = tuple(residues)
+    residues = _members(residues, "residues")
     if not all(isinstance(r, (int, np.integer)) for r in residues):
         raise InvalidArgumentError(f"residues must be integers, got {residues}")
     key = tuple(sorted({int(r) % m for r in residues}))
@@ -657,9 +672,11 @@ def frobenius_class_sum(classes, a: int, derivative: int = 1) -> ValueWithBudget
     over the primes whose Frobenius in Gal(H/Q) = S_3 lies in ``classes``
     (0 = S1, 1 = S2, 2 = S3, Wilton's classes), integer a >= 2: direct below
     P, Moebius inversion above (module docstring)."""
-    in_class = np.isin(np.arange(3), list(classes))
-    if np.count_nonzero(in_class) != len(set(classes)):
-        raise InvalidArgumentError(f"Frobenius classes are 0, 1, 2; got {sorted(classes)}")
+    classes = _members(classes, "classes")
+    integers = all(isinstance(c, (int, np.integer)) for c in classes)
+    in_class = np.isin(np.arange(3), classes if integers else ())
+    if not integers or np.count_nonzero(in_class) != len(set(classes)):
+        raise InvalidArgumentError(f"Frobenius classes are 0, 1, 2; got {list(classes)}")
     if derivative not in (0, 1):
         raise InvalidArgumentError(f"derivative must be 0 or 1, got {derivative}")
     exact = _exact(a)
@@ -667,6 +684,6 @@ def frobenius_class_sum(classes, a: int, derivative: int = 1) -> ValueWithBudget
         raise PreconditionError(f"Frobenius class sums need an integer a >= 2, got {a}")
     _check_float_range(exact)
     p = sieve_primes(MOBIUS_P).primes
-    terms, left = _prime_terms(p[np.isin(wilton_classes(p), list(classes))], a, derivative)
+    terms, left = _prime_terms(p[np.isin(wilton_classes(p), classes)], a, derivative)
     return _inversion(terms, left, in_class, _s3_power, lambda sigma: _frobenius_rough(sigma, derivative),
                       int(a), derivative)

@@ -257,15 +257,24 @@ def tau_exact(n_max: int) -> TauWindow:
     return TauWindow(n_max, _fft_square_trunc(e12, n_max))
 
 
+@lru_cache(maxsize=4)  # tau_mod asks for (1, 3), (1, 5), (3, 7) and (11, 691)
+def _residue_powers(power: int, q: int) -> np.ndarray:
+    """r^power mod q for r = 0..q-1, read-only (it is shared between calls)."""
+    table = np.array([pow(r, power, q) for r in range(q)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
 def _sigma_power_mod(n_max: int, power: int, q: int) -> np.ndarray:
     """sigma_power(n) mod q for n = 0..n_max via a two-sided divisor sieve.
 
-    Each divisor pair d * j = n is added once: by a slice over the multiples
-    of d for d <= sqrt(n_max), and for larger d, which only meet cofactors
+    The weight d^power mod q of each d is read off the residue table
+    _residue_powers(power, q), built once per (power, q).  Each divisor pair
+    d * j = n is added once: by a slice over the multiples of d for
+    d <= sqrt(n_max), and for larger d, which only meet cofactors
     j < sqrt(n_max), by a slice over the multiples j*d of each cofactor j.
     """
-    residue_power = np.array([pow(r, power, q) for r in range(q)], dtype=np.int64)
-    weight = residue_power[np.arange(n_max + 1) % q]  # d^power mod q
+    weight = _residue_powers(power, q)[np.arange(n_max + 1) % q]  # d^power mod q
     sig = np.zeros(n_max + 1, dtype=np.int64)
     root = math.isqrt(n_max)
     for d in range(1, root + 1):
@@ -284,6 +293,7 @@ def tau_mod(q: int, n_max: int) -> np.ndarray:
     if not isinstance(q, (int, np.integer)) or q not in _SUPPORTED_MODULI:
         raise InvalidArgumentError(f"unsupported modulus {q}; expected one of {_SUPPORTED_MODULI}")
     _check_n_max(n_max, 1, TAU_MOD_DESK_LIMIT, "tau_mod")
+    q = int(q)  # a numpy q: Python's three-argument pow takes ints only
     n = np.arange(n_max + 1, dtype=np.int64)
     if q == 2:
         out = np.zeros(n_max + 1, dtype=np.int64)

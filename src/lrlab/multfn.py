@@ -65,13 +65,15 @@ log p/p over the primes p <= x with f(p) = 1, the terms p^k <= x with
 k >= 2, and tau*log x.  Each case keeps S1 at every 256th prime of the
 shared prime table as an unevaluated pair hi + lo: a sequential float sum
 and the sum of the exact (TwoSum) rounding errors of its additions, with a
-stored bound on lo's own rounding.  A call reads one pair, adds the k = 1
-terms of the fewer than 256 primes left and the k >= 2 terms of the primes
-<= sqrt(x), all from the closed form, in one exactly rounded sum, and adds
-the stored bound to its budget.  The scalar references for one prime or
-one n (m0, f by trial division, and Lambda_f by the prime-power recursion)
-and the full-array reference for H_f live with the tests, in
-tests/scalar_reference.py.
+stored bound on lo's own rounding.  It also keeps the k >= 2 terms, from
+the closed form, in one table built for the largest x asked for and
+rebuilt when a larger x comes.  A call reads one pair, adds the k = 1
+terms of the fewer than 256 primes left, from the closed form, and the
+table's terms with p^k <= x, selected in their order, in one exactly
+rounded sum, and adds the stored bound to its budget.  The scalar
+references for one prime or one n (m0, f by trial division, and Lambda_f
+by the prime-power recursion) and the full-array reference for H_f live
+with the tests, in tests/scalar_reference.py.
 """
 
 from __future__ import annotations
@@ -184,8 +186,8 @@ class CaseSpec:
         return np.isin(self._m0s, (2, M_ALWAYS))[self._residue_classes]
 
     @cached_property
-    def _s1_blocks(self) -> "_S1Blocks":
-        return _S1Blocks(self)
+    def _h_f_tables(self) -> "_HfTables":
+        return _HfTables(self)
 
     @cached_property
     def tau(self) -> Fraction:
@@ -493,24 +495,34 @@ _S1_CHUNK = 1 << 15
 _LO_ROUNDING = 2.0**-53 * (1 + 2.0**-30)
 
 
-class _S1Blocks:
-    """S1 = sum of log p/p over the primes p with f(p) = 1, for one case, at
-    every _S1_BLOCK-th prime of the shared prime table.
+class _HfTables:
+    """The call-invariant parts of H_f for one case: the S1 prefix and the
+    k >= 2 terms.
 
-    Entry j covers the first j*_S1_BLOCK primes as the unevaluated pair
-    hi[j] + lo[j]: hi is the sequential float sum of the terms (0 where
-    f(p) = 0), lo the float sum of the exact rounding errors of hi's
-    additions (TwoSum).  So hi + lo is S1 up to lo's own rounding, which
-    bound(j) covers: each of lo's additions rounds by at most 2^-53 times
-    its result.  Every entry is the same float whatever calls built it, so a
-    budget depends on x only.  The entries reach only as far as the primes
-    of the largest x asked for, and read only f(p), from the residues.  Each
-    spec holds its own (CaseSpec._s1_blocks), so a copy of a spec starts empty.
+    S1 = sum of log p/p over the primes p with f(p) = 1 is kept at every
+    _S1_BLOCK-th prime of the shared prime table.  Entry j covers the first
+    j*_S1_BLOCK primes as the unevaluated pair hi[j] + lo[j]: hi is the
+    sequential float sum of the terms (0 where f(p) = 0), lo the float sum
+    of the exact rounding errors of hi's additions (TwoSum).  So hi + lo is
+    S1 up to lo's own rounding, which bound(j) covers: each of lo's
+    additions rounds by at most 2^-53 times its result.  Every entry is the
+    same float whatever calls built it, so a budget depends on x only.  The
+    entries reach only as far as the primes of the largest x asked for,
+    and read only f(p), from the residues.
+
+    The k >= 2 terms are kept for the largest x asked for (covered), as the
+    p^k and the Lambda_f(p^k)/p^k of _prime_power_terms, by k and then by p;
+    a smaller x selects p^k <= x, which keeps that order and gives the
+    array a call at x would build, and a larger x rebuilds the table for
+    itself, classifying only the primes <= sqrt(x).  Each spec holds its own
+    (CaseSpec._h_f_tables), so a copy of a spec starts empty.
     """
 
     def __init__(self, spec: CaseSpec):
         self.spec = spec
         self.hi = self.lo = self.abs_lo = np.zeros(1)
+        self.covered = 0  # the x of the k >= 2 table
+        self.pk, self.pk_terms = np.zeros(0, dtype=np.int64), np.zeros(0)
 
     def bound(self, j: int) -> float:
         """A bound on |hi[j] + lo[j] - the exact sum of entry j's float terms|."""
@@ -537,12 +549,19 @@ class _S1Blocks:
             self.lo = np.concatenate((self.lo, lo[ends]))
             self.abs_lo = np.concatenate((self.abs_lo, abs_lo[ends]))
 
+    def prime_power_terms(self, table: pr.PrimeTable, x: int) -> np.ndarray:
+        """Lambda_f(p^k)/p^k for every p^k <= x with k >= 2, by k and then by p."""
+        if x > self.covered:
+            self.pk, self.pk_terms = _prime_power_terms(self.spec, table, x)
+            self.covered = x
+        return self.pk_terms[self.pk <= x]
 
-def _prime_power_terms(spec: CaseSpec, table: pr.PrimeTable, x: int) -> np.ndarray:
-    """Lambda_f(p^k)/p^k for every p^k <= x with k >= 2, by k and then by p."""
+
+def _prime_power_terms(spec: CaseSpec, table: pr.PrimeTable, x: int) -> tuple[np.ndarray, np.ndarray]:
+    """p^k and Lambda_f(p^k)/p^k for every p^k <= x with k >= 2, by k and then by p."""
     r = int(np.searchsorted(table.primes, math.isqrt(x), side="right"))
     if not r:
-        return np.zeros(0)
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
     p, logs = table.primes[:r], table.logs[:r]
     m0 = spec._m0s[spec.classify(p)]
     # the largest k with p^k <= x: a float estimate, off by at most one, made exact
@@ -554,19 +573,21 @@ def _prime_power_terms(spec: CaseSpec, table: pr.PrimeTable, x: int) -> np.ndarr
     counts = np.searchsorted(-kmax, -ks, side="right")
     k = np.repeat(ks, counts)
     i = np.arange(len(k)) - np.repeat(np.cumsum(counts) - counts, counts)
-    return logs[i] * _lambda_over_log(m0[i], k) / p[i] ** k
+    pk = p[i] ** k
+    return pk, logs[i] * _lambda_over_log(m0[i], k) / pk
 
 
 def h_f(case, x: float) -> ValueWithBudget:
     """H_f(x) = sum_{p^k <= x} Lambda_f(p^k)/p^k - tau*log x.
 
     Exact truncation (there is no tail).  The k = 1 terms of the first
-    j*_S1_BLOCK primes come from the case's S1 prefix (_S1Blocks) as one pair
+    j*_S1_BLOCK primes come from the case's S1 prefix (_HfTables) as one pair
     hi + lo; math.fsum adds it to the k = 1 terms of the fewer than
-    _S1_BLOCK primes left and to the k >= 2 terms of the primes <= sqrt(x),
-    all read off the closed form, and tau*log x is subtracted.  The budget
-    covers rounding only: eps*(sum of |terms| + |tau log x| + |value|), plus
-    the prefix's bound on the rounding of lo.
+    _S1_BLOCK primes left, read off the closed form, and to the k >= 2
+    terms with p^k <= x, selected from the case's table (built for the
+    largest x asked for, rebuilt for a larger one), and tau*log x is
+    subtracted.  The budget covers rounding only: eps*(sum of |terms| +
+    |tau log x| + |value|), plus the prefix's bound on the rounding of lo.
     """
     spec = get_case(case)
     if not _is_finite(x):
@@ -578,20 +599,20 @@ def h_f(case, x: float) -> ValueWithBudget:
         shown = f"{x:.10g}" if x < 1e308 else "more than 1e308"
         raise ResourceLimitError(f"prime-power enumeration limit is {COUNT_DESK_LIMIT}, got {shown}")
     table = pr.sieve_primes(xi)
-    blocks = spec._s1_blocks
+    tables = spec._h_f_tables
     j = len(table) // _S1_BLOCK
-    if j >= len(blocks.hi):
-        blocks.extend(table)
-    hi, lo = float(blocks.hi[j]), float(blocks.lo[j])
+    if j >= len(tables.hi):
+        tables.extend(table)
+    hi, lo = float(tables.hi[j]), float(tables.lo[j])
     p, logs = table.primes[j * _S1_BLOCK :], table.logs[j * _S1_BLOCK :]
     keep = ~_f_zero(spec, p)
-    rest = np.concatenate((logs[keep] / p[keep], _prime_power_terms(spec, table, xi)))
+    rest = np.concatenate((logs[keep] / p[keep], tables.prime_power_terms(table, xi)))
 
     tau_log = float(spec.tau) * math.log(x)
     value = math.fsum([hi, lo, *rest.tolist()]) - tau_log
     eps = np.finfo(float).eps
     abs_sum = hi + abs(lo) + float(np.sum(np.abs(rest)))
-    budget = eps * (abs_sum + abs(tau_log) + abs(value)) + blocks.bound(j)
+    budget = eps * (abs_sum + abs(tau_log) + abs(value)) + tables.bound(j)
     return ValueWithBudget(value, budget)
 
 

@@ -433,6 +433,23 @@ def test_non_numbers_are_invalid(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: prime_class_sum(5, 1, 2),
+        lambda: frobenius_class_sum(0, 2),
+        lambda: frobenius_class_sum([[0]], 2),
+        lambda: l_value("x", 3),
+        lambda: l_derivative_at_1("x"),
+    ],
+)
+def test_wrong_argument_kinds_are_invalid(call):
+    # residues or classes that are no collection, a chi that is no character:
+    # a typed error, not a bare TypeError or AttributeError
+    with pytest.raises(InvalidArgumentError):
+        call()
+
+
 class TestRemainderBound:
     """The Euler-Maclaurin remainder bound alone, against the true remainder
     of the same formula (T = 40 direct terms, K = 7 corrections) at 40 digits."""

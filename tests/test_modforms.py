@@ -17,6 +17,7 @@ from lrlab.modforms import (
     _eta6_coeffs,
     _fft_square_trunc,
     _jacobi_series,
+    _residue_powers,
     _sigma_power_mod,
     _sparse_mul,
     _square_bounds,
@@ -343,6 +344,34 @@ class TestTauMod:
             tm = tau_mod(q, 2000)
             for n in (1, 2, 3, 23, 30, 691, 692, 1381, 1999, 2000):
                 assert tm[n] == w.tau(n) % q, (q, n)
+
+    def test_every_window_matches_exact_tau(self):
+        # every call reads the shared residue tables; each window, small or
+        # large, must still be exactly tau mod q
+        w = tau_exact(10**4)
+        for q in (2, 3, 5, 7, 23, 691):
+            exact = np.array([0] + [t % q for t in w.values], dtype=np.int64)
+            for n_max in [*range(1, 401), 10**4]:
+                assert np.array_equal(tau_mod(q, n_max), exact[: n_max + 1]), (q, n_max)
+            assert np.array_equal(tau_mod(q, 10**5)[: 10**4 + 1], exact), q
+
+    def test_residue_powers_are_built_once_and_read_only(self):
+        _residue_powers.cache_clear()
+        for _ in range(3):
+            for q in (2, 3, 5, 7, 23, 691):
+                tau_mod(q, 1000)
+        assert _residue_powers.cache_info().misses == 4
+        for power, q in ((1, 3), (1, 5), (3, 7), (11, 691)):
+            table = _residue_powers(power, q)
+            assert not table.flags.writeable
+            assert table.tolist() == [pow(r, power, q) for r in range(q)], (power, q)
+        assert _residue_powers.cache_info().misses == 4
+
+    def test_numpy_modulus(self):
+        # Python's three-argument pow takes no numpy int; tau_mod converts q
+        _residue_powers.cache_clear()
+        for q in (2, 3, 5, 7, 23, 691):
+            assert np.array_equal(tau_mod(np.int64(q), 500), tau_mod(q, 500)), q
 
     def test_unsupported_modulus(self):
         with pytest.raises(InvalidArgumentError):

@@ -10,7 +10,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from lrlab import primes
+from lrlab import multfn, primes
 from lrlab.budget import csum
 from lrlab.errors import (
     ConsistencyError,
@@ -229,7 +229,7 @@ class TestClasses:
         monkeypatch.setattr(CaseSpec, "classify", spy)
         for run, x in ((count_f, 10**6), (f_sieve, 20000), (h_f, 1e6)):
             largest.clear()
-            run(tag, x)
+            run(replace(CASES[tag]), x)  # a fresh copy: h_f keeps its k >= 2 terms per spec
             assert largest and max(largest) <= math.isqrt(int(x)), (run.__name__, largest)
 
     def test_composite_rejected(self):
@@ -490,6 +490,48 @@ class TestHf:
                 h_f(spec, before)
                 warm = h_f(spec, x)
                 assert (warm.value, warm.budget) == (cold.value, cold.budget), (tag, x, before)
+
+    @pytest.mark.parametrize("tag", sorted(CASES))
+    def test_k_ge_2_terms_are_kept_for_the_largest_x(self, tag, monkeypatch):
+        # a smaller x reads the table of the largest x asked for, classifying
+        # nothing; a larger x rebuilds it once, classifying only the primes
+        # <= sqrt of that x
+        largest, builds = [], []
+        classify, build = CaseSpec.classify, multfn._prime_power_terms
+
+        def spy_classify(spec, primes):
+            largest.append(int(np.max(primes, initial=0)))
+            return classify(spec, primes)
+
+        def spy_build(spec, table, x):
+            builds.append(x)
+            return build(spec, table, x)
+
+        monkeypatch.setattr(CaseSpec, "classify", spy_classify)
+        monkeypatch.setattr(multfn, "_prime_power_terms", spy_build)
+        spec = replace(CASES[tag])
+        h_f(spec, 10**5)
+        assert builds == [10**5]
+        largest.clear()
+        builds.clear()
+        for x in (10**5, 20000.5, 1000, 4, 2):
+            h_f(spec, x)
+        assert largest == [] and builds == [], (largest, builds)
+        h_f(spec, 10**6)
+        assert builds == [10**6]
+        assert largest and max(largest) <= math.isqrt(10**6), largest
+
+    @pytest.mark.parametrize("tag", sorted(CASES))
+    def test_selected_terms_are_the_terms_of_x(self, tag):
+        # element for element (bit for bit, in order) the array a build at x makes
+        spec = replace(CASES[tag])
+        table = sieve_primes(10**6)
+        kept = spec._h_f_tables
+        kept.prime_power_terms(table, 10**6)
+        for x in (2, 3, 4, 8, 9, 1000, 2**19 - 1, 2**19, 3**12, 997**2 - 1, 997**2, 10**6):
+            _, terms = multfn._prime_power_terms(spec, table, x)
+            assert kept.prime_power_terms(table, x).tobytes() == terms.tobytes(), x
+        assert kept.covered == 10**6
 
     def test_prefix_refuses_a_cumsum_that_is_not_sequential(self, monkeypatch):
         # lo holds the errors of hi's additions one at a time; a cumsum that
