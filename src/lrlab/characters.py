@@ -51,6 +51,12 @@ class DirichletCharacter:
         return self.index == 0
 
 
+def _check_modulus(m) -> None:
+    """Reject m unless it is an integer modulus in GENERATORS (an unhashable m too)."""
+    if not isinstance(m, (int, np.integer)) or m not in GENERATORS:
+        raise InvalidArgumentError(f"unsupported modulus {m!r}; expected one of {sorted(GENERATORS)}")
+
+
 @lru_cache(maxsize=None)
 def _dlog_table(m: int) -> np.ndarray:
     """Discrete logs base GENERATORS[m] mod m; -1 marks residues off the unit group."""
@@ -85,7 +91,12 @@ def kronecker_character(D: int) -> DirichletCharacter:
     return character_group(-D)[euler_phi(-D) // 2]
 
 
-@lru_cache(maxsize=None)
 def character_group(m: int) -> tuple[DirichletCharacter, ...]:
     """All phi(m) characters mod m, chi_c^j at position j."""
+    _check_modulus(m)  # before the cache hashes m
+    return _character_group(m)
+
+
+@lru_cache(maxsize=None)
+def _character_group(m: int) -> tuple[DirichletCharacter, ...]:
     return tuple(DirichletCharacter(m, j) for j in range(euler_phi(m)))

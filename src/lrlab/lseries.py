@@ -83,7 +83,7 @@ from functools import lru_cache
 import numpy as np
 
 from .budget import ValueWithBudget, csum
-from .characters import GENERATORS, DirichletCharacter, _dlog_table, euler_phi
+from .characters import DirichletCharacter, _check_modulus, _dlog_table, euler_phi
 from .errors import InvalidArgumentError, PreconditionError, ResourceLimitError
 from .primes import sieve_primes, wilton_classes
 
@@ -614,8 +614,7 @@ def prime_class_sum(m: int, residues, s: float, derivative: int = 1) -> ValueWit
     Direct below P, Moebius inversion of L-values above (module docstring);
     the budget covers rounding and the bounded remainder.
     """
-    if m not in GENERATORS:
-        raise InvalidArgumentError(f"unsupported modulus {m}; expected one of {sorted(GENERATORS)}")
+    _check_modulus(m)
     if derivative not in (0, 1):
         raise InvalidArgumentError(f"derivative must be 0 or 1, got {derivative}")
     residues = _members(residues, "residues")

@@ -7,7 +7,9 @@ import pytest
 import lrlab.characters
 import lrlab.primes
 from lrlab.characters import GENERATORS, character_group, euler_phi, generator_character, kronecker_character
-from lrlab.errors import InvalidArgumentError
+from lrlab.errors import InvalidArgumentError, LrlabError
+from lrlab.lseries import prime_class_sum
+from lrlab.multfn import count_f, get_case
 from scalar_reference import character_values, kronecker_symbol, multiplicative_order, totient
 
 
@@ -140,6 +142,26 @@ class TestCharacterGroup:
         chi = generator_character(23, 5)
         assert (chi.modulus, chi.index, chi.principal) == (23, 5, False)
         assert [a for a in dir(chi) if not a.startswith("_")] == ["index", "modulus", "principal"]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: get_case({}),
+        lambda: count_f([5], 1000),
+        lambda: prime_class_sum([5], [1], 2),
+        lambda: generator_character([5], 1),
+        lambda: character_group([5]),
+        lambda: character_group(5.0),
+    ],
+)
+def test_case_or_modulus_of_the_wrong_kind_is_typed(call):
+    # an unhashable case or modulus, or a float modulus, is rejected before
+    # a dict lookup or an lru_cache hashes it: a one-line LrlabError, not a
+    # bare TypeError
+    with pytest.raises(LrlabError) as raised:
+        call()
+    assert "\n" not in str(raised.value)
 
 
 class TestModuleBoundary:

@@ -24,6 +24,7 @@ from lrlab.multfn import (
     M_ALWAYS,
     M_NEVER,
     CaseSpec,
+    _count_windows,
     _f_zero,
     _mark,
     _small_rules,
@@ -331,6 +332,8 @@ class TestCountAndSieve:
         fixed = [10, 99, 1000, 4096, 10007, 65535, 99991, 100000, 151321, 199999, 200000]
         for x in EDGE_LIMITS + fixed:
             assert count_f(tag, x) == int(np.count_nonzero(f_sieve(tag, x))), (tag, x)
+            # below SEGMENT_SIZE count_f reads f_sieve's table: the windows are checked alone
+            assert _count_windows(get_case(tag), x) == int(np.count_nonzero(f_sieve(tag, x))), (tag, x)
 
     def test_q2_counts_odd_squares(self):
         # tau(n) is odd exactly when n is an odd square
@@ -388,6 +391,8 @@ class TestSegments:
         near = [segment - 1, segment, segment + 1, 3 * segment + 2, 4999, 5000]
         for x in EDGE_LIMITS + near + powers + edges:
             assert count_f(tag, x) == int(np.count_nonzero(f_sieve(tag, x))), (tag, segment, x)
+            windows = _count_windows(get_case(tag), x)
+            assert windows == int(np.count_nonzero(f_sieve(tag, x))), (tag, segment, x)
 
     @pytest.mark.parametrize("tag", sorted(CASES))
     def test_rules_run_in_any_order(self, tag):
@@ -430,6 +435,89 @@ class TestSegments:
         finally:
             tracemalloc.stop()
         assert peak < 4e6, peak
+
+
+class TestTable:
+    """count_f up to primes.SEGMENT_SIZE: prefix counts of the case's table
+    of f, built by f_sieve for the largest x asked for."""
+
+    @staticmethod
+    def limits():
+        size = primes.SEGMENT_SIZE
+        powers = [2**k + d for k in range(1, 21) for d in (-1, 0, 1)]
+        return sorted(set(range(1, 301)) | set(powers) | {size - 1, size + 1})
+
+    @pytest.mark.parametrize("tag", sorted(CASES))
+    def test_matches_the_windows_in_any_call_order(self, tag):
+        limits = self.limits()
+        want = {x: _count_windows(CASES[tag], x) for x in limits}
+        shuffled = limits[:]
+        np.random.default_rng(len(tag)).shuffle(shuffled)
+        for order in (limits, limits[::-1], shuffled):
+            spec = replace(CASES[tag])  # a fresh copy starts with an empty table
+            assert [count_f(spec, x) for x in order] == [want[x] for x in order], tag
+
+    @pytest.mark.parametrize("tag", sorted(CASES))
+    def test_a_larger_x_builds_once(self, tag, monkeypatch):
+        # a smaller x reads the table of the largest x asked for; a larger
+        # x up to SEGMENT_SIZE builds it once; an x above it builds nothing
+        builds, build = [], multfn.f_sieve
+
+        def spy(case, x):
+            builds.append(x)
+            return build(case, x)
+
+        monkeypatch.setattr(multfn, "f_sieve", spy)
+        spec = replace(CASES[tag])
+        count_f(spec, 10**4)
+        assert builds == [10**4]
+        for x in (10**4, 5000.5, 99, 2, 1):
+            count_f(spec, x)
+        assert builds == [10**4]
+        count_f(spec, 10**5)
+        assert builds == [10**4, 10**5]
+        count_f(spec, primes.SEGMENT_SIZE + 1)
+        count_f(spec, 3 * primes.SEGMENT_SIZE)
+        assert builds == [10**4, 10**5]
+        assert len(spec._f_table.f) == 10**5 + 1
+
+    def test_table_is_read_only(self):
+        spec = replace(CASES["q5"])
+        count_f(spec, 1000)
+        table = spec._f_table.f
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[1] = False
+
+    @pytest.mark.parametrize("tag", sorted(CASES))
+    def test_table_holds_one_window(self, tag):
+        # the shared prime table aside, count_f to SEGMENT_SIZE keeps its
+        # SEGMENT_SIZE + 1 bools, and f_sieve's build peaks below 3 MB
+        size = primes.SEGMENT_SIZE
+        sieve_primes(size)
+        spec = replace(CASES[tag])
+        tracemalloc.start()
+        try:
+            count_f(spec, size)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert size < held < 1.1 * size, held
+        assert peak < 3e6, peak
+
+
+class TestNoModuleCache:
+    def test_multfn_keeps_no_module_level_cache(self):
+        # every table lives on a CaseSpec, so a copy of a spec starts empty:
+        # no multfn function is an lru_cache, and no module-level dict, list
+        # or set holds an array
+        own = [obj for obj in vars(multfn).values() if getattr(obj, "__module__", None) == multfn.__name__]
+        assert not [obj for obj in own if hasattr(obj, "cache_info")]
+        for name, obj in vars(multfn).items():
+            if isinstance(obj, dict):
+                obj = list(obj.values())
+            if isinstance(obj, (list, set)):
+                assert not any(isinstance(v, np.ndarray) for v in obj), name
 
 
 class TestHf:
