@@ -9,6 +9,7 @@ import lrlab.primes
 from lrlab.characters import GENERATORS, character_group, euler_phi, generator_character, kronecker_character
 from lrlab.errors import InvalidArgumentError, LrlabError
 from lrlab.lseries import prime_class_sum
+from lrlab.modforms import tau_exact
 from lrlab.multfn import count_f, get_case
 from scalar_reference import character_values, kronecker_symbol, multiplicative_order, totient
 
@@ -153,10 +154,11 @@ class TestCharacterGroup:
         lambda: generator_character([5], 1),
         lambda: character_group([5]),
         lambda: character_group(5.0),
+        lambda: tau_exact([5]),
     ],
 )
 def test_case_or_modulus_of_the_wrong_kind_is_typed(call):
-    # an unhashable case or modulus, or a float modulus, is rejected before
+    # an unhashable case, modulus or n_max, or a float modulus, is rejected before
     # a dict lookup or an lru_cache hashes it: a one-line LrlabError, not a
     # bare TypeError
     with pytest.raises(LrlabError) as raised:

@@ -1,5 +1,6 @@
 import ast
 import math
+import random
 import tracemalloc
 from functools import lru_cache
 from pathlib import Path
@@ -21,6 +22,7 @@ from lrlab.modforms import (
     _sigma_power_mod,
     _sparse_mul,
     _square_bounds,
+    _tau_mod_build,
     lambda_mod3,
     odd_tau_count,
     tau_exact,
@@ -356,6 +358,7 @@ class TestTauMod:
             assert np.array_equal(tau_mod(q, 10**5)[: 10**4 + 1], exact), q
 
     def test_residue_powers_are_built_once_and_read_only(self):
+        modforms._tau_mod_tables.clear()  # a kept table would skip the sieve
         _residue_powers.cache_clear()
         for _ in range(3):
             for q in (2, 3, 5, 7, 23, 691):
@@ -403,6 +406,76 @@ class TestTauMod:
     def test_modforms_imports_nothing_from_primes(self):
         imported = modforms_imports()
         assert not imported & {"primes", "lrlab.primes"}, imported
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_kept_tables_answer_as_the_build(self, monkeypatch, order):
+        # every call order, from empty tables: each answer is the build at that n_max
+        monkeypatch.setattr(modforms, "_tau_mod_tables", {})
+        for q in (2, 3, 5, 7, 23, 691):
+            sizes = sorted({*range(1, 401), q - 1, q, q + 1, 10**4, TAU_DESK_LIMIT - 1,
+                            TAU_DESK_LIMIT, TAU_DESK_LIMIT + 1} - {0})
+            if order == "descending":
+                sizes.reverse()
+            elif order == "shuffled":
+                random.Random(q).shuffle(sizes)
+            for n_max in sizes:
+                got = tau_mod(q, n_max)
+                want = _tau_mod_build(q, n_max)
+                assert got.dtype == np.int64 and got.tobytes() == want.tobytes(), (q, n_max)
+
+    def test_table_is_built_only_for_a_larger_window(self, monkeypatch):
+        monkeypatch.setattr(modforms, "_tau_mod_tables", {})
+        built = []
+
+        def spy(q, n_max):
+            built.append((q, n_max))
+            return _tau_mod_build(q, n_max)
+
+        monkeypatch.setattr(modforms, "_tau_mod_build", spy)
+        for q in (2, 3, 5, 7, 23, 691):
+            built.clear()
+            tau_mod(q, 1000)
+            assert built == [(q, 1000)]
+            kept = modforms._tau_mod_tables[q]
+            for n_max in (999, 1, 1000):  # a smaller or equal n_max builds nothing
+                tau_mod(q, n_max)
+            assert built == [(q, 1000)]
+            assert modforms._tau_mod_tables[q] is kept
+            tau_mod(q, 1001)  # a larger one builds once, and keeps it
+            tau_mod(q, 1001)
+            assert built == [(q, 1000), (q, 1001)]
+            kept = modforms._tau_mod_tables[q]
+            assert len(kept) == 1002
+            for _ in range(2):  # above the desk limit: built every time, never kept
+                tau_mod(q, TAU_DESK_LIMIT + 1)
+            assert built[2:] == [(q, TAU_DESK_LIMIT + 1)] * 2
+            assert modforms._tau_mod_tables[q] is kept
+
+    def test_kept_table_is_narrow_and_read_only_and_answers_are_copies(self, monkeypatch):
+        monkeypatch.setattr(modforms, "_tau_mod_tables", {})
+        for q in (2, 3, 5, 7, 23, 691):
+            first = tau_mod(q, 500)
+            table = modforms._tau_mod_tables[q]
+            assert table.dtype == np.min_scalar_type(q - 1), q
+            assert not table.flags.writeable
+            assert first.dtype == np.int64 and first.flags.writeable
+            want = first.copy()
+            first[:] = q + 1  # the caller's array is its own
+            again = tau_mod(q, 500)
+            assert np.array_equal(again, want), q
+            assert again.flags.writeable and not np.shares_memory(again, first)
+
+    def test_kept_tables_hold_under_800_kb(self, monkeypatch):
+        # uint8 for q <= 23 and uint16 for 691: 0.7 MB at the desk limit
+        monkeypatch.setattr(modforms, "_tau_mod_tables", {})
+        tracemalloc.start()
+        try:
+            for q in (2, 3, 5, 7, 23, 691):
+                tau_mod(q, TAU_DESK_LIMIT)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 0.8 * 10**6, held
 
     def test_sigma_power_mod_matches_divisor_sum(self):
         for power, q in ((1, 3), (1, 5), (3, 7), (11, 691)):
