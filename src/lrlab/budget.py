@@ -4,8 +4,8 @@ Every numerical result that is not exact carries an absolute error bound
 ("budget") along with it.  For complex values the budget bounds the modulus
 of the error, which in particular bounds each component.  Budgets combine
 additively under addition/subtraction and by first-order bounds under
-multiplication and division.  csum, the exactly rounded sum of floats that
-the package's sums use, is math.fsum (Shewchuk's adaptive-precision sum).
+multiplication and division.  The package sums floats with math.fsum,
+which is exactly rounded (Shewchuk's adaptive-precision sum).
 """
 
 from __future__ import annotations
@@ -13,14 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["ValueWithBudget", "csum"]
-
-
-def csum(terms) -> float:
-    """Exactly rounded sum of an iterable of floats: math.fsum.  An array is
-    passed as it is; fsum iterates over it without building a list."""
-    return math.fsum(terms)
-
+__all__ = ["ValueWithBudget"]
 
 _ETA = 5e-324  # smallest subnormal: twice the rounding of a product or quotient that underflows
 

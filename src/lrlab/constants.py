@@ -57,7 +57,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .budget import ValueWithBudget, csum
+from .budget import ValueWithBudget
 from .characters import generator_character
 from .errors import ConsistencyError, UnsupportedCaseError
 from .lseries import (
@@ -177,7 +177,7 @@ def b691_character_sums() -> tuple[ValueWithBudget, ValueWithBudget]:
     y, dy = _log_l_table(691, 1, 1)  # -L'/L(1, chi_c^j)
     # odd j = 1, 3, ..., 689 (345 terms), even j = 2, 4, ..., 688 (344 terms)
     return tuple(
-        ValueWithBudget(-complex(csum(y[j::2].real), csum(y[j::2].imag)), float(np.sum(dy[j::2])))
+        ValueWithBudget(-complex(math.fsum(y[j::2].real), math.fsum(y[j::2].imag)), float(np.sum(dy[j::2])))
         for j in (1, 2)
     )
 

@@ -82,7 +82,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .budget import ValueWithBudget, csum
+from .budget import ValueWithBudget
 from .characters import DirichletCharacter, _check_modulus, _dlog_table, euler_phi
 from .errors import InvalidArgumentError, PreconditionError, ResourceLimitError
 from .primes import sieve_primes, wilton_classes
@@ -577,14 +577,14 @@ def _inversion(terms: np.ndarray, left: float, in_class, power, rough, s, deriva
             if n % k or not mu:
                 continue
             mask = in_class[power(classes, k)]
-            part = csum(x[mask])
+            part = math.fsum(x[mask])
             coef = mu / n if derivative == 0 else mu
             pieces.append(coef * part)
             share = math.sqrt(np.count_nonzero(mask)) * rms + float(np.sum(err[mask]))
             budget += abs(coef) * (share + small_left + _EPS * abs(part)) + _EPS * abs(coef * part)
     if in_class.any():
         budget += _mobius_remainder(float(s), n_max)
-    value = csum(pieces)
+    value = math.fsum(pieces)
     return ValueWithBudget(value, budget + _EPS * abs(value))
 
 

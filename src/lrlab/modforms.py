@@ -21,19 +21,22 @@ the limbs, against 1/4 (it is 0.018 at the desk limit), and raises rather
 than rounds wrongly.
 
 Congruence shortcuts:
-    tau(n) = n*sigma_1(n)   (mod 3)
-    tau(n) = n*sigma_1(n)   (mod 5)
+    tau(n) = n*sigma_1(n)   (mod 2, 3 and 5)
     tau(n) = n*sigma_3(n)   (mod 7)
     tau(n) = sigma_11(n)    (mod 691)
     tau(n) = [x^n] x E(x) E(x^23)   (mod 23)
-    mod 2:  tau(n) is odd iff n is an odd square
 
-The first four are one rule, tau(n) = n^v sigma_w(n) (mod q), kept as data
-(_TAU_CONGRUENCES, q: (v, w)).  The mod-23 line is the product behind
-Wilton's congruence for tau(p) mod 23: (1 - x^k)^23 = 1 - x^(23k) mod 23,
-so Delta = x E^24 = x E(x) E(x^23).  Both factors are Euler's pentagonal
-series E = sum_{k in Z} (-1)^k x^(k(3k-1)/2), so the product is one
-fancy-indexed add of E's terms per term of E(x^23).
+The first three lines are one rule, tau(n) = n^v sigma_w(n) (mod q), kept as
+data (_TAU_CONGRUENCES, q: (v, w)); multfn derives the cases "q does not
+divide tau(n)" for these q from the same table.  Mod 2 the rule says that
+tau(n) is odd iff n is an odd square (n sigma_1(n) is odd iff n is odd and
+sigma_1(n) is, i.e. n an odd square), which tau_mod reads off directly:
+the divisor sieve gives the same array, in 5 ms against 0.02 ms at 1e5 (a
+2-vCPU Xeon).  The mod-23 line is the product behind Wilton's congruence
+for tau(p) mod 23: (1 - x^k)^23 = 1 - x^(23k) mod 23, so Delta = x E^24 =
+x E(x) E(x^23).  Both factors are Euler's pentagonal series E = sum_{k in
+Z} (-1)^k x^(k(3k-1)/2), so the product is one fancy-indexed add of E's
+terms per term of E(x^23).
 
 tau(n) mod q does not depend on how far it is computed, so tau_mod keeps,
 per q, one read-only table for the largest n_max up to TAU_DESK_LIMIT asked
@@ -274,10 +277,10 @@ tau_exact.cache_clear = _tau_exact.cache_clear
 
 
 # tau(n) = n^v sigma_w(n) (mod q) for q: (v, w) (module docstring)
-_TAU_CONGRUENCES = {3: (1, 1), 5: (1, 1), 7: (1, 3), 691: (0, 11)}
+_TAU_CONGRUENCES = {2: (1, 1), 3: (1, 1), 5: (1, 1), 7: (1, 3), 691: (0, 11)}
 
 
-@lru_cache(maxsize=len(_TAU_CONGRUENCES))  # one (w, q) per congruence
+@lru_cache(maxsize=len(_TAU_CONGRUENCES))  # at most one (w, q) per congruence
 def _residue_powers(power: int, q: int) -> np.ndarray:
     """r^power mod q for r = 0..q-1, read-only (it is shared between calls)."""
     table = np.array([pow(r, power, q) for r in range(q)], dtype=np.int64)
@@ -312,7 +315,7 @@ _tau_mod_tables: dict[int, np.ndarray] = {}
 
 def _tau_mod_build(q: int, n_max: int) -> np.ndarray:
     """tau(n) mod q for n = 0..n_max (0 at n = 0) in int64, via the congruence shortcuts."""
-    if q == 2:
+    if q == 2:  # _TAU_CONGRUENCES[2] read off: n sigma_1(n) is odd iff n is an odd square
         out = np.zeros(n_max + 1, dtype=np.int64)
         out[np.arange(1, math.isqrt(n_max) + 1, 2) ** 2] = 1
         return out

@@ -8,13 +8,16 @@ On prime powers every case reduces to a single congruence on the exponent:
 
 where the period m0 depends only on the prime's class.  A case's entry in
 CASES is its definition: the class of every residue mod a modulus m (each
-class a union of residue classes, by residue mod 3, 4, 5, 7 or by the
-order mod 691; for q23, whose Wilton classes S1, S2, S3 are the Frobenius
-classes of the Hilbert class field of Q(sqrt(-23)), S2 and S3 split one
-residue class) and the m0 of every class; a prime p | m is a class of its
-own.  CaseSpec derives from it, on first use, the density tau (the mean
-of F(r) = f(p), p = r mod m, over the units) and the one Euler
-factorization of T(s) = sum f(n) n^-s,
+class a union of residue classes; for q23, whose Wilton classes S1, S2, S3
+are the Frobenius classes of the Hilbert class field of Q(sqrt(-23)), S2
+and S3 split one residue class) and the m0 of every class; a prime p | m
+is a class of its own.  The cases "q does not divide tau(n)", q = 2, 3,
+5, 7 and 691, are derived from tau(n) = n^v sigma_w(n) (mod q), the table
+tau_mod reads (_tau_case; mod 691 a class is the residues of one order);
+q23, two_squares and ones are written by hand.  CaseSpec derives from a
+definition, on first use, the density tau (the mean of F(r) = f(p),
+p = r mod m, over the units) and the one Euler factorization of
+T(s) = sum f(n) n^-s,
 
     T(s)^n = zeta(s)^(n tau) prod_chi L(s, chi)^e H(s):
 
@@ -91,7 +94,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .budget import ValueWithBudget, csum
+from .budget import ValueWithBudget
 from .characters import GENERATORS, _dlog_table, euler_phi
 from .errors import (
     ConsistencyError,
@@ -100,6 +103,7 @@ from .errors import (
     ResourceLimitError,
     UnsupportedCaseError,
 )
+from .modforms import _TAU_CONGRUENCES
 from . import primes as pr
 
 __all__ = [
@@ -152,7 +156,8 @@ class EulerFactorization:
 class CaseSpec:
     """One counting problem: its prime classes and their zero periods.
 
-    The class of a prime p is residues[p % len(residues)], so each class is
+    The tau cases' fields come from their congruence (_tau_case).  The
+    class of a prime p is residues[p % len(residues)], so each class is
     a union of residue classes, unless ``frobenius`` is non-empty: it lists
     the classes j that are not (q23's S2 and S3, split by the Wilton test),
     each the Frobenius class j of lseries.frobenius_class_sum.  f(p) is a
@@ -262,32 +267,44 @@ def _lambda_over_log(m0, k):
     return np.where(m0 >= 2, 1 + b * (k % b == 0) - (b - 1) * (k % (b - 1) == 0), m0 == M_NEVER)
 
 
-_DIVISORS_690 = tuple(d for d in range(1, 691) if 690 % d == 0)
-# The class of r mod 691: the index of its order in _DIVISORS_690; the last class is p = 691.
-# g^a has order 690/gcd(a, 690) for the generator g = characters.GENERATORS[691].
-_ORDER_CLASSES = (len(_DIVISORS_690),) + tuple(
-    _DIVISORS_690.index(690 // math.gcd(int(a), 690)) for a in _dlog_table(691)[1:]
-)
+def _tau_case(q: int) -> CaseSpec:
+    """The case "q does not divide tau(n)", from tau(n) = n^v sigma_w(n) (mod q).
+
+    (v, w) is modforms._TAU_CONGRUENCES[q]; all congruences here are mod q.
+    At p = q, tau(q^k) = 0 for every k >= 1 if v >= 1 (ALWAYS), and
+    tau(q^k) = 1 if v = 0 (NEVER).  At p = r, r != 0, let u = r^w:
+    tau(p^k) = 0 iff 1 + u + ... + u^k = 0, so m0 is q if u = 1 and the
+    order of u otherwise, phi/gcd(w a, phi) for r = g^a
+    (characters._dlog_table).  The residues with one m0 form a class;
+    p = q's class comes first if ALWAYS and last if NEVER, and the unit
+    classes come by the least multiplicative order of their residues.
+    """
+    v, w = _TAU_CONGRUENCES[q]
+    # r = g^a, a = dlog[r], for r = 1..q-1; mod 2 the one unit is 1 = g^0, and phi = 1
+    dlog = _dlog_table(q).tolist() if q in GENERATORS else [-1, 0]
+    phi = max(dlog) + 1
+    units = sorted(range(1, q), key=lambda r: phi // math.gcd(dlog[r], phi))  # by their order
+    unit_m0 = {r: phi // math.gcd(w * dlog[r], phi) for r in units}  # the order of u = r^w
+    unit_m0 = {r: q if m == 1 else m for r, m in unit_m0.items()}
+    m0 = tuple(dict.fromkeys(unit_m0.values()))  # each class once, at its least order
+    m0 = (M_ALWAYS, *m0) if v else (*m0, M_NEVER)
+    residues = (m0.index(M_ALWAYS if v else M_NEVER), *(m0.index(unit_m0[r]) for r in range(1, q)))
+    return CaseSpec(f"q{q}", residues, m0)
+
+
 # The classes mod 23: p = 23 (P23), (p|23) = -1 (S1), (p|23) = 1 (S2, less S3)
 _WILTON_RESIDUES = tuple(3 if r == 0 else 0 if pr._KRON23[r] == -1 else 1 for r in range(23))
 
 CASES: dict[str, CaseSpec] = {
     c.tag: c
     for c in [
-        # 2 does not divide tau(n); classes: p = 2, odd p
-        CaseSpec("q2", (0, 1), (M_ALWAYS, 2)),
-        # 3 does not divide tau(n); classes: p = 3, p = 2 (3), p = 1 (3)
-        CaseSpec("q3", (0, 2, 1), (M_ALWAYS, 2, 3)),
-        # 5 does not divide tau(n); classes: p = 5, p = 1 (5), p = +-2 (5), p = 4 (5)
-        CaseSpec("q5", (0, 1, 2, 2, 3), (M_ALWAYS, 5, 4, 2)),
-        # 7 does not divide tau(n); classes: p = 7, quadratic residues mod 7, non-residues
-        CaseSpec("q7", (0, 1, 1, 2, 1, 2, 2), (M_ALWAYS, 7, 2)),
+        # q does not divide tau(n), for q = 2, 3, 5, 7 (p = q, then r mod q by m0)
+        *map(_tau_case, (2, 3, 5, 7)),
         # 23 does not divide tau(n); classes: the Wilton classes S1, S2, S3, P23
         # (primes module); S2 and S3 split the residues with (p|23) = 1
         CaseSpec("q23", _WILTON_RESIDUES, (2, 3, 23, M_NEVER), frobenius=(1, 2)),
-        # 691 does not divide tau(n); classes: by the order nu of p mod 691 (m0 = nu,
-        # but 691 for nu = 1), then p = 691
-        CaseSpec("q691", _ORDER_CLASSES, tuple(691 if d == 1 else d for d in _DIVISORS_690) + (M_NEVER,)),
+        # 691 does not divide tau(n) (r mod 691 by m0, the order of r but 691 for r = 1, then p = 691)
+        _tau_case(691),
         # n is a sum of two squares; classes: p = 1 (4), p = 3 (4), p = 2
         CaseSpec("two_squares", (0, 0, 2, 1), (M_NEVER, 2, M_NEVER)),
         # the constant function 1
@@ -660,11 +677,11 @@ def h_f(case, x: float) -> ValueWithBudget:
 
 
 def dirichlet_series_truncated(case, s: float, n_terms: int) -> float:
-    """sum_{n <= N} f(n) n^(-s), exactly rounded (csum)."""
+    """sum_{n <= N} f(n) n^(-s), exactly rounded (math.fsum)."""
     if not isinstance(s, numbers.Real):
         raise InvalidArgumentError(f"s must be a real number, got {s!r}")
     if not s > 1:
         raise PreconditionError(f"s must be > 1, got {s}")
     f = f_sieve(case, n_terms)
     n = np.flatnonzero(f).astype(np.float64)
-    return csum(n ** (-s))
+    return math.fsum(n ** (-s))

@@ -46,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from lrlab.budget import ValueWithBudget, csum
+from lrlab.budget import ValueWithBudget
 from lrlab.characters import GENERATORS
 from lrlab.errors import InvalidArgumentError
 from lrlab.multfn import M_ALWAYS, M_NEVER, get_case
@@ -350,7 +350,7 @@ def h_f_reference(case, x: float) -> ValueWithBudget:
 
     flat = np.concatenate(terms)
     tau_log = float(spec.tau) * math.log(x)
-    value = csum(flat) - tau_log
+    value = math.fsum(flat) - tau_log
     eps = np.finfo(float).eps
     budget = eps * (float(np.sum(np.abs(flat))) + abs(tau_log) + abs(value))
     return ValueWithBudget(value, budget)

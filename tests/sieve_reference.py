@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from lrlab.budget import ValueWithBudget, csum
+from lrlab.budget import ValueWithBudget
 from lrlab.errors import PreconditionError
 from lrlab.lseries import _EPS, _LOG_FLOOR
 from lrlab.primes import sieve_primes
@@ -69,7 +69,7 @@ def prime_partial_sum(members, k: int, cutoff: int) -> ValueWithBudget:
     primes, logs = members if isinstance(members, tuple) else class_primes(members, cutoff, k)
     n = int(np.searchsorted(primes, _largest_term_prime(k, cutoff), side="right"))
     r = primes[:n].astype(np.float64) ** -float(k)
-    value = csum(logs[:n] * r / (1.0 - r))
+    value = math.fsum(logs[:n] * r / (1.0 - r))
     return ValueWithBudget(value, _EPS * (4.0 * value + 1.0))
 
 

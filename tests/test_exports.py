@@ -14,7 +14,7 @@ import lrlab
 
 MODULES = ["lrlab"] + [f"lrlab.{m.name}" for m in pkgutil.iter_modules(lrlab.__path__)]
 
-# deleted, or moved to tests/scalar_reference.py
+# deleted, or moved to tests/scalar_reference.py or tests/euler_reference.py
 REMOVED = (
     "wilton_class",
     "wilton_class_cubic",
@@ -40,6 +40,9 @@ REMOVED = (
     "zeta_log_derivative_at_2",
     "zero_periods",
     "q3_direct_b",
+    "csum",
+    "_DIVISORS_690",
+    "_ORDER_CLASSES",
 )
 
 

@@ -357,6 +357,12 @@ class TestTauMod:
                 assert np.array_equal(tau_mod(q, n_max), exact[: n_max + 1]), (q, n_max)
             assert np.array_equal(tau_mod(q, 10**5)[: 10**4 + 1], exact), q
 
+    def test_q2_shortcut_is_the_table_rule(self):
+        # tau_mod reads q = 2 off the odd squares, the case table off _TAU_CONGRUENCES[2]
+        v, w = modforms._TAU_CONGRUENCES[2]
+        n = np.arange(10**5 + 1, dtype=np.int64)
+        assert np.array_equal(tau_mod(2, 10**5), n**v * _sigma_power_mod(10**5, w, 2) % 2)
+
     def test_residue_powers_are_built_once_and_read_only(self):
         modforms._tau_mod_tables.clear()  # a kept table would skip the sieve
         _residue_powers.cache_clear()

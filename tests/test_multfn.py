@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from lrlab import multfn, primes
-from lrlab.budget import csum
 from lrlab.errors import (
     ConsistencyError,
     InvalidArgumentError,
@@ -36,12 +35,13 @@ from lrlab.multfn import (
     h_f,
 )
 from lrlab.primes import sieve_primes
-from euler_reference import REFERENCE, merged
+from euler_reference import HAND_CASES, REFERENCE, derived_class, merged
 from scalar_reference import (
     f_prime_power,
     f_value,
     h_f_reference,
     lambda_f_prime_power,
+    multiplicative_order,
     zero_period,
 )
 
@@ -106,9 +106,29 @@ class TestEulerDerivation:
         euler = spec.euler
         assert (euler.n, euler.modulus, euler.l_exponents) == (n, len(spec.residues), l_exponents)
         assert len(euler.classes) == len(classes)
-        for derived, typed in zip(euler.classes, classes):
+        for j, typed in enumerate(classes):  # each hand class, by its residues
+            derived = euler.classes[derived_class(spec, j)]
             assert dict((a, c) for c, a in derived) == merged(typed), (tag, derived, typed)
             assert [a for _, a in derived] == sorted(merged(typed))
+
+    @pytest.mark.parametrize("tag", sorted(HAND_CASES))
+    def test_tau_cases_group_the_residues_as_the_hand_table(self, tag):
+        residues, m0 = HAND_CASES[tag]
+        spec = CASES[tag]
+        assert len(spec.residues) == len(residues) and len(spec.m0) == len(m0) == len(set(residues))
+        assert [spec.m0[c] for c in spec.residues] == [m0[c] for c in residues]
+        # two residues share a derived class iff they share a hand class
+        assert len(set(zip(residues, spec.residues))) == len(m0) == len(set(spec.residues))
+
+    @pytest.mark.parametrize("tag", sorted(HAND_CASES))
+    def test_tau_case_class_order(self, tag):
+        # p = q first if ALWAYS, last if NEVER; the unit classes by the least order of their residues
+        spec = CASES[tag]
+        q = len(spec.residues)
+        units = [j for j in range(len(spec.m0)) if j != spec.residues[0]]
+        assert (spec.residues[0], spec.m0[spec.residues[0]]) in ((0, M_ALWAYS), (len(spec.m0) - 1, M_NEVER))
+        least = [min(multiplicative_order(r, q) for r in spec.class_residues(j)) for j in units]
+        assert least == sorted(set(least)), tag
 
     @pytest.mark.parametrize("tag, tau", [("q2", 0), ("ones", 1)])
     def test_moduli_without_characters(self, tag, tau):
@@ -539,7 +559,7 @@ class TestHf:
         x = 10**6
         t = sieve_primes(x)
         sel = t.primes % 691 == 690
-        corr = -csum(t.logs[sel] / t.primes[sel])
+        corr = -math.fsum(t.logs[sel] / t.primes[sel])
         expected = h_f("ones", float(x)).value + math.log(x) / 690.0 + corr
         assert h_f("q691", float(x)).value == pytest.approx(expected, abs=1e-12)
 
@@ -665,8 +685,8 @@ class TestDirichletSeries:
         lhs = dirichlet_series_truncated("q691", 2.0, 11053)
         n = np.arange(1, 11054, dtype=np.float64)
         rhs = (
-            csum(n**-2.0)
-            - csum((1381.0 * np.arange(1, 9)) ** -2.0)
+            math.fsum(n**-2.0)
+            - math.fsum((1381.0 * np.arange(1, 9)) ** -2.0)
             - 5527.0**-2.0
             - 8291.0**-2.0
         )

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from lrlab import primes
 from lrlab.errors import InvalidArgumentError, ResourceLimitError
-from lrlab.multfn import _DIVISORS_690, _ORDER_CLASSES, class_index
+from lrlab.multfn import class_index
 from lrlab.primes import (
     PRIME_DESK_LIMIT,
     W_P23,
@@ -19,6 +19,7 @@ from lrlab.primes import (
     sieve_primes,
     wilton_classes,
 )
+from euler_reference import _DIVISORS_690, _ORDER_CLASSES
 from scalar_reference import (
     cubic_root_exists,
     cubic_splits,
@@ -180,7 +181,7 @@ class TestKronecker:
 
 
 def order_691(p):
-    """The order of p mod 691 as the case table reads it; 0 for p = 691."""
+    """The order of p mod 691 as the hand case table reads it; 0 for p = 691."""
     j = _ORDER_CLASSES[p % 691]
     return _DIVISORS_690[j] if j < len(_DIVISORS_690) else 0
 
