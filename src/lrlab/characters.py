@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from . import _args
 
 __all__ = [
     "DirichletCharacter",
@@ -51,17 +51,9 @@ class DirichletCharacter:
         return self.index == 0
 
 
-def _check_modulus(m) -> None:
-    """Reject m unless it is an integer modulus in GENERATORS (an unhashable m too)."""
-    if not isinstance(m, (int, np.integer)) or m not in GENERATORS:
-        raise InvalidArgumentError(f"unsupported modulus {m!r}; expected one of {sorted(GENERATORS)}")
-
-
 @lru_cache(maxsize=None)
 def _dlog_table(m: int) -> np.ndarray:
     """Discrete logs base GENERATORS[m] mod m; -1 marks residues off the unit group."""
-    if m not in GENERATORS:
-        raise InvalidArgumentError(f"unsupported modulus {m}")
     dlog = np.full(m, -1, dtype=np.int64)
     x, a = 1, 0
     while dlog[x] < 0:
@@ -73,28 +65,25 @@ def _dlog_table(m: int) -> np.ndarray:
 
 def euler_phi(m: int) -> int:
     """phi(m) = |(Z/mZ)^*|, the length of g's cycle, for a modulus in GENERATORS."""
-    return int(_dlog_table(m).max()) + 1
+    return int(_dlog_table(_args.tag(m, GENERATORS, "modulus")).max()) + 1
 
 
 def generator_character(m: int, j: int) -> DirichletCharacter:
     """chi_c^j mod m, the character with chi(g) = exp(2*pi*i*j/phi(m))."""
-    if not isinstance(j, (int, np.integer)):
-        raise InvalidArgumentError(f"character index must be an integer, got {j!r}")
+    j = _args.integer(j, "character index")
     group = character_group(m)
     return group[j % len(group)]
 
 
 def kronecker_character(D: int) -> DirichletCharacter:
     """The real quadratic character chi_D(n) = (D|n) mod |D| for D in {-3,-4,-7,-23}."""
-    if D not in _SUPPORTED_KRONECKER:
-        raise InvalidArgumentError(f"unsupported discriminant {D}")
+    D = _args.tag(D, _SUPPORTED_KRONECKER, "discriminant")
     return character_group(-D)[euler_phi(-D) // 2]
 
 
 def character_group(m: int) -> tuple[DirichletCharacter, ...]:
     """All phi(m) characters mod m, chi_c^j at position j."""
-    _check_modulus(m)  # before the cache hashes m
-    return _character_group(m)
+    return _character_group(_args.tag(m, GENERATORS, "modulus"))  # before the cache hashes m
 
 
 @lru_cache(maxsize=None)

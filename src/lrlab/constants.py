@@ -57,6 +57,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _args
 from .budget import ValueWithBudget
 from .characters import generator_character
 from .errors import ConsistencyError, UnsupportedCaseError
@@ -230,9 +231,15 @@ def first_order_C5() -> ValueWithBudget:
 # Reports
 # ---------------------------------------------------------------------------
 
+def second_order_constant(case) -> ConstantReport:
+    """Assemble B_f, C_2 = (1 - tau)(1 + B_f), and H_f at the printed checkpoints
+    for a case (a tag or a CaseSpec), cached for the last 32 cases."""
+    get_case(case)  # before the cache hashes case
+    return _second_order_constant(case)
+
+
 @lru_cache(maxsize=32)
-def second_order_constant(case: str) -> ConstantReport:
-    """Assemble B_f, C_2 = (1 - tau)(1 + B_f), and H_f at the printed checkpoints for a case."""
+def _second_order_constant(case) -> ConstantReport:
     spec = get_case(case)
     tag = spec.tag
     if tag in ("q2", "ones"):
@@ -286,20 +293,21 @@ def second_order_constant(case: str) -> ConstantReport:
     )
 
 
+second_order_constant.cache_info = _second_order_constant.cache_info
+second_order_constant.cache_clear = _second_order_constant.cache_clear
+
+
 def verdict(report: ConstantReport) -> ConstantReport:
     """CLAIM_FALSE iff the computed C_2 differs from the claimed value
     by more than its budget (equivalently, B_f is not zero within budget)."""
+    _args.instance(report, ConstantReport, "report")
     gap = abs(report.c2.value - float(report.c2_ramanujan))
     v = CLAIM_FALSE if gap > report.c2.budget else INCONCLUSIVE
     return replace(report, verdict=v)
 
 
 def table1(cases=None) -> list[ConstantReport]:
-    """The six-row summary: one verdict-carrying report per case."""
-    if isinstance(cases, str):
-        raise UnsupportedCaseError(f"cases must be a collection of tags from {TABLE_CASES}, got {cases!r}")
-    tags = tuple(cases or ()) or TABLE_CASES
-    for t in tags:
-        if t not in TABLE_CASES:
-            raise UnsupportedCaseError(f"{t!r} is not a summary-table case")
-    return [verdict(second_order_constant(t)) for t in tags]
+    """The six-row summary: one verdict-carrying report per case, every case
+    for None or an empty collection."""
+    tags = _args.tags(() if cases is None else cases, TABLE_CASES, "cases", UnsupportedCaseError)
+    return [verdict(second_order_constant(t)) for t in tags or TABLE_CASES]

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: argument/usage problems exit 2,
-computational precondition failures exit 3.
+Every error raised on purpose is an LrlabError with a one-line message, and
+a hostile argument to a public function ends in one (_args).  The CLI maps
+InvalidArgumentError (UnsupportedCaseError included: a value of the wrong
+kind or outside the domain) onto exit 2, and every other LrlabError onto 3.
 """
 
 

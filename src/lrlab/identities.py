@@ -30,6 +30,7 @@ import math
 
 import numpy as np
 
+from . import _args
 from .budget import ValueWithBudget
 from .characters import _dlog_table, euler_phi
 from .constants import _log_g
@@ -66,7 +67,7 @@ def local_factor_gap(case, x: float = 0.5, p_limit: int = 10**4) -> float:
     """
     spec = get_case(case)
     euler = spec.euler
-    if not 0 < x < 1:
+    if not 0 < _args.real(x, "x") < 1:
         raise InvalidArgumentError(f"x must lie in (0, 1), got {x}")
     p = sieve_primes(p_limit).primes
     idx = class_index(spec, p_limit)

@@ -75,16 +75,16 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import sys
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
+from . import _args
 from .budget import ValueWithBudget
-from .characters import DirichletCharacter, _check_modulus, _dlog_table, euler_phi
-from .errors import InvalidArgumentError, PreconditionError, ResourceLimitError
+from .characters import GENERATORS as _GENERATORS, DirichletCharacter, _dlog_table, euler_phi
+from .errors import InvalidArgumentError, PreconditionError
 from .primes import sieve_primes, wilton_classes
 
 __all__ = [
@@ -115,19 +115,16 @@ _BERNOULLI_2J = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7,
 _EM_COEFFS = tuple(p / (q * math.factorial(2 * j)) for j, (p, q) in enumerate(_BERNOULLI_2J, 1))
 _EM_ORDER = 2 * len(_EM_COEFFS)  # 2K = 14, the derivative order in the remainder
 _DIRECT = 40  # direct terms per residue class
-# One batch sums at most this many terms, which caps the modulus at 2.5e5.
-_BATCH_MAX = 10**7
+# One batch sums at most 1e7 terms, which caps the modulus at 2.5e5.
+_BATCH_MODULUS_MAX = 10**7 // _DIRECT
 # Derivative orders served: 0..12.  gamma_12(0, 1)'s budget is already 1e-4 of its value.
 GAMMA_K_MAX = 12
 
 
-def _exact(s):
-    """s as an int, or as a Fraction when it is not integral (exact for floats)."""
-    if not isinstance(s, numbers.Real):
-        raise InvalidArgumentError(f"the exponent must be a real number, got {s!r}")
-    if not isinstance(s, int) and not math.isfinite(s):
-        raise PreconditionError(f"s must be finite, got {s}")
-    f = Fraction(s)
+def _exact(s, float_range: bool = False):
+    """A finite real s (_args.real; nan or an infinity is a PreconditionError)
+    as an int, or as a Fraction when it is not integral (exact for floats)."""
+    f = Fraction(_args.real(s, "s", PreconditionError, float_range))
     return f.numerator if f.denominator == 1 else f
 
 
@@ -176,11 +173,7 @@ def _em_remainder_bound(u: np.ndarray, lnu: np.ndarray, k: int, m: int, s=1) -> 
 @np.errstate(over="ignore")  # n^s and U^s overflow at large s; their reciprocals, 0, are right
 def _em_sums(m: int, k: int, s) -> tuple[np.ndarray, np.ndarray]:
     """gamma_k(r, m) (s = 1) or H_k(r, m, s) (s > 1), and budgets, for r = 1..m
-    (r = m is the zero class)."""
-    if m * _DIRECT > _BATCH_MAX:
-        what = f"gamma_{k}" if s == 1 else f"log^{k} n n^-{s}"
-        raise ResourceLimitError(f"a {what} batch mod {m} needs {m * _DIRECT:.4g} terms, "
-                                 f"more than {_BATCH_MAX:.0e}")
+    (r = m is the zero class), m <= _BATCH_MODULUS_MAX."""
     r = np.arange(1, m + 1, dtype=np.float64)
     u = r + _DIRECT * m
     lnu = np.log(u)
@@ -218,28 +211,9 @@ def _em_sums(m: int, k: int, s) -> tuple[np.ndarray, np.ndarray]:
     return vals, buds
 
 
-def _check_character(chi) -> None:
-    if not isinstance(chi, DirichletCharacter):
-        raise InvalidArgumentError(f"chi must be a DirichletCharacter, got {chi!r}")
-
-
-def _members(items, name: str) -> tuple:
-    """items as a tuple; an object that is not iterable is an InvalidArgumentError."""
-    try:
-        return tuple(items)
-    except TypeError:
-        raise InvalidArgumentError(f"{name} must be an iterable, got {items!r}") from None
-
-
-def _check_order(k: int) -> None:
-    if not (isinstance(k, (int, np.integer)) and 0 <= k <= GAMMA_K_MAX):
-        raise InvalidArgumentError(f"derivative order must be an integer in 0..{GAMMA_K_MAX}, got {k!r}")
-
-
 @lru_cache(maxsize=32)
 def _gamma_batch(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """gamma_k(r, m) and budgets for r = 1..m (r = m is the zero class)."""
-    _check_order(k)
     return _em_sums(m, k, 1)
 
 
@@ -255,18 +229,12 @@ def gamma_k(r: int, m: int, k: int = 0) -> ValueWithBudget:
     """Generalized Euler constant of the progression r mod m, weight log^k n / n.
 
     Residues are taken in 1..m with r = m (equivalently r = 0) meaning the
-    class of multiples of m; gamma_0(0, 1) is Euler's constant.
+    class of multiples of m; gamma_0(0, 1) is Euler's constant.  A batch
+    sums m * 40 terms, at most 1e7: a larger m is a ResourceLimitError.
     """
-    integer = (int, np.integer)
-    if not (isinstance(r, integer) and isinstance(m, integer) and isinstance(k, integer)):
-        raise InvalidArgumentError(f"r, m and k must be integers, got {r!r}, {m!r}, {k!r}")
-    if m < 1:
-        raise InvalidArgumentError(f"modulus must be >= 1, got {m}")
-    if r == 0:
-        r = m
-    if not 1 <= r <= m:
-        raise InvalidArgumentError(f"residue {r} outside 0..{m}")
-    vals, buds = _gamma_batch(m, k)
+    m = _args.integer(m, "modulus m", 1, _BATCH_MODULUS_MAX, "the gamma_k batch modulus")
+    r = _args.integer(r, "residue r", 0, m) or m
+    vals, buds = _gamma_batch(m, _args.integer(k, "derivative order k", 0, GAMMA_K_MAX))
     return ValueWithBudget(float(vals[r - 1]), float(buds[r - 1]))
 
 
@@ -324,18 +292,17 @@ def _log_l_table(m: int, s, derivative: int) -> tuple[np.ndarray, np.ndarray]:
 
 def l_derivative_at_1(chi: DirichletCharacter, k: int = 0) -> ValueWithBudget:
     """L^(k)(1, chi) = (-1)^k sum_{r=1}^m chi(r) gamma_k(r, m), chi non-principal."""
-    _check_character(chi)
-    if chi.principal:
+    if _args.instance(chi, DirichletCharacter, "chi").principal:
         raise InvalidArgumentError("L(s, chi) diverges at s = 1 for principal chi")
-    _check_order(k)  # before the caches, where 1.0 would hit the entry of 1
+    k = _args.integer(k, "derivative order k", 0, GAMMA_K_MAX)  # before the caches, where 1.0 would hit 1
     table, budget = _l_table(chi.modulus, 1, k)
     return ValueWithBudget(complex(table[chi.index]), budget)
 
 
 def l_value(chi: DirichletCharacter, s: float, k: int = 0) -> ValueWithBudget:
     """L^(k)(s, chi) = (-1)^k sum_{r=1}^m chi(r) H_k(r, m, s) at real s > 1, any chi."""
-    _check_character(chi)
-    _check_order(k)
+    _args.instance(chi, DirichletCharacter, "chi")
+    k = _args.integer(k, "derivative order k", 0, GAMMA_K_MAX)
     exact = _exact(s)
     if not exact > 1:
         raise PreconditionError(f"the Dirichlet series need s > 1, got {s}")
@@ -345,26 +312,24 @@ def l_value(chi: DirichletCharacter, s: float, k: int = 0) -> ValueWithBudget:
 
 def zeta_value(s: float, k: int = 0) -> ValueWithBudget:
     """zeta^(k)(s) = (-1)^k sum_n log^k n n^(-s) at real s > 1."""
-    _check_order(k)
+    k = _args.integer(k, "derivative order k", 0, GAMMA_K_MAX)
     vals, buds = _series_batch(1, k, _exact(s))
     value = float(vals[0])
     return ValueWithBudget(-value if k % 2 else value, float(buds[0]))
 
 
-CLOSED_FORM_TAGS = ("chi5", "chi_minus7", "chi_minus23", "chi_c_pair_mod5")
+_CLOSED_FORMS = {
+    "chi5": math.log((3.0 + math.sqrt(5.0)) / 2.0) / math.sqrt(5.0),
+    "chi_minus7": math.pi / math.sqrt(7.0),
+    "chi_minus23": 3.0 * math.pi / math.sqrt(23.0),
+    "chi_c_pair_mod5": 2.0 * math.pi**2 / 25.0,
+}
+CLOSED_FORM_TAGS = tuple(_CLOSED_FORMS)
 
 
 def closed_form_l_values(tag: str) -> float:
     """Closed forms: L(1,chi_5), L(1,chi_-7), L(1,chi_-23), L(1,chi_c)L(1,chi_c~)."""
-    if tag == "chi5":
-        return math.log((3.0 + math.sqrt(5.0)) / 2.0) / math.sqrt(5.0)
-    if tag == "chi_minus7":
-        return math.pi / math.sqrt(7.0)
-    if tag == "chi_minus23":
-        return 3.0 * math.pi / math.sqrt(23.0)
-    if tag == "chi_c_pair_mod5":
-        return 2.0 * math.pi**2 / 25.0
-    raise InvalidArgumentError(f"unknown closed-form tag {tag!r}; expected one of {CLOSED_FORM_TAGS}")
+    return _CLOSED_FORMS[_args.tag(tag, _CLOSED_FORMS, "closed-form tag")]
 
 
 # ---------------------------------------------------------------------------
@@ -614,25 +579,14 @@ def prime_class_sum(m: int, residues, s: float, derivative: int = 1) -> ValueWit
     Direct below P, Moebius inversion of L-values above (module docstring);
     the budget covers rounding and the bounded remainder.
     """
-    _check_modulus(m)
-    if derivative not in (0, 1):
-        raise InvalidArgumentError(f"derivative must be 0 or 1, got {derivative}")
-    residues = _members(residues, "residues")
-    if not all(isinstance(r, (int, np.integer)) for r in residues):
-        raise InvalidArgumentError(f"residues must be integers, got {residues}")
-    key = tuple(sorted({int(r) % m for r in residues}))
+    m = _args.tag(m, _GENERATORS, "modulus")
+    derivative = _args.tag(derivative, (0, 1), "derivative")
+    key = tuple(sorted({_args.integer(r, "a residue") % m for r in _args.tags(residues, None, "residues")}))
     lowest = 2 if any(math.gcd(r, m) == 1 for r in key) else 1
-    exact = _exact(s)
+    exact = _exact(s, float_range=True)  # the direct terms' p^-s need a float s
     if not exact >= lowest:
         raise PreconditionError(f"prime class sums over these residues need s >= {lowest}, got {s}")
-    _check_float_range(exact)
     return _class_sum(m, key, exact, derivative)
-
-
-def _check_float_range(s) -> None:
-    """Reject an int exponent past the float range, which the direct terms' p^-s need."""
-    if s > sys.float_info.max:
-        raise InvalidArgumentError(f"the exponent must lie in the float range, got {s.bit_length()} bits")
 
 
 # ---------------------------------------------------------------------------
@@ -671,18 +625,12 @@ def frobenius_class_sum(classes, a: int, derivative: int = 1) -> ValueWithBudget
     over the primes whose Frobenius in Gal(H/Q) = S_3 lies in ``classes``
     (0 = S1, 1 = S2, 2 = S3, Wilton's classes), integer a >= 2: direct below
     P, Moebius inversion above (module docstring)."""
-    classes = _members(classes, "classes")
-    integers = all(isinstance(c, (int, np.integer)) for c in classes)
-    in_class = np.isin(np.arange(3), classes if integers else ())
-    if not integers or np.count_nonzero(in_class) != len(set(classes)):
-        raise InvalidArgumentError(f"Frobenius classes are 0, 1, 2; got {list(classes)}")
-    if derivative not in (0, 1):
-        raise InvalidArgumentError(f"derivative must be 0 or 1, got {derivative}")
-    exact = _exact(a)
-    if not (isinstance(exact, int) and exact >= 2):
+    classes = _args.tags(classes, (0, 1, 2), "Frobenius classes")
+    derivative = _args.tag(derivative, (0, 1), "derivative")
+    a = _exact(a, float_range=True)  # the direct terms' p^-a need a float a
+    if not (isinstance(a, int) and a >= 2):
         raise PreconditionError(f"Frobenius class sums need an integer a >= 2, got {a}")
-    _check_float_range(exact)
     p = sieve_primes(MOBIUS_P).primes
     terms, left = _prime_terms(p[np.isin(wilton_classes(p), classes)], a, derivative)
-    return _inversion(terms, left, in_class, _s3_power, lambda sigma: _frobenius_rough(sigma, derivative),
-                      int(a), derivative)
+    return _inversion(terms, left, np.isin(np.arange(3), classes), _s3_power,
+                      lambda sigma: _frobenius_rough(sigma, derivative), a, derivative)

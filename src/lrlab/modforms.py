@@ -59,7 +59,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ResourceLimitError
+from . import _args
 
 __all__ = [
     "TauWindow",
@@ -73,7 +73,6 @@ __all__ = [
 
 TAU_DESK_LIMIT = 100_000
 TAU_MOD_DESK_LIMIT = 10_000_000
-_SUPPORTED_MODULI = (2, 3, 5, 7, 23, 691)
 
 _LIMB_BITS = 12
 _LOW_LIMBS = 5  # output limbs 0..4 fill the low 60-bit word of each coefficient
@@ -89,9 +88,7 @@ class TauWindow:
     values: list  # values[i] = tau(i+1)
 
     def tau(self, n: int) -> int:
-        if not 1 <= n <= self.n_max:
-            raise InvalidArgumentError(f"n = {n} outside window 1..{self.n_max}")
-        return self.values[n - 1]
+        return self.values[_args.integer(n, "n", 1, self.n_max) - 1]
 
 
 def _jacobi_series(length: int) -> tuple[np.ndarray, np.ndarray]:
@@ -250,22 +247,12 @@ def _fft_square_trunc(a: np.ndarray, length: int) -> list[int]:
     return [(h << shift) | w for h, w in zip(hi.tolist(), lo.tolist())] + [0] * (length - take)
 
 
-def _check_n_max(n_max, least: int, limit: int, name: str) -> None:
-    if not isinstance(n_max, (int, np.integer)):
-        raise InvalidArgumentError(f"n_max must be an integer, got {n_max!r}")
-    if n_max < least:
-        raise InvalidArgumentError(f"n_max must be >= {least}, got {n_max}")
-    if n_max > limit:
-        raise ResourceLimitError(f"{name} desk limit is {limit}, got {n_max}")
-
-
 def tau_exact(n_max: int) -> TauWindow:
     """Exact tau(1..n_max) from x * prod (1-x^n)^24, cached for the last two n_max."""
-    _check_n_max(n_max, 1, TAU_DESK_LIMIT, "tau_exact")  # before the cache hashes n_max
-    return _tau_exact(n_max)
+    return _tau_exact(_args.integer(n_max, "n_max", 1, TAU_DESK_LIMIT, "tau_exact desk"))  # before the cache
 
 
-@lru_cache(maxsize=2, typed=True)
+@lru_cache(maxsize=2)
 def _tau_exact(n_max: int) -> TauWindow:
     jacobi = _jacobi_series(n_max)
     e12 = _sparse_mul(_sparse_mul(_eta6_coeffs(n_max), *jacobi), *jacobi)
@@ -346,10 +333,8 @@ def tau_mod(q: int, n_max: int) -> np.ndarray:
     alone at 1e4 and about 10% at 1e5 (0.64 and 6.4 ms, on a 2-vCPU Xeon),
     where a warm call takes about 6 us at 1e4.
     """
-    if not isinstance(q, (int, np.integer)) or q not in _SUPPORTED_MODULI:
-        raise InvalidArgumentError(f"unsupported modulus {q}; expected one of {_SUPPORTED_MODULI}")
-    _check_n_max(n_max, 1, TAU_MOD_DESK_LIMIT, "tau_mod")
-    q = int(q)  # a numpy q: Python's three-argument pow takes ints only
+    q = _args.tag(q, (*_TAU_CONGRUENCES, 23), "modulus")  # an int: three-argument pow takes no numpy int
+    n_max = _args.integer(n_max, "n_max", 1, TAU_MOD_DESK_LIMIT, "tau_mod desk")
     if n_max > TAU_DESK_LIMIT:
         return _tau_mod_build(q, n_max)
     table = _tau_mod_tables.get(q)  # one read: a call copies from the table it checked
@@ -362,8 +347,7 @@ def tau_mod(q: int, n_max: int) -> np.ndarray:
 
 def lambda_mod3(n_max: int) -> np.ndarray:
     """Partition counts lambda(0..n_max) mod 3, parts not divisible by 9: E^6 * E * E mod 3."""
-    _check_n_max(n_max, 0, TAU_DESK_LIMIT, "lambda_mod3")
-    length = n_max + 1
+    length = _args.integer(n_max, "n_max", 0, TAU_DESK_LIMIT, "lambda_mod3 desk") + 1
     pentagonal = _pentagonal_series(length, 1)
     a = _eta6_coeffs(length) % 3
     for _ in range(2):
@@ -372,11 +356,5 @@ def lambda_mod3(n_max: int) -> np.ndarray:
 
 
 def odd_tau_count(x: int) -> int:
-    """#{n <= x : tau(n) odd} = floor((1 + sqrt(x)) / 2), integer square root only."""
-    try:
-        x = int(x)
-    except (OverflowError, TypeError, ValueError):
-        raise InvalidArgumentError(f"x must be a finite number, got {x!r}") from None
-    if x < 0:
-        raise InvalidArgumentError(f"x must be >= 0, got {x}")
-    return (math.isqrt(x) + 1) // 2
+    """#{n <= x : tau(n) odd} = floor((1 + sqrt(x)) / 2) by the integer square root; x is truncated."""
+    return (math.isqrt(_args.integer(x, "x", 0, truncate=True)) + 1) // 2

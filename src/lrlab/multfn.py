@@ -87,22 +87,16 @@ with the tests, in tests/scalar_reference.py.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
+from . import _args
 from .budget import ValueWithBudget
 from .characters import GENERATORS, _dlog_table, euler_phi
-from .errors import (
-    ConsistencyError,
-    InvalidArgumentError,
-    PreconditionError,
-    ResourceLimitError,
-    UnsupportedCaseError,
-)
+from .errors import ConsistencyError, PreconditionError, UnsupportedCaseError
 from .modforms import _TAU_CONGRUENCES
 from . import primes as pr
 
@@ -317,12 +311,10 @@ TABLE_CASES = ["two_squares", "q5", "q7", "q3", "q691", "q23"]
 
 
 def get_case(case) -> CaseSpec:
+    """A CaseSpec as it is, or the case of a tag in CASES."""
     if isinstance(case, CaseSpec):
         return case
-    try:
-        return CASES[case]
-    except (KeyError, TypeError):  # TypeError: an unhashable case
-        raise UnsupportedCaseError(f"unknown case tag {case!r}") from None
+    return CASES[_args.tag(case, CASES, "case tag", UnsupportedCaseError)]
 
 
 def class_index(case, limit: int) -> np.ndarray:
@@ -335,26 +327,6 @@ def _f_zero(spec: CaseSpec, primes: np.ndarray) -> np.ndarray:
     """f(p) = 0, i.e. m0 in {2, ALWAYS}, for each prime in an array, by residue."""
     zero = spec._residue_f_zero
     return zero[primes - primes // len(zero) * len(zero)]  # numpy's // by a scalar is 2x its %
-
-
-def _is_finite(x) -> bool:
-    """x is a number and finite; an int is, even past the float range."""
-    try:
-        return isinstance(x, int) or math.isfinite(x)
-    except TypeError:  # not a number: a str, None, ...
-        return False
-
-
-def _desk_x(x) -> int:
-    """x as an int within 1..COUNT_DESK_LIMIT; a float x is truncated."""
-    if not _is_finite(x):
-        raise InvalidArgumentError(f"x must be a finite number, got {x!r}")
-    x = int(x)
-    if x < 1:
-        raise InvalidArgumentError(f"x must be >= 1, got {x}")
-    if x > COUNT_DESK_LIMIT:
-        raise ResourceLimitError(f"counting desk limit is {COUNT_DESK_LIMIT}, got {x}")
-    return x
 
 
 def _small_rules(spec: CaseSpec, x: int) -> tuple[np.ndarray, list]:
@@ -419,7 +391,7 @@ def f_sieve(case, x: int) -> np.ndarray:
     truncated to an integer; b has x + 1 entries.
     """
     spec = get_case(case)
-    x = _desk_x(x)
+    x = _args.integer(x, "x", 1, COUNT_DESK_LIMIT, "counting desk", truncate=True)
     primes, rules = _small_rules(spec, x)
     out = np.ones(x + 1, dtype=bool)
     out[0] = False
@@ -447,7 +419,7 @@ def count_f(case, x: int) -> int:
     table.  A float x is truncated.
     """
     spec = get_case(case)
-    x = _desk_x(x)
+    x = _args.integer(x, "x", 1, COUNT_DESK_LIMIT, "counting desk", truncate=True)
     if x > pr.SEGMENT_SIZE:
         return _count_windows(spec, x)
     table = spec._f_table
@@ -650,14 +622,7 @@ def h_f(case, x: float) -> ValueWithBudget:
     |tau log x| + |value|), plus the prefix's bound on the rounding of lo.
     """
     spec = get_case(case)
-    if not _is_finite(x):
-        raise InvalidArgumentError(f"x must be a finite number, got {x!r}")
-    if x < 2:
-        raise InvalidArgumentError(f"x must be >= 2, got {x}")
-    xi = int(math.floor(x))
-    if xi > COUNT_DESK_LIMIT:
-        shown = f"{x:.10g}" if x < 1e308 else "more than 1e308"
-        raise ResourceLimitError(f"prime-power enumeration limit is {COUNT_DESK_LIMIT}, got {shown}")
+    xi = _args.integer(x, "x", 2, COUNT_DESK_LIMIT, "prime-power enumeration", truncate=True)
     table = pr.sieve_primes(xi)
     tables = spec._h_f_tables
     j = len(table) // _S1_BLOCK
@@ -678,8 +643,7 @@ def h_f(case, x: float) -> ValueWithBudget:
 
 def dirichlet_series_truncated(case, s: float, n_terms: int) -> float:
     """sum_{n <= N} f(n) n^(-s), exactly rounded (math.fsum)."""
-    if not isinstance(s, numbers.Real):
-        raise InvalidArgumentError(f"s must be a real number, got {s!r}")
+    s = _args.real(s, "s", PreconditionError, float_range=True)
     if not s > 1:
         raise PreconditionError(f"s must be > 1, got {s}")
     f = f_sieve(case, n_terms)

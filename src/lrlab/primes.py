@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ResourceLimitError
+from . import _args
 
 __all__ = [
     "PrimeTable",
@@ -127,15 +127,9 @@ def _sieve_cached(limit: int) -> PrimeTable:
 
 
 def sieve_primes(limit: int) -> PrimeTable:
-    """All primes <= limit, ascending (segmented sieve, deterministic)."""
-    try:
-        limit = int(limit)
-    except (OverflowError, TypeError, ValueError):
-        raise InvalidArgumentError(f"sieve limit must be a finite number, got {limit!r}") from None
-    if limit < 2:
-        raise InvalidArgumentError(f"sieve limit must be >= 2, got {limit}")
-    if limit > PRIME_DESK_LIMIT:
-        raise ResourceLimitError(f"prime sieve desk limit is {PRIME_DESK_LIMIT}, got {limit}")
+    """All primes <= limit, ascending (segmented sieve, deterministic); a
+    float limit is truncated."""
+    limit = _args.integer(limit, "sieve limit", 2, PRIME_DESK_LIMIT, "prime sieve desk", truncate=True)
     return _sieve_cached(limit)
 
 
@@ -164,12 +158,10 @@ W_S1, W_S2, W_S3, W_P23 = 0, 1, 2, 3
 def wilton_classes(primes) -> np.ndarray:
     """Wilton class code of each prime in an array, S3 decided by the table
     of values U^2 + 23 V^2 between the smallest and the largest prime."""
-    p = np.asarray(primes, dtype=np.int64)
-    lo, top = (int(p.min()), int(p.max())) if p.size else (2, 2)
-    if lo < 2:
-        raise InvalidArgumentError(f"primes must be >= 2, got {lo}")
-    if top > PRIME_DESK_LIMIT:
-        raise ResourceLimitError(f"Wilton class desk limit is {PRIME_DESK_LIMIT}, got {top}")
+    p = _args.int_array(primes, "primes")
+    lo = _args.integer(int(p.min()) if p.size else 2, "the least prime", 2)
+    top = _args.integer(int(p.max()) if p.size else 2, "the largest prime", None, PRIME_DESK_LIMIT,
+                        "Wilton class desk")
     qr = _KRON23[p % 23]
     codes = np.full(len(p), W_S2, dtype=np.uint8)
     codes[qr == -1] = W_S1

@@ -10,7 +10,7 @@ shows the numbers it compared.
 
 Summary-table cells come from `constants.TABLE1_PRINTED`.  They are
 truncated decimals: a cell matches when the computed value truncates to its
-digits (`matches_truncated`).  q691's H_f(1e6) and q23's C2 cells are
+digits (`_matches_truncated`).  q691's H_f(1e6) and q23's C2 cells are
 irreproducible from their definitions: the report must flag each in a note,
 and the value is held instead to 2e-3 around B_f and to 1e-4 around
 (1 - tau)(1 + printed B_f).  q23's B_f, printed with its fifth digit open,
@@ -27,6 +27,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
+from . import _args
 from . import constants as co
 from . import identities as idn
 from . import lseries as ls
@@ -36,7 +37,7 @@ from . import primes as pr
 from .characters import generator_character, kronecker_character
 from .errors import UnsupportedCaseError
 
-__all__ = ["CheckResult", "run_checks", "matches_truncated", "ALL_CASES", "CHECKS", "PUBLISHED"]
+__all__ = ["CheckResult", "run_checks", "ALL_CASES", "CHECKS", "PUBLISHED"]
 
 # Quoted decimals outside the summary table: check name -> (case, printed
 # value, tolerance per component[, tolerance of the imaginary part]).
@@ -67,7 +68,7 @@ class CheckResult:
 TRUNCATION_SLACK = 1e-9
 
 
-def matches_truncated(value: float, printed: float, decimals: int) -> bool:
+def _matches_truncated(value: float, printed: float, decimals: int) -> bool:
     """True if ``value`` truncates to the printed ``decimals``-digit decimal.
 
     A printed value like -0.401 (with trailing dots) means the true value
@@ -127,7 +128,7 @@ def _table_cell(cell, report) -> tuple[bool, str]:
         near = (one_minus_tau * (1.0 + b_ref), 1e-4)
         flagged = report.c2_printed_reference == c2_ref and any("C2" in n for n in notes)
     if flagged is None:
-        ok, detail = matches_truncated(v.value, printed, decimals), f"truncates to printed {printed}"
+        ok, detail = _matches_truncated(v.value, printed, decimals), f"truncates to printed {printed}"
     else:
         ok, detail = flagged, f"printed {printed} is irreproducible, flagged: {flagged}"
     if near is not None:
@@ -319,10 +320,8 @@ ALL_CASES = tuple(dict.fromkeys(case for case, _, _ in CHECKS))
 
 
 def run_checks(cases=None) -> list[CheckResult]:
-    """Run the rows of some case tags (all by default), in registry order."""
-    wanted = tuple(cases or ()) or ALL_CASES
-    if isinstance(cases, str) or not set(wanted) <= set(ALL_CASES):
-        raise UnsupportedCaseError(f"cases must be a collection of tags from {ALL_CASES}, got {cases!r}")
+    """Run the rows of some case tags (all for None or an empty collection), in registry order."""
+    wanted = _args.tags(() if cases is None else cases, ALL_CASES, "cases", UnsupportedCaseError) or ALL_CASES
     results = []
     for case, name, check in CHECKS:
         if case in wanted:

@@ -188,7 +188,7 @@ class TestExitCodes:
 
 
 
-HOSTILE = ("0", "-1", "nan", "inf", "1e400", "", "abc", str(10**12), str(10**30))
+HOSTILE = ("0", "-1", "nan", "inf", "1e400", "", "abc", str(10**12), str(10**30), str(10**400))
 FORMATS = ("text", "json")
 # Small valid values per flag
 COMMANDS = {

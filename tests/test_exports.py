@@ -43,6 +43,17 @@ REMOVED = (
     "csum",
     "_DIVISORS_690",
     "_ORDER_CLASSES",
+    # argument checks, deleted (or made private) when lrlab._args took them: one copy of each
+    "matches_truncated",
+    "_check_modulus",
+    "_check_order",
+    "_members",
+    "_check_character",
+    "_check_float_range",
+    "_check_n_max",
+    "_SUPPORTED_MODULI",
+    "_is_finite",
+    "_desk_x",
 )
 
 
