@@ -23,12 +23,12 @@ import numpy as np
 from .errors import InvalidArgumentError, ResourceLimitError
 
 
-def _shown(x) -> str:
-    """x for a one-line message: short, and safe for an int of any size."""
+def shown(x) -> str:
+    """x for a one-line message: short, safe for an int of any size, a number as str() prints it."""
     if isinstance(x, int) and x.bit_length() > 64:
         return f"an integer of {x.bit_length()} bits"
     try:
-        text = " ".join(repr(x).split())
+        text = " ".join((str if isinstance(x, numbers.Number) else repr)(x).split())
     except ValueError:  # an int past Python's limit on printed digits, inside x
         text = type(x).__name__
     return text if len(text) <= 60 else text[:57] + "..."
@@ -46,14 +46,14 @@ def integer(x, name: str, least=None, top=None, desk: str = "", truncate: bool =
     n = x if type(x) is int else _int(x)
     if n is None:
         if not truncate:
-            raise InvalidArgumentError(f"{name} must be an integer, got {_shown(x)}")
+            raise InvalidArgumentError(f"{name} must be an integer, got {shown(x)}")
         n = int(real(x, name))
     if least is not None and n < least:
-        raise InvalidArgumentError(f"{name} must be >= {least}, got {_shown(x)}")
+        raise InvalidArgumentError(f"{name} must be >= {least}, got {shown(x)}")
     if top is not None and n > top:
         if desk:
-            raise ResourceLimitError(f"{desk} limit is {top}, got {_shown(x)}")
-        raise InvalidArgumentError(f"{name} must be <= {top}, got {_shown(x)}")
+            raise ResourceLimitError(f"{desk} limit is {top}, got {shown(x)}")
+        raise InvalidArgumentError(f"{name} must be <= {top}, got {shown(x)}")
     return n
 
 
@@ -63,16 +63,14 @@ def real(x, name: str, nonfinite=InvalidArgumentError, float_range: bool = False
     the largest float raises InvalidArgumentError."""
     if type(x) is not float and type(x) is not int:
         if isinstance(x, bool) or not isinstance(x, numbers.Real):
-            raise InvalidArgumentError(f"{name} must be a real number, got {_shown(x)}")
-        if isinstance(x, np.integer):
-            x = int(x)
-        elif isinstance(x, np.floating):  # a long double too
-            x = float(x)
+            raise InvalidArgumentError(f"{name} must be a real number, got {shown(x)}")
+        if isinstance(x, np.generic):  # its Python number, a long double as a float
+            x = int(x) if isinstance(x, np.integer) else float(x)
     if isinstance(x, float):
         if not math.isfinite(x):
             raise nonfinite(f"{name} must be finite, got {x}")
     elif float_range and abs(x) > sys.float_info.max:
-        raise InvalidArgumentError(f"{name} must lie in the float range, got {_shown(x)}")
+        raise InvalidArgumentError(f"{name} must lie in the float range, got {shown(x)}")
     return x
 
 
@@ -81,7 +79,7 @@ def tag(x, registry, what: str, error=InvalidArgumentError):
     integer as its int.  Anything else, an unhashable x too, raises ``error``."""
     key = x if type(x) is str or type(x) is int else _int(x)
     if key is None or key not in registry:
-        raise error(f"unsupported {what} {_shown(x)}; expected one of {list(registry)}")
+        raise error(f"unsupported {what} {shown(x)}; expected one of {list(registry)}")
     return key
 
 
@@ -93,14 +91,14 @@ def tags(x, registry, what: str, error=InvalidArgumentError) -> tuple:
     except TypeError:
         items = None
     if items is None:
-        raise error(f"{what} must be a collection{'' if registry is None else ' of tags'}, got {_shown(x)}")
+        raise error(f"{what} must be a collection{'' if registry is None else ' of tags'}, got {shown(x)}")
     return items if registry is None else tuple(tag(t, registry, what, error) for t in items)
 
 
 def instance(x, kind: type, name: str):
     """x if it is a ``kind``."""
     if not isinstance(x, kind):
-        raise InvalidArgumentError(f"{name} must be a {kind.__name__}, got {_shown(x)}")
+        raise InvalidArgumentError(f"{name} must be a {kind.__name__}, got {shown(x)}")
     return x
 
 
@@ -111,5 +109,5 @@ def int_array(x, name: str) -> np.ndarray:
     except (TypeError, ValueError, OverflowError):  # a ragged list, say
         a = None
     if a is None or a.ndim != 1 or a.dtype.kind not in "iu" and a.size:
-        raise InvalidArgumentError(f"{name} must be a one-dimensional array of integers, got {_shown(x)}")
+        raise InvalidArgumentError(f"{name} must be a one-dimensional array of integers, got {shown(x)}")
     return a.astype(np.int64, copy=False)

@@ -46,6 +46,10 @@ class DirichletCharacter:
     modulus: int
     index: int
 
+    def __post_init__(self):  # lseries trusts the fields, so a hand-made character is checked here
+        top = int(_dlog_table(_args.tag(self.modulus, GENERATORS, "modulus")).max())  # phi(m) - 1
+        _args.integer(self.index, "character index", 0, top)
+
     @property
     def principal(self) -> bool:
         return self.index == 0
@@ -70,9 +74,8 @@ def euler_phi(m: int) -> int:
 
 def generator_character(m: int, j: int) -> DirichletCharacter:
     """chi_c^j mod m, the character with chi(g) = exp(2*pi*i*j/phi(m))."""
-    j = _args.integer(j, "character index")
     group = character_group(m)
-    return group[j % len(group)]
+    return group[_args.integer(j, "character index") % len(group)]
 
 
 def kronecker_character(D: int) -> DirichletCharacter:

@@ -68,7 +68,7 @@ def local_factor_gap(case, x: float = 0.5, p_limit: int = 10**4) -> float:
     spec = get_case(case)
     euler = spec.euler
     if not 0 < _args.real(x, "x") < 1:
-        raise InvalidArgumentError(f"x must lie in (0, 1), got {x}")
+        raise InvalidArgumentError(f"x must lie in (0, 1), got {_args.shown(x)}")
     p = sieve_primes(p_limit).primes
     idx = class_index(spec, p_limit)
     m0 = spec._m0s[idx]

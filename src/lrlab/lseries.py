@@ -221,7 +221,7 @@ def _gamma_batch(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 def _series_batch(m: int, k: int, s) -> tuple[np.ndarray, np.ndarray]:
     """H_k(r, m, s) and budgets for r = 1..m, s > 1 exact (_exact), k checked by the caller."""
     if not s > 1:
-        raise PreconditionError(f"the Dirichlet series need s > 1, got {s}")
+        raise PreconditionError(f"the Dirichlet series need s > 1, got {_args.shown(s)}")
     return _em_sums(m, k, s)
 
 
@@ -305,7 +305,7 @@ def l_value(chi: DirichletCharacter, s: float, k: int = 0) -> ValueWithBudget:
     k = _args.integer(k, "derivative order k", 0, GAMMA_K_MAX)
     exact = _exact(s)
     if not exact > 1:
-        raise PreconditionError(f"the Dirichlet series need s > 1, got {s}")
+        raise PreconditionError(f"the Dirichlet series need s > 1, got {_args.shown(s)}")
     table, budget = _l_table(chi.modulus, exact, k)
     return ValueWithBudget(complex(table[chi.index]), budget)
 
@@ -585,7 +585,7 @@ def prime_class_sum(m: int, residues, s: float, derivative: int = 1) -> ValueWit
     lowest = 2 if any(math.gcd(r, m) == 1 for r in key) else 1
     exact = _exact(s, float_range=True)  # the direct terms' p^-s need a float s
     if not exact >= lowest:
-        raise PreconditionError(f"prime class sums over these residues need s >= {lowest}, got {s}")
+        raise PreconditionError(f"prime class sums over these residues need s >= {lowest}, got {_args.shown(s)}")
     return _class_sum(m, key, exact, derivative)
 
 
@@ -629,7 +629,7 @@ def frobenius_class_sum(classes, a: int, derivative: int = 1) -> ValueWithBudget
     derivative = _args.tag(derivative, (0, 1), "derivative")
     a = _exact(a, float_range=True)  # the direct terms' p^-a need a float a
     if not (isinstance(a, int) and a >= 2):
-        raise PreconditionError(f"Frobenius class sums need an integer a >= 2, got {a}")
+        raise PreconditionError(f"Frobenius class sums need an integer a >= 2, got {_args.shown(a)}")
     p = sieve_primes(MOBIUS_P).primes
     terms, left = _prime_terms(p[np.isin(wilton_classes(p), classes)], a, derivative)
     return _inversion(terms, left, np.isin(np.arange(3), classes), _s3_power,

@@ -265,6 +265,7 @@ tau_exact.cache_clear = _tau_exact.cache_clear
 
 # tau(n) = n^v sigma_w(n) (mod q) for q: (v, w) (module docstring)
 _TAU_CONGRUENCES = {2: (1, 1), 3: (1, 1), 5: (1, 1), 7: (1, 3), 691: (0, 11)}
+_TAU_MODULI = (*_TAU_CONGRUENCES, 23)  # tau_mod's moduli, 23 by x E(x) E(x^23)
 
 
 @lru_cache(maxsize=len(_TAU_CONGRUENCES))  # at most one (w, q) per congruence
@@ -333,7 +334,7 @@ def tau_mod(q: int, n_max: int) -> np.ndarray:
     alone at 1e4 and about 10% at 1e5 (0.64 and 6.4 ms, on a 2-vCPU Xeon),
     where a warm call takes about 6 us at 1e4.
     """
-    q = _args.tag(q, (*_TAU_CONGRUENCES, 23), "modulus")  # an int: three-argument pow takes no numpy int
+    q = _args.tag(q, _TAU_MODULI, "modulus")  # an int: three-argument pow takes no numpy int
     n_max = _args.integer(n_max, "n_max", 1, TAU_MOD_DESK_LIMIT, "tau_mod desk")
     if n_max > TAU_DESK_LIMIT:
         return _tau_mod_build(q, n_max)

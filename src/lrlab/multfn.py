@@ -645,7 +645,7 @@ def dirichlet_series_truncated(case, s: float, n_terms: int) -> float:
     """sum_{n <= N} f(n) n^(-s), exactly rounded (math.fsum)."""
     s = _args.real(s, "s", PreconditionError, float_range=True)
     if not s > 1:
-        raise PreconditionError(f"s must be > 1, got {s}")
+        raise PreconditionError(f"s must be > 1, got {_args.shown(s)}")
     f = f_sieve(case, n_terms)
     n = np.flatnonzero(f).astype(np.float64)
     return math.fsum(n ** (-s))

@@ -6,7 +6,9 @@ import pytest
 
 import lrlab.characters
 import lrlab.primes
-from lrlab.characters import GENERATORS, character_group, euler_phi, generator_character, kronecker_character
+from lrlab.characters import (
+    GENERATORS, DirichletCharacter, character_group, euler_phi, generator_character, kronecker_character,
+)
 from lrlab.errors import InvalidArgumentError, LrlabError
 from lrlab.lseries import prime_class_sum
 from lrlab.modforms import tau_exact
@@ -143,6 +145,19 @@ class TestCharacterGroup:
         chi = generator_character(23, 5)
         assert (chi.modulus, chi.index, chi.principal) == (23, 5, False)
         assert [a for a in dir(chi) if not a.startswith("_")] == ["index", "modulus", "principal"]
+
+    @pytest.mark.parametrize(
+        "fields", [(9, 1), (10**6, 1), (5, 4), (5, -1), ("x", 1), (5, True), (5, 1.0), ([5], 1)],
+    )
+    def test_a_hand_made_character_is_checked(self, fields):
+        # lseries trusts a character's fields: a modulus outside GENERATORS once
+        # reached a bare KeyError, or a 1e6 x 40 batch, inside l_derivative_at_1
+        with pytest.raises(InvalidArgumentError) as raised:
+            DirichletCharacter(*fields)
+        assert "\n" not in str(raised.value)
+
+    def test_a_character_takes_numpy_integers(self):
+        assert DirichletCharacter(np.int64(5), np.int64(2)) == generator_character(5, 2)
 
 
 @pytest.mark.parametrize(
