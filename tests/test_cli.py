@@ -1,14 +1,18 @@
 import contextlib
 import io
 import json
+import re
 import tracemalloc
+
+import pytest
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from lrlab.characters import character_group
 from lrlab.cli import main
-from lrlab.lseries import GAMMA_K_MAX
-from lrlab.multfn import CASES, TABLE_CASES
+from lrlab.lseries import GAMMA_K_MAX, gamma_k, l_derivative_at_1
+from lrlab.multfn import CASES, TABLE_CASES, h_f
 
 
 def run_cli(capsys, *argv):
@@ -98,6 +102,48 @@ class TestTable1Formats:
         assert len(lines) == 2 and lines[1].startswith("q5,")
 
 
+def vwb_json(v):
+    """A ValueWithBudget as the CLI's JSON holds it, a complex value as re/im."""
+    if isinstance(v.value, complex) and v.value.imag != 0.0:
+        return {"value": {"re": v.value.real, "im": v.value.imag}, "budget": v.budget}
+    return {"value": v.value.real, "budget": v.budget}
+
+
+class TestOneRenderer:
+    """Every command's text and JSON come from one output path."""
+
+    @pytest.mark.parametrize("case", TABLE_CASES)
+    def test_constant_is_its_part_of_table1(self, capsys, case):
+        _, table_json, _ = run_cli(capsys, "table1", "--format", "json")
+        _, table_text, _ = run_cli(capsys, "table1")
+        code, one_json, _ = run_cli(capsys, "constant", "--case", case, "--format", "json")
+        assert code == 0
+        assert json.loads(one_json) == next(r for r in json.loads(table_json) if r["case"] == case)
+        parts = re.split(r"(?m)^(?=case )", table_text)
+        _, one_text, _ = run_cli(capsys, "constant", "--case", case)
+        assert one_text == next(p for p in parts if p.startswith(f"case {case}:"))
+
+    def test_report_json_is_indented_and_one_value_is_one_line(self, capsys):
+        assert run_cli(capsys, "constant", "--case", "q5", "--format", "json")[1].startswith('{\n  "case": "q5",')
+        assert run_cli(capsys, "hf", "--case", "q5", "--x", "1e5", "--format", "json")[1].count("\n") == 1
+
+    def test_hf_json_holds_the_library_value(self, capsys):
+        _, out, _ = run_cli(capsys, "hf", "--case", "q691", "--x", "2500.5", "--format", "json")
+        assert json.loads(out) == {"case": "q691", "x": 2500.5, "h_f": vwb_json(h_f("q691", 2500.5))}
+
+    def test_gammak_json_holds_the_library_value(self, capsys):
+        _, out, _ = run_cli(capsys, "gammak", "--modulus", "7", "--residue", "3", "--k", "2", "--format", "json")
+        assert json.loads(out) == {"residue": 3, "modulus": 7, "k": 2, "gamma": vwb_json(gamma_k(3, 7, 2))}
+
+    @pytest.mark.parametrize("modulus, index", [(5, 1), (5, 2), (691, -1)])
+    def test_lvalue_json_holds_the_library_value(self, capsys, modulus, index):
+        v = l_derivative_at_1(character_group(modulus)[index], 1)
+        argv = ("lvalue", "--modulus", str(modulus), "--index", str(index), "--derivative", "1", "--format", "json")
+        payload = json.loads(run_cli(capsys, *argv)[1])
+        assert payload == {"modulus": modulus, "index": index, "derivative": 1, "L": vwb_json(v)}
+        assert isinstance(payload["L"]["value"], dict) == (v.value.imag != 0.0)
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self, capsys):
         assert run_cli(capsys, "nonsense")[0] == 2
@@ -107,8 +153,12 @@ class TestExitCodes:
         for argv in (
             ("lvalue", "--modulus", "5", "--index", "9"),
             ("lvalue", "--modulus", "5", "--index", "-5"),
+            ("lvalue", "--modulus", "5", "--index", "4"),
+            ("lvalue", "--modulus", "9", "--index", "1"),
             ("hf", "--case", "q3", "--x", "nan"),
             ("hf", "--case", "q3", "--x", "inf"),
+            ("hf", "--case", "q3", "--x", "1e400"),
+            ("tau", "--limit", "5", "--mod", "4"),
             ("tau", "--limit", "0"),
             ("count", "--case", "q3", "--x", "0"),
         ):

@@ -6,6 +6,8 @@ import ast
 import importlib
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,6 +56,8 @@ REMOVED = (
     "_SUPPORTED_MODULI",
     "_is_finite",
     "_desk_x",
+    "_finite_float",
+    "_validate",
 )
 
 
@@ -69,6 +73,14 @@ def test_every_export_resolves(name):
 def test_removed_names_are_gone(name):
     module = importlib.import_module(name)
     assert [r for r in REMOVED if hasattr(module, r)] == [], name
+
+
+def test_import_loads_no_front_end(src_env):
+    # import lrlab stays off the CLI, the verification gate and the identity
+    # checks, so a change there leaves the library's import cost as it was
+    script = "import sys, lrlab; print(sorted({'lrlab.cli', 'lrlab.verify', 'lrlab.identities'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=src_env, timeout=120)
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]", proc.stderr
 
 
 def private_top_level_names(tree: ast.Module) -> set[str]:
