@@ -13,6 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._args import shown
+from .errors import InvalidArgumentError
+
 __all__ = ["ValueWithBudget"]
 
 _ETA = 5e-324  # smallest subnormal: twice the rounding of a product or quotient that underflows
@@ -60,8 +63,12 @@ class ValueWithBudget:
     budget: float
 
     def __post_init__(self):
-        if self.budget < 0 or math.isnan(self.budget):
-            raise ValueError(f"budget must be nonnegative, got {self.budget}")
+        try:
+            if self.budget >= 0:  # False for a negative or nan budget
+                return
+        except TypeError:  # a budget that is no number, a str say
+            pass
+        raise InvalidArgumentError(f"budget must be a nonnegative number, got {shown(self.budget)}")
 
     @property
     def real(self) -> "ValueWithBudget":

@@ -265,7 +265,7 @@ tau_exact.cache_clear = _tau_exact.cache_clear
 
 # tau(n) = n^v sigma_w(n) (mod q) for q: (v, w) (module docstring)
 _TAU_CONGRUENCES = {2: (1, 1), 3: (1, 1), 5: (1, 1), 7: (1, 3), 691: (0, 11)}
-_TAU_MODULI = (*_TAU_CONGRUENCES, 23)  # tau_mod's moduli, 23 by x E(x) E(x^23)
+_TAU_MODULI = tuple(sorted((*_TAU_CONGRUENCES, 23)))  # tau_mod's moduli, 23 by x E(x) E(x^23)
 
 
 @lru_cache(maxsize=len(_TAU_CONGRUENCES))  # at most one (w, q) per congruence

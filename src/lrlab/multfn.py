@@ -70,18 +70,20 @@ for finite m0 (log p for NEVER, 0 for ALWAYS).  H_f(x) =
 sum_{p^k <= x} Lambda_f(p^k)/p^k - tau*log x tracks the constant term B_f
 of the logarithmic prime sum.  h_f splits it into S1(x), the sum of
 log p/p over the primes p <= x with f(p) = 1, the terms p^k <= x with
-k >= 2, and tau*log x.  Each case keeps S1 at every 256th prime of the
-shared prime table as an unevaluated pair hi + lo: a sequential float sum
-and the sum of the exact (TwoSum) rounding errors of its additions, with a
-stored bound on lo's own rounding.  It also keeps the k >= 2 terms, from
-the closed form, in one table built for the largest x asked for and
-rebuilt when a larger x comes.  A call reads one pair, adds the k = 1
-terms of the fewer than 256 primes left, from the closed form, and the
-table's terms with p^k <= x, selected in their order, in one exactly
-rounded sum, and adds the stored bound to its budget.  The scalar
-references for one prime or one n (m0, f by trial division, and Lambda_f
-by the prime-power recursion) and the full-array reference for H_f live
-with the tests, in tests/scalar_reference.py.
+k >= 2, and tau*log x.  Each case keeps two prefixes of unevaluated pairs
+hi + lo, a sequential float sum and the sum of the exact (TwoSum)
+rounding errors of its additions (Ogita, Rump and Oishi, SIAM J. Sci.
+Comput. 26, 2005), each with a stored bound on lo's own rounding: S1 at
+every _S1_BLOCK-th (64th) prime of the shared prime table, and the k >= 2
+terms, from the closed form, sorted by p^k, with the running sum of their
+|terms|.  Both reach the largest x asked for and grow when a larger x
+comes.  A call finds pi(x) in the shared prime table, reads one pair of
+each prefix, adds the k = 1 terms of the fewer than 64 primes left, from
+the closed form, in one exactly rounded sum, and adds both stored bounds
+to its budget.  The scalar references for one prime or one n (m0, f by
+trial division, and Lambda_f by the prime-power recursion) and the
+full-array reference for H_f live with the tests, in
+tests/scalar_reference.py.
 """
 
 from __future__ import annotations
@@ -515,82 +517,99 @@ def _count_windows(spec: CaseSpec, x: int) -> int:
     return int(count)
 
 
-# The S1 prefix holds one entry every _S1_BLOCK primes, so a call adds at
-# most _S1_BLOCK - 1 terms of k = 1 itself; it grows _S1_CHUNK primes a pass,
+# The S1 prefix holds one row every _S1_BLOCK primes, so a call adds at most
+# _S1_BLOCK - 1 terms of k = 1 itself; it grows _S1_CHUNK primes a pass,
 # which bounds its temporaries.
-_S1_BLOCK = 256
+_S1_BLOCK = 64
 _S1_CHUNK = 1 << 15
 # One float addition rounds by at most 2^-53 times its result.  The factor
 # covers the rounding of the running sum of |lo| that this multiplies, which
 # can fall short of the exact sum by a factor (1 - 2^-53)^n for the n < 2^22
 # primes below COUNT_DESK_LIMIT.
 _LO_ROUNDING = 2.0**-53 * (1 + 2.0**-30)
+_EPS = 2.0**-52
+
+
+def _two_sum_run(row: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """hi, lo and the running sum of |lo| after each term of t, going on
+    from the row (hi, lo, sum of |lo|) before them.
+
+    hi is the sequential float sum of the terms, lo the float sum of the
+    exact rounding errors of hi's additions (TwoSum), so hi + lo is the
+    exact sum up to lo's own rounding, which the running sum of |lo| times
+    _LO_ROUNDING bounds: each of lo's additions rounds by at most 2^-53
+    times its result.
+    """
+    run = np.cumsum(np.concatenate((row[:1], t)))
+    prev, hi = run[:-1], run[1:]
+    if not np.array_equal(prev + t, hi):
+        raise ConsistencyError("np.cumsum did not add the H_f terms one at a time")
+    back = hi - prev
+    err = (prev - (hi - back)) + (t - back)  # prev + t = hi + err, exactly
+    lo = np.cumsum(np.concatenate((row[1:2], err)))[1:]
+    abs_lo = np.cumsum(np.concatenate((row[2:3], np.abs(lo))))[1:]
+    return hi, lo, abs_lo
 
 
 class _HfTables:
-    """The call-invariant parts of H_f for one case: the S1 prefix and the
-    k >= 2 terms.
+    """The call-invariant parts of H_f for one case: two prefixes of running
+    TwoSum pairs (_two_sum_run), one of the k = 1 terms and one of the
+    k >= 2 terms, both reaching the largest x asked for (covered).
 
     S1 = sum of log p/p over the primes p with f(p) = 1 is kept at every
-    _S1_BLOCK-th prime of the shared prime table.  Entry j covers the first
-    j*_S1_BLOCK primes as the unevaluated pair hi[j] + lo[j]: hi is the
-    sequential float sum of the terms (0 where f(p) = 0), lo the float sum
-    of the exact rounding errors of hi's additions (TwoSum).  So hi + lo is
-    S1 up to lo's own rounding, which bound(j) covers: each of lo's
-    additions rounds by at most 2^-53 times its result.  Every entry is the
-    same float whatever calls built it, so a budget depends on x only.  The
-    entries reach only as far as the primes of the largest x asked for,
-    and read only f(p), from the residues.
+    _S1_BLOCK-th (64th) prime of the shared prime table: row j of s1 is
+    (hi, lo, sum of |lo|) after the terms of the first j*_S1_BLOCK primes,
+    0 where f(p) = 0, which it reads from the residues alone.
 
-    The k >= 2 terms are kept for the largest x asked for (covered), as the
-    p^k and the Lambda_f(p^k)/p^k of _prime_power_terms, by k and then by p;
-    a smaller x selects p^k <= x, which keeps that order and gives the
-    array a call at x would build, and a larger x rebuilds the table for
-    itself, classifying only the primes <= sqrt(x).  Each spec holds its own
-    (CaseSpec._h_f_tables), so a copy of a spec starts empty.
+    The k >= 2 terms, Lambda_f(p^k)/p^k from the closed form, are kept
+    sorted by p^k (pk): row i of pk_sums is (hi, lo, sum of |lo|,
+    sum of |term|) after the first i of them.  p^k is unique for each
+    (p, k), so the terms with p^k <= x are a prefix of that order for every
+    x <= covered, the same terms whatever covered is.  A larger x rebuilds
+    the table for itself, classifying only the primes <= sqrt(x).
+
+    So every row is the same float whatever calls built it, and a result
+    depends on x only.  Each spec holds its own (CaseSpec._h_f_tables), so a
+    copy of a spec starts empty.
     """
 
     def __init__(self, spec: CaseSpec):
         self.spec = spec
-        self.hi = self.lo = self.abs_lo = np.zeros(1)
+        self.tau = float(spec.tau)
+        self.s1 = np.zeros((1, 3))
         self.covered = 0  # the x of the k >= 2 table
-        self.pk, self.pk_terms = np.zeros(0, dtype=np.int64), np.zeros(0)
+        self.pk, self.pk_sums = np.zeros(0, dtype=np.int64), np.zeros((1, 4))
 
-    def bound(self, j: int) -> float:
-        """A bound on |hi[j] + lo[j] - the exact sum of entry j's float terms|."""
-        return float(self.abs_lo[j]) * _LO_ROUNDING
+    def grow(self, x: int) -> pr.PrimeTable:
+        """Make both prefixes reach x, and return the shared largest prime
+        table, which holds every prime <= x."""
+        table = pr.sieve_primes(x)
+        self.extend(table)
+        if x > self.covered:
+            pk, t = _prime_power_terms(self.spec, table, x)
+            hi, lo, abs_lo = _two_sum_run(self.pk_sums[0], t)
+            sums = np.column_stack((hi, lo, abs_lo, np.cumsum(np.abs(t))))
+            self.pk, self.pk_sums = pk, np.concatenate((self.pk_sums[:1], sums))
+            self.covered = x
+        return pr._largest
 
     def extend(self, table: pr.PrimeTable) -> None:
-        """Add the entries of every full block of the table's primes."""
+        """Add the rows of every full block of the table's primes not yet in s1."""
         stop = len(table) // _S1_BLOCK * _S1_BLOCK
-        for start in range((len(self.hi) - 1) * _S1_BLOCK, stop, _S1_CHUNK):
+        for start in range((len(self.s1) - 1) * _S1_BLOCK, stop, _S1_CHUNK):
             end = min(start + _S1_CHUNK, stop)
             p = table.primes[start:end]
             t = table.logs[start:end] / p
             t[_f_zero(self.spec, p)] = 0.0
-            run = np.cumsum(np.concatenate((self.hi[-1:], t)))
-            prev, hi = run[:-1], run[1:]
-            if not np.array_equal(prev + t, hi):
-                raise ConsistencyError("np.cumsum did not add the S1 terms one at a time")
-            back = hi - prev
-            err = (prev - (hi - back)) + (t - back)  # prev + t = hi + err, exactly
-            lo = np.cumsum(np.concatenate((self.lo[-1:], err)))[1:]
-            abs_lo = np.cumsum(np.concatenate((self.abs_lo[-1:], np.abs(lo))))[1:]
+            # rows copies the block ends, so no pass's columns stay alive
+            # through the next pass's temporaries
             ends = slice(_S1_BLOCK - 1, None, _S1_BLOCK)
-            self.hi = np.concatenate((self.hi, hi[ends]))
-            self.lo = np.concatenate((self.lo, lo[ends]))
-            self.abs_lo = np.concatenate((self.abs_lo, abs_lo[ends]))
-
-    def prime_power_terms(self, table: pr.PrimeTable, x: int) -> np.ndarray:
-        """Lambda_f(p^k)/p^k for every p^k <= x with k >= 2, by k and then by p."""
-        if x > self.covered:
-            self.pk, self.pk_terms = _prime_power_terms(self.spec, table, x)
-            self.covered = x
-        return self.pk_terms[self.pk <= x]
+            rows = np.column_stack([c[ends] for c in _two_sum_run(self.s1[-1], t)])
+            self.s1 = np.concatenate((self.s1, rows))
 
 
 def _prime_power_terms(spec: CaseSpec, table: pr.PrimeTable, x: int) -> tuple[np.ndarray, np.ndarray]:
-    """p^k and Lambda_f(p^k)/p^k for every p^k <= x with k >= 2, by k and then by p."""
+    """p^k and Lambda_f(p^k)/p^k for every p^k <= x with k >= 2, sorted by p^k."""
     r = int(np.searchsorted(table.primes, math.isqrt(x), side="right"))
     if not r:
         return np.zeros(0, dtype=np.int64), np.zeros(0)
@@ -606,38 +625,48 @@ def _prime_power_terms(spec: CaseSpec, table: pr.PrimeTable, x: int) -> tuple[np
     k = np.repeat(ks, counts)
     i = np.arange(len(k)) - np.repeat(np.cumsum(counts) - counts, counts)
     pk = p[i] ** k
+    order = np.argsort(pk)  # p^k is unique for each (p, k)
+    pk, k, i = pk[order], k[order], i[order]
     return pk, logs[i] * _lambda_over_log(m0[i], k) / pk
 
 
 def h_f(case, x: float) -> ValueWithBudget:
     """H_f(x) = sum_{p^k <= x} Lambda_f(p^k)/p^k - tau*log x.
 
-    Exact truncation (there is no tail).  The k = 1 terms of the first
-    j*_S1_BLOCK primes come from the case's S1 prefix (_HfTables) as one pair
-    hi + lo; math.fsum adds it to the k = 1 terms of the fewer than
-    _S1_BLOCK primes left, read off the closed form, and to the k >= 2
-    terms with p^k <= x, selected from the case's table (built for the
-    largest x asked for, rebuilt for a larger one), and tau*log x is
-    subtracted.  The budget covers rounding only: eps*(sum of |terms| +
-    |tau log x| + |value|), plus the prefix's bound on the rounding of lo.
+    Exact truncation (there is no tail).  A call reads one row of each of
+    the case's two prefixes (_HfTables): the S1 pair hi + lo of the first
+    j*_S1_BLOCK primes <= x, j = pi(x) // _S1_BLOCK with _S1_BLOCK = 64,
+    and the pair of every k >= 2 term with p^k <= x.  math.fsum adds both
+    pairs to the k = 1 terms of the fewer than 64 primes left, read off the
+    closed form, and tau*log x is subtracted.  Up to the largest x asked
+    for, a call finds pi(x) in the shared largest prime table and neither
+    sieves nor builds a table; a larger x grows both prefixes first.  The
+    budget covers rounding only: eps*(sum of |terms| + |tau log x| +
+    |value|), plus both prefixes' bounds on the rounding of lo.
     """
     spec = get_case(case)
     xi = _args.integer(x, "x", 2, COUNT_DESK_LIMIT, "prime-power enumeration", truncate=True)
-    table = pr.sieve_primes(xi)
     tables = spec._h_f_tables
-    j = len(table) // _S1_BLOCK
-    if j >= len(tables.hi):
-        tables.extend(table)
-    hi, lo = float(tables.hi[j]), float(tables.lo[j])
-    p, logs = table.primes[j * _S1_BLOCK :], table.logs[j * _S1_BLOCK :]
+    # the shared largest table only grows, so it holds every prime <= covered
+    table = tables.grow(xi) if xi > tables.covered else pr._largest
+    n = int(table.primes.searchsorted(xi, side="right"))  # pi(x)
+    j = n // _S1_BLOCK
+    p, logs = table.primes[j * _S1_BLOCK : n], table.logs[j * _S1_BLOCK : n]
     keep = ~_f_zero(spec, p)
-    rest = np.concatenate((logs[keep] / p[keep], tables.prime_power_terms(table, xi)))
+    tail = (logs[keep] / p[keep]).tolist()
+    i = int(tables.pk.searchsorted(xi, side="right"))  # the k >= 2 terms with p^k <= x
+    s1_hi, s1_lo, s1_abs_lo = tables.s1[j].tolist()
+    pk_hi, pk_lo, pk_abs_lo, pk_abs = tables.pk_sums[i].tolist()
 
-    tau_log = float(spec.tau) * math.log(x)
-    value = math.fsum([hi, lo, *rest.tolist()]) - tau_log
-    eps = np.finfo(float).eps
-    abs_sum = hi + abs(lo) + float(np.sum(np.abs(rest)))
-    budget = eps * (abs_sum + abs(tau_log) + abs(value)) + tables.bound(j)
+    tau_log = tables.tau * math.log(x)
+    value = math.fsum([s1_hi, s1_lo, pk_hi, pk_lo, *tail]) - tau_log
+    # sum of |terms| (every k = 1 term is >= 0), raised by (N + 4) eps for its
+    # N = n + i terms: a float sum of N nonnegative terms in any order lies
+    # within (N - 1) eps/2 of the exact sum, relative, and this one rounds at
+    # most N + 3 times, so the raised sum bounds the exact one and every
+    # float order's sum, the full-array reference's included, from above
+    abs_sum = (s1_hi + abs(s1_lo) + sum(tail) + pk_abs) * (1 + (n + i + 4) * _EPS)
+    budget = _EPS * (abs_sum + abs(tau_log) + abs(value)) + s1_abs_lo * _LO_ROUNDING + pk_abs_lo * _LO_ROUNDING
     return ValueWithBudget(value, budget)
 
 

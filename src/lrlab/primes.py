@@ -14,6 +14,13 @@ Euler's criterion p^11 mod 23, and `wilton_classes` decides S3 from the
 table of values U^2 + 23 V^2.  The scalar reference (the U^2 + 23 V^2
 search) and the split test of x^3 - x - 1, whose discriminant is -23, live
 with the tests, in tests/scalar_reference.py.
+
+sieve_primes keeps one table, of the largest limit sieved so far, and
+serves a smaller limit by a slice of it (a PrimeTable whose source is that
+table), with the last 16 slices in an lru_cache.  A larger limit sieves
+afresh and clears that cache first, so no cached slice keeps a superseded
+table and its logs alive; a caller's own slice keeps them only while the
+caller holds it.
 """
 
 from __future__ import annotations
@@ -130,6 +137,8 @@ def sieve_primes(limit: int) -> PrimeTable:
     """All primes <= limit, ascending (segmented sieve, deterministic); a
     float limit is truncated."""
     limit = _args.integer(limit, "sieve limit", 2, PRIME_DESK_LIMIT, "prime sieve desk", truncate=True)
+    if _largest is not None and _largest.limit < limit:
+        _sieve_cached.cache_clear()  # its slices would pin the table this sieve supersedes
     return _sieve_cached(limit)
 
 

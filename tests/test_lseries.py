@@ -81,6 +81,12 @@ class TestValueWithBudget:
         with pytest.raises(ValueError):
             ValueWithBudget(1.0, -1e-9)
 
+    @pytest.mark.parametrize("budget", [-1e-9, -math.inf, math.nan, "x", None, 1j])
+    def test_bad_budget_is_invalid(self, budget):
+        # a negative, nan or non-numeric budget ends in the package's own error
+        with pytest.raises(InvalidArgumentError, match="budget must be a nonnegative number"):
+            ValueWithBudget(1.0, budget)
+
 
 class TestGammaK:
     def test_euler_constant(self):

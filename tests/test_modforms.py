@@ -386,6 +386,10 @@ class TestTauMod:
         with pytest.raises(InvalidArgumentError):
             tau_mod(11, 100)
 
+    def test_refusal_lists_the_moduli_in_order(self):
+        with pytest.raises(InvalidArgumentError, match=r"expected one of \[2, 3, 5, 7, 23, 691\]$"):
+            tau_mod(4, 5)
+
     @pytest.mark.parametrize("q", [3.0, 23.0, "3", None])
     def test_non_integer_modulus_is_invalid(self, q):
         # 3.0 == 3 is in the supported moduli, but is not a modulus

@@ -569,11 +569,13 @@ class TestHf:
     @staticmethod
     def reference_points():
         # every 10th point of perfbench's H_f grid (50 a decade over 1e3..1e6),
-        # x one below, at and one above the 256*j-th prime (a block boundary
-        # of the S1 prefix), prime powers and one below them, and x = 2, 3, 4
+        # x one below, at and one above the _S1_BLOCK*j-th prime (a block
+        # boundary of the S1 prefix), prime powers and one below them, and
+        # x = 2, 3, 4
         grid = [round(10 ** (3 + i / 50)) for i in range(0, 151, 10)]
         primes = sieve_primes(10**6).primes
-        edges = [int(primes[256 * j - 1]) + d for j in (1, 2, 39, 306) for d in (-1, 0, 1)]
+        block, last = multfn._S1_BLOCK, len(primes) // multfn._S1_BLOCK
+        edges = [int(primes[block * j - 1]) + d for j in (1, 2, 39, last) for d in (-1, 0, 1)]
         powers = [n + d for n in (2**19, 3**12, 997**2) for d in (-1, 0)]
         return grid + edges + powers + [2, 3, 4, 1000.5]
 
@@ -631,15 +633,34 @@ class TestHf:
 
     @pytest.mark.parametrize("tag", sorted(CASES))
     def test_selected_terms_are_the_terms_of_x(self, tag):
-        # element for element (bit for bit, in order) the array a build at x makes
+        # the k >= 2 prefix read at x from the table kept for 10**6 is, bit for
+        # bit, the last row of a table built at x
         spec = replace(CASES[tag])
-        table = sieve_primes(10**6)
         kept = spec._h_f_tables
-        kept.prime_power_terms(table, 10**6)
+        kept.grow(10**6)
         for x in (2, 3, 4, 8, 9, 1000, 2**19 - 1, 2**19, 3**12, 997**2 - 1, 997**2, 10**6):
-            _, terms = multfn._prime_power_terms(spec, table, x)
-            assert kept.prime_power_terms(table, x).tobytes() == terms.tobytes(), x
+            built = multfn._HfTables(spec)
+            built.grow(x)
+            row = kept.pk_sums[kept.pk.searchsorted(x, side="right")]
+            assert row.tobytes() == built.pk_sums[-1].tobytes(), x
+            assert np.array_equal(kept.pk[: len(built.pk)], built.pk), x
         assert kept.covered == 10**6
+
+    @pytest.mark.parametrize("tag", sorted(CASES))
+    def test_warm_call_reads_the_kept_tables(self, tag, monkeypatch):
+        # up to the largest x asked for, a call sieves nothing, classifies
+        # fewer than _S1_BLOCK primes and builds no k >= 2 table
+        spec = replace(CASES[tag])
+        h_f(spec, 10**6)
+        sieves, classified, builds = [], [], []
+        sieve, f_zero = primes.sieve_primes, multfn._f_zero
+        monkeypatch.setattr(primes, "sieve_primes", lambda limit: sieves.append(limit) or sieve(limit))
+        monkeypatch.setattr(multfn, "_f_zero", lambda s, p: classified.append(len(p)) or f_zero(s, p))
+        monkeypatch.setattr(multfn, "_prime_power_terms", lambda *a: builds.append(a))
+        for x in (10**6, 999999.5, 531441, 20000.5, 1000, 311, 4, 2):
+            h_f(spec, x)
+        assert sieves == [] and builds == [], (sieves, builds)
+        assert len(classified) == 8 and max(classified) < multfn._S1_BLOCK, classified
 
     def test_prefix_refuses_a_cumsum_that_is_not_sequential(self, monkeypatch):
         # lo holds the errors of hi's additions one at a time; a cumsum that

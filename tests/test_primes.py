@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -106,6 +107,24 @@ class TestSieve:
                 assert not t.primes.flags.writeable and not t.logs.flags.writeable
             assert primes._largest.limit == 150000
             assert sieve_primes(5000).source is primes._largest
+        finally:
+            primes._sieve_cached.cache_clear()
+
+    def test_a_larger_sieve_frees_the_table_it_supersedes(self, monkeypatch):
+        # the cached slices of the old largest table, and its own cache entry,
+        # must not keep it and its logs alive once a larger sieve replaces it
+        monkeypatch.setattr(primes, "_largest", None)
+        primes._sieve_cached.cache_clear()
+        try:
+            old = sieve_primes(20000)
+            for limit in (1000, 5000, 19999):
+                assert sieve_primes(limit).logs.base is not None  # slices of old's logs
+            gone = weakref.ref(old)
+            sieve_primes(30000)
+            assert gone() is old  # the caller still holds it
+            del old
+            assert gone() is None
+            assert primes._largest.limit == 30000
         finally:
             primes._sieve_cached.cache_clear()
 
