@@ -17,7 +17,6 @@ from .constants import (
     landau_ramanujan_K,
     second_order_constant,
     table1,
-    verdict,
 )
 from .characters import character_group, generator_character, kronecker_character
 from .errors import (

@@ -93,7 +93,7 @@ def _cmd_table1(args):
 
 
 def _cmd_constant(args):
-    report = co.verdict(co.second_order_constant(args.case))
+    report = co.second_order_constant(args.case)
     return report, _report_lines(report)
 
 

@@ -51,7 +51,7 @@ kernel, which raises K's budget from 6.6e-15 to 1.1e-14.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -84,7 +84,6 @@ __all__ = [
     "b691_character_sums",
     "landau_ramanujan_K",
     "first_order_C5",
-    "verdict",
     "table1",
 ]
 
@@ -108,7 +107,8 @@ HF_CHECKPOINTS = (10**5, 10**6)
 
 @dataclass(frozen=True)
 class ConstantReport:
-    """Per-case record: density, B_f, C_2, checkpoints, and the verdict."""
+    """Per-case record: density, B_f, C_2, checkpoints, and the verdict: CLAIM_FALSE iff
+    C_2 differs from the claimed value by more than its budget, else INCONCLUSIVE."""
 
     case: str
     tau: Fraction
@@ -117,7 +117,7 @@ class ConstantReport:
     c2: ValueWithBudget
     c2_ramanujan: Fraction
     h_checkpoints: tuple  # ((x, H_f(x) as ValueWithBudget), ...)
-    verdict: str | None = None
+    verdict: str
     first_order: ValueWithBudget | None = None
     lambda_c2: ValueWithBudget | None = None  # q3 companion C_2(l) = C_2(t) - log(3)/2
     c2_printed_reference: float | None = None  # q23: the printed 0.6083
@@ -232,8 +232,9 @@ def first_order_C5() -> ValueWithBudget:
 # ---------------------------------------------------------------------------
 
 def second_order_constant(case) -> ConstantReport:
-    """Assemble B_f, C_2 = (1 - tau)(1 + B_f), and H_f at the printed checkpoints
-    for a case (a tag or a CaseSpec), cached for the last 32 cases."""
+    """Assemble B_f, C_2 = (1 - tau)(1 + B_f), H_f at the printed checkpoints
+    and the verdict for a case (a tag or a CaseSpec), cached for the last
+    32 cases."""
     get_case(case)  # before the cache hashes case
     return _second_order_constant(case)
 
@@ -242,10 +243,7 @@ def second_order_constant(case) -> ConstantReport:
 def _second_order_constant(case) -> ConstantReport:
     spec = get_case(case)
     tag = spec.tag
-    if tag in ("q2", "ones"):
-        raise UnsupportedCaseError(f"{tag} has an exact count; no second-order constant")
-
-    b = _b_from_euler(spec)
+    b = _b_from_euler(spec)  # a case with no factorization (q2) raises here
     c2 = float(1 - spec.tau) * (1.0 + b)
 
     checkpoints = tuple((x, h_f(spec, float(x))) for x in HF_CHECKPOINTS)
@@ -286,6 +284,7 @@ def _second_order_constant(case) -> ConstantReport:
         c2=c2,
         c2_ramanujan=spec.delta,
         h_checkpoints=checkpoints,
+        verdict=CLAIM_FALSE if abs(c2.value - float(spec.delta)) > c2.budget else INCONCLUSIVE,
         first_order=first_order,
         lambda_c2=lambda_c2,
         c2_printed_reference=printed_ref,
@@ -297,17 +296,8 @@ second_order_constant.cache_info = _second_order_constant.cache_info
 second_order_constant.cache_clear = _second_order_constant.cache_clear
 
 
-def verdict(report: ConstantReport) -> ConstantReport:
-    """CLAIM_FALSE iff the computed C_2 differs from the claimed value
-    by more than its budget (equivalently, B_f is not zero within budget)."""
-    _args.instance(report, ConstantReport, "report")
-    gap = abs(report.c2.value - float(report.c2_ramanujan))
-    v = CLAIM_FALSE if gap > report.c2.budget else INCONCLUSIVE
-    return replace(report, verdict=v)
-
-
 def table1(cases=None) -> list[ConstantReport]:
-    """The six-row summary: one verdict-carrying report per case, every case
+    """The six-row summary: second_order_constant of each case, every case
     for None or an empty collection."""
     tags = _args.tags(() if cases is None else cases, TABLE_CASES, "cases", UnsupportedCaseError)
-    return [verdict(second_order_constant(t)) for t in tags or TABLE_CASES]
+    return [second_order_constant(t) for t in tags or TABLE_CASES]

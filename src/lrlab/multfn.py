@@ -14,7 +14,7 @@ and S3 split one residue class) and the m0 of every class; a prime p | m
 is a class of its own.  The cases "q does not divide tau(n)", q = 2, 3,
 5, 7 and 691, are derived from tau(n) = n^v sigma_w(n) (mod q), the table
 tau_mod reads (_tau_case; mod 691 a class is the residues of one order);
-q23, two_squares and ones are written by hand.  CaseSpec derives from a
+q23 and two_squares are written by hand.  CaseSpec derives from a
 definition, on first use, the density tau (the mean of F(r) = f(p),
 p = r mod m, over the units) and the one Euler factorization of
 T(s) = sum f(n) n^-s,
@@ -98,7 +98,7 @@ import numpy as np
 from . import _args
 from .budget import ValueWithBudget
 from .characters import GENERATORS, _dlog_table, euler_phi
-from .errors import ConsistencyError, PreconditionError, UnsupportedCaseError
+from .errors import ConsistencyError, InvalidArgumentError, PreconditionError, UnsupportedCaseError
 from .modforms import _TAU_CONGRUENCES
 from . import primes as pr
 
@@ -160,9 +160,11 @@ class CaseSpec:
     residue rule either way, as both classes of such a split have m0 > 2,
     so the sieves to x classify only the primes p <= sqrt(x).
 
-    tau (the mean of f(p) over the unit residues) and euler are derived
-    from these fields on first use (module docstring): each class's local
-    factor solves sum_{a | k} a c_a = -d_k, d_k = n Lambda_f(p^k)/log p -
+    A spec checks its fields when it is made: tuples of ints, each m0 at
+    most 2^16, and ``frobenius`` () or (1, 2) on q23's layout.  tau (the
+    mean of f(p) over the unit residues) and euler are derived from these
+    fields on first use (module docstring): each class's local factor
+    solves sum_{a | k} a c_a = -d_k, d_k = n Lambda_f(p^k)/log p -
     n F(r^k) (n tau when p | m), over the divisors k of L.
     """
 
@@ -170,6 +172,20 @@ class CaseSpec:
     residues: tuple    # class index of each residue mod len(residues)
     m0: tuple          # zero period of each class
     frobenius: tuple = ()
+
+    def __post_init__(self):  # the sieves and sums trust the fields, so a hand-made spec is checked here
+        _args.instance(self.tag, str, "tag")
+        m0 = _args.int_array(_args.instance(self.m0, tuple, "m0"), "m0").tolist()
+        residues = _args.int_array(_args.instance(self.residues, tuple, "residues"), "residues").tolist()
+        _args.integer(min(len(m0), len(residues)), "the number of classes and of residues", 1)
+        _args.integer(min(m0), "a zero period", M_NEVER)
+        _args.integer(max(m0), "a zero period", None, 2**16)  # euler's divisor search grows with m0
+        _args.integer(min(residues), "a class index", 0)
+        _args.integer(max(residues), "a class index", None, min(len(m0), 256) - 1)  # a uint8
+        if _args.instance(self.frobenius, tuple, "frobenius") and (  # q23's S2 and S3, which share f(p)
+                _args.int_array(self.frobenius, "frobenius").tolist() != [1, 2] or len(m0) != 4
+                or self.residues != _WILTON_RESIDUES or len({m in (2, M_ALWAYS) for m in m0[1:3]}) != 1):
+            raise InvalidArgumentError(f"frobenius {_args.shown(self.frobenius)} needs q23's layout")
 
     def classify(self, primes) -> np.ndarray:
         """The uint8 class index of each prime in an array."""
@@ -303,8 +319,6 @@ CASES: dict[str, CaseSpec] = {
         _tau_case(691),
         # n is a sum of two squares; classes: p = 1 (4), p = 3 (4), p = 2
         CaseSpec("two_squares", (0, 0, 2, 1), (M_NEVER, 2, M_NEVER)),
-        # the constant function 1
-        CaseSpec("ones", (0,), (M_NEVER,)),
     ]
 }
 

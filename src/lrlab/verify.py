@@ -99,10 +99,6 @@ def _quoted(name, value):
     return case, name, lambda: _near(value(), *ref)
 
 
-def _report(tag):
-    return co.table1([tag])[0]
-
-
 # ---------------------------------------------------------------------------
 # Criterion 1: the six-row table
 # ---------------------------------------------------------------------------
@@ -152,7 +148,7 @@ def _l_value(d, k):
 
 
 def _omitted_products():
-    b, row_b = co.b691_approx(), _report("q691").b_f
+    b, row_b = co.b691_approx(), co.second_order_constant("q691").b_f
     share = row_b.value - b.value  # the four residual products the formula leaves out
     detail = f"|B_f - b691| = |{share:.3e}| < 1e-5 (budgets {row_b.budget:.1e} + {b.budget:.1e})"
     return abs(share) < 1e-5, detail
@@ -169,7 +165,7 @@ def _q3_forms_agree():
 
 
 def _c5_consistent():
-    c5 = _report("q5").first_order
+    c5 = co.second_order_constant("q5").first_order
     return c5.budget < 1e-4, f"C = {c5}, budget < 1e-4"
 
 
@@ -261,25 +257,25 @@ def _euler_product(tag):
 # ---------------------------------------------------------------------------
 
 def _claim_false(tag):
-    r = _report(tag)
+    r = co.second_order_constant(tag)
     gap = abs(r.c2.value - float(r.c2_ramanujan))
     detail = f"|C2 - {r.c2_ramanujan}| = {gap:.4f} > budget {r.c2.budget:.1e}: {r.verdict}"
     return r.verdict == co.CLAIM_FALSE, detail
 
 
 def _lambda_c2():
-    lam = _report("q3").lambda_c2
+    lam = co.second_order_constant("q3").lambda_c2
     return lam is not None and abs(lam.value - 0.5) > lam.budget, f"C2(lambda) = {lam.value:.6f} != 1/2"
 
 
 def _q23_flag():
-    r = _report("q23")
+    r = co.second_order_constant("q23")
     ok = r.c2_printed_reference == co.TABLE1_PRINTED["q23"][3] and bool(r.notes)
     return ok, "printed-table flag present"
 
 
 CHECKS = (
-    *((tag, f"table1/{cell}", lambda tag=tag, cell=cell: _table_cell(cell, _report(tag)))
+    *((tag, f"table1/{cell}", lambda tag=tag, cell=cell: _table_cell(cell, co.second_order_constant(tag)))
       for tag in mu.TABLE_CASES for cell in ("H_f(1e5)", "H_f(1e6)", "B_f", "C2-identity", "C2")),
     _quoted("lvalues/L'/L(chi_5)", lambda: _ratio(2)),
     _quoted("lvalues/L'/L(chi_c mod 5)", lambda: _ratio(1)),
@@ -293,11 +289,11 @@ CHECKS = (
     _quoted("q691/even-character-sum", lambda: co.b691_character_sums()[1].value),
     _quoted("q691/b691", lambda: co.b691_approx().value),
     ("q691", "q691/omitted-products", _omitted_products),
-    _quoted("q3/B-rewrite", lambda: _report("q3").b_f.value),
+    _quoted("q3/B-rewrite", lambda: co.second_order_constant("q3").b_f.value),
     ("q3", "q3/forms-agree", _q3_forms_agree),
-    _quoted("constants/K", lambda: _report("two_squares").first_order.value),
-    _quoted("constants/two-squares-C2", lambda: _report("two_squares").c2.value),
-    _quoted("constants/two-squares-C2-shanks", lambda: _report("two_squares").c2.value),
+    _quoted("constants/K", lambda: co.second_order_constant("two_squares").first_order.value),
+    _quoted("constants/two-squares-C2", lambda: co.second_order_constant("two_squares").c2.value),
+    _quoted("constants/two-squares-C2-shanks", lambda: co.second_order_constant("two_squares").c2.value),
     ("q5", "constants/first-order-q5-consistent", _c5_consistent),
     *(row for q, tag in ((2, "q2"), (3, "q3"), (5, "q5"), (7, "q7"), (23, "q23"), (691, "q691"))
       for row in ((tag, "oracle/tau-congruence", partial(_tau_congruence, q)),

@@ -1,6 +1,7 @@
 """The library's twin of tests/test_cli.py::test_each_hostile_value_alone.
 
-Every function in a module's ``__all__`` takes, one parameter at a time,
+Every function in a module's ``__all__``, and each constructor in
+CONSTRUCTORS, takes, one parameter at a time,
 each hostile value while its other arguments stay valid, and must either
 return or raise an LrlabError: never a bare TypeError, ValueError,
 OverflowError or numpy warning (the suite turns warnings into errors).
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import lrlab
-from lrlab import constants, verify
+from lrlab import constants, multfn, verify
 from lrlab.budget import ValueWithBudget
 from lrlab.characters import generator_character
 from lrlab.errors import LrlabError
@@ -28,18 +29,21 @@ HOSTILE = (
 
 _REPORT = constants.ConstantReport(
     "q5", Fraction(3, 4), Fraction(1, 4), ValueWithBudget(-0.4, 1e-12), ValueWithBudget(0.15, 1e-12),
-    Fraction(1, 4), (),
+    Fraction(1, 4), (), constants.CLAIM_FALSE,
 )
 
-# Small valid arguments for every public function that takes any.  A function
-# added to an __all__ without an entry here fails test_every_public_function_is_swept.
+# The public classes whose constructors check their fields, swept with the functions.
+CONSTRUCTORS = {"multfn.CaseSpec": multfn.CaseSpec}
+
+# Small valid arguments for every public function that takes any, and for each
+# constructor.  A function added to an __all__ without an entry here fails
+# test_every_public_function_is_swept.
 VALID = {
     "characters.kronecker_character": {"D": -7},
     "characters.generator_character": {"m": 5, "j": 1},
     "characters.character_group": {"m": 5},
     "characters.euler_phi": {"m": 5},
     "constants.second_order_constant": {"case": "q5"},
-    "constants.verdict": {"report": _REPORT},
     "constants.table1": {"cases": ["q5"]},
     "identities.truncated_T": {"case": "q5", "s": 2, "n_terms": 100},
     "identities.euler_identity_sides": {"tag": "q5", "s": 2, "n_terms": 100},
@@ -55,6 +59,7 @@ VALID = {
     "modforms.tau_mod": {"q": 3, "n_max": 10},
     "modforms.lambda_mod3": {"n_max": 10},
     "modforms.odd_tau_count": {"x": 10},
+    "multfn.CaseSpec": {"tag": "x", "residues": (0, 0, 2, 1), "m0": (multfn.M_NEVER, 2, multfn.M_NEVER)},
     "multfn.get_case": {"case": "q5"},
     "multfn.class_index": {"case": "q5", "limit": 100},
     "multfn.f_sieve": {"case": "q5", "x": 100},
@@ -84,12 +89,18 @@ def public_functions():
                 yield f"{info.name}.{name}", obj
 
 
+def swept():
+    """public_functions(), then the CONSTRUCTORS."""
+    yield from public_functions()
+    yield from CONSTRUCTORS.items()
+
+
 def test_every_public_function_is_swept():
-    assert sorted(name for name, _ in public_functions()) == sorted(VALID)
+    assert sorted(name for name, _ in swept()) == sorted(VALID)
 
 
 def test_each_hostile_value_alone_returns_or_raises_typed(monkeypatch):
-    functions = list(public_functions())
+    functions = list(swept())
     # None and {} select every row of table1 and run_checks, valid but slow:
     # the rows are stubbed, as the arguments are checked before any row runs
     monkeypatch.setattr(verify, "CHECKS", ())
@@ -110,5 +121,5 @@ def test_each_hostile_value_alone_returns_or_raises_typed(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(VALID))
 def test_the_valid_arguments_are_valid(name):
-    fn = dict(public_functions())[name]
+    fn = dict(swept())[name]
     fn(**VALID[name])

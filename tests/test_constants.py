@@ -19,11 +19,10 @@ from lrlab.constants import (
     landau_ramanujan_K,
     second_order_constant,
     table1,
-    verdict,
 )
 from lrlab.errors import ConsistencyError, UnsupportedCaseError
 from lrlab.lseries import _EPS, _log_l_table, _rounded, gamma_k, zeta_value
-from lrlab.multfn import get_case
+from lrlab.multfn import TABLE_CASES, get_case
 from euler_reference import with_euler
 from mobius_reference import _dlogs, reference
 from test_lseries import l_reference
@@ -276,14 +275,19 @@ class TestVerdicts:
             assert r.verdict == CLAIM_FALSE, tag
             assert abs(r.c2.value - float(r.c2_ramanujan)) > r.c2.budget
 
-    def test_hypothetical_zero_b_inconclusive(self, reports):
-        r = reports["q5"]
-        fake = replace(
-            r,
-            b_f=ValueWithBudget(0.0, 1e-6),
-            c2=ValueWithBudget(float(1 - r.tau), 1e-6),
-        )
-        assert verdict(fake).verdict == INCONCLUSIVE
+    @pytest.mark.parametrize("tag", TABLE_CASES)
+    def test_a_report_carries_its_verdict(self, tag):
+        # the cached report is the table's row, verdict and all
+        r = second_order_constant(tag)
+        assert r is table1([tag])[0]
+        assert r.verdict == CLAIM_FALSE
+
+    def test_hypothetical_zero_b_inconclusive(self, monkeypatch):
+        # B_f = 0 within its budget, as the claimed form needs; the renamed
+        # copy of q5's spec keeps the cached q5 report out of it
+        monkeypatch.setattr(constants, "_b_from_euler", lambda spec: ValueWithBudget(0.0, 1e-6))
+        r = second_order_constant(replace(get_case("q5"), tag="q5-claimed"))
+        assert r.c2.value == float(r.delta) and r.verdict == INCONCLUSIVE
 
     def test_row_order(self):
         tags = [r.case for r in table1()]

@@ -58,6 +58,8 @@ REMOVED = (
     "_desk_x",
     "_finite_float",
     "_validate",
+    # folded into the report that constants.second_order_constant makes
+    "verdict",
 )
 
 

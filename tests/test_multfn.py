@@ -46,6 +46,11 @@ from scalar_reference import (
 )
 
 
+# The constant function 1, f's simplest case (H_f tends to -gamma): not a
+# library case, but every path of the engine runs on it
+ONES = CaseSpec("ones", (0,), (M_NEVER,))
+SPECS = {**CASES, "ones": ONES}
+
 # x on both sides of the square of a prime p, where p moves between the
 # small-prime rules and the big-prime pass, and the degenerate x = 1, 2, 3
 EDGE_LIMITS = [1, 2, 3] + [
@@ -68,11 +73,11 @@ def prime_powers(x, primes=None):
             k += 1
 
 
-def lambda_from_h_f(tag, pk):
+def lambda_from_h_f(case, pk):
     """Lambda_f(p^k) read off h_f's closed form, as x (H_f(x) - H_f(x - 1) +
     tau log(x/(x - 1))) at x = p^k >= 3."""
-    jump = h_f(tag, float(pk)).value - h_f(tag, float(pk - 1)).value
-    return pk * (jump + float(get_case(tag).tau) * math.log1p(1 / (pk - 1)))
+    jump = h_f(case, float(pk)).value - h_f(case, float(pk - 1)).value
+    return pk * (jump + float(get_case(case).tau) * math.log1p(1 / (pk - 1)))
 
 
 class TestCaseSpecs:
@@ -95,6 +100,37 @@ class TestCaseSpecs:
 
     def test_a_case_is_its_definition(self):
         assert [f.name for f in dataclasses.fields(CaseSpec)] == ["tag", "residues", "m0", "frobenius"]
+
+    def test_the_library_cases(self):
+        assert set(CASES) == {"q2", "q3", "q5", "q7", "q23", "q691", "two_squares"}
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            ("x", (0,), (-3,)),  # p^(m0 - 1) a float below 1: _small_rules never ended
+            ("x", (0, 5), (M_NEVER,)),  # a bare IndexError in h_f
+            ("x", (0,), (2**70,)),  # an OverflowError
+            ("x", (0,), (2**16 + 1,)),
+            ("x", "ab", (M_NEVER,)),  # a ValueError
+            ("x", [0], (M_NEVER,)),  # unhashable in second_order_constant
+            ("x", (0,), [M_NEVER]),
+            ("x", (0, 0, 1), (M_NEVER, 2), (1,)),  # a meaningless count: 36 at x = 100
+            ("x", (0,), (M_NEVER,), [1]),
+            (None, (0,), (M_NEVER,)),
+            ("x", (), (M_NEVER,)),
+            ("x", (0,), ()),
+            ("x", (True,), (M_NEVER,)),
+            ("x", (0.0,), (M_NEVER,)),
+            ("x", ((0, 1),), (M_NEVER, 2)),
+            ("x", tuple(range(300)), (M_NEVER,) * 300),  # a class index past uint8
+            ("q23", multfn._WILTON_RESIDUES, (2, 2, 3, M_NEVER), (1, 2)),  # S2 and S3 with two f(p)
+            ("q23", multfn._WILTON_RESIDUES, (2, 3, 23, M_NEVER), (2, 1)),
+        ],
+    )
+    def test_a_hand_made_spec_is_checked(self, fields):
+        with pytest.raises(InvalidArgumentError) as raised:
+            CaseSpec(*fields)
+        assert "\n" not in str(raised.value)
 
 
 class TestEulerDerivation:
@@ -132,7 +168,7 @@ class TestEulerDerivation:
 
     @pytest.mark.parametrize("tag, tau", [("q2", 0), ("ones", 1)])
     def test_moduli_without_characters(self, tag, tau):
-        spec = get_case(tag)
+        spec = SPECS[tag]
         assert spec.tau == tau
         with pytest.raises(UnsupportedCaseError, match=f"no product identity registered for '{tag}'"):
             spec.euler
@@ -209,17 +245,17 @@ class TestClasses:
         # q23 through the U^2 + 23 V^2 search, q691 through the multiplicative
         # order, the other cases through their residue tables
         primes = sieve_primes(10**4).primes.tolist()
-        for tag, spec in CASES.items():
-            m0s = np.array(spec.m0)[class_index(tag, 10**4)]
-            assert m0s.tolist() == [zero_period(tag, p) for p in primes], tag
+        for tag, spec in SPECS.items():
+            m0s = np.array(spec.m0)[class_index(spec, 10**4)]
+            assert m0s.tolist() == [zero_period(spec, p) for p in primes], tag
 
     def test_scalar_path_matches_vector_path(self):
         # each prime classified alone against the index of all primes; for q23
         # this pits the split test (one prime) against the form table (all primes)
         primes = sieve_primes(3000).primes
-        for tag, spec in CASES.items():
+        for tag, spec in SPECS.items():
             alone = [spec.m0[int(spec.classify(primes[i : i + 1])[0])] for i in range(len(primes))]
-            assert alone == np.array(spec.m0)[class_index(tag, 3000)].tolist(), tag
+            assert alone == np.array(spec.m0)[class_index(spec, 3000)].tolist(), tag
 
     def test_class_index_is_a_prefix(self):
         # every limit's index is a prefix of a wider limit's
@@ -229,16 +265,16 @@ class TestClasses:
         assert np.array_equal(idx, wide[: len(idx)])
         assert sorted(set(idx.tolist())) == list(range(len(CASES["q5"].m0)))
 
-    @pytest.mark.parametrize("tag", sorted(CASES))
+    @pytest.mark.parametrize("tag", sorted(SPECS))
     def test_f_of_a_prime_is_a_residue_rule(self, tag):
         # f(p) = 0 read from the residue table against f(p) = 0 read from the
         # classes, for q23 the Wilton classes that split the residues of S2
-        spec = CASES[tag]
+        spec = SPECS[tag]
         primes = sieve_primes(10**6).primes
-        from_classes = np.isin(np.array(spec.m0)[class_index(tag, 10**6)], (2, M_ALWAYS))
+        from_classes = np.isin(np.array(spec.m0)[class_index(spec, 10**6)], (2, M_ALWAYS))
         assert np.array_equal(_f_zero(spec, primes), from_classes)
 
-    @pytest.mark.parametrize("tag", sorted(CASES))
+    @pytest.mark.parametrize("tag", sorted(SPECS))
     def test_no_prime_above_sqrt_x_is_classified(self, tag, monkeypatch):
         largest = []
         classify = CaseSpec.classify
@@ -250,7 +286,7 @@ class TestClasses:
         monkeypatch.setattr(CaseSpec, "classify", spy)
         for run, x in ((count_f, 10**6), (f_sieve, 20000), (h_f, 1e6)):
             largest.clear()
-            run(replace(CASES[tag]), x)  # a fresh copy: h_f keeps its k >= 2 terms per spec
+            run(replace(SPECS[tag]), x)  # a fresh copy: h_f keeps its k >= 2 terms per spec
             assert largest and max(largest) <= math.isqrt(int(x)), (run.__name__, largest)
 
     def test_composite_rejected(self):
@@ -261,7 +297,7 @@ class TestClasses:
 
 class TestLambda:
     def test_von_mangoldt_example(self):
-        assert lambda_f_prime_power("ones", 2, 3) == pytest.approx(math.log(2), abs=1e-14)
+        assert lambda_f_prime_power(ONES, 2, 3) == pytest.approx(math.log(2), abs=1e-14)
 
     def test_closed_form_example(self):
         # q5, p = 11 = 1 (mod 5): local factor (1-x^4)/((1-x)(1-x^5)), k = 4
@@ -276,11 +312,11 @@ class TestLambda:
 
     def test_recursion_matches_closed_form(self):
         # h_f's closed-form term at every p^k <= 1e4 of these primes (p^k > 2)
-        for tag in CASES:
+        for tag, spec in SPECS.items():
             for p, k, pk in prime_powers(10**4, (2, 3, 5, 7, 11, 23, 29, 53)):
                 if pk > 2:
-                    rec = lambda_f_prime_power(tag, p, k)
-                    assert lambda_from_h_f(tag, pk) == pytest.approx(rec, abs=1e-9), (tag, p, k)
+                    rec = lambda_f_prime_power(spec, p, k)
+                    assert lambda_from_h_f(spec, pk) == pytest.approx(rec, abs=1e-9), (tag, p, k)
 
     def test_lambda_table_matches_recursion(self):
         # the product's Lambda_f (h_f's closed-form term) at q5's table points
@@ -308,7 +344,7 @@ class TestLambda:
         # powers Lambda_f vanishes by construction; the divisor-sum oracle
         # above checks the full convolution identity)
         for p, k, _ in prime_powers(10**4):
-            assert lambda_f_prime_power("ones", p, k) == pytest.approx(math.log(p), abs=1e-12)
+            assert lambda_f_prime_power(ONES, p, k) == pytest.approx(math.log(p), abs=1e-12)
 
     def test_zero_exponent_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -339,21 +375,22 @@ class TestCountAndSieve:
 
     def test_sieve_matches_f_value_at_sqrt_split(self):
         # f_sieve treats primes above sqrt(x) by cofactor
-        for tag in CASES:
-            ref = [f_value(tag, n) for n in range(1, max(EDGE_LIMITS) + 1)]
+        for tag, spec in SPECS.items():
+            ref = [f_value(spec, n) for n in range(1, max(EDGE_LIMITS) + 1)]
             for x in EDGE_LIMITS:
-                fs = f_sieve(tag, x)
+                fs = f_sieve(spec, x)
                 assert not fs[0] and fs[1:].astype(int).tolist() == ref[:x], (tag, x)
 
-    @pytest.mark.parametrize("tag", sorted(CASES))
+    @pytest.mark.parametrize("tag", sorted(SPECS))
     def test_count_matches_sieve(self, tag):
         # count_f subtracts the big-prime zeros by prefix counts instead of
         # marking them: it must agree with the marked array at every split
+        spec = SPECS[tag]
         fixed = [10, 99, 1000, 4096, 10007, 65535, 99991, 100000, 151321, 199999, 200000]
         for x in EDGE_LIMITS + fixed:
-            assert count_f(tag, x) == int(np.count_nonzero(f_sieve(tag, x))), (tag, x)
+            assert count_f(spec, x) == int(np.count_nonzero(f_sieve(spec, x))), (tag, x)
             # below SEGMENT_SIZE count_f reads f_sieve's table: the windows are checked alone
-            assert _count_windows(get_case(tag), x) == int(np.count_nonzero(f_sieve(tag, x))), (tag, x)
+            assert _count_windows(spec, x) == int(np.count_nonzero(f_sieve(spec, x))), (tag, x)
 
     def test_q2_counts_odd_squares(self):
         # tau(n) is odd exactly when n is an odd square
@@ -374,7 +411,7 @@ class TestCountAndSieve:
         assert zeros == sorted([1381 * m for m in range(1, 9)] + [5527, 8291])
 
     def test_ones_counts_everything(self):
-        assert count_f("ones", 1234) == 1234
+        assert count_f(ONES, 1234) == 1234
 
 
 class TestSegments:
@@ -390,16 +427,16 @@ class TestSegments:
     @staticmethod
     @lru_cache(maxsize=None)
     def reference(tag):
-        return [f_value(tag, n) for n in range(1, 5001)]
+        return [f_value(SPECS[tag], n) for n in range(1, 5001)]
 
-    @pytest.mark.parametrize("tag", sorted(CASES))
+    @pytest.mark.parametrize("tag", sorted(SPECS))
     def test_sieve_matches_f_value(self, tag, segment):
         ref = self.reference(tag)
         for x in (segment - 1, segment, segment + 1, 2 * segment, 4999, 5000):
-            fs = f_sieve(tag, x)
+            fs = f_sieve(SPECS[tag], x)
             assert not fs[0] and fs[1:].astype(int).tolist() == ref[:x], (tag, segment, x)
 
-    @pytest.mark.parametrize("tag", sorted(CASES))
+    @pytest.mark.parametrize("tag", sorted(SPECS))
     def test_count_matches_sieve(self, tag, segment):
         # count_f marks the odd n and adds n = 2^a m as the odd m <= x >> a:
         # x = 2^k - 1, 2^k, 2^k + 1 move the cuts x >> a across powers of 2,
@@ -409,27 +446,28 @@ class TestSegments:
         cuts = (2 * segment - 1, 2 * segment, 2 * segment + 1, 4 * segment + 1)
         edges = [y << a | low for a in (1, 2, 3) for y in cuts for low in (0, (1 << a) - 1)]
         near = [segment - 1, segment, segment + 1, 3 * segment + 2, 4999, 5000]
+        spec = SPECS[tag]
         for x in EDGE_LIMITS + near + powers + edges:
-            assert count_f(tag, x) == int(np.count_nonzero(f_sieve(tag, x))), (tag, segment, x)
-            windows = _count_windows(get_case(tag), x)
-            assert windows == int(np.count_nonzero(f_sieve(tag, x))), (tag, segment, x)
+            assert count_f(spec, x) == int(np.count_nonzero(f_sieve(spec, x))), (tag, segment, x)
+            windows = _count_windows(spec, x)
+            assert windows == int(np.count_nonzero(f_sieve(spec, x))), (tag, segment, x)
 
-    @pytest.mark.parametrize("tag", sorted(CASES))
+    @pytest.mark.parametrize("tag", sorted(SPECS))
     def test_rules_run_in_any_order(self, tag):
         # a rule writes back the multiples of p^(e+1) it cleared, so no rule undoes another
         x, lo = 5000, 1234
-        _, rules = _small_rules(get_case(tag), x)
+        _, rules = _small_rules(SPECS[tag], x)
         forward, backward = np.ones(x + 1 - lo, dtype=bool), np.ones(x + 1 - lo, dtype=bool)
         _mark(forward, lo, rules)
         _mark(backward, lo, rules[::-1])
         assert np.array_equal(forward, backward)
 
-    @pytest.mark.parametrize("tag", sorted(CASES))
+    @pytest.mark.parametrize("tag", sorted(SPECS))
     def test_odd_rules_run_in_any_order(self, tag):
         # count_f's step-2 marking of the odd n in [lo, lo + 2*len): the same
         # in either rule order, and the odd entries of f_sieve's step-1 marking
         x, lo = 5000, 1235
-        _, rules = _small_rules(get_case(tag), x)
+        _, rules = _small_rules(SPECS[tag], x)
         odd = [rule for rule in rules if rule[0] != 2]
         forward, backward = np.ones((x - lo) // 2 + 1, dtype=bool), np.ones((x - lo) // 2 + 1, dtype=bool)
         _mark(forward, lo, odd, step=2)
@@ -444,13 +482,13 @@ class TestSegments:
                   "q23": 1687791, "q691": 9981976, "two_squares": 1985459}
         assert {tag: count_f(tag, 10**7) for tag in counts} == counts
 
-    @pytest.mark.parametrize("tag", sorted(CASES))
+    @pytest.mark.parametrize("tag", sorted(SPECS))
     def test_count_holds_one_window(self, tag):
         # the shared prime table aside, one 1 MB window and its big primes
         sieve_primes(10**7)
         tracemalloc.start()
         try:
-            count_f(tag, 10**7)
+            count_f(SPECS[tag], 10**7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -467,17 +505,17 @@ class TestTable:
         powers = [2**k + d for k in range(1, 21) for d in (-1, 0, 1)]
         return sorted(set(range(1, 301)) | set(powers) | {size - 1, size + 1})
 
-    @pytest.mark.parametrize("tag", sorted(CASES))
+    @pytest.mark.parametrize("tag", sorted(SPECS))
     def test_matches_the_windows_in_any_call_order(self, tag):
         limits = self.limits()
-        want = {x: _count_windows(CASES[tag], x) for x in limits}
+        want = {x: _count_windows(SPECS[tag], x) for x in limits}
         shuffled = limits[:]
         np.random.default_rng(len(tag)).shuffle(shuffled)
         for order in (limits, limits[::-1], shuffled):
-            spec = replace(CASES[tag])  # a fresh copy starts with an empty table
+            spec = replace(SPECS[tag])  # a fresh copy starts with an empty table
             assert [count_f(spec, x) for x in order] == [want[x] for x in order], tag
 
-    @pytest.mark.parametrize("tag", sorted(CASES))
+    @pytest.mark.parametrize("tag", sorted(SPECS))
     def test_a_larger_x_builds_once(self, tag, monkeypatch):
         # a smaller x reads the table of the largest x asked for; a larger
         # x up to SEGMENT_SIZE builds it once; an x above it builds nothing
@@ -488,7 +526,7 @@ class TestTable:
             return build(case, x)
 
         monkeypatch.setattr(multfn, "f_sieve", spy)
-        spec = replace(CASES[tag])
+        spec = replace(SPECS[tag])
         count_f(spec, 10**4)
         assert builds == [10**4]
         for x in (10**4, 5000.5, 99, 2, 1):
@@ -509,13 +547,13 @@ class TestTable:
         with pytest.raises(ValueError):
             table[1] = False
 
-    @pytest.mark.parametrize("tag", sorted(CASES))
+    @pytest.mark.parametrize("tag", sorted(SPECS))
     def test_table_holds_one_window(self, tag):
         # the shared prime table aside, count_f to SEGMENT_SIZE keeps its
         # SEGMENT_SIZE + 1 bools, and f_sieve's build peaks below 3 MB
         size = primes.SEGMENT_SIZE
         sieve_primes(size)
-        spec = replace(CASES[tag])
+        spec = replace(SPECS[tag])
         tracemalloc.start()
         try:
             count_f(spec, size)
@@ -543,10 +581,10 @@ class TestNoModuleCache:
 class TestHf:
     def test_exact_against_recursion(self):
         # brute-force H from the scalar recursion, x = 2000, for every case
-        for tag in CASES:
-            terms = [lambda_f_prime_power(tag, p, k) / pk for p, k, pk in prime_powers(2000)]
-            brute = math.fsum(terms) - float(get_case(tag).tau) * math.log(2000)
-            assert h_f(tag, 2000.0).value == pytest.approx(brute, abs=1e-12), tag
+        for tag, spec in SPECS.items():
+            terms = [lambda_f_prime_power(spec, p, k) / pk for p, k, pk in prime_powers(2000)]
+            brute = math.fsum(terms) - float(spec.tau) * math.log(2000)
+            assert h_f(spec, 2000.0).value == pytest.approx(brute, abs=1e-12), tag
 
     def test_checkpoint_truncations(self):
         # printed reference values are truncated decimals
@@ -560,11 +598,11 @@ class TestHf:
         t = sieve_primes(x)
         sel = t.primes % 691 == 690
         corr = -math.fsum(t.logs[sel] / t.primes[sel])
-        expected = h_f("ones", float(x)).value + math.log(x) / 690.0 + corr
+        expected = h_f(ONES, float(x)).value + math.log(x) / 690.0 + corr
         assert h_f("q691", float(x)).value == pytest.approx(expected, abs=1e-12)
 
     def test_ones_tends_to_minus_gamma(self):
-        assert h_f("ones", 1e6).value == pytest.approx(-0.5772156649, abs=1e-3)
+        assert h_f(ONES, 1e6).value == pytest.approx(-0.5772156649, abs=1e-3)
 
     @staticmethod
     def reference_points():
@@ -579,29 +617,29 @@ class TestHf:
         powers = [n + d for n in (2**19, 3**12, 997**2) for d in (-1, 0)]
         return grid + edges + powers + [2, 3, 4, 1000.5]
 
-    @pytest.mark.parametrize("tag", sorted(CASES))
+    @pytest.mark.parametrize("tag", sorted(SPECS))
     def test_matches_full_array_reference(self, tag):
         # the block prefix against every term rebuilt and summed exactly: the
         # same value, bit for bit, and a budget larger only by the bound on
         # the rounding of the prefix's lo
         for x in self.reference_points():
-            new, ref = h_f(tag, x), h_f_reference(tag, x)
+            new, ref = h_f(SPECS[tag], x), h_f_reference(SPECS[tag], x)
             assert new.value == ref.value, (tag, x)
             assert ref.budget <= new.budget <= ref.budget * (1 + 1e-5), (tag, x)
 
-    @pytest.mark.parametrize("tag", sorted(CASES))
+    @pytest.mark.parametrize("tag", sorted(SPECS))
     def test_independent_of_earlier_calls(self, tag):
         # a copy of the spec starts with an empty S1 prefix; the value and the
         # budget must not depend on which calls grew the prefix before
         for x in (20, 1000.5, 7919, 10**5, 531441, 10**6):
-            cold = h_f(replace(CASES[tag]), x)
+            cold = h_f(replace(SPECS[tag]), x)
             for before in (10 * x, x / 10):
-                spec = replace(CASES[tag])
+                spec = replace(SPECS[tag])
                 h_f(spec, before)
                 warm = h_f(spec, x)
                 assert (warm.value, warm.budget) == (cold.value, cold.budget), (tag, x, before)
 
-    @pytest.mark.parametrize("tag", sorted(CASES))
+    @pytest.mark.parametrize("tag", sorted(SPECS))
     def test_k_ge_2_terms_are_kept_for_the_largest_x(self, tag, monkeypatch):
         # a smaller x reads the table of the largest x asked for, classifying
         # nothing; a larger x rebuilds it once, classifying only the primes
@@ -619,7 +657,7 @@ class TestHf:
 
         monkeypatch.setattr(CaseSpec, "classify", spy_classify)
         monkeypatch.setattr(multfn, "_prime_power_terms", spy_build)
-        spec = replace(CASES[tag])
+        spec = replace(SPECS[tag])
         h_f(spec, 10**5)
         assert builds == [10**5]
         largest.clear()
@@ -631,11 +669,11 @@ class TestHf:
         assert builds == [10**6]
         assert largest and max(largest) <= math.isqrt(10**6), largest
 
-    @pytest.mark.parametrize("tag", sorted(CASES))
+    @pytest.mark.parametrize("tag", sorted(SPECS))
     def test_selected_terms_are_the_terms_of_x(self, tag):
         # the k >= 2 prefix read at x from the table kept for 10**6 is, bit for
         # bit, the last row of a table built at x
-        spec = replace(CASES[tag])
+        spec = replace(SPECS[tag])
         kept = spec._h_f_tables
         kept.grow(10**6)
         for x in (2, 3, 4, 8, 9, 1000, 2**19 - 1, 2**19, 3**12, 997**2 - 1, 997**2, 10**6):
@@ -646,11 +684,11 @@ class TestHf:
             assert np.array_equal(kept.pk[: len(built.pk)], built.pk), x
         assert kept.covered == 10**6
 
-    @pytest.mark.parametrize("tag", sorted(CASES))
+    @pytest.mark.parametrize("tag", sorted(SPECS))
     def test_warm_call_reads_the_kept_tables(self, tag, monkeypatch):
         # up to the largest x asked for, a call sieves nothing, classifies
         # fewer than _S1_BLOCK primes and builds no k >= 2 table
-        spec = replace(CASES[tag])
+        spec = replace(SPECS[tag])
         h_f(spec, 10**6)
         sieves, classified, builds = [], [], []
         sieve, f_zero = primes.sieve_primes, multfn._f_zero
