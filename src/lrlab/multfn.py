@@ -74,16 +74,18 @@ k >= 2, and tau*log x.  Each case keeps two prefixes of unevaluated pairs
 hi + lo, a sequential float sum and the sum of the exact (TwoSum)
 rounding errors of its additions (Ogita, Rump and Oishi, SIAM J. Sci.
 Comput. 26, 2005), each with a stored bound on lo's own rounding: S1 at
-every _S1_BLOCK-th (64th) prime of the shared prime table, and the k >= 2
+every _S1_BLOCK-th (16th) prime of the shared prime table, and the k >= 2
 terms, from the closed form, sorted by p^k, with the running sum of their
 |terms|.  Both reach the largest x asked for and grow when a larger x
 comes.  A call finds pi(x) in the shared prime table, reads one pair of
-each prefix, adds the k = 1 terms of the fewer than 64 primes left, from
-the closed form, in one exactly rounded sum, and adds both stored bounds
-to its budget.  The scalar references for one prime or one n (m0, f by
-trial division, and Lambda_f by the prime-power recursion) and the
-full-array reference for H_f live with the tests, in
-tests/scalar_reference.py.
+each prefix, adds the k = 1 terms of the fewer than 16 primes left, each
+kept or dropped by its residue in plain Python, in one exactly rounded
+sum (math.fsum), and adds both stored bounds to its budget.  Such a warm
+call takes about 6.7 us (mean over perfbench's 906 H_f grid points, on a
+2-vCPU Xeon with Python 3.11 and numpy 2.4).  The scalar references for
+one prime or one n (m0, f by trial division, and Lambda_f by the
+prime-power recursion) and the full-array reference for H_f live with the
+tests, in tests/scalar_reference.py.
 """
 
 from __future__ import annotations
@@ -532,9 +534,11 @@ def _count_windows(spec: CaseSpec, x: int) -> int:
 
 
 # The S1 prefix holds one row every _S1_BLOCK primes, so a call adds at most
-# _S1_BLOCK - 1 terms of k = 1 itself; it grows _S1_CHUNK primes a pass,
-# which bounds its temporaries.
-_S1_BLOCK = 64
+# _S1_BLOCK - 1 terms of k = 1 itself, few enough to read in Python (a row
+# is 24 B, so 0.12 MB a case for the 78,498 primes below 1e6); it grows
+# _S1_CHUNK primes a pass, a whole number of blocks, which bounds its
+# temporaries.
+_S1_BLOCK = 16
 _S1_CHUNK = 1 << 15
 # One float addition rounds by at most 2^-53 times its result.  The factor
 # covers the rounding of the running sum of |lo| that this multiplies, which
@@ -571,9 +575,11 @@ class _HfTables:
     k >= 2 terms, both reaching the largest x asked for (covered).
 
     S1 = sum of log p/p over the primes p with f(p) = 1 is kept at every
-    _S1_BLOCK-th (64th) prime of the shared prime table: row j of s1 is
+    _S1_BLOCK-th (16th) prime of the shared prime table: row j of s1 is
     (hi, lo, sum of |lo|) after the terms of the first j*_S1_BLOCK primes,
-    0 where f(p) = 0, which it reads from the residues alone.
+    0 where f(p) = 0, which it reads from the residues alone.  zero is that
+    rule as a list (f(p) = 0 at zero[p % m]), which h_f reads for the
+    primes past the last full block.
 
     The k >= 2 terms, Lambda_f(p^k)/p^k from the closed form, are kept
     sorted by p^k (pk): row i of pk_sums is (hi, lo, sum of |lo|,
@@ -590,6 +596,7 @@ class _HfTables:
     def __init__(self, spec: CaseSpec):
         self.spec = spec
         self.tau = float(spec.tau)
+        self.zero = spec._residue_f_zero.tolist()  # f(p) = 0 by p's residue, for the tail
         self.s1 = np.zeros((1, 3))
         self.covered = 0  # the x of the k >= 2 table
         self.pk, self.pk_sums = np.zeros(0, dtype=np.int64), np.zeros((1, 4))
@@ -649,14 +656,15 @@ def h_f(case, x: float) -> ValueWithBudget:
 
     Exact truncation (there is no tail).  A call reads one row of each of
     the case's two prefixes (_HfTables): the S1 pair hi + lo of the first
-    j*_S1_BLOCK primes <= x, j = pi(x) // _S1_BLOCK with _S1_BLOCK = 64,
+    j*_S1_BLOCK primes <= x, j = pi(x) // _S1_BLOCK with _S1_BLOCK = 16,
     and the pair of every k >= 2 term with p^k <= x.  math.fsum adds both
-    pairs to the k = 1 terms of the fewer than 64 primes left, read off the
-    closed form, and tau*log x is subtracted.  Up to the largest x asked
-    for, a call finds pi(x) in the shared largest prime table and neither
-    sieves nor builds a table; a larger x grows both prefixes first.  The
-    budget covers rounding only: eps*(sum of |terms| + |tau log x| +
-    |value|), plus both prefixes' bounds on the rounding of lo.
+    pairs to the terms log p/p of the fewer than 16 primes left with
+    f(p) = 1, read by residue in Python, and tau*log x is subtracted.  Up
+    to the largest x asked for, a call finds pi(x) in the shared largest
+    prime table and neither sieves nor builds a table; a larger x grows
+    both prefixes first.  The budget covers rounding only: eps*(sum of
+    |terms| + |tau log x| + |value|), plus both prefixes' bounds on the
+    rounding of lo.
     """
     spec = get_case(case)
     xi = _args.integer(x, "x", 2, COUNT_DESK_LIMIT, "prime-power enumeration", truncate=True)
@@ -665,9 +673,10 @@ def h_f(case, x: float) -> ValueWithBudget:
     table = tables.grow(xi) if xi > tables.covered else pr._largest
     n = int(table.primes.searchsorted(xi, side="right"))  # pi(x)
     j = n // _S1_BLOCK
-    p, logs = table.primes[j * _S1_BLOCK : n], table.logs[j * _S1_BLOCK : n]
-    keep = ~_f_zero(spec, p)
-    tail = (logs[keep] / p[keep]).tolist()
+    # the k = 1 terms past the last full block, kept by residue; lg / p is the
+    # same float64 division as numpy's, as every p < 2^53 is an exact float
+    zero, m, lo = tables.zero, len(tables.zero), j * _S1_BLOCK
+    tail = [lg / p for p, lg in zip(table.primes[lo:n].tolist(), table.logs[lo:n].tolist()) if not zero[p % m]]
     i = int(tables.pk.searchsorted(xi, side="right"))  # the k >= 2 terms with p^k <= x
     s1_hi, s1_lo, s1_abs_lo = tables.s1[j].tolist()
     pk_hi, pk_lo, pk_abs_lo, pk_abs = tables.pk_sums[i].tolist()

@@ -53,7 +53,9 @@ class PrimeTable:
     """All primes <= limit, ascending, as a read-only int64 array.
 
     ``source`` is the larger table this one is a prefix of, if any; the
-    logs are then a prefix of its logs.
+    logs are then a prefix of its logs.  The fields' types are checked when
+    a table is made (an int64 array is kept as it is, not copied), not
+    that the primes are the primes <= limit.
     """
 
     limit: int
@@ -61,6 +63,10 @@ class PrimeTable:
     source: "PrimeTable | None" = None
 
     def __post_init__(self):
+        self.limit = _args.integer(self.limit, "limit", 2)
+        self.primes = _args.int_array(self.primes, "primes")
+        if self.source is not None:
+            _args.instance(self.source, PrimeTable, "source")
         self.primes.flags.writeable = False
         self._logs = None
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import lrlab
-from lrlab import constants, multfn, verify
+from lrlab import constants, multfn, primes, verify
 from lrlab.budget import ValueWithBudget
 from lrlab.characters import generator_character
 from lrlab.errors import LrlabError
@@ -33,7 +33,7 @@ _REPORT = constants.ConstantReport(
 )
 
 # The public classes whose constructors check their fields, swept with the functions.
-CONSTRUCTORS = {"multfn.CaseSpec": multfn.CaseSpec}
+CONSTRUCTORS = {"multfn.CaseSpec": multfn.CaseSpec, "primes.PrimeTable": primes.PrimeTable}
 
 # Small valid arguments for every public function that takes any, and for each
 # constructor.  A function added to an __all__ without an entry here fails
@@ -66,6 +66,7 @@ VALID = {
     "multfn.count_f": {"case": "q5", "x": 100},
     "multfn.h_f": {"case": "q5", "x": 100},
     "multfn.dirichlet_series_truncated": {"case": "q5", "s": 2, "n_terms": 100},
+    "primes.PrimeTable": {"limit": 10, "primes": [2, 3, 5, 7]},
     "primes.sieve_primes": {"limit": 100},
     "primes.wilton_classes": {"primes": [2, 3, 5]},
     "verify.run_checks": {"cases": ["q5"]},

@@ -687,18 +687,47 @@ class TestHf:
     @pytest.mark.parametrize("tag", sorted(SPECS))
     def test_warm_call_reads_the_kept_tables(self, tag, monkeypatch):
         # up to the largest x asked for, a call sieves nothing, classifies
-        # fewer than _S1_BLOCK primes and builds no k >= 2 table
+        # nothing (the tail is read by residue), builds no k >= 2 table and
+        # reads the S1 row of its pi(x) // _S1_BLOCK full blocks
+        xs = (10**6, 999999.5, 531441, 20000.5, 1000, 311, 4, 2)
         spec = replace(SPECS[tag])
         h_f(spec, 10**6)
-        sieves, classified, builds = [], [], []
-        sieve, f_zero = primes.sieve_primes, multfn._f_zero
-        monkeypatch.setattr(primes, "sieve_primes", lambda limit: sieves.append(limit) or sieve(limit))
-        monkeypatch.setattr(multfn, "_f_zero", lambda s, p: classified.append(len(p)) or f_zero(s, p))
-        monkeypatch.setattr(multfn, "_prime_power_terms", lambda *a: builds.append(a))
-        for x in (10**6, 999999.5, 531441, 20000.5, 1000, 311, 4, 2):
+        table = sieve_primes(10**6).primes
+        blocks = [int(table.searchsorted(int(x), side="right")) // multfn._S1_BLOCK for x in xs]
+        calls, rows = [], []
+
+        class Rows(np.ndarray):
+            def __getitem__(self, key):
+                rows.append(key)
+                return super().__getitem__(key)
+
+        def spy(name, fn):
+            return lambda *a: calls.append(name) or fn(*a)
+
+        monkeypatch.setattr(primes, "sieve_primes", spy("sieve_primes", primes.sieve_primes))
+        monkeypatch.setattr(multfn, "_f_zero", spy("_f_zero", multfn._f_zero))
+        monkeypatch.setattr(CaseSpec, "classify", spy("classify", CaseSpec.classify))
+        monkeypatch.setattr(multfn, "_prime_power_terms", spy("_prime_power_terms", multfn._prime_power_terms))
+        spec._h_f_tables.s1 = spec._h_f_tables.s1.view(Rows)
+        for x in xs:
             h_f(spec, x)
-        assert sieves == [] and builds == [], (sieves, builds)
-        assert len(classified) == 8 and max(classified) < multfn._S1_BLOCK, classified
+        assert calls == [], calls
+        assert rows == blocks, (rows, blocks)
+
+    @pytest.mark.parametrize("tag", sorted(SPECS))
+    def test_tail_reads_f_zero_by_residue(self, tag):
+        # the tail's list of f(p) = 0 by residue against _f_zero, which the
+        # prefix build reads, for every prime <= 1e5 (for q23, the residue
+        # class that S2 and S3 split as well)
+        spec = SPECS[tag]
+        zero = multfn._HfTables(spec).zero
+        p = sieve_primes(10**5).primes
+        assert [zero[q % len(zero)] for q in p.tolist()] == _f_zero(spec, p).tolist()
+
+    def test_a_chunk_is_whole_blocks(self):
+        # extend keeps every _S1_BLOCK-th row of each chunk, counted from the
+        # chunk's start, so a chunk must end on a block end
+        assert multfn._S1_CHUNK % multfn._S1_BLOCK == 0
 
     def test_prefix_refuses_a_cumsum_that_is_not_sequential(self, monkeypatch):
         # lo holds the errors of hi's additions one at a time; a cumsum that

@@ -128,6 +128,20 @@ class TestSieve:
         finally:
             primes._sieve_cached.cache_clear()
 
+    @pytest.mark.parametrize("fields", [(5, None), (5, [2.0, 3.0]), (5, [[2, 3]]), (1.5, [2]), (1, [2]),
+                                        (5, [2, 3], [2, 3])])
+    def test_a_table_checks_its_fields(self, fields):
+        # (5, None) had ended in a bare AttributeError (no .flags)
+        with pytest.raises(InvalidArgumentError):
+            primes.PrimeTable(*fields)
+
+    def test_a_table_keeps_an_int64_array_as_it_is(self):
+        # a list becomes an array; a slice of the largest table stays a view
+        assert primes.PrimeTable(5, [2, 3, 5]).primes.tolist() == [2, 3, 5]
+        table = sieve_primes(1000)
+        view = table.primes[:95]
+        assert primes.PrimeTable(500, view, table).primes is view
+
     def test_desk_limit(self):
         with pytest.raises(ResourceLimitError):
             sieve_primes(PRIME_DESK_LIMIT + 1)
