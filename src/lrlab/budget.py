@@ -66,7 +66,7 @@ class ValueWithBudget:
         try:
             if self.budget >= 0:  # False for a negative or nan budget
                 return
-        except TypeError:  # a budget that is no number, a str say
+        except (TypeError, ValueError):  # a budget that is no number: a str, an array
             pass
         raise InvalidArgumentError(f"budget must be a nonnegative number, got {shown(self.budget)}")
 

@@ -268,24 +268,17 @@ _TAU_CONGRUENCES = {2: (1, 1), 3: (1, 1), 5: (1, 1), 7: (1, 3), 691: (0, 11)}
 _TAU_MODULI = tuple(sorted((*_TAU_CONGRUENCES, 23)))  # tau_mod's moduli, 23 by x E(x) E(x^23)
 
 
-@lru_cache(maxsize=len(_TAU_CONGRUENCES))  # at most one (w, q) per congruence
-def _residue_powers(power: int, q: int) -> np.ndarray:
-    """r^power mod q for r = 0..q-1, read-only (it is shared between calls)."""
-    table = np.array([pow(r, power, q) for r in range(q)], dtype=np.int64)
-    table.flags.writeable = False
-    return table
-
-
 def _sigma_power_mod(n_max: int, power: int, q: int) -> np.ndarray:
     """sigma_power(n) mod q for n = 0..n_max via a two-sided divisor sieve.
 
-    The weight d^power mod q of each d is read off the residue table
-    _residue_powers(power, q), built once per (power, q).  Each divisor pair
+    The weight d^power mod q of each d is read off a table of
+    r^power mod q over the q residues r.  Each divisor pair
     d * j = n is added once: by a slice over the multiples of d for
     d <= sqrt(n_max), and for larger d, which only meet cofactors
     j < sqrt(n_max), by a slice over the multiples j*d of each cofactor j.
     """
-    weight = _residue_powers(power, q)[np.arange(n_max + 1) % q]  # d^power mod q
+    residue_powers = np.array([pow(r, power, q) for r in range(q)], dtype=np.int64)
+    weight = residue_powers[np.arange(n_max + 1) % q]  # d^power mod q
     sig = np.zeros(n_max + 1, dtype=np.int64)
     root = math.isqrt(n_max)
     for d in range(1, root + 1):

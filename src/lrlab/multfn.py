@@ -210,12 +210,8 @@ class CaseSpec:
         return np.isin(self._m0s, (2, M_ALWAYS))[self._residue_classes]
 
     @cached_property
-    def _h_f_tables(self) -> "_HfTables":
-        return _HfTables(self)
-
-    @cached_property
-    def _f_table(self) -> "_FTable":
-        return _FTable()
+    def _tables(self) -> "_Tables":
+        return _Tables(self)
 
     @cached_property
     def tau(self) -> Fraction:
@@ -426,9 +422,9 @@ def count_f(case, x: int) -> int:
     """Exact #{n <= x : f(n) = 1}.
 
     Up to primes.SEGMENT_SIZE (read at call time), the count is a prefix
-    count of the case's table of f (CaseSpec._f_table): f_sieve(case, X)
-    for the largest such X asked for so far, kept read-only and rebuilt
-    when a larger x comes.  The table holds X + 1 bools, at most one
+    count of the case's table of f (_Tables.f): f_sieve(case, X) for the
+    largest such X asked for so far, kept read-only and rebuilt when a
+    larger x comes.  The table holds X + 1 bools, at most one
     window (about 1 MB).  A cold call pays for the f_sieve build, 3-4
     times the windows' count (about 1.1 ms against 0.3 ms at 1e5, and
     6.4 ms against 2.4 ms at 2^20, on a 2-vCPU Xeon); every later call
@@ -440,22 +436,13 @@ def count_f(case, x: int) -> int:
     x = _args.integer(x, "x", 1, COUNT_DESK_LIMIT, "counting desk", truncate=True)
     if x > pr.SEGMENT_SIZE:
         return _count_windows(spec, x)
-    table = spec._f_table
-    f = table.f  # one read: a call counts from the table it checked
+    tables = spec._tables
+    f = tables.f  # one read: a call counts from the table it checked
     if x >= len(f):
         f = f_sieve(spec, x)
         f.flags.writeable = False
-        table.f = f
+        tables.f = f
     return int(np.count_nonzero(f[: x + 1]))
-
-
-class _FTable:
-    """count_f's table of f for one case: f = f_sieve(case, X), read-only,
-    for the largest X <= primes.SEGMENT_SIZE asked for (X = len(f) - 1).
-    Each spec holds its own (CaseSpec._f_table), so a copy starts empty."""
-
-    def __init__(self):
-        self.f = np.zeros(1, dtype=bool)  # f(0) = 0 alone: no x >= 1 covered
 
 
 def _count_windows(spec: CaseSpec, x: int) -> int:
@@ -569,8 +556,13 @@ def _two_sum_run(row: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return hi, lo, abs_lo
 
 
-class _HfTables:
-    """The call-invariant parts of H_f for one case: two prefixes of running
+class _Tables:
+    """The tables one case keeps between calls, each built on first need.
+
+    f is count_f's table of f: f_sieve(case, X), read-only, for the largest
+    X <= primes.SEGMENT_SIZE asked for (X = len(f) - 1).
+
+    The rest are the call-invariant parts of H_f: two prefixes of running
     TwoSum pairs (_two_sum_run), one of the k = 1 terms and one of the
     k >= 2 terms, both reaching the largest x asked for (covered).
 
@@ -589,12 +581,13 @@ class _HfTables:
     the table for itself, classifying only the primes <= sqrt(x).
 
     So every row is the same float whatever calls built it, and a result
-    depends on x only.  Each spec holds its own (CaseSpec._h_f_tables), so a
-    copy of a spec starts empty.
+    depends on x only.  Each spec holds its own (CaseSpec._tables), so a copy
+    of a spec starts empty; making one sieves and builds nothing.
     """
 
     def __init__(self, spec: CaseSpec):
         self.spec = spec
+        self.f = np.zeros(1, dtype=bool)  # f(0) = 0 alone: no x >= 1 covered
         self.tau = float(spec.tau)
         self.zero = spec._residue_f_zero.tolist()  # f(p) = 0 by p's residue, for the tail
         self.s1 = np.zeros((1, 3))
@@ -604,19 +597,10 @@ class _HfTables:
     def grow(self, x: int) -> pr.PrimeTable:
         """Make both prefixes reach x, and return the shared largest prime
         table, which holds every prime <= x."""
-        table = pr.sieve_primes(x)
-        self.extend(table)
-        if x > self.covered:
-            pk, t = _prime_power_terms(self.spec, table, x)
-            hi, lo, abs_lo = _two_sum_run(self.pk_sums[0], t)
-            sums = np.column_stack((hi, lo, abs_lo, np.cumsum(np.abs(t))))
-            self.pk, self.pk_sums = pk, np.concatenate((self.pk_sums[:1], sums))
-            self.covered = x
-        return pr._largest
-
-    def extend(self, table: pr.PrimeTable) -> None:
-        """Add the rows of every full block of the table's primes not yet in s1."""
-        stop = len(table) // _S1_BLOCK * _S1_BLOCK
+        pr.sieve_primes(x)  # only so that the largest table reaches x
+        table = pr._largest
+        # add the rows of every full block of the primes <= x not yet in s1
+        stop = int(table.primes.searchsorted(x, side="right")) // _S1_BLOCK * _S1_BLOCK
         for start in range((len(self.s1) - 1) * _S1_BLOCK, stop, _S1_CHUNK):
             end = min(start + _S1_CHUNK, stop)
             p = table.primes[start:end]
@@ -627,6 +611,13 @@ class _HfTables:
             ends = slice(_S1_BLOCK - 1, None, _S1_BLOCK)
             rows = np.column_stack([c[ends] for c in _two_sum_run(self.s1[-1], t)])
             self.s1 = np.concatenate((self.s1, rows))
+        if x > self.covered:
+            pk, t = _prime_power_terms(self.spec, table, x)
+            hi, lo, abs_lo = _two_sum_run(self.pk_sums[0], t)
+            sums = np.column_stack((hi, lo, abs_lo, np.cumsum(np.abs(t))))
+            self.pk, self.pk_sums = pk, np.concatenate((self.pk_sums[:1], sums))
+            self.covered = x
+        return table
 
 
 def _prime_power_terms(spec: CaseSpec, table: pr.PrimeTable, x: int) -> tuple[np.ndarray, np.ndarray]:
@@ -655,20 +646,20 @@ def h_f(case, x: float) -> ValueWithBudget:
     """H_f(x) = sum_{p^k <= x} Lambda_f(p^k)/p^k - tau*log x.
 
     Exact truncation (there is no tail).  A call reads one row of each of
-    the case's two prefixes (_HfTables): the S1 pair hi + lo of the first
+    the case's two prefixes (_Tables): the S1 pair hi + lo of the first
     j*_S1_BLOCK primes <= x, j = pi(x) // _S1_BLOCK with _S1_BLOCK = 16,
     and the pair of every k >= 2 term with p^k <= x.  math.fsum adds both
     pairs to the terms log p/p of the fewer than 16 primes left with
     f(p) = 1, read by residue in Python, and tau*log x is subtracted.  Up
     to the largest x asked for, a call finds pi(x) in the shared largest
-    prime table and neither sieves nor builds a table; a larger x grows
-    both prefixes first.  The budget covers rounding only: eps*(sum of
-    |terms| + |tau log x| + |value|), plus both prefixes' bounds on the
-    rounding of lo.
+    prime table and neither sieves nor builds a table; a larger x first
+    grows both prefixes, reading the primes and logs of that same table.
+    The budget covers rounding only: eps*(sum of |terms| + |tau log x| +
+    |value|), plus both prefixes' bounds on the rounding of lo.
     """
     spec = get_case(case)
     xi = _args.integer(x, "x", 2, COUNT_DESK_LIMIT, "prime-power enumeration", truncate=True)
-    tables = spec._h_f_tables
+    tables = spec._tables
     # the shared largest table only grows, so it holds every prime <= covered
     table = tables.grow(xi) if xi > tables.covered else pr._largest
     n = int(table.primes.searchsorted(xi, side="right"))  # pi(x)

@@ -16,11 +16,11 @@ search) and the split test of x^3 - x - 1, whose discriminant is -23, live
 with the tests, in tests/scalar_reference.py.
 
 sieve_primes keeps one table, of the largest limit sieved so far, and
-serves a smaller limit by a slice of it (a PrimeTable whose source is that
-table), with the last 16 slices in an lru_cache.  A larger limit sieves
-afresh and clears that cache first, so no cached slice keeps a superseded
-table and its logs alive; a caller's own slice keeps them only while the
-caller holds it.
+serves a smaller limit by a PrimeTable whose primes are a read-only view of
+that table's, with the last 16 slices in an lru_cache.  A larger limit
+sieves afresh and clears that cache first, so no cached slice keeps a
+superseded table's primes alive; a caller's own slice keeps them only while
+the caller holds it.  A slice's logs, if asked for, are its own.
 """
 
 from __future__ import annotations
@@ -52,22 +52,21 @@ PRIME_DESK_LIMIT = 10**8  # the 5.8e6 primes below it take 46 MB
 class PrimeTable:
     """All primes <= limit, ascending, as a read-only int64 array.
 
-    ``source`` is the larger table this one is a prefix of, if any; the
-    logs are then a prefix of its logs.  The fields' types are checked when
-    a table is made (an int64 array is kept as it is, not copied), not
-    that the primes are the primes <= limit.
+    The fields' types are checked when a table is made, not that the
+    primes are the primes <= limit.  A read-only int64 array, such as a
+    slice of the sieve's table, is kept as it is; any other array is
+    copied, so the caller's own stays writable.
     """
 
     limit: int
     primes: np.ndarray
-    source: "PrimeTable | None" = None
 
     def __post_init__(self):
         self.limit = _args.integer(self.limit, "limit", 2)
         self.primes = _args.int_array(self.primes, "primes")
-        if self.source is not None:
-            _args.instance(self.source, PrimeTable, "source")
-        self.primes.flags.writeable = False
+        if self.primes.flags.writeable:
+            self.primes = self.primes.copy()
+            self.primes.flags.writeable = False
         self._logs = None
 
     def __len__(self) -> int:
@@ -76,11 +75,8 @@ class PrimeTable:
     @property
     def logs(self) -> np.ndarray:
         if self._logs is None:
-            if self.source is not None:
-                logs = self.source.logs[: len(self.primes)]
-            else:
-                logs = np.log(self.primes.astype(np.float64))
-                logs.flags.writeable = False
+            logs = np.log(self.primes.astype(np.float64))
+            logs.flags.writeable = False
             self._logs = logs
         return self._logs
 
@@ -132,11 +128,13 @@ def _sieve_cached(limit: int) -> PrimeTable:
     """Sieve past the largest limit seen so far, else slice its table."""
     global _largest
     if _largest is None or _largest.limit < limit:
-        _largest = PrimeTable(limit, _segmented_sieve(limit))
+        primes = _segmented_sieve(limit)
+        primes.flags.writeable = False  # the table keeps it, uncopied
+        _largest = PrimeTable(limit, primes)
     if _largest.limit == limit:
         return _largest
     n = int(np.searchsorted(_largest.primes, limit, side="right"))
-    return PrimeTable(limit, _largest.primes[:n], _largest)
+    return PrimeTable(limit, _largest.primes[:n])
 
 
 def sieve_primes(limit: int) -> PrimeTable:

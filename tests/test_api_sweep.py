@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 
 import lrlab
-from lrlab import constants, multfn, primes, verify
+from lrlab import constants, modforms, multfn, primes, verify
 from lrlab.budget import ValueWithBudget
-from lrlab.characters import generator_character
+from lrlab.characters import DirichletCharacter, generator_character
 from lrlab.errors import LrlabError
 
 HOSTILE = (
@@ -27,24 +27,33 @@ HOSTILE = (
     np.int64(5), np.float64(math.nan), 2**1100, -(2**20000), b"5", object(), np.array([5, 7]),
 )
 
-_REPORT = constants.ConstantReport(
-    "q5", Fraction(3, 4), Fraction(1, 4), ValueWithBudget(-0.4, 1e-12), ValueWithBudget(0.15, 1e-12),
-    Fraction(1, 4), (), constants.CLAIM_FALSE,
-)
-
-# The public classes whose constructors check their fields, swept with the functions.
-CONSTRUCTORS = {"multfn.CaseSpec": multfn.CaseSpec, "primes.PrimeTable": primes.PrimeTable}
+# The public classes, each constructor swept with the functions.
+CONSTRUCTORS = {
+    "budget.ValueWithBudget": ValueWithBudget,
+    "characters.DirichletCharacter": DirichletCharacter,
+    "constants.ConstantReport": constants.ConstantReport,
+    "modforms.TauWindow": modforms.TauWindow,
+    "multfn.CaseSpec": multfn.CaseSpec,
+    "primes.PrimeTable": primes.PrimeTable,
+}
 
 # Small valid arguments for every public function that takes any, and for each
 # constructor.  A function added to an __all__ without an entry here fails
 # test_every_public_function_is_swept.
 VALID = {
+    "budget.ValueWithBudget": {"value": 0.5, "budget": 1e-12},
     "characters.kronecker_character": {"D": -7},
     "characters.generator_character": {"m": 5, "j": 1},
     "characters.character_group": {"m": 5},
     "characters.euler_phi": {"m": 5},
+    "characters.DirichletCharacter": {"modulus": 5, "index": 1},
     "constants.second_order_constant": {"case": "q5"},
     "constants.table1": {"cases": ["q5"]},
+    "constants.ConstantReport": {
+        "case": "q5", "tau": Fraction(3, 4), "delta": Fraction(1, 4), "b_f": ValueWithBudget(-0.4, 1e-12),
+        "c2": ValueWithBudget(0.15, 1e-12), "c2_ramanujan": Fraction(1, 4), "h_checkpoints": (),
+        "verdict": constants.CLAIM_FALSE,
+    },
     "identities.truncated_T": {"case": "q5", "s": 2, "n_terms": 100},
     "identities.euler_identity_sides": {"tag": "q5", "s": 2, "n_terms": 100},
     "identities.local_factor_gap": {"case": "q5", "x": 0.5, "p_limit": 100},
@@ -59,6 +68,7 @@ VALID = {
     "modforms.tau_mod": {"q": 3, "n_max": 10},
     "modforms.lambda_mod3": {"n_max": 10},
     "modforms.odd_tau_count": {"x": 10},
+    "modforms.TauWindow": {"n_max": 2, "values": [1, -24]},
     "multfn.CaseSpec": {"tag": "x", "residues": (0, 0, 2, 1), "m0": (multfn.M_NEVER, 2, multfn.M_NEVER)},
     "multfn.get_case": {"case": "q5"},
     "multfn.class_index": {"case": "q5", "limit": 100},
@@ -71,6 +81,8 @@ VALID = {
     "primes.wilton_classes": {"primes": [2, 3, 5]},
     "verify.run_checks": {"cases": ["q5"]},
 }
+
+_REPORT = constants.ConstantReport(**VALID["constants.ConstantReport"])
 
 
 def label(value) -> str:

@@ -18,7 +18,6 @@ from lrlab.modforms import (
     _eta6_coeffs,
     _fft_square_trunc,
     _jacobi_series,
-    _residue_powers,
     _sigma_power_mod,
     _sparse_mul,
     _square_bounds,
@@ -363,22 +362,9 @@ class TestTauMod:
         n = np.arange(10**5 + 1, dtype=np.int64)
         assert np.array_equal(tau_mod(2, 10**5), n**v * _sigma_power_mod(10**5, w, 2) % 2)
 
-    def test_residue_powers_are_built_once_and_read_only(self):
-        modforms._tau_mod_tables.clear()  # a kept table would skip the sieve
-        _residue_powers.cache_clear()
-        for _ in range(3):
-            for q in (2, 3, 5, 7, 23, 691):
-                tau_mod(q, 1000)
-        assert _residue_powers.cache_info().misses == 4
-        for power, q in ((1, 3), (1, 5), (3, 7), (11, 691)):
-            table = _residue_powers(power, q)
-            assert not table.flags.writeable
-            assert table.tolist() == [pow(r, power, q) for r in range(q)], (power, q)
-        assert _residue_powers.cache_info().misses == 4
-
     def test_numpy_modulus(self):
         # Python's three-argument pow takes no numpy int; tau_mod converts q
-        _residue_powers.cache_clear()
+        modforms._tau_mod_tables.clear()  # a kept table would skip the pow table
         for q in (2, 3, 5, 7, 23, 691):
             assert np.array_equal(tau_mod(np.int64(q), 500), tau_mod(q, 500)), q
 

@@ -537,12 +537,12 @@ class TestTable:
         count_f(spec, primes.SEGMENT_SIZE + 1)
         count_f(spec, 3 * primes.SEGMENT_SIZE)
         assert builds == [10**4, 10**5]
-        assert len(spec._f_table.f) == 10**5 + 1
+        assert len(spec._tables.f) == 10**5 + 1
 
     def test_table_is_read_only(self):
         spec = replace(CASES["q5"])
         count_f(spec, 1000)
-        table = spec._f_table.f
+        table = spec._tables.f
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[1] = False
@@ -562,6 +562,16 @@ class TestTable:
             tracemalloc.stop()
         assert size < held < 1.1 * size, held
         assert peak < 3e6, peak
+
+
+    def test_count_f_and_h_f_share_one_holder(self):
+        # a fresh spec makes one _Tables, on its first call of either kind
+        spec = replace(CASES["q5"])
+        count_f(spec, 1000)
+        tables = spec._tables
+        h_f(spec, 1000)
+        assert spec._tables is tables
+        assert len(tables.f) == 1001 and tables.covered == 1000
 
 
 class TestNoModuleCache:
@@ -674,10 +684,10 @@ class TestHf:
         # the k >= 2 prefix read at x from the table kept for 10**6 is, bit for
         # bit, the last row of a table built at x
         spec = replace(SPECS[tag])
-        kept = spec._h_f_tables
+        kept = spec._tables
         kept.grow(10**6)
         for x in (2, 3, 4, 8, 9, 1000, 2**19 - 1, 2**19, 3**12, 997**2 - 1, 997**2, 10**6):
-            built = multfn._HfTables(spec)
+            built = multfn._Tables(spec)
             built.grow(x)
             row = kept.pk_sums[kept.pk.searchsorted(x, side="right")]
             assert row.tobytes() == built.pk_sums[-1].tobytes(), x
@@ -708,7 +718,7 @@ class TestHf:
         monkeypatch.setattr(multfn, "_f_zero", spy("_f_zero", multfn._f_zero))
         monkeypatch.setattr(CaseSpec, "classify", spy("classify", CaseSpec.classify))
         monkeypatch.setattr(multfn, "_prime_power_terms", spy("_prime_power_terms", multfn._prime_power_terms))
-        spec._h_f_tables.s1 = spec._h_f_tables.s1.view(Rows)
+        spec._tables.s1 = spec._tables.s1.view(Rows)
         for x in xs:
             h_f(spec, x)
         assert calls == [], calls
@@ -720,12 +730,24 @@ class TestHf:
         # prefix build reads, for every prime <= 1e5 (for q23, the residue
         # class that S2 and S3 split as well)
         spec = SPECS[tag]
-        zero = multfn._HfTables(spec).zero
+        zero = multfn._Tables(spec).zero
         p = sieve_primes(10**5).primes
         assert [zero[q % len(zero)] for q in p.tolist()] == _f_zero(spec, p).tolist()
 
+    def test_a_cold_call_reads_the_largest_table(self, monkeypatch):
+        # growing the prefixes to 1e5 reads the primes and logs of the shared
+        # largest table, not those of the cached slice to 1e5
+        monkeypatch.setattr(primes, "_largest", None)
+        primes._sieve_cached.cache_clear()
+        try:
+            sieve_primes(10**6)
+            h_f(replace(CASES["q5"]), 1e5)
+            assert sieve_primes(10**5)._logs is None
+        finally:
+            primes._sieve_cached.cache_clear()
+
     def test_a_chunk_is_whole_blocks(self):
-        # extend keeps every _S1_BLOCK-th row of each chunk, counted from the
+        # grow keeps every _S1_BLOCK-th row of each chunk, counted from the
         # chunk's start, so a chunk must end on a block end
         assert multfn._S1_CHUNK % multfn._S1_BLOCK == 0
 
