@@ -563,7 +563,6 @@ class TestTable:
         assert size < held < 1.1 * size, held
         assert peak < 3e6, peak
 
-
     def test_count_f_and_h_f_share_one_holder(self):
         # a fresh spec makes one _Tables, on its first call of either kind
         spec = replace(CASES["q5"])
