@@ -35,7 +35,7 @@ for x in (1, 80, 100, 10_000):
 
 print("\nWilton classes (U^2 + 23 V^2 table) vs tau(p) mod 23 (0 on S1, 22 on S2, 2 on S3):")
 labels = ("S1", "S2", "S3", "P23")
-primes = sieve_primes(9973).primes.tolist()
+primes = sieve_primes(9973).tolist()
 form, t23 = class_index("q23", 9973), tau_mod(23, 9973)
 for p in (2, 5, 23, 59, 101, 9973):
     print(f"  p = {p:>5}: {labels[form[primes.index(p)]]:>3}, tau(p) mod 23 = {t23[p]:>2}")

@@ -46,6 +46,6 @@ from .multfn import (
     f_sieve,
     h_f,
 )
-from .primes import PrimeTable, sieve_primes
+from .primes import sieve_primes
 
 __version__ = "0.1.0"

@@ -123,6 +123,12 @@ class ConstantReport:
     c2_printed_reference: float | None = None  # q23: the printed 0.6083
     notes: tuple = ()
 
+    def __post_init__(self):  # the CLI and verify trust the fields, so a hand-made report is checked here
+        for name, kind in (("case", str), ("tau", Fraction), ("delta", Fraction), ("b_f", ValueWithBudget),
+                           ("c2", ValueWithBudget), ("c2_ramanujan", Fraction), ("h_checkpoints", tuple)):
+            _args.instance(getattr(self, name), kind, name)
+        _args.tag(self.verdict, (CLAIM_FALSE, INCONCLUSIVE), "verdict")
+
 
 def _scaled(coef, v):
     """coef * v, exact (no budget rounding) for coef = +-1."""

@@ -69,7 +69,7 @@ def local_factor_gap(case, x: float = 0.5, p_limit: int = 10**4) -> float:
     euler = spec.euler
     if not 0 < _args.real(x, "x") < 1:
         raise InvalidArgumentError(f"x must lie in (0, 1), got {_args.shown(x)}")
-    p = sieve_primes(p_limit).primes
+    p = sieve_primes(p_limit)
     idx = class_index(spec, p_limit)
     m0 = spec._m0s[idx]
     finite_m0 = np.where(m0 >= 2, m0, 2)

@@ -463,7 +463,7 @@ def _small_power_sums(classify, power, n_classes: int, s, derivative: int):
     b = classify(p) in 0..n_classes-1 and e >= 1 with power(b, e) = c of
     p^(-es)/e (derivative 0) or log p p^(-es) (derivative 1), for
     p^(-es) >= e^-64; and a bound for all the powers left out."""
-    p = sieve_primes(MOBIUS_P).primes
+    p = sieve_primes(MOBIUS_P)
     b = classify(p)
     keep = (b >= 0) & (b < n_classes)  # off the classes: p | m, or p = 23
     p, b = p[keep], b[keep]
@@ -558,7 +558,7 @@ def _class_sum(m: int, residues: tuple, s, derivative: int) -> ValueWithBudget:
     """prime_class_sum for sorted residues and an exact s: the classes are the
     unit residues g^c, and (g^c)^k = g^(kc)."""
     phi = euler_phi(m)
-    primes = sieve_primes(MOBIUS_P).primes
+    primes = sieve_primes(MOBIUS_P)
     terms, left = _prime_terms(primes[np.isin(primes % m, residues)], s, derivative)
     dlog = _dlog_table(m)[list(residues)]
     in_class = np.zeros(phi, dtype=bool)
@@ -630,7 +630,7 @@ def frobenius_class_sum(classes, a: int, derivative: int = 1) -> ValueWithBudget
     a = _exact(a, float_range=True)  # the direct terms' p^-a need a float a
     if not (isinstance(a, int) and a >= 2):
         raise PreconditionError(f"Frobenius class sums need an integer a >= 2, got {_args.shown(a)}")
-    p = sieve_primes(MOBIUS_P).primes
+    p = sieve_primes(MOBIUS_P)
     terms, left = _prime_terms(p[np.isin(wilton_classes(p), classes)], a, derivative)
     return _inversion(terms, left, np.isin(np.arange(3), classes), _s3_power,
                       lambda sigma: _frobenius_rough(sigma, derivative), a, derivative)

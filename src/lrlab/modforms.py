@@ -87,6 +87,11 @@ class TauWindow:
     n_max: int
     values: list  # values[i] = tau(i+1)
 
+    def __post_init__(self):  # tau() trusts the fields, so a hand-made window is checked here
+        self.n_max = _args.integer(self.n_max, "n_max", 1)
+        n = len(_args.instance(self.values, list, "values"))  # not each value: a 1e5 window costs nothing more
+        _args.integer(n, "the number of values", self.n_max, self.n_max)
+
     def tau(self, n: int) -> int:
         return self.values[_args.integer(n, "n", 1, self.n_max) - 1]
 

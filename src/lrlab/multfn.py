@@ -77,10 +77,12 @@ Comput. 26, 2005), each with a stored bound on lo's own rounding: S1 at
 every _S1_BLOCK-th (16th) prime of the shared prime table, and the k >= 2
 terms, from the closed form, sorted by p^k, with the running sum of their
 |terms|.  Both reach the largest x asked for and grow when a larger x
-comes.  A call finds pi(x) in the shared prime table, reads one pair of
-each prefix, adds the k = 1 terms of the fewer than 16 primes left, each
-kept or dropped by its residue in plain Python, in one exactly rounded
-sum (math.fsum), and adds both stored bounds to its budget.  Such a warm
+comes, and the shared logs (primes._prime_logs) grow with them to the
+pi(x) of the largest x, not past it.  A call finds pi(x) in the shared
+prime array, reads one pair of each prefix, adds the k = 1 terms of the
+fewer than 16 primes left, each kept or dropped by its residue in plain
+Python, in one exactly rounded sum (math.fsum), and adds both stored
+bounds to its budget.  Such a warm
 call takes about 6.7 us (mean over perfbench's 906 H_f grid points, on a
 2-vCPU Xeon with Python 3.11 and numpy 2.4).  The scalar references for
 one prime or one n (m0, f by trial division, and Lambda_f by the
@@ -236,7 +238,7 @@ class CaseSpec:
             raise ConsistencyError(f"{self.tag}: f(p) is no integer combination of real characters")
         n = phi // math.gcd(phi, *e.tolist())
         e = e * n // phi  # e[0] = n tau, e[j] the exponent of L(s, chi^j)
-        ramified = [p % m for p in pr.sieve_primes(m).primes.tolist() if m % p == 0]
+        ramified = [p % m for p in pr.sieve_primes(m).tolist() if m % p == 0]
         labels, classes = self._residue_classes, []
         for c, m0 in enumerate(self.m0):
             in_class = np.isin(labels, self.frobenius) if c in self.frobenius else labels == c
@@ -334,7 +336,7 @@ def get_case(case) -> CaseSpec:
 def class_index(case, limit: int) -> np.ndarray:
     """Class index of every prime <= limit, aligned with sieve_primes(limit)."""
     spec = get_case(case)
-    return spec.classify(pr.sieve_primes(limit).primes)
+    return spec.classify(pr.sieve_primes(limit))
 
 
 def _f_zero(spec: CaseSpec, primes: np.ndarray) -> np.ndarray:
@@ -353,7 +355,7 @@ def _small_rules(spec: CaseSpec, x: int) -> tuple[np.ndarray, list]:
     """
     if x == 1:
         return np.zeros(0, dtype=np.int64), []
-    primes = pr.sieve_primes(x).primes
+    primes = pr.sieve_primes(x)
     small = primes[: primes.searchsorted(math.isqrt(x), side="right")]
     rules = []
     for p, m0 in zip(small.tolist(), spec._m0s[spec.classify(small)].tolist()):
@@ -594,17 +596,16 @@ class _Tables:
         self.covered = 0  # the x of the k >= 2 table
         self.pk, self.pk_sums = np.zeros(0, dtype=np.int64), np.zeros((1, 4))
 
-    def grow(self, x: int) -> pr.PrimeTable:
-        """Make both prefixes reach x, and return the shared largest prime
-        table, which holds every prime <= x."""
-        pr.sieve_primes(x)  # only so that the largest table reaches x
-        table = pr._largest
+    def grow(self, x: int) -> None:
+        """Make both prefixes, and the shared logs, reach x."""
+        primes = pr.sieve_primes(x)
+        logs = pr._prime_logs(len(primes))
         # add the rows of every full block of the primes <= x not yet in s1
-        stop = int(table.primes.searchsorted(x, side="right")) // _S1_BLOCK * _S1_BLOCK
+        stop = len(primes) // _S1_BLOCK * _S1_BLOCK
         for start in range((len(self.s1) - 1) * _S1_BLOCK, stop, _S1_CHUNK):
             end = min(start + _S1_CHUNK, stop)
-            p = table.primes[start:end]
-            t = table.logs[start:end] / p
+            p = primes[start:end]
+            t = logs[start:end] / p
             t[_f_zero(self.spec, p)] = 0.0
             # rows copies the block ends, so no pass's columns stay alive
             # through the next pass's temporaries
@@ -612,20 +613,20 @@ class _Tables:
             rows = np.column_stack([c[ends] for c in _two_sum_run(self.s1[-1], t)])
             self.s1 = np.concatenate((self.s1, rows))
         if x > self.covered:
-            pk, t = _prime_power_terms(self.spec, table, x)
+            pk, t = _prime_power_terms(self.spec, primes, logs, x)
             hi, lo, abs_lo = _two_sum_run(self.pk_sums[0], t)
             sums = np.column_stack((hi, lo, abs_lo, np.cumsum(np.abs(t))))
             self.pk, self.pk_sums = pk, np.concatenate((self.pk_sums[:1], sums))
             self.covered = x
-        return table
 
 
-def _prime_power_terms(spec: CaseSpec, table: pr.PrimeTable, x: int) -> tuple[np.ndarray, np.ndarray]:
-    """p^k and Lambda_f(p^k)/p^k for every p^k <= x with k >= 2, sorted by p^k."""
-    r = int(np.searchsorted(table.primes, math.isqrt(x), side="right"))
+def _prime_power_terms(spec: CaseSpec, primes, logs, x: int) -> tuple[np.ndarray, np.ndarray]:
+    """p^k and Lambda_f(p^k)/p^k for every p^k <= x with k >= 2, sorted by p^k,
+    from the primes <= x and their logs."""
+    r = int(np.searchsorted(primes, math.isqrt(x), side="right"))
     if not r:
         return np.zeros(0, dtype=np.int64), np.zeros(0)
-    p, logs = table.primes[:r], table.logs[:r]
+    p, logs = primes[:r], logs[:r]
     m0 = spec._m0s[spec.classify(p)]
     # the largest k with p^k <= x: a float estimate, off by at most one, made exact
     kmax = (math.log(x) / logs).astype(np.int64)
@@ -652,22 +653,24 @@ def h_f(case, x: float) -> ValueWithBudget:
     pairs to the terms log p/p of the fewer than 16 primes left with
     f(p) = 1, read by residue in Python, and tau*log x is subtracted.  Up
     to the largest x asked for, a call finds pi(x) in the shared largest
-    prime table and neither sieves nor builds a table; a larger x first
-    grows both prefixes, reading the primes and logs of that same table.
+    prime array and reads the kept logs, and neither sieves nor builds a
+    table; a larger x first grows both prefixes, and the logs to pi(x).
     The budget covers rounding only: eps*(sum of |terms| + |tau log x| +
     |value|), plus both prefixes' bounds on the rounding of lo.
     """
     spec = get_case(case)
     xi = _args.integer(x, "x", 2, COUNT_DESK_LIMIT, "prime-power enumeration", truncate=True)
     tables = spec._tables
-    # the shared largest table only grows, so it holds every prime <= covered
-    table = tables.grow(xi) if xi > tables.covered else pr._largest
-    n = int(table.primes.searchsorted(xi, side="right"))  # pi(x)
+    if xi > tables.covered:
+        tables.grow(xi)
+    # the largest table and the kept logs only grow, so both hold every prime <= covered
+    primes, logs = pr._largest, pr._logs
+    n = int(primes.searchsorted(xi, side="right"))  # pi(x)
     j = n // _S1_BLOCK
     # the k = 1 terms past the last full block, kept by residue; lg / p is the
     # same float64 division as numpy's, as every p < 2^53 is an exact float
     zero, m, lo = tables.zero, len(tables.zero), j * _S1_BLOCK
-    tail = [lg / p for p, lg in zip(table.primes[lo:n].tolist(), table.logs[lo:n].tolist()) if not zero[p % m]]
+    tail = [lg / p for p, lg in zip(primes[lo:n].tolist(), logs[lo:n].tolist()) if not zero[p % m]]
     i = int(tables.pk.searchsorted(xi, side="right"))  # the k >= 2 terms with p^k <= x
     s1_hi, s1_lo, s1_abs_lo = tables.s1[j].tolist()
     pk_hi, pk_lo, pk_abs_lo, pk_abs = tables.pk_sums[i].tolist()

@@ -16,17 +16,17 @@ search) and the split test of x^3 - x - 1, whose discriminant is -23, live
 with the tests, in tests/scalar_reference.py.
 
 sieve_primes keeps one table, of the largest limit sieved so far, and
-serves a smaller limit by a PrimeTable whose primes are a read-only view of
-that table's, with the last 16 slices in an lru_cache.  A larger limit
-sieves afresh and clears that cache first, so no cached slice keeps a
-superseded table's primes alive; a caller's own slice keeps them only while
-the caller holds it.  A slice's logs, if asked for, are its own.
+serves every limit by a read-only view of it, with the last 16 views in an
+lru_cache.  A larger limit sieves afresh and clears that cache first, so no
+cached view keeps a superseded table alive; a caller's own view keeps it
+only while the caller holds it.  The first n primes are the same in every
+table, so the logs kept for h_f (_prime_logs) are those of a prefix, as
+long as the largest n asked for, and a new table never makes them stale.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -34,7 +34,6 @@ import numpy as np
 from . import _args
 
 __all__ = [
-    "PrimeTable",
     "PRIME_DESK_LIMIT",
     "sieve_primes",
     "wilton_classes",
@@ -46,39 +45,6 @@ __all__ = [
 
 SEGMENT_SIZE = 1 << 20
 PRIME_DESK_LIMIT = 10**8  # the 5.8e6 primes below it take 46 MB
-
-
-@dataclass
-class PrimeTable:
-    """All primes <= limit, ascending, as a read-only int64 array.
-
-    The fields' types are checked when a table is made, not that the
-    primes are the primes <= limit.  A read-only int64 array, such as a
-    slice of the sieve's table, is kept as it is; any other array is
-    copied, so the caller's own stays writable.
-    """
-
-    limit: int
-    primes: np.ndarray
-
-    def __post_init__(self):
-        self.limit = _args.integer(self.limit, "limit", 2)
-        self.primes = _args.int_array(self.primes, "primes")
-        if self.primes.flags.writeable:
-            self.primes = self.primes.copy()
-            self.primes.flags.writeable = False
-        self._logs = None
-
-    def __len__(self) -> int:
-        return len(self.primes)
-
-    @property
-    def logs(self) -> np.ndarray:
-        if self._logs is None:
-            logs = np.log(self.primes.astype(np.float64))
-            logs.flags.writeable = False
-            self._logs = logs
-        return self._logs
 
 
 def _simple_sieve(limit: int) -> np.ndarray:
@@ -120,30 +86,41 @@ def _segmented_sieve(limit: int) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-_largest: PrimeTable | None = None  # the table of the largest limit sieved so far
+_largest_limit = 1  # the largest limit sieved so far, not the table's last prime
+_largest = np.zeros(0, dtype=np.int64)  # the primes <= _largest_limit, read-only
+_logs = np.zeros(0)  # log p of a prefix of the primes, read-only
+_largest.flags.writeable = _logs.flags.writeable = False
 
 
 @lru_cache(maxsize=16)
-def _sieve_cached(limit: int) -> PrimeTable:
+def _sieve_cached(limit: int) -> np.ndarray:
     """Sieve past the largest limit seen so far, else slice its table."""
-    global _largest
-    if _largest is None or _largest.limit < limit:
-        primes = _segmented_sieve(limit)
-        primes.flags.writeable = False  # the table keeps it, uncopied
-        _largest = PrimeTable(limit, primes)
-    if _largest.limit == limit:
-        return _largest
-    n = int(np.searchsorted(_largest.primes, limit, side="right"))
-    return PrimeTable(limit, _largest.primes[:n])
+    global _largest, _largest_limit
+    if _largest_limit < limit:
+        _largest = _segmented_sieve(limit)
+        _largest.flags.writeable = False
+        _largest_limit = limit
+    return _largest[: int(_largest.searchsorted(limit, side="right"))]
 
 
-def sieve_primes(limit: int) -> PrimeTable:
-    """All primes <= limit, ascending (segmented sieve, deterministic); a
-    float limit is truncated."""
+def sieve_primes(limit: int) -> np.ndarray:
+    """All primes <= limit, ascending, as a read-only int64 array, a view of
+    the largest table (segmented sieve, deterministic); a float limit is
+    truncated."""
     limit = _args.integer(limit, "sieve limit", 2, PRIME_DESK_LIMIT, "prime sieve desk", truncate=True)
-    if _largest is not None and _largest.limit < limit:
-        _sieve_cached.cache_clear()  # its slices would pin the table this sieve supersedes
+    if _largest_limit < limit:
+        _sieve_cached.cache_clear()  # its views would pin the table this sieve supersedes
     return _sieve_cached(limit)
+
+
+def _prime_logs(n: int) -> np.ndarray:
+    """log p of the first n primes of the largest table (n at most its
+    length), read-only: a view of the kept prefix, grown to n if shorter."""
+    global _logs
+    if len(_logs) < n:
+        _logs = np.concatenate((_logs, np.log(_largest[len(_logs) : n].astype(np.float64))))
+        _logs.flags.writeable = False
+    return _logs[:n]
 
 
 # ---------------------------------------------------------------------------

@@ -221,7 +221,7 @@ def _koppeling():
 
 def _wilton_dual():
     # Wilton: tau(p) = 0, -1, 2 (mod 23) on S1, S2, S3, read from the eta product
-    p = pr.sieve_primes(10**5).primes
+    p = pr.sieve_primes(10**5)
     by_tau = np.full(23, 255, dtype=np.uint8)
     by_tau[[0, 22, 2]] = pr.W_S1, pr.W_S2, pr.W_S3
     expected = np.where(p == 23, pr.W_P23, by_tau[mf.tau_mod(23, 10**5)[p]])

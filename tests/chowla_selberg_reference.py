@@ -91,7 +91,7 @@ def _class_functions(s: int, derivative: int) -> tuple:
             ys = [mp.log(mp.fsum(h0)), mp.log(quadratic[0])]
         ys.append(rho_log(s, derivative) - _weight(23, s, derivative))
         x = [mp.mpf(SIZES[c]) / 6 * mp.fsum(chi[c] * y for chi, y in zip(CHARACTERS, ys)) for c in range(3)]
-        for p in sieve_primes(BIG_P).primes.tolist():
+        for p in sieve_primes(BIG_P).tolist():
             if p == 23:
                 continue
             c = frobenius_class(p)
@@ -106,7 +106,7 @@ def frobenius_reference(classes, a: int, derivative: int = 1):
     (derivative 0); |true - value| <= bound."""
     n_max = SIGMA_MAX // a
     with mp.workdps(DPS):
-        total = mp.fsum(_weight(p, a, derivative) for p in sieve_primes(BIG_P).primes.tolist()
+        total = mp.fsum(_weight(p, a, derivative) for p in sieve_primes(BIG_P).tolist()
                         if p != 23 and frobenius_class(p) in classes)
         for n in range(1, n_max + 1):
             x = _class_functions(n * a, derivative)

@@ -137,7 +137,7 @@ def _full_power_sums(m: int, s: int, derivative: int) -> list:
 def _small_powers(m: int, s: int, derivative: int, big_p: int, classes: frozenset) -> dict:
     """sum over p <= P, e >= 1 with p^e = g^c and p^(-es) >= e^-80, per class c in ``classes``."""
     dlog, _ = _dlogs(m)
-    primes = sieve_primes(big_p).primes
+    primes = sieve_primes(big_p)
     primes = primes[dlog[primes % m] >= 0]
     wanted = np.zeros(len(dlog), dtype=bool)
     wanted[[r for r in range(m) if dlog[r] in classes]] = True
@@ -169,7 +169,7 @@ def reference(m: int, residues, s: int, derivative: int = 1):
     if not n_max:  # no L-values: sum directly while p^-s >= e^-80
         big_p = max(2, min(big_p, int(math.exp(_POWER_CUT / s))))
     with mp.workdps(DPS):
-        primes = [p for p in sieve_primes(big_p).primes.tolist() if p % m in res]
+        primes = [p for p in sieve_primes(big_p).tolist() if p % m in res]
         primes += [q for q in range(big_p + 1, m + 1) if m % q == 0 and q % m in res]
         total = mp.fsum(_term(p, s, derivative) for p in primes)
         for n in range(1, n_max + 1):

@@ -241,7 +241,7 @@ def cubic_splits(primes) -> np.ndarray:
 def wilton_codes_cubic(limit: int) -> np.ndarray:
     """Wilton class code of each prime <= limit (order matches sieve_primes),
     with S3 decided by cubic_splits among the primes with (p|23) = 1."""
-    p = sieve_primes(limit).primes
+    p = sieve_primes(limit)
     residue = np.isin(p % 23, [r * r % 23 for r in range(1, 23)])
     codes = np.where(residue, W_S2, W_S1).astype(np.uint8)
     codes[residue & cubic_splits(p)] = W_S3
@@ -260,7 +260,7 @@ def tau_mod23_hecke(n_max: int) -> np.ndarray:
     """
     out = np.ones(n_max + 1, dtype=np.int64)
     out[0] = 0
-    primes = sieve_primes(max(2, n_max)).primes
+    primes = sieve_primes(max(2, n_max))
     primes = primes[: np.searchsorted(primes, n_max, side="right")]
     tp = np.array([0, 22, 2, 1])[wilton_classes(primes)]  # tau(p) in classes S1, S2, S3, P23
     root = math.isqrt(n_max)
@@ -323,9 +323,8 @@ def h_f_reference(case, x: float) -> ValueWithBudget:
     with the budget eps*(sum of |terms| + |tau log x| + |value|)."""
     spec = get_case(case)
     xi = int(math.floor(x))
-    table = sieve_primes(xi)
-    p = table.primes
-    logs = table.logs
+    p = sieve_primes(xi)
+    logs = np.log(p.astype(np.float64))  # its own, not the library's kept logs
 
     m0_all = np.array(spec.m0)
     zero = ((m0_all == 2) | (m0_all == M_ALWAYS))[np.array(spec.residues)]

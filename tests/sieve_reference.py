@@ -44,19 +44,20 @@ def _largest_term_prime(k: int, cutoff: int) -> int:
 def class_primes(mask, cutoff: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The primes of a class and their logs, as far as prime_partial_sum
     reads them for exponents >= k.  ``mask`` is None (all primes) or a
-    boolean mask aligned with sieve_primes(cutoff).primes."""
-    table = sieve_primes(cutoff)
+    boolean mask aligned with sieve_primes(cutoff)."""
+    primes = sieve_primes(cutoff)
     # an int key: a float one would convert the whole prime array
-    n = int(np.searchsorted(table.primes, _largest_term_prime(k, cutoff), side="right"))
+    n = int(np.searchsorted(primes, _largest_term_prime(k, cutoff), side="right"))
     keep = slice(n) if mask is None else np.asarray(mask, dtype=bool)[:n]
-    return table.primes[:n][keep], table.logs[:n][keep]
+    primes = primes[:n][keep]
+    return primes, np.log(primes.astype(np.float64))
 
 
 def prime_partial_sum(members, k: int, cutoff: int) -> ValueWithBudget:
     """sum_{p <= cutoff, p in class} log p / (p^k - 1), with a rounding budget.
 
     ``members`` is None (all primes), a boolean mask aligned with
-    sieve_primes(cutoff).primes, or what class_primes returns for one; a
+    sieve_primes(cutoff), or what class_primes returns for one; a
     caller that sums one class for several k gathers it once that way.
     Each term is log p r/(1 - r) with r = p^(-k), off by at most 4 ulps;
     primes with p^k > e^690 are left out, so r never underflows.  Each term

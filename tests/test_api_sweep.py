@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import lrlab
-from lrlab import constants, modforms, multfn, primes, verify
+from lrlab import constants, modforms, multfn, verify
 from lrlab.budget import ValueWithBudget
 from lrlab.characters import DirichletCharacter, generator_character
 from lrlab.errors import LrlabError
@@ -34,7 +34,6 @@ CONSTRUCTORS = {
     "constants.ConstantReport": constants.ConstantReport,
     "modforms.TauWindow": modforms.TauWindow,
     "multfn.CaseSpec": multfn.CaseSpec,
-    "primes.PrimeTable": primes.PrimeTable,
 }
 
 # Small valid arguments for every public function that takes any, and for each
@@ -76,7 +75,6 @@ VALID = {
     "multfn.count_f": {"case": "q5", "x": 100},
     "multfn.h_f": {"case": "q5", "x": 100},
     "multfn.dirichlet_series_truncated": {"case": "q5", "s": 2, "n_terms": 100},
-    "primes.PrimeTable": {"limit": 10, "primes": [2, 3, 5, 7]},
     "primes.sieve_primes": {"limit": 100},
     "primes.wilton_classes": {"primes": [2, 3, 5]},
     "verify.run_checks": {"cases": ["q5"]},

@@ -20,7 +20,7 @@ from lrlab.constants import (
     second_order_constant,
     table1,
 )
-from lrlab.errors import ConsistencyError, UnsupportedCaseError
+from lrlab.errors import ConsistencyError, InvalidArgumentError, UnsupportedCaseError
 from lrlab.lseries import _EPS, _log_l_table, _rounded, gamma_k, zeta_value
 from lrlab.multfn import TABLE_CASES, get_case
 from euler_reference import with_euler
@@ -86,7 +86,7 @@ class TestAssemblies:
     def test_table_sieves_only_to_the_checkpoints(self, src_env):
         # every class sum is exact, so the largest prime table a cold table1
         # builds is the one for H_f(1e6)
-        script = "import lrlab; from lrlab import primes; lrlab.table1(); print(primes._largest.limit)"
+        script = "import lrlab; from lrlab import primes; lrlab.table1(); print(primes._largest_limit)"
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=src_env, timeout=600
         )
@@ -205,7 +205,7 @@ class TestFirstOrder:
 
         from lrlab.primes import sieve_primes
 
-        p = sieve_primes(10**5).primes.astype(np.float64)
+        p = sieve_primes(10**5).astype(np.float64)
         p = p[(p >= 7) & (p % 4 == 3)]
         rest = math.exp(-0.5 * math.fsum(np.log1p(-(p**-2.0)).tolist()))
         lo, hi = 0.75 * rest, 0.75 * rest * math.exp(0.5e-5)
@@ -220,7 +220,7 @@ class TestFirstOrder:
 
         from lrlab.primes import sieve_primes
 
-        p = sieve_primes(2 * 10**6).primes.astype(np.float64)
+        p = sieve_primes(2 * 10**6).astype(np.float64)
         p = p[p % 4 == 3]
 
         def truncated(x):
@@ -258,7 +258,7 @@ class TestFirstOrder:
         from lrlab.primes import sieve_primes
 
         d_direct = 1.0
-        for p in sieve_primes(10**4).primes.tolist():
+        for p in sieve_primes(10**4).tolist():
             r = p % 5
             if r == 1:
                 d_direct *= (1 - p**-4.0) / (1 - p**-5.0)
@@ -288,6 +288,16 @@ class TestVerdicts:
         monkeypatch.setattr(constants, "_b_from_euler", lambda spec: ValueWithBudget(0.0, 1e-6))
         r = second_order_constant(replace(get_case("q5"), tag="q5-claimed"))
         assert r.c2.value == float(r.delta) and r.verdict == INCONCLUSIVE
+
+    @pytest.mark.parametrize("field, value", [
+        ("case", 5), ("tau", 0.75), ("delta", None), ("b_f", -0.4), ("c2", "0.15"), ("c2_ramanujan", 0.25),
+        ("h_checkpoints", [(10**5, -0.4)]), ("verdict", "TRUE"), ("verdict", None), ("verdict", [CLAIM_FALSE]),
+    ])
+    def test_a_report_checks_its_fields(self, field, value):
+        r = second_order_constant("q5")
+        with pytest.raises(InvalidArgumentError):
+            replace(r, **{field: value})
+        assert replace(r, verdict=INCONCLUSIVE).verdict == INCONCLUSIVE
 
     def test_row_order(self):
         tags = [r.case for r in table1()]

@@ -60,6 +60,8 @@ REMOVED = (
     "_validate",
     # folded into the report that constants.second_order_constant makes
     "verdict",
+    # sieve_primes returns the read-only array itself
+    "PrimeTable",
 )
 
 

@@ -46,14 +46,14 @@ class TestReference:
         # product is at most sum_{n > x} 3 n^-2 <= 3/(x - 1)
         x = 220_000
         log_product = math.log(1 - 23.0**-2)
-        for p in sieve_primes(x).primes.tolist():
+        for p in sieve_primes(x).tolist():
             if p != 23:
                 c = frobenius_class(p)
                 log_product += math.log1p(-(0, -1, 2)[c] / p**2 + (-1, 1, 1)[c] / p**4)
         assert abs(math.log(float(l_rho(2))) + log_product) <= 3 / (x - 1)
 
     def test_wilton_classes_are_the_frobenius_classes(self):
-        primes = sieve_primes(10**4).primes
+        primes = sieve_primes(10**4)
         primes = primes[primes != 23]
         wilton = wilton_classes(primes).tolist()
         assert wilton == [frobenius_class(p) for p in primes.tolist()]
@@ -126,7 +126,7 @@ class TestArguments:
         # S3's a = 22, 23 factors: no L-values, the direct part plus the remainder
         a = 22
         v = frobenius_class_sum([2], a)
-        primes = sieve_primes(lseries.MOBIUS_P).primes.tolist()
+        primes = sieve_primes(lseries.MOBIUS_P).tolist()
         direct = math.fsum(math.log(p) / (p**a - 1.0) for p in primes if p != 23 and frobenius_class(p) == 2)
         assert v.value == pytest.approx(direct, rel=1e-15)
         assert v.budget < 1e-20

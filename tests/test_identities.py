@@ -87,7 +87,7 @@ class TestLocalFactors:
         # x standing for p^-s.  B_f sees only the products c a; this sees each (c, a).
         spec = get_case(tag)
         euler = getattr(spec, form)
-        primes = sieve_primes(10**4).primes  # q691's classes of order 1 and 3 start at 6911, 4583
+        primes = sieve_primes(10**4)  # q691's classes of order 1 and 3 start at 6911, 4583
         idx = class_index(tag, 10**4)
         samples = {int(p): int(j) for j in range(len(spec.m0)) for p in primes[idx == j][:4]}
         assert set(samples.values()) == set(range(len(spec.m0)))

@@ -241,10 +241,10 @@ class TestPrimeLogSum:
 
     def test_class_sum_against_direct_loop(self):
         cutoff = 20000
-        s = prime_log_sum(sieve_primes(cutoff).primes % 3 == 2, 2, cutoff)
+        s = prime_log_sum(sieve_primes(cutoff) % 3 == 2, 2, cutoff)
         direct = math.fsum(
             math.log(p) / (p**2 - 1)
-            for p in sieve_primes(cutoff).primes.tolist()
+            for p in sieve_primes(cutoff).tolist()
             if p % 3 == 2
         )
         assert s.value == pytest.approx(direct, abs=1e-15)
@@ -252,8 +252,8 @@ class TestPrimeLogSum:
     def test_tail_soundness(self):
         # |S(1e7) - S(1e6)| <= bound at 1e6, per class
         for q, r in ((1, 0), (4, 3), (3, 2)):
-            s6 = prime_log_sum(sieve_primes(10**6).primes % q == r, 2, 10**6)
-            s7 = prime_log_sum(sieve_primes(10**7).primes % q == r, 2, 10**7)
+            s6 = prime_log_sum(sieve_primes(10**6) % q == r, 2, 10**6)
+            s7 = prime_log_sum(sieve_primes(10**7) % q == r, 2, 10**7)
             assert abs(s7.value - s6.value) <= prime_tail_bound(2, 10**6)
 
     def test_rigorous_cutoff_precondition(self):
@@ -272,7 +272,7 @@ class TestPrimeLogSum:
             deep = prime_log_sum(None, k, 10**7)
             assert prime_tail_bound(k, 1e7) >= 0.0
         with mp.workdps(30):
-            primes = sieve_primes(cutoff).primes.tolist()
+            primes = sieve_primes(cutoff).tolist()
             exact = mp.fsum(mp.log(p) / (mp.mpf(p) ** k - 1) for p in primes)
             x = mp.mpf(cutoff)
             exact_tail = x / (x**k - 1) * (-mp.mpf("0.98") + mp.mpf("1.017") * k / (k - 1))

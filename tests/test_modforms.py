@@ -14,6 +14,7 @@ from lrlab import modforms
 from lrlab.errors import InvalidArgumentError, ResourceLimitError
 from lrlab.modforms import (
     TAU_DESK_LIMIT,
+    TauWindow,
     _balanced_limbs,
     _eta6_coeffs,
     _fft_square_trunc,
@@ -296,9 +297,15 @@ class TestTauExact:
             if pk != n:
                 assert w.tau(n) == w.tau(pk) * w.tau(n // pk), n
 
+    @pytest.mark.parametrize("fields", [(5, None), ("x", [1]), (0, []), (True, [1]), (2, [1]), (2, (1, -24))])
+    def test_a_window_checks_its_fields(self, fields):
+        # (5, None) and ("x", [1]) had ended in a bare TypeError from tau(1)
+        with pytest.raises(InvalidArgumentError):
+            TauWindow(*fields)
+
     def test_hecke_recursion(self):
         w = tau_exact(20000)
-        for p in sieve_primes(math.isqrt(20000)).primes.tolist():
+        for p in sieve_primes(math.isqrt(20000)).tolist():
             k = 1
             while p ** (k + 1) <= 20000:
                 assert w.tau(p ** (k + 1)) == w.tau(p) * w.tau(p**k) - p**11 * w.tau(

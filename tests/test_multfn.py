@@ -65,7 +65,7 @@ def divisors(n):
 
 def prime_powers(x, primes=None):
     """(p, k, p^k) for every prime power p^k <= x, or only for the given primes."""
-    for p in sieve_primes(x).primes.tolist() if primes is None else primes:
+    for p in sieve_primes(x).tolist() if primes is None else primes:
         pk, k = p, 1
         while pk <= x:
             yield p, k, pk
@@ -244,7 +244,7 @@ class TestClasses:
     def test_zero_periods_match_scalar_references(self):
         # q23 through the U^2 + 23 V^2 search, q691 through the multiplicative
         # order, the other cases through their residue tables
-        primes = sieve_primes(10**4).primes.tolist()
+        primes = sieve_primes(10**4).tolist()
         for tag, spec in SPECS.items():
             m0s = np.array(spec.m0)[class_index(spec, 10**4)]
             assert m0s.tolist() == [zero_period(spec, p) for p in primes], tag
@@ -252,7 +252,7 @@ class TestClasses:
     def test_scalar_path_matches_vector_path(self):
         # each prime classified alone against the index of all primes; for q23
         # this pits the split test (one prime) against the form table (all primes)
-        primes = sieve_primes(3000).primes
+        primes = sieve_primes(3000)
         for tag, spec in SPECS.items():
             alone = [spec.m0[int(spec.classify(primes[i : i + 1])[0])] for i in range(len(primes))]
             assert alone == np.array(spec.m0)[class_index(spec, 3000)].tolist(), tag
@@ -270,7 +270,7 @@ class TestClasses:
         # f(p) = 0 read from the residue table against f(p) = 0 read from the
         # classes, for q23 the Wilton classes that split the residues of S2
         spec = SPECS[tag]
-        primes = sieve_primes(10**6).primes
+        primes = sieve_primes(10**6)
         from_classes = np.isin(np.array(spec.m0)[class_index(spec, 10**6)], (2, M_ALWAYS))
         assert np.array_equal(_f_zero(spec, primes), from_classes)
 
@@ -604,9 +604,9 @@ class TestHf:
         # H_q691(x) = H_ones(x) + log(x)/690 - sum log p/p over p = -1 (mod 691)
         # (no other Lambda difference has a prime power <= 1e6)
         x = 10**6
-        t = sieve_primes(x)
-        sel = t.primes % 691 == 690
-        corr = -math.fsum(t.logs[sel] / t.primes[sel])
+        p = sieve_primes(x)
+        p = p[p % 691 == 690]
+        corr = -math.fsum(np.log(p.astype(np.float64)) / p)
         expected = h_f(ONES, float(x)).value + math.log(x) / 690.0 + corr
         assert h_f("q691", float(x)).value == pytest.approx(expected, abs=1e-12)
 
@@ -620,7 +620,7 @@ class TestHf:
         # boundary of the S1 prefix), prime powers and one below them, and
         # x = 2, 3, 4
         grid = [round(10 ** (3 + i / 50)) for i in range(0, 151, 10)]
-        primes = sieve_primes(10**6).primes
+        primes = sieve_primes(10**6)
         block, last = multfn._S1_BLOCK, len(primes) // multfn._S1_BLOCK
         edges = [int(primes[block * j - 1]) + d for j in (1, 2, 39, last) for d in (-1, 0, 1)]
         powers = [n + d for n in (2**19, 3**12, 997**2) for d in (-1, 0)]
@@ -660,9 +660,9 @@ class TestHf:
             largest.append(int(np.max(primes, initial=0)))
             return classify(spec, primes)
 
-        def spy_build(spec, table, x):
+        def spy_build(spec, primes, logs, x):
             builds.append(x)
-            return build(spec, table, x)
+            return build(spec, primes, logs, x)
 
         monkeypatch.setattr(CaseSpec, "classify", spy_classify)
         monkeypatch.setattr(multfn, "_prime_power_terms", spy_build)
@@ -701,7 +701,7 @@ class TestHf:
         xs = (10**6, 999999.5, 531441, 20000.5, 1000, 311, 4, 2)
         spec = replace(SPECS[tag])
         h_f(spec, 10**6)
-        table = sieve_primes(10**6).primes
+        table = sieve_primes(10**6)
         blocks = [int(table.searchsorted(int(x), side="right")) // multfn._S1_BLOCK for x in xs]
         calls, rows = [], []
 
@@ -730,20 +730,34 @@ class TestHf:
         # class that S2 and S3 split as well)
         spec = SPECS[tag]
         zero = multfn._Tables(spec).zero
-        p = sieve_primes(10**5).primes
+        p = sieve_primes(10**5)
         assert [zero[q % len(zero)] for q in p.tolist()] == _f_zero(spec, p).tolist()
 
     def test_a_cold_call_reads_the_largest_table(self, monkeypatch):
-        # growing the prefixes to 1e5 reads the primes and logs of the shared
-        # largest table, not those of the cached slice to 1e5
-        monkeypatch.setattr(primes, "_largest", None)
-        primes._sieve_cached.cache_clear()
+        # growing the prefixes to 1e5 reads the shared largest table and takes
+        # the logs of its first pi(1e5) primes only, which a warm call reads
+        monkeypatch.setattr(primes, "_logs", primes._logs[:0])
+        sieve_primes(10**6)
+        spec = replace(CASES["q5"])
+        h_f(spec, 1e5)
+        assert len(primes._logs) == 9592
+        h_f(spec, 5e4)
+        assert len(primes._logs) == 9592
+
+    def test_a_small_call_after_a_large_sieve_keeps_little(self, monkeypatch):
+        # the logs grow only to the pi(x) a call asks for, however large the
+        # table: after count_f to 1e7, H_f at 1e3 needs the logs of 168 primes
+        monkeypatch.setattr(primes, "_logs", primes._logs[:0])
+        count_f("q3", 10**7)
+        spec = replace(CASES["q5"])
+        tracemalloc.start()
         try:
-            sieve_primes(10**6)
-            h_f(replace(CASES["q5"]), 1e5)
-            assert sieve_primes(10**5)._logs is None
+            h_f(spec, 1000)
+            held = tracemalloc.get_traced_memory()[0]
         finally:
-            primes._sieve_cached.cache_clear()
+            tracemalloc.stop()
+        assert held < 1e5, held
+        assert len(primes._logs) == 168
 
     def test_a_chunk_is_whole_blocks(self):
         # grow keeps every _S1_BLOCK-th row of each chunk, counted from the

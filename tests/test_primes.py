@@ -33,6 +33,16 @@ from scalar_reference import (
 )
 
 
+@pytest.fixture
+def fresh_sieve(monkeypatch):
+    """The sieve as at import, with no table; the module's own comes back after."""
+    monkeypatch.setattr(primes, "_largest_limit", 1)
+    monkeypatch.setattr(primes, "_largest", primes._largest[:0])
+    primes._sieve_cached.cache_clear()
+    yield
+    primes._sieve_cached.cache_clear()
+
+
 def trial_division_sieve(limit):
     """Independent oracle: primes by direct trial division."""
     out = []
@@ -44,10 +54,10 @@ def trial_division_sieve(limit):
 
 class TestSieve:
     def test_first_primes(self):
-        assert sieve_primes(10).primes.tolist() == [2, 3, 5, 7]
+        assert sieve_primes(10).tolist() == [2, 3, 5, 7]
 
     def test_against_trial_division(self):
-        assert sieve_primes(2000).primes.tolist() == trial_division_sieve(2000)
+        assert sieve_primes(2000).tolist() == trial_division_sieve(2000)
 
     def test_pi_reference_counts(self):
         # pi(1e4), pi(1e5), pi(1e6)
@@ -56,11 +66,11 @@ class TestSieve:
         assert len(sieve_primes(10**6)) == 78498
 
     def test_strictly_increasing_and_prime(self):
-        t = sieve_primes(10**5)
-        assert np.all(np.diff(t.primes) > 0)
+        p = sieve_primes(10**5)
+        assert np.all(np.diff(p) > 0)
         rng = random.Random(1)
-        for p in rng.sample(t.primes.tolist(), 50):
-            assert is_prime(p)
+        for q in rng.sample(p.tolist(), 50):
+            assert is_prime(q)
 
     def test_crosses_segment_boundaries(self, monkeypatch):
         # a window holds SEGMENT_SIZE odd n, the k-th from 2k*SEGMENT_SIZE + 3;
@@ -93,75 +103,59 @@ class TestSieve:
         with pytest.raises(InvalidArgumentError):
             class_index("q3", limit)
 
-    def test_smaller_limits_slice_the_largest_table(self, monkeypatch):
-        # one sieve to the largest limit seen; smaller limits are prefixes of
-        # it, equal to a fresh sieve and read-only like it
-        monkeypatch.setattr(primes, "_largest", None)
-        primes._sieve_cached.cache_clear()
-        try:
-            for limit in (1000, 10**5, 2, 3, 7919, 7920, 99991, 10**5 - 1, 150000):
-                t = sieve_primes(limit)
-                assert t.limit == limit
-                assert np.array_equal(t.primes, primes._simple_sieve(limit)), limit
-                assert np.array_equal(t.logs, np.log(t.primes.astype(np.float64))), limit
-                assert not t.primes.flags.writeable and not t.logs.flags.writeable
-            assert primes._largest.limit == 150000
-            assert np.shares_memory(sieve_primes(5000).primes, primes._largest.primes)
-        finally:
-            primes._sieve_cached.cache_clear()
+    def test_smaller_limits_slice_the_largest_table(self, fresh_sieve):
+        # one sieve to the largest limit seen; every limit is a prefix of it,
+        # equal to a fresh sieve and read-only like it
+        for limit in (1000, 10**5, 2, 3, 7919, 7920, 99991, 10**5 - 1, 150000):
+            p = sieve_primes(limit)
+            assert np.array_equal(p, primes._simple_sieve(limit)), limit
+            assert not p.flags.writeable
+        assert primes._largest_limit == 150000
+        assert np.array_equal(primes._largest, primes._simple_sieve(150000))
+        assert np.shares_memory(sieve_primes(5000), primes._largest)
 
-    def test_a_larger_sieve_frees_the_table_it_supersedes(self, monkeypatch):
-        # the cached slices of the old largest table, and its own cache entry,
-        # must not keep it and its logs alive once a larger sieve replaces it
-        monkeypatch.setattr(primes, "_largest", None)
-        primes._sieve_cached.cache_clear()
-        try:
-            old = sieve_primes(20000)
-            for limit in (1000, 5000, 19999):
-                assert np.shares_memory(sieve_primes(limit).primes, old.primes)  # views of old's primes
-            gone = weakref.ref(old)
-            sieve_primes(30000)
-            assert gone() is old  # the caller still holds it
-            del old
-            assert gone() is None
-            assert primes._largest.limit == 30000
-        finally:
-            primes._sieve_cached.cache_clear()
+    def test_returns_a_read_only_int64_view(self):
+        # a limit's primes are an int64 view of the largest table, which no
+        # caller can write through
+        p = sieve_primes(1000)
+        assert p.dtype == np.int64 and p.shape == (168,)
+        assert np.shares_memory(p, primes._largest)
+        with pytest.raises(ValueError):
+            p[0] = 7
+        with pytest.raises(ValueError):
+            p.flags.writeable = True
 
-    @pytest.mark.parametrize("fields", [(5, None), (5, [2.0, 3.0]), (5, [[2, 3]]), (1.5, [2]), (1, [2])])
-    def test_a_table_checks_its_fields(self, fields):
-        # (5, None) had ended in a bare AttributeError (no .flags)
-        with pytest.raises(InvalidArgumentError):
-            primes.PrimeTable(*fields)
-
-    def test_a_table_keeps_an_int64_array_as_it_is(self):
-        # a list becomes an array; a slice of the largest table stays a view
-        assert primes.PrimeTable(5, [2, 3, 5]).primes.tolist() == [2, 3, 5]
-        table = sieve_primes(1000)
-        view = table.primes[:95]
-        assert primes.PrimeTable(500, view).primes is view
-
-    def test_a_table_copies_only_a_writable_array(self, monkeypatch):
-        # the caller's own array stays writable and the table keeps its
-        # values; a read-only array is kept as it is, and the sieve's table
-        # and its slices are views of the array the sieve made
-        a = np.array([2, 3, 5])
-        table = primes.PrimeTable(5, a)
-        a[0] = 7
-        assert table.primes.tolist() == [2, 3, 5] and not table.primes.flags.writeable
-        a.flags.writeable = False
-        assert primes.PrimeTable(5, a).primes is a
+    def test_every_limit_is_a_view_of_one_sieve(self, fresh_sieve, monkeypatch):
         made = []
         sieve = primes._segmented_sieve
         monkeypatch.setattr(primes, "_segmented_sieve", lambda limit: made.append(sieve(limit)) or made[-1])
-        monkeypatch.setattr(primes, "_largest", None)
-        primes._sieve_cached.cache_clear()
-        try:
-            for limit in (10**4, 10**4 - 1, 1000, 2):
-                assert np.shares_memory(sieve_primes(limit).primes, made[0]), limit
-            assert len(made) == 1
-        finally:
-            primes._sieve_cached.cache_clear()
+        for limit in (10**4, 10**4 - 1, 1000, 2):
+            assert np.shares_memory(sieve_primes(limit), made[0]), limit
+        assert len(made) == 1
+
+    def test_a_larger_sieve_frees_the_table_it_supersedes(self, fresh_sieve):
+        # the cached views of the old largest table, and its own cache entry,
+        # must not keep it alive once a larger sieve replaces it
+        old = sieve_primes(20000)
+        table = weakref.ref(primes._largest)
+        for limit in (1000, 5000, 19999):
+            assert np.shares_memory(sieve_primes(limit), old)  # views of the one table
+        sieve_primes(30000)
+        assert table() is not None  # the caller's view still holds it
+        del old
+        assert table() is None
+        assert primes._largest_limit == 30000
+
+    def test_kept_logs_are_the_logs_of_the_whole_table(self, monkeypatch):
+        # the logs grow by offset slices, only as far as asked for, and match
+        # np.log of the whole table bit for bit
+        monkeypatch.setattr(primes, "_logs", primes._logs[:0])
+        p = sieve_primes(10**6)
+        want = np.log(p.astype(np.float64))
+        for n in (0, 1, 168, 169, 9592, 5000, 78498):
+            logs = primes._prime_logs(n)
+            assert logs.tobytes() == want[:n].tobytes() and not logs.flags.writeable, n
+        assert len(primes._logs) == 78498
 
     def test_desk_limit(self):
         with pytest.raises(ResourceLimitError):
@@ -187,7 +181,7 @@ class TestKronecker:
         assert kronecker_symbol(6, 2) == 0
 
     def test_euler_criterion_exhaustive_small(self):
-        for p in sieve_primes(300).primes.tolist():
+        for p in sieve_primes(300).tolist():
             if p == 2:
                 continue
             for a in range(1, p):
@@ -196,7 +190,7 @@ class TestKronecker:
 
     def test_euler_criterion_sampled_to_1e4(self):
         rng = random.Random(20_26)
-        for p in sieve_primes(10**4).primes.tolist():
+        for p in sieve_primes(10**4).tolist():
             if p < 300 or p == 2:
                 continue
             for a in (rng.randrange(1, p) for _ in range(8)):
@@ -255,7 +249,7 @@ class TestMultOrder:
         assert pow(3, 690, 691) == 1
 
     def test_order_divides_690_up_to_1e5(self):
-        for p in sieve_primes(10**5).primes.tolist():
+        for p in sieve_primes(10**5).tolist():
             if p == 691:
                 continue
             assert 690 % multiplicative_order(p, 691) == 0
@@ -283,13 +277,13 @@ class TestWilton:
     def test_cubic_classifier_examples(self):
         assert cubic_root_exists(59)
         assert not cubic_root_exists(2)
-        codes = dict(zip(sieve_primes(59).primes.tolist(), wilton_codes_cubic(59).tolist()))
+        codes = dict(zip(sieve_primes(59).tolist(), wilton_codes_cubic(59).tolist()))
         assert (codes[59], codes[2], codes[5], codes[23]) == (W_S3, W_S2, W_S1, W_P23)
 
     def test_dual_agreement_to_2e4(self):
         # the full 1e5 agreement runs in the acceptance suite
         np.testing.assert_array_equal(
-            wilton_codes_cubic(2 * 10**4), wilton_classes(sieve_primes(2 * 10**4).primes)
+            wilton_codes_cubic(2 * 10**4), wilton_classes(sieve_primes(2 * 10**4))
         )
 
     def test_split_test_matches_scan(self):
@@ -325,12 +319,12 @@ class TestWilton:
 
     def test_scalar_cubic_classifier_matches_codes(self):
         # one prime at a time, each with a one-entry form table
-        ps = sieve_primes(3000).primes
+        ps = sieve_primes(3000)
         assert [int(wilton_classes([p])[0]) for p in ps] == wilton_codes_cubic(3000).tolist()
 
     def test_vector_codes_match_scalar(self):
-        codes = wilton_classes(sieve_primes(10**4).primes)
-        assert codes.tolist() == [wilton_class(p) for p in sieve_primes(10**4).primes.tolist()]
+        codes = wilton_classes(sieve_primes(10**4))
+        assert codes.tolist() == [wilton_class(p) for p in sieve_primes(10**4).tolist()]
 
     def test_composite_rejected(self):
         with pytest.raises(InvalidArgumentError):

@@ -211,7 +211,7 @@ class TestPrimeClassSum:
         # the premise of the exact class sums: a prime's class is its residue's,
         # except that the Frobenius classes split the residues they share
         spec = get_case(tag)
-        primes = sieve_primes(10**5).primes
+        primes = sieve_primes(10**5)
         by_residue = np.array(spec.residues)[primes % len(spec.residues)]
         idx = class_index(spec, 10**5).astype(np.int64)
         split = np.isin(idx, spec.frobenius)
@@ -262,7 +262,7 @@ class TestPrimeClassSum:
         # no L-values past SIGMA_MAX: the class sum there is the direct part plus a bound
         a = lseries.SIGMA_MAX + 1
         v = prime_class_sum(7, [1, 2, 4], a)
-        primes = sieve_primes(lseries.MOBIUS_P).primes.tolist()
+        primes = sieve_primes(lseries.MOBIUS_P).tolist()
         direct = math.fsum(math.log(p) / (p**a - 1) for p in primes if p % 7 in (1, 2, 4))
         assert v.value == pytest.approx(direct, rel=1e-15)
         assert lseries._mobius_remainder(lseries.SIGMA_MAX + 1, 0) < 1e-20
