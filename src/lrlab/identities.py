@@ -82,7 +82,7 @@ def local_factor_gap(case, x: float = 0.5, p_limit: int = 10**4) -> float:
     log_t[m0 == M_ALWAYS] = 0.0
     m = euler.modulus
     phi = euler_phi(m)
-    j, w = np.array(euler.l_weights()).T
+    j, w = np.array(euler.l_weights(), dtype=np.int64).reshape(-1, 2).T  # no L-factor: empty j and w
     dlog = _dlog_table(m)[p % m]
     # log |1 - chi^j(p) x| for every (p, j); chi^j(p) = 0 where m | p
     angle = 2.0 * np.pi * ((np.outer(dlog, j) % phi) / phi)

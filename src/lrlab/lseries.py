@@ -30,7 +30,7 @@ For a character chi mod m,
 and one inverse DFT over the discrete-log order of the residues gives them
 for every character mod m at once: _l_table holds L^(k)(s, chi^j) for all j,
 one table per (m, s, k), and every L-value is read from it.  _log_l_table
-holds -L'/L or log L from it, with a budget per character.
+gives -L'/L or log L from it, with a budget per character.
 
 Prime sums over residue classes.  prime_class_sum sums log p/(p^s - 1) or
 -log(1 - p^(-s)) over the primes in a union of residue classes mod m,
@@ -60,10 +60,10 @@ frobenius_class_sum runs it over the Frobenius classes S1, S2, S3
 (transpositions, 3-cycles, the identity) of Gal(H/Q) = S_3, H the Hilbert
 class field of Q(sqrt(-23)), which are Wilton's classes of the primes
 p != 23.  There G_s(C) = (|C|/6) sum_chi chi(C) (-L_P'/L_P)(s, chi) (or
-the same with log L_P) over
-the characters 1, chi_-23 and rho, (1, 1, 1), (-1, 1, 1) and (0, -1, 2) on
-(S1, S2, S3).  L(s, rho) = (Z_[1,1,6](s) - Z_[2,1,3](s))/2, the L-function
-of eta(z) eta(23 z), comes from the Epstein zeta functions of the reduced
+the same with log L_P) over the characters 1, chi_-23 (the sign) and rho,
+|C|, orders and rho's traces read from Wilton's table in primes.
+L(s, rho) = (Z_[1,1,6](s) - Z_[2,1,3](s))/2, the L-function of
+eta(z) eta(23 z), comes from the Epstein zeta functions of the reduced
 forms of discriminant -23 by the Chowla-Selberg formula (Chowla and
 Selberg, J. reine angew. Math. 227, 1967).  23 ramifies: its Euler factor
 is 1/(1 - 23^-s) in zeta and L(s, rho), and 1 in L(s, chi_-23).
@@ -85,7 +85,7 @@ from . import _args
 from .budget import ValueWithBudget
 from .characters import GENERATORS as _GENERATORS, DirichletCharacter, _dlog_table, euler_phi
 from .errors import InvalidArgumentError, PreconditionError
-from .primes import sieve_primes, wilton_classes
+from .primes import W_S1, W_S3, WILTON_ORDER, WILTON_SIZE, WILTON_TRACE, sieve_primes, wilton_classes
 
 __all__ = [
     "ValueWithBudget",
@@ -268,7 +268,6 @@ def _l_table(m: int, s, k: int) -> tuple[np.ndarray, float]:
     return table, budget
 
 
-@lru_cache(maxsize=128)
 def _log_l_table(m: int, s, derivative: int) -> tuple[np.ndarray, np.ndarray]:
     """-L'/L(s, chi^j) (derivative 1) or log L(s, chi^j) (derivative 0) for
     j = 0..phi-1, with a budget per j that includes the rounding of the
@@ -553,20 +552,6 @@ def _inversion(terms: np.ndarray, left: float, in_class, power, rough, s, deriva
     return ValueWithBudget(value, budget + _EPS * abs(value))
 
 
-@lru_cache(maxsize=1024)
-def _class_sum(m: int, residues: tuple, s, derivative: int) -> ValueWithBudget:
-    """prime_class_sum for sorted residues and an exact s: the classes are the
-    unit residues g^c, and (g^c)^k = g^(kc)."""
-    phi = euler_phi(m)
-    primes = sieve_primes(MOBIUS_P)
-    terms, left = _prime_terms(primes[np.isin(primes % m, residues)], s, derivative)
-    dlog = _dlog_table(m)[list(residues)]
-    in_class = np.zeros(phi, dtype=bool)
-    in_class[dlog[dlog >= 0]] = True
-    return _inversion(terms, left, in_class, lambda c, k: (k * c) % phi,
-                      lambda sigma: _rough_sums(m, sigma, derivative), s, derivative)
-
-
 def prime_class_sum(m: int, residues, s: float, derivative: int = 1) -> ValueWithBudget:
     """Sum over the primes p = r (mod m), r in ``residues``, at real s >= 2, of
 
@@ -581,26 +566,34 @@ def prime_class_sum(m: int, residues, s: float, derivative: int = 1) -> ValueWit
     """
     m = _args.tag(m, _GENERATORS, "modulus")
     derivative = _args.tag(derivative, (0, 1), "derivative")
-    key = tuple(sorted({_args.integer(r, "a residue") % m for r in _args.tags(residues, None, "residues")}))
-    lowest = 2 if any(math.gcd(r, m) == 1 for r in key) else 1
+    residues = list({_args.integer(r, "a residue") % m for r in _args.tags(residues, None, "residues")})
+    lowest = 2 if any(math.gcd(r, m) == 1 for r in residues) else 1
     exact = _exact(s, float_range=True)  # the direct terms' p^-s need a float s
     if not exact >= lowest:
         raise PreconditionError(f"prime class sums over these residues need s >= {lowest}, got {_args.shown(s)}")
-    return _class_sum(m, key, exact, derivative)
+    phi = euler_phi(m)
+    primes = sieve_primes(MOBIUS_P)
+    terms, left = _prime_terms(primes[np.isin(primes % m, residues)], exact, derivative)
+    dlog = _dlog_table(m)[residues]
+    in_class = np.zeros(phi, dtype=bool)
+    in_class[dlog[dlog >= 0]] = True
+    return _inversion(terms, left, in_class, lambda c, k: (k * c) % phi,
+                      lambda sigma: _rough_sums(m, sigma, derivative), exact, derivative)
 
 
 # ---------------------------------------------------------------------------
 # Prime sums over the Frobenius classes of the Hilbert class field of Q(sqrt(-23))
 # ---------------------------------------------------------------------------
 
-# |C| chi(C)/6 on the classes C = S1, S2, S3 (rows) for chi = 1, chi_-23, rho
-_S3_WEIGHTS = np.array([[3], [2], [1]]) * np.array([[1, 1, 1], [-1, 1, 1], [0, -1, 2]]).T / 6.0
+# chi(C) on the classes C = S1, S2, S3 (rows) for chi = 1, chi_-23 (the sign, -1 on S1), rho; weight |C| chi(C)/6
+_S3_CHARACTERS = np.c_[np.ones(3), 1 - 2 * (np.arange(3) == W_S1), WILTON_TRACE[:3]]
+_S3_WEIGHTS = np.array(WILTON_SIZE)[:, None] * _S3_CHARACTERS / 6.0
 
 
 def _s3_power(c, k):
-    """The class of g^k for g in class c: the identity (S3) iff the order of g,
-    2 for a transposition (S1) and 3 for a 3-cycle (S2), divides k."""
-    return np.where(k % np.array([2, 3, 1])[c] == 0, 2, c)
+    """The class of g^k for g in class c: the identity (S3) iff the order of g
+    (primes.WILTON_ORDER) divides k."""
+    return np.where(k % np.array(WILTON_ORDER)[c] == 0, W_S3, c)
 
 
 @lru_cache(maxsize=32)

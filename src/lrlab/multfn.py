@@ -14,8 +14,9 @@ and S3 split one residue class) and the m0 of every class; a prime p | m
 is a class of its own.  The cases "q does not divide tau(n)", q = 2, 3,
 5, 7 and 691, are derived from tau(n) = n^v sigma_w(n) (mod q), the table
 tau_mod reads (_tau_case; mod 691 a class is the residues of one order);
-q23 and two_squares are written by hand.  CaseSpec derives from a
-definition, on first use, the density tau (the mean of F(r) = f(p),
+q23 reads Wilton's table in primes, its m0 by _tau_case's rule
+(_zero_period), and two_squares is written by hand.  CaseSpec derives
+from a definition, on first use, the density tau (the mean of F(r) = f(p),
 p = r mod m, over the units) and the one Euler factorization of
 T(s) = sum f(n) n^-s,
 
@@ -188,7 +189,7 @@ class CaseSpec:
         _args.integer(max(residues), "a class index", None, min(len(m0), 256) - 1)  # a uint8
         if _args.instance(self.frobenius, tuple, "frobenius") and (  # q23's S2 and S3, which share f(p)
                 _args.int_array(self.frobenius, "frobenius").tolist() != [1, 2] or len(m0) != 4
-                or self.residues != _WILTON_RESIDUES or len({m in (2, M_ALWAYS) for m in m0[1:3]}) != 1):
+                or self.residues != pr.WILTON_RESIDUES or len({m in (2, M_ALWAYS) for m in m0[1:3]}) != 1):
             raise InvalidArgumentError(f"frobenius {_args.shown(self.frobenius)} needs q23's layout")
 
     def classify(self, primes) -> np.ndarray:
@@ -279,14 +280,21 @@ def _lambda_over_log(m0, k):
     return np.where(m0 >= 2, 1 + b * (k % b == 0) - (b - 1) * (k % (b - 1) == 0), m0 == M_NEVER)
 
 
+def _zero_period(order: int, q: int) -> int:
+    """m0 of a prime p != q for "q does not divide tau(n)": the roots a, b of
+    x^2 - tau(p) x + p^11 (mod q) give tau(p^k) = a^k + a^(k-1) b + ... + b^k,
+    so m0 is the order of a/b, or q when a = b (tau(p^k) = (k + 1) a^k)."""
+    return q if order == 1 else order
+
+
 def _tau_case(q: int) -> CaseSpec:
     """The case "q does not divide tau(n)", from tau(n) = n^v sigma_w(n) (mod q).
 
     (v, w) is modforms._TAU_CONGRUENCES[q]; all congruences here are mod q.
     At p = q, tau(q^k) = 0 for every k >= 1 if v >= 1 (ALWAYS), and
     tau(q^k) = 1 if v = 0 (NEVER).  At p = r, r != 0, let u = r^w:
-    tau(p^k) = 0 iff 1 + u + ... + u^k = 0, so m0 is q if u = 1 and the
-    order of u otherwise, phi/gcd(w a, phi) for r = g^a
+    the roots of x^2 - tau(p) x + p^11 are p^v and p^(v+w), so m0 is
+    _zero_period of the order of u = r^w, phi/gcd(w a, phi) for r = g^a
     (characters._dlog_table).  The residues with one m0 form a class;
     p = q's class comes first if ALWAYS and last if NEVER, and the unit
     classes come by the least multiplicative order of their residues.
@@ -296,25 +304,21 @@ def _tau_case(q: int) -> CaseSpec:
     dlog = _dlog_table(q).tolist() if q in GENERATORS else [-1, 0]
     phi = max(dlog) + 1
     units = sorted(range(1, q), key=lambda r: phi // math.gcd(dlog[r], phi))  # by their order
-    unit_m0 = {r: phi // math.gcd(w * dlog[r], phi) for r in units}  # the order of u = r^w
-    unit_m0 = {r: q if m == 1 else m for r, m in unit_m0.items()}
+    unit_m0 = {r: _zero_period(phi // math.gcd(w * dlog[r], phi), q) for r in units}  # u = r^w's order
     m0 = tuple(dict.fromkeys(unit_m0.values()))  # each class once, at its least order
     m0 = (M_ALWAYS, *m0) if v else (*m0, M_NEVER)
     residues = (m0.index(M_ALWAYS if v else M_NEVER), *(m0.index(unit_m0[r]) for r in range(1, q)))
     return CaseSpec(f"q{q}", residues, m0)
 
 
-# The classes mod 23: p = 23 (P23), (p|23) = -1 (S1), (p|23) = 1 (S2, less S3)
-_WILTON_RESIDUES = tuple(3 if r == 0 else 0 if pr._KRON23[r] == -1 else 1 for r in range(23))
-
 CASES: dict[str, CaseSpec] = {
     c.tag: c
     for c in [
         # q does not divide tau(n), for q = 2, 3, 5, 7 (p = q, then r mod q by m0)
         *map(_tau_case, (2, 3, 5, 7)),
-        # 23 does not divide tau(n); classes: the Wilton classes S1, S2, S3, P23
-        # (primes module); S2 and S3 split the residues with (p|23) = 1
-        CaseSpec("q23", _WILTON_RESIDUES, (2, 3, 23, M_NEVER), frobenius=(1, 2)),
+        # 23 does not divide tau(n); classes: Wilton's S1, S2, S3 (primes module), then P23 (tau(23^k) = 1)
+        CaseSpec("q23", pr.WILTON_RESIDUES, (*(_zero_period(o, 23) for o in pr.WILTON_ORDER), M_NEVER),
+                 frobenius=(1, 2)),
         # 691 does not divide tau(n) (r mod 691 by m0, the order of r but 691 for r = 1, then p = 691)
         _tau_case(691),
         # n is a sum of two squares; classes: p = 1 (4), p = 3 (4), p = 2

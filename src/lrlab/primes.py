@@ -9,11 +9,13 @@ Wilton classes of primes modulo 23, as codes W_S1, W_S2, W_S3, W_P23:
     S2 : the remaining primes != 23
     P23: p = 23
 
-S1, S2, S3 have natural densities 1/2, 1/3, 1/6.  (p|23) comes from
-Euler's criterion p^11 mod 23, and `wilton_classes` decides S3 from the
-table of values U^2 + 23 V^2.  The scalar reference (the U^2 + 23 V^2
-search) and the split test of x^3 - x - 1, whose discriminant is -23, live
-with the tests, in tests/scalar_reference.py.
+S1, S2, S3 (the transpositions, 3-cycles and identity of S_3 = Gal(H/Q),
+H the Hilbert class field of Q(sqrt(-23))) have natural densities 1/2,
+1/3, 1/6.  Wilton's table (WILTON_*; Swinnerton-Dyer, LNM 350, 1973) is
+kept here alone, and `wilton_classes` decides S3 from the table of values
+U^2 + 23 V^2.  The scalar reference (the U^2 + 23 V^2 search) and the
+split test of x^3 - x - 1, whose discriminant is -23, live with the tests,
+in tests/scalar_reference.py.
 
 sieve_primes keeps one table, of the largest limit sieved so far, and
 serves every limit by a read-only view of it, with the last 16 views in an
@@ -41,6 +43,7 @@ __all__ = [
     "W_S2",
     "W_S3",
     "W_P23",
+    "WILTON_RESIDUES", "WILTON_SIZE", "WILTON_ORDER", "WILTON_TRACE",  # Wilton's table
 ]
 
 SEGMENT_SIZE = 1 << 20
@@ -127,10 +130,6 @@ def _prime_logs(n: int) -> np.ndarray:
 # Wilton classes mod 23
 # ---------------------------------------------------------------------------
 
-# (r|23) by Euler's criterion r^11 = +-1 (mod 23); 0 at r = 0
-_KRON23 = np.array([0] + [1 if pow(r, 11, 23) == 1 else -1 for r in range(1, 23)], dtype=np.int8)
-
-
 def _form_values_mask(lo: int, hi: int) -> np.ndarray:
     """mask[n - lo] = True iff n = u^2 + 23 v^2 for some u >= 1, v >= 1, lo <= n <= hi."""
     mask = np.zeros(hi - lo + 1, dtype=bool)
@@ -144,6 +143,12 @@ def _form_values_mask(lo: int, hi: int) -> np.ndarray:
 # Class codes.
 W_S1, W_S2, W_S3, W_P23 = 0, 1, 2, 3
 
+# Wilton's table: the class of each residue r mod 23 (P23 at 0, S1 where (r|23) = -1 by Euler's
+# criterion r^11 = -1, else S2, which S3 splits), and on S1, S2, S3 the class size, the order of
+# its elements and rho's trace = tau(p) (mod 23), with tau(23) = 1 (mod 23) at P23
+WILTON_RESIDUES = tuple(W_P23 if r == 0 else W_S1 if pow(r, 11, 23) == 22 else W_S2 for r in range(23))
+WILTON_SIZE, WILTON_ORDER, WILTON_TRACE = (3, 2, 1), (2, 3, 1), (0, -1, 2, 1)
+
 
 def wilton_classes(primes) -> np.ndarray:
     """Wilton class code of each prime in an array, S3 decided by the table
@@ -152,10 +157,7 @@ def wilton_classes(primes) -> np.ndarray:
     lo = _args.integer(int(p.min()) if p.size else 2, "the least prime", 2)
     top = _args.integer(int(p.max()) if p.size else 2, "the largest prime", None, PRIME_DESK_LIMIT,
                         "Wilton class desk")
-    qr = _KRON23[p % 23]
-    codes = np.full(len(p), W_S2, dtype=np.uint8)
-    codes[qr == -1] = W_S1
-    residue = np.flatnonzero(qr == 1)
+    codes = np.array(WILTON_RESIDUES, dtype=np.uint8)[p % 23]
+    residue = np.flatnonzero(codes == W_S2)
     codes[residue[_form_values_mask(lo, top)[p[residue] - lo]]] = W_S3
-    codes[p == 23] = W_P23
     return codes

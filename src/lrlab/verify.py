@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache, partial
 
 import numpy as np
@@ -220,20 +221,18 @@ def _koppeling():
 
 
 def _wilton_dual():
-    # Wilton: tau(p) = 0, -1, 2 (mod 23) on S1, S2, S3, read from the eta product
-    p = pr.sieve_primes(10**5)
-    by_tau = np.full(23, 255, dtype=np.uint8)
-    by_tau[[0, 22, 2]] = pr.W_S1, pr.W_S2, pr.W_S3
-    expected = np.where(p == 23, pr.W_P23, by_tau[mf.tau_mod(23, 10**5)[p]])
-    bad = int(np.count_nonzero(expected != mu.class_index("q23", 10**5)))
+    # Wilton: tau(p) = the trace of p's class (mod 23), p = 23 included, tau read from the eta product
+    trace = np.array(pr.WILTON_TRACE)[mu.class_index("q23", 10**5)]
+    bad = int(np.count_nonzero((trace - mf.tau_mod(23, 10**5)[pr.sieve_primes(10**5)]) % 23))
     return bad == 0, f"{bad} mismatches over p <= 1e5"
 
 
 def _wilton_densities():
     codes6 = mu.class_index("q23", 10**6)
-    s1, s2, s3 = (np.count_nonzero(codes6 == c) / len(codes6) for c in (pr.W_S1, pr.W_S2, pr.W_S3))
-    ok = abs(s1 - 0.5) < 0.01 and abs(s2 - 1 / 3) < 0.01 and abs(s3 - 1 / 6) < 0.01
-    return ok, f"S1/S2/S3 = {s1:.4f}/{s2:.4f}/{s3:.4f} vs 1/2, 1/3, 1/6 ± 0.01"
+    shares = np.bincount(codes6, minlength=3)[:3] / len(codes6)  # S1, S2, S3
+    density = [Fraction(size, 6) for size in pr.WILTON_SIZE]
+    ok = all(abs(share - d) < 0.01 for share, d in zip(shares.tolist(), density))
+    return ok, "S1/S2/S3 = {:.4f}/{:.4f}/{:.4f} vs {} ± 0.01".format(*shares, ", ".join(map(str, density)))
 
 
 def _local_factors(tag):

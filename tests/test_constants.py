@@ -190,6 +190,14 @@ class TestLRatios:
 
 
 class TestFirstOrder:
+    def test_gamma_3_4_is_correctly_rounded(self):
+        # C5's divisor: the literal lies within its half-ulp budget of Gamma(3/4)
+        # (math.gamma(0.75) lies 0.99 ulp off, so a one-ulp budget held by 1%)
+        with mp.workdps(40):
+            exact = mp.gamma(mp.mpf(3) / 4)
+            assert float(exact) == constants._GAMMA_3_4
+            assert abs(mp.mpf(constants._GAMMA_3_4) - exact) <= math.ulp(constants._GAMMA_3_4) / 2
+
     def test_landau_K(self):
         k = landau_ramanujan_K()
         assert k.value == pytest.approx(0.764, abs=5e-4)
@@ -274,6 +282,11 @@ class TestVerdicts:
         for tag, r in reports.items():
             assert r.verdict == CLAIM_FALSE, tag
             assert abs(r.c2.value - float(r.c2_ramanujan)) > r.c2.budget
+
+    @pytest.mark.parametrize("tag", TABLE_CASES)
+    def test_the_printed_claim_is_the_refuted_claim(self, tag):
+        # the table's last column, the claimed C2, is the delta the verdict refutes
+        assert TABLE1_PRINTED[tag][4] == second_order_constant(tag).c2_ramanujan == get_case(tag).delta
 
     @pytest.mark.parametrize("tag", TABLE_CASES)
     def test_a_report_carries_its_verdict(self, tag):

@@ -62,6 +62,9 @@ REMOVED = (
     "verdict",
     # sieve_primes returns the read-only array itself
     "PrimeTable",
+    # Wilton's data, now one table in lrlab.primes (WILTON_RESIDUES and the rest)
+    "_KRON23",
+    "_WILTON_RESIDUES",
 )
 
 

@@ -8,7 +8,7 @@ from lrlab.errors import InvalidArgumentError, UnsupportedCaseError
 from lrlab.constants import _class_sum
 from lrlab.identities import euler_identity_sides, local_factor_gap, truncated_T
 from lrlab.lseries import _log, zeta_value
-from lrlab.multfn import CASES, class_index, dirichlet_series_truncated, get_case
+from lrlab.multfn import CASES, M_NEVER, CaseSpec, class_index, dirichlet_series_truncated, get_case
 from lrlab.primes import sieve_primes
 from lrlab.verify import CHECKS
 from euler_reference import with_euler
@@ -138,6 +138,14 @@ class TestLocalFactorGap:
     def test_unknown_case(self):
         with pytest.raises(UnsupportedCaseError):
             local_factor_gap("q2")
+
+    @pytest.mark.parametrize("x", [0.5, 1 / 3])
+    def test_a_factorization_without_an_l_factor(self, x):
+        # f = 1 on every prime power mod 3: T is zeta, with no L-factor, whose
+        # empty exponent list once ended in a bare ValueError
+        spec = CaseSpec("ones3", (0, 1, 1), (M_NEVER, M_NEVER))
+        assert spec.euler.l_exponents == ()
+        assert local_factor_gap(spec, x) == 0.0
 
     @pytest.mark.parametrize("x", [1.5, -1.0, 0.0, 1.0, math.nan])
     def test_x_outside_the_unit_interval_is_invalid(self, x):

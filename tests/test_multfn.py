@@ -104,6 +104,21 @@ class TestCaseSpecs:
     def test_the_library_cases(self):
         assert set(CASES) == {"q2", "q3", "q5", "q7", "q23", "q691", "two_squares"}
 
+    def test_q23_periods_are_the_hecke_recursion(self):
+        # tau(p^(k+1)) = t tau(p^k) - e tau(p^(k-1)) (mod 23), with t = tau(p), the
+        # trace of p's class, and e = p^11, that is (p|23), or 0 at p = 23; m0 - 1
+        # is the first k with tau(p^k) = 0 (mod 23), and NEVER if there is none
+        def period(t, e):
+            prev, cur = 1, t % 23
+            for k in range(1, 100):
+                if cur == 0:
+                    return k + 1
+                prev, cur = cur, (t * cur - e * prev) % 23
+            return M_NEVER
+
+        periods = tuple(period(t, e) for t, e in zip(primes.WILTON_TRACE, (-1, 1, 1, 0)))
+        assert CASES["q23"].m0 == periods == (2, 3, 23, M_NEVER)
+
     @pytest.mark.parametrize(
         "fields",
         [
@@ -123,8 +138,8 @@ class TestCaseSpecs:
             ("x", (0.0,), (M_NEVER,)),
             ("x", ((0, 1),), (M_NEVER, 2)),
             ("x", tuple(range(300)), (M_NEVER,) * 300),  # a class index past uint8
-            ("q23", multfn._WILTON_RESIDUES, (2, 2, 3, M_NEVER), (1, 2)),  # S2 and S3 with two f(p)
-            ("q23", multfn._WILTON_RESIDUES, (2, 3, 23, M_NEVER), (2, 1)),
+            ("q23", primes.WILTON_RESIDUES, (2, 2, 3, M_NEVER), (1, 2)),  # S2 and S3 with two f(p)
+            ("q23", primes.WILTON_RESIDUES, (2, 3, 23, M_NEVER), (2, 1)),
         ],
     )
     def test_a_hand_made_spec_is_checked(self, fields):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from lrlab import primes
 from lrlab.errors import InvalidArgumentError, ResourceLimitError
+from lrlab.modforms import tau_exact
 from lrlab.multfn import class_index
 from lrlab.primes import (
     PRIME_DESK_LIMIT,
@@ -17,6 +19,10 @@ from lrlab.primes import (
     W_S1,
     W_S2,
     W_S3,
+    WILTON_ORDER,
+    WILTON_RESIDUES,
+    WILTON_SIZE,
+    WILTON_TRACE,
     sieve_primes,
     wilton_classes,
 )
@@ -170,8 +176,9 @@ class TestKronecker:
         residues = {pow(a, 2, 23) for a in range(1, 23)}
         assert 5 not in residues
         assert kronecker_symbol(5, 23) == -1
-        # the Wilton classifier's (r|23), from Euler's criterion
-        assert primes._KRON23.tolist() == [kronecker_symbol(r, 23) for r in range(23)]
+        # Wilton's residue table: P23 at 0, S1 where (r|23) = -1 (Euler's criterion), S2 (and S3) else
+        by_symbol = {0: W_P23, -1: W_S1, 1: W_S2}
+        assert WILTON_RESIDUES == tuple(by_symbol[kronecker_symbol(r, 23)] for r in range(23))
 
     def test_at_two(self):
         # (a|2) = +1 iff a = ±1 (mod 8)
@@ -267,6 +274,28 @@ class TestMultOrder:
 
 
 class TestWilton:
+    def test_class_data_are_those_of_s3(self):
+        # S1, S2, S3 are the transpositions, 3-cycles and identity of S_3, the
+        # Galois group of x^3 - x - 1; rho's trace is a permutation's number of
+        # fixed points less 1
+        classes = {}
+        for g in itertools.permutations(range(3)):
+            fixed = sum(g[i] == i for i in range(3))
+            h, order = g, 1
+            while h != (0, 1, 2):
+                h, order = tuple(g[i] for i in h), order + 1
+            classes.setdefault({1: W_S1, 0: W_S2, 3: W_S3}[fixed], []).append((order, fixed - 1))
+        for c, data in classes.items():  # each element's (order, trace), once per element of the class
+            assert data == [(WILTON_ORDER[c], WILTON_TRACE[c])] * WILTON_SIZE[c], c
+
+    def test_trace_is_tau_mod_23(self):
+        # Wilton's congruence tau(p) = trace (mod 23) on the primes below 2000,
+        # each class by the scalar reference, tau exact; tau(23) = 1 (mod 23)
+        tau = tau_exact(2000).values
+        ps = trial_division_sieve(2000)
+        assert {wilton_class(p) for p in ps} == {W_S1, W_S2, W_S3, W_P23}
+        assert all((tau[p - 1] - WILTON_TRACE[wilton_class(p)]) % 23 == 0 for p in ps)
+
     def test_examples(self):
         assert wilton_class(23) == W_P23
         assert wilton_class(5) == W_S1  # (5|23) = -1

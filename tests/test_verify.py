@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from lrlab import constants, identities, multfn
+from lrlab import constants, identities, multfn, primes
 from lrlab.budget import ValueWithBudget
 from lrlab.constants import TABLE1_PRINTED, table1
 from lrlab.errors import UnsupportedCaseError
@@ -100,6 +100,17 @@ def test_q3_forms_agree_sees_a_wrong_class_sum(monkeypatch):
     assert forms_agree()[0]
     monkeypatch.setattr(constants, "_class_sum", scaled)
     passed, detail = forms_agree()
+    assert not passed, detail
+
+
+@pytest.mark.parametrize("trace", [(0, 2, -1, 1), (0, -1, 2, 0)])
+def test_wilton_dual_sees_a_wrong_trace_table(monkeypatch, trace):
+    # S2's and S3's traces swapped, or tau(23) taken as 0 (mod 23): the check
+    # reads tau(p) mod 23 against primes' one table, so either fails it
+    dual = _row("q23", "oracle/wilton-dual")
+    assert dual()[0]
+    monkeypatch.setattr(primes, "WILTON_TRACE", trace)
+    passed, detail = dual()
     assert not passed, detail
 
 
