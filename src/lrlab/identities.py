@@ -63,7 +63,10 @@ def local_factor_gap(case, x: float = 0.5, p_limit: int = 10**4) -> float:
     0 < x < 1 standing for p^-s.
 
     T_p = sum_k f(p^k) x^k is 1/(1 - x) for m0 = NEVER, 1 for ALWAYS, and
-    (1 - x^(m0-1))/((1 - x)(1 - x^m0)) otherwise.
+    (1 - x^(m0-1))/((1 - x)(1 - x^m0)) otherwise.  The right side's logs
+    log |1 - chi(p) x| take one of phi values, chi(p) being a phi-th root of
+    unity: they are tabulated once on the phi residues c of dlog(p) j mod phi
+    and gathered for every (p, character).
     """
     spec = get_case(case)
     euler = spec.euler
@@ -84,9 +87,13 @@ def local_factor_gap(case, x: float = 0.5, p_limit: int = 10**4) -> float:
     phi = euler_phi(m)
     j, w = np.array(euler.l_weights(), dtype=np.int64).reshape(-1, 2).T  # no L-factor: empty j and w
     dlog = _dlog_table(m)[p % m]
-    # log |1 - chi^j(p) x| for every (p, j); chi^j(p) = 0 where m | p
-    angle = 2.0 * np.pi * ((np.outer(dlog, j) % phi) / phi)
-    log_l = 0.5 * np.log1p(x * (x - 2.0 * np.cos(angle)))
+    # log |1 - chi^j(p) x| for every (p, j), read from its value at each of
+    # the phi angles 2 pi c/phi, c = dlog(p) j mod phi; chi^j(p) = 0 where m | p.
+    # dlog(p) j < phi^2 < 2^31 (phi <= 690): c is taken in int32, whose remainders numpy
+    # computes several times faster than int64 ones
+    angle = 2.0 * np.pi * (np.arange(phi) / phi)
+    table = 0.5 * np.log1p(x * (x - 2.0 * np.cos(angle)))
+    log_l = table[np.outer(dlog.astype(np.int32), j.astype(np.int32)) % phi]
     log_l[dlog < 0] = 0.0
     rhs = -float(euler.n * spec.tau) * log_1mx - log_l @ w
     for k, factor in enumerate(euler.classes):

@@ -8,8 +8,9 @@ residues r = 1..m at once, one Euler-Maclaurin batch gives
     s > 1:  H_k(r, m, s) = sum_{n>=1, n=r (m)} log^k n n^(-s).
 
 With g(t) = log^k u u^(-s) at u = r + t m, the first T = 40 terms
-(t < T) are summed directly per residue (exactly rounded, by math.fsum), and
-the rest by Euler-Maclaurin at U = r + T m:
+(t < T) are summed directly per residue, correctly rounded (by TwoSum, whose
+rounding a bound on its error certifies, and by math.fsum where it cannot:
+_certified_sums), and the rest by Euler-Maclaurin at U = r + T m:
 
     sum_{t>=T} g(t) = I + g(T)/2 - sum_{j=1}^{K} B_2j/(2j)! g^(2j-1)(T) + R,   K = 7,
 
@@ -22,6 +23,9 @@ Apostol, Amer. Math. Monthly 106, 1999): |R| <= |B_14|/14! int_T^oo |g^(14)|,
 which with |P_14| <= sum_j |a_j| log^j u is in closed form (as is I at
 s > 1).  For k <= GAMMA_K_MAX = 12 and m <= 691 it is below 1.1e-13 (1.1e-22
 for k <= 2 at s = 1): the budget is a few ulps of the summed magnitudes.
+One pass per (m, k) evaluates every integer s = 2..SIGMA_MAX at once (up to
+2 SIGMA_MAX at m = 1), streaming the T direct terms column by column; s = 1
+and any other s take a pass of their own.
 For a character chi mod m,
 
     L^(k)(1, chi) = (-1)^k sum_{r=1}^{m} chi(r) gamma_k(r, m)   (chi non-principal),
@@ -128,15 +132,22 @@ def _exact(s, float_range: bool = False):
     return f.numerator if f.denominator == 1 else f
 
 
-def _log_poly_deriv_coeffs(k: int, order: int, s=1) -> list:
-    """d^order/du^order [log^k u u^(-s)] as sum_j a_j log^j(u) u^(-s-order).
-
-    The a_j are exact: integers for integer s, fractions otherwise.
-    """
+@lru_cache(maxsize=128)
+def _log_poly_deriv_coeffs(k: int, s=1) -> np.ndarray:
+    """d^q/du^q [log^k u u^(-s)] = sum_j a_j log^j(u) u^(-s-q) for q = 0..14:
+    row q holds a_0..a_k, from one exact recurrence (integers for integer s,
+    fractions otherwise) rounded once to floats."""
     a = [0] * k + [1]
-    for q in range(order):
+    rows = [a]
+    for q in range(_EM_ORDER):
         a = [((j + 1) * a[j + 1] if j < k else 0) - (s + q) * a[j] for j in range(k + 1)]
-    return a
+        rows.append(a)
+    try:
+        coeffs = np.array(rows, dtype=np.float64)
+    except OverflowError:  # |a_k| = s (s+1) ... (s+13) of row 14 is the largest coefficient
+        raise PreconditionError("s is too large (above about 1.04e22) for the float coefficients") from None
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 def _log_power_integral(u: np.ndarray, lnu: np.ndarray, j: int, sigma: float) -> np.ndarray:
@@ -146,66 +157,123 @@ def _log_power_integral(u: np.ndarray, lnu: np.ndarray, j: int, sigma: float) ->
     return poly * u ** (1.0 - sigma)
 
 
-def _g_derivative(u: np.ndarray, lnu: np.ndarray, k: int, order: int, m: int, s=1):
-    """d^order/dt^order of log^k(r + t m) (r + t m)^(-s) at r + t m = u, and
-    the same with every polynomial coefficient replaced by its absolute value."""
-    a = np.array(_log_poly_deriv_coeffs(k, order, s), dtype=np.float64)
-    scale = (m / u) ** order / u ** float(s)
-    poly = np.polynomial.polynomial.polyval
-    return poly(lnu, a) * scale, poly(lnu, np.abs(a)) * scale
-
-
 def _em_remainder_bound(u: np.ndarray, lnu: np.ndarray, k: int, m: int, s=1) -> np.ndarray:
     """|R| <= |B_14|/14! int_T^oo |g^(14)(t)| dt for the tail at U = r + T m >= 1
     (the periodic Bernoulli function is at most |B_14|), which with
     h^(14)(u) = sum_j a_j log^j u u^(-s-14) is at most
     |B_14|/14! m^13 sum_j |a_j| int_U^oo log^j u u^(-s-14) du; the factor
     1.01 covers the rounding of the bound itself."""
-    try:
-        a = [float(x) for x in _log_poly_deriv_coeffs(k, _EM_ORDER, s)]
-    except OverflowError:  # |a_k| = s (s+1) ... (s+13) is the largest coefficient of the batch
-        raise PreconditionError("s is too large (above about 1.04e22) for the float coefficients") from None
+    a = _log_poly_deriv_coeffs(k, s)[_EM_ORDER].tolist()
     sigma = float(s) + _EM_ORDER
     tail = sum(abs(x) * _log_power_integral(u, lnu, j, sigma) for j, x in enumerate(a) if x)
     return 1.01 * abs(_EM_COEFFS[-1]) * float(m) ** (_EM_ORDER - 1) * tail
 
 
+def _certified_sums(columns, rows) -> np.ndarray:
+    """sum_t x_t correctly rounded, for T >= 2 nonnegative terms per entry:
+    ``columns`` yields the T arrays x_1..x_T (one shape, one entry per
+    element), and rows(mask) gives the (F, T) terms of the F entries where
+    mask is set.  Equal, bit for bit, to math.fsum of each entry's terms.
+
+    Each entry adds its terms in order with TwoSum (Ogita, Rump and Oishi,
+    SIAM J. Sci. Comput. 26, 2005): s_t + e_t = s_(t-1) + x_t exactly, and
+    c is the float sum of e_2..e_T, so sum x = s_T + sum e_t exactly.  The
+    x_t are nonnegative, so s_t <= s_T and |e_t| <= u s_T (u = 2^-53); c,
+    a recursive sum of T - 1 terms, is then within gamma_(T-2) (T - 1) u s_T
+    of sum e_t, gamma_n = n u/(1 - n u).  The computed delta is at least that
+    bound: its factor 1 + 2^-20 covers the rounding of the factor and of its
+    product with s_T, which is within u of the exact product while delta is a
+    normal float.  A last TwoSum gives r + rho = s_T + c exactly, so
+    |sum x - r| <= |rho| + delta.  Where the float sum |rho| + delta is
+    below half the gap from r down to the next float (exact: r is normal), so
+    is the exact one (rounding is monotone, and the half gap is a float),
+    and sum x lies strictly inside the interval that rounds to r, the gap
+    above r being no smaller: r is the correctly rounded sum, as math.fsum
+    returns it.  Every other entry (a tie, which the test can never pass, a
+    zero, a tiny or a non-finite sum) takes math.fsum of its row.
+    """
+    columns = iter(columns)
+    s = np.array(next(columns), dtype=np.float64)
+    c = np.zeros_like(s)
+    n_terms = 1
+    for x in columns:
+        a = s + x
+        b = a - s
+        c += (s - (a - b)) + (x - b)
+        s = a
+        n_terms += 1
+    r = s + c
+    b = r - s
+    rho = (s - (r - b)) + (c - b)
+    n = n_terms - 2
+    gamma = n * 2.0**-53 / (1.0 - n * 2.0**-53)
+    delta = s * ((n_terms - 1) * gamma * 2.0**-53 * (1.0 + 2.0**-20))
+    sound = (np.abs(rho) + delta < 0.5 * (r - np.nextafter(r, 0.0))) & (delta >= sys.float_info.min)
+    rest = ~(sound & np.isfinite(r))
+    if rest.any():
+        r[rest] = [math.fsum(row) for row in rows(rest).tolist()]
+    return r
+
+
+def _direct_terms(n: np.ndarray, sf: np.ndarray, k: int) -> np.ndarray:
+    """log^k n n^(-s), n and the float s broadcast together."""
+    return np.log(n) ** k / n**sf if k else 1.0 / n**sf
+
+
 @np.errstate(over="ignore")  # n^s and U^s overflow at large s; their reciprocals, 0, are right
-def _em_sums(m: int, k: int, s) -> tuple[np.ndarray, np.ndarray]:
+def _em_sums(m: int, k: int, svals: tuple) -> tuple[np.ndarray, np.ndarray]:
     """gamma_k(r, m) (s = 1) or H_k(r, m, s) (s > 1), and budgets, for r = 1..m
-    (r = m is the zero class), m <= _BATCH_MODULUS_MAX."""
+    (r = m is the zero class), m <= _BATCH_MODULUS_MAX: one row per s in
+    svals (each exact, as from _exact), all from one pass."""
     r = np.arange(1, m + 1, dtype=np.float64)
     u = r + _DIRECT * m
     lnu = np.log(u)
-    remainder = _em_remainder_bound(u, lnu, k, m, s)  # first: it rejects an s too large for floats
-    sf = float(s)
-    n = r[:, None] + m * np.arange(_DIRECT, dtype=np.float64)
-    w = np.log(n) ** k / n**sf if k else 1.0 / n**sf
-    total = np.array([math.fsum(row.tolist()) for row in w])
-    if s == 1:
-        integral = -(lnu ** (k + 1)) / (m * (k + 1))
-    else:
-        integral = _log_power_integral(u, lnu, k, sf) / m
-    g0 = lnu**k / u**sf
+    coeffs = np.array([_log_poly_deriv_coeffs(k, s) for s in svals])  # first: it rejects an s too large for floats
+    remainder = np.array([_em_remainder_bound(u, lnu, k, m, s) for s in svals])
+    sf = np.array([float(s) for s in svals])[:, None]
+    shape = (len(svals), m)
+
+    def rows(mask):
+        which, res = np.nonzero(mask)
+        n = r[res, None] + m * np.arange(_DIRECT, dtype=np.float64)
+        return _direct_terms(n, sf[which], k)
+
+    # the columns t = 0..T-1 of the terms at n = r + t m, one at a time
+    total = _certified_sums((_direct_terms(r + float(m * t), sf, k) for t in range(_DIRECT)), rows)
+    integral = np.array([_log_power_integral(u, lnu, k, float(s)) / m if s != 1 else -(lnu ** (k + 1)) / (m * (k + 1))
+                         for s in svals])
+    u_s = u**sf
+    g0 = lnu**k / u_s
     vals = total + integral + 0.5 * g0
     absum = total + np.abs(integral) + 0.5 * g0  # total and g0 are nonnegative
-    for j, coef in enumerate(_EM_COEFFS, 1):
-        g, g_abs = _g_derivative(u, lnu, k, 2 * j - 1, m, s)
-        vals -= coef * g
-        absum += abs(coef) * g_abs
+    # The derivatives of orders q = 1, 3, ..., 13 are m^q P(log u)/u^(s+q), P
+    # with the coefficients of row q and with their absolute values: for
+    # every s at once, by polyval's Horner scheme (the same operations in the
+    # same order), one order at a time to keep the temporaries at (2, S, m)
+    odd = coeffs[:, 1:_EM_ORDER:2]
+    stacked = np.stack((odd, np.abs(odd)))  # (2, S, K, k + 1)
+    powers = (m / u) ** np.arange(1.0, _EM_ORDER, 2.0)[:, None]
+    for j, coef in enumerate(_EM_COEFFS):
+        poly = stacked[:, :, j, -1, None] + lnu * 0
+        for i in range(2, k + 2):
+            poly = stacked[:, :, j, -i, None] + poly * lnu
+        scale = powers[j] / u_s
+        vals -= coef * (poly[0] * scale)
+        absum += abs(coef) * (poly[1] * scale)
     # Rounding, with log and powers good to one ulp: the summands, the
     # integral term and g0 are off by at most k + 3 ulps (k + 1 from the log
-    # and its power, the power of n or U, the divisions, the exactly rounded
-    # row sum), the corrections (below 1% of the total) by 2k + 10, and the
-    # additions that form vals by 8 ulps of |vals|.
+    # and its power, the power of n or U, the divisions, and the row sum,
+    # correctly rounded: _certified_sums or math.fsum), the corrections
+    # (below 1% of the total) by 2k + 10, and the additions that form vals by
+    # 8 ulps of |vals|.
     buds = remainder + _EPS * ((k + 3) * absum + 8.0 * np.abs(vals))
     # An entry below 2^-1022 at s > 1 lost its terms: the first nonzero one, at
     # n0 = r (r + m for r = 1, k >= 1), is as small or overflowed, so s > 50
     # (n0 <= 2m <= 5e5), and the term at n = n0 + t m >= n0 (1 + t/2) is at most
     # (n0/n)^(s - 2k) times it.  The sum lies below 2 log^k n0 n0^-s, in log space.
-    lost = (np.abs(vals) < sys.float_info.min) & (s != 1)
-    n0 = np.where((r == 1) & (k > 0), r + m, r)[lost]
-    bound = 2.0 * np.exp(k * np.log(np.log(n0)) - sf * np.log(n0))
+    lost = (np.abs(vals) < sys.float_info.min) & (sf != 1)
+    n0 = np.broadcast_to(np.where((r == 1) & (k > 0), r + m, r), shape)[lost]
+    bound = 2.0 * np.exp(k * np.log(np.log(n0)) - np.broadcast_to(sf, shape)[lost] * np.log(n0))
     buds[lost] = np.maximum(buds[lost], np.maximum(bound, math.ulp(0.0)))
     vals.flags.writeable = buds.flags.writeable = False
     return vals, buds
@@ -214,15 +282,33 @@ def _em_sums(m: int, k: int, s) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=32)
 def _gamma_batch(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """gamma_k(r, m) and budgets for r = 1..m (r = m is the zero class)."""
-    return _em_sums(m, k, 1)
+    vals, buds = _em_sums(m, k, (1,))
+    return vals[0], buds[0]
+
+
+def _block_sigmas(m: int) -> range:
+    """The s of the block mod m: 2..SIGMA_MAX, and at m = 1 up to 2 SIGMA_MAX,
+    for the zeta(2s - 1) and zeta(2s) that _epstein_23 reads."""
+    return range(2, (2 if m == 1 else 1) * SIGMA_MAX + 1)
+
+
+@lru_cache(maxsize=32)
+def _series_block(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """H_k(r, m, s) and budgets for every s of _block_sigmas(m), row s - 2."""
+    return _em_sums(m, k, tuple(_block_sigmas(m)))
 
 
 @lru_cache(maxsize=128)
 def _series_batch(m: int, k: int, s) -> tuple[np.ndarray, np.ndarray]:
-    """H_k(r, m, s) and budgets for r = 1..m, s > 1 exact (_exact), k checked by the caller."""
+    """H_k(r, m, s) and budgets for r = 1..m, s > 1 exact (_exact), k checked
+    by the caller: a row of the block mod m, or a one-row batch of its own."""
     if not s > 1:
         raise PreconditionError(f"the Dirichlet series need s > 1, got {_args.shown(s)}")
-    return _em_sums(m, k, s)
+    if s in _block_sigmas(m):
+        vals, buds = _series_block(m, k)
+        return vals[s - 2], buds[s - 2]
+    vals, buds = _em_sums(m, k, (s,))
+    return vals[0], buds[0]
 
 
 def gamma_k(r: int, m: int, k: int = 0) -> ValueWithBudget:

@@ -530,9 +530,10 @@ def _count_windows(spec: CaseSpec, x: int) -> int:
 # _S1_BLOCK - 1 terms of k = 1 itself, few enough to read in Python (a row
 # is 24 B, so 0.12 MB a case for the 78,498 primes below 1e6); it grows
 # _S1_CHUNK primes a pass, a whole number of blocks, which bounds its
-# temporaries.
+# temporaries: a float64 one is 64 KB, below glibc's default 128 KiB mmap
+# threshold, so the passes reuse heap pages instead of faulting fresh ones.
 _S1_BLOCK = 16
-_S1_CHUNK = 1 << 15
+_S1_CHUNK = 1 << 13
 # One float addition rounds by at most 2^-53 times its result.  The factor
 # covers the rounding of the running sum of |lo| that this multiplies, which
 # can fall short of the exact sum by a factor (1 - 2^-53)^n for the n < 2^22

@@ -175,13 +175,22 @@ def _c5_consistent():
 # ---------------------------------------------------------------------------
 
 N_MAX = 20_000
+# the tau cases' moduli q and tags
+_TAU_QS = ((2, "q2"), (3, "q3"), (5, "q5"), (7, "q7"), (23, "q23"), (691, "q691"))
 
 
-@lru_cache(maxsize=None)
-def _tau_residues(q):
-    out = np.array([t % q for t in mf.tau_exact(N_MAX).values], dtype=np.int64)
+@lru_cache(maxsize=1)
+def _tau_reduced():
+    """tau(n) mod the product of the q of _TAU_QS, n = 1..N_MAX: one pass over the exact tau."""
+    product = math.prod(q for q, _ in _TAU_QS)
+    out = np.array([t % product for t in mf.tau_exact(N_MAX).values], dtype=np.int64)
     out.flags.writeable = False
     return out
+
+
+def _tau_residues(q):
+    """tau(n) mod q, n = 1..N_MAX, for a q of _TAU_QS (which divides the product)."""
+    return _tau_reduced() % q
 
 
 def _tau_congruence(q):
@@ -294,7 +303,7 @@ CHECKS = (
     _quoted("constants/two-squares-C2", lambda: co.second_order_constant("two_squares").c2.value),
     _quoted("constants/two-squares-C2-shanks", lambda: co.second_order_constant("two_squares").c2.value),
     ("q5", "constants/first-order-q5-consistent", _c5_consistent),
-    *(row for q, tag in ((2, "q2"), (3, "q3"), (5, "q5"), (7, "q7"), (23, "q23"), (691, "q691"))
+    *(row for q, tag in _TAU_QS
       for row in ((tag, "oracle/tau-congruence", partial(_tau_congruence, q)),
                   (tag, "oracle/f-vs-tau", partial(_f_vs_tau, q, tag)))),
     ("two_squares", "oracle/f-vs-tau", _two_squares),

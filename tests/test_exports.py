@@ -65,6 +65,8 @@ REMOVED = (
     # Wilton's data, now one table in lrlab.primes (WILTON_RESIDUES and the rest)
     "_KRON23",
     "_WILTON_RESIDUES",
+    # folded into lseries._em_sums, one pass for every s of a (modulus, k)
+    "_g_derivative",
 )
 
 

@@ -2,13 +2,15 @@ import cmath
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from lrlab.characters import _dlog_table, euler_phi
 from lrlab.errors import InvalidArgumentError, UnsupportedCaseError
 from lrlab.constants import _class_sum
 from lrlab.identities import euler_identity_sides, local_factor_gap, truncated_T
 from lrlab.lseries import _log, zeta_value
-from lrlab.multfn import CASES, M_NEVER, CaseSpec, class_index, dirichlet_series_truncated, get_case
+from lrlab.multfn import CASES, M_ALWAYS, M_NEVER, CaseSpec, class_index, dirichlet_series_truncated, get_case
 from lrlab.primes import sieve_primes
 from lrlab.verify import CHECKS
 from euler_reference import with_euler
@@ -109,12 +111,47 @@ class TestLocalFactors:
                 assert lhs == pytest.approx(math.fsum(terms), abs=1e-12), (tag, form, p, x)
 
 
+def local_factor_gap_reference(case, x, p_limit=10**4):
+    """local_factor_gap with log |1 - chi^j(p) x| evaluated for every (p, j)
+    on its own, not read from a table over the phi residues."""
+    spec = get_case(case)
+    euler = spec.euler
+    p = sieve_primes(p_limit)
+    idx = class_index(spec, p_limit)
+    m0 = spec._m0s[idx]
+    finite_m0 = np.where(m0 >= 2, m0, 2)
+    log_1mx = math.log1p(-x)
+    log_t = np.where(
+        m0 == M_NEVER,
+        -log_1mx,
+        np.log1p(-(x ** (finite_m0 - 1))) - log_1mx - np.log1p(-(x**finite_m0)),
+    )
+    log_t[m0 == M_ALWAYS] = 0.0
+    m = euler.modulus
+    phi = euler_phi(m)
+    j, w = np.array(euler.l_weights(), dtype=np.int64).reshape(-1, 2).T
+    dlog = _dlog_table(m)[p % m]
+    angle = 2.0 * np.pi * ((np.outer(dlog, j) % phi) / phi)
+    log_l = 0.5 * np.log1p(x * (x - 2.0 * np.cos(angle)))
+    log_l[dlog < 0] = 0.0
+    rhs = -float(euler.n * spec.tau) * log_1mx - log_l @ w
+    for k, factor in enumerate(euler.classes):
+        rhs[idx == k] += sum(c * math.log1p(-(x**a)) for c, a in factor)
+    return float(np.max(np.abs(euler.n * log_t - rhs)))
+
+
 class TestLocalFactorGap:
     @pytest.mark.parametrize("inv_x", [2.0, 3.0])
     @pytest.mark.parametrize("tag", ["two_squares", "q3", "q5", "q7", "q23", "q691"])
     def test_every_row(self, tag, inv_x):
         # an identity of power series, checked at x = 1/2 and 1/3
         assert local_factor_gap(tag, 1 / inv_x, 10**4) <= 1e-10, tag
+
+    @pytest.mark.parametrize("inv_x", [2.0, 3.0])
+    @pytest.mark.parametrize("tag", ["two_squares", "q3", "q5", "q7", "q23", "q691"])
+    def test_tabulated_logs_equal_the_direct_ones(self, tag, inv_x):
+        # the phi tabulated logs, gathered, give the gap bit for bit
+        assert local_factor_gap(tag, 1 / inv_x) == local_factor_gap_reference(tag, 1 / inv_x), tag
 
     def test_sees_a_wrong_exponent(self, monkeypatch):
         spec = get_case("q691")

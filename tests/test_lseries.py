@@ -6,13 +6,18 @@ import numpy as np
 import pytest
 
 from lrlab.budget import ValueWithBudget
-from lrlab.characters import character_group, generator_character, kronecker_character
+from lrlab.characters import GENERATORS, character_group, generator_character, kronecker_character
 from lrlab.errors import InvalidArgumentError, LrlabError, PreconditionError
 from lrlab.lseries import (
     GAMMA_K_MAX,
+    SIGMA_MAX,
+    _block_sigmas,
+    _certified_sums,
     _em_remainder_bound,
+    _em_sums,
     _gamma_batch,
     _series_batch,
+    _series_block,
     closed_form_l_values,
     euler_gamma_value,
     frobenius_class_sum,
@@ -454,6 +459,101 @@ def test_wrong_argument_kinds_are_invalid(call):
     # a typed error, not a bare TypeError or AttributeError
     with pytest.raises(InvalidArgumentError):
         call()
+
+
+def _certified(rows):
+    """_certified_sums of each row, and the mask of the rows it left to math.fsum."""
+    rows = np.asarray(rows, dtype=np.float64)
+    left = np.zeros(len(rows), dtype=bool)
+
+    def fallback(mask):
+        left[mask] = True
+        return rows[mask]
+
+    return _certified_sums(rows.T, fallback), left
+
+
+def _fsums(rows):
+    return np.array([math.fsum(row) for row in np.asarray(rows, dtype=np.float64).tolist()])
+
+
+class TestCertifiedSums:
+    """Row sums equal to math.fsum bit for bit, by TwoSum or by falling back to it."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        rows = np.concatenate((
+            rng.exponential(size=(500, 40)) * 10.0 ** rng.integers(-20, 20, size=(500, 1)),
+            10.0 ** rng.uniform(-30, 30, size=(500, 40)),
+            # sums on a lattice of 2^-53 or 2^-60, a few bits wider than a
+            # float: one in 2^5 or so is a tie
+            rng.random((500, 40)),
+            rng.integers(0, 2**53, size=(500, 40)) * 2.0**-60,
+        ))
+        sums, left = _certified(rows)
+        assert sums.tobytes() == _fsums(rows).tobytes()
+        assert np.count_nonzero(left[:1000]) <= 5
+
+    def test_half_ulp_ties_fall_back(self):
+        def row(*terms):
+            return list(terms) + [0.0] * (40 - len(terms))
+
+        ties = [
+            row(1.0, 2.0**-53),  # 1 + 2^-53 rounds to even: 1
+            row(1.0 + 2.0**-52, 2.0**-53),  # rounds up, to even
+            [2.0**-53] + [0.0] * 38 + [1.0],
+            row(1.0, *[2.0**-58] * 32),  # half an ulp in 32 pieces
+            row(3.0, 2.0**-52),  # below 4, so the gap below r is the ulp
+            row(4.0, 2.0**-51),  # r = 4: half the gap above
+        ]
+        sums, left = _certified(ties)
+        assert sums.tobytes() == _fsums(ties).tobytes()
+        assert left.all()
+
+    def test_zero_and_subnormal_rows(self):
+        rows = [
+            [0.0] * 40,
+            [5e-324] * 40,
+            [2.0**-1022] + [5e-324] * 39,
+            [1e-310 * (t + 1) for t in range(40)],
+        ]
+        sums, left = _certified(rows)
+        assert sums.tobytes() == _fsums(rows).tobytes()
+        assert left.all()  # a zero or tiny sum is never certified
+
+    def test_one_huge_term_and_a_wide_range(self):
+        rng = np.random.default_rng(7)
+        wide = 10.0 ** np.linspace(-150, 150, 40)
+        rows = [
+            [1e300] + [1e-300] * 39,
+            [1e-300] * 39 + [1e300],
+            [1.7e308] + [1e292] * 39,
+            wide,
+            wide[::-1],
+            rng.permutation(wide),
+            [1.0] + [2.0**-60] * 39,
+        ]
+        sums, left = _certified(rows)
+        assert sums.tobytes() == _fsums(rows).tobytes()
+
+
+class TestSeriesBlock:
+    """One Euler-Maclaurin pass per (m, k) serves every s of the block."""
+
+    @pytest.mark.parametrize("m", [1, *GENERATORS])
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_block_rows_equal_one_row_batches(self, m, k):
+        vals, buds = _series_block(m, k)
+        sigmas = list(_block_sigmas(m))
+        assert sigmas[0] == 2 and sigmas[-1] == (2 if m == 1 else 1) * SIGMA_MAX
+        assert vals.shape == buds.shape == (len(sigmas), m)
+        for s in sigmas:
+            one_vals, one_buds = _em_sums(m, k, (s,))
+            assert vals[s - 2].tobytes() == one_vals[0].tobytes(), (m, k, s)
+            assert buds[s - 2].tobytes() == one_buds[0].tobytes(), (m, k, s)
+            batch_vals, batch_buds = _series_batch(m, k, s)
+            assert batch_vals.tobytes() == vals[s - 2].tobytes() and batch_buds.tobytes() == buds[s - 2].tobytes()
 
 
 class TestRemainderBound:
